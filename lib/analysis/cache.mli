@@ -7,7 +7,8 @@
     function; the cache turns all but the first into a lookup.
 
     The table is bounded (FIFO eviction) so it never pins more than a few
-    recent functions. *)
+    recent functions.  It is not synchronised: keep one per domain
+    ([Flow.Liveness] keeps its table in [Domain.DLS]). *)
 
 type ('k, 'v) t
 

@@ -18,6 +18,20 @@ type stats = { visits : int }
 
 exception Diverged of string
 
+let budget ?max_visits nodes =
+  match max_visits with Some m -> m | None -> max 4096 ((nodes + 1) * 256)
+
+let diverged ?name ~visits ~nodes =
+  raise
+    (Diverged
+       (Printf.sprintf
+          "%sno fixpoint after %d node visits (%d nodes); transfer function \
+           is not monotone or the lattice has unbounded height"
+          (match name with
+          | Some a -> Printf.sprintf "analysis %s: " a
+          | None -> "")
+          visits nodes))
+
 module type LATTICE = sig
   type t
 
@@ -59,26 +73,13 @@ module Solver (L : LATTICE) = struct
         Queue.add i q;
         inq.(i) <- true)
       order;
-    let budget =
-      match max_visits with
-      | Some m -> m
-      | None -> max 4096 ((n + 1) * 256)
-    in
+    let budget = budget ?max_visits n in
     let visits = ref 0 in
     while not (Queue.is_empty q) do
       let i = Queue.pop q in
       inq.(i) <- false;
       incr visits;
-      if !visits > budget then
-        raise
-          (Diverged
-             (Printf.sprintf
-                "%sno fixpoint after %d node visits (%d nodes); transfer \
-                 function is not monotone or the lattice has unbounded height"
-                (match name with
-                | Some a -> Printf.sprintf "analysis %s: " a
-                | None -> "")
-                !visits n));
+      if !visits > budget then diverged ?name ~visits:!visits ~nodes:n;
       let inp =
         match sources i with
         | [] -> empty

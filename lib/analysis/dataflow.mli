@@ -1,11 +1,12 @@
 (** Generic monotone dataflow framework.
 
-    One worklist solver serves every analysis in the compiler: the client
+    One worklist solver serves the compiler's analyses: the client
     supplies a join-semilattice of facts, a flow graph, and a per-node
     transfer function; the solver iterates to a fixpoint in reverse
     postorder (postorder for backward problems) and returns the fact
-    arrays.  {!Live}, {!Reaching}, {!Avail}, {!Copyconst} and the
-    value-numbering walk of [Opt.Cse] are all instances.
+    arrays.  {!Reaching}, {!Avail}, {!Copyconst} and the value-numbering
+    walk of [Opt.Cse] are instances.  {!Live}, the hottest analysis, runs
+    the same schedule on dense bitsets in a solver of its own.
 
     The graph is deliberately abstract (three functions and an order) so
     the engine has no dependency on [Flow]: [Flow.Cfg.graph] adapts a CFG,
@@ -36,6 +37,14 @@ type stats = { visits : int  (** node evaluations until the fixpoint *) }
     (non-monotone) analysis — the pass boundary in [Opt.Driver] catches it
     and quarantines the offending pass. *)
 exception Diverged of string
+
+(** The visit budget: [max_visits] when given, else
+    [max 4096 ((nodes + 1) * 256)]. *)
+val budget : ?max_visits:int -> int -> int
+
+(** Raise {!Diverged} with the iteration-bound message.  Shared by
+    {!Solver} and the specialised liveness solver in {!Live}. *)
+val diverged : ?name:string -> visits:int -> nodes:int -> 'a
 
 module type LATTICE = sig
   type t

@@ -1,32 +1,178 @@
 open Ir
 
+let bits_per_word = 62
+
+let index = function
+  | Reg.Cc -> 0
+  | Reg.Phys i -> 1 + i
+  | Reg.Virt n -> 1 + Conv.num_regs + n
+
+let phys = Array.init Conv.num_regs (fun i -> Reg.Phys i)
+
+let reg_of_index k =
+  if k = 0 then Reg.Cc
+  else if k <= Conv.num_regs then phys.(k - 1)
+  else Reg.Virt (k - 1 - Conv.num_regs)
+
+(* Bit [k] of the set stored at [bits.(off ..)]. *)
+let get bits off k =
+  bits.(off + (k / bits_per_word)) land (1 lsl (k mod bits_per_word)) <> 0
+
+let set bits off k =
+  let j = off + (k / bits_per_word) in
+  bits.(j) <- bits.(j) lor (1 lsl (k mod bits_per_word))
+
+let clear bits off k =
+  let j = off + (k / bits_per_word) in
+  bits.(j) <- bits.(j) land lnot (1 lsl (k mod bits_per_word))
+
+module Regs = struct
+  type t = { bits : int array; off : int; words : int }
+
+  let mem s r =
+    let k = index r in
+    k < s.words * bits_per_word && get s.bits s.off k
+
+  let fold f s acc =
+    let acc = ref acc in
+    for w = 0 to s.words - 1 do
+      let word = ref s.bits.(s.off + w) in
+      let k = ref (w * bits_per_word) in
+      while !word <> 0 do
+        if !word land 1 <> 0 then acc := f (reg_of_index !k) !acc;
+        word := !word lsr 1;
+        incr k
+      done
+    done;
+    !acc
+
+  let iter f s = fold (fun r () -> f r) s ()
+end
+
 type t = {
-  live_in : Reg.Set.t array;
-  live_out : Reg.Set.t array;
+  words : int;  (** ints per set *)
+  live_in : int array;  (** block [i]'s set at [i * words] *)
+  live_out : int array;
   stats : Dataflow.stats;
 }
 
-let step instr live_after =
-  Reg.Set.union (Rtl.uses instr) (Reg.Set.diff live_after (Rtl.defs instr))
+let stats t = t.stats
+let view bits t i = { Regs.bits; off = i * t.words; words = t.words }
+let live_in t i = view t.live_in t i
+let live_out t i = view t.live_out t i
 
-let block_transfer instrs live_out =
-  List.fold_right (fun i acc -> step i acc) instrs live_out
+let fold_backward t f instrs i ~init =
+  let words = t.words in
+  let buf = Array.sub t.live_out (i * words) words in
+  let after = { Regs.bits = buf; off = 0; words } in
+  let kill r = clear buf 0 (index r) in
+  let gen r = set buf 0 (index r) in
+  List.fold_right
+    (fun instr acc ->
+      let acc = f acc instr ~live_after:after in
+      Rtl.iter_defs kill instr;
+      Rtl.iter_uses gen instr;
+      acc)
+    instrs init
 
-module S = Dataflow.Solver (struct
-  type t = Reg.Set.t
+(* [dst.(doff ..) <- dst.(doff ..) lor src.(soff ..)] over [words] ints. *)
+let union_into dst doff src soff words =
+  for w = 0 to words - 1 do
+    dst.(doff + w) <- dst.(doff + w) lor src.(soff + w)
+  done
 
-  let equal = Reg.Set.equal
-  let join = Reg.Set.union
-end)
+let rec union_succs live_out off live_in words = function
+  | [] -> ()
+  | s :: rest ->
+    union_into live_out off live_in (s * words) words;
+    union_succs live_out off live_in words rest
 
-let solve ?max_visits ~graph ~instrs () =
-  let r =
-    S.solve ~name:"live" ?max_visits ~direction:Dataflow.Backward ~graph
-      ~empty:Reg.Set.empty
-      ~init:(fun _ -> Reg.Set.empty)
-      ~transfer:(fun i out -> block_transfer instrs.(i) out)
-      ()
+(* Per-block gen (upward-exposed uses) and kill (every definition) sets,
+   [words] wide.  A register past that width is left out; the result's
+   third component is the highest such index, 0 when everything fit. *)
+let gen_kill ~n ~words instrs =
+  let gen = Array.make (n * words) 0 in
+  let kill = Array.make (n * words) 0 in
+  let limit = words * bits_per_word in
+  let over = ref 0 in
+  for b = 0 to n - 1 do
+    let off = b * words in
+    let use r =
+      let k = index r in
+      if k >= limit then over := max !over k
+      else if not (get kill off k) then set gen off k
+    in
+    let def r =
+      let k = index r in
+      if k >= limit then over := max !over k else set kill off k
+    in
+    List.iter
+      (fun i ->
+        Rtl.iter_uses use i;
+        Rtl.iter_defs def i)
+      instrs.(b)
+  done;
+  (gen, kill, !over)
+
+let words_for top = (top / bits_per_word) + 1
+
+let solve ?max_visits ?(regs = 1) ~graph ~instrs () =
+  let n = graph.Dataflow.nodes in
+  let words, gen, kill =
+    let words = words_for (max 0 (regs - 1)) in
+    match gen_kill ~n ~words instrs with
+    | gen, kill, 0 -> (words, gen, kill)
+    | _, _, over ->
+      (* The guess was short: one more pass at the measured width. *)
+      let words = words_for over in
+      let gen, kill, _ = gen_kill ~n ~words instrs in
+      (words, gen, kill)
   in
-  (* Backward orientation: the solver's [input] is the confluence over
-     successors (live-out), its [output] the transferred fact (live-in). *)
-  { live_in = r.S.output; live_out = r.S.input; stats = r.S.stats }
+  let live_in = Array.make (n * words) 0 in
+  let live_out = Array.make (n * words) 0 in
+  (* The worklist of [Dataflow.Solver] for a backward problem: seeded in
+     postorder, FIFO, a node queued at most once at a time.  The ring
+     holds the seed plus one entry per node. *)
+  let seed = graph.rpo in
+  let cap = Array.length seed + n + 1 in
+  let ring = Array.make cap 0 in
+  let head = ref 0 and len = ref 0 in
+  let inq = Array.make n false in
+  let push i =
+    ring.((!head + !len) mod cap) <- i;
+    incr len;
+    inq.(i) <- true
+  in
+  for k = Array.length seed - 1 downto 0 do
+    push seed.(k)
+  done;
+  let rec enqueue = function
+    | [] -> ()
+    | j :: rest ->
+      if not inq.(j) then push j;
+      enqueue rest
+  in
+  let budget = Dataflow.budget ?max_visits n in
+  let visits = ref 0 in
+  while !len > 0 do
+    let i = ring.(!head) in
+    head := (!head + 1) mod cap;
+    decr len;
+    inq.(i) <- false;
+    incr visits;
+    if !visits > budget then
+      Dataflow.diverged ~name:"live" ~visits:!visits ~nodes:n;
+    let off = i * words in
+    Array.fill live_out off words 0;
+    union_succs live_out off live_in words (graph.succs i);
+    let changed = ref false in
+    for w = off to off + words - 1 do
+      let v = gen.(w) lor (live_out.(w) land lnot kill.(w)) in
+      if v <> live_in.(w) then begin
+        live_in.(w) <- v;
+        changed := true
+      end
+    done;
+    if !changed then enqueue (graph.preds i)
+  done;
+  { words; live_in; live_out; stats = { Dataflow.visits = !visits } }

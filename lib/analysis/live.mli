@@ -1,21 +1,62 @@
-(** Backward liveness over registers (including {!Ir.Reg.Cc}), as an
-    instance of {!Dataflow}.  [Flow.Liveness] wraps this for [Func.t]
-    callers; the raw interface works on any block array + graph. *)
+(** Backward liveness over registers (including {!Ir.Reg.Cc}), solved on
+    dense bitsets.  [Flow.Liveness] wraps this for [Func.t] callers; the
+    raw interface works on any block array + graph.
+
+    Registers are numbered per solve: [Cc] is 0, [Phys i] is [1 + i] and
+    [Virt n] is [1 + Conv.num_regs + n].  A set is [words] machine ints of
+    62 bits each, wide enough for the highest register the blocks
+    mention; a solve's live-in and live-out sets each fill one flat
+    [int array].
+    Per-block gen/kill sets are built once, with {!Ir.Rtl.iter_uses} and
+    {!Ir.Rtl.iter_defs}, and the fixpoint visits nodes in exactly the
+    order of {!Dataflow.Solver} (postorder seed, FIFO worklist, the same
+    [Diverged] budget), so [stats.visits] equals the generic solver's. *)
 
 open Ir
 
-type t = {
-  live_in : Reg.Set.t array;  (** registers live on entry to each block *)
-  live_out : Reg.Set.t array;  (** registers live on exit from each block *)
-  stats : Dataflow.stats;
-}
+(** A read-only view of one register set. *)
+module Regs : sig
+  type t
 
-(** One backward transfer step: liveness before an instruction given
-    liveness after it. *)
-val step : Rtl.instr -> Reg.Set.t -> Reg.Set.t
+  val mem : t -> Reg.t -> bool
 
-(** [step] folded over a whole block, last instruction first. *)
-val block_transfer : Rtl.instr list -> Reg.Set.t -> Reg.Set.t
+  (** Visits members in index order ([Cc], then physical, then virtual). *)
+  val iter : (Reg.t -> unit) -> t -> unit
 
+  val fold : (Reg.t -> 'a -> 'a) -> t -> 'a -> 'a
+end
+
+type t
+
+val stats : t -> Dataflow.stats
+
+(** Registers live on entry to block [i]. *)
+val live_in : t -> int -> Regs.t
+
+(** Registers live on exit from block [i]. *)
+val live_out : t -> int -> Regs.t
+
+(** [fold_backward t f instrs i ~init] folds [f] over [instrs] (block
+    [i]'s instructions) from last to first.  [f acc instr ~live_after]
+    sees the registers live immediately after [instr]; the view is one
+    buffer updated in place as the fold moves up, so it is only valid
+    during that call of [f]. *)
+val fold_backward :
+  t ->
+  ('a -> Rtl.instr -> live_after:Regs.t -> 'a) ->
+  Rtl.instr list ->
+  int ->
+  init:'a ->
+  'a
+
+(** [regs] guesses the width: one more than the highest register number
+    the blocks mention.  The blocks are scanned once at that width; a short
+    guess costs a second scan at the measured width, never a wrong
+    answer. *)
 val solve :
-  ?max_visits:int -> graph:Dataflow.graph -> instrs:Rtl.instr list array -> unit -> t
+  ?max_visits:int ->
+  ?regs:int ->
+  graph:Dataflow.graph ->
+  instrs:Rtl.instr list array ->
+  unit ->
+  t

@@ -42,11 +42,9 @@ let dead_stores fname func reach =
       out :=
         Liveness.fold_backward live
           (fun acc instr ~live_after ->
-            let defs = Reg.Set.remove Reg.Cc (Rtl.defs instr) in
             if
               Rtl.is_pure instr
-              && (not (Reg.Set.is_empty defs))
-              && Reg.Set.is_empty (Reg.Set.inter defs live_after)
+              && Liveness.dead_result ~cc:false live_after instr
             then
               Diag.make Diag.Dead_store ~func:fname ~pass:"lint"
                 (Format.asprintf "%s: result of %a is never read"

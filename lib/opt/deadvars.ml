@@ -15,11 +15,8 @@ let run func =
                 | Rtl.Move (Lreg d, Reg s) -> Reg.equal d s
                 | _ -> false
               in
-              let defs = Rtl.defs instr in
               let dead =
-                Rtl.is_pure instr
-                && (not (Reg.Set.is_empty defs))
-                && not (Reg.Set.exists (fun d -> Reg.Set.mem d live_after) defs)
+                Rtl.is_pure instr && Liveness.dead_result ~cc:true live_after instr
               in
               if self_move || dead then begin
                 changed := true;

@@ -191,19 +191,31 @@ let forward_pass st instrs =
 
 (* --- Backward pass: CISC fusions that need dead-after information --- *)
 
-let backward_pass st live_out instrs =
+let mentions iter instr r =
+  let hit = ref false in
+  iter (fun x -> if Reg.equal x r then hit := true) instr;
+  !hit
+
+(* [live_out r]: whether [r] is live on exit from the block. *)
+let backward_pass st ~live_out instrs =
   if st.machine.Machine.kind <> Machine.Cisc then instrs
   else begin
-    let arr = Array.of_list instrs in
+    let orig = Array.of_list instrs in
+    let arr = Array.copy orig in
     let n = Array.length arr in
-    (* live.(k) = registers live after instruction k. *)
-    let live = Array.make (n + 1) live_out in
-    for k = n - 1 downto 0 do
-      live.(k) <- Flow.Liveness.step arr.(k) live.(k + 1)
-    done;
-    (* live.(k) is liveness *before* instr k as computed; shift so that
-       after(k) = live.(k+1). *)
-    let dead_after k r = not (Reg.Set.mem r live.(k + 1)) in
+    (* Whether [r] is dead after instruction [k] of the incoming block: the
+       next instruction mentioning [r] writes it without reading it, or
+       none does and [r] is not live out.  Fusions rewrite [arr], so scan
+       [orig]. *)
+    let dead_after k r =
+      let rec scan j =
+        if j = n then not (live_out r)
+        else if mentions Rtl.iter_uses orig.(j) r then false
+        else if mentions Rtl.iter_defs orig.(j) r then true
+        else scan (j + 1)
+      in
+      scan (k + 1)
+    in
     let removed = Array.make n false in
     (* Read-modify-write over one cell:
        t = M[m]; t = t op b; M[m] = t   =>   M[m] = M[m] op b *)
@@ -256,14 +268,16 @@ let backward_pass st live_out instrs =
   end
 
 let run machine func =
-  let live = Flow.Liveness.compute func in
+  (* Only the CISC fusions read liveness. *)
+  let live = lazy (Flow.Liveness.compute func) in
   let st = { machine; facts = Hashtbl.create 32; changed = false } in
   let blocks =
     Array.mapi
       (fun bi (b : Flow.Func.block) ->
         Hashtbl.reset st.facts;
         let instrs = forward_pass st b.instrs in
-        let instrs = backward_pass st (Flow.Liveness.live_out live bi) instrs in
+        let live_out r = Flow.Liveness.mem_out (Lazy.force live) bi r in
+        let instrs = backward_pass st ~live_out instrs in
         { b with instrs })
       (Flow.Func.blocks func)
   in

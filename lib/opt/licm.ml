@@ -79,7 +79,7 @@ let loop_defs func (loop : Loops.loop) =
     (fun bi ->
       List.iter
         (fun i ->
-          Reg.Set.iter
+          Rtl.iter_defs
             (fun r ->
               let sites =
                 match Hashtbl.find_opt defs r with
@@ -87,7 +87,7 @@ let loop_defs func (loop : Loops.loop) =
                 | None -> []
               in
               Hashtbl.replace defs r ((bi, i) :: sites))
-            (Rtl.defs i))
+            i)
         (Func.block func bi).instrs)
     loop.body;
   defs
@@ -114,7 +114,6 @@ let hoist_loop func g dom live (loop : Loops.loop) =
   (* Liveness is only consulted by the exit-safety check, and most loops
      have no syntactically hoistable group at all — keep the whole
      dataflow computation unforced until a candidate actually needs it. *)
-  let header_live_in = lazy (Liveness.live_in (Lazy.force live) loop.header) in
   (* The preheader runs even when the loop body would not (zero-iteration
      entry), so hoisted instructions must be unable to fault: no division by
      a possibly-zero value, and loads only through always-mapped addresses
@@ -146,7 +145,10 @@ let hoist_loop func g dom live (loop : Loops.loop) =
     Rtl.is_pure i
     && ((not (Rtl.reads_mem i)) || not mem_dirty)
     && cannot_fault i
-    && Reg.Set.for_all (fun r -> def_count r = 0) (Rtl.uses i)
+    &&
+    let invariant = ref true in
+    Rtl.iter_uses (fun r -> if def_count r > 0 then invariant := false) i;
+    !invariant
   in
   (* One rule covers replication-duplicated definitions and the plain
      single-definition case alike.  A register [d] is hoistable when every
@@ -169,11 +171,11 @@ let hoist_loop func g dom live (loop : Loops.loop) =
     | _ -> false
   in
   let exit_safe_sites d sites =
-    (not (Reg.Set.mem d (Lazy.force header_live_in)))
+    (not (Liveness.mem_in (Lazy.force live) loop.header d))
     && List.for_all
          (fun (u, vout) ->
            List.exists (fun (bd, _) -> Dom.dominates dom bd u) sites
-           || not (Reg.Set.mem d (Liveness.live_in (Lazy.force live) vout)))
+           || not (Liveness.mem_in (Lazy.force live) vout d))
          exits
   in
   (* The hoistable definition group of [d], if any: [`Single i] when every
@@ -307,7 +309,7 @@ let run func =
     else begin
       let g = Cfg.make func in
       let dom = Dom.compute g in
-      let live = lazy (Liveness.compute func) in
+      let live = lazy (Liveness.compute ~cfg:g func) in
       let loops = Loops.innermost_first (Loops.natural_loops g dom) in
       let rec try_loops = function
         | [] -> None

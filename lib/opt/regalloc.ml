@@ -25,8 +25,14 @@ let add_edge g a b =
   if (not (Reg.equal a b)) && interesting a && interesting b
      && (Reg.is_virt a || Reg.is_virt b)
   then begin
-    Hashtbl.replace g.adj a (Reg.Set.add b (adj_of g a));
-    Hashtbl.replace g.adj b (Reg.Set.add a (adj_of g b))
+    let sa = adj_of g a in
+    let sa' = Reg.Set.add b sa in
+    (* [Set.add] returns its argument when [b] is already there: the edge
+       exists in both directions, nothing to store. *)
+    if sa' != sa then begin
+      Hashtbl.replace g.adj a sa';
+      Hashtbl.replace g.adj b (Reg.Set.add a (adj_of g b))
+    end
   end
 
 let build_graph func =
@@ -53,24 +59,21 @@ let build_graph func =
     ignore
       (Liveness.fold_backward live
          (fun () instr ~live_after ->
-           let defs = Rtl.defs instr in
-           let exclude =
+           (* Each definition interferes with everything live after it and
+              with the instruction's other definitions — except, for a
+              move, its source. *)
+           let interfere =
              match instr with
              | Rtl.Move (Lreg d, Reg s) ->
                g.moves <- (d, s) :: g.moves;
-               Some s
-             | _ -> None
+               fun d x -> if not (Reg.equal x s) then add_edge g d x
+             | _ -> add_edge g
            in
-           let base = Reg.Set.union live_after defs in
-           Reg.Set.iter
+           Rtl.iter_defs
              (fun d ->
-               Reg.Set.iter
-                 (fun x ->
-                   match exclude with
-                   | Some s when Reg.equal x s -> ()
-                   | _ -> add_edge g d x)
-                 (Reg.Set.remove d base))
-             defs;
+               Liveness.Regs.iter (interfere d) live_after;
+               Rtl.iter_defs (interfere d) instr)
+             instr;
            ())
          bi ~init:())
   done;

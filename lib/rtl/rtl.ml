@@ -128,6 +128,69 @@ let defs = function
   | Call _ -> Conv.caller_save
   | Enter _ | Leave -> Reg.Set.of_list [ Conv.fp; Conv.sp ]
 
+(* Non-allocating twins of [uses]/[defs] for the hot dataflow paths.  A
+   register may be visited more than once (e.g. [x + x]). *)
+
+let iter_addr_regs f = function
+  | Based (r, _) -> f r
+  | Indexed (b, i, _, _) ->
+    f b;
+    f i
+  | Abs _ -> ()
+
+let iter_operand_regs f = function
+  | Reg r -> f r
+  | Imm _ -> ()
+  | Mem (_, a) -> iter_addr_regs f a
+
+let iter_loc_addr_regs f = function
+  | Lreg _ -> ()
+  | Lmem (_, a) -> iter_addr_regs f a
+
+let arg_regs = Array.of_list Conv.arg_regs
+
+let iter_uses f = function
+  | Move (l, src) ->
+    iter_loc_addr_regs f l;
+    iter_operand_regs f src
+  | Lea (_, a) -> iter_addr_regs f a
+  | Binop (_, l, a, b) ->
+    iter_loc_addr_regs f l;
+    iter_operand_regs f a;
+    iter_operand_regs f b
+  | Unop (_, l, a) ->
+    iter_loc_addr_regs f l;
+    iter_operand_regs f a
+  | Cmp (a, b) ->
+    iter_operand_regs f a;
+    iter_operand_regs f b
+  | Branch _ -> f Reg.Cc
+  | Jump _ | Nop -> ()
+  | Ijump (r, _) -> f r
+  | Call (_, nargs) ->
+    for i = 0 to min nargs (Array.length arg_regs) - 1 do
+      f arg_regs.(i)
+    done;
+    f Conv.sp
+  | Ret ->
+    f Conv.rv;
+    f Conv.sp
+  | Enter _ ->
+    f Conv.fp;
+    f Conv.sp
+  | Leave -> f Conv.fp
+
+let iter_defs f = function
+  | Move (l, _) | Binop (_, l, _, _) | Unop (_, l, _) -> (
+    match l with Lreg r -> f r | Lmem _ -> ())
+  | Lea (r, _) -> f r
+  | Cmp _ -> f Reg.Cc
+  | Branch _ | Jump _ | Ijump _ | Ret | Nop -> ()
+  | Call _ -> Reg.Set.iter f Conv.caller_save
+  | Enter _ | Leave ->
+    f Conv.fp;
+    f Conv.sp
+
 let map_addr f = function
   | Based (r, d) -> Based (f r, d)
   | Indexed (b, i, s, d) -> Indexed (f b, f i, s, d)

@@ -83,6 +83,13 @@ val uses : instr -> Reg.Set.t
     register, i.e. the clobber set). *)
 val defs : instr -> Reg.Set.t
 
+(** [iter_uses f i] applies [f] to every element of [uses i] without
+    building the set; a register read twice may be visited twice. *)
+val iter_uses : (Reg.t -> unit) -> instr -> unit
+
+(** [iter_defs f i] applies [f] to every element of [defs i], likewise. *)
+val iter_defs : (Reg.t -> unit) -> instr -> unit
+
 (** Apply [f] to every register occurrence, uses and defs alike. *)
 val map_regs : (Reg.t -> Reg.t) -> instr -> instr
 

@@ -251,7 +251,7 @@ let test_copyconst_join () =
           c.Analysis.Copyconst.fact_in.(1))
        (Rtl.Reg (v 3)))
 
-(* --- framework liveness == the naive reference solver --- *)
+(* --- bitset liveness == the naive reference solver --- *)
 
 (* The pre-framework implementation, kept as an executable specification. *)
 let naive_liveness func =
@@ -268,7 +268,7 @@ let naive_liveness func =
           (fun acc s -> Reg.Set.union acc live_in.(s))
           Reg.Set.empty (Cfg.succs g i)
       in
-      let inn = List.fold_right Liveness.step (Func.block func i).instrs out in
+      let inn = Live_oracle.block_transfer (Func.block func i).instrs out in
       if
         (not (Reg.Set.equal out live_out.(i)))
         || not (Reg.Set.equal inn live_in.(i))
@@ -281,31 +281,74 @@ let naive_liveness func =
   done;
   (live_in, live_out)
 
+(* Block facts, every live-after view of [fold_backward], and the visit
+   count all agree with the [Reg.Set] solvers. *)
 let check_liveness_agrees func =
   let live = Liveness.compute func in
   let ref_in, ref_out = naive_liveness func in
+  let fail i what expected got =
+    QCheck.Test.fail_reportf
+      "liveness mismatch in %s block %d (%s):\n  reference %s\n  bitset    %s"
+      (Func.name func) i what
+      (Live_oracle.set_to_string expected)
+      (Live_oracle.set_to_string got)
+  in
   Array.iteri
     (fun i expected ->
-      if
-        (not (Reg.Set.equal expected (Liveness.live_in live i)))
-        || not (Reg.Set.equal ref_out.(i) (Liveness.live_out live i))
-      then
-        QCheck.Test.fail_reportf
-          "liveness mismatch in %s block %d:\n  reference in  {%s}\n  \
-           framework in  {%s}"
-          (Func.name func) i
-          (String.concat ","
-             (List.map Reg.to_string (Reg.Set.elements expected)))
-          (String.concat ","
-             (List.map Reg.to_string
-                (Reg.Set.elements (Liveness.live_in live i)))))
+      let got_in = Live_oracle.to_set (Liveness.live_in live i) in
+      let got_out = Live_oracle.to_set (Liveness.live_out live i) in
+      if not (Reg.Set.equal expected got_in) then fail i "in" expected got_in;
+      if not (Reg.Set.equal ref_out.(i) got_out) then
+        fail i "out" ref_out.(i) got_out;
+      Reg.Set.iter
+        (fun r ->
+          if not (Liveness.mem_in live i r) then fail i "mem_in" expected got_in)
+        expected;
+      let _ : Reg.Set.t =
+        Liveness.fold_backward live
+          (fun after instr ~live_after ->
+            let got = Live_oracle.to_set live_after in
+            if not (Reg.Set.equal after got) then fail i "live-after" after got;
+            Live_oracle.step instr after)
+          i ~init:ref_out.(i)
+      in
+      ())
     ref_in;
+  let generic =
+    Live_oracle.solve ~graph:(Cfg.graph (Cfg.make func))
+      ~instrs:(Array.map (fun (b : Func.block) -> b.instrs) (Func.blocks func))
+      ()
+  in
+  let visits = (Liveness.stats live).Analysis.Dataflow.visits in
+  if generic.stats.visits <> visits then
+    QCheck.Test.fail_reportf "%s: %d bitset visits, %d generic" (Func.name func)
+      visits generic.stats.visits;
   true
 
 let arb_program =
   QCheck.make ~print:Harness.Gen.to_c
     ~shrink:(fun p yield -> Seq.iter yield (Harness.Gen.shrink p))
     Harness.Gen.generate
+
+(* The later stages the consumers see: the replicated pipeline still on
+   virtuals, and the allocated, displaced CISC result (physical registers
+   only). *)
+let funcs_after_replication src =
+  let replicated =
+    Opt.Driver.compile
+      {
+        Opt.Driver.default_options with
+        level = Opt.Driver.Jumps;
+        allocate = false;
+      }
+      Ir.Machine.risc src
+  in
+  let final =
+    Opt.Driver.compile
+      { Opt.Driver.default_options with level = Opt.Driver.Jumps }
+      Ir.Machine.cisc src
+  in
+  replicated.Prog.funcs @ final.Prog.funcs
 
 let prop_liveness_equivalent =
   QCheck.Test.make ~name:"framework liveness matches the reference solver"
@@ -320,6 +363,275 @@ let prop_liveness_equivalent =
       in
       List.for_all check_liveness_agrees raw.Prog.funcs
       && List.for_all check_liveness_agrees opt.Prog.funcs)
+
+let test_liveness_paper_suite () =
+  List.iter
+    (fun (b : Programs.Suite.benchmark) ->
+      List.iter
+        (fun f -> ignore (check_liveness_agrees f))
+        (funcs_after_replication b.source))
+    Programs.Suite.all
+
+(* Calls, the prologue/epilogue pair and an indirect jump (a dense
+   switch), at every stage. *)
+let test_liveness_shapes () =
+  let src =
+    {|int f(int a, int b) { return a * b + 1; }
+int main() {
+  int i, s;
+  s = 0;
+  for (i = 0; i < 12; i++) {
+    switch (i % 5) {
+      case 0: s += f(i, 2); break;
+      case 1: s -= 3; break;
+      case 2: s += f(s, i); break;
+      case 3: s = s ^ 7; break;
+      case 4: s += 1; break;
+    }
+  }
+  putchar(65 + (s & 15));
+  return 0;
+}
+|}
+  in
+  let funcs =
+    (Frontend.Codegen.compile_source src).Prog.funcs
+    @ funcs_after_replication src
+  in
+  let has p =
+    List.exists
+      (fun f ->
+        Array.exists
+          (fun (b : Func.block) -> List.exists p b.instrs)
+          (Func.blocks f))
+      funcs
+  in
+  Alcotest.(check bool) "covers Call" true
+    (has (function Rtl.Call _ -> true | _ -> false));
+  Alcotest.(check bool) "covers Ijump" true
+    (has (function Rtl.Ijump _ -> true | _ -> false));
+  Alcotest.(check bool) "covers Enter" true
+    (has (function Rtl.Enter _ -> true | _ -> false));
+  Alcotest.(check bool) "covers Leave" true
+    (has (function Rtl.Leave -> true | _ -> false));
+  Alcotest.(check bool) "covers physical registers" true
+    (has (fun i -> Reg.Set.exists Reg.is_phys (Rtl.defs i)));
+  List.iter (fun f -> ignore (check_liveness_agrees f)) funcs
+
+(* [k] virtuals defined in the entry, carried round a loop and read at
+   the exit: sets of [k] live registers, on either side of the 62-bit
+   word boundaries. *)
+let wide_func k =
+  let lsupply = Label.Supply.create () in
+  let vsupply = Reg.Supply.create_from k in
+  let l0 = Label.Supply.fresh lsupply in
+  let l1 = Label.Supply.fresh lsupply in
+  let l2 = Label.Supply.fresh lsupply in
+  let v i = Reg.Virt i in
+  let defs = List.init k (fun i -> Rtl.Move (Lreg (v i), Imm i)) in
+  let uses =
+    List.init k (fun i -> Rtl.Binop (Add, Lreg Conv.rv, Reg Conv.rv, Reg (v i)))
+  in
+  let blocks =
+    [|
+      { Func.label = l0; instrs = Rtl.Enter 8 :: defs };
+      {
+        Func.label = l1;
+        instrs =
+          [
+            Rtl.Binop (Sub, Lreg (v 0), Reg (v 0), Imm 1);
+            Rtl.Cmp (Reg (v 0), Imm 0);
+            Rtl.Branch (Gt, l1);
+          ];
+      };
+      { Func.label = l2; instrs = uses @ [ Rtl.Leave; Rtl.Ret ] };
+    |]
+  in
+  Func.make ~name:(Printf.sprintf "wide%d" k) ~blocks ~lsupply ~vsupply
+
+let test_liveness_wide () =
+  List.iter
+    (fun k ->
+      let f = wide_func k in
+      ignore (check_liveness_agrees f);
+      let live = Liveness.compute f in
+      Alcotest.(check int)
+        (Printf.sprintf "%d virtuals live into the loop" k)
+        k
+        (Liveness.Regs.fold
+           (fun r n -> if Reg.is_virt r then n + 1 else n)
+           (Liveness.live_in live 1) 0))
+    [ 1; 38; 39; 40; 62; 63; 100; 101; 102; 124; 125; 200 ]
+
+(* Pool domains compile concurrently; each has its own liveness memo, so
+   hammering it from two domains at once gives every one the sequential
+   facts. *)
+let test_liveness_domains () =
+  let funcs =
+    List.concat_map
+      (fun name ->
+        let b = Option.get (Programs.Suite.find name) in
+        (Frontend.Codegen.compile_source b.source).Prog.funcs)
+      [ "wc"; "queens"; "sieve"; "lexer" ]
+  in
+  let facts f =
+    let live = Liveness.compute f in
+    Array.init (Func.num_blocks f) (fun i ->
+        Live_oracle.to_set (Liveness.live_in live i))
+  in
+  let expected = List.map facts funcs in
+  let worker () = List.init 25 (fun _ -> List.map facts funcs) in
+  let domains = List.init 2 (fun _ -> Domain.spawn worker) in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun got ->
+          Alcotest.(check bool) "same facts as a sequential solve" true
+            (List.for_all2 (Array.for_all2 Reg.Set.equal) expected got))
+        (Domain.join d))
+    domains
+
+(* --- random instructions and graphs --- *)
+
+let gen_reg =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Reg.Cc);
+        (3, map (fun i -> Reg.Phys i) (int_bound (Conv.num_regs - 1)));
+        (6, map (fun i -> Reg.Virt i) (int_bound 160));
+      ])
+
+let gen_addr =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun r d -> Rtl.Based (r, d)) gen_reg small_signed_int;
+        map3 (fun b i s -> Rtl.Indexed (b, i, s, 4)) gen_reg gen_reg
+          (oneofl [ 1; 2; 4 ]);
+        return (Rtl.Abs ("g", 8));
+      ])
+
+let gen_operand =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun r -> Rtl.Reg r) gen_reg;
+        map (fun n -> Rtl.Imm n) small_signed_int;
+        map (fun a -> Rtl.Mem (Word, a)) gen_addr;
+      ])
+
+let gen_loc =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun r -> Rtl.Lreg r) gen_reg;
+        map (fun a -> Rtl.Lmem (Byte, a)) gen_addr;
+      ])
+
+let gen_instr =
+  let l = Label.of_int 1 in
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun d s -> Rtl.Move (d, s)) gen_loc gen_operand;
+        map2 (fun r a -> Rtl.Lea (r, a)) gen_reg gen_addr;
+        map3
+          (fun d a b -> Rtl.Binop (Add, d, a, b))
+          gen_loc gen_operand gen_operand;
+        map2 (fun d a -> Rtl.Unop (Neg, d, a)) gen_loc gen_operand;
+        map2 (fun a b -> Rtl.Cmp (a, b)) gen_operand gen_operand;
+        return (Rtl.Branch (Lt, l));
+        return (Rtl.Jump l);
+        map (fun r -> Rtl.Ijump (r, [| l; l |])) gen_reg;
+        map (fun n -> Rtl.Call ("f", n)) (int_bound (Conv.max_args + 1));
+        return Rtl.Ret;
+        return (Rtl.Enter 16);
+        return Rtl.Leave;
+        return Rtl.Nop;
+      ])
+
+let arb_instr = QCheck.make ~print:Rtl.instr_to_string gen_instr
+
+let collect iter instr =
+  let s = ref Reg.Set.empty in
+  iter (fun r -> s := Reg.Set.add r !s) instr;
+  !s
+
+let prop_iter_regs =
+  QCheck.Test.make ~name:"iter_uses/iter_defs visit exactly uses/defs"
+    ~count:2000 arb_instr (fun i ->
+      Reg.Set.equal (collect Rtl.iter_uses i) (Rtl.uses i)
+      && Reg.Set.equal (collect Rtl.iter_defs i) (Rtl.defs i))
+
+(* An arbitrary flow graph (any edges: self-loops, irreducible cycles,
+   unreachable nodes) with random instructions in every node; the
+   instructions need not agree with the edges, the solvers only read
+   them.  [rpo] is a depth-first reverse postorder from node 0 with the
+   unreachable nodes appended, as [Cfg.reverse_postorder] builds it. *)
+let gen_flow =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    array_repeat n (list_size (int_bound 3) (int_bound (n - 1)))
+    >>= fun succs ->
+    array_repeat n (list_size (int_bound 6) gen_instr) >>= fun instrs ->
+    let succs = Array.map (List.sort_uniq compare) succs in
+    return (succs, instrs))
+
+let graph_of succs =
+  let n = Array.length succs in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
+    succs;
+  let preds = Array.map List.rev preds in
+  let seen = Array.make n false in
+  let order = ref [] in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter visit succs.(i);
+      order := i :: !order
+    end
+  in
+  visit 0;
+  let rest = List.filter (fun i -> not seen.(i)) (List.init n Fun.id) in
+  {
+    Analysis.Dataflow.nodes = n;
+    succs = Array.get succs;
+    preds = Array.get preds;
+    rpo = Array.of_list (!order @ rest);
+  }
+
+let print_flow (succs, instrs) =
+  String.concat "\n"
+    (Array.to_list
+       (Array.mapi
+          (fun i ss ->
+            Printf.sprintf "%d -> [%s]: %s" i
+              (String.concat "," (List.map string_of_int ss))
+              (String.concat " " (List.map Rtl.instr_to_string instrs.(i))))
+          succs))
+
+let prop_bitset_solver_matches_generic =
+  QCheck.Test.make ~name:"bitset liveness: generic solver's facts and visits"
+    ~count:500 (QCheck.make ~print:print_flow gen_flow) (fun (succs, instrs) ->
+      let graph = graph_of succs in
+      let bits = Analysis.Live.solve ~graph ~instrs () in
+      let generic = Live_oracle.solve ~graph ~instrs () in
+      let same = ref true in
+      for i = 0 to graph.nodes - 1 do
+        if
+          (not
+             (Reg.Set.equal generic.live_in.(i)
+                (Live_oracle.to_set (Analysis.Live.live_in bits i))))
+          || not
+               (Reg.Set.equal generic.live_out.(i)
+                  (Live_oracle.to_set (Analysis.Live.live_out bits i)))
+        then same := false
+      done;
+      !same
+      && (Analysis.Live.stats bits).visits = generic.stats.visits)
 
 (* The indexed kill query is a performance rewrite of the reference
    full-scan definition; pin their equality on every instruction of real
@@ -373,4 +685,14 @@ let tests =
       Alcotest.test_case "indexed kills equal reference killed_by" `Quick
         test_kills_matches_killed_by;
       QCheck_alcotest.to_alcotest prop_liveness_equivalent;
+      Alcotest.test_case "liveness after replication, regalloc, displacement"
+        `Quick test_liveness_paper_suite;
+      Alcotest.test_case "liveness: calls, prologue, indirect jumps" `Quick
+        test_liveness_shapes;
+      Alcotest.test_case "liveness: multi-word register sets" `Quick
+        test_liveness_wide;
+      Alcotest.test_case "liveness: per-domain memo" `Quick
+        test_liveness_domains;
+      QCheck_alcotest.to_alcotest prop_iter_regs;
+      QCheck_alcotest.to_alcotest prop_bitset_solver_matches_generic;
     ] )

@@ -122,11 +122,13 @@ let test_liveness () =
   let f = Func.make ~name:"live" ~blocks ~lsupply ~vsupply in
   let live = Liveness.compute f in
   Alcotest.(check bool) "v0 live into block 1" true
-    (Reg.Set.mem v0 (Liveness.live_in live 1));
+    (Liveness.Regs.mem (Liveness.live_in live 1) v0);
   Alcotest.(check bool) "v1 dead into block 1" false
-    (Reg.Set.mem v1 (Liveness.live_in live 1));
+    (Liveness.mem_in live 1 v1);
   Alcotest.(check bool) "v0 live out of block 0" true
-    (Reg.Set.mem v0 (Liveness.live_out live 0))
+    (Liveness.mem_out live 0 v0);
+  Alcotest.(check bool) "registers never mentioned are not members" false
+    (Liveness.mem_in live 1 (Reg.Virt 5000))
 
 let test_check_catches () =
   let lsupply = Label.Supply.create () in
@@ -249,16 +251,16 @@ let prop_liveness_fixpoint =
         (* out(b) = union of in(s) over successors *)
         let out =
           List.fold_left
-            (fun acc s -> Reg.Set.union acc (Liveness.live_in live s))
+            (fun acc s ->
+              Reg.Set.union acc (Live_oracle.to_set (Liveness.live_in live s)))
             Reg.Set.empty (Cfg.succs g b)
         in
-        if not (Reg.Set.equal out (Liveness.live_out live b)) then ok := false;
+        let live_out = Live_oracle.to_set (Liveness.live_out live b) in
+        if not (Reg.Set.equal out live_out) then ok := false;
         (* in(b) = transfer of the block over out(b) *)
-        let inn =
-          List.fold_right Liveness.step (Func.block f b).instrs
-            (Liveness.live_out live b)
-        in
-        if not (Reg.Set.equal inn (Liveness.live_in live b)) then ok := false
+        let inn = Live_oracle.block_transfer (Func.block f b).instrs live_out in
+        if not (Reg.Set.equal inn (Live_oracle.to_set (Liveness.live_in live b)))
+        then ok := false
       done;
       !ok)
 

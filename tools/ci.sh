@@ -153,6 +153,9 @@ print(f"trace: {len(spans)} spans on lanes {sorted(lanes)}; "
       f"{len(profile['profile']['runs'])} run rows")
 EOF
 
+echo "== perfbench smoke: each workload tiny, traced and untraced =="
+python3 perfbench/smoke.py
+
 echo "== report: paper tables from the sweep JSON =="
 dune exec bin/jumprepc.exe -- report BENCH_results.json \
   --out _build/report.md --dat _build/report-dat
