@@ -95,7 +95,6 @@ let bechamel_tests () =
   let asm_simple = Sim.Asm.assemble Ir.Machine.risc prog_simple in
   let trace_addrs, trace_sizes = record_trace asm_simple prog_simple in
   let trace_len = Array.length trace_addrs in
-  let caches = List.map Icache.create Icache.paper_configs in
   let bank = Icache.Bank.create Icache.paper_configs in
   let sp_func, sp_cfg = gen_cfg () in
   let sp_blocks = Flow.Cfg.num_blocks sp_cfg in
@@ -157,14 +156,6 @@ let bechamel_tests () =
         Icache.Bank.reset bank;
         for i = 0 to trace_len - 1 do
           Icache.Bank.access bank ~addr:trace_addrs.(i) ~size:trace_sizes.(i)
-        done);
-    t "cachesim-list/quicksort-trace" (fun () ->
-        List.iter Icache.reset caches;
-        for i = 0 to trace_len - 1 do
-          List.iter
-            (fun c ->
-              Icache.access c ~addr:trace_addrs.(i) ~size:trace_sizes.(i))
-            caches
         done);
     t
       (Printf.sprintf "shortest-path-fw/gen-%db" sp_blocks)

@@ -342,13 +342,13 @@ let ablation_assoc ppf =
         (Frontend.Codegen.compile_source b.source)
     in
     let asm = Sim.Asm.assemble machine prog in
-    let cache =
-      Icache.create
-        { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc }
+    let bank =
+      Icache.Bank.create
+        [ { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc } ]
     in
-    let on_fetch ~addr ~size = Icache.access cache ~addr ~size in
+    let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
     let _ = Sim.Interp.run ~input:b.input ~on_fetch asm prog in
-    Icache.fetch_cost cache
+    Icache.Bank.fetch_cost bank 0
   in
   List.iter
     (fun assoc ->

@@ -1,4 +1,4 @@
-(** Direct-mapped instruction-cache simulator (paper §5.3).
+(** Instruction-cache simulation (paper §5.3).
 
     Parameters follow the paper exactly: direct-mapped, 16-byte lines,
     sizes 1/2/4/8 KiB; a hit costs 1 time unit and a miss 10; fetch cost is
@@ -8,9 +8,7 @@
 
     An instruction fetch touches the line containing its first byte and,
     when it straddles a line boundary (variable-length CISC instructions),
-    the following line too. *)
-
-type t
+    the following line too.  A fetch of [size <= 0] counts as one byte. *)
 
 type config = {
   size_bytes : int;  (** total capacity; must be a multiple of [line_bytes] *)
@@ -25,35 +23,16 @@ type config = {
     on/off, 16-byte lines, direct-mapped. *)
 val paper_configs : config list
 
-(** A direct-mapped configuration without context switches. *)
-val direct_mapped : kb:int -> config
-
 val config_name : config -> string
 
-val create : config -> t
-
-(** Reset cache contents and statistics. *)
-val reset : t -> unit
-
-(** Feed one instruction fetch. *)
-val access : t -> addr:int -> size:int -> unit
-
-val hits : t -> int
-val misses : t -> int
-val accesses : t -> int
-
-(** [misses / accesses], 0 when idle. *)
-val miss_ratio : t -> float
-
-(** [hits * 1 + misses * 10] (time units). *)
-val fetch_cost : t -> int
-
-(** Many configurations fed by one fetch stream in a single pass.
+(** Many configurations fed by one fetch stream in a single pass — the
+    library's one cache simulator (a single configuration is a bank of
+    one).
 
     State lives in flat int arrays shared across configurations, and an
     access allocates nothing.  Statistics per configuration are equal to
-    feeding the same stream through a dedicated {!t} — a property the
-    test suite checks against random streams. *)
+    feeding the same stream through one dedicated cache per configuration
+    — a property the test suite checks against a per-cache oracle. *)
 module Bank : sig
   type t
 
@@ -68,6 +47,10 @@ module Bank : sig
   val hits : t -> int -> int
   val misses : t -> int -> int
   val accesses : t -> int -> int
+
+  (** [misses / accesses], 0 when idle. *)
   val miss_ratio : t -> int -> float
+
+  (** [hits * 1 + misses * 10] (time units). *)
   val fetch_cost : t -> int -> int
 end

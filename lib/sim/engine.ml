@@ -399,7 +399,7 @@ let compile_term (f : D.dfunc) delay_slots after m : state -> int =
           fr_virt = st.virt;
         }
         :: st.stack;
-      st.virt <- Array.make (max 1 cf.src.D.nvirt) 0;
+      st.virt <- Array.make (Int.max 1 cf.src.D.nvirt) 0;
       st.func <- cf.src;
       st.handlers <- cf.chandlers;
       0

@@ -874,7 +874,7 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
           dexec_slot st (pos + 1);
           let callee = dfuncs.(callee) in
           st.dstack <- (st.dfunc, pos + st.dafter, st.dvirt) :: st.dstack;
-          st.dvirt <- Array.make (max 1 callee.Decoded.nvirt) 0;
+          st.dvirt <- Array.make (Int.max 1 callee.Decoded.nvirt) 0;
           st.dfunc <- callee;
           st.dpos <- 0
         | DCallB b ->
