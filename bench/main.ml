@@ -32,9 +32,8 @@ let available : (string * string * (Format.formatter -> unit)) list =
 
 (* --- Bechamel micro-benchmarks of the compiler and simulator --- *)
 
-(* Record one instruction-fetch trace so the cache-simulation micros
-   feed both implementations the identical stream, isolated from the
-   interpreter. *)
+(* Record one instruction-fetch trace so the cache-simulation micro
+   replays the identical stream, isolated from the engine. *)
 let record_trace asm prog =
   let addrs = ref (Array.make 4096 0) in
   let sizes = ref (Array.make 4096 0) in
@@ -50,11 +49,11 @@ let record_trace asm prog =
     incr len
   in
   ignore
-    (Sim.Interp.run ~on_fetch:(fun ~addr ~size -> push addr size) asm prog);
+    (Sim.Engine.run ~on_fetch:(fun ~addr ~size -> push addr size) asm prog);
   (Array.sub !addrs 0 !len, Array.sub !sizes 0 !len)
 
 (* The largest CFG among a handful of fuzz-generated programs — input
-   for the shortest-path micros.  Compiled at LOOPS so the jumps pass
+   for the shortest-path micro.  Compiled at LOOPS so the jumps pass
    has not already eaten the unconditional jumps. *)
 let gen_cfg () =
   let best = ref None in
@@ -145,8 +144,6 @@ let bechamel_tests () =
         ignore (Sim.Interp.Decoded.decode asm_simple prog_simple));
     t "engine-threaded/quicksort" (fun () ->
         ignore (Sim.Engine.run asm_simple prog_simple));
-    t "interp-decoded/quicksort" (fun () ->
-        ignore (Sim.Interp.run asm_simple prog_simple));
     t "interp-reference/quicksort" (fun () ->
         ignore (Sim.Interp.run_reference asm_simple prog_simple));
     t "engine-compile/quicksort" (fun () ->
@@ -157,11 +154,6 @@ let bechamel_tests () =
         for i = 0 to trace_len - 1 do
           Icache.Bank.access bank ~addr:trace_addrs.(i) ~size:trace_sizes.(i)
         done);
-    t
-      (Printf.sprintf "shortest-path-fw/gen-%db" sp_blocks)
-      (fun () ->
-        let ap = Replication.Shortest_path.All_pairs.compute sp_func sp_cfg in
-        sp_queries (Replication.Shortest_path.All_pairs.path ap));
     t
       (Printf.sprintf "shortest-path-lazy/gen-%db" sp_blocks)
       (fun () ->
@@ -258,7 +250,7 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
   Sim.Interp.publish_cache_metrics pool_metrics;
   Sim.Engine.publish_cache_metrics pool_metrics;
   let counters =
-    Telemetry.Counter.all log
+    Telemetry.Metrics.counters (Telemetry.Log.metrics log)
     |> List.map (fun (name, value) ->
            Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
   in
@@ -354,7 +346,7 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
       Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
     s.Campaign.Runner.diags;
   let counters =
-    Telemetry.Counter.all log
+    Telemetry.Metrics.counters (Telemetry.Log.metrics log)
     |> List.map (fun (name, value) ->
            Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
   in
@@ -514,11 +506,10 @@ let () =
             match Sim.Engine.kind_of_string s with
             | Some k -> engine := Some k
             | None ->
-              Printf.eprintf "bad --engine (threaded|decoded|reference)\n";
+              Printf.eprintf "bad --engine (threaded|reference)\n";
               exit 2),
-        "ENGINE  execution engine for the --json sweep: threaded (default), \
-         decoded or reference — observationally equivalent, only speed \
-         differs" );
+        "ENGINE  execution engine for the --json sweep: threaded (default) \
+         or reference — observationally equivalent, only speed differs" );
       ( "--store",
         Arg.Set_string store,
         "DIR  content-addressed result store for the --json sweep (campaign \

@@ -92,9 +92,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine: $(b,threaded) (closure chains with superblock \
-           fusion, the default), $(b,decoded) (pre-decoded array \
-           interpreter) or $(b,reference) (the re-resolving oracle).  All \
-           three are observationally equivalent; only speed differs.")
+           fusion, the default) or $(b,reference) (the re-resolving \
+           oracle).  The two are observationally equivalent; only speed \
+           differs.")
 
 (* --- telemetry arguments (shared by compile/run/measure/bench) --- *)
 
@@ -246,7 +246,7 @@ let growth_budget_arg =
 let make_budget wall growth =
   match wall, growth with
   | None, None -> None
-  | deadline, growth -> Some (Harness.Budget.make ?deadline ?growth ())
+  | deadline, growth -> Some (Telemetry.Budget.make ?deadline ?growth ())
 
 (* The log selected by the trace flags, and the flush/close to run last. *)
 let make_log trace trace_out =
@@ -407,9 +407,9 @@ let run_cmd =
       | Sim.Interp.Runtime_error msg ->
         Printf.eprintf "%s: runtime error: %s\n" path msg;
         exit 2
-      | Harness.Budget.Exhausted r ->
+      | Telemetry.Budget.Exhausted r ->
         Printf.eprintf "%s: %s budget exhausted during execution\n" path
-          (Harness.Budget.reason_name r);
+          (Telemetry.Budget.reason_name r);
         exit 124
     in
     print_string res.output;
@@ -1819,10 +1819,10 @@ let () =
      with _ -> ());
     fail_diag (Diag.make Diag.Io_error ~func:"" ~pass:"" msg)
   | exception Telemetry.Diag.Error d -> fail_diag d
-  | exception Harness.Budget.Exhausted r ->
+  | exception Telemetry.Budget.Exhausted r ->
     fail_diag ~code:124
       (Diag.make Diag.Budget_exhausted ~func:"" ~pass:""
-         (Printf.sprintf "%s budget exhausted" (Harness.Budget.reason_name r)))
+         (Printf.sprintf "%s budget exhausted" (Telemetry.Budget.reason_name r)))
   | exception e ->
     fail_diag ~code:125
       (Diag.make Diag.Internal ~func:"" ~pass:"" (Printexc.to_string e))

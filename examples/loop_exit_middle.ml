@@ -31,7 +31,7 @@ let () =
     Format.printf "=== %s ===@.%a@.@." (Opt.Driver.level_name level)
       Flow.Func.pp f;
     let asm = Sim.Asm.assemble machine prog in
-    let res = Sim.Interp.run asm prog in
+    let res = Sim.Engine.run asm prog in
     Printf.printf "executed: %d instructions, %d unconditional jumps\n\n"
       res.counts.total
       (Sim.Interp.uncond_jumps res.counts)

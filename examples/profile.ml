@@ -38,7 +38,7 @@ let profile (b : Programs.Suite.benchmark) level machine =
     bump classes (classify i);
     bump funcs fname
   in
-  let res = Sim.Interp.run ~input:b.input ~on_fetch asm prog in
+  let res = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
   (res.counts.total, classes, funcs)
 
 let print_table title total tbl =

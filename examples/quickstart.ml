@@ -30,7 +30,7 @@ let () =
           let opts = { Opt.Driver.default_options with level } in
           let prog = Opt.Driver.compile opts machine source in
           let asm = Sim.Asm.assemble machine prog in
-          let res = Sim.Interp.run asm prog in
+          let res = Sim.Engine.run asm prog in
           Printf.printf
             "  %-6s  static %4d instrs (%2d jumps)   dynamic %7d instrs (%5d \
              jumps)   output %S\n"

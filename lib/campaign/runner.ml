@@ -327,9 +327,10 @@ let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
         | None -> Hashtbl.find_opt computed key)
       keyed
   in
+  let metrics = Telemetry.Log.metrics log in
   List.iter
     (fun r ->
-      List.iter (fun (n, v) -> Telemetry.Counter.add log n v) r.r_counters)
+      List.iter (fun (n, v) -> Telemetry.Metrics.add metrics n v) r.r_counters)
     rows;
   let hits = List.length (List.filter (fun r -> r.r_cached) rows) in
   ( rows,

@@ -24,10 +24,8 @@ let edge_list func g =
 let block_sizes func =
   Array.map Func.block_size (Func.blocks func)
 
-(* The graph data every implementation shares: legal edges, their
-   reversal (predecessor lists in ascending block order) and block
-   sizes.  Path reconstruction runs over this, so two implementations
-   that agree on distances agree on the chosen blocks. *)
+(* The graph data the solver works over: legal edges, their reversal
+   (predecessor lists in ascending block order) and block sizes. *)
 type geometry = {
   sizes : int array;
   edges : int list array;
@@ -83,39 +81,6 @@ let reconstruct geo dist ~src ~dst =
     | None -> None
     | Some blocks -> Some { cost = d dst; blocks }
   end
-
-module All_pairs = struct
-  type t = { geo : geometry; dist : int array array }
-
-  let compute func g =
-    let n = Cfg.num_blocks g in
-    let geo = geometry func g in
-    let dist = Array.make_matrix n n inf in
-    for u = 0 to n - 1 do
-      List.iter
-        (fun v ->
-          if geo.sizes.(u) < dist.(u).(v) then dist.(u).(v) <- geo.sizes.(u))
-        geo.edges.(u)
-    done;
-    for k = 0 to n - 1 do
-      for u = 0 to n - 1 do
-        if dist.(u).(k) < inf then begin
-          let du = dist.(u) and dk = dist.(k) in
-          for v = 0 to n - 1 do
-            if dk.(v) < inf then begin
-              let d = du.(k) + dk.(v) in
-              if d < du.(v) then du.(v) <- d
-            end
-          done
-        end
-      done
-    done;
-    { geo; dist }
-
-  let path t ~src ~dst =
-    let row = t.dist.(src) in
-    reconstruct t.geo (fun u -> row.(u)) ~src ~dst
-end
 
 (* Dijkstra over the node-weighted graph: entering [v] from [u] costs
    [size u], so [dist v] = RTLs of the blocks from the source up to but
@@ -185,21 +150,10 @@ let dijkstra geo ~src =
   done;
   dist
 
-module Single_source = struct
-  type t = { src : int; geo : geometry; dist : int array }
-
-  let compute func g ~src =
-    let geo = geometry func g in
-    { src; geo; dist = dijkstra geo ~src }
-
-  let path t ~dst =
-    reconstruct t.geo (fun u -> t.dist.(u)) ~src:t.src ~dst
-end
-
-(* The production implementation: geometry once, one Dijkstra per
-   queried source, memoized.  Sources are exactly the jump targets the
-   JUMPS pass asks about, so unqueried blocks cost nothing — the paper's
-   O(n³) Warshall table survives above only as the test oracle. *)
+(* Geometry once, one Dijkstra per queried source, memoized.  Sources
+   are exactly the jump targets the JUMPS pass asks about, so unqueried
+   blocks cost nothing — the paper's O(n³) Warshall table survives only
+   as the test suite's oracle. *)
 type t = { geo : geometry; cache : (int, int array) Hashtbl.t }
 
 let create func g = { geo = geometry func g; cache = Hashtbl.create 16 }

@@ -10,34 +10,13 @@
     Edges excluded from paths (paper §4 step 1): self-loops and the outgoing
     edges of blocks ending in indirect jumps.
 
-    All implementations share one canonical path reconstruction driven only
-    by the distance array (lowest-numbered tight predecessor first), so any
-    two that agree on distances return identical block sequences; property
-    tests exploit this by checking the lazy Dijkstra against the
-    Floyd/Warshall oracle. *)
+    Paths are reconstructed canonically from the distances alone
+    (lowest-numbered tight predecessor first), so any solver that agrees
+    on distances returns identical block sequences; property tests
+    exploit this by checking the lazy Dijkstra against a Floyd/Warshall
+    oracle that carries its own copy of the reconstruction. *)
 
 type path = { cost : int; blocks : int list (** from source inclusive *) }
-
-(** All-pairs tables via Floyd/Warshall — the paper's O(n³) formulation,
-    kept as the test oracle. *)
-module All_pairs : sig
-  type t
-
-  val compute : Flow.Func.t -> Flow.Cfg.t -> t
-
-  (** Cheapest path from [src] to [dst], exclusive of [dst].
-      [None] if unreachable. *)
-  val path : t -> src:int -> dst:int -> path option
-end
-
-(** Single-source via Dijkstra. *)
-module Single_source : sig
-  type t
-
-  val compute : Flow.Func.t -> Flow.Cfg.t -> src:int -> t
-
-  val path : t -> dst:int -> path option
-end
 
 (** Lazy per-source Dijkstra, memoized: a source's distances are computed
     the first time a path from it is requested.  The JUMPS pass only ever

@@ -48,7 +48,7 @@ let run_one ~max_steps ~verify ~inject_fault src level machine =
       match Sim.Asm.assemble machine prog with
       | exception exn -> Failed (Compile_error, Printexc.to_string exn)
       | asm -> (
-        match Sim.Interp.run ~max_steps ~input:"" asm prog with
+        match Sim.Engine.run ~max_steps ~input:"" asm prog with
         | exception Sim.Interp.Runtime_error msg -> Failed (Fault, msg)
         | res ->
           if res.timed_out then

@@ -48,13 +48,14 @@ val instrs_between_branches : t -> float
     ad-hoc sources without a known-good output pass [~verify:false]
     through {!run_adhoc}.  [budget] is threaded into the interpreter
     (its fuel accounting is the poll point): a cancelled or expired
-    budget raises {!Budget.Exhausted} out of the run rather than
-    returning a silently different measurement.
+    budget raises {!Telemetry.Budget.Exhausted} out of the run rather
+    than returning a silently different measurement.
 
-    [engine] selects the execution engine (default
-    {!Sim.Engine.Threaded}).  The engines are observationally
-    equivalent, so the choice never changes a measurement — only how
-    fast it is computed — and the memo is engine-agnostic.
+    [engine] selects the execution engine: {!Sim.Engine.Threaded} (the
+    default) or the {!Sim.Engine.Reference} oracle.  The two are
+    observationally equivalent, so the choice never changes a
+    measurement — only how fast it is computed — and the memo is
+    engine-agnostic.
 
     Thread-safety: the memo and the mismatch/timeout records are
     lock-guarded, so the daemon's resident workers may call the

@@ -347,7 +347,7 @@ let ablation_assoc ppf =
         [ { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc } ]
     in
     let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
-    let _ = Sim.Interp.run ~input:b.input ~on_fetch asm prog in
+    let _ = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
     Icache.Bank.fetch_cost bank 0
   in
   List.iter
@@ -382,7 +382,7 @@ let ablation_passes ppf =
         (Frontend.Codegen.compile_source b.source)
     in
     let asm = Sim.Asm.assemble machine prog in
-    (Sim.Interp.run ~input:b.input asm prog).counts.total
+    (Sim.Engine.run ~input:b.input asm prog).counts.total
   in
   let row name opts =
     let delta =

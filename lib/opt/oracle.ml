@@ -27,7 +27,7 @@ let observe t func =
   in
   match
     let asm = Sim.Asm.assemble t.machine prog in
-    Sim.Interp.run ~max_steps:t.max_steps ~input:"" asm prog
+    Sim.Engine.run ~max_steps:t.max_steps ~input:"" asm prog
   with
   | res -> if res.timed_out then Hung else Ran (res.output, res.exit_code)
   | exception Sim.Interp.Runtime_error msg -> Fault msg

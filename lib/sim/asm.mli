@@ -73,7 +73,7 @@ val code_bytes : t -> int
 
 (** Map every instruction's address to its owning function's name and the
     instruction itself — the lookup a tracer or profiler needs when hooking
-    {!Interp.run}'s [on_fetch]. *)
+    {!Engine.run}'s [on_fetch]. *)
 val addr_index : t -> (int, string * Rtl.instr) Hashtbl.t
 
 val pp_afunc : Format.formatter -> afunc -> unit

@@ -3,11 +3,12 @@ module D = Interp.Decoded
 
 (* --- the threaded-code execution engine -----------------------------
 
-   [Interp.run] still pays per executed instruction for work whose
-   answer is fixed the moment a function is decoded: the dispatch match
-   over [dinstr], the operand/location matches inside it, the heartbeat
-   modulus, the budget mask and the step decrement-and-test.  This
-   engine compiles each decoded function once into OCaml closure
+   A loop over the decoded instructions would still pay per executed
+   instruction for work whose answer is fixed the moment a function is
+   decoded: the dispatch match over [dinstr], the operand/location
+   matches inside it, the heartbeat modulus, the budget mask and the
+   step decrement-and-test.  This engine compiles each decoded function
+   once into OCaml closure
    chains — one handler per entry point — and fuses every superblock
    (a straight-line run of simple instructions plus its terminating
    transfer) into a single handler that settles the bookkeeping for the
@@ -16,9 +17,9 @@ module D = Interp.Decoded
    conditional branch is folded into the transfer itself, so the
    hottest loop shape (test + branch) is one closure call.
 
-   The bit-stability contract is the same as the decoded
-   interpreter's, and the equivalence tests hold all three engines to
-   it over the full benchmark matrix:
+   The bit-stability contract is the reference loop's
+   ([Interp.run_reference]), and the equivalence tests hold the engine
+   to it over the full benchmark matrix:
 
    - [on_fetch] fires once per executed instruction, in execution
      order, interleaved with the instruction effects exactly as the
@@ -342,7 +343,7 @@ let slot_annulled (f : D.dfunc) delay_slots m =
 
 (* The terminating transfer of a superblock at position [m], as a
    closure returning the next position.  Statement order mirrors the
-   decoded loop exactly: class bump and tick, operand reads, delay
+   reference loop exactly: class bump and tick, operand reads, delay
    slot, then the control decision. *)
 let compile_term (f : D.dfunc) delay_slots after m : state -> int =
   let t_tick = tick_at f m in
@@ -724,22 +725,15 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
 
 (* --- engine selection ------------------------------------------------ *)
 
-type kind = Threaded | Decoded | Reference
+type kind = Threaded | Reference
 
-let kind_name = function
-  | Threaded -> "threaded"
-  | Decoded -> "decoded"
-  | Reference -> "reference"
+let kind_name = function Threaded -> "threaded" | Reference -> "reference"
 
 let kind_of_string = function
   | "threaded" -> Some Threaded
-  | "decoded" -> Some Decoded
   | "reference" -> Some Reference
   | _ -> None
 
-let all_kinds = [ Threaded; Decoded; Reference ]
+let all_kinds = [ Threaded; Reference ]
 
-let select = function
-  | Threaded -> run
-  | Decoded -> Interp.run
-  | Reference -> Interp.run_reference
+let select = function Threaded -> run | Reference -> Interp.run_reference

@@ -8,17 +8,23 @@
     back to back, and a compare feeding the terminating conditional
     branch folds into the transfer itself.
 
-    Observably equivalent to {!Interp.run} and {!Interp.run_reference}:
-    identical results and counts, identical [on_fetch] streams
-    (per-instruction, in order, exact prefixes on faults and timeouts),
-    identical [Sim_progress] heartbeats, and step-budget exhaustion at
-    the exact instruction.  The equivalence tests hold all three to
-    this over the full benchmark matrix.  The one latitude taken: an
+    Observably equivalent to {!Interp.run_reference}: identical
+    results and counts, identical [on_fetch] streams (per-instruction,
+    in order, exact prefixes on faults and timeouts), identical
+    [Sim_progress] heartbeats, and step-budget exhaustion at the exact
+    instruction.  The equivalence tests hold it to this over the full
+    benchmark matrix.  The one latitude taken: an
     attached {!Telemetry.Budget} may be polled once per superblock
     rather than exactly every 2048 instructions — cancellation latency
     only, never a measured value. *)
 
-(** Same signature and semantics as {!Interp.run}. *)
+(** [run asm prog] loads [prog]'s data and executes from [main].  Same
+    signature and semantics as {!Interp.run_reference}: [on_fetch] sees
+    every executed instruction (delay slots included), [log] gets
+    [Sim_progress] heartbeats, [budget] caps [max_steps] and may raise
+    {!Telemetry.Budget.Exhausted}, faults raise {!Interp.Runtime_error},
+    and step-budget exhaustion returns a partial result with
+    [timed_out = true]. *)
 val run :
   ?max_steps:int ->
   ?input:string ->
@@ -47,14 +53,13 @@ val publish_cache_metrics : Telemetry.Metrics.t -> unit
 (** Which execution engine runs measured programs. *)
 type kind =
   | Threaded  (** this module: closure chains with superblock fusion *)
-  | Decoded  (** {!Interp.run}: pre-decoded array interpreter *)
   | Reference  (** {!Interp.run_reference}: the re-resolving oracle *)
 
 val kind_name : kind -> string
 val kind_of_string : string -> kind option
 val all_kinds : kind list
 
-(** The run function for a kind; all three share one signature. *)
+(** The run function for a kind; both share one signature. *)
 val select :
   kind ->
   ?max_steps:int ->

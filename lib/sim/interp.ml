@@ -352,7 +352,7 @@ let run_reference ?(max_steps = 400_000_000) ?(input = "")
     timed_out = !timed_out;
   }
 
-(* --- the decoded interpreter ---------------------------------------
+(* --- the decode stage ------------------------------------------------
 
    [run_reference] above pays per step for work whose answer never
    changes: label lookups through [Label.Map], symbol resolution through
@@ -361,13 +361,13 @@ let run_reference ?(max_steps = 400_000_000) ?(input = "")
    [Asm.afunc] once — transfer targets become instruction indices
    (delay-slot overrides folded in), symbols become addresses, calls
    become a function index or a builtin tag, and virtual registers
-   become slots of a dense per-frame array.  Runtime faults the
-   reference loop raises lazily (unknown label taken, unknown symbol
-   dereferenced, undefined function called) survive as negative targets
-   into a per-function fault-message table, raised only if execution
-   actually reaches them, so the two interpreters are observationally
-   identical; the test suite runs both over the whole benchmark matrix
-   to hold them to that. *)
+   become slots of a dense per-frame array — and {!Engine} compiles the
+   result.  Runtime faults the reference loop raises lazily (unknown
+   label taken, unknown symbol dereferenced, undefined function called)
+   survive as negative targets into a per-function fault-message table,
+   raised only if execution actually reaches them, so the engine and
+   the reference loop are observationally identical; the test suite
+   runs both over the whole benchmark matrix to hold them to that. *)
 
 module Decoded = struct
   type dreg = P of int | V of int | CC
@@ -554,180 +554,8 @@ module Decoded = struct
       asm
 end
 
-type dstate = {
-  dimage : Image.t;
-  dphys : int array;
-  mutable dvirt : int array;  (** dense frame, swapped per call *)
-  mutable dcc : int;
-  mutable dfunc : Decoded.dfunc;
-  mutable dpos : int;
-  mutable dstack : (Decoded.dfunc * int * int array) list;
-  dinput : string;
-  mutable dinput_pos : int;
-  doutput : Buffer.t;
-  dcounts : counts;
-  dfetch : addr:int -> size:int -> unit;
-  dfetch_on : bool;  (** a caller-supplied [on_fetch] is attached *)
-  mutable dsteps_left : int;
-  dlog : Telemetry.Log.t;
-  dlog_on : bool;
-  dbudget : Telemetry.Budget.t;
-  dbudget_on : bool;
-  delay_slots : bool;
-  dafter : int;  (** [after_transfer], constant per machine *)
-}
-
-let dget st = function
-  | Decoded.P i -> st.dphys.(i)
-  | Decoded.V i -> st.dvirt.(i)
-  | Decoded.CC -> st.dcc
-
-let dset st r v =
-  match r with
-  | Decoded.P i -> st.dphys.(i) <- v
-  | Decoded.V i -> st.dvirt.(i) <- v
-  | Decoded.CC -> st.dcc <- v
-
-(* The calling convention's registers (sp/fp/rv) are physical, but take
-   the general [Reg.t] route so [Enter]/[Leave]/builtins need no
-   assumption the reference loop doesn't make. *)
-let dget_rtl st = function
-  | Reg.Phys i -> st.dphys.(i)
-  | Reg.Virt i -> if i < Array.length st.dvirt then st.dvirt.(i) else 0
-  | Reg.Cc -> st.dcc
-
-let dset_rtl st r v =
-  match r with
-  | Reg.Phys i -> st.dphys.(i) <- v
-  | Reg.Virt i -> if i < Array.length st.dvirt then st.dvirt.(i) <- v
-  | Reg.Cc -> st.dcc <- v
-
-let daddr_value st = function
-  | Decoded.DBased (r, d) -> dget st r + d
-  | Decoded.DIndexed (b, i, s, d) -> dget st b + (dget st i * s) + d
-  | Decoded.DAbs a -> a
-  | Decoded.DAbsBad msg -> raise (Runtime_error msg)
-
-let dload st w a =
-  let addr = daddr_value st a in
-  match w with
-  | Rtl.Byte -> Image.load_byte st.dimage addr
-  | Rtl.Word -> Image.load_word st.dimage addr
-
-let dopnd_value st = function
-  | Decoded.DReg r -> dget st r
-  | Decoded.DImm n -> n
-  | Decoded.DMem (w, a) -> dload st w a
-
-let dstore_loc st loc v =
-  match loc with
-  | Decoded.DLreg r -> dset st r v
-  | Decoded.DLmem (w, a) -> (
-    let addr = daddr_value st a in
-    match w with
-    | Rtl.Byte -> Image.store_byte st.dimage addr v
-    | Rtl.Word -> Image.store_word st.dimage addr v)
-
-(* Mirror of [count]: identical bump order, fetch callback, heartbeat
-   and step budget. *)
-let dcount st (i : Decoded.dinstr) pos =
-  let c = st.dcounts in
-  c.total <- c.total + 1;
-  (match i with
-  | DBranch _ -> c.cond_branches <- c.cond_branches + 1
-  | DJump _ -> c.jumps <- c.jumps + 1
-  | DIjump _ -> c.ijumps <- c.ijumps + 1
-  | DCallF _ | DCallB _ | DCallU _ -> c.calls <- c.calls + 1
-  | DRet -> c.rets <- c.rets + 1
-  | DNop -> c.nops <- c.nops + 1
-  | DMove _ | DLea _ | DBinop _ | DUnop _ | DCmp _ | DEnter _ | DLeave -> ());
-  let rw = st.dfunc.rw.(pos) in
-  if rw land 1 <> 0 then c.loads <- c.loads + 1;
-  if rw land 2 <> 0 then c.stores <- c.stores + 1;
-  if st.dfetch_on then
-    st.dfetch ~addr:st.dfunc.daddrs.(pos) ~size:st.dfunc.dsizes.(pos);
-  if st.dlog_on && c.total mod progress_interval = 0 then
-    Telemetry.Log.emit st.dlog (fun () ->
-        Telemetry.Log.Sim_progress { instrs = c.total });
-  if st.dbudget_on && c.total land budget_interval_mask = 0 then
-    Telemetry.Budget.check st.dbudget;
-  st.dsteps_left <- st.dsteps_left - 1;
-  if st.dsteps_left <= 0 then raise Out_of_steps
-
-let dexec_simple st (i : Decoded.dinstr) =
-  match i with
-  | DMove (loc, src) -> dstore_loc st loc (dopnd_value st src)
-  | DLea (r, a) -> dset st r (daddr_value st a)
-  | DBinop (op, loc, a, b) ->
-    let va = dopnd_value st a and vb = dopnd_value st b in
-    let v =
-      match Rtl.eval_binop op va vb with
-      | v -> v
-      | exception Division_by_zero -> error "division by zero"
-    in
-    dstore_loc st loc v
-  | DUnop (op, loc, a) -> dstore_loc st loc (Rtl.eval_unop op (dopnd_value st a))
-  | DCmp (a, b) -> st.dcc <- Int.compare (dopnd_value st a) (dopnd_value st b)
-  | DEnter n ->
-    let sp = dget_rtl st Conv.sp in
-    Image.store_word st.dimage (sp - 4) (dget_rtl st Conv.fp);
-    dset_rtl st Conv.fp sp;
-    dset_rtl st Conv.sp (sp - n)
-  | DLeave ->
-    let fp = dget_rtl st Conv.fp in
-    dset_rtl st Conv.sp fp;
-    dset_rtl st Conv.fp (Image.load_word st.dimage (fp - 4))
-  | DNop -> ()
-  | DBranch _ | DJump _ | DIjump _ | DCallF _ | DCallB _ | DCallU _ | DRet ->
-    assert false
-
-let dexec_slot ?(squashed = false) st pos =
-  if st.delay_slots then begin
-    if pos >= Array.length st.dfunc.dcode then error "delay slot off the end";
-    let slot = st.dfunc.dcode.(pos) in
-    if Decoded.is_transfer slot then error "transfer in a delay slot";
-    if squashed then begin
-      if st.dfetch_on then
-        st.dfetch ~addr:st.dfunc.daddrs.(pos) ~size:st.dfunc.dsizes.(pos)
-    end
-    else begin
-      dcount st slot pos;
-      dexec_simple st slot
-    end
-  end
-
-let dslot_annulled st pos =
-  st.delay_slots
-  && pos + 1 < Array.length st.dfunc.dannulled
-  && st.dfunc.dannulled.(pos + 1)
-
-let dgoto st tgt =
-  if tgt >= 0 then st.dpos <- tgt
-  else raise (Runtime_error st.dfunc.faults.((-tgt) - 1))
-
-let dbuiltin st b =
-  let arg i =
-    st.dphys.(match Conv.arg_reg i with Reg.Phys k -> k | _ -> 0)
-  in
-  match (b : Decoded.builtin) with
-  | Getchar ->
-    let v =
-      if st.dinput_pos < String.length st.dinput then begin
-        let c = Char.code st.dinput.[st.dinput_pos] in
-        st.dinput_pos <- st.dinput_pos + 1;
-        c
-      end
-      else -1
-    in
-    dset_rtl st Conv.rv v
-  | Putchar ->
-    let a0 = arg 0 in
-    Buffer.add_char st.doutput (Char.chr (a0 land 0xff));
-    dset_rtl st Conv.rv a0
-  | Exit -> raise (Exit_program (arg 0))
-
 (* Re-running the same assembled program (benchmark reps, differential
-   checks, the engine/interpreter pair sharing a decode) re-decodes
+   checks, repeated engine runs of one measurement) re-decodes
    identically: [Image.build] lays data out as a pure function of the
    program, so symbol addresses cannot change between runs.  A small
    LRU keyed by physical identity replaces the old one-slot cache — the
@@ -786,130 +614,3 @@ let publish_cache_metrics metrics =
   let hits, misses = decode_cache_counters () in
   Telemetry.Metrics.add metrics "sim.decode_cache.hits" hits;
   Telemetry.Metrics.add metrics "sim.decode_cache.misses" misses
-
-let no_fetch ~addr:_ ~size:_ = ()
-
-let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
-    ?(log = Telemetry.Log.null) ?budget (asm : Asm.t) (prog : Flow.Prog.t) =
-  let max_steps = effective_steps budget max_steps in
-  let image = Image.build_scratch prog in
-  let decoded =
-    decode_cached
-      ~symbol:(fun sym ->
-        match Image.symbol image sym with
-        | a -> Some a
-        | exception Not_found -> None)
-      asm prog
-  in
-  let main =
-    match Hashtbl.find_opt decoded.Decoded.findex "main" with
-    | Some i -> decoded.Decoded.dfuncs.(i)
-    | None -> error "no main function"
-  in
-  let counts =
-    {
-      total = 0;
-      cond_branches = 0;
-      jumps = 0;
-      ijumps = 0;
-      calls = 0;
-      rets = 0;
-      nops = 0;
-      loads = 0;
-      stores = 0;
-    }
-  in
-  let st =
-    {
-      dimage = image;
-      dphys = Array.make Conv.num_regs 0;
-      dvirt = Array.make (max 1 main.Decoded.nvirt) 0;
-      dcc = 0;
-      dfunc = main;
-      dpos = 0;
-      dstack = [];
-      dinput = input;
-      dinput_pos = 0;
-      doutput = Buffer.create 1024;
-      dcounts = counts;
-      dfetch = (match on_fetch with Some f -> f | None -> no_fetch);
-      dfetch_on = Option.is_some on_fetch;
-      dsteps_left = max_steps;
-      dlog = log;
-      dlog_on = Telemetry.Log.enabled log;
-      dbudget = Option.value budget ~default:Telemetry.Budget.unlimited;
-      dbudget_on = Option.is_some budget;
-      delay_slots = decoded.Decoded.delay_slots;
-      dafter = (if decoded.Decoded.delay_slots then 2 else 1);
-    }
-  in
-  dset_rtl st Conv.sp (Image.size image);
-  dset_rtl st Conv.fp (Image.size image);
-  let timed_out = ref false in
-  let exit_code =
-    try
-      let dfuncs = decoded.Decoded.dfuncs in
-      let rec loop () =
-        if st.dpos >= Array.length st.dfunc.dcode then
-          error "fell off the end of %s" st.dfunc.dname;
-        let pos = st.dpos in
-        let instr = st.dfunc.dcode.(pos) in
-        dcount st instr pos;
-        (match instr with
-        | DBranch (cond, tgt) ->
-          let taken = eval_cc cond st.dcc in
-          let squashed = (not taken) && dslot_annulled st pos in
-          dexec_slot ~squashed st (pos + 1);
-          if taken then dgoto st tgt else st.dpos <- pos + st.dafter
-        | DJump tgt ->
-          dexec_slot st (pos + 1);
-          dgoto st tgt
-        | DIjump (r, table) ->
-          let idx = dget st r in
-          dexec_slot st (pos + 1);
-          if idx < 0 || idx >= Array.length table then
-            error "jump-table index %d out of bounds" idx;
-          dgoto st table.(idx)
-        | DCallF callee ->
-          dexec_slot st (pos + 1);
-          let callee = dfuncs.(callee) in
-          st.dstack <- (st.dfunc, pos + st.dafter, st.dvirt) :: st.dstack;
-          st.dvirt <- Array.make (Int.max 1 callee.Decoded.nvirt) 0;
-          st.dfunc <- callee;
-          st.dpos <- 0
-        | DCallB b ->
-          dexec_slot st (pos + 1);
-          dbuiltin st b;
-          st.dpos <- pos + st.dafter
-        | DCallU msg ->
-          dexec_slot st (pos + 1);
-          raise (Runtime_error msg)
-        | DRet -> (
-          dexec_slot st (pos + 1);
-          match st.dstack with
-          | (f, p, virt) :: rest ->
-            st.dstack <- rest;
-            st.dfunc <- f;
-            st.dvirt <- virt;
-            st.dpos <- p
-          | [] -> raise (Exit_program (dget_rtl st Conv.rv)))
-        | DMove _ | DLea _ | DBinop _ | DUnop _ | DCmp _ | DEnter _ | DLeave
-        | DNop ->
-          dexec_simple st instr;
-          st.dpos <- pos + 1);
-        loop ()
-      in
-      loop ()
-    with
-    | Exit_program code -> code
-    | Out_of_steps ->
-      timed_out := true;
-      124
-    | Image.Fault msg -> raise (Runtime_error msg)
-  in
-  {
-    output = Buffer.contents st.doutput;
-    exit_code;
-    counts;
-    timed_out = !timed_out;
-  }

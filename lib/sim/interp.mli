@@ -8,7 +8,11 @@
 
     On the RISC model the delay slot of a transfer is executed after the
     transfer's decision and before control moves, for taken and untaken
-    branches alike. *)
+    branches alike.
+
+    This module holds the result types every engine shares, the decode
+    stage {!Engine} compiles from, and {!run_reference}, the semantic
+    oracle.  Measured runs go through {!Engine.run}. *)
 
 type counts = {
   mutable total : int;  (** all instructions executed *)
@@ -41,42 +45,31 @@ type result = {
 
 exception Runtime_error of string
 
-(** [run asm prog] loads [prog]'s data and executes from [main].
+(** [run_reference asm prog] loads [prog]'s data and executes from
+    [main] with the straightforward interpretation loop: it re-resolves
+    labels, symbols, virtual registers and call targets on every step.
+    Kept as the semantic oracle — the test suite runs the whole
+    benchmark matrix through it and {!Engine.run} and demands identical
+    results.
 
     [on_fetch] is called once per executed instruction (delay slots
     included) with its code address and size — feed this to cache
     simulators.
 
-    With [log], the fetch loop emits a [Sim_progress] heartbeat every few
-    million executed instructions; disabled, it costs one branch per
-    instruction.
+    With [log], the fetch loop emits a [Sim_progress] heartbeat every
+    {!progress_interval} executed instructions.
 
-    With [budget], the fetch loop polls the budget every couple of
-    thousand executed instructions: the budget's fuel axis caps
-    [max_steps], and a passed wall-clock deadline or an externally set
-    cancel flag raises {!Telemetry.Budget.Exhausted} out of the run —
-    the cooperative-cancellation half of the {!Harness.Pool} supervisor's
-    deadline enforcement.
+    With [budget], the fetch loop polls the budget every
+    [budget_interval_mask + 1] executed instructions: the budget's fuel
+    axis caps [max_steps], and a passed wall-clock deadline or an
+    externally set cancel flag raises {!Telemetry.Budget.Exhausted} out
+    of the run — the cooperative-cancellation half of the
+    {!Harness.Pool} supervisor's deadline enforcement.
 
     @raise Runtime_error on faults (null/of-range access, division by zero,
     jump-table index out of bounds, missing function).  Step-budget
     exhaustion is {e not} a fault: the result comes back with partial
     output and [timed_out = true]. *)
-val run :
-  ?max_steps:int ->
-  ?input:string ->
-  ?on_fetch:(addr:int -> size:int -> unit) ->
-  ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
-  Asm.t ->
-  Flow.Prog.t ->
-  result
-
-(** The straightforward interpretation loop [run] replaced: it
-    re-resolves labels, symbols, virtual registers and call targets on
-    every step.  Kept as the differential oracle — the test suite runs
-    the whole benchmark matrix through both and demands identical
-    results.  Same signature and semantics as {!run}. *)
 val run_reference :
   ?max_steps:int ->
   ?input:string ->
@@ -87,7 +80,7 @@ val run_reference :
   Flow.Prog.t ->
   result
 
-(** The pre-decoding pass behind {!run}: each function flattened to a
+(** The pre-decoding pass behind {!Engine.run}: each function flattened to a
     dense instruction array with transfer targets as indices, symbols as
     addresses, calls as function indices or builtin tags, and virtual
     registers as slots of a dense per-frame array.  The representation
@@ -150,8 +143,8 @@ end
     identity of the [asm]/[prog] pair).  [symbol] resolves data symbols
     to addresses and is consulted only on a miss — sound because image
     layout is a pure function of the program, so every run of the same
-    pair would decode identically.  {!run} and {!Engine.run} share this
-    cache, so alternating engines over one program decodes once. *)
+    pair would decode identically.  {!Engine.run} decodes through it,
+    so repeated runs of one program decode once. *)
 val decode_cached :
   symbol:(string -> int option) -> Asm.t -> Flow.Prog.t -> Decoded.t
 

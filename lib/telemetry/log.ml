@@ -50,7 +50,6 @@ type event =
     }
   | Regalloc_spill of { func : string; reg : string; round : int }
   | Sim_progress of { instrs : int }
-  | Counter_event of { name : string; value : int }
   | Warning of { message : string }
 
 type sink = Null | Jsonl of out_channel | Pretty of out_channel | Memory
@@ -61,7 +60,7 @@ type t = {
   started : float;  (* Unix epoch seconds at creation *)
   mutable seq : int;
   mutable buffer : event list;  (* Memory sink, newest first *)
-  metrics : Metrics.t;  (* the registry behind Counter *)
+  metrics : Metrics.t;  (* counters and histograms *)
 }
 
 let make sink =
@@ -170,8 +169,6 @@ let fields_of_event = function
       ] )
   | Sim_progress { instrs } ->
     ("sim_progress", [ ("instrs", string_of_int instrs) ])
-  | Counter_event { name; value } ->
-    ("counter", [ ("name", json_string name); ("value", string_of_int value) ])
   | Warning { message } -> ("warning", [ ("message", json_string message) ])
 
 let event_to_json ~seq ~t_ms ev =

@@ -1,7 +1,7 @@
 (** Structured optimization event log.
 
-    A [t] is a sink plus a monotonic sequence counter and a named-counter
-    registry ({!Counter}).  Instrumented code calls {!emit} with a thunk;
+    A [t] is a sink plus a monotonic sequence counter and a typed metrics
+    registry ({!metrics}).  Instrumented code calls {!emit} with a thunk;
     when the sink is {!val:null} the thunk is never forced, so the hot path
     pays a single branch.  Events carry wall-clock timestamps (milliseconds
     since the log was created) and a per-log sequence number.
@@ -74,7 +74,6 @@ type event =
     }  (** the pass boundary rolled the function back to its last-good IR *)
   | Regalloc_spill of { func : string; reg : string; round : int }
   | Sim_progress of { instrs : int }
-  | Counter_event of { name : string; value : int }
   | Warning of { message : string }
 
 type sink = Null | Jsonl of out_channel | Pretty of out_channel | Memory
@@ -99,8 +98,9 @@ val emitted : t -> int
 val events : t -> event list
 
 (** The typed metrics registry attached to this log (disabled exactly
-    when the log is): {!Counter} delegates to its counters, and the
-    profiled/parallel paths observe histograms into it.  Sharded logs'
+    when the log is): instrumented code bumps its counters with
+    {!Metrics.add}/{!Metrics.incr}, and the profiled/parallel paths
+    observe histograms into it.  Sharded logs'
     registries merge deterministically with {!Metrics.merge}. *)
 val metrics : t -> Metrics.t
 

@@ -58,8 +58,7 @@ val counter_value : t -> string -> int
 (** Current value of a gauge (0 if absent or not a gauge). *)
 val gauge_value : t -> string -> float
 
-(** All counters, sorted by name — the shape the legacy
-    {!Counter.all} API exposes. *)
+(** All counters, sorted by name. *)
 val counters : t -> (string * int) list
 
 type view =

@@ -12,7 +12,7 @@ let run ?level ?machine ?(input = "") ?max_steps src =
   let machine = Option.value ~default:Ir.Machine.cisc machine in
   let prog = compile ?level ~machine src in
   let asm = Sim.Asm.assemble machine prog in
-  let res = Sim.Interp.run ?max_steps ~input asm prog in
+  let res = Sim.Engine.run ?max_steps ~input asm prog in
   (res.output, res.exit_code)
 
 (* Execute with full measurement: returns interpreter result and assembly. *)
@@ -20,7 +20,7 @@ let run_counts ?level ?machine ?(input = "") src =
   let machine = Option.value ~default:Ir.Machine.cisc machine in
   let prog = compile ?level ~machine src in
   let asm = Sim.Asm.assemble machine prog in
-  let res = Sim.Interp.run ~input asm prog in
+  let res = Sim.Engine.run ~input asm prog in
   (res, asm)
 
 (* All six (level, machine) outputs must agree; returns the common output. *)

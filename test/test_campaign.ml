@@ -207,7 +207,9 @@ let test_sweep_resume_byte_identity () =
     let store = Store.open_ dir in
     let log = Telemetry.Log.make Telemetry.Log.Memory in
     let rows, s = Campaign.Runner.sweep ~store ~resume ~log tasks in
-    (List.map (fun r -> r.Campaign.Runner.r_row) rows, Telemetry.Counter.all log, s)
+    ( List.map (fun r -> r.Campaign.Runner.r_row) rows,
+      Telemetry.Metrics.counters (Telemetry.Log.metrics log),
+      s )
   in
   let cold_rows, cold_counters, cold = sweep ~resume:false in
   let warm_rows, warm_counters, warm = sweep ~resume:true in

@@ -157,7 +157,7 @@ let source =
 
 let run_prog machine prog =
   let asm = Sim.Asm.assemble machine prog in
-  let res = Sim.Interp.run ~max_steps:1_000_000 asm prog in
+  let res = Sim.Engine.run ~max_steps:1_000_000 asm prog in
   (res.output, res.exit_code)
 
 let test_quarantine_rollback () =

@@ -89,7 +89,7 @@ let test_parallel_determinism () =
         Opt.Driver.Jumps Ir.Machine.risc
     in
     ( List.map Harness.Measure.to_json results,
-      Telemetry.Counter.all log,
+      Telemetry.Metrics.counters (Telemetry.Log.metrics log),
       List.map norm_event (Telemetry.Log.events log),
       (Harness.Measure.mismatches (), Harness.Measure.timeouts ()),
       profiler_sig profiler,

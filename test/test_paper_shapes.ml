@@ -47,7 +47,7 @@ let test_table1_shape () =
   let dyn level =
     let prog = compile level Machine.cisc table1_src in
     let asm = Sim.Asm.assemble Machine.cisc prog in
-    (Sim.Interp.run asm prog).counts
+    (Sim.Engine.run asm prog).counts
   in
   let ds = dyn Opt.Driver.Simple and dj = dyn Opt.Driver.Jumps in
   Alcotest.(check bool) "about one instruction saved per iteration" true
@@ -84,7 +84,7 @@ let test_table2_shape () =
   (* Semantics: 7/3 + 3*3 = 2 + 9 = 11. *)
   let prog = compile Opt.Driver.Jumps Machine.cisc table2_src in
   let asm = Sim.Asm.assemble Machine.cisc prog in
-  Alcotest.(check int) "result" 11 (Sim.Interp.run asm prog).exit_code
+  Alcotest.(check int) "result" 11 (Sim.Engine.run asm prog).exit_code
 
 (* Table 4's headline: LOOPS removes a large share of executed
    unconditional jumps; JUMPS removes essentially all of them. *)

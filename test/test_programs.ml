@@ -11,7 +11,7 @@ let run_one (b : Programs.Suite.benchmark) level machine =
   in
   List.iter Flow.Check.assert_ok prog.Flow.Prog.funcs;
   let asm = Sim.Asm.assemble machine prog in
-  let res = Sim.Interp.run ~input:b.input asm prog in
+  let res = Sim.Engine.run ~input:b.input asm prog in
   Alcotest.(check string)
     (Printf.sprintf "%s %s/%s output" b.name (Opt.Driver.level_name level)
        machine.Ir.Machine.short)

@@ -17,43 +17,41 @@ let test_shortest_path_basic () =
     build [| (1, Test_flow.Br 2); (5, Test_flow.Jmp 3); (1, Test_flow.Fall); (1, Test_flow.Return) |]
   in
   let g = Cfg.make f in
-  let ap = Replication.Shortest_path.All_pairs.compute f g in
-  (match Replication.Shortest_path.All_pairs.path ap ~src:0 ~dst:3 with
+  let sp = Replication.Shortest_path.create f g in
+  (match Replication.Shortest_path.path sp ~src:0 ~dst:3 with
   | Some p ->
     (* Cheaper through block 2 (1 RTL + terminator) than block 1 (5 + jump). *)
     Alcotest.(check (list int)) "route" [ 0; 2 ] p.blocks
   | None -> Alcotest.fail "path must exist");
-  (match Replication.Shortest_path.All_pairs.path ap ~src:3 ~dst:0 with
+  (match Replication.Shortest_path.path sp ~src:3 ~dst:0 with
   | None -> ()
   | Some _ -> Alcotest.fail "no path backwards from the return block")
 
 let random_shape = Test_flow.random_shape
 
+(* Every (src, dst) pair of [f]: the lazy solver behind [create]/[path]
+   against the Floyd–Warshall oracle.  Distances and the chosen block
+   sequences: both reconstruct canonically, so not just the costs but the
+   replication decisions must be identical. *)
+let lazy_matches_oracle f =
+  let g = Cfg.make f in
+  let oracle = Shortest_path_oracle.compute f g in
+  let sp = Replication.Shortest_path.create f g in
+  let n = Cfg.num_blocks g in
+  let ok = ref true in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if
+        Shortest_path_oracle.path oracle ~src ~dst
+        <> Replication.Shortest_path.path sp ~src ~dst
+      then ok := false
+    done
+  done;
+  !ok
+
 let prop_dijkstra_agrees =
   QCheck.Test.make ~name:"Warshall and Dijkstra agree" ~count:150
-    Test_flow.arb_shape (fun shape ->
-      let f = build shape in
-      let g = Cfg.make f in
-      let ap = Replication.Shortest_path.All_pairs.compute f g in
-      let n = Cfg.num_blocks g in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        let ss = Replication.Shortest_path.Single_source.compute f g ~src in
-        for dst = 0 to n - 1 do
-          let a = Replication.Shortest_path.All_pairs.path ap ~src ~dst in
-          let b = Replication.Shortest_path.Single_source.path ss ~dst in
-          (* Distances and the chosen block sequences: both go through the
-             shared canonical reconstruction, so not just the costs but the
-             replication decisions must be identical. *)
-          let view = function
-            | Some (p : Replication.Shortest_path.path) ->
-              Some (p.cost, p.blocks)
-            | None -> None
-          in
-          if view a <> view b then ok := false
-        done
-      done;
-      !ok)
+    Test_flow.arb_shape (fun shape -> lazy_matches_oracle (build shape))
 
 let prop_lazy_matches_oracle_on_gen_cfgs =
   (* The lazy per-source solver behind [create]/[path] against the
@@ -72,28 +70,7 @@ let prop_lazy_matches_oracle_on_gen_cfgs =
           Machine.risc (Harness.Gen.to_c p)
       with
       | exception _ -> QCheck.assume_fail ()
-      | prog ->
-        List.for_all
-          (fun f ->
-            let g = Cfg.make f in
-            let ap = Replication.Shortest_path.All_pairs.compute f g in
-            let sp = Replication.Shortest_path.create f g in
-            let n = Cfg.num_blocks g in
-            let ok = ref true in
-            for src = 0 to n - 1 do
-              for dst = 0 to n - 1 do
-                let a = Replication.Shortest_path.All_pairs.path ap ~src ~dst in
-                let b = Replication.Shortest_path.path sp ~src ~dst in
-                let view = function
-                  | Some (p : Replication.Shortest_path.path) ->
-                    Some (p.cost, p.blocks)
-                  | None -> None
-                in
-                if view a <> view b then ok := false
-              done
-            done;
-            !ok)
-          prog.Flow.Prog.funcs)
+      | prog -> List.for_all lazy_matches_oracle prog.Flow.Prog.funcs)
 
 let prop_path_valid =
   QCheck.Test.make ~name:"paths follow edges and sum block sizes" ~count:150

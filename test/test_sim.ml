@@ -82,7 +82,7 @@ let test_functions_disjoint () =
 let test_slot_fill_effectiveness () =
   (* At least some slots are filled with useful instructions, not nops. *)
   let asm, prog = assemble (Option.get (Programs.Suite.find "wc")).source in
-  let res = Sim.Interp.run ~input:"hello world\n" asm prog in
+  let res = Sim.Engine.run ~input:"hello world\n" asm prog in
   Alcotest.(check bool) "some useful slots" true
     (Sim.Asm.static_nops asm < Sim.Asm.static_instrs asm / 4);
   Alcotest.(check bool) "ran" true (res.counts.total > 0)
@@ -143,7 +143,7 @@ let test_runtime_errors () =
       Opt.Driver.compile Opt.Driver.default_options Machine.cisc src
     in
     let asm = Sim.Asm.assemble Machine.cisc prog in
-    match Sim.Interp.run asm prog with
+    match Sim.Engine.run asm prog with
     | exception Sim.Interp.Runtime_error _ -> ()
     | _ -> Alcotest.fail "expected a runtime error"
   in
@@ -157,7 +157,7 @@ let test_runtime_errors () =
       "int main() { for (;;) ; return 0; }"
   in
   let asm = Sim.Asm.assemble Machine.cisc prog in
-  let res = Sim.Interp.run ~max_steps:1000 asm prog in
+  let res = Sim.Engine.run ~max_steps:1000 asm prog in
   Alcotest.(check bool) "timed out" true res.timed_out;
   Alcotest.(check int) "timeout exit code" 124 res.exit_code
 
@@ -196,7 +196,7 @@ let test_fetch_callback () =
   let asm = Sim.Asm.assemble Machine.risc prog in
   let fetches = ref 0 in
   let res =
-    Sim.Interp.run
+    Sim.Engine.run
       ~on_fetch:(fun ~addr:_ ~size -> if size = 4 then incr fetches)
       asm prog
   in
@@ -254,6 +254,10 @@ let check_same_run name (r, rh, rn) (d, dh, dn) =
   Alcotest.(check int) (name ^ " fetch count") rn dn;
   Alcotest.(check int) (name ^ " fetch hash") rh dh
 
+(* Every engine but the oracle the equivalence tests compare it to. *)
+let engines_under_test =
+  List.filter (fun k -> k <> Sim.Engine.Reference) Sim.Engine.all_kinds
+
 let test_engines_match_reference () =
   (* Every execution engine must be observationally identical to the
      straightforward reference loop: same output, exit code, timeout
@@ -287,7 +291,7 @@ let test_engines_match_reference () =
                   check_same_run name ref_run
                     (trace (fun ~on_fetch ->
                          run ~input:b.input ~on_fetch asm prog)))
-                [ Sim.Engine.Decoded; Sim.Engine.Threaded ])
+                engines_under_test)
             Programs.Suite.all)
         [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
     [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
@@ -321,7 +325,7 @@ let test_engines_match_on_timeout () =
           (Printf.sprintf "%s/%s" name (Sim.Engine.kind_name kind))
           ref_run
           (trace (fun ~on_fetch -> run ~max_steps ~on_fetch asm prog)))
-      [ Sim.Engine.Decoded; Sim.Engine.Threaded ]
+      engines_under_test
   done
 
 let test_engines_match_on_fault () =
@@ -359,7 +363,7 @@ let test_engines_match_on_fault () =
       let name = Sim.Engine.kind_name kind in
       Alcotest.(check int) (name ^ " fetch count") rn n;
       Alcotest.(check int) (name ^ " fetch hash") rh h)
-    [ Sim.Engine.Decoded; Sim.Engine.Threaded ]
+    engines_under_test
 
 (* The corpus sweep above checks known programs; this property checks
    arbitrary generated ones, shrinking failures with the fuzz campaign's
@@ -401,7 +405,7 @@ let prop_engines_agree_on_random =
                   Sim.Engine.select kind ~max_steps:3_000_000 ~on_fetch asm
                     prog)
               = reference)
-            [ Sim.Engine.Decoded; Sim.Engine.Threaded ])
+            engines_under_test)
         [ Machine.risc; Machine.cisc ])
 
 let tests =

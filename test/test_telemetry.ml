@@ -107,7 +107,9 @@ let test_null_sink () =
   Alcotest.(check int) "no events emitted" 0
     (Telemetry.Log.emitted Telemetry.Log.null);
   Alcotest.(check int) "no counters" 0
-    (Telemetry.Counter.get Telemetry.Log.null "measure.runs")
+    (Telemetry.Metrics.counter_value
+       (Telemetry.Log.metrics Telemetry.Log.null)
+       "measure.runs")
 
 (* Memory-sink bookkeeping: emitted = stored, in order. *)
 let test_memory_sink () =
@@ -124,26 +126,24 @@ let test_memory_sink () =
   in
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] instrs
 
-(* Counters accumulate on enabled logs and dump as events. *)
+(* Counters accumulate in an enabled log's registry, read back sorted,
+   and stay empty on the null log. *)
 let test_counters () =
   let log = Telemetry.Log.make Telemetry.Log.Memory in
-  Telemetry.Counter.incr log "a";
-  Telemetry.Counter.add log "a" 2;
-  Telemetry.Counter.incr log "b";
-  Alcotest.(check int) "a" 3 (Telemetry.Counter.get log "a");
+  let m = Telemetry.Log.metrics log in
+  Telemetry.Metrics.incr m "b";
+  Telemetry.Metrics.incr m "a";
+  Telemetry.Metrics.add m "a" 2;
+  Alcotest.(check int) "a" 3 (Telemetry.Metrics.counter_value m "a");
+  Alcotest.(check int) "untouched" 0 (Telemetry.Metrics.counter_value m "c");
   Alcotest.(check (list (pair string int)))
     "all sorted"
     [ ("a", 3); ("b", 1) ]
-    (Telemetry.Counter.all log);
-  Telemetry.Counter.dump log;
-  let dumped =
-    List.filter_map
-      (function
-        | Telemetry.Log.Counter_event { name; value } -> Some (name, value)
-        | _ -> None)
-      (Telemetry.Log.events log)
-  in
-  Alcotest.(check (list (pair string int))) "dumped" [ ("a", 3); ("b", 1) ] dumped
+    (Telemetry.Metrics.counters m);
+  let null = Telemetry.Log.metrics Telemetry.Log.null in
+  Telemetry.Metrics.incr null "a";
+  Alcotest.(check (list (pair string int))) "null log" []
+    (Telemetry.Metrics.counters null)
 
 (* Measure threads the log: counters move and a mismatch warns. *)
 let test_measure_telemetry () =
@@ -154,10 +154,10 @@ let test_measure_telemetry () =
       ~opts:{ Opt.Driver.default_options with level = Opt.Driver.Simple }
       b Opt.Driver.Simple Ir.Machine.cisc
   in
-  Alcotest.(check int) "one measured run" 1
-    (Telemetry.Counter.get log "measure.runs");
+  let counter = Telemetry.Metrics.counter_value (Telemetry.Log.metrics log) in
+  Alcotest.(check int) "one measured run" 1 (counter "measure.runs");
   Alcotest.(check bool) "static counter moved" true
-    (Telemetry.Counter.get log "measure.static_instrs" > 0);
+    (counter "measure.static_instrs" > 0);
   (* A wrong expectation must surface as a Warning event. *)
   let _ =
     Harness.Measure.run ~log

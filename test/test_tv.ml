@@ -12,7 +12,7 @@ let main_of prog =
 
 let run_prog machine prog =
   let asm = Sim.Asm.assemble machine prog in
-  let res = Sim.Interp.run ~max_steps:1_000_000 asm prog in
+  let res = Sim.Engine.run ~max_steps:1_000_000 asm prog in
   (res.output, res.exit_code)
 
 let verdict = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Tv.verdict_name v)) (fun a b -> Tv.verdict_name a = Tv.verdict_name b)
