@@ -161,12 +161,7 @@ let bechamel_tests () =
         sp_queries (Replication.Shortest_path.path sp));
     t "sweep-j1/suite-simple-risc" (fun () ->
         Harness.Measure.reset_cache ();
-        ignore
-          (Harness.Measure.run_suite ~jobs:1 Opt.Driver.Simple Ir.Machine.risc));
-    t "sweep-j2/suite-simple-risc" (fun () ->
-        Harness.Measure.reset_cache ();
-        ignore
-          (Harness.Measure.run_suite ~jobs:2 Opt.Driver.Simple Ir.Machine.risc));
+        ignore (Harness.Measure.run_suite Opt.Driver.Simple Ir.Machine.risc));
     t "pipeline-jumps/sieve-cisc" (fun () ->
         ignore
           (Opt.Driver.compile
@@ -205,11 +200,16 @@ let run_bechamel ?(quota = 0.5) () =
 (* --- machine-readable results: the full suite sweep as JSON --- *)
 
 (* Every (benchmark, level, machine) measurement plus the telemetry counter
-   totals of the sweep, in one JSON document.  The numbers come from the
-   same Harness.Measure/Telemetry path the tables use.  [run_many]
-   guarantees the document is byte-identical at any [jobs]. *)
-let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
-    ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "") path =
+   totals of the sweep, in one JSON document, computed by
+   Campaign.Runner.sweep — in-process at one worker, on [workers] worker
+   processes otherwise, against the content-addressed store under
+   [store] when given (cached rows are spliced back verbatim and their
+   counters replayed).  The document is byte-identical at any worker
+   count, with or without a store or a kill-and-resume in between.
+   Returns whether any measurement failed. *)
+let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos ?engine
+    ?(profile = false) ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "")
+    path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
   let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
   let log = Telemetry.Log.make Telemetry.Log.Memory in
@@ -224,12 +224,6 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
     if trace_out = "" then None else Some (Telemetry.Trace.create ())
   in
   Option.iter (fun t -> Telemetry.Trace.process_name t "jumprepc bench") trace;
-  (* Pool supervisor tallies land in their own registry, not the sweep
-     log's: the results document's "counters" object must not grow. *)
-  let pool_metrics =
-    if profiling || trace <> None then Telemetry.Metrics.create ()
-    else Telemetry.Metrics.null
-  in
   let tasks =
     List.concat_map
       (fun machine ->
@@ -239,16 +233,23 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
           levels)
       machines
   in
-  let results =
-    Harness.Measure.run_many ~log ~profiler ?trace ~metrics:pool_metrics ~jobs
-      ?deadline ?retries ?chaos ?engine tasks
+  let worker_argv =
+    Array.of_list
+      (Sys.executable_name :: "--worker"
+      :: (if store = "" then [] else [ "--store"; store ]))
   in
-  (* The supervising domain's decode/compile cache tallies (workers'
-     shards are domain-local and die with their domain; a -j 1 sweep sees
-     the full picture).  They live beside the pool tallies, never in the
-     sweep log — the results document must not depend on scheduling. *)
-  Sim.Interp.publish_cache_metrics pool_metrics;
-  Sim.Engine.publish_cache_metrics pool_metrics;
+  let engine = Option.value ~default:Sim.Engine.Threaded engine in
+  let rows, s =
+    Campaign.Runner.sweep
+      ?store:(if store = "" then None else Some (Campaign.Store.open_ store))
+      ~resume
+      ~workers:(if workers > 1 then workers else 0)
+      ~worker_argv ?deadline ?retries ?chaos ~engine ~log ~profiler ?trace tasks
+  in
+  List.iter
+    (fun d ->
+      Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
+    s.Campaign.Runner.diags;
   let counters =
     Telemetry.Metrics.counters (Telemetry.Log.metrics log)
     |> List.map (fun (name, value) ->
@@ -257,30 +258,44 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
   (* The failures array appears only when non-empty, so a clean sweep's
      document stays byte-identical to the committed baseline. *)
   let failures =
-    match Harness.Measure.task_failures () with
+    match s.Campaign.Runner.failures with
     | [] -> ""
     | fs ->
       Printf.sprintf ",\"failures\":[%s]"
-        (String.concat "," (List.map Harness.Measure.failure_to_json fs))
+        (String.concat "," (List.map Campaign.Runner.failure_to_json fs))
   in
   let oc = open_out path in
   (* The engine label is provenance, not a measurement: every engine
      must produce the same results array, so the label is the only field
      that could differ between sweeps of different engines. *)
   Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name
-       (Option.value ~default:Sim.Engine.Threaded engine))
-    (String.concat "," (List.map Harness.Measure.to_json results))
+    (Sim.Engine.kind_name engine)
+    (String.concat "," (List.map (fun r -> r.Campaign.Runner.r_row) rows))
     (String.concat "," counters)
     failures;
   close_out oc;
   Printf.printf "wrote %s (%d measurements, %d tasks failed)\n" path
-    (List.length results)
-    (List.length (Harness.Measure.task_failures ()));
+    (List.length rows)
+    (List.length s.Campaign.Runner.failures);
+  let p = s.Campaign.Runner.pool in
+  if store <> "" then
+    Printf.printf
+      "campaign: %d tasks, %d cached, %d computed, %d corrupt, %d worker \
+       kills, %d respawns\n"
+      s.Campaign.Runner.total s.Campaign.Runner.hits s.Campaign.Runner.computed
+      s.Campaign.Runner.corrupt p.Harness.Pool.injected_crashes
+      p.Harness.Pool.respawned;
   if profiling then begin
     Telemetry.Profiler.pp_table ~top:profile_top Format.std_formatter profiler;
     Format.pp_print_flush Format.std_formatter ();
     if profile_out <> "" then begin
+      (* Supervisor tallies and this process's decode/compile cache
+         tallies live beside the sweep's registry, never in it: the
+         results document must not depend on scheduling. *)
+      let pool_metrics = Telemetry.Metrics.create () in
+      Harness.Pool.stats_to_metrics p pool_metrics;
+      Sim.Interp.publish_cache_metrics pool_metrics;
+      Sim.Engine.publish_cache_metrics pool_metrics;
       let doc =
         Telemetry.Json.Obj
           [
@@ -304,79 +319,15 @@ let write_json ~jobs ?deadline ?retries ?chaos ?engine ?(profile = false)
     close_out oc;
     Printf.printf "wrote %s (%d trace events)\n" trace_out
       (Telemetry.Trace.events t));
-  if chaos <> None then begin
-    let s = Harness.Measure.pool_stats () in
+  if chaos <> None then
     Printf.printf
       "chaos: %d faults injected (%d crashes, %d hangs, %d allocs), %d \
        retries, %d respawns, %d abandoned\n"
-      (Harness.Pool.injected s) s.Harness.Pool.injected_crashes
-      s.Harness.Pool.injected_hangs s.Harness.Pool.injected_allocs
-      s.Harness.Pool.retried s.Harness.Pool.respawned s.Harness.Pool.abandoned
-  end
-
-(* --- campaign mode: the sweep against a content-addressed store --- *)
-
-(* Same document, computed through Campaign.Runner: cached rows are
-   spliced back verbatim and counter deltas replayed, so the output is
-   byte-identical to the cold [write_json] path above at any worker
-   count, with or without a kill-and-resume in between. *)
-let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
-    ?engine path =
-  let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
-  let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
-  let log = Telemetry.Log.make Telemetry.Log.Memory in
-  let tasks =
-    List.concat_map
-      (fun machine ->
-        List.concat_map
-          (fun level ->
-            List.map (fun b -> (b, level, machine)) Programs.Suite.all)
-          levels)
-      machines
-  in
-  let store = Campaign.Store.open_ dir in
-  let worker_argv = [| Sys.executable_name; "--worker"; "--store"; dir |] in
-  let engine = Option.value ~default:Sim.Engine.Threaded engine in
-  let rows, s =
-    Campaign.Runner.sweep ~store ~resume ~workers ~worker_argv ~jobs ?deadline
-      ?retries ?chaos ~engine ~log tasks
-  in
-  List.iter
-    (fun d ->
-      Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
-    s.Campaign.Runner.diags;
-  let counters =
-    Telemetry.Metrics.counters (Telemetry.Log.metrics log)
-    |> List.map (fun (name, value) ->
-           Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
-  in
-  let failures =
-    match s.Campaign.Runner.failures with
-    | [] -> ""
-    | fs ->
-      Printf.sprintf ",\"failures\":[%s]"
-        (String.concat "," (List.map Harness.Measure.failure_to_json fs))
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name engine)
-    (String.concat ","
-       (List.map (fun r -> r.Campaign.Runner.r_row) rows))
-    (String.concat "," counters)
-    failures;
-  close_out oc;
-  Printf.printf "wrote %s (%d measurements, %d tasks failed)\n" path
-    (List.length rows)
-    (List.length s.Campaign.Runner.failures);
-  Printf.printf
-    "campaign: %d tasks, %d cached, %d computed, %d corrupt, %d worker kills, \
-     %d respawns\n"
-    s.Campaign.Runner.total s.Campaign.Runner.hits s.Campaign.Runner.computed
-    s.Campaign.Runner.corrupt s.Campaign.Runner.kills
-    s.Campaign.Runner.respawns;
-  (* The cold path's verdicts live in Harness.Measure's process-global
-     records; campaign rows carry their own flags, so re-derive the same
-     report (and exit discipline) from them. *)
+      (Harness.Pool.injected p) p.Harness.Pool.injected_crashes
+      p.Harness.Pool.injected_hangs p.Harness.Pool.injected_allocs
+      p.Harness.Pool.retried p.Harness.Pool.respawned p.Harness.Pool.abandoned;
+  (* Rows carry their own verdicts; timeouts and mismatches are distinct
+     and either fails the sweep. *)
   let failed = ref false in
   List.iter
     (fun (r : Campaign.Runner.row) ->
@@ -391,12 +342,14 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
           r.r_machine
       end)
     rows;
+  (* Tasks that produced no measurement at all: expected collateral
+     under chaos (reported, exit 0), a hard failure without it. *)
   (match s.Campaign.Runner.failures with
   | [] -> ()
   | fs ->
     if chaos = None then failed := true;
     List.iter
-      (fun (f : Harness.Measure.task_failure) ->
+      (fun (f : Campaign.Runner.failure) ->
         Printf.eprintf "TASK %s: %s at %s on %s (%d attempts: %s)\n"
           (String.uppercase_ascii f.f_kind)
           f.f_program
@@ -405,18 +358,19 @@ let write_json_campaign ~dir ~resume ~workers ~jobs ?deadline ?retries ?chaos
       fs);
   !failed
 
-(* Worker-process mode: serve measure frames over stdin/stdout.  Handled
-   before [Arg.parse] so the protocol loop owns stdout from the first
-   byte. *)
+(* Worker-process mode: serve measure requests over stdin/stdout,
+   committing to the store when [--store DIR] is given.  Handled before
+   [Arg.parse] so the protocol loop owns stdout from the first byte. *)
 let worker_main () =
-  let dir = ref Campaign.Store.default_dir in
+  let store = ref None in
   Array.iteri
     (fun i a ->
       if a = "--store" && i + 1 < Array.length Sys.argv then
-        dir := Sys.argv.(i + 1))
+        store := Some (Campaign.Store.open_ Sys.argv.(i + 1)))
     Sys.argv;
-  let store = Campaign.Store.open_ !dir in
-  Campaign.Shard.serve ~handler:(Campaign.Runner.worker_handler store) ()
+  Campaign.Shard.serve
+    ~handler:(fun req -> Some (Campaign.Runner.handle ?store:!store req))
+    ()
 
 let () =
   if Array.exists (( = ) "--worker") Sys.argv then begin
@@ -446,7 +400,6 @@ let () =
   let engine = ref None in
   let store = ref "" in
   let resume = ref false in
-  let workers = ref 0 in
   let spec =
     [
       ( "-t",
@@ -463,8 +416,8 @@ let () =
       ("--json", Arg.Set json, " write BENCH_results.json (full suite sweep)");
       ( "-j",
         Arg.Set_int jobs,
-        "N  worker domains for the --json sweep (default $JUMPREP_JOBS or 1)"
-      );
+        "N  worker processes for the --json sweep (default $JUMPREP_JOBS or \
+         1; 1 runs in-process)" );
       ( "--jobs",
         Arg.Set_int jobs,
         "N  same as -j" );
@@ -519,14 +472,12 @@ let () =
         " reuse committed store entries and compute only the delta \
          (requires --store)" );
       ( "--workers",
-        Arg.Int
-          (fun n -> workers := Harness.Pool.clamp_jobs ~what:"--workers" n),
-        "N  shard the campaign over N worker processes (requires --store; \
-         0 = compute in-process)" );
+        Arg.Int (fun n -> jobs := Harness.Pool.clamp_jobs ~what:"--workers" n),
+        "N  same as -j" );
       ( "--worker",
         Arg.Unit (fun () -> ()),
-        " internal: serve measure frames over stdin/stdout (handled before \
-         argument parsing)" );
+        " internal: serve measure requests over stdin/stdout (handled \
+         before argument parsing)" );
     ]
   in
   Arg.parse spec
@@ -553,34 +504,28 @@ let () =
         print ppf;
         Format.pp_print_flush ppf ())
       selected;
-    let campaign_failed = ref false in
+    let sweep_failed = ref false in
     if !json then begin
-      (* Injected hangs need a deadline to be cancelled against. *)
+      (* Injected hangs need a deadline to be killed against. *)
       let deadline =
         match !task_deadline, !chaos with
         | (Some _ as d), _ -> d
         | None, Some c when c.Harness.Pool.hang > 0. -> Some 1.0
         | None, _ -> None
       in
-      if !store <> "" then
-        campaign_failed :=
-          write_json_campaign ~dir:!store ~resume:!resume ~workers:!workers
-            ~jobs:(max 1 !jobs) ?deadline ?retries:!retries ?chaos:!chaos
-            ?engine:!engine "BENCH_results.json"
-      else begin
-        if !resume || !workers > 0 then begin
-          Printf.eprintf "--resume/--workers need --store DIR\n";
-          exit 2
-        end;
-        write_json ~jobs:(max 1 !jobs) ?deadline ?retries:!retries
-          ?chaos:!chaos ?engine:!engine ~profile:!profile
+      if !resume && !store = "" then begin
+        Printf.eprintf "--resume needs --store DIR\n";
+        exit 2
+      end;
+      sweep_failed :=
+        write_json ~workers:!jobs ~store:!store ~resume:!resume ?deadline
+          ?retries:!retries ?chaos:!chaos ?engine:!engine ~profile:!profile
           ~profile_out:!profile_out ~profile_top:!profile_top
           ~trace_out:!trace_out "BENCH_results.json"
-      end
     end;
     if !bech then run_bechamel ~quota:!bech_quota ();
-    (* Timeouts and mismatches are distinct verdicts; either fails the
-       sweep. *)
+    (* The tables' verdicts: timeouts and mismatches are distinct, and
+       either fails the run. *)
     let failed = ref false in
     (match Harness.Measure.timeouts () with
     | [] -> ()
@@ -602,19 +547,5 @@ let () =
             (Opt.Driver.level_name level)
             machine)
         bad);
-    (* Tasks that produced no measurement at all: expected collateral
-       under chaos (reported, exit 0), a hard failure without it. *)
-    (match Harness.Measure.task_failures () with
-    | [] -> ()
-    | fs ->
-      if !chaos = None then failed := true;
-      List.iter
-        (fun (f : Harness.Measure.task_failure) ->
-          Printf.eprintf "TASK %s: %s at %s on %s (%d attempts: %s)\n"
-            (String.uppercase_ascii f.f_kind)
-            f.f_program
-            (Opt.Driver.level_name f.f_level)
-            f.f_machine f.f_attempts f.f_detail)
-        fs);
-    if !failed || !campaign_failed then exit 1
+    if !failed || !sweep_failed then exit 1
   end

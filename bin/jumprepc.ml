@@ -1005,8 +1005,8 @@ let fuzz_cmd =
       & opt int (Harness.Pool.default_jobs ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for the campaign (default \\$JUMPREP_JOBS or 1). \
-             Results are identical at any job count.")
+            "Worker processes for the campaign (default \\$JUMPREP_JOBS or \
+             1; 1 runs in-process).  Results are identical at any job count.")
   in
   let run seeds start out_dir max_steps quiet jobs verify inject_fault chaos
       store resume =
@@ -1071,7 +1071,10 @@ let fuzz_cmd =
     in
     let stats =
       Harness.Fuzz.campaign ~max_steps ~verify ?inject_fault ~out_dir ~start
-        ~on_seed ~jobs:(max 1 jobs) ?chaos ~seed_list:to_run ~seeds ()
+        ~on_seed
+        ~workers:(if jobs > 1 then jobs else 0)
+        ~worker_argv:[| Sys.executable_name; "worker" |]
+        ?chaos ~seed_list:to_run ~seeds ()
     in
     (* Commit every seed that reached a verdict; chaos-aborted seeds have
        no verdict to replay and stay uncached. *)
@@ -1189,46 +1192,46 @@ let socket_arg =
            socket-path limit; a short path under /tmp is safest.")
 
 (* The daemon-side result cache: measure payloads keyed on (source
-   bytes, input, machine, compiler fingerprint) in a campaign store.
-   The store's bookkeeping is mutex-guarded internally — [rc_measure]
-   runs concurrently on the daemon's worker domains. *)
+   bytes, input, machine, compiler fingerprint) in a campaign store,
+   looked up and committed by the daemon process itself. *)
 let store_cache dir =
   let st = Campaign.Store.open_ dir in
+  let key ~source ~input ~machine =
+    Campaign.Key.hex ~kind:"daemon-measure/1"
+      [
+        ("source", source);
+        ("input", input);
+        ("machine", machine);
+        ("compiler", Campaign.Key.fingerprint ());
+      ]
+  in
   {
-    Daemon.Server.rc_measure =
-      (fun ~source ~input ~machine compute ->
-        let key =
-          Campaign.Key.hex ~kind:"daemon-measure/1"
-            [
-              ("source", source);
-              ("input", input);
-              ("machine", machine);
-              ("compiler", Campaign.Key.fingerprint ());
-            ]
+    Daemon.Server.rc_find =
+      (fun ~source ~input ~machine ->
+        let key = key ~source ~input ~machine in
+        let payload =
+          match Campaign.Store.find st key with
+          | Campaign.Store.Hit e -> (
+            match Option.bind (Json.member "payload" e) Json.get_string with
+            | Some _ as p -> p
+            | None ->
+              ignore
+                (Campaign.Store.note_corrupt st key
+                   "entry is missing the payload field");
+              None)
+          | Campaign.Store.Miss | Campaign.Store.Corrupt _ -> None
         in
-        let recompute () =
-          Campaign.Store.lease st key;
-          match compute () with
-          | Ok payload ->
-            Campaign.Store.commit st ~key
-              (Json.Obj
-                 [
-                   ("kind", Json.Str "daemon-measure/1");
-                   ("payload", Json.Str (Json.to_string payload));
-                 ]);
-            Ok payload
-          | Error _ as e -> e
-        in
-        match Campaign.Store.find st key with
-        | Campaign.Store.Hit e -> (
-          match Option.bind (Json.member "payload" e) Json.get_string with
-          | Some payload -> Ok (Json.Raw payload)
-          | None ->
-            ignore
-              (Campaign.Store.note_corrupt st key
-                 "entry is missing the payload field");
-            recompute ())
-        | Campaign.Store.Miss | Campaign.Store.Corrupt _ -> recompute ());
+        if payload = None then Campaign.Store.lease st key;
+        payload);
+    rc_commit =
+      (fun ~source ~input ~machine payload ->
+        Campaign.Store.commit st
+          ~key:(key ~source ~input ~machine)
+          (Json.Obj
+             [
+               ("kind", Json.Str "daemon-measure/1");
+               ("payload", Json.Str payload);
+             ]));
     rc_stats = (fun () -> Campaign.Store.stats st);
   }
 
@@ -1241,8 +1244,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Resident worker domains (default \\$JUMPREP_JOBS or 1).  \
-             Workers keep their decode caches warm across requests.")
+            "Resident worker processes (default \\$JUMPREP_JOBS or 1).  \
+             Workers keep their decode caches warm across requests, and a \
+             crashed or overdue worker is killed and respawned.")
   in
   let queue_cap =
     Arg.(
@@ -1277,7 +1281,7 @@ let serve_cmd =
       & info [ "deadline" ] ~docv:"SECS"
           ~doc:
             "Default per-request deadline when a request's QoS names none \
-             (cooperative cancel, abandon at 2x).")
+             (the worker is killed and respawned past it).")
   in
   let fuzz_out =
     Arg.(
@@ -1315,6 +1319,7 @@ let serve_cmd =
             (match jobs with
             | Some j -> max 1 j
             | None -> Harness.Pool.default_jobs ());
+          worker_argv = [| Sys.executable_name; "worker" |];
           queue_cap = max 1 queue_cap;
           drain_deadline;
           idle_timeout;
@@ -1391,7 +1396,7 @@ let client_cmd =
       value
       & opt (some float) None
       & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Per-request deadline (cooperative cancel, abandon at 2x).")
+          ~doc:"Per-request deadline (the worker is killed and respawned past it).")
   in
   let retries =
     Arg.(
@@ -1674,26 +1679,38 @@ let report_cmd =
       const run $ results_arg $ compare_flag $ out_arg $ dat_arg $ events_arg
       $ title_arg)
 
-(* --- worker: campaign shard worker process --- *)
+(* --- worker: the pool's worker process --- *)
 
 let worker_cmd =
   let store =
     Arg.(
       value
-      & opt string Campaign.Store.default_dir
-      & info [ "store" ] ~docv:"DIR" ~doc:"Result store directory.")
+      & opt (some string) None
+      & info [ "store" ] ~docv:"DIR"
+          ~doc:"Commit measure results to the result store under $(docv).")
   in
   let run store =
-    let st = Campaign.Store.open_ store in
-    Campaign.Shard.serve ~handler:(Campaign.Runner.worker_handler st) ()
+    let store = Option.map Campaign.Store.open_ store in
+    Campaign.Shard.serve
+      ~handler:(fun req ->
+        match
+          Result.map
+            (fun j -> Option.bind (Json.member "op" j) Json.get_string)
+            (Json.parse req)
+        with
+        | Ok (Some "fuzz") -> Some (Harness.Fuzz.handle req)
+        | Ok (Some "request") -> Some (Daemon.Server.handle req)
+        | _ -> Some (Campaign.Runner.handle ?store req))
+      ()
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Campaign shard worker (spawned by a sharded $(b,bench) \
-          campaign): serve framed measure requests on stdin/stdout, \
-          committing each result to the store before replying, so a \
-          SIGKILLed campaign loses at most its in-flight task")
+         "Worker process (spawned by $(b,fuzz -j), $(b,serve) and sharded \
+          sweeps): serve framed $(b,measure), $(b,fuzz) and daemon \
+          $(b,request) ops on stdin/stdout.  With $(b,--store), measure \
+          results are committed before the reply, so a SIGKILLed sweep \
+          loses at most its in-flight task")
     Term.(const run $ store)
 
 (* --- store: campaign result-store inspection and GC --- *)

@@ -15,40 +15,56 @@ type row = {
   r_cached : bool;
 }
 
+type failure = {
+  f_program : string;
+  f_level : Opt.Driver.level;
+  f_machine : string;
+  f_kind : string;
+  f_detail : string;
+  f_attempts : int;
+  f_elapsed : float;
+}
+
+let failure_to_json f =
+  Printf.sprintf
+    "{\"program\":%s,\"level\":%s,\"machine\":%s,\"kind\":%s,\"detail\":%s,\
+     \"attempts\":%d,\"elapsed\":%.3f}"
+    (Log.json_string f.f_program)
+    (Log.json_string (Opt.Driver.level_name f.f_level))
+    (Log.json_string f.f_machine)
+    (Log.json_string f.f_kind)
+    (Log.json_string f.f_detail)
+    f.f_attempts f.f_elapsed
+
 type summary = {
   total : int;
   hits : int;
   computed : int;
   corrupt : int;
-  kills : int;
-  respawns : int;
-  failures : Measure.task_failure list;
+  failures : failure list;
   diags : Diag.t list;
   pool : Pool.stats;
 }
 
 (* --- store entries --------------------------------------------------- *)
 
-let counters_json counters =
-  Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters)
-
-let measure_entry ~key ~engine (b : Programs.Suite.benchmark) level
+(* A store entry's fields. *)
+let entry_fields ~key ~engine (b : Programs.Suite.benchmark) level
     (machine : Ir.Machine.t) (m : Measure.t) counters =
-  Json.Obj
-    [
-      ("kind", Json.Str "measure/1");
-      ("key", Json.Str key);
-      ("program", Json.Str b.name);
-      ("level", Json.Str (Opt.Driver.level_name level));
-      ("machine", Json.Str machine.Ir.Machine.short);
-      ("engine", Json.Str (Sim.Engine.kind_name engine));
-      ("output_ok", Json.Bool m.output_ok);
-      ("timed_out", Json.Bool m.timed_out);
-      (* The rendered BENCH row, replayed verbatim on resume: rendering
-         exactly once is what makes resumed output byte-identical. *)
-      ("row", Json.Str (Measure.to_json m));
-      ("counters", counters_json counters);
-    ]
+  [
+    ("kind", Json.Str "measure/1");
+    ("key", Json.Str key);
+    ("program", Json.Str b.name);
+    ("level", Json.Str (Opt.Driver.level_name level));
+    ("machine", Json.Str machine.Ir.Machine.short);
+    ("engine", Json.Str (Sim.Engine.kind_name engine));
+    ("output_ok", Json.Bool m.output_ok);
+    ("timed_out", Json.Bool m.timed_out);
+    (* The rendered BENCH row, replayed verbatim on resume: rendering
+       exactly once is what makes resumed output byte-identical. *)
+    ("row", Json.Str (Measure.to_json m));
+    ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters));
+  ]
 
 let counters_of_json = function
   | Json.Obj fields ->
@@ -90,258 +106,202 @@ let row_of_entry ~cached j =
       }
   | _ -> Error "entry is missing measure fields"
 
-(* --- the worker side ------------------------------------------------- *)
+(* --- the [measure] op ---------------------------------------------- *)
 
-let error_reply msg =
-  Json.to_string (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
+let request ~engine ~key ~profile ((b : Programs.Suite.benchmark), level, mach)
+    =
+  Json.to_string
+    (Json.Obj
+       [
+         ("op", Json.Str "measure");
+         ("bench", Json.Str b.name);
+         ("level", Json.Str (Opt.Driver.level_name level));
+         ("machine", Json.Str mach.Ir.Machine.short);
+         ("engine", Json.Str (Sim.Engine.kind_name engine));
+         ("key", Json.Str key);
+         ("profile", Json.Bool profile);
+       ])
 
-let measure_one store ~key ~engine b level machine =
-  Store.lease store key;
-  let wlog = Log.make Log.Memory in
-  let m = Measure.measure_raw ~log:wlog ~engine b level machine in
-  let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-  let entry = measure_entry ~key ~engine b level machine m counters in
-  Store.commit store ~key entry;
-  (m, counters, entry)
-
-let handle_measure store j =
+(* Measure one task and reply with its store entry plus the private
+   log's whole metrics registry (histograms included) and, when asked,
+   its profile.  Anything wrong raises: the supervisor counts it as a
+   crashed attempt and retries. *)
+let measure_reply ?store ?budget j =
   let str name = Option.bind (Json.member name j) Json.get_string in
-  match (str "bench", str "level", str "machine", str "engine", str "key") with
-  | Some bench, Some level, Some machine, Some engine, Some key -> (
-    match
-      ( Programs.Suite.find bench,
-        Opt.Driver.level_of_string level,
-        (match machine with
-        | "risc" -> Some Ir.Machine.risc
-        | "cisc" -> Some Ir.Machine.cisc
-        | _ -> None),
-        Sim.Engine.kind_of_string engine )
-    with
-    | Some b, Some level, Some mach, Some engine -> (
-      match measure_one store ~key ~engine b level mach with
-      | exception e -> error_reply (Printexc.to_string e)
-      | _, _, entry -> (
-        match entry with
-        | Json.Obj fields ->
-          Json.to_string (Json.Obj (("ok", Json.Bool true) :: fields))
-        | _ -> assert false))
-    | None, _, _, _ -> error_reply (Printf.sprintf "unknown benchmark %S" bench)
-    | _, None, _, _ -> error_reply (Printf.sprintf "unknown level %S" level)
-    | _, _, None, _ -> error_reply (Printf.sprintf "unknown machine %S" machine)
-    | _, _, _, None -> error_reply (Printf.sprintf "unknown engine %S" engine))
-  | _ -> error_reply "measure frame is missing fields"
+  let field name of_string =
+    match Option.bind (str name) of_string with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "measure request: bad or missing %s" name)
+  in
+  let b = field "bench" Programs.Suite.find in
+  let level = field "level" Opt.Driver.level_of_string in
+  let mach =
+    field "machine" (function
+      | "risc" -> Some Ir.Machine.risc
+      | "cisc" -> Some Ir.Machine.cisc
+      | _ -> None)
+  in
+  let engine = field "engine" Sim.Engine.kind_of_string in
+  let key = field "key" Option.some in
+  let profile = Option.bind (Json.member "profile" j) Json.get_bool = Some true in
+  Option.iter (fun st -> Store.lease st key) store;
+  let wlog = Log.make Log.Memory in
+  let wprof =
+    if profile then Telemetry.Profiler.create () else Telemetry.Profiler.null
+  in
+  let m = Measure.measure_raw ~log:wlog ~profiler:wprof ?budget ~engine b level mach in
+  let metrics = Log.metrics wlog in
+  let fields =
+    entry_fields ~key ~engine b level mach m (Telemetry.Metrics.counters metrics)
+  in
+  Option.iter (fun st -> Store.commit st ~key (Json.Obj fields)) store;
+  let profile =
+    if profile then [ ("profile", Telemetry.Profiler.to_json wprof) ] else []
+  in
+  Json.to_string
+    (Json.Obj (fields @ (("metrics", Telemetry.Metrics.to_json metrics) :: profile)))
 
-let worker_handler store payload =
+let handle ?store ?budget payload =
   match Json.parse payload with
-  | Error e -> Some (error_reply ("unparsable request: " ^ e))
+  | Error e -> failwith ("unparsable request: " ^ e)
   | Ok j -> (
     match Option.bind (Json.member "op" j) Json.get_string with
-    | Some "quit" -> None
-    | Some "measure" -> Some (handle_measure store j)
-    | Some op -> Some (error_reply (Printf.sprintf "unknown op %S" op))
-    | None -> Some (error_reply "request has no op"))
+    | Some "measure" -> measure_reply ?store ?budget j
+    | Some op -> failwith (Printf.sprintf "unknown op %S" op)
+    | None -> failwith "request has no op")
 
-(* --- the parent side ------------------------------------------------- *)
+let worker_handler store payload = Some (handle ~store payload)
 
-let row_of_measure ~cached (b : Programs.Suite.benchmark) level
-    (machine : Ir.Machine.t) (m : Measure.t) counters =
-  ignore b;
-  {
-    r_program = m.Measure.program;
-    r_level = Opt.Driver.level_name level;
-    r_machine = machine.Ir.Machine.short;
-    r_row = Measure.to_json m;
-    r_output_ok = m.Measure.output_ok;
-    r_timed_out = m.Measure.timed_out;
-    r_counters = counters;
-    r_cached = cached;
-  }
+(* --- the sweep ------------------------------------------------------- *)
 
-let failure_of_outcome (b : Programs.Suite.benchmark) level
-    (machine : Ir.Machine.t) = function
-  | Pool.Done _ -> None
-  | Pool.Crashed { exn; backtrace; attempts } ->
-    let detail =
-      match String.trim backtrace with
-      | "" -> Printexc.to_string exn
-      | bt -> Printexc.to_string exn ^ " | " ^ bt
-    in
-    Some
-      {
-        Measure.f_program = b.name;
-        f_level = level;
-        f_machine = machine.Ir.Machine.short;
-        f_kind = "crashed";
-        f_detail = detail;
-        f_attempts = attempts;
-        f_elapsed = 0.;
-      }
-  | Pool.Timed_out { elapsed; attempts } ->
-    Some
-      {
-        Measure.f_program = b.name;
-        f_level = level;
-        f_machine = machine.Ir.Machine.short;
-        f_kind = "timed-out";
-        f_detail = Printf.sprintf "deadline expired after %.2fs" elapsed;
-        f_attempts = attempts;
-        f_elapsed = elapsed;
-      }
-
-let sweep ~store ~resume ?(workers = 0) ?worker_argv ?(jobs = 1) ?deadline
+let sweep ?store ?(resume = false) ?(workers = 0) ?worker_argv ?deadline
     ?(retries = 2) ?chaos ?(engine = Sim.Engine.Threaded) ?(log = Log.null)
-    tasks =
-  let keyed =
-    List.map (fun ((b, level, m) as t) -> (t, Key.measure ~engine b level m)) tasks
+    ?(profiler = Telemetry.Profiler.null) ?trace tasks =
+  let tasks = Array.of_list tasks in
+  (* Keys name store entries; a store-less sweep needs none (and skips
+     the compiler fingerprint's git subprocess). *)
+  let keys =
+    Array.map
+      (fun (b, level, m) ->
+        if store = None then "" else Key.measure ~engine b level m)
+      tasks
   in
-  let cached : (string, row) Hashtbl.t = Hashtbl.create 128 in
   let diags = ref [] in
-  if resume then
-    List.iter
-      (fun (_, key) ->
-        if not (Hashtbl.mem cached key) then
+  let cached =
+    Array.map
+      (fun key ->
+        match store with
+        | Some store when resume -> (
           match Store.find store key with
-          | Store.Miss -> ()
-          | Store.Corrupt d -> diags := d :: !diags
+          | Store.Miss -> None
+          | Store.Corrupt d ->
+            diags := d :: !diags;
+            None
           | Store.Hit entry -> (
             match row_of_entry ~cached:true entry with
-            | Ok row -> Hashtbl.replace cached key row
-            | Error msg -> diags := Store.note_corrupt store key msg :: !diags))
-      keyed;
-  let to_run =
-    List.filter (fun (_, key) -> not (Hashtbl.mem cached key)) keyed
+            | Ok row -> Some row
+            | Error msg ->
+              diags := Store.note_corrupt store key msg :: !diags;
+              None))
+        | _ -> None)
+      keys
   in
-  let label ((b, level, m), _) =
+  let to_run =
+    Array.of_list
+      (List.filter
+         (fun i -> Option.is_none cached.(i))
+         (List.init (Array.length tasks) Fun.id))
+  in
+  let label j =
+    let b, level, m = tasks.(to_run.(j)) in
     Printf.sprintf "%s/%s/%s" b.Programs.Suite.name
       (Opt.Driver.level_name level)
       m.Ir.Machine.short
   in
-  let outcomes, pstats, kills, respawns =
-    if to_run = [] then ([], Pool.no_stats, 0, 0)
-    else if workers > 0 then begin
-      (* Sharded: one supervising domain per worker process; the domain
-         task leases a process, ships the request over the pipe, and the
-         worker computes *and commits* before replying — a SIGKILL
-         between those two loses at most the in-flight task. *)
-      let argv =
-        match worker_argv with
-        | Some a -> a
-        | None -> invalid_arg "Runner.sweep: workers > 0 needs worker_argv"
-      in
-      let sh = Shard.create ~workers ~argv in
-      (* Chaos kills are drawn from the same pure (seed, task, attempt)
-         schedule as the in-process pool; attempts are counted here
-         because the pool does not expose them to the task body. *)
-      let amu = Mutex.create () in
-      let attempts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-      let next_attempt i =
-        Mutex.lock amu;
-        let a = 1 + Option.value ~default:0 (Hashtbl.find_opt attempts i) in
-        Hashtbl.replace attempts i a;
-        Mutex.unlock amu;
-        a
-      in
-      let indexed = List.mapi (fun i t -> (i, t)) to_run in
-      let outcomes, pstats =
-        Pool.supervise ~jobs:workers ?deadline ~retries
-          ~label:(fun (_, t) -> label t)
-          (fun budget (i, ((b, level, mach), key)) ->
-            ignore b;
-            let attempt = next_attempt i in
-            let kill =
-              match chaos with
-              | None -> false
-              | Some c -> Pool.chaos_fault c ~task:i ~attempt <> None
-            in
-            let req =
-              Json.to_string
-                (Json.Obj
-                   [
-                     ("op", Json.Str "measure");
-                     ("bench", Json.Str b.Programs.Suite.name);
-                     ("level", Json.Str (Opt.Driver.level_name level));
-                     ("machine", Json.Str mach.Ir.Machine.short);
-                     ("engine", Json.Str (Sim.Engine.kind_name engine));
-                     ("key", Json.Str key);
-                   ])
-            in
-            let reply = Shard.call sh ~budget ~kill req in
-            match Json.parse reply with
-            | Error e -> raise (Shard.Worker_failed ("unparsable reply: " ^ e))
-            | Ok j -> (
-              match Option.bind (Json.member "ok" j) Json.get_bool with
-              | Some true -> (
-                match row_of_entry ~cached:false j with
-                | Ok row -> row
-                | Error msg -> raise (Shard.Worker_failed msg))
-              | _ ->
-                let msg =
-                  Option.value ~default:"worker error"
-                    (Option.bind (Json.member "error" j) Json.get_string)
-                in
-                raise (Shard.Worker_failed msg)))
-          indexed
-      in
-      let kills = Shard.kills sh and respawns = Shard.respawns sh in
-      Shard.shutdown sh;
-      (outcomes, pstats, kills, respawns)
-    end
-    else begin
-      let outcomes, pstats =
-        Pool.supervise ~jobs ?deadline ~retries ?chaos ~label
-          (fun budget ((b, level, mach), key) ->
-            Store.lease store key;
-            let wlog = Log.make Log.Memory in
-            let m =
-              Measure.measure_raw ~log:wlog ~budget ~engine b level mach
-            in
-            let counters = Telemetry.Metrics.counters (Log.metrics wlog) in
-            let entry = measure_entry ~key ~engine b level mach m counters in
-            Store.commit store ~key entry;
-            row_of_measure ~cached:false b level mach m counters)
-          to_run
-      in
-      (outcomes, pstats, 0, 0)
-    end
+  (* Every computed task is one [measure] request, answered in-process
+     or by a worker process; workers commit to the store themselves
+     before replying, so a SIGKILL between the two loses at most the
+     in-flight task. *)
+  let profile = Telemetry.Profiler.enabled profiler in
+  let outcomes, pool =
+    Pool.run ~workers ?argv:worker_argv ?deadline ~retries ?chaos ?trace ~label
+      ~handler:(fun budget req -> handle ?store ~budget req)
+      (Array.to_list
+         (Array.map
+            (fun i -> request ~engine ~key:keys.(i) ~profile tasks.(i))
+            to_run))
   in
-  let computed : (string, row) Hashtbl.t = Hashtbl.create 128 in
+  let computed = Array.make (Array.length tasks) None in
+  List.iteri (fun j o -> computed.(to_run.(j)) <- Some o) outcomes;
+  (* Fold in task order.  Cached rows replay their stored counter
+     deltas; computed rows merge the task's whole registry and profile.
+     Sums commute and the registry renders name-sorted, so the caller's
+     counters equal a cold in-process sweep's; failed tasks are simply
+     absent from the rows. *)
+  let metrics = Log.metrics log in
   let failures = ref [] in
-  List.iter2
-    (fun ((b, level, mach), key) outcome ->
-      match outcome with
-      | Pool.Done row -> Hashtbl.replace computed key row
-      | (Pool.Crashed _ | Pool.Timed_out _) as o ->
-        Option.iter
-          (fun f -> failures := f :: !failures)
-          (failure_of_outcome b level mach o))
-    to_run outcomes;
-  (* Final rows in task order — failed tasks are simply absent, as in a
-     cold sweep.  Counter replay: stored and fresh deltas sum in the
-     caller's registry; counter addition commutes and the registry
-     renders name-sorted, so the counters object matches a cold run. *)
   let rows =
     List.filter_map
-      (fun (_, key) ->
-        match Hashtbl.find_opt cached key with
-        | Some row -> Some row
-        | None -> Hashtbl.find_opt computed key)
-      keyed
+      (fun i ->
+        let b, level, mach = tasks.(i) in
+        let failed ~kind ~detail ~attempts ~elapsed =
+          failures :=
+            {
+              f_program = b.Programs.Suite.name;
+              f_level = level;
+              f_machine = mach.Ir.Machine.short;
+              f_kind = kind;
+              f_detail = detail;
+              f_attempts = attempts;
+              f_elapsed = elapsed;
+            }
+            :: !failures;
+          None
+        in
+        match (cached.(i), computed.(i)) with
+        | Some row, _ ->
+          List.iter (fun (n, v) -> Telemetry.Metrics.add metrics n v) row.r_counters;
+          Some row
+        | None, None -> None
+        | None, Some (Pool.Done reply) -> (
+          match
+            Result.bind (Json.parse reply) (fun j ->
+                Result.map (fun row -> (j, row)) (row_of_entry ~cached:false j))
+          with
+          | Ok (j, row) ->
+            Option.iter
+              (fun m ->
+                Telemetry.Metrics.merge ~into:metrics (Telemetry.Metrics.of_json m))
+              (Json.member "metrics" j);
+            Option.iter
+              (fun p ->
+                Telemetry.Profiler.merge ~into:profiler (Telemetry.Profiler.of_json p))
+              (Json.member "profile" j);
+            Some row
+          | Error msg ->
+            failed ~kind:"crashed" ~detail:("bad reply: " ^ msg) ~attempts:1
+              ~elapsed:0.)
+        | None, Some (Pool.Crashed { exn; backtrace; attempts }) ->
+          let detail =
+            match String.trim backtrace with
+            | "" -> Printexc.to_string exn
+            | bt -> Printexc.to_string exn ^ " | " ^ bt
+          in
+          failed ~kind:"crashed" ~detail ~attempts ~elapsed:0.
+        | None, Some (Pool.Timed_out { elapsed; attempts }) ->
+          failed ~kind:"timed-out"
+            ~detail:(Printf.sprintf "deadline expired after %.2fs" elapsed)
+            ~attempts ~elapsed)
+      (List.init (Array.length tasks) Fun.id)
   in
-  let metrics = Telemetry.Log.metrics log in
-  List.iter
-    (fun r ->
-      List.iter (fun (n, v) -> Telemetry.Metrics.add metrics n v) r.r_counters)
-    rows;
   let hits = List.length (List.filter (fun r -> r.r_cached) rows) in
   ( rows,
     {
-      total = List.length keyed;
+      total = Array.length tasks;
       hits;
       computed = List.length rows - hits;
       corrupt = List.length !diags;
-      kills;
-      respawns;
       failures = List.rev !failures;
       diags = List.rev !diags;
-      pool = pstats;
+      pool;
     } )

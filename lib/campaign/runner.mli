@@ -1,20 +1,18 @@
-(** Crash-resumable measurement campaigns over the {!Store}.
+(** The one sweep function: every (benchmark, level, machine)
+    measurement of a task list, optionally against a result {!Store}.
 
-    {!sweep} is the campaign-aware twin of [Harness.Measure.run_many]:
-    every (benchmark, level, machine) task is keyed ({!Key.measure}),
-    resolved against the store when resuming, and only the delta is
-    computed — in-process on a supervised domain pool, or sharded over
-    worker {e processes} ({!Shard}).  Workers commit each result to the
-    store themselves before replying, so a campaign SIGKILLed at any
-    point leaves only complete entries (plus journal leases) behind, and
-    a resumed run recomputes exactly the missing tasks.
+    With a store, each task is keyed ({!Key.measure}) and, with
+    [resume], committed entries are resolved first so only the delta is
+    computed.  Each computed task is one [measure] request on
+    {!Harness.Pool.run}, answered in-process or by worker processes
+    running {!handle}, and its result is committed before the reply: a
+    sweep SIGKILLed at any point leaves only complete entries behind.
 
-    Byte-stability: a store entry carries the *rendered* result row
-    ([Harness.Measure.to_json], spliced back verbatim) and the
-    measurement's telemetry counter deltas.  Rows are emitted in task
-    order and counter sums commute, so a resumed, sharded or chaos-ridden
-    campaign produces a [BENCH_results.json] byte-identical to a cold
-    single-process run — the standing bit-stability contract. *)
+    Byte-stability: a row is the *rendered* result
+    ([Harness.Measure.to_json]), spliced back verbatim from the reply or
+    the store, in task order, and counter sums commute — so a resumed,
+    sharded or chaos-ridden sweep produces a [BENCH_results.json]
+    byte-identical to a cold in-process one. *)
 
 type row = {
   r_program : string;
@@ -27,43 +25,65 @@ type row = {
   r_cached : bool;  (** resolved from the store, not computed *)
 }
 
+(** A task that produced no measurement: every attempt crashed
+    ([f_kind = "crashed"]) or hit the deadline ([f_kind = "timed-out"]). *)
+type failure = {
+  f_program : string;
+  f_level : Opt.Driver.level;
+  f_machine : string;
+  f_kind : string;
+  f_detail : string;  (** exception text or deadline description *)
+  f_attempts : int;
+  f_elapsed : float;  (** last attempt's elapsed seconds (0 for crashes) *)
+}
+
+(** One JSON object (no newline) for a ["failures"] array entry. *)
+val failure_to_json : failure -> string
+
 type summary = {
   total : int;
   hits : int;  (** tasks resolved from the store *)
   computed : int;  (** tasks measured this run *)
   corrupt : int;  (** corrupted entries recomputed *)
-  kills : int;  (** chaos worker-process kills delivered *)
-  respawns : int;  (** worker processes replaced *)
-  failures : Harness.Measure.task_failure list;
-      (** tasks with no result after every retry *)
+  failures : failure list;  (** tasks with no result after every retry *)
   diags : Telemetry.Diag.t list;  (** [store-corrupt] diagnostics *)
-  pool : Harness.Pool.stats;
+  pool : Harness.Pool.stats;  (** chaos, retries, kills and respawns *)
 }
 
-(** The frame handler behind [jumprepc worker] / [bench --worker]:
-    serve measure requests, committing each result to [store] before
-    replying.  Returns [None] on [{"op":"quit"}]. *)
+(** The [measure] op: measure the requested task (under [budget] when
+    in-process), commit the result to [store] when given, and reply with
+    the store entry plus the task's metrics registry and, when the
+    request asks, its profile.  A bad request or a failed measurement
+    raises. *)
+val handle : ?store:Store.t -> ?budget:Telemetry.Budget.t -> string -> string
+
+(** [handle ~store] as a {!Shard.serve} handler. *)
 val worker_handler : Store.t -> string -> string option
 
-(** Run a campaign.  [resume] resolves committed entries before
-    dispatch; without it the store is (re)populated but never read.
-    [workers > 0] shards over that many worker processes running
-    [worker_argv] (required then); [workers = 0] computes in-process on
-    [jobs] domains.  [chaos] drills deterministic faults: in-process via
-    [Pool.supervise]'s injection, sharded as SIGKILLs of leased workers
-    drawn from the same pure (seed, task, attempt) schedule.  Completed
-    measurements' counters are replayed into [log] (cached and computed
-    alike), so the caller's counters object matches a cold sweep. *)
+(** Run a sweep.  [resume] (default false) resolves [store]'s committed
+    entries before dispatch; without it the store is (re)populated but
+    never read.  [workers = 0] (the default) computes in-process;
+    [workers > 0] runs that many worker processes from [worker_argv] (a
+    command serving the [measure] op, e.g. [jumprepc worker --store
+    DIR]).  [deadline], [retries] (default 2), [chaos] and [trace] are
+    {!Harness.Pool.run}'s.
+
+    Replies are folded in task order: cached rows replay their stored
+    counters into [log]'s registry, computed rows merge the task's whole
+    registry and, into an enabled [profiler], its profile — so counters,
+    the [measure.run_instrs] histogram and the profiler rows equal an
+    in-process sweep's.  Per-task log events are not forwarded. *)
 val sweep :
-  store:Store.t ->
-  resume:bool ->
+  ?store:Store.t ->
+  ?resume:bool ->
   ?workers:int ->
   ?worker_argv:string array ->
-  ?jobs:int ->
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Harness.Pool.chaos ->
   ?engine:Sim.Engine.kind ->
   ?log:Telemetry.Log.t ->
+  ?profiler:Telemetry.Profiler.t ->
+  ?trace:Telemetry.Trace.t ->
   (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->
   row list * summary

@@ -1,195 +1,3 @@
-module Protocol = Daemon.Protocol
+exception Worker_failed = Harness.Pool.Worker_failed
 
-exception Worker_failed of string
-
-type wproc = {
-  pid : int;
-  from_w : Unix.file_descr;  (* parent reads the worker's stdout *)
-  to_w : Unix.file_descr;  (* parent writes the worker's stdin *)
-  dec : Protocol.decoder;
-}
-
-type t = {
-  argv : string array;
-  mu : Mutex.t;
-  cond : Condition.t;
-  mutable free : wproc list;
-  mutable closed : bool;
-  mutable n_kills : int;
-  mutable n_respawns : int;
-}
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
-let spawn argv =
-  (* to_child: parent writes w1, child reads r1.  from_child: child
-     writes w2, parent reads r2.  stderr is inherited so worker
-     warnings still reach the operator. *)
-  let r1, w1 = Unix.pipe ~cloexec:false () in
-  let r2, w2 = Unix.pipe ~cloexec:false () in
-  Unix.set_close_on_exec w1;
-  Unix.set_close_on_exec r2;
-  let pid = Unix.create_process argv.(0) argv r1 w2 Unix.stderr in
-  Unix.close r1;
-  Unix.close w2;
-  { pid; from_w = r2; to_w = w1; dec = Protocol.decoder () }
-
-let create ~workers ~argv =
-  if workers < 1 then invalid_arg "Shard.create: workers < 1";
-  (* A worker SIGKILLed mid-campaign makes the next send EPIPE; that
-     must be an exception on the call path, not process death. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  {
-    argv;
-    mu = Mutex.create ();
-    cond = Condition.create ();
-    free = List.init workers (fun _ -> spawn argv);
-    closed = false;
-    n_kills = 0;
-    n_respawns = 0;
-  }
-
-let lease t =
-  Mutex.lock t.mu;
-  let rec wait () =
-    if t.closed then begin
-      Mutex.unlock t.mu;
-      raise (Worker_failed "shard shut down")
-    end
-    else
-      match t.free with
-      | w :: rest ->
-        t.free <- rest;
-        Mutex.unlock t.mu;
-        w
-      | [] ->
-        Condition.wait t.cond t.mu;
-        wait ()
-  in
-  wait ()
-
-let release t w =
-  Mutex.lock t.mu;
-  t.free <- w :: t.free;
-  Condition.signal t.cond;
-  Mutex.unlock t.mu
-
-let reap w =
-  (try Unix.kill w.pid Sys.sigkill with _ -> ());
-  (try ignore (Unix.waitpid [] w.pid) with _ -> ());
-  (try Unix.close w.from_w with _ -> ());
-  try Unix.close w.to_w with _ -> ()
-
-(* The dead worker's replacement joins the free list: the pool never
-   shrinks, and the task the dead worker was leased to retries there. *)
-let replace t w =
-  reap w;
-  let w' = spawn t.argv in
-  Mutex.lock t.mu;
-  t.n_respawns <- t.n_respawns + 1;
-  t.free <- w' :: t.free;
-  Condition.signal t.cond;
-  Mutex.unlock t.mu
-
-let read_reply w budget =
-  let buf = Bytes.create 65536 in
-  let rec loop () =
-    match Protocol.decoder_next w.dec with
-    | Ok (Some payload) -> payload
-    | Error e -> raise (Worker_failed ("bad frame from worker: " ^ e))
-    | Ok None ->
-      (* Poll the budget so a pool deadline-cancel interrupts the wait. *)
-      (match budget with Some b -> Telemetry.Budget.check b | None -> ());
-      let rs, _, _ = Unix.select [ w.from_w ] [] [] 0.05 in
-      if rs = [] then loop ()
-      else
-        let n = Unix.read w.from_w buf 0 (Bytes.length buf) in
-        if n = 0 then raise (Worker_failed "worker closed the pipe (died?)")
-        else begin
-          Protocol.decoder_feed w.dec (Bytes.sub_string buf 0 n);
-          loop ()
-        end
-  in
-  loop ()
-
-let call t ?budget ?(kill = false) payload =
-  let w = lease t in
-  match
-    write_all w.to_w (Protocol.encode_frame payload);
-    if kill then begin
-      Mutex.lock t.mu;
-      t.n_kills <- t.n_kills + 1;
-      Mutex.unlock t.mu;
-      Unix.kill w.pid Sys.sigkill
-    end;
-    read_reply w budget
-  with
-  | reply ->
-    release t w;
-    reply
-  | exception exn ->
-    (* Whatever went wrong, the worker's stream can no longer be
-       trusted (a late reply would answer the *next* call) — replace
-       it wholesale. *)
-    replace t w;
-    (match exn with
-    | Worker_failed _ | Telemetry.Budget.Exhausted _ -> raise exn
-    | Unix.Unix_error (e, fn, _) ->
-      raise (Worker_failed (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
-    | e -> raise (Worker_failed (Printexc.to_string e)))
-
-let kills t =
-  Mutex.lock t.mu;
-  let n = t.n_kills in
-  Mutex.unlock t.mu;
-  n
-
-let respawns t =
-  Mutex.lock t.mu;
-  let n = t.n_respawns in
-  Mutex.unlock t.mu;
-  n
-
-let shutdown t =
-  Mutex.lock t.mu;
-  t.closed <- true;
-  let ws = t.free in
-  t.free <- [];
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mu;
-  List.iter
-    (fun w ->
-      (try write_all w.to_w (Protocol.encode_frame {|{"op":"quit"}|})
-       with _ -> ());
-      reap w)
-    ws
-
-let serve ~handler () =
-  let dec = Protocol.decoder () in
-  let buf = Bytes.create 65536 in
-  let rec loop () =
-    match Protocol.decoder_next dec with
-    | Error e ->
-      Printf.eprintf "jumprepc: worker: bad frame: %s\n%!" e;
-      exit 1
-    | Ok (Some payload) -> (
-      match handler payload with
-      | None -> ()
-      | Some reply ->
-        write_all Unix.stdout (Protocol.encode_frame reply);
-        loop ())
-    | Ok None ->
-      let n = Unix.read Unix.stdin buf 0 (Bytes.length buf) in
-      if n = 0 then () (* parent gone: a clean worker exit *)
-      else begin
-        Protocol.decoder_feed dec (Bytes.sub_string buf 0 n);
-        loop ()
-      end
-  in
-  loop ()
+let serve = Harness.Pool.serve

@@ -1,43 +1,10 @@
-(** Multi-process worker shards.
+(** The worker side of {!Harness.Pool}, under the name campaign workers
+    ([jumprepc worker], [bench/main.exe --worker], perfbench's) use. *)
 
-    A fixed-size pool of worker {e processes} (spawned from [argv],
-    talking the daemon's length-prefixed JSON frame protocol over
-    stdin/stdout pipes), leased one call at a time by the parent's
-    supervising domains.  The process layer only moves frames; what a
-    frame means is the caller's business ({!Runner}).
-
-    Fault discipline mirrors {!Harness.Pool}: a worker that dies
-    mid-call (EOF, broken pipe, SIGKILL) is reaped and replaced, and the
-    call raises {!Worker_failed} — under [Pool.supervise] that returns
-    the leased task to the queue for retry on the fresh worker.  A
-    cancelled budget raises [Telemetry.Budget.Exhausted] out of the
-    read loop (the worker is replaced too: its late reply must never
-    pollute the next call). *)
-
-type t
-
-(** A worker died or answered garbage mid-call; retry on a fresh one. *)
+(** A worker died, answered garbage, or its handler raised. *)
 exception Worker_failed of string
 
-(** Spawn [workers] processes running [argv] (resolved via [PATH] when
-    [argv.(0)] has no slash).  Ignores [SIGPIPE] process-wide: a dying
-    worker must surface as {!Worker_failed}, not kill the campaign. *)
-val create : workers:int -> argv:string array -> t
-
-(** [call t payload] — lease a worker, send one frame, await one reply
-    frame.  [budget] is polled while waiting (50ms select loop);
-    [kill:true] SIGKILLs the worker right after the send — the
-    deterministic chaos drill for mid-task worker loss. *)
-val call : t -> ?budget:Telemetry.Budget.t -> ?kill:bool -> string -> string
-
-(** Chaos kills delivered / dead workers replaced so far. *)
-val kills : t -> int
-
-val respawns : t -> int
-
-(** Send [quit] to the workers and reap them (SIGKILL stragglers). *)
-val shutdown : t -> unit
-
-(** Worker side: serve frames from stdin to stdout until EOF.
-    [handler] returns the reply payload, or [None] to quit. *)
+(** Serve framed requests from stdin to stdout until EOF
+    ({!Harness.Pool.serve}).  [handler] returns the reply payload, or
+    [None] to quit. *)
 val serve : handler:(string -> string option) -> unit -> unit

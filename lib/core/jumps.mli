@@ -43,7 +43,7 @@ val default_config : config
     mode and cost) and a [Replication_rolled_back] event with the
     {!Telemetry.Log.reason} for each jump left in place.  With [budget],
     the per-jump loop calls {!Telemetry.Budget.check} before each attempt,
-    so a passed deadline or external cancellation raises
+    so a passed deadline raises
     {!Telemetry.Budget.Exhausted} between attempts (never mid-splice — the
     function threaded so far is simply discarded by the caller). *)
 val run :

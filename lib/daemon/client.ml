@@ -13,7 +13,7 @@ module Json = Telemetry.Json
 
 type t = {
   fd : Unix.file_descr;
-  dec : Protocol.decoder;
+  dec : Harness.Frame.decoder;
   socket_path : string;
   chaos : Protocol.conn_chaos option;
   mutable next_id : int;
@@ -43,7 +43,7 @@ let connect ?chaos socket_path =
     Ok
       {
         fd;
-        dec = Protocol.decoder ();
+        dec = Harness.Frame.decoder ();
         socket_path;
         chaos;
         next_id = 1;
@@ -94,7 +94,7 @@ exception Protocol_error of string
 let read_response t ~id ~on_telemetry =
   let buf = Bytes.create 65536 in
   let rec next () =
-    match Protocol.decoder_next t.dec with
+    match Harness.Frame.next t.dec with
     | Error e -> raise (Protocol_error e)
     | Ok (Some payload) -> (
       match Protocol.parse_response payload with
@@ -110,7 +110,7 @@ let read_response t ~id ~on_telemetry =
       match Unix.read t.fd buf 0 (Bytes.length buf) with
       | 0 -> raise (Protocol_error "server closed the connection")
       | n ->
-        Protocol.decoder_feed t.dec (Bytes.sub_string buf 0 n);
+        Harness.Frame.feed t.dec (Bytes.sub_string buf 0 n);
         next ()
       | exception Unix.Unix_error (EINTR, _, _) -> next ()
       | exception Unix.Unix_error (e, _, _) ->
@@ -123,7 +123,7 @@ let request t ?(qos = Protocol.default_qos) ?(on_telemetry = fun _ -> ()) req =
   t.next_id <- id + 1;
   let env = { Protocol.id; qos; req } in
   let frame =
-    Protocol.encode_frame (Json.to_string (Protocol.envelope_to_json env))
+    Harness.Frame.encode (Json.to_string (Protocol.envelope_to_json env))
   in
   (* Draw the wire fault for this request index, stage it on a throwaway
      connection, then run the real request undisturbed. *)

@@ -89,12 +89,12 @@ let compile_payload ?log ?diags ?budget ~level ~machine ~path source =
 
 (* --- measure: the three-level comparison rows --- *)
 
-let measure_rows ?log ?budget ?(verify = false) ?engine ~path ~name ~source
+let measure_rows ?log ?(verify = false) ?engine ~path ~name ~source
     ~input machine =
   let adhoc ?expected_output level =
     Harness.Measure.run_adhoc
       ~opts:(make_opts ~verify level)
-      ?log ?budget ?engine ~name ~source ~input ?expected_output level machine
+      ?log ?engine ~name ~source ~input ?expected_output level machine
   in
   let err ?exit_code code fmt =
     Printf.ksprintf
@@ -123,9 +123,9 @@ let measure_rows ?log ?budget ?(verify = false) ?engine ~path ~name ~source
 let measure_json rows =
   Json.Arr (List.map (fun m -> Json.Raw (Harness.Measure.to_json m)) rows)
 
-let measure_payload ?log ?budget ?verify ~path ~input machine source =
+let measure_payload ?log ?verify ~path ~input machine source =
   match
-    measure_rows ?log ?budget ?verify ~path ~name:(Filename.basename path)
+    measure_rows ?log ?verify ~path ~name:(Filename.basename path)
       ~source ~input machine
   with
   | Error _ as e -> e

@@ -58,7 +58,6 @@ val compile_payload :
     is a [failure] with [exit_code = 2]. *)
 val measure_rows :
   ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
   ?verify:bool ->
   ?engine:Sim.Engine.kind ->
   path:string ->
@@ -75,7 +74,6 @@ val measure_json : Harness.Measure.t list -> Telemetry.Json.t
     then {!measure_json}. *)
 val measure_payload :
   ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
   ?verify:bool ->
   path:string ->
   input:string ->

@@ -1,39 +1,14 @@
 (** The jumprepd wire protocol (see DESIGN.md "Daemon wire protocol").
 
-    Frames are a 4-byte big-endian payload length followed by that many
-    bytes of one [Telemetry.Json] document, capped at {!max_frame}.  A
-    request is one {!envelope} per frame; the server answers with zero or
-    more [Telemetry] frames then exactly one [Result]/[Error_resp] frame
-    carrying the request id. *)
-
-(** Hard cap on a frame payload (16 MiB).  A peer announcing more is a
-    protocol error, not an allocation. *)
-val max_frame : int
-
-(** [encode_frame payload] is the 4-byte header plus [payload].
-    @raise Invalid_argument past {!max_frame}. *)
-val encode_frame : string -> string
-
-(** Incremental frame decoder.  Feed it arbitrary byte chunks; it yields
-    complete payloads in order.  It never raises on wire input: an
-    oversized length poisons the decoder and every later call returns
-    the same [Error]. *)
-type decoder
-
-val decoder : unit -> decoder
-val decoder_feed : decoder -> string -> unit
-
-(** Bytes buffered but not yet returned as a frame (a non-zero value at
-    connection close means a truncated frame). *)
-val decoder_pending : decoder -> int
-
-(** [Ok (Some payload)] when a complete frame is buffered, [Ok None] when
-    more bytes are needed, [Error _] once poisoned. *)
-val decoder_next : decoder -> (string option, string) result
+    Frames are {!Harness.Frame} frames (a 4-byte big-endian payload
+    length, then that many bytes) carrying one [Telemetry.Json]
+    document.  A request is one {!envelope} per frame; the server
+    answers with zero or more [Telemetry] frames then exactly one
+    [Result]/[Error_resp] frame carrying the request id. *)
 
 (** Per-request quality-of-service knobs, all optional on the wire.
-    [deadline] bounds each attempt's wall clock (cooperative cancel,
-    abandon at 2x); [wall_budget]/[growth_budget] bound the compile
+    [deadline] bounds each attempt's wall clock (the worker is killed
+    past it); [wall_budget]/[growth_budget] bound the compile
     itself and degrade JUMPS toward SIMPLE instead of erroring; [retries]
     reschedules crashed/timed-out attempts; [chaos] injects worker
     faults ({!Harness.Pool.chaos} grammar); [telemetry] streams the

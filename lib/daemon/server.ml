@@ -1,41 +1,38 @@
 (* jumprepd: the compilation-as-a-service front door.
 
    One select loop owns the Unix-domain listening socket and every
-   client connection; compute runs on the resident worker domains of a
-   [Harness.Pool.Service], whose supervisor pass ([Service.tick]) the
-   loop drives.  The loop itself never blocks on a peer: reads and
-   writes fire only when select says so, responses queue in per-
-   connection outboxes, and a wedged client costs its connection (idle
-   timeout), never the server.
+   client connection; compute runs on the resident worker processes of a
+   [Harness.Pool], whose supervisor pass ([Pool.tick]) the loop drives.
+   The loop itself never blocks on a peer: reads and writes fire only
+   when select says so, responses queue in per-connection outboxes, and
+   a wedged client costs its connection (idle timeout), never the
+   server.
 
    Robustness discipline, in order of the request's life:
    - admission: at most [queue_cap] requests in flight; beyond that the
      request is rejected with an explicit [overloaded] error the client
      can retry on — backpressure, not unbounded buffering;
-   - execution: crash isolation, deadlines (cooperative cancel then
-     abandon at 2x), retries and worker chaos are the pool supervisor's,
-     per request instead of per batch;
+   - execution: crash isolation, deadlines (the worker is killed past
+     one), retries and worker chaos are the pool supervisor's, per
+     request instead of per batch;
    - drain: SIGTERM (or a [drain] request) stops accepting, answers new
      work with [draining], finishes what is in flight, flushes
      telemetry, and force-stops at the drain deadline. *)
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
-module Service = Harness.Pool.Service
+module Pool = Harness.Pool
 
 type result_cache = {
-  rc_measure :
-    source:string ->
-    input:string ->
-    machine:string ->
-    (unit -> (Json.t, Ops.failure) result) ->
-    (Json.t, Ops.failure) result;
+  rc_find : source:string -> input:string -> machine:string -> string option;
+  rc_commit : source:string -> input:string -> machine:string -> string -> unit;
   rc_stats : unit -> (string * int) list;
 }
 
 type config = {
   socket_path : string;
   jobs : int;
+  worker_argv : string array;
   queue_cap : int;
   drain_deadline : float;
   idle_timeout : float;
@@ -50,6 +47,7 @@ let default_config socket_path =
   {
     socket_path;
     jobs = 1;
+    worker_argv = [| Sys.executable_name; "worker" |];
     queue_cap = 64;
     drain_deadline = 10.0;
     idle_timeout = 30.0;
@@ -60,26 +58,18 @@ let default_config socket_path =
     store = None;
   }
 
-(* What a worker hands back: the payload (or the CLI-equivalent failure)
-   plus the request's telemetry lines, rendered on the worker so the
-   supervisor loop only ships bytes. *)
-type work = {
-  w_payload : (Json.t, Ops.failure) result;
-  w_events : string list;
-}
-
 type pending = {
   p_id : int;
-  p_kind : string;
   p_telemetry : bool;
   p_t0 : float;
-  p_handle : work Service.handle;
+  p_ticket : Pool.ticket;
+  p_commit : (string -> unit) option;  (* store a measure payload *)
 }
 
 type conn = {
   c_fd : Unix.file_descr;
   c_num : int;
-  c_dec : Protocol.decoder;
+  c_dec : Harness.Frame.decoder;
   c_out : Buffer.t;
   mutable c_sent : int;  (* bytes of [c_out] already written *)
   mutable c_pending : pending list;
@@ -92,7 +82,7 @@ type conn = {
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
-  svc : Service.t;
+  pool : Pool.t;
   metrics : Metrics.t;
   mutable conns : conn list;
   mutable draining : bool;
@@ -109,7 +99,7 @@ let say t fmt =
     (fun s -> if not t.cfg.quiet then Printf.eprintf "jumprepd: %s\n%!" s)
     fmt
 
-(* --- request execution (worker domain) --- *)
+(* --- request execution (worker process) --- *)
 
 let fuzz_json (stats : Harness.Fuzz.stats) =
   Json.Obj
@@ -131,16 +121,30 @@ let fuzz_json (stats : Harness.Fuzz.stats) =
       ("aborted", Json.Int (List.length stats.aborted));
     ]
 
-let run_request ~fuzz_out ~store (env : Protocol.envelope) budget =
+(* The [request] op: one daemon envelope, run where the one-shot CLI
+   would run it.  The reply is one JSON line with the request's
+   telemetry lines, rendered here so the supervisor loop only ships
+   bytes, and the wire error (code, message) if it failed; on success a
+   newline and the rendered payload follow, verbatim. *)
+let handle payload =
+  let j, env =
+    match Json.parse payload with
+    | Ok j -> (
+      match Option.map Protocol.envelope_of_json (Json.member "envelope" j) with
+      | Some (Ok env) -> (j, env)
+      | Some (Error e) -> failwith e
+      | None -> failwith "request has no envelope")
+    | Error e -> failwith ("unparsable request: " ^ e)
+  in
+  let fuzz_out = Option.bind (Json.member "fuzz_out" j) Json.get_string in
   let qos = env.qos in
   let log =
     if qos.telemetry then Telemetry.Log.make Telemetry.Log.Memory
     else Telemetry.Log.null
   in
   (* The wall/growth budget is the CLI's degrade budget: replication
-     backs off JUMPS -> LOOPS -> SIMPLE when it trips.  The pool's
-     attempt budget (the qos deadline) cancels instead; the interpreter
-     polls it on the measure path. *)
+     backs off JUMPS -> LOOPS -> SIMPLE when it trips.  The qos deadline
+     is the supervisor's, which kills the worker past it. *)
   let degrade =
     match (qos.wall_budget, qos.growth_budget) with
     | None, None -> None
@@ -150,47 +154,68 @@ let run_request ~fuzz_out ~store (env : Protocol.envelope) budget =
     match env.req with
     | Protocol.Compile { path; source; level; machine } ->
       Ops.compile_payload ~log ?budget:degrade ~level ~machine ~path source
-    | Protocol.Measure { path; source; input; machine } -> (
-      (* The campaign store memoizes whole measure payloads: a hit skips
-         compile+run entirely (the cache is keyed on source bytes +
-         machine + compiler fingerprint, so it can never go stale).
-         Store bookkeeping is mutex-guarded inside the store — worker
-         domains land here concurrently. *)
-      let compute () =
-        Ops.measure_payload ~log ~budget ~path ~input machine source
-      in
-      match store with
-      | None -> compute ()
-      | Some rc ->
-        rc.rc_measure ~source ~input ~machine:machine.Ir.Machine.short compute)
+    | Protocol.Measure { path; source; input; machine } ->
+      Ops.measure_payload ~log ~path ~input machine source
     | Protocol.Lint { path; source; level; machine } ->
       Ops.lint_payload ~level ~machine ~path source
     | Protocol.Explain { path; source; level; machine } ->
       Ops.explain_payload ~level ~machine ~path source
     | Protocol.Fuzz { seeds; start; max_steps } ->
       let stats =
-        Harness.Fuzz.campaign ~max_steps ~start ~seeds ~jobs:1
-          ~out_dir:fuzz_out ()
+        Harness.Fuzz.campaign ~max_steps ~start ~seeds ?out_dir:fuzz_out ()
       in
       Ok (fuzz_json stats)
     | Protocol.Status | Protocol.Ping | Protocol.Drain ->
-      (* handled inline by the loop, never scheduled *)
-      assert false
+      failwith "status/ping/drain are answered by the server loop"
   in
-  let w_events =
+  let events =
     if qos.telemetry then
       List.mapi
-        (fun i ev -> Telemetry.Log.event_to_json ~seq:i ~t_ms:0.0 ev)
+        (fun i ev ->
+          Json.Str (Telemetry.Log.event_to_json ~seq:i ~t_ms:0.0 ev))
         (Telemetry.Log.events log)
     else []
   in
-  { w_payload = payload; w_events }
+  let events = ("events", Json.Arr events) in
+  match payload with
+  | Ok p -> Json.to_string (Json.Obj [ events ]) ^ "\n" ^ Json.to_string p
+  | Error (f : Ops.failure) ->
+    let code =
+      match f.exit_code with
+      | 2 -> Protocol.Runtime_error
+      | 124 -> Protocol.Deadline
+      | _ -> Protocol.Bad_request
+    in
+    (* A guest-program fault (exit code 2) prints bare in the
+       one-shot CLI, with no diagnostic tag; keep the wire message
+       aligned with those bytes. *)
+    let message =
+      if f.exit_code = 2 then f.diag.Telemetry.Diag.message
+      else Telemetry.Diag.to_string f.diag
+    in
+    Json.to_string
+      (Json.Obj
+         [
+           ("code", Json.Str (Protocol.error_code_name code));
+           ("message", Json.Str message);
+           events;
+         ])
 
 (* --- responses --- *)
 
 let send_response conn resp =
+  let frame r = Harness.Frame.encode (Json.to_string (Protocol.response_to_json r)) in
   Buffer.add_string conn.c_out
-    (Protocol.encode_frame (Json.to_string (Protocol.response_to_json resp)))
+    (match frame resp with
+    | f -> f
+    | exception Invalid_argument _ ->
+      let id =
+        match resp with
+        | Protocol.Telemetry { id; _ } | Result { id; _ } | Error_resp { id; _ } -> id
+      in
+      frame
+        (Protocol.Error_resp
+           { id; code = Protocol.Internal; message = "response exceeds the frame cap" }))
 
 let send_error t conn ~id code message =
   Metrics.incr t.metrics
@@ -203,9 +228,9 @@ let status_json t =
       ("draining", Json.Bool t.draining);
       ("jobs", Json.Int t.cfg.jobs);
       ("queue_cap", Json.Int t.cfg.queue_cap);
-      ("in_flight", Json.Int (Service.in_flight t.svc));
-      ("lease_depth", Json.Int (Service.lease_depth t.svc));
-      ("submitted", Json.Int (Service.submitted t.svc));
+      ("in_flight", Json.Int (Pool.in_flight t.pool));
+      ("lease_depth", Json.Int (Pool.lease_depth t.pool));
+      ("submitted", Json.Int (Pool.submitted t.pool));
       ("connections", Json.Int (List.length t.conns));
       ( "store",
         match t.cfg.store with
@@ -222,10 +247,10 @@ let start_drain t ~why =
     t.drain_t0 <- Unix.gettimeofday ();
     Metrics.incr t.metrics "daemon.drains";
     say t "draining (%s): %d request(s) in flight, deadline %.1fs" why
-      (Service.in_flight t.svc) t.cfg.drain_deadline
+      (Pool.in_flight t.pool) t.cfg.drain_deadline
   end
 
-(* --- admission (supervisor domain) --- *)
+(* --- admission --- *)
 
 let handle_envelope t conn (env : Protocol.envelope) =
   let immediate payload =
@@ -243,80 +268,116 @@ let handle_envelope t conn (env : Protocol.envelope) =
     if t.draining then
       send_error t conn ~id:env.id Protocol.Draining
         "server is draining; no new work accepted"
-    else if Service.in_flight t.svc >= t.cfg.queue_cap then
+    else if Pool.in_flight t.pool >= t.cfg.queue_cap then
       send_error t conn ~id:env.id Protocol.Overloaded
         (Printf.sprintf "admission queue full (%d in flight); retry later"
            t.cfg.queue_cap)
     else begin
-      let deadline =
-        match env.qos.deadline with
-        | Some _ as d -> d
-        | None -> t.cfg.default_deadline
-      in
-      let handle =
-        Service.submit t.svc ?deadline ~retries:env.qos.retries
-          ?chaos:env.qos.chaos
-          ~label:
-            (Printf.sprintf "%s-c%d-r%d"
-               (Protocol.kind_name env.req)
-               conn.c_num env.id)
-          (run_request ~fuzz_out:t.cfg.fuzz_out ~store:t.cfg.store env)
-      in
       Metrics.incr t.metrics "daemon.admitted";
-      conn.c_pending <-
-        conn.c_pending
-        @ [
-            {
-              p_id = env.id;
-              p_kind = Protocol.kind_name env.req;
-              p_telemetry = env.qos.telemetry;
-              p_t0 = Unix.gettimeofday ();
-              p_handle = handle;
-            };
-          ]
+      (* The store memoizes whole measure payloads, keyed on source
+         bytes + input + machine + compiler fingerprint: a hit is
+         answered here, a miss is committed when its reply arrives. *)
+      let cache =
+        match (env.req, t.cfg.store) with
+        | Protocol.Measure { source; input; machine; _ }, Some rc ->
+          let machine = machine.Ir.Machine.short in
+          Some
+            ( rc.rc_find ~source ~input ~machine,
+              rc.rc_commit ~source ~input ~machine )
+        | _ -> None
+      in
+      match cache with
+      | Some (Some payload, _) ->
+        Metrics.incr t.metrics "daemon.completed";
+        send_response conn
+          (Protocol.Result { id = env.id; payload; elapsed_ms = 0.0 })
+      | _ ->
+        let deadline =
+          match env.qos.deadline with
+          | Some _ as d -> d
+          | None -> t.cfg.default_deadline
+        in
+        let req =
+          Json.to_string
+            (Json.Obj
+               [
+                 ("op", Json.Str "request");
+                 ("fuzz_out", Json.Str t.cfg.fuzz_out);
+                 ("envelope", Protocol.envelope_to_json env);
+               ])
+        in
+        if String.length req > Pool.max_request then
+          send_error t conn ~id:env.id Protocol.Bad_request
+            (Printf.sprintf "request of %d bytes exceeds the worker frame cap"
+               (String.length req))
+        else begin
+          let ticket =
+            Pool.submit t.pool ?deadline ~retries:env.qos.retries
+              ?chaos:env.qos.chaos
+              ~label:
+                (Printf.sprintf "%s-c%d-r%d"
+                   (Protocol.kind_name env.req)
+                   conn.c_num env.id)
+              req
+          in
+          conn.c_pending <-
+            conn.c_pending
+            @ [
+                {
+                  p_id = env.id;
+                  p_telemetry = env.qos.telemetry;
+                  p_t0 = Unix.gettimeofday ();
+                  p_ticket = ticket;
+                  p_commit = Option.map snd cache;
+                };
+              ]
+        end
     end
 
 let finish t conn p outcome =
   let elapsed_ms = (Unix.gettimeofday () -. p.p_t0) *. 1e3 in
   Metrics.observe t.metrics "daemon.request_ms"
     ~buckets:Metrics.Buckets.time_ms elapsed_ms;
-  match (outcome : work Harness.Pool.outcome) with
-  | Harness.Pool.Done w ->
+  let plural n = if n = 1 then "" else "s" in
+  match (outcome : string Pool.outcome) with
+  | Pool.Done reply -> (
+    (* One JSON line, then on success the payload bytes (see [handle]). *)
+    let meta, payload =
+      match String.index_opt reply '\n' with
+      | Some i ->
+        ( String.sub reply 0 i,
+          Some (String.sub reply (i + 1) (String.length reply - i - 1)) )
+      | None -> (reply, None)
+    in
+    let j = match Json.parse meta with Ok j -> j | Error _ -> Json.Null in
+    let str name = Option.bind (Json.member name j) Json.get_string in
+    let events = Option.bind (Json.member "events" j) Json.to_list in
     if p.p_telemetry then
       List.iter
-        (fun line -> send_response conn (Protocol.Telemetry { id = p.p_id; line }))
-        w.w_events;
-    (match w.w_payload with
-    | Ok payload ->
+        (fun l ->
+          Option.iter
+            (fun line ->
+              send_response conn (Protocol.Telemetry { id = p.p_id; line }))
+            (Json.get_string l))
+        (Option.value ~default:[] events);
+    match (payload, Option.bind (str "code") Protocol.error_code_of_name) with
+    | Some payload, _ ->
+      Option.iter (fun commit -> commit payload) p.p_commit;
       Metrics.incr t.metrics "daemon.completed";
-      send_response conn
-        (Protocol.Result
-           { id = p.p_id; payload = Json.to_string payload; elapsed_ms })
-    | Error (f : Ops.failure) ->
-      let code =
-        match f.exit_code with
-        | 2 -> Protocol.Runtime_error
-        | 124 -> Protocol.Deadline
-        | _ -> Protocol.Bad_request
-      in
-      let message =
-        (* A guest-program fault (exit code 2) prints bare in the
-           one-shot CLI, with no diagnostic tag; keep the wire message
-           aligned with those bytes. *)
-        if f.exit_code = 2 then f.diag.Telemetry.Diag.message
-        else Telemetry.Diag.to_string f.diag
-      in
-      send_error t conn ~id:p.p_id code message)
-  | Harness.Pool.Crashed { exn; attempts; _ } ->
+      send_response conn (Protocol.Result { id = p.p_id; payload; elapsed_ms })
+    | None, Some code ->
+      send_error t conn ~id:p.p_id code
+        (Option.value ~default:"" (str "message"))
+    | None, None ->
+      send_error t conn ~id:p.p_id Protocol.Internal "malformed worker reply")
+  | Pool.Crashed { exn; attempts; _ } ->
     send_error t conn ~id:p.p_id Protocol.Crashed
       (Printf.sprintf "request crashed after %d attempt%s: %s" attempts
-         (if attempts = 1 then "" else "s")
-         (Printexc.to_string exn))
-  | Harness.Pool.Timed_out { elapsed; attempts } ->
+         (plural attempts) (Printexc.to_string exn))
+  | Pool.Timed_out { elapsed; attempts } ->
     send_error t conn ~id:p.p_id Protocol.Deadline
       (Printf.sprintf "deadline expired after %.2fs (%d attempt%s)" elapsed
-         attempts
-         (if attempts = 1 then "" else "s"))
+         attempts (plural attempts))
 
 (* --- the loop --- *)
 
@@ -345,7 +406,7 @@ let accept_loop t =
             {
               c_fd = fd;
               c_num = t.conn_seq;
-              c_dec = Protocol.decoder ();
+              c_dec = Harness.Frame.decoder ();
               c_out = Buffer.create 256;
               c_sent = 0;
               c_pending = [];
@@ -380,7 +441,7 @@ let read_conn t conn =
   | 0 -> conn.c_eof <- true
   | n ->
     conn.c_last <- Unix.gettimeofday ();
-    Protocol.decoder_feed conn.c_dec (Bytes.sub_string buf 0 n)
+    Harness.Frame.feed conn.c_dec (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> close_conn t conn ~why:"read error"
 
@@ -388,7 +449,7 @@ let read_conn t conn =
 let drain_decoder t conn =
   let rec go () =
     if not (conn.c_dead || conn.c_poisoned) then
-      match Protocol.decoder_next conn.c_dec with
+      match Harness.Frame.next conn.c_dec with
       | Ok None -> ()
       | Ok (Some payload) ->
         (match Protocol.parse_envelope payload with
@@ -430,7 +491,7 @@ let poll_pending t conn =
   let still =
     List.filter
       (fun p ->
-        match Service.poll t.svc p.p_handle with
+        match Pool.poll t.pool p.p_ticket with
         | None -> true
         | Some outcome ->
           if not conn.c_dead then finish t conn p outcome;
@@ -461,7 +522,7 @@ let reap_conns t now =
              becomes a pending request). *)
           close_conn t c
             ~why:
-              (if Protocol.decoder_pending c.c_dec > 0 then
+              (if Harness.Frame.pending c.c_dec > 0 then
                  "half-open timeout"
                else "idle timeout"))
     t.conns;
@@ -509,7 +570,9 @@ let serve cfg =
     {
       cfg;
       listen_fd;
-      svc = Service.create ~jobs:cfg.jobs ?trace:cfg.trace ();
+      pool =
+        Pool.create ?trace:cfg.trace ~workers:(max 1 cfg.jobs)
+          ~argv:cfg.worker_argv ();
       metrics = Metrics.create ();
       conns = [];
       draining = false;
@@ -523,7 +586,7 @@ let serve cfg =
   let force_stop = ref false in
   let finished () =
     t.draining
-    && (Service.in_flight t.svc = 0 || !force_stop)
+    && (Pool.in_flight t.pool = 0 || !force_stop)
     && List.for_all (fun c -> flushed c) t.conns
   in
   let rec loop () =
@@ -533,7 +596,7 @@ let serve cfg =
     then begin
       force_stop := true;
       say t "drain deadline expired with %d request(s) in flight"
-        (Service.in_flight t.svc)
+        (Pool.in_flight t.pool)
     end;
     if not (finished ()) then begin
       let live = List.filter (fun c -> not c.c_dead) t.conns in
@@ -546,8 +609,11 @@ let serve cfg =
       let wfds =
         List.filter_map (fun c -> if flushed c then None else Some c.c_fd) live
       in
+      (* One of the two selects waits (10ms at most): the pool's while
+         it has work in flight, the sockets' otherwise. *)
+      let busy = Pool.in_flight t.pool > 0 in
       let readable, writable, _ =
-        try Unix.select rfds wfds [] 0.01
+        try Unix.select rfds wfds [] (if busy then 0. else 0.01)
         with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
       in
       if List.mem t.listen_fd readable then accept_loop t;
@@ -555,10 +621,10 @@ let serve cfg =
         (fun c -> if List.mem c.c_fd readable then read_conn t c)
         live;
       List.iter (fun c -> drain_decoder t c) live;
-      Service.tick t.svc;
+      Pool.tick t.pool ~timeout:(if busy then 0.01 else 0.);
       List.iter (fun c -> poll_pending t c) t.conns;
       Metrics.set t.metrics "daemon.queue_depth"
-        (float_of_int (Service.in_flight t.svc));
+        (float_of_int (Pool.in_flight t.pool));
       List.iter
         (fun c ->
           if (not c.c_dead) && (List.mem c.c_fd writable || not (flushed c))
@@ -571,8 +637,8 @@ let serve cfg =
   loop ();
   (* Shutdown: the loop only exits draining, with in-flight work done
      (or force-stopped past the deadline) and every outbox flushed. *)
-  let stragglers = if !force_stop then Service.in_flight t.svc else 0 in
-  let joined = Service.shutdown ~deadline:2.0 t.svc in
+  let stragglers = if !force_stop then Pool.in_flight t.pool else 0 in
+  let joined = Pool.shutdown t.pool in
   List.iter (fun c -> close_conn t c ~why:"server stopped") t.conns;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
@@ -582,5 +648,5 @@ let serve cfg =
     "jumprepd: drained: %d request(s) served, %d abandoned, workers %s\n%!"
     (Metrics.counter_value t.metrics "daemon.completed")
     stragglers
-    (if joined then "joined" else "left behind");
+    (if joined then "joined" else "killed");
   { clean = (not !force_stop) && joined; force_stopped = stragglers }

@@ -2,33 +2,30 @@
     [jumprepc serve].
 
     A single select loop owns the Unix-domain listening socket and every
-    client connection; compute runs on the resident worker domains of a
-    {!Harness.Pool.Service} whose supervisor pass the loop drives.
-    Admission is bounded ([queue_cap], explicit [overloaded] rejections),
-    execution is crash-isolated with per-request deadlines/retries/chaos,
-    and SIGTERM (or a [drain] request) triggers a graceful,
-    deadline-bounded drain.  See DESIGN.md "Daemon wire protocol". *)
+    client connection; compute runs on resident worker processes
+    supervised by a {!Harness.Pool}, whose {!Harness.Pool.tick} the loop
+    drives (a worker runs {!handle} on each request).  Admission is
+    bounded ([queue_cap], explicit [overloaded] rejections), execution is
+    crash-isolated with per-request deadlines/retries/chaos, and SIGTERM
+    (or a [drain] request) triggers a graceful, deadline-bounded drain.
+    See DESIGN.md "Daemon wire protocol". *)
 
-(** An optional result cache plugged in by the CLI (the campaign
-    store lives above this library, so the daemon sees it only as
-    closures).  [rc_measure] may serve a measure payload from cache or
-    delegate to the compute thunk (and persist the result);
-    [rc_stats] feeds the [status] response's store gauges.  Both are
-    called from worker domains concurrently — implementations must be
-    thread-safe. *)
+(** An optional measure-payload cache plugged in by the CLI (a campaign
+    store).  The daemon process itself calls [rc_find] at admission (a
+    hit answers at once; a miss leases the key) and [rc_commit] when the
+    payload arrives, so [rc_stats] — [status]'s store gauges — sees
+    every lookup. *)
 type result_cache = {
-  rc_measure :
-    source:string ->
-    input:string ->
-    machine:string ->
-    (unit -> (Telemetry.Json.t, Ops.failure) result) ->
-    (Telemetry.Json.t, Ops.failure) result;
+  rc_find : source:string -> input:string -> machine:string -> string option;
+  rc_commit : source:string -> input:string -> machine:string -> string -> unit;
   rc_stats : unit -> (string * int) list;
 }
 
 type config = {
   socket_path : string;  (** Unix-domain socket path (unlinked on exit) *)
-  jobs : int;  (** resident worker domains *)
+  jobs : int;  (** resident worker processes (at least one) *)
+  worker_argv : string array;
+      (** the worker command: serves the [request] op with {!handle} *)
   queue_cap : int;  (** max requests in flight before [overloaded] *)
   drain_deadline : float;  (** seconds to finish in-flight work on drain *)
   idle_timeout : float;  (** close idle / half-open connections after this *)
@@ -42,8 +39,9 @@ type config = {
       (** memoize measure payloads across requests (and daemon restarts) *)
 }
 
-(** jobs 1, queue cap 64, drain deadline 10s, idle timeout 30s, no
-    default deadline, no trace. *)
+(** jobs 1, [Sys.executable_name worker] as the worker command (right
+    for [jumprepc]), queue cap 64, drain deadline 10s, idle timeout 30s,
+    no default deadline, no trace. *)
 val default_config : string -> config
 
 type drain_result = {
@@ -52,6 +50,14 @@ type drain_result = {
           every worker joined *)
   force_stopped : int;  (** requests abandoned at the drain deadline *)
 }
+
+(** The [request] op, run in a worker process: one daemon envelope
+    ([{"op":"request","envelope":...,"fuzz_out":...}]) executed as the
+    one-shot CLI would.  The reply is one JSON line holding the
+    request's telemetry [events] (when its QoS asked for them) and, on
+    failure, the wire error's [code] and [message]; on success a newline
+    and the rendered payload follow, verbatim. *)
+val handle : string -> string
 
 (** Run the daemon until drained.  Binds and listens on
     [config.socket_path] — a stale socket file (nobody answers) is

@@ -40,30 +40,44 @@ val reduce :
   failure ->
   Gen.program * failure
 
+(** The [fuzz] op's request for one seed (a JSON object with
+    ["op":"fuzz"]). *)
+val request :
+  max_steps:int -> verify:bool -> inject_fault:string option -> int -> string
+
+(** The [fuzz] op: generate the request's seed, check it and, on a
+    failure, reduce it.  The reply carries the original and the reduced
+    failure and the reproducer's full text ([{}] for a clean seed).
+    What [jumprepc worker] runs for a fuzz request, and what an
+    in-process campaign calls directly. *)
+val handle : string -> string
+
 type stats = {
   seeds_run : int;
   failures : (int * failure * string) list;
       (** seed, reduced failure, path of the written reproducer *)
   aborted : (int * string) list;
-      (** seeds whose supervised task produced no verdict at all (the
-          worker crashed or timed out — only possible under chaos) *)
-  pool : Pool.stats;  (** supervisor statistics (zeros on the inline path) *)
+      (** seeds whose task produced no verdict at all (the worker
+          crashed or timed out — only possible under chaos) *)
+  pool : Pool.stats;  (** supervisor statistics *)
 }
 
 (** Fuzz seeds [start .. start + seeds - 1]; on failure, reduce and write
     the reproducer under [out_dir] (created if missing).  [on_seed] is
-    called after each seed with its outcome (for progress reporting).
+    called for each seed with its outcome, in seed order, as soon as
+    that seed and every earlier one are done; its reproducer is written
+    at the same moment.
 
-    [jobs > 1] spreads the seeds over a supervised {!Pool}; seeds are
-    independent, and reproducer files, the failure list and the [on_seed]
-    calls are issued from the calling domain in seed order, so the
-    campaign's results are identical at any [jobs] (with [jobs = 1] and
-    no chaos, [on_seed] additionally streams as each seed completes).
-    [chaos] injects deterministic worker faults ({!Pool.chaos}) to drill
-    the supervisor; affected seeds land in [aborted], sibling seeds keep
-    their verdicts.  [seed_list] overrides the contiguous range with an
-    explicit seed set — how a store-resumed campaign runs only the
-    uncached delta. *)
+    Each seed is one {!handle} request on {!Pool.run}: in-process by
+    default, or on [workers] worker processes spawned from
+    [worker_argv] (a command serving the [fuzz] op, e.g. [jumprepc
+    worker]).  Reproducer files, the failure list and the [on_seed]
+    calls are issued by this process in seed order, so the campaign's
+    results are identical at any worker count.  [chaos] injects
+    deterministic worker faults ({!Pool.chaos}) to drill the supervisor;
+    affected seeds land in [aborted], sibling seeds keep their verdicts.
+    [seed_list] overrides the contiguous range with an explicit seed set
+    — how a store-resumed campaign runs only the uncached delta. *)
 val campaign :
   ?max_steps:int ->
   ?verify:bool ->
@@ -71,7 +85,8 @@ val campaign :
   ?out_dir:string ->
   ?start:int ->
   ?on_seed:(int -> failure option -> unit) ->
-  ?jobs:int ->
+  ?workers:int ->
+  ?worker_argv:string array ->
   ?chaos:Pool.chaos ->
   ?seed_list:int list ->
   seeds:int ->

@@ -25,11 +25,10 @@ type t = {
 let instrs_between_branches t =
   float_of_int t.dyn_instrs /. float_of_int (max 1 t.dyn_transfers)
 
-(* One lock for all module-level state (memo, mismatch/timeout/failure
-   lists): the daemon's resident workers call the measurement entry
-   points concurrently, where the bench sweeps only ever touched this
-   state from the supervising domain.  Never held across a measurement —
-   only across the bookkeeping around one. *)
+(* One lock for all module-level state (memo, mismatch/timeout lists),
+   so the measurement entry points stay safe to call from several
+   domains.  Never held across a measurement — only across the
+   bookkeeping around one. *)
 let state_mu = Mutex.create ()
 
 let locked f =
@@ -61,63 +60,6 @@ let mismatches () = locked (fun () -> List.rev !failed)
 let hung : (string * Opt.Driver.level * string) list ref = ref []
 let timeouts () = locked (fun () -> List.rev !hung)
 
-(* Supervised tasks that produced no measurement at all — the worker
-   crashed or the deadline expired on every attempt.  Kept apart from
-   mismatches and timeouts: those describe a *measurement's* verdict,
-   these describe a task that has none. *)
-type task_failure = {
-  f_program : string;
-  f_level : Opt.Driver.level;
-  f_machine : string;
-  f_kind : string;  (* "crashed" | "timed-out" *)
-  f_detail : string;
-  f_attempts : int;
-  f_elapsed : float;
-}
-
-let task_failed : task_failure list ref = ref []
-let task_failures () = locked (fun () -> List.rev !task_failed)
-
-let last_pool_stats = ref Pool.no_stats
-let pool_stats () = !last_pool_stats
-
-let failure_to_json f =
-  Printf.sprintf
-    "{\"program\":%s,\"level\":%s,\"machine\":%s,\"kind\":%s,\"detail\":%s,\
-     \"attempts\":%d,\"elapsed\":%.3f}"
-    (Telemetry.Log.json_string f.f_program)
-    (Telemetry.Log.json_string (Opt.Driver.level_name f.f_level))
-    (Telemetry.Log.json_string f.f_machine)
-    (Telemetry.Log.json_string f.f_kind)
-    (Telemetry.Log.json_string f.f_detail)
-    f.f_attempts f.f_elapsed
-
-let record_task_failure log ~kind ~detail ~attempts ~elapsed
-    (b : Programs.Suite.benchmark) level (machine : Ir.Machine.t) =
-  locked (fun () ->
-      task_failed :=
-        {
-          f_program = b.name;
-          f_level = level;
-          f_machine = machine.Ir.Machine.short;
-          f_kind = kind;
-          f_detail = detail;
-          f_attempts = attempts;
-          f_elapsed = elapsed;
-        }
-        :: !task_failed);
-  Telemetry.Log.emit log (fun () ->
-      Telemetry.Log.Warning
-        {
-          message =
-            Printf.sprintf "%s at %s on %s: task %s after %d attempt%s (%s)"
-              b.name
-              (Opt.Driver.level_name level)
-              machine.Ir.Machine.short kind attempts
-              (if attempts = 1 then "" else "s")
-              detail;
-        })
-
 let record_mismatch log (m : t) ~expected =
   locked (fun () ->
       failed := (m.program, m.level, m.machine.Ir.Machine.short) :: !failed);
@@ -147,9 +89,8 @@ let record_timeout log (m : t) =
 
 (* The side-effect-free core of a measurement: compile, assemble, run
    through the cache bank, bump counters on [log].  No module-level state
-   is touched and nothing beyond [log] (and the [profiler] shard) is
-   written, so this is what pool workers run on their own domain with a
-   private log. *)
+   is touched and nothing beyond [log] (and the [profiler]) is written,
+   so this is what a sweep's handler runs against a private log. *)
 let measure_raw ?opts ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(verify = true) ?budget
     ?(engine = Sim.Engine.Threaded) (b : Programs.Suite.benchmark) level machine
@@ -178,8 +119,8 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
       r)
     else fun ~addr ~size -> Icache.Bank.access bank ~addr ~size
   in
-  (* The pool's deadline budget feeds only the interpreter (its fuel
-     accounting doubles as the poll point): a cancelled run raises
+  (* The in-process deadline budget feeds only the interpreter (its fuel
+     accounting doubles as the poll point): an expired budget raises
      [Budget.Exhausted] and surfaces as a pool-level [Timed_out] outcome,
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
@@ -241,29 +182,23 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
   end;
   m
 
-(* The stateful tail of a measurement — mismatch/timeout bookkeeping in
-   the module-level lists (lock-guarded; daemon workers land here
-   concurrently). *)
-let record log (b : Programs.Suite.benchmark) m =
-  if m.timed_out then record_timeout log m
-  else if not m.output_ok then record_mismatch log m ~expected:b.expected_output
-
-let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify ?budget ?engine
+(* [measure_raw] plus the stateful tail: mismatch/timeout bookkeeping in
+   the module-level lists (lock-guarded). *)
+let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify ?engine
     (b : Programs.Suite.benchmark) level machine =
-  let m =
-    measure_raw ?opts ~log ?profiler ?verify ?budget ?engine b level machine
-  in
-  record log b m;
+  let m = measure_raw ?opts ~log ?profiler ?verify ?engine b level machine in
+  if m.timed_out then record_timeout log m
+  else if not m.output_ok then record_mismatch log m ~expected:b.expected_output;
   m
 
 (* The memo key carries no engine: the engines are observationally
    equivalent (the test suite holds them to it), so a measurement is a
    valid answer whichever engine computed it. *)
-let run ?opts ?log ?profiler ?verify ?budget ?engine
+let run ?opts ?log ?profiler ?verify ?engine
     (b : Programs.Suite.benchmark) level machine =
   match opts with
   | Some _ ->
-    measure ?opts ?log ?profiler ?verify ?budget ?engine b level machine
+    measure ?opts ?log ?profiler ?verify ?engine b level machine
   | None -> (
     let key = memo_key b level machine in
     (* The lock never spans the measurement itself: a racing miss computes
@@ -271,11 +206,11 @@ let run ?opts ?log ?profiler ?verify ?budget ?engine
     match locked (fun () -> Hashtbl.find_opt memo key) with
     | Some t -> t
     | None ->
-      let t = measure ?log ?profiler ?verify ?budget ?engine b level machine in
+      let t = measure ?log ?profiler ?verify ?engine b level machine in
       locked (fun () -> Hashtbl.replace memo key t);
       t)
 
-let run_adhoc ?opts ?log ?budget ?engine ~name ~source ?(input = "")
+let run_adhoc ?opts ?log ?engine ~name ~source ?(input = "")
     ?expected_output level machine =
   (* Without an expectation, the run is its own reference: [output_ok] is
      forced true and callers compare outputs across levels instead. *)
@@ -289,101 +224,12 @@ let run_adhoc ?opts ?log ?budget ?engine ~name ~source ?(input = "")
       expected_output = Option.value ~default:"" expected_output;
     }
   in
-  run ?opts ?log ?budget ?engine ~verify:(expected_output <> None) b level
-    machine
+  run ?opts ?log ?engine ~verify:(expected_output <> None) b level machine
 
-(* Parallel sweep over (benchmark, level, machine) tasks.  The memo
-   table, mismatch/timeout lists and the caller's log stay on this
-   domain: memo hits are resolved before dispatch, workers run
-   [measure_raw] against a private in-memory log, and after the joins
-   each task's events and counters are folded into [log] in task order —
-   so results, telemetry and recorded failures are byte-for-byte those
-   of the sequential sweep, whatever [jobs] is. *)
-let run_many ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
-    ?trace ?(metrics = Telemetry.Metrics.null) ?(jobs = 1) ?deadline ?retries
-    ?chaos ?engine tasks =
-  if jobs <= 1 && deadline = None && chaos = None && trace = None then
-    List.map (fun (b, level, m) -> run ~log ~profiler ?engine b level m) tasks
-  else begin
-    let logging = Telemetry.Log.enabled log in
-    let profiling = Telemetry.Profiler.enabled profiler in
-    let pending = Hashtbl.create 16 in
-    let to_run =
-      List.filter
-        (fun (b, level, m) ->
-          let key = memo_key b level m in
-          (not (locked (fun () -> Hashtbl.mem memo key)))
-          && (not (Hashtbl.mem pending key))
-          && (Hashtbl.add pending key (); true))
-        tasks
-    in
-    let label (b, level, m) =
-      Printf.sprintf "%s/%s/%s" b.Programs.Suite.name
-        (Opt.Driver.level_name level)
-        m.Ir.Machine.short
-    in
-    let outcomes, stats =
-      Pool.supervise ~jobs ?deadline ?retries ?chaos ?trace ~label
-        (fun budget (b, level, m) ->
-          let wlog =
-            if logging then Telemetry.Log.make Telemetry.Log.Memory
-            else Telemetry.Log.null
-          in
-          let wprof =
-            if profiling then Telemetry.Profiler.create ()
-            else Telemetry.Profiler.null
-          in
-          ( measure_raw ~log:wlog ~profiler:wprof ~budget ?engine b level m,
-            wlog,
-            wprof ))
-        to_run
-    in
-    last_pool_stats := stats;
-    Pool.stats_to_metrics stats metrics;
-    List.iter2
-      (fun (b, level, machine) outcome ->
-        match outcome with
-        | Pool.Done (res, wlog, wprof) ->
-          if logging then begin
-            List.iter
-              (fun ev -> Telemetry.Log.emit log (fun () -> ev))
-              (Telemetry.Log.events wlog);
-            (* Shard merge in task order: counters add and histograms
-               fold bucket-wise, so the merged registry matches a
-               sequential sweep's. *)
-            Telemetry.Metrics.merge
-              ~into:(Telemetry.Log.metrics log)
-              (Telemetry.Log.metrics wlog)
-          end;
-          if profiling then Telemetry.Profiler.merge ~into:profiler wprof;
-          record log b res;
-          locked (fun () -> Hashtbl.replace memo (memo_key b level machine) res)
-        | Pool.Crashed { exn; backtrace; attempts } ->
-          let detail =
-            match String.trim backtrace with
-            | "" -> Printexc.to_string exn
-            | bt -> Printexc.to_string exn ^ " | " ^ bt
-          in
-          record_task_failure log ~kind:"crashed" ~detail ~attempts
-            ~elapsed:0. b level machine
-        | Pool.Timed_out { elapsed; attempts } ->
-          record_task_failure log ~kind:"timed-out"
-            ~detail:(Printf.sprintf "deadline expired after %.2fs" elapsed)
-            ~attempts ~elapsed b level machine)
-      to_run outcomes;
-    (* Failed tasks have no measurement: the sweep's result list simply
-       omits them (callers consult [task_failures] for the rest). *)
-    List.filter_map
-      (fun (b, level, m) ->
-        locked (fun () -> Hashtbl.find_opt memo (memo_key b level m)))
-      tasks
-  end
-
-let run_suite ?log ?profiler ?trace ?metrics ?jobs ?deadline ?retries ?chaos
-    ?engine level machine =
-  run_many ?log ?profiler ?trace ?metrics ?jobs ?deadline ?retries ?chaos
-    ?engine
-    (List.map (fun b -> (b, level, machine)) Programs.Suite.all)
+let run_suite ?log ?profiler ?engine level machine =
+  List.map
+    (fun b -> run ?log ?profiler ?engine b level machine)
+    Programs.Suite.all
 
 (* --- JSON rendering (the bench drivers' machine-readable output) --- *)
 

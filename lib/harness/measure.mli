@@ -46,10 +46,7 @@ val instrs_between_branches : t -> float
     wall time and cache-bank time land in a ["program/LEVEL/machine"]
     run row.  [verify] (default true) controls the output comparison;
     ad-hoc sources without a known-good output pass [~verify:false]
-    through {!run_adhoc}.  [budget] is threaded into the interpreter
-    (its fuel accounting is the poll point): a cancelled or expired
-    budget raises {!Telemetry.Budget.Exhausted} out of the run rather
-    than returning a silently different measurement.
+    through {!run_adhoc}.
 
     [engine] selects the execution engine: {!Sim.Engine.Threaded} (the
     default) or the {!Sim.Engine.Reference} oracle.  The two are
@@ -58,14 +55,13 @@ val instrs_between_branches : t -> float
     engine-agnostic.
 
     Thread-safety: the memo and the mismatch/timeout records are
-    lock-guarded, so the daemon's resident workers may call the
-    measurement entry points concurrently. *)
+    lock-guarded, so the measurement entry points may be called from
+    several domains. *)
 val run :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
   ?verify:bool ->
-  ?budget:Telemetry.Budget.t ->
   ?engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
@@ -74,9 +70,13 @@ val run :
 
 (** The side-effect-free core of {!run}: compile, assemble, execute,
     bump the [measure.*] counters on [log] — but no memo and no
-    mismatch/timeout recording.  This is what pool worker domains and
-    campaign worker processes run against a private in-memory log whose
-    counters are folded back (or stored) by the parent. *)
+    mismatch/timeout recording.  This is what a sweep's handler runs
+    ([Campaign.Runner.sweep], in-process or in a worker process) against
+    a private in-memory log whose metrics travel back in the reply.
+    [budget] is threaded into the interpreter (its fuel accounting is the
+    poll point): an expired budget raises {!Telemetry.Budget.Exhausted}
+    out of the run rather than returning a silently different
+    measurement. *)
 val measure_raw :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->
@@ -95,7 +95,6 @@ val measure_raw :
 val run_adhoc :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
   ?engine:Sim.Engine.kind ->
   name:string ->
   source:string ->
@@ -108,54 +107,12 @@ val run_adhoc :
 (** Clear the memo table (after changing options between sweeps). *)
 val reset_cache : unit -> unit
 
-(** [run] over an arbitrary task list, optionally on a supervised {!Pool}
-    of [jobs] domains (default 1 = the plain sequential sweep).  Memoized
-    results are resolved before dispatch; workers measure against
-    private in-memory logs that are folded into [log] in task order
-    after the joins, so results, counters, event stream and recorded
-    mismatches/timeouts are identical to the sequential run at any
-    [jobs].
-
-    [deadline], [retries] and [chaos] select the supervised path (see
-    {!Pool.supervise}): each task gets a per-attempt wall-clock budget
-    threaded into the interpreter, crashes and hangs are retried on a
-    deterministic backoff, and a task whose every attempt fails is
-    dropped from the result list and recorded under {!task_failures} —
-    sibling results are never lost.  Completed measurements are identical
-    to the sequential, supervision-free sweep.
-
-    [profiler] accumulates the per-pass and per-run attribution: workers
-    profile into private shards that are folded back in task order, so
-    the aggregate matches a sequential profiled sweep.  [trace] records
-    every attempt as a worker-lane span and supervisor decisions as
-    instants (see {!Pool.supervise}); a non-[None] [trace] routes even a
-    [jobs = 1] sweep through the supervised pool so spans are recorded.
-    [metrics] (typically a registry owned by the bench driver, distinct
-    from [log]'s) receives the supervisor tallies as [pool.*] counters
-    on the supervised path. *)
-val run_many :
-  ?log:Telemetry.Log.t ->
-  ?profiler:Telemetry.Profiler.t ->
-  ?trace:Telemetry.Trace.t ->
-  ?metrics:Telemetry.Metrics.t ->
-  ?jobs:int ->
-  ?deadline:float ->
-  ?retries:int ->
-  ?chaos:Pool.chaos ->
-  ?engine:Sim.Engine.kind ->
-  (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->
-  t list
-
-(** [run] over every benchmark in the suite. *)
+(** {!run} over every benchmark in the suite, in suite order — the
+    sequential sweep behind [Harness.Tables].  Concurrent and store-backed
+    sweeps are [Campaign.Runner.sweep]. *)
 val run_suite :
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
-  ?trace:Telemetry.Trace.t ->
-  ?metrics:Telemetry.Metrics.t ->
-  ?jobs:int ->
-  ?deadline:float ->
-  ?retries:int ->
-  ?chaos:Pool.chaos ->
   ?engine:Sim.Engine.kind ->
   Opt.Driver.level ->
   Ir.Machine.t ->
@@ -170,29 +127,6 @@ val mismatches : unit -> (string * Opt.Driver.level * string) list
     apart from {!mismatches}: a hang is a distinct verdict, counted under
     the [measure.timeouts] telemetry counter. *)
 val timeouts : unit -> (string * Opt.Driver.level * string) list
-
-(** A supervised task that produced no measurement: every attempt crashed
-    ([f_kind = "crashed"]) or hit the deadline ([f_kind = "timed-out"]). *)
-type task_failure = {
-  f_program : string;
-  f_level : Opt.Driver.level;
-  f_machine : string;
-  f_kind : string;
-  f_detail : string;  (** exception text or deadline description *)
-  f_attempts : int;
-  f_elapsed : float;  (** last attempt's elapsed seconds (0 for crashes) *)
-}
-
-(** Failed supervised tasks this process, in discovery order.  Empty
-    whenever chaos is off and no deadline expired — the bench JSON only
-    grows a ["failures"] array when this is non-empty. *)
-val task_failures : unit -> task_failure list
-
-(** One JSON object (no newline) for a ["failures"] array entry. *)
-val failure_to_json : task_failure -> string
-
-(** Supervisor statistics of the most recent supervised {!run_many}. *)
-val pool_stats : unit -> Pool.stats
 
 (** One JSON object (no newline) with every field of [t], cache stats
     included — the building block of the bench drivers' [BENCH_*.json]. *)

@@ -1,18 +1,7 @@
-(* A supervised fixed-size Domain worker pool.
-
-   Each work item runs as a sequence of *attempts* on worker domains under
-   a fresh cancellable Budget.  The calling domain never runs tasks: it is
-   the supervisor, polling worker slots every millisecond to deliver
-   results, detect dead workers (and respawn them), enforce the per-task
-   deadline (cooperative cancellation through the budget, then
-   abandon-and-reschedule after a 2x grace period), and feed retries back
-   into the queue on a deterministic capped-exponential backoff.
-
-   Determinism: the schedule is whichever domain gets there first, but
-   results land in an index-ordered array and fault injection is a pure
-   function of (seed, task index, attempt) — so the outcome of every task
-   that completes is identical to what a sequential run produces, no
-   matter the job count. *)
+(* One executor: a supervisor over resident worker processes, or over
+   the calling process when a batch has one worker (see pool.mli).  Only a
+   process boundary isolates a SIGKILL or a runaway allocation, which is
+   why there is no domain pool. *)
 
 module Budget = Telemetry.Budget
 
@@ -26,7 +15,7 @@ let clamp_jobs ?(what = "JUMPREP_JOBS") n =
     1
   end
   else if n > 4 * cap then begin
-    warn "%s=%d exceeds 4x the %d recommended domain%s; using %d" what n cap
+    warn "%s=%d exceeds 4x the %d available core%s; using %d" what n cap
       (if cap = 1 then "" else "s")
       cap;
     cap
@@ -170,910 +159,492 @@ let chaos_of_string s =
   in
   go { crash = 0.; hang = 0.; alloc = 0.; chaos_seed = 1 } parts
 
+(* --- the worker side --- *)
+
+exception Worker_failed of string
+
+(* ~64MB of short-lived garbage: memory pressure that must not change
+   the request's reply. *)
+let alloc_storm () =
+  for _ = 1 to 64 do
+    ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
+  done
+
+(* The envelope (DESIGN.md §7).  Request frame: a fault tag ("-",
+   "hang" or "alloc"), a newline, the request.  Reply frame: "ok" or
+   "crash", a newline, then the handler's reply or the text of the
+   exception it raised. *)
+let split_tag frame =
+  match String.index_opt frame '\n' with
+  | Some i ->
+    (String.sub frame 0 i, String.sub frame (i + 1) (String.length frame - i - 1))
+  | None -> (frame, "")
+
+(* The longest request a frame can carry behind its fault tag. *)
+let max_request = Frame.max_frame - String.length "alloc\n"
+
+let serve ~handler () =
+  (* Frames go to a private copy of stdout; fd 1 becomes stderr, so a
+     stray print in handler code cannot corrupt the reply stream. *)
+  let out = Unix.dup Unix.stdout in
+  Unix.dup2 Unix.stderr Unix.stdout;
+  let reply tag body =
+    let frame =
+      match Frame.encode (tag ^ "\n" ^ body) with
+      | f -> f
+      | exception Invalid_argument _ ->
+        Frame.encode
+          (Printf.sprintf "crash\nreply of %d bytes exceeds the frame cap"
+             (String.length body))
+    in
+    Frame.write_all out frame
+  in
+  let dec = Frame.decoder () in
+  let buf = Bytes.create 65536 in
+  let rec loop () =
+    match Frame.next dec with
+    | Error e ->
+      Printf.eprintf "jumprepc: worker: bad frame: %s\n%!" e;
+      exit 1
+    | Ok (Some frame) -> (
+      let fault, req = split_tag frame in
+      (* An injected hang waits for the supervisor's deadline kill. *)
+      if fault = "hang" then
+        while true do
+          Unix.sleepf 1.0
+        done;
+      if fault = "alloc" then alloc_storm ();
+      match handler req with
+      | None -> ()
+      | Some r ->
+        reply "ok" r;
+        loop ()
+      | exception e ->
+        reply "crash" (Printexc.to_string e);
+        loop ())
+    | Ok None ->
+      let n = Unix.read Unix.stdin buf 0 (Bytes.length buf) in
+      (* EOF: the supervisor closed the pipe (or died) — a clean exit. *)
+      if n > 0 then begin
+        Frame.feed dec (Bytes.sub_string buf 0 n);
+        loop ()
+      end
+  in
+  loop ()
+
 (* --- the supervisor --- *)
 
-(* How one attempt failed: a raised exception, or a deadline/cancellation
-   (the only two final outcomes besides success). *)
+(* How one attempt failed: a raised exception or a dead worker, or a
+   deadline. *)
 type failure = F_crash of exn * string | F_timeout of float
 
-type running = {
-  r_task : int;
-  r_attempt : int;
-  r_start : float;
-  r_budget : Budget.t;
+type job = {
+  index : int;  (* submission number; the chaos task index *)
+  req : string;
+  label : string;
+  deadline : float option;
+  retries : int;
+  chaos : chaos option;
+  mutable attempts : int;
+  mutable out : string outcome option;
 }
 
-(* One worker slot.  [st] is written under the pool mutex by both the
-   worker (Busy/Idle/Exited/Died transitions) and never by the parent;
-   [retire] tells a worker abandoned by the watchdog not to take more
-   work if it ever returns from its stuck attempt.  [tid] is the slot's
-   stable trace lane: a respawned replacement inherits the dead worker's
-   lane, so a trace shows one timeline per logical worker. *)
-type slot_state =
-  | Idle
-  | Busy of running
-  | Exited
-  | Died of running option * exn * string
+type ticket = job
 
-type slot = {
-  mutable st : slot_state;
-  mutable dom : unit Domain.t option;
-  mutable retire : bool;
-  tid : int;
+type lease = {
+  job : job;
+  attempt : int;
+  started : float;
+  ts_us : float;  (* span start on the trace clock *)
+  killed : bool;  (* chaos crash: SIGKILLed right after the send *)
 }
 
-let supervise ?(jobs = 1) ?deadline ?(retries = 2) ?(backoff_base = 0.05)
-    ?chaos ?trace ?label f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
-  (* Trace plumbing: every record is a no-op without [trace].  Worker
-     spans carry the task's label; supervisor decisions land as instant
-     events on lane 0. *)
-  let task_label =
-    match label with
-    | Some l -> fun i -> l items.(i)
-    | None -> fun i -> Printf.sprintf "task-%d" i
+(* One worker process and the state of its stdout stream. *)
+type proc = {
+  pid : int;
+  to_w : Unix.file_descr;  (* the worker's stdin *)
+  from_w : Unix.file_descr;  (* the worker's stdout *)
+  dec : Frame.decoder;
+}
+
+(* A worker slot.  [lane] is its trace lane (1..N) and outlives the
+   process: a respawned worker inherits its predecessor's lane. *)
+type worker = { lane : int; mutable proc : proc; mutable lease : lease option }
+
+type t = {
+  argv : string array;
+  workers : worker array;
+  inline : (Budget.t -> string -> string) option;
+      (* no workers: attempts run here, through this handler *)
+  trace : Telemetry.Trace.t option;
+  backoff_base : float;
+  queue : job Queue.t;
+  mutable delayed : (float * job) list;  (* retries waiting out a backoff *)
+  mutable submitted : int;
+  mutable in_flight : int;
+  mutable closed : bool;
+  mutable st : stats;
+  buf : Bytes.t;  (* read buffer *)
+}
+
+let tr t g = match t.trace with Some tr -> g tr | None -> ()
+let trace_now t = match t.trace with Some tr -> Telemetry.Trace.now_us tr | None -> 0.
+
+let spawn argv =
+  (* to the worker: we write w1, it reads r1; from it: it writes w2, we
+     read r2.  Our ends are close-on-exec so no later worker inherits
+     them (a leaked stdin would never see EOF).  stderr is shared, so
+     worker warnings still reach the operator. *)
+  let r1, w1 = Unix.pipe ~cloexec:false () in
+  let r2, w2 = Unix.pipe ~cloexec:false () in
+  Unix.set_close_on_exec w1;
+  Unix.set_close_on_exec r2;
+  let pid = Unix.create_process argv.(0) argv r1 w2 Unix.stderr in
+  Unix.close r1;
+  Unix.close w2;
+  { pid; to_w = w1; from_w = r2; dec = Frame.decoder () }
+
+let supervisor ?trace ?(backoff_base = 0.05) ~lanes ~argv ~inline workers =
+  Option.iter
+    (fun tr ->
+      Telemetry.Trace.thread_name tr ~tid:0 "supervisor";
+      for k = 1 to lanes do
+        Telemetry.Trace.thread_name tr ~tid:k (Printf.sprintf "worker-%d" k)
+      done)
+    trace;
+  {
+    argv;
+    workers;
+    inline;
+    trace;
+    backoff_base;
+    queue = Queue.create ();
+    delayed = [];
+    submitted = 0;
+    in_flight = 0;
+    closed = false;
+    st = no_stats;
+    buf = Bytes.create 65536;
+  }
+
+let create ?trace ?backoff_base ~workers ~argv () =
+  if workers < 1 then invalid_arg "Pool.create: workers < 1";
+  (* A worker killed mid-request makes the next send EPIPE; that must be
+     a failed attempt, not the death of this process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let worker k = { lane = k + 1; proc = spawn argv; lease = None } in
+  supervisor ?trace ?backoff_base ~lanes:workers ~argv ~inline:None
+    (Array.init workers worker)
+
+let submit t ?deadline ?(retries = 0) ?chaos ?label req =
+  if t.closed then invalid_arg "Pool.submit: pool is shut down";
+  let index = t.submitted in
+  let label = match label with Some l -> l | None -> Printf.sprintf "task-%d" index in
+  let job =
+    { index; req; label; deadline; retries; chaos; attempts = 0; out = None }
   in
-  let tr g = match trace with Some t -> g t | None -> () in
-  let span_attempt tid i attempt body =
-    match trace with
-    | None -> body ()
-    | Some t ->
-      Telemetry.Trace.with_span t ~tid ~cat:"task"
+  t.submitted <- index + 1;
+  t.in_flight <- t.in_flight + 1;
+  Queue.push job t.queue;
+  job
+
+let poll _t job = job.out
+let in_flight t = t.in_flight
+let submitted t = t.submitted
+let stats t = t.st
+
+let lease_depth t =
+  Array.fold_left (fun n w -> if w.lease = None then n else n + 1) 0 t.workers
+
+let finalize t job o =
+  job.out <- Some o;
+  t.in_flight <- t.in_flight - 1
+
+(* A failed attempt: schedule the retry after its backoff, or settle the
+   request's outcome once the retries are spent. *)
+let fail t job attempt now fl =
+  if attempt <= job.retries then begin
+    t.st <- { t.st with retried = t.st.retried + 1 };
+    tr t (fun tr ->
+        Telemetry.Trace.instant tr ~tid:0
+          ~args:
+            [
+              ("task", Telemetry.Json.Str job.label);
+              ("attempt", Telemetry.Json.Int attempt);
+            ]
+          "task-retry");
+    t.delayed <- (now +. backoff ~base:t.backoff_base attempt, job) :: t.delayed
+  end
+  else
+    finalize t job
+      (match fl with
+      | F_crash (exn, backtrace) -> Crashed { exn; backtrace; attempts = attempt }
+      | F_timeout elapsed -> Timed_out { elapsed; attempts = attempt })
+
+(* Close an attempt's span on its lane. *)
+let span t ~lane job attempt ts_us =
+  tr t (fun tr ->
+      Telemetry.Trace.complete tr ~tid:lane
         ~args:[ ("attempt", Telemetry.Json.Int attempt) ]
-        (task_label i) body
-  in
-  let chaos_instant tid kind =
-    tr (fun t ->
-        Telemetry.Trace.instant t ~tid ~cat:"chaos"
-          (Printf.sprintf "chaos-%s" kind))
-  in
-  tr (fun t ->
-      Telemetry.Trace.thread_name t ~tid:0 "supervisor";
-      for k = 1 to jobs do
-        Telemetry.Trace.thread_name t ~tid:k (Printf.sprintf "worker-%d" k)
-      done);
-  let inj_crashes = Atomic.make 0 in
-  let inj_hangs = Atomic.make 0 in
-  let inj_allocs = Atomic.make 0 in
-  let retried = ref 0 in
-  let respawned = ref 0 in
-  let abandoned = ref 0 in
-  (* Injected hangs spin until released, interrupted, or this cap — they
-     must never outlive the supervisor's bounded shutdown. *)
-  let hang_cap = match deadline with Some d -> 4. *. d | None -> 2.0 in
-  let release = Atomic.make false in
-  let fault i attempt =
-    match chaos with
+        ~name:job.label ~ts_us
+        ~dur_us:(Telemetry.Trace.now_us tr -. ts_us)
+        ())
+
+(* Number the job's next attempt and draw its chaos fault, counting the
+   fault and marking it on the lane. *)
+let start_attempt t ~lane job =
+  let attempt = job.attempts + 1 in
+  job.attempts <- attempt;
+  let fault =
+    match job.chaos with
     | None -> None
-    | Some c -> chaos_fault c ~task:i ~attempt
+    | Some c -> chaos_fault c ~task:job.index ~attempt
   in
-  (* ~64MB of short-lived garbage: memory pressure that must not change
-     the task's result. *)
-  let alloc_storm () =
-    for _ = 1 to 64 do
-      ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
-    done
+  let count kind st =
+    t.st <- st;
+    tr t (fun tr ->
+        Telemetry.Trace.instant tr ~tid:lane ~cat:"chaos" ("chaos-" ^ kind))
   in
-  let stats () =
-    {
-      injected_crashes = Atomic.get inj_crashes;
-      injected_hangs = Atomic.get inj_hangs;
-      injected_allocs = Atomic.get inj_allocs;
-      retried = !retried;
-      respawned = !respawned;
-      abandoned = !abandoned;
-    }
+  let s = t.st in
+  (match fault with
+  | Some `Crash -> count "crash" { s with injected_crashes = s.injected_crashes + 1 }
+  | Some `Hang -> count "hang" { s with injected_hangs = s.injected_hangs + 1 }
+  | Some `Alloc -> count "alloc" { s with injected_allocs = s.injected_allocs + 1 }
+  | None -> ());
+  (attempt, fault)
+
+(* In-process: the same schedule under a cooperative deadline.  An
+   injected hang is charged as a timed-out attempt without spinning —
+   nothing else could make progress meanwhile. *)
+let run_here t handler job =
+  let attempt, fault = start_attempt t ~lane:1 job in
+  let started = Unix.gettimeofday () and ts_us = trace_now t in
+  let res =
+    match fault with
+    | Some `Crash -> Error (F_crash (Chaos_crash, ""))
+    | Some `Hang -> Error (F_timeout (Option.value job.deadline ~default:0.))
+    | (Some `Alloc | None) as fl -> (
+      if fl <> None then alloc_storm ();
+      match handler (Budget.make ?deadline:job.deadline ()) job.req with
+      | v -> Ok v
+      | exception Budget.Exhausted _ ->
+        Error (F_timeout (Unix.gettimeofday () -. started))
+      | exception e -> Error (F_crash (e, Printexc.get_backtrace ())))
   in
-  if jobs = 1 then begin
-    (* Inline path: same attempt/fault/backoff schedule, no domains.  An
-       injected hang is charged as a timed-out attempt without actually
-       spinning — nothing else could make progress meanwhile. *)
-    let run_task i x =
-      let rec go attempt =
-        let budget = Budget.make ?deadline () in
-        let started = Unix.gettimeofday () in
-        let res =
-          span_attempt 1 i attempt (fun () ->
-              match fault i attempt with
-              | Some `Crash ->
-                Atomic.incr inj_crashes;
-                chaos_instant 1 "crash";
-                Error (F_crash (Chaos_crash, ""))
-              | Some `Hang ->
-                Atomic.incr inj_hangs;
-                chaos_instant 1 "hang";
-                Error (F_timeout (Option.value deadline ~default:0.))
-              | (Some `Alloc | None) as fl -> (
-                if fl <> None then begin
-                  Atomic.incr inj_allocs;
-                  chaos_instant 1 "alloc";
-                  alloc_storm ()
-                end;
-                match f budget x with
-                | v -> Ok v
-                | exception Budget.Exhausted _ ->
-                  Error (F_timeout (Unix.gettimeofday () -. started))
-                | exception e -> Error (F_crash (e, Printexc.get_backtrace ()))))
-        in
-        match res with
-        | Ok v -> Done v
-        | Error fl ->
-          if attempt <= retries then begin
-            incr retried;
-            tr (fun t ->
-                Telemetry.Trace.instant t ~tid:0
-                  ~args:
-                    [
-                      ("task", Telemetry.Json.Str (task_label i));
-                      ("attempt", Telemetry.Json.Int attempt);
-                    ]
-                  "task-retry");
-            Unix.sleepf (backoff ~base:backoff_base attempt);
-            go (attempt + 1)
-          end
-          else (
-            match fl with
-            | F_crash (exn, backtrace) ->
-              Crashed { exn; backtrace; attempts = attempt }
-            | F_timeout elapsed -> Timed_out { elapsed; attempts = attempt })
-      in
-      go 1
-    in
-    let results = Array.mapi run_task items in
-    (Array.to_list results, stats ())
+  span t ~lane:1 job attempt ts_us;
+  match res with
+  | Ok v -> finalize t job (Done v)
+  | Error fl -> fail t job attempt (Unix.gettimeofday ()) fl
+
+let dispatch t w job =
+  let attempt, fault = start_attempt t ~lane:w.lane job in
+  let ts_us = trace_now t in
+  if fault = Some `Hang && job.deadline = None then begin
+    (* Nothing would ever kill the worker: charged as a timed-out
+       attempt without sending, as in-process. *)
+    span t ~lane:w.lane job attempt ts_us;
+    fail t job attempt (Unix.gettimeofday ()) (F_timeout 0.)
+  end
+  else if String.length job.req > max_request then begin
+    (* Too large to frame: no attempt can succeed. *)
+    span t ~lane:w.lane job attempt ts_us;
+    let exn = Invalid_argument "Pool: request exceeds the frame cap" in
+    finalize t job (Crashed { exn; backtrace = ""; attempts = attempt })
   end
   else begin
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    let pending : (int * int) Queue.t = Queue.create () in
-    let reports = Queue.create () in
-    let delayed = ref [] in
-    let quit = ref false in
-    let results = Array.make n None in
-    let latest = Array.make n 1 in
-    let remaining = ref n in
-    let run_attempt slot i attempt =
-      let budget = Budget.make ?deadline () in
-      let started = Unix.gettimeofday () in
-      Mutex.lock mu;
-      slot.st <-
-        Busy
-          { r_task = i; r_attempt = attempt; r_start = started; r_budget = budget };
-      Mutex.unlock mu;
-      let res =
-        span_attempt slot.tid i attempt (fun () ->
-            match fault i attempt with
-            | Some `Crash ->
-              Atomic.incr inj_crashes;
-              chaos_instant slot.tid "crash";
-              (* Unwinds the whole worker function: the domain dies, which is
-                 exactly the failure the supervisor's death detection and
-                 respawn exist for. *)
-              raise Chaos_crash
-            | Some `Hang ->
-              Atomic.incr inj_hangs;
-              chaos_instant slot.tid "hang";
-              (* A busy-wait that still polls (cpu_relax keeps the domain a
-                 GC-friendly citizen) and honors cooperative cancellation. *)
-              while
-                (not (Atomic.get release))
-                && (not (Budget.interrupted budget))
-                && Unix.gettimeofday () -. started < hang_cap
-              do
-                Domain.cpu_relax ()
-              done;
-              Error (F_timeout (Unix.gettimeofday () -. started))
-            | (Some `Alloc | None) as fl -> (
-              if fl <> None then begin
-                Atomic.incr inj_allocs;
-                chaos_instant slot.tid "alloc";
-                alloc_storm ()
-              end;
-              match f budget items.(i) with
-              | v -> Ok v
-              | exception Budget.Exhausted _ ->
-                Error (F_timeout (Unix.gettimeofday () -. started))
-              | exception e -> Error (F_crash (e, Printexc.get_backtrace ()))))
-      in
-      Mutex.lock mu;
-      slot.st <- Idle;
-      Queue.push (i, attempt, res) reports;
-      Mutex.unlock mu
+    let tag =
+      match fault with Some `Hang -> "hang" | Some `Alloc -> "alloc" | _ -> "-"
     in
-    let rec worker_loop slot =
-      Mutex.lock mu;
-      let rec next () =
-        if !quit || slot.retire then None
-        else if Queue.is_empty pending then begin
-          Condition.wait cond mu;
-          next ()
-        end
-        else Some (Queue.pop pending)
-      in
-      let job = next () in
-      Mutex.unlock mu;
-      match job with
-      | None -> ()
-      | Some (i, attempt) ->
-        run_attempt slot i attempt;
-        worker_loop slot
-    in
-    let worker slot () =
-      match worker_loop slot with
-      | () ->
-        Mutex.lock mu;
-        slot.st <- Exited;
-        Mutex.unlock mu
-      | exception e ->
-        let bt = Printexc.get_backtrace () in
-        Mutex.lock mu;
-        let running = match slot.st with Busy r -> Some r | _ -> None in
-        slot.st <- Died (running, e, bt);
-        Mutex.unlock mu
-    in
-    let spawn_slot tid =
-      let slot = { st = Idle; dom = None; retire = false; tid } in
-      slot.dom <- Some (Domain.spawn (worker slot));
-      slot
-    in
-    let slots = ref (List.init jobs (fun k -> spawn_slot (k + 1))) in
-    let zombies = ref [] in
-    (* Lanes of dead/abandoned slots, recycled by the respawn loop so a
-       replacement worker continues its predecessor's trace timeline. *)
-    let free_tids = ref [] in
-    (* All three run under [mu]. *)
-    let finalize i outcome =
-      if results.(i) = None then begin
-        results.(i) <- Some outcome;
-        decr remaining
-      end
-    in
-    let handle_failure now i attempt fl =
-      (* Failures of superseded attempts are ignored: the newer attempt
-         owns the task's fate.  A stale success still delivers (handled
-         by the caller), since the task function is deterministic. *)
-      if results.(i) = None && attempt >= latest.(i) then begin
-        if attempt <= retries then begin
-          incr retried;
-          tr (fun t ->
-              Telemetry.Trace.instant t ~tid:0
-                ~args:
-                  [
-                    ("task", Telemetry.Json.Str (task_label i));
-                    ("attempt", Telemetry.Json.Int attempt);
-                  ]
-                "task-retry");
-          latest.(i) <- attempt + 1;
-          delayed :=
-            (now +. backoff ~base:backoff_base attempt, i, attempt + 1)
-            :: !delayed
-        end
-        else
-          finalize i
-            (match fl with
-            | F_crash (exn, backtrace) ->
-              Crashed { exn; backtrace; attempts = attempt }
-            | F_timeout elapsed -> Timed_out { elapsed; attempts = attempt })
-      end
-    in
-    (* Seed attempt 1 of every task. *)
-    Mutex.lock mu;
-    Array.iteri (fun i _ -> Queue.push (i, 1) pending) items;
-    Condition.broadcast cond;
-    Mutex.unlock mu;
-    (* The supervisor tick. *)
-    while !remaining > 0 do
-      let to_join = ref [] in
-      Mutex.lock mu;
-      let now = Unix.gettimeofday () in
-      while not (Queue.is_empty reports) do
-        let i, attempt, res = Queue.pop reports in
-        match res with
-        | Ok v -> finalize i (Done v)
-        | Error fl -> handle_failure now i attempt fl
-      done;
-      let keep =
-        List.filter
-          (fun slot ->
-            match slot.st with
-            | Died (running, exn, bt) ->
-              tr (fun t ->
-                  Telemetry.Trace.instant t ~tid:0
-                    ~args:[ ("worker", Telemetry.Json.Int slot.tid) ]
-                    "worker-died");
-              Option.iter
-                (fun r -> handle_failure now r.r_task r.r_attempt (F_crash (exn, bt)))
-                running;
-              Option.iter (fun d -> to_join := d :: !to_join) slot.dom;
-              free_tids := slot.tid :: !free_tids;
-              false
-            | Busy r -> (
-              match deadline with
-              | Some d when now -. r.r_start > 2. *. d ->
-                (* Past the cooperative-cancellation grace period: the
-                   attempt is not responding.  Abandon the worker (it is
-                   told to retire if it ever comes back) and give the
-                   task a fresh domain. *)
-                incr abandoned;
-                tr (fun t ->
-                    Telemetry.Trace.instant t ~tid:0
-                      ~args:
-                        [
-                          ("worker", Telemetry.Json.Int slot.tid);
-                          ("task", Telemetry.Json.Str (task_label r.r_task));
-                        ]
-                      "deadline-abandon");
-                Budget.cancel r.r_budget;
-                handle_failure now r.r_task r.r_attempt
-                  (F_timeout (now -. r.r_start));
-                slot.retire <- true;
-                zombies := slot :: !zombies;
-                free_tids := slot.tid :: !free_tids;
-                false
-              | Some d when now -. r.r_start > d ->
-                if not (Budget.interrupted r.r_budget) then
-                  tr (fun t ->
-                      Telemetry.Trace.instant t ~tid:0
-                        ~args:
-                          [
-                            ("worker", Telemetry.Json.Int slot.tid);
-                            ("task", Telemetry.Json.Str (task_label r.r_task));
-                          ]
-                        "deadline-cancel");
-                Budget.cancel r.r_budget;
-                true
-              | _ -> true)
-            | Idle | Exited -> true)
-          !slots
-      in
-      slots := keep;
-      let ready, not_ready =
-        List.partition (fun (t, _, _) -> t <= now) !delayed
-      in
-      delayed := not_ready;
-      List.iter (fun (_, i, attempt) -> Queue.push (i, attempt) pending) ready;
-      if not (Queue.is_empty pending) then Condition.broadcast cond;
-      let live = List.length !slots in
-      Mutex.unlock mu;
-      List.iter Domain.join !to_join;
-      if !remaining > 0 then begin
-        for _ = 1 to jobs - live do
-          incr respawned;
-          let tid =
-            match !free_tids with
-            | t :: rest ->
-              free_tids := rest;
-              t
-            | [] -> jobs + !respawned (* fresh lane; should not happen *)
-          in
-          tr (fun t ->
-              Telemetry.Trace.instant t ~tid:0
-                ~args:[ ("worker", Telemetry.Json.Int tid) ]
-                "worker-respawn");
-          slots := spawn_slot tid :: !slots
-        done;
-        Unix.sleepf 0.001
-      end
-    done;
-    (* Shutdown: wake everything, cancel stale attempts, then a bounded
-       wait — a worker wedged in a non-cooperative task cannot be killed,
-       so after the grace period it is simply left behind rather than
-       wedging the join. *)
-    Mutex.lock mu;
-    quit := true;
-    Atomic.set release true;
-    List.iter
-      (fun s -> match s.st with Busy r -> Budget.cancel r.r_budget | _ -> ())
-      (!slots @ !zombies);
-    Condition.broadcast cond;
-    Mutex.unlock mu;
-    let finished s =
-      Mutex.lock mu;
-      let r = match s.st with Exited | Died _ -> true | Idle | Busy _ -> false in
-      Mutex.unlock mu;
-      r
-    in
-    let all = !slots @ !zombies in
-    let give_up = Unix.gettimeofday () +. Float.max 1.0 hang_cap in
-    let rec drain waiting =
-      let still = List.filter (fun s -> not (finished s)) waiting in
-      if still = [] || Unix.gettimeofday () > give_up then still
-      else begin
-        Unix.sleepf 0.001;
-        drain still
-      end
-    in
-    let stragglers = drain all in
-    List.iter
-      (fun s ->
-        if not (List.memq s stragglers) then Option.iter Domain.join s.dom)
-      all;
-    let outcomes =
-      Array.to_list
-        (Array.map (function Some o -> o | None -> assert false) results)
-    in
-    (outcomes, stats ())
+    let killed = fault = Some `Crash in
+    w.lease <- Some { job; attempt; started = Unix.gettimeofday (); ts_us; killed };
+    (* A send that fails means the worker is already dead: the EOF on
+       its stdout settles the attempt on the next tick. *)
+    (try Frame.write_all w.proc.to_w (Frame.encode (tag ^ "\n" ^ job.req))
+     with Unix.Unix_error _ -> ());
+    if killed then try Unix.kill w.proc.pid Sys.sigkill with Unix.Unix_error _ -> ()
   end
 
-(* --- persistent supervised service (the daemon's scheduler) --- *)
+(* Move retries whose backoff is over back onto the queue. *)
+let release t now =
+  let due, later = List.partition (fun (at, _) -> at <= now) t.delayed in
+  t.delayed <- later;
+  List.iter (fun (_, job) -> Queue.push job t.queue) (List.rev due)
 
-(* [supervise] is a batch API: it owns the calling domain until the last
-   task lands.  A long-running server needs the same fault isolation —
-   worker domains, respawn, deadlines, retries, deterministic chaos —
-   with tasks arriving one at a time and the supervisor tick driven from
-   the server's own event loop.  [Service] is that shape: [submit] hands
-   a task to resident workers, [tick] is one non-blocking supervisor
-   pass (call it from the event loop), [poll] reads a task's structured
-   outcome, [shutdown] is the bounded join.
+(* Hand queued requests to idle workers.  A dispatch that settles its
+   attempt without sending leaves the worker idle for the next one. *)
+let dispatch_queued t =
+  Array.iter
+    (fun w ->
+      while w.lease = None && not (Queue.is_empty t.queue) do
+        dispatch t w (Queue.pop t.queue)
+      done)
+    t.workers
 
-   Every handle write happens under the service mutex; a task function
-   runs on a worker domain and stores its own [Done] result, while
-   retries, deadline abandonment and failure finalization belong to the
-   tick.  Resident workers also keep their domain-local decode caches
-   warm across requests — the space-for-latency trade the daemon
-   serves. *)
-module Service = struct
-  type task = {
-    t_seq : int;
-    t_label : string;
-    t_fn : Budget.t -> unit;  (* runs the user fn; stores Done itself *)
-    t_fail : failure -> int -> unit;  (* finalize; caller holds [mu] *)
-    t_finalized : unit -> bool;  (* caller holds [mu] *)
-    t_deadline : float option;
-    t_retries : int;
-    t_chaos : chaos option;
-    mutable t_latest : int;  (* newest scheduled attempt number *)
-  }
+(* Close the worker's stdin (its exit signal), SIGKILL it when it may not
+   exit by itself, and collect it. *)
+let reap ~kill p =
+  (try Unix.close p.to_w with Unix.Unix_error _ -> ());
+  if kill then (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  (try ignore (Unix.waitpid [] p.pid) with Unix.Unix_error _ -> ());
+  try Unix.close p.from_w with Unix.Unix_error _ -> ()
 
-  type trunning = {
-    q_task : task;
-    q_attempt : int;
-    q_start : float;
-    q_budget : Budget.t;
-  }
+(* Settle the worker's leased attempt (if any) as [fl], then replace its
+   process. *)
+let replace t w ~why now fl =
+  Option.iter
+    (fun l ->
+      span t ~lane:w.lane l.job l.attempt l.ts_us;
+      fail t l.job l.attempt now (fl l))
+    w.lease;
+  tr t (fun tr ->
+      Telemetry.Trace.instant tr ~tid:0
+        ~args:[ ("worker", Telemetry.Json.Int w.lane) ]
+        why);
+  reap ~kill:true w.proc;
+  w.lease <- None;
+  if not t.closed then begin
+    w.proc <- spawn t.argv;
+    t.st <- { t.st with respawned = t.st.respawned + 1 };
+    tr t (fun tr ->
+        Telemetry.Trace.instant tr ~tid:0
+          ~args:[ ("worker", Telemetry.Json.Int w.lane) ]
+          "worker-respawn")
+  end
 
-  type sstate =
-    | S_idle
-    | S_busy of trunning
-    | S_exited
-    | S_died of trunning option * exn * string
+(* The worker's process is gone (EOF, garbage, or a kill): its attempt
+   crashed. *)
+let worker_lost t w now why =
+  replace t w ~why:"worker-died" now (fun l ->
+      F_crash ((if l.killed then Chaos_crash else Worker_failed why), ""))
 
-  type sslot = {
-    mutable s_st : sstate;
-    mutable s_dom : unit Domain.t option;
-    mutable s_retire : bool;
-    s_tid : int;
-  }
+let settle t w now frame =
+  match w.lease with
+  | None -> ()
+  | Some l when l.killed -> ()  (* the kill is in flight; EOF settles it *)
+  | Some l -> (
+    span t ~lane:w.lane l.job l.attempt l.ts_us;
+    w.lease <- None;
+    match split_tag frame with
+    | "ok", reply -> finalize t l.job (Done reply)
+    | _, msg -> fail t l.job l.attempt now (F_crash (Worker_failed msg, "")))
 
-  type t = {
-    mu : Mutex.t;
-    cond : Condition.t;
-    jobs : int;
-    pending : (task * int) Queue.t;
-    reports : (task * int * (unit, failure) result) Queue.t;
-    mutable delayed : (float * task * int) list;
-    mutable slots : sslot list;
-    mutable zombies : sslot list;
-    mutable free_tids : int list;
-    mutable quit : bool;
-    release : bool Atomic.t;
-    mutable seq : int;
-    mutable in_flight : int;
-    mutable submitted : int;
-    backoff_base : float;
-    trace : Telemetry.Trace.t option;
-    inj_crashes : int Atomic.t;
-    inj_hangs : int Atomic.t;
-    inj_allocs : int Atomic.t;
-    mutable s_retried : int;
-    mutable s_respawned : int;
-    mutable s_abandoned : int;
-  }
-
-  type 'a handle = { mutable h_out : 'a outcome option }
-
-  let tr svc g = match svc.trace with Some t -> g t | None -> ()
-
-  let alloc_storm () =
-    for _ = 1 to 64 do
-      ignore (Sys.opaque_identity (Bytes.create (1 lsl 20)))
-    done
-
-  (* One attempt on a worker domain.  The chaos fault schedule is the
-     supervise one: a pure function of (seed, submission sequence number,
-     attempt).  An injected crash unwinds the worker — domain death and
-     respawn are exactly the failure mode being drilled. *)
-  let run_attempt svc slot task attempt =
-    let budget = Budget.make ?deadline:task.t_deadline () in
-    let started = Unix.gettimeofday () in
-    Mutex.lock svc.mu;
-    slot.s_st <-
-      S_busy { q_task = task; q_attempt = attempt; q_start = started; q_budget = budget };
-    Mutex.unlock svc.mu;
-    let hang_cap =
-      match task.t_deadline with Some d -> 4. *. d | None -> 2.0
+let read_worker t w =
+  match Unix.read w.proc.from_w t.buf 0 (Bytes.length t.buf) with
+  | 0 -> worker_lost t w (Unix.gettimeofday ()) "worker process died"
+  | n ->
+    Frame.feed w.proc.dec (Bytes.sub_string t.buf 0 n);
+    let rec drain () =
+      match Frame.next w.proc.dec with
+      | Ok (Some frame) ->
+        settle t w (Unix.gettimeofday ()) frame;
+        drain ()
+      | Ok None -> ()
+      | Error e -> worker_lost t w (Unix.gettimeofday ()) ("bad frame: " ^ e)
     in
-    let body () =
-      let fault =
-        match task.t_chaos with
-        | None -> None
-        | Some c -> chaos_fault c ~task:task.t_seq ~attempt
+    drain ()
+  | exception Unix.Unix_error (EINTR, _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+    worker_lost t w (Unix.gettimeofday ()) (Unix.error_message e)
+
+(* The nearest due retry, as a wait from [now] capped at [timeout]. *)
+let until_retry t ~timeout now =
+  List.fold_left (fun acc (at, _) -> Float.min acc (at -. now)) timeout t.delayed
+
+let tick_inline t handler ~timeout now =
+  (* One attempt per tick, so a batch sees each outcome as it settles. *)
+  match Queue.take_opt t.queue with
+  | Some job -> run_here t handler job
+  | None ->
+    (* Only retries waiting out a backoff are left. *)
+    if t.delayed <> [] then Unix.sleepf (Float.max 0. (until_retry t ~timeout now))
+
+let tick_workers t ~timeout now =
+  dispatch_queued t;
+  let busy = List.filter (fun w -> w.lease <> None) (Array.to_list t.workers) in
+  (* Wait no longer than the nearest deadline or due retry, and not at
+     all when nothing is running or waiting. *)
+  let wait =
+    if busy = [] && t.delayed = [] then 0. else until_retry t ~timeout now
+  in
+  let wait =
+    Array.fold_left
+      (fun acc w ->
+        match w.lease with
+        | Some { job = { deadline = Some d; _ }; started; _ } ->
+          Float.min acc (started +. d -. now)
+        | _ -> acc)
+      wait t.workers
+  in
+  let ready, _, _ =
+    try Unix.select (List.map (fun w -> w.proc.from_w) busy) [] [] (Float.max 0. wait)
+    with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+  in
+  List.iter (fun w -> if List.memq w.proc.from_w ready then read_worker t w) busy;
+  let now = Unix.gettimeofday () in
+  Array.iter
+    (fun w ->
+      match w.lease with
+      | Some { job = { deadline = Some d; _ }; started; _ }
+        when now -. started > d ->
+        t.st <- { t.st with abandoned = t.st.abandoned + 1 };
+        replace t w ~why:"deadline-kill" now (fun _ -> F_timeout (now -. started))
+      | _ -> ())
+    t.workers;
+  release t now;
+  dispatch_queued t
+
+let tick t ~timeout =
+  let now = Unix.gettimeofday () in
+  release t now;
+  match t.inline with
+  | Some handler -> tick_inline t handler ~timeout now
+  | None -> tick_workers t ~timeout now
+
+let shutdown t =
+  t.closed <- true;
+  (* A worker still busy (a force-stopped drain) is killed. *)
+  Array.fold_left
+    (fun joined w ->
+      let busy = w.lease <> None in
+      reap ~kill:busy w.proc;
+      joined && not busy)
+    true t.workers
+
+(* --- batch --- *)
+
+let run ?(workers = 0) ?argv ?deadline ?(retries = 2) ?backoff_base ?chaos
+    ?trace ?(label = Printf.sprintf "task-%d") ?(on_done = fun _ _ -> ())
+    ~handler reqs =
+  let workers = min workers (List.length reqs) in
+  let t =
+    if workers <= 0 then
+      supervisor ?trace ?backoff_base ~lanes:1 ~argv:[||] ~inline:(Some handler)
+        [||]
+    else
+      match argv with
+      | Some argv -> create ?trace ?backoff_base ~workers ~argv ()
+      | None -> invalid_arg "Pool.run: workers > 0 needs argv"
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (shutdown t))
+    (fun () ->
+      let tickets =
+        List.mapi
+          (fun i req -> submit t ?deadline ~retries ?chaos ~label:(label i) req)
+          reqs
       in
-      match fault with
-      | Some `Crash ->
-        Atomic.incr svc.inj_crashes;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-crash");
-        raise Chaos_crash
-      | Some `Hang ->
-        Atomic.incr svc.inj_hangs;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-hang");
-        while
-          (not (Atomic.get svc.release))
-          && (not (Budget.interrupted budget))
-          && Unix.gettimeofday () -. started < hang_cap
-        do
-          Domain.cpu_relax ()
-        done;
-        Error (F_timeout (Unix.gettimeofday () -. started))
-      | (Some `Alloc | None) as fl -> (
-        if fl <> None then begin
-          Atomic.incr svc.inj_allocs;
-          tr svc (fun t ->
-              Telemetry.Trace.instant t ~tid:slot.s_tid ~cat:"chaos" "chaos-alloc");
-          alloc_storm ()
-        end;
-        match task.t_fn budget with
-        | () -> Ok ()
-        | exception Budget.Exhausted _ ->
-          Error (F_timeout (Unix.gettimeofday () -. started))
-        | exception e -> Error (F_crash (e, Printexc.get_backtrace ())))
-    in
-    let res =
-      match svc.trace with
-      | None -> body ()
-      | Some t ->
-        Telemetry.Trace.with_span t ~tid:slot.s_tid ~cat:"request"
-          ~args:[ ("attempt", Telemetry.Json.Int attempt) ]
-          task.t_label body
-    in
-    Mutex.lock svc.mu;
-    slot.s_st <- S_idle;
-    Queue.push (task, attempt, res) svc.reports;
-    Mutex.unlock svc.mu
-
-  let rec worker_loop svc slot =
-    Mutex.lock svc.mu;
-    let rec next () =
-      if svc.quit || slot.s_retire then None
-      else if Queue.is_empty svc.pending then begin
-        Condition.wait svc.cond svc.mu;
-        next ()
-      end
-      else Some (Queue.pop svc.pending)
-    in
-    let job = next () in
-    Mutex.unlock svc.mu;
-    match job with
-    | None -> ()
-    | Some (task, attempt) ->
-      run_attempt svc slot task attempt;
-      worker_loop svc slot
-
-  let worker svc slot () =
-    match worker_loop svc slot with
-    | () ->
-      Mutex.lock svc.mu;
-      slot.s_st <- S_exited;
-      Mutex.unlock svc.mu
-    | exception e ->
-      let bt = Printexc.get_backtrace () in
-      Mutex.lock svc.mu;
-      let running = match slot.s_st with S_busy r -> Some r | _ -> None in
-      slot.s_st <- S_died (running, e, bt);
-      Mutex.unlock svc.mu
-
-  let spawn_slot svc tid =
-    let slot = { s_st = S_idle; s_dom = None; s_retire = false; s_tid = tid } in
-    slot.s_dom <- Some (Domain.spawn (worker svc slot));
-    slot
-
-  let create ?(jobs = 1) ?trace () =
-    let jobs = max 1 jobs in
-    let svc =
-      {
-        mu = Mutex.create ();
-        cond = Condition.create ();
-        jobs;
-        pending = Queue.create ();
-        reports = Queue.create ();
-        delayed = [];
-        slots = [];
-        zombies = [];
-        free_tids = [];
-        quit = false;
-        release = Atomic.make false;
-        seq = 0;
-        in_flight = 0;
-        submitted = 0;
-        backoff_base = 0.05;
-        trace;
-        inj_crashes = Atomic.make 0;
-        inj_hangs = Atomic.make 0;
-        inj_allocs = Atomic.make 0;
-        s_retried = 0;
-        s_respawned = 0;
-        s_abandoned = 0;
-      }
-    in
-    (match trace with
-    | Some t ->
-      Telemetry.Trace.thread_name t ~tid:0 "supervisor";
-      for k = 1 to jobs do
-        Telemetry.Trace.thread_name t ~tid:k (Printf.sprintf "worker-%d" k)
-      done
-    | None -> ());
-    svc.slots <- List.init jobs (fun k -> spawn_slot svc (k + 1));
-    svc
-
-  let stats svc =
-    {
-      injected_crashes = Atomic.get svc.inj_crashes;
-      injected_hangs = Atomic.get svc.inj_hangs;
-      injected_allocs = Atomic.get svc.inj_allocs;
-      retried = svc.s_retried;
-      respawned = svc.s_respawned;
-      abandoned = svc.s_abandoned;
-    }
-
-  let in_flight svc =
-    Mutex.lock svc.mu;
-    let n = svc.in_flight in
-    Mutex.unlock svc.mu;
-    n
-
-  let submitted svc =
-    Mutex.lock svc.mu;
-    let n = svc.submitted in
-    Mutex.unlock svc.mu;
-    n
-
-  let lease_depth svc =
-    Mutex.lock svc.mu;
-    let n =
-      List.fold_left
-        (fun acc s -> match s.s_st with S_busy _ -> acc + 1 | _ -> acc)
-        0 svc.slots
-    in
-    Mutex.unlock svc.mu;
-    n
-
-  let submit svc ?deadline ?(retries = 0) ?chaos ?label f =
-    let h = { h_out = None } in
-    Mutex.lock svc.mu;
-    if svc.quit then begin
-      Mutex.unlock svc.mu;
-      invalid_arg "Pool.Service.submit: service is shut down"
-    end;
-    svc.seq <- svc.seq + 1;
-    svc.in_flight <- svc.in_flight + 1;
-    svc.submitted <- svc.submitted + 1;
-    let seq = svc.seq in
-    (* Finalization is once-only: a stale attempt completing after an
-       abandonment (or after the retry that superseded it) finds the
-       handle already written and leaves it alone — the task function is
-       deterministic, so whichever attempt lands first defines the
-       outcome. *)
-    let finalize o =
-      if h.h_out = None then begin
-        h.h_out <- Some o;
-        svc.in_flight <- svc.in_flight - 1
-      end
-    in
-    let task =
-      {
-        t_seq = seq;
-        t_label =
-          (match label with Some l -> l | None -> Printf.sprintf "req-%d" seq);
-        t_fn =
-          (fun budget ->
-            let v = f budget in
-            Mutex.lock svc.mu;
-            finalize (Done v);
-            Mutex.unlock svc.mu);
-        t_fail =
-          (fun fl attempts ->
-            finalize
-              (match fl with
-              | F_crash (exn, backtrace) -> Crashed { exn; backtrace; attempts }
-              | F_timeout elapsed -> Timed_out { elapsed; attempts }));
-        t_finalized = (fun () -> h.h_out <> None);
-        t_deadline = deadline;
-        t_retries = retries;
-        t_chaos = chaos;
-        t_latest = 1;
-      }
-    in
-    Queue.push (task, 1) svc.pending;
-    Condition.broadcast svc.cond;
-    Mutex.unlock svc.mu;
-    h
-
-  let poll svc h =
-    Mutex.lock svc.mu;
-    let o = h.h_out in
-    Mutex.unlock svc.mu;
-    o
-
-  (* Retry/finalize bookkeeping for a failed attempt; caller holds [mu]. *)
-  let handle_failure svc now task attempt fl =
-    if (not (task.t_finalized ())) && attempt >= task.t_latest then begin
-      if attempt <= task.t_retries then begin
-        svc.s_retried <- svc.s_retried + 1;
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:0
-              ~args:
-                [
-                  ("task", Telemetry.Json.Str task.t_label);
-                  ("attempt", Telemetry.Json.Int attempt);
-                ]
-              "task-retry");
-        task.t_latest <- attempt + 1;
-        svc.delayed <-
-          (now +. backoff ~base:svc.backoff_base attempt, task, attempt + 1)
-          :: svc.delayed
-      end
-      else task.t_fail fl attempt
-    end
-
-  (* One supervisor pass: deliver reports, detect dead workers, enforce
-     deadlines, release due retries, respawn.  Non-blocking — the server
-     calls this from its select loop. *)
-  let tick svc =
-    let to_join = ref [] in
-    Mutex.lock svc.mu;
-    let now = Unix.gettimeofday () in
-    while not (Queue.is_empty svc.reports) do
-      let task, attempt, res = Queue.pop svc.reports in
-      match res with
-      | Ok () -> ()  (* the task function already stored its Done *)
-      | Error fl -> handle_failure svc now task attempt fl
-    done;
-    let keep =
-      List.filter
-        (fun slot ->
-          match slot.s_st with
-          | S_died (running, exn, bt) ->
-            tr svc (fun t ->
-                Telemetry.Trace.instant t ~tid:0
-                  ~args:[ ("worker", Telemetry.Json.Int slot.s_tid) ]
-                  "worker-died");
-            Option.iter
-              (fun r ->
-                handle_failure svc now r.q_task r.q_attempt (F_crash (exn, bt)))
-              running;
-            Option.iter (fun d -> to_join := d :: !to_join) slot.s_dom;
-            svc.free_tids <- slot.s_tid :: svc.free_tids;
-            false
-          | S_busy r -> (
-            match r.q_task.t_deadline with
-            | Some d when now -. r.q_start > 2. *. d ->
-              svc.s_abandoned <- svc.s_abandoned + 1;
-              tr svc (fun t ->
-                  Telemetry.Trace.instant t ~tid:0
-                    ~args:
-                      [
-                        ("worker", Telemetry.Json.Int slot.s_tid);
-                        ("task", Telemetry.Json.Str r.q_task.t_label);
-                      ]
-                    "deadline-abandon");
-              Budget.cancel r.q_budget;
-              handle_failure svc now r.q_task r.q_attempt
-                (F_timeout (now -. r.q_start));
-              slot.s_retire <- true;
-              svc.zombies <- slot :: svc.zombies;
-              svc.free_tids <- slot.s_tid :: svc.free_tids;
-              false
-            | Some d when now -. r.q_start > d ->
-              if not (Budget.interrupted r.q_budget) then
-                tr svc (fun t ->
-                    Telemetry.Trace.instant t ~tid:0
-                      ~args:
-                        [
-                          ("worker", Telemetry.Json.Int slot.s_tid);
-                          ("task", Telemetry.Json.Str r.q_task.t_label);
-                        ]
-                      "deadline-cancel");
-              Budget.cancel r.q_budget;
-              true
-            | _ -> true)
-          | S_idle | S_exited -> true)
-        svc.slots
-    in
-    svc.slots <- keep;
-    let ready, not_ready =
-      List.partition (fun (t, _, _) -> t <= now) svc.delayed
-    in
-    svc.delayed <- not_ready;
-    List.iter
-      (fun (_, task, attempt) -> Queue.push (task, attempt) svc.pending)
-      ready;
-    if not (Queue.is_empty svc.pending) then Condition.broadcast svc.cond;
-    let live = List.length svc.slots in
-    let quit = svc.quit in
-    Mutex.unlock svc.mu;
-    List.iter Domain.join !to_join;
-    if not quit then
-      for _ = 1 to svc.jobs - live do
-        Mutex.lock svc.mu;
-        svc.s_respawned <- svc.s_respawned + 1;
-        let tid =
-          match svc.free_tids with
-          | t :: rest ->
-            svc.free_tids <- rest;
-            t
-          | [] -> svc.jobs + svc.s_respawned
-        in
-        tr svc (fun t ->
-            Telemetry.Trace.instant t ~tid:0
-              ~args:[ ("worker", Telemetry.Json.Int tid) ]
-              "worker-respawn");
-        let slot = spawn_slot svc tid in
-        svc.slots <- slot :: svc.slots;
-        Mutex.unlock svc.mu
-      done
-
-  (* Bounded shutdown, same discipline as [supervise]: wake everyone,
-     cancel whatever is still running, then wait at most [deadline]
-     seconds — a worker wedged in non-cooperative code is left behind
-     rather than wedging the caller.  Returns [true] when every worker
-     joined (no stragglers). *)
-  let shutdown ?(deadline = 2.0) svc =
-    Mutex.lock svc.mu;
-    svc.quit <- true;
-    Atomic.set svc.release true;
-    List.iter
-      (fun s ->
-        match s.s_st with S_busy r -> Budget.cancel r.q_budget | _ -> ())
-      (svc.slots @ svc.zombies);
-    Condition.broadcast svc.cond;
-    let all = svc.slots @ svc.zombies in
-    Mutex.unlock svc.mu;
-    let finished s =
-      Mutex.lock svc.mu;
-      let r =
-        match s.s_st with
-        | S_exited | S_died _ -> true
-        | S_idle | S_busy _ -> false
+      (* Report the settled prefix after every tick. *)
+      let pending = ref tickets in
+      let rec deliver () =
+        match !pending with
+        | { out = Some o; index; _ } :: rest ->
+          pending := rest;
+          on_done index o;
+          deliver ()
+        | _ -> ()
       in
-      Mutex.unlock svc.mu;
-      r
-    in
-    let give_up = Unix.gettimeofday () +. Float.max 0.1 deadline in
-    let rec drain waiting =
-      let still = List.filter (fun s -> not (finished s)) waiting in
-      if still = [] || Unix.gettimeofday () > give_up then still
-      else begin
-        Unix.sleepf 0.001;
-        drain still
-      end
-    in
-    let stragglers = drain all in
-    List.iter
-      (fun s ->
-        if not (List.memq s stragglers) then Option.iter Domain.join s.s_dom)
-      all;
-    stragglers = []
-end
-
-let map ?(jobs = 1) f xs =
-  let outcomes, _ = supervise ~jobs ~retries:0 (fun _budget x -> f x) xs in
-  List.map
-    (function
-      | Done v -> v
-      | Crashed { exn; _ } -> raise exn
-      | Timed_out _ -> failwith "Pool.map: task timed out")
-    outcomes
+      while t.in_flight > 0 do
+        tick t ~timeout:1.0;
+        deliver ()
+      done;
+      (List.map (fun j -> Option.get j.out) tickets, t.st))

@@ -1,34 +1,32 @@
-(** Supervised fixed-size Domain worker pool (OCaml 5 [Domain] + [Atomic]).
+(** One executor: a supervisor over resident worker processes, plus the
+    in-process path a one-worker batch takes.
 
-    {!supervise} runs each work item as a sequence of attempts on worker
-    domains while the calling domain supervises: it delivers results,
-    detects dead workers and respawns them, enforces a per-task wall-clock
-    deadline (cooperative cancellation through a {!Telemetry.Budget}
-    first, abandon-and-reschedule on a fresh domain after a 2x grace
-    period), and retries transient failures on a deterministic capped
-    exponential backoff.  Every task ends in a structured {!outcome} — a
-    crash or hang of one task never takes down the sweep or loses sibling
-    results.
+    A unit of work is a request string answered by one handler on
+    request strings.  A {!t} either calls that handler in this process
+    or owns worker processes spawned from an argv, whose {!serve} loop
+    calls the same handler; it is driven by {!tick}.  A batch ({!run})
+    submits every request and ticks until all are done; the daemon ticks
+    from its own select loop.
 
-    Determinism: results land in input order, and chaos fault injection is
-    a pure function of (seed, task index, attempt), so any task that
-    completes produces the same value it would in a sequential run,
-    whatever the job count.  Callers own full determinism by keeping
-    shared mutable state out of the task function and folding the
-    (index-ordered) results on the parent. *)
+    Fault discipline: a worker that dies mid-request is respawned and
+    the attempt counts as crashed; a worker still busy at its request's
+    deadline is SIGKILLed and respawned and the attempt counts as timed
+    out; failed attempts retry on the deterministic {!backoff} schedule.
+    Every request ends in a structured {!outcome}, and chaos injection
+    is a pure function of (seed, request index, attempt), so a request
+    that completes yields the same reply at any worker count. *)
 
 (** [JUMPREP_JOBS] from the environment.  1 when unset; an unparsable or
     non-positive value warns on stderr and falls back to 1; a value over
-    4x [Domain.recommended_domain_count ()] warns and clamps to the
-    recommended count. *)
+    4x the core count ([Domain.recommended_domain_count ()]) warns and
+    clamps to the core count. *)
 val default_jobs : unit -> int
 
 (** [clamp_jobs ~what n] — the shared worker-count clamp behind
     {!default_jobs}: a non-positive [n] warns (naming [what], default
-    ["JUMPREP_JOBS"]) and falls back to 1; over 4x
-    [Domain.recommended_domain_count ()] warns and clamps to the
-    recommended count.  Campaign [--workers] counts go through the same
-    clamp as the domain pool. *)
+    ["JUMPREP_JOBS"]) and falls back to 1; over 4x the core count warns
+    and clamps to the core count.  [-j] and [--workers] counts go through
+    the same clamp. *)
 val clamp_jobs : ?what:string -> int -> int
 
 (** [parse_jobs ~what s] — parse a job count string with the
@@ -42,19 +40,19 @@ type 'a outcome =
   | Crashed of { exn : exn; backtrace : string; attempts : int }
       (** every attempt raised; [exn]/[backtrace] are from the last *)
   | Timed_out of { elapsed : float; attempts : int }
-      (** every attempt hit the deadline (or was cancelled) *)
+      (** every attempt hit the deadline *)
 
 (** ["done"], ["crashed"] or ["timed-out"]. *)
 val outcome_kind : _ outcome -> string
 
-(** What the supervisor saw over one {!supervise} call. *)
+(** What the supervisor saw: over one {!run}, or over a {!t}'s life. *)
 type stats = {
   injected_crashes : int;  (** chaos crashes injected *)
   injected_hangs : int;  (** chaos hangs injected *)
   injected_allocs : int;  (** chaos allocation storms injected *)
   retried : int;  (** failed attempts rescheduled *)
-  respawned : int;  (** replacement workers spawned *)
-  abandoned : int;  (** attempts overdue past the grace period *)
+  respawned : int;  (** replacement worker processes spawned *)
+  abandoned : int;  (** workers SIGKILLed at a request's deadline *)
 }
 
 val no_stats : stats
@@ -68,10 +66,9 @@ val injected : stats -> int
     No-op on a disabled registry.
 
     Determinism: the injected and retried counts derive from the pure
-    chaos schedule, so they are identical at any [jobs] (asserted by the
-    chaos-determinism test).  [respawned] is a scheduling artifact — the
-    inline path never loses a domain, and a crash near the end of the
-    queue may or may not warrant a replacement — so it is excluded from
+    chaos schedule, so they are identical at any worker count (asserted
+    by the chaos-determinism test).  [respawned] is a scheduling artifact
+    — the in-process path has no worker to lose — so it is excluded from
     that contract. *)
 val stats_to_metrics : stats -> Telemetry.Metrics.t -> unit
 
@@ -86,19 +83,19 @@ val backoff : ?base:float -> ?cap:float -> int -> float
     per-kind rates (each a probability in 0..1; at most one fault fires
     per attempt). *)
 type chaos = {
-  crash : float;  (** kill the worker domain mid-task *)
-  hang : float;  (** busy-wait until cancelled/released/capped *)
+  crash : float;  (** SIGKILL the worker right after the send *)
+  hang : float;
+      (** the worker waits for its deadline kill; with no deadline the
+          attempt is charged as timed out without running *)
   alloc : float;  (** allocate ~64MB of garbage, then run normally *)
   chaos_seed : int;
 }
 
-(** The exception an injected crash raises through the worker. *)
+(** The exception an injected crash's attempt fails with. *)
 exception Chaos_crash
 
 (** The pure fault draw behind chaos injection: the fault (if any) for
-    attempt [attempt] of task index [task].  Exposed so campaign shards
-    can drill worker-*process* kills from the same deterministic
-    schedule the domain pool uses. *)
+    attempt [attempt] of task index [task]. *)
 val chaos_fault :
   chaos -> task:int -> attempt:int -> [ `Crash | `Hang | `Alloc ] option
 
@@ -107,110 +104,116 @@ val chaos_fault :
     E.g. ["crash:0.2,hang:0.05,seed:7"]. *)
 val chaos_of_string : string -> (chaos, string) result
 
-(** [supervise ~jobs ~deadline ~retries ~backoff_base ~chaos f xs] runs
-    [f budget x] for each [x] on [jobs] worker domains ([jobs <= 1] runs
-    inline, spawning none) and returns the outcomes in input order plus
-    supervisor statistics.
+(** A worker process died or answered garbage mid-request, or its
+    handler raised (the message is the exception's text). *)
+exception Worker_failed of string
 
-    Each attempt gets a fresh budget carrying [deadline] (seconds of
-    wall-clock); [f] should poll it at safepoints (the interpreter does,
-    via its fuel accounting).  An attempt that raises
-    [Telemetry.Budget.Exhausted] counts as timed out; any other exception
-    counts as crashed; either is retried up to [retries] times (default
-    2) after a {!backoff} pause.  A worker domain that dies is detected,
-    accounted, and replaced; an attempt still running at twice the
-    deadline is abandoned to a fresh domain and its worker retired.  The
-    final join is bounded: a worker wedged in non-cooperative code is
-    left behind rather than wedging the caller.
+(** {1 The worker side} *)
 
-    With [trace], every attempt is recorded as a complete span on its
-    worker's lane (tid 1..jobs — a respawned replacement inherits its
-    predecessor's lane, and the inline [jobs <= 1] path records on lane
-    1), chaos faults as [chaos-crash]/[chaos-hang]/[chaos-alloc] instants
-    on the same lane, and supervisor decisions ([task-retry],
-    [worker-died], [worker-respawn], [deadline-cancel],
-    [deadline-abandon]) as instants on lane 0.  [label] names each span
-    after its work item (default ["task-N"]).  Tracing never alters
-    scheduling, attempts, or outcomes. *)
-val supervise :
-  ?jobs:int ->
+(** The longest request a worker frame carries; a request past it that
+    is due to go to a worker ends [Crashed] with [Invalid_argument]
+    without being sent. *)
+val max_request : int
+
+(** Serve framed requests from stdin until EOF, replying on stdout (the
+    envelope is DESIGN.md §7).  A request's chaos fault is applied
+    before [handler] runs: [hang] waits for the deadline kill, [alloc]
+    allocates ~64MB first.  An exception from [handler], or a reply too
+    large to frame, becomes a [crash] reply; [None] ends the loop.  Frames go to a private copy of
+    stdout and fd 1 is pointed at stderr, so stray prints cannot corrupt
+    them. *)
+val serve : handler:(string -> string option) -> unit -> unit
+
+(** {1 The supervisor} *)
+
+type t
+
+(** A submitted request's future outcome. *)
+type ticket
+
+(** Spawn [workers] resident processes running [argv] (resolved via
+    [PATH] when [argv.(0)] has no slash).  With [trace], each attempt is
+    a complete span on its worker's lane (1..workers; a respawned worker
+    inherits its predecessor's lane), chaos faults are
+    [chaos-crash]/[chaos-hang]/[chaos-alloc] instants on that lane, and
+    [task-retry], [deadline-kill], [worker-died] and [worker-respawn]
+    are instants on lane 0.  Ignores [SIGPIPE] process-wide: a dying
+    worker must surface as a failed attempt. *)
+val create :
+  ?trace:Telemetry.Trace.t ->
+  ?backoff_base:float ->
+  workers:int ->
+  argv:string array ->
+  unit ->
+  t
+
+(** Queue a request.  [deadline] bounds each attempt's wall clock (the
+    worker is killed past it); failures retry up to [retries] times
+    (default 0); [chaos] draws per-attempt faults from the pure
+    (seed, submission number, attempt) hash — [crash] SIGKILLs the
+    worker right after the send, [hang] and [alloc] travel in the
+    envelope.  [label] names the request in traces.
+    @raise Invalid_argument after {!shutdown}. *)
+val submit :
+  t ->
+  ?deadline:float ->
+  ?retries:int ->
+  ?chaos:chaos ->
+  ?label:string ->
+  string ->
+  ticket
+
+(** One supervisor pass: a single [select] over the busy workers' pipes,
+    waiting at most [timeout] seconds (less when a deadline or a retry
+    falls due sooner), then deliver replies, kill overdue workers,
+    respawn lost ones and dispatch queued and due requests. *)
+val tick : t -> timeout:float -> unit
+
+(** The request's outcome, once every attempt has resolved. *)
+val poll : t -> ticket -> string outcome option
+
+(** Requests submitted but not yet resolved (queued, running or waiting
+    out a backoff). *)
+val in_flight : t -> int
+
+(** Requests submitted over the supervisor's life. *)
+val submitted : t -> int
+
+(** Workers currently leased to a running attempt. *)
+val lease_depth : t -> int
+
+val stats : t -> stats
+
+(** Close every worker's stdin (their exit signal) and reap them; a
+    worker still busy is killed.  [true] when no worker had to be
+    killed. *)
+val shutdown : t -> bool
+
+(** {1 Batch} *)
+
+(** [run ~handler reqs] answers every request, retrying failures up to
+    [retries] times (default 2), and returns the outcomes in input order
+    plus the supervisor's statistics.  [on_done i outcome] is called for
+    request [i] as soon as it and every earlier request have settled, so
+    a caller can stream results in input order.  [workers = 0] (the default) runs
+    in-process: each attempt calls [handler budget req] under a fresh
+    {!Telemetry.Budget} carrying [deadline], which the handler should
+    poll (the interpreter does) — raising [Telemetry.Budget.Exhausted]
+    counts as timed out, any other exception as crashed, and an injected
+    hang is charged as a timeout without spinning.  [workers > 0] spawns
+    that many processes from [argv] (at most one per request), whose
+    handler gets no budget.  With [trace], attempts are spans named by
+    [label] (default ["task-N"]) on the worker lanes ([1] in-process). *)
+val run :
+  ?workers:int ->
+  ?argv:string array ->
   ?deadline:float ->
   ?retries:int ->
   ?backoff_base:float ->
   ?chaos:chaos ->
   ?trace:Telemetry.Trace.t ->
-  ?label:('a -> string) ->
-  (Telemetry.Budget.t -> 'a -> 'b) ->
-  'a list ->
-  'b outcome list * stats
-
-(** Persistent supervised worker pool — the {!supervise} fault-isolation
-    discipline (resident worker domains, respawn on death, per-task
-    deadlines with cooperative cancel then abandon at 2x, deterministic
-    retries and chaos) for tasks that arrive one at a time, e.g. daemon
-    requests.  The supervisor is not a loop here: {!Service.tick} is one
-    non-blocking pass, driven from the caller's own event loop.
-
-    Resident workers keep their domain-local decode caches warm across
-    tasks, which is the daemon's cross-request cache sharing. *)
-module Service : sig
-  type t
-
-  (** A submitted task's future outcome. *)
-  type 'a handle
-
-  (** Spawn [jobs] resident worker domains (default 1).  With [trace],
-      attempts are recorded as spans on worker lanes 1..jobs and
-      supervisor decisions (retry, death, respawn, deadline
-      cancel/abandon) as instants on lane 0, as in {!supervise}. *)
-  val create : ?jobs:int -> ?trace:Telemetry.Trace.t -> unit -> t
-
-  (** Queue [f] for execution on a worker domain.  Each attempt gets a
-      fresh cancellable budget carrying [deadline]; failures retry up to
-      [retries] times (default 0) on the {!backoff} schedule; [chaos]
-      draws per-attempt faults from the pure (seed, submission number,
-      attempt) hash.  [label] names the task in traces.
-      @raise Invalid_argument after {!shutdown}. *)
-  val submit :
-    t ->
-    ?deadline:float ->
-    ?retries:int ->
-    ?chaos:chaos ->
-    ?label:string ->
-    (Telemetry.Budget.t -> 'a) ->
-    'a handle
-
-  (** The task's outcome, once every attempt has resolved. *)
-  val poll : t -> 'a handle -> 'a outcome option
-
-  (** One supervisor pass: deliver completed attempts, detect and respawn
-      dead workers, enforce deadlines, release due retries.  Non-blocking;
-      call it every few milliseconds. *)
-  val tick : t -> unit
-
-  (** Tasks submitted but not yet finalized (queued or running). *)
-  val in_flight : t -> int
-
-  (** Tasks submitted over the service's lifetime. *)
-  val submitted : t -> int
-
-  (** Worker slots currently leased to a running attempt ([S_busy]) —
-      how much of the resident pool is occupied right now.  Bounded by
-      the pool's [jobs]; [in_flight] additionally counts queued and
-      backoff-delayed tasks. *)
-  val lease_depth : t -> int
-
-  val stats : t -> stats
-
-  (** Bounded join: stop the workers and wait at most [deadline] seconds
-      (default 2).  [true] when every worker joined — a worker wedged in
-      non-cooperative code is left behind and reported as [false] rather
-      than wedging the caller. *)
-  val shutdown : ?deadline:float -> t -> bool
-end
-
-(** [map ~jobs f xs] is [List.map f xs] computed by [jobs] worker domains
-    ([jobs = 1] spawns none): {!supervise} with no deadline, no retries
-    and no chaos.  If any application raises, the raising task with the
-    lowest index has its exception re-raised after the pool is joined. *)
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+  ?label:(int -> string) ->
+  ?on_done:(int -> string outcome -> unit) ->
+  handler:(Telemetry.Budget.t -> string -> string) ->
+  string list ->
+  string outcome list * stats

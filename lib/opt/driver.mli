@@ -56,7 +56,7 @@ type options = {
           miscompilations, caught by the static certifier or the oracle) *)
   budget : Telemetry.Budget.t option;
       (** resource budget for the compilation: the replication passes poll
-          its wall-clock deadline and cancel flag, and its growth axis caps
+          its wall-clock deadline, and its growth axis caps
           how many RTLs replication may add (as a percent of the
           function's input size).  Exhaustion degrades the function to the
           next-cheaper level (JUMPS -> LOOPS -> SIMPLE) with a

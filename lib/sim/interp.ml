@@ -58,10 +58,9 @@ type state = {
 (* One [Sim_progress] heartbeat per this many executed instructions. *)
 let progress_interval = 5_000_000
 
-(* How often (in executed instructions) an attached budget's deadline and
-   cancel flag are polled.  Cooperative cancellation latency is this many
-   steps; the poll is one land + one Atomic read (plus a clock read when a
-   deadline is set). *)
+(* How often (in executed instructions) an attached budget's deadline is
+   polled.  Cooperative cancellation latency is this many steps; the poll
+   is one land (plus a clock read when a deadline is set). *)
 let budget_interval_mask = 2047
 
 (* Effective step budget: the explicit [max_steps] capped by the budget's

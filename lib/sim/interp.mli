@@ -61,10 +61,9 @@ exception Runtime_error of string
 
     With [budget], the fetch loop polls the budget every
     [budget_interval_mask + 1] executed instructions: the budget's fuel
-    axis caps [max_steps], and a passed wall-clock deadline or an
-    externally set cancel flag raises {!Telemetry.Budget.Exhausted} out
-    of the run — the cooperative-cancellation half of the
-    {!Harness.Pool} supervisor's deadline enforcement.
+    axis caps [max_steps], and a passed wall-clock deadline raises
+    {!Telemetry.Budget.Exhausted} out of the run — how the
+    {!Harness.Pool} supervisor's in-process path enforces a deadline.
 
     @raise Runtime_error on faults (null/of-range access, division by zero,
     jump-table index out of bounds, missing function).  Step-budget

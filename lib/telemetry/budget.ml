@@ -1,10 +1,9 @@
-type reason = Wall_clock | Cancelled | Fuel | Growth
+type reason = Wall_clock | Fuel | Growth
 
 exception Exhausted of reason
 
 let reason_name = function
   | Wall_clock -> "wall-clock"
-  | Cancelled -> "cancelled"
   | Fuel -> "fuel"
   | Growth -> "growth"
 
@@ -12,7 +11,6 @@ type t = {
   deadline : float option;  (* absolute Unix.gettimeofday time *)
   fuel : int option;
   growth : int option;  (* percent of the input size replication may add *)
-  cancel : bool Atomic.t;
 }
 
 let make ?deadline ?fuel ?growth () =
@@ -20,22 +18,12 @@ let make ?deadline ?fuel ?growth () =
     deadline = Option.map (fun s -> Unix.gettimeofday () +. s) deadline;
     fuel;
     growth;
-    cancel = Atomic.make false;
   }
 
 let unlimited = make ()
 let fuel t = t.fuel
 let growth t = t.growth
-let cancel t = Atomic.set t.cancel true
-
-let interrupt_reason t =
-  if Atomic.get t.cancel then Some Cancelled
-  else
-    match t.deadline with
-    | Some d when Unix.gettimeofday () > d -> Some Wall_clock
-    | _ -> None
-
-let interrupted t = interrupt_reason t <> None
-
 let check t =
-  match interrupt_reason t with Some r -> raise (Exhausted r) | None -> ()
+  match t.deadline with
+  | Some d when Unix.gettimeofday () > d -> raise (Exhausted Wall_clock)
+  | _ -> ()

@@ -1,18 +1,16 @@
-(** Resource budgets with cooperative cancellation.
+(** Resource budgets.
 
-    One budget bounds one unit of work (a compilation, a simulated run, a
-    pool task) along three axes — wall-clock time, interpreter fuel, and
-    replication code growth — and carries a [cancel] flag a supervising
-    domain can set to interrupt the work from outside.  Consumers poll
-    {!interrupted} (or call {!check}) at natural safepoints: the
-    interpreter's fuel accounting, the replication pass's per-jump loop,
-    the driver's fixpoint iterations.  Exhaustion is a typed, recoverable
-    condition ({!exception-Exhausted}), not an abort: {!Opt.Driver}
-    degrades the function to the next-cheaper configuration and the
-    {!Harness.Pool} supervisor converts it into a structured task
-    outcome. *)
+    One budget bounds one unit of work (a compilation, a simulated run, an
+    in-process pool task) along three axes — wall-clock time, interpreter
+    fuel, and replication code growth.  Consumers call {!check} at
+    natural safepoints: the interpreter's fuel accounting, the
+    replication pass's per-jump loop, the driver's fixpoint iterations.
+    Exhaustion is a typed, recoverable condition ({!exception-Exhausted}),
+    not an abort: {!Opt.Driver} degrades the function to the
+    next-cheaper configuration and the {!Harness.Pool} supervisor
+    converts it into a structured task outcome. *)
 
-type reason = Wall_clock | Cancelled | Fuel | Growth
+type reason = Wall_clock | Fuel | Growth
 
 exception Exhausted of reason
 
@@ -25,24 +23,15 @@ type t
     steps; [growth] bounds replication code growth as a percent of the
     function's input size (the paper's §6 trade-off: 0 forbids any
     growth, 60 allows the paper's worst observed case).  Omitted axes are
-    unlimited.  Each budget owns a fresh cancel flag. *)
+    unlimited. *)
 val make : ?deadline:float -> ?fuel:int -> ?growth:int -> unit -> t
 
-(** No limits, never cancelled (a shared constant). *)
+(** No limits (a shared constant). *)
 val unlimited : t
 
 val fuel : t -> int option
 val growth : t -> int option
 
-(** Request cooperative cancellation (safe from any domain). *)
-val cancel : t -> unit
-
-(** Why the work should stop now, if it should: the cancel flag
-    ([Cancelled]) or a passed wall-clock deadline ([Wall_clock]).  Fuel
-    and growth are accounted by their consumers, not here. *)
-val interrupt_reason : t -> reason option
-
-val interrupted : t -> bool
-
-(** Raise {!exception-Exhausted} if {!interrupt_reason} is set. *)
+(** Raise {!exception-Exhausted} once the wall-clock deadline has passed.
+    Fuel and growth are accounted by their consumers, not here. *)
 val check : t -> unit

@@ -9,7 +9,6 @@ type code =
   | Parse_error
   | Semantic_error
   | Io_error
-  | Task_failed
   | Uninit_read
   | Dead_store
   | Const_branch
@@ -47,7 +46,6 @@ let code_name = function
   | Parse_error -> "parse-error"
   | Semantic_error -> "semantic-error"
   | Io_error -> "io-error"
-  | Task_failed -> "task-failed"
   | Uninit_read -> "uninit-read"
   | Dead_store -> "dead-store"
   | Const_branch -> "const-branch"

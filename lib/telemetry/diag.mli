@@ -22,9 +22,6 @@ type code =
   | Parse_error  (** a lexical or syntax error in a C-subset source file *)
   | Semantic_error  (** a code-generation (semantic) error *)
   | Io_error  (** a file could not be read or written *)
-  | Task_failed
-      (** a supervised pool task crashed or timed out; its structured
-          outcome is recorded, sibling tasks are unaffected *)
   | Uninit_read  (** a virtual register read before definition on some path *)
   | Dead_store  (** a pure computation whose results are never read *)
   | Const_branch  (** a conditional branch statically always/never taken *)

@@ -2,7 +2,8 @@
    histograms.
 
    A registry is single-domain mutable state.  Parallel code gives every
-   worker domain its own shard and the parent folds the shards back with
+   task its own shard (a worker process ships it back as [to_json], read
+   with [of_json]) and the parent folds the shards back with
    [merge] in task order — the merged registry is then byte-for-byte the
    one a sequential run would have produced (counters and histograms are
    commutative sums; gauges are last-merge-wins, which is deterministic
@@ -178,3 +179,29 @@ let view_to_json = function
 
 let to_json t =
   Json.Obj (List.map (fun (name, view) -> (name, view_to_json view)) (snapshot t))
+
+(* The inverse of [to_json]: how a worker process's registry crosses the
+   pipe to be [merge]d into the parent's. *)
+let of_json j =
+  let t = create () in
+  let get k h of_json = Option.bind (Json.member k h) of_json in
+  let floats h k =
+    Option.value ~default:[] (get k h Json.to_list)
+    |> List.filter_map Json.get_float |> Array.of_list
+  in
+  (match j with
+  | Json.Obj fields ->
+    List.iter
+      (fun (name, v) ->
+        match (v, get "count" v Json.get_int) with
+        | Json.Int n, _ -> add t name n
+        | Json.Float f, _ -> set t name f
+        | h, Some n ->
+          let sum = Option.value ~default:0. (get "sum" h Json.get_float) in
+          let counts = Array.map int_of_float (floats h "counts") in
+          Hashtbl.replace t.tbl name
+            (Histogram { edges = floats h "edges"; counts; sum; n })
+        | _ -> ())
+      fields
+  | _ -> ());
+  t

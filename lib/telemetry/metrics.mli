@@ -1,7 +1,7 @@
 (** Typed metrics registry: counters, gauges and fixed-bucket histograms.
 
     A registry is {e single-domain} mutable state — the sharding
-    discipline is one registry per worker domain, folded back into the
+    discipline is one registry per task or worker, folded back into the
     parent's with {!merge} in task order.  Because counters and
     histograms merge by commutative addition and gauges by
     last-merge-wins, the merged registry is identical to the one a
@@ -78,3 +78,7 @@ val merge : into:t -> t -> unit
 (** Name-sorted JSON object: counters as numbers, gauges as floats,
     histograms as [{type,edges,counts,sum,count}]. *)
 val to_json : t -> Json.t
+
+(** The registry a {!to_json} document describes — how a worker
+    process's registry crosses its pipe to be {!merge}d by the parent. *)
+val of_json : Json.t -> t

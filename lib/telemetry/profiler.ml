@@ -3,7 +3,7 @@
    Two attribution tables: (function x pass) -> {calls, wall, alloc} fed
    by the Opt.Driver pass boundary, and run -> {fuel, interp, cache} fed
    by Harness.Measure.  Like Metrics, a profiler is single-domain state:
-   worker domains profile into private shards that the parent folds back
+   each task profiles into a private shard that the parent folds back
    with [merge] in task order.  Wall-clock and allocation numbers are
    nondeterministic by nature; the deterministic parts (call counts,
    fuel) are what the determinism tests pin down. *)
@@ -196,6 +196,33 @@ let to_json t =
                  ])
              (run_rows t)) );
     ]
+
+(* The inverse of [to_json]'s row tables: how a worker process's profile
+   crosses its pipe to be [merge]d by the parent. *)
+let of_json j =
+  let t = create () in
+  let get r k of_json d =
+    Option.value ~default:d (Option.bind (Json.member k r) of_json)
+  in
+  let str r k = get r k Json.get_string "" in
+  let int r k = get r k Json.get_int 0 and num r k = get r k Json.get_float 0. in
+  let rows k f = List.iter f (get j k Json.to_list []) in
+  rows "passes" (fun r ->
+      Hashtbl.replace t.passes
+        (str r "func", str r "pass")
+        {
+          calls = int r "calls";
+          wall_ms = num r "wall_ms";
+          alloc_words = num r "alloc_words";
+        });
+  rows "runs" (fun r ->
+      Hashtbl.replace t.runs (str r "run")
+        {
+          fuel = int r "fuel";
+          interp_ms = num r "interp_ms";
+          cache_ms = num r "cache_ms";
+        });
+  t
 
 let take n xs =
   let rec go n = function

@@ -3,9 +3,10 @@
     Attribution tables fed by the {!Opt.Driver} pass boundary (wall-clock
     and GC allocation per function x pass) and by [Harness.Measure]
     (interpreter fuel, interpreter wall time and cache-bank time per
-    benchmark run).  Single-domain, like {!Metrics}: worker domains
-    profile into private shards, the parent folds them back with {!merge}
-    in task order.  Every recording is a no-op on {!null}. *)
+    benchmark run).  Single-domain, like {!Metrics}: each task profiles
+    into a private shard (shipped back with {!to_json}/{!of_json} from a
+    worker process), and the parent folds them back with {!merge} in
+    task order.  Every recording is a no-op on {!null}. *)
 
 type t
 
@@ -53,6 +54,11 @@ type run_row = {
 val run_rows : t -> run_row list
 
 val to_json : t -> Json.t
+
+(** The profile a {!to_json} document's [passes] and [runs] rows
+    describe — how a worker process's profile crosses its pipe to be
+    {!merge}d by the parent. *)
+val of_json : Json.t -> t
 
 (** The [--profile] report: pass totals, top-N (function x pass), top-N
     runs. *)

@@ -1,12 +1,11 @@
 (* Chrome/Perfetto trace-event collector.
 
    Collects complete spans ("X"), instant events ("i") and metadata
-   ("M") from any domain (appends are mutex-protected; everything else
-   happens on the parent after the joins) and writes the standard
-   trace-event JSON object that chrome://tracing and ui.perfetto.dev
-   load directly.  Timestamps are microseconds since the trace was
+   ("M") from any domain (appends are mutex-protected) and writes the
+   standard trace-event JSON object that chrome://tracing and
+   ui.perfetto.dev load directly.  Timestamps are microseconds since the trace was
    created; the whole process is pid 1 and tids are logical lanes
-   (0 = supervisor, 1..N = pool worker slots). *)
+   (0 = supervisor, 1..N = pool workers). *)
 
 type ev = {
   e_name : string;
@@ -67,17 +66,6 @@ let instant t ~tid ?(cat = "supervisor") ?(args = []) name =
       e_tid = tid;
       e_args = args;
     }
-
-let with_span t ~tid ?cat ?args name f =
-  let ts_us = now_us t in
-  let finish () = complete t ~tid ?cat ?args:(args) ~name ~ts_us ~dur_us:(now_us t -. ts_us) () in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e
 
 let thread_name t ~tid name =
   push t

@@ -4,8 +4,8 @@
     events (["i"]) and thread/process metadata (["M"]), written as the
     standard trace-event JSON object that [chrome://tracing] and
     {{:https://ui.perfetto.dev}Perfetto} load directly.  Appends are
-    mutex-protected so pool worker domains record concurrently; the
-    supervisor owns lane (tid) 0 and worker slot [k] owns lane [k].
+    mutex-protected so several domains may record concurrently; the
+    pool supervisor owns lane (tid) 0 and worker [k] owns lane [k].
     Timestamps are microseconds since {!create}. *)
 
 type t
@@ -33,16 +33,6 @@ val complete :
 (** A point event, stamped now, thread-scoped to its lane. *)
 val instant :
   t -> tid:int -> ?cat:string -> ?args:(string * Json.t) list -> string -> unit
-
-(** Run [f] under a span (recorded even if [f] raises). *)
-val with_span :
-  t ->
-  tid:int ->
-  ?cat:string ->
-  ?args:(string * Json.t) list ->
-  string ->
-  (unit -> 'a) ->
-  'a
 
 val thread_name : t -> tid:int -> string -> unit
 val process_name : t -> string -> unit

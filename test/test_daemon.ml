@@ -1,7 +1,8 @@
 (* The daemon stack: wire protocol (framing, strict envelope/response
    parsing, fuzzed decoder robustness), connection-level chaos draws, the
-   supervised Pool.Service it schedules onto, and one in-process
-   end-to-end server exercise asserting the byte-identity contract. *)
+   process pool it schedules onto (driven by ticks, as the server drives
+   it), and one end-to-end server exercise — its workers are this test
+   binary — asserting the byte-identity contract. *)
 
 open Daemon
 module Json = Telemetry.Json
@@ -20,16 +21,16 @@ let sample_source =
 
 let test_frame_roundtrip () =
   let payloads = [ "{}"; String.make 70000 'x'; ""; "{\"a\":1}" ] in
-  let stream = String.concat "" (List.map Protocol.encode_frame payloads) in
+  let stream = String.concat "" (List.map Harness.Frame.encode payloads) in
   (* One byte at a time: the decoder must reassemble every frame in
      order regardless of chunking. *)
-  let dec = Protocol.decoder () in
+  let dec = Harness.Frame.decoder () in
   let out = ref [] in
   String.iter
     (fun c ->
-      Protocol.decoder_feed dec (String.make 1 c);
+      Harness.Frame.feed dec (String.make 1 c);
       let rec drain () =
-        match Protocol.decoder_next dec with
+        match Harness.Frame.next dec with
         | Ok (Some p) ->
           out := p :: !out;
           drain ()
@@ -45,22 +46,22 @@ let test_frame_roundtrip () =
   Alcotest.(check bool)
     "payloads equal" true
     (List.rev !out = payloads);
-  Alcotest.(check int) "nothing buffered" 0 (Protocol.decoder_pending dec);
-  (match Protocol.encode_frame (String.make (Protocol.max_frame + 1) 'y') with
+  Alcotest.(check int) "nothing buffered" 0 (Harness.Frame.pending dec);
+  (match Harness.Frame.encode (String.make (Harness.Frame.max_frame + 1) 'y') with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized encode_frame must raise")
 
 let test_decoder_poisoning () =
-  let dec = Protocol.decoder () in
+  let dec = Harness.Frame.decoder () in
   (* A header announcing more than max_frame poisons permanently. *)
   let huge = Bytes.create 4 in
-  Bytes.set_int32_be huge 0 (Int32.of_int (Protocol.max_frame + 1));
-  Protocol.decoder_feed dec (Bytes.to_string huge);
-  (match Protocol.decoder_next dec with
+  Bytes.set_int32_be huge 0 (Int32.of_int (Harness.Frame.max_frame + 1));
+  Harness.Frame.feed dec (Bytes.to_string huge);
+  (match Harness.Frame.next dec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized length must poison the decoder");
-  Protocol.decoder_feed dec (Protocol.encode_frame "{}");
-  (match Protocol.decoder_next dec with
+  Harness.Frame.feed dec (Harness.Frame.encode "{}");
+  (match Harness.Frame.next dec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "poisoned decoder must stay poisoned")
 
@@ -81,7 +82,7 @@ let test_decoder_fuzz () =
     in
     let stream =
       Bytes.of_string
-        (String.concat "" (List.map Protocol.encode_frame payloads))
+        (String.concat "" (List.map Harness.Frame.encode payloads))
     in
     let mutations = 1 + Random.State.int st 4 in
     for _ = 1 to mutations do
@@ -90,15 +91,15 @@ let test_decoder_fuzz () =
           (Random.State.int st (Bytes.length stream))
           (Char.chr (Random.State.int st 256))
     done;
-    let dec = Protocol.decoder () in
+    let dec = Harness.Frame.decoder () in
     let pos = ref 0 in
     (try
        while !pos < Bytes.length stream do
          let chunk = min (1 + Random.State.int st 97) (Bytes.length stream - !pos) in
-         Protocol.decoder_feed dec (Bytes.sub_string stream !pos chunk);
+         Harness.Frame.feed dec (Bytes.sub_string stream !pos chunk);
          pos := !pos + chunk;
          let rec drain () =
-           match Protocol.decoder_next dec with
+           match Harness.Frame.next dec with
            | Ok (Some _) ->
              incr exercised;
              drain ()
@@ -120,9 +121,9 @@ let test_decoder_deep_nesting () =
      supervisor loop, so a [Stack_overflow] here would kill the whole
      daemon, not one request. *)
   let payload = String.make 4_000_000 '[' in
-  let dec = Protocol.decoder () in
-  Protocol.decoder_feed dec (Protocol.encode_frame payload);
-  match Protocol.decoder_next dec with
+  let dec = Harness.Frame.decoder () in
+  Harness.Frame.feed dec (Harness.Frame.encode payload);
+  match Harness.Frame.next dec with
   | Ok (Some p) -> (
     Alcotest.(check int) "payload intact" (String.length payload) (String.length p);
     match Protocol.parse_envelope p with
@@ -235,7 +236,7 @@ let test_envelope_strictness () =
     "{\"id\":1,\"kind\":\"ping\",\"qos\":{\"chaos\":\"sparks:0.5\"}}";
   reject "oversized source"
     (Printf.sprintf "{\"id\":1,\"kind\":\"compile\",\"path\":\"t.c\",\"source\":%s}"
-       (Json.to_string (Json.Str (String.make (Protocol.max_frame / 2 + 1) 'x'))));
+       (Json.to_string (Json.Str (String.make (Harness.Frame.max_frame / 2 + 1) 'x'))));
   (* Duplicate keys: strict parser keeps the document, [member] takes the
      first binding — the envelope id must be 1, not 2. *)
   match Protocol.parse_envelope "{\"id\":1,\"id\":2,\"kind\":\"ping\"}" with
@@ -320,66 +321,50 @@ let test_conn_chaos () =
        (fun i -> Protocol.conn_fault always ~req:i = Some `Disconnect)
        (List.init 32 Fun.id))
 
-(* --- the supervised service --- *)
+(* --- the supervisor the server ticks --- *)
 
-let wait_outcome svc h =
+module Pool = Harness.Pool
+
+let wait_outcome pool tk =
   let deadline = Unix.gettimeofday () +. 20.0 in
   let rec go () =
-    Harness.Pool.Service.tick svc;
-    match Harness.Pool.Service.poll svc h with
+    Pool.tick pool ~timeout:0.05;
+    match Pool.poll pool tk with
     | Some o -> o
     | None ->
       if Unix.gettimeofday () > deadline then
-        Alcotest.fail "service outcome not delivered within 20s";
-      Unix.sleepf 0.002;
+        Alcotest.fail "pool outcome not delivered within 20s";
       go ()
   in
   go ()
 
 let test_service () =
-  let svc = Harness.Pool.Service.create ~jobs:2 () in
+  let pool = Pool.create ~workers:2 ~argv:Test_worker.argv () in
   (* Plain completion. *)
-  let h = Harness.Pool.Service.submit svc (fun _ -> 21 * 2) in
-  (match wait_outcome svc h with
-  | Harness.Pool.Done v -> Alcotest.(check int) "done value" 42 v
+  (match wait_outcome pool (Pool.submit pool "sq 6") with
+  | Pool.Done v -> Alcotest.(check string) "done value" "36" v
   | _ -> Alcotest.fail "plain task must complete");
-  (* A crash is isolated to its task and reported with its attempts. *)
-  let h = Harness.Pool.Service.submit svc (fun _ -> failwith "boom") in
-  (match wait_outcome svc h with
-  | Harness.Pool.Crashed { attempts = 1; _ } -> ()
-  | Harness.Pool.Crashed { attempts; _ } ->
+  (* A crash is isolated to its request and reported with its attempts. *)
+  (match wait_outcome pool (Pool.submit pool "boom") with
+  | Pool.Crashed { attempts = 1; _ } -> ()
+  | Pool.Crashed { attempts; _ } ->
     Alcotest.failf "crash after %d attempts (wanted 1)" attempts
   | _ -> Alcotest.fail "crashing task must report Crashed");
-  (* Retries resurrect a flaky task; the service survives the crash. *)
-  let tries = Atomic.make 0 in
-  let h =
-    Harness.Pool.Service.submit svc ~retries:2 (fun _ ->
-        if Atomic.fetch_and_add tries 1 = 0 then failwith "flaky" else 7)
-  in
-  (match wait_outcome svc h with
-  | Harness.Pool.Done v -> Alcotest.(check int) "retried value" 7 v
+  (* Retries resurrect a flaky request; the pool survives the crash. *)
+  (match wait_outcome pool (Pool.submit pool ~retries:2 "flaky 7") with
+  | Pool.Done v -> Alcotest.(check string) "retried value" "107" v
   | _ -> Alcotest.fail "flaky task must succeed on retry");
-  (* A cooperative task past its deadline is cancelled and reported. *)
-  let h =
-    Harness.Pool.Service.submit svc ~deadline:0.05 (fun budget ->
-        let rec spin () =
-          Telemetry.Budget.check budget;
-          Unix.sleepf 0.005;
-          spin ()
-        in
-        spin ())
-  in
-  (match wait_outcome svc h with
-  | Harness.Pool.Timed_out _ -> ()
-  | Harness.Pool.Done _ -> Alcotest.fail "deadline task cannot finish"
-  | Harness.Pool.Crashed { exn; _ } ->
+  (* A worker still busy at the deadline is killed and reported. *)
+  (match wait_outcome pool (Pool.submit pool ~deadline:0.5 "spin") with
+  | Pool.Timed_out _ -> ()
+  | Pool.Done _ -> Alcotest.fail "deadline task cannot finish"
+  | Pool.Crashed { exn; _ } ->
     Alcotest.failf "deadline task crashed: %s" (Printexc.to_string exn));
-  Alcotest.(check int) "nothing in flight" 0
-    (Harness.Pool.Service.in_flight svc);
-  Alcotest.(check int) "four submissions" 4
-    (Harness.Pool.Service.submitted svc);
-  Alcotest.(check bool) "workers join" true
-    (Harness.Pool.Service.shutdown svc)
+  Alcotest.(check int) "nothing in flight" 0 (Pool.in_flight pool);
+  Alcotest.(check int) "four submissions" 4 (Pool.submitted pool);
+  Alcotest.(check int) "nothing leased" 0 (Pool.lease_depth pool);
+  Alcotest.(check int) "overdue worker killed" 1 (Pool.stats pool).Pool.abandoned;
+  Alcotest.(check bool) "workers join" true (Pool.shutdown pool)
 
 (* --- end to end --- *)
 
@@ -416,6 +401,7 @@ let test_server_end_to_end () =
     {
       (Server.default_config test_socket) with
       Server.jobs = 2;
+      worker_argv = Test_worker.argv;
       quiet = true;
       drain_deadline = 5.0;
     }
@@ -506,6 +492,30 @@ let test_server_end_to_end () =
         | Ok ch -> ch
         | Error e -> Alcotest.failf "chaos: %s" e
       in
+      (* Worker chaos hang with no deadline anywhere: nothing would kill
+         the worker, so the attempt is charged as a timeout at once and
+         the worker stays free for the next request. *)
+      let all_hang =
+        match Harness.Pool.chaos_of_string "hang:1.0,seed:3" with
+        | Ok ch -> ch
+        | Error e -> Alcotest.failf "chaos: %s" e
+      in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Client.request c
+           ~qos:{ Protocol.default_qos with chaos = Some all_hang; retries = 1 }
+           compile_req
+       with
+      | Error (Protocol.Deadline, _) -> ()
+      | Error (code, m) ->
+        Alcotest.failf "undeadlined hang miscoded %s: %s"
+          (Protocol.error_code_name code)
+          m
+      | Ok _ -> Alcotest.fail "hang:1.0 cannot succeed");
+      Alcotest.(check bool) "undeadlined hang answered promptly" true
+        (Unix.gettimeofday () -. t0 < 5.0);
+      Alcotest.(check string) "worker free after the hang" expected
+        (must_result "compile after hang" (Client.request c compile_req));
       let retried =
         must_result "compile under retried chaos"
           (Client.request c
@@ -542,26 +552,69 @@ let test_server_end_to_end () =
          the connection is dropped; the server keeps serving. *)
       let raw = Unix.socket PF_UNIX SOCK_STREAM 0 in
       Unix.connect raw (ADDR_UNIX test_socket);
-      let junk = Protocol.encode_frame "]junk[" in
+      let junk = Harness.Frame.encode "]junk[" in
       ignore (Unix.write_substring raw junk 0 (String.length junk));
-      let dec = Protocol.decoder () in
       let buf = Bytes.create 4096 in
-      let rec read_resp () =
-        match Protocol.decoder_next dec with
+      let rec read_resp raw dec =
+        match Harness.Frame.next dec with
         | Ok (Some p) -> p
         | Ok None ->
           let n = Unix.read raw buf 0 (Bytes.length buf) in
-          if n = 0 then Alcotest.fail "server closed before answering junk";
-          Protocol.decoder_feed dec (Bytes.sub_string buf 0 n);
-          read_resp ()
+          if n = 0 then Alcotest.fail "server closed before answering";
+          Harness.Frame.feed dec (Bytes.sub_string buf 0 n);
+          read_resp raw dec
         | Error e -> Alcotest.failf "client decoder poisoned: %s" e
       in
-      (match Protocol.parse_response (read_resp ()) with
+      (match Protocol.parse_response (read_resp raw (Harness.Frame.decoder ())) with
       | Ok (Protocol.Error_resp { id = 0; code = Protocol.Bad_request; _ }) ->
         ()
       | Ok _ -> Alcotest.fail "junk envelope must yield bad-request id 0"
       | Error e -> Alcotest.failf "junk response unparseable: %s" e);
       Unix.close raw;
+      (* Raw control bytes, which the envelope parser accepts unescaped,
+         grow sixfold when the envelope is re-rendered into the worker
+         request: 3 MB of them is refused at admission with bad-request,
+         and the server keeps serving. *)
+      let raw = Unix.socket PF_UNIX SOCK_STREAM 0 in
+      Unix.connect raw (ADDR_UNIX test_socket);
+      let marker = "@SOURCE@" in
+      let env =
+        Json.to_string
+          (Protocol.envelope_to_json
+             {
+               Protocol.id = 9;
+               qos = Protocol.default_qos;
+               req =
+                 Protocol.Measure
+                   {
+                     path = "ctl.c";
+                     source = marker;
+                     input = "";
+                     machine = Ir.Machine.risc;
+                   };
+             })
+      in
+      let at = Option.get (String.index_from_opt env 0 '@') in
+      let env =
+        String.sub env 0 at
+        ^ String.make 3_000_000 '\001'
+        ^ String.sub env (at + String.length marker)
+            (String.length env - at - String.length marker)
+      in
+      Harness.Frame.write_all raw (Harness.Frame.encode env);
+      (match Protocol.parse_response (read_resp raw (Harness.Frame.decoder ())) with
+      | Ok (Protocol.Error_resp { id = 9; code = Protocol.Bad_request; _ }) ->
+        ()
+      | Ok _ -> Alcotest.fail "oversized worker request must yield bad-request"
+      | Error e -> Alcotest.failf "oversized response unparseable: %s" e);
+      Unix.close raw;
+      Alcotest.(check string) "server alive after the oversized request"
+        "{\"pong\":true}"
+        (must_result "ping after oversized"
+           (let c = connect_retry test_socket in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> Client.request c Protocol.Ping)));
       (* Status reflects the traffic so far; then drain shuts the server
          down cleanly. *)
       let c2 = connect_retry test_socket in

@@ -1,5 +1,7 @@
 (* Measurement harness consistency. *)
 
+module Pool = Harness.Pool
+
 let wc () = Option.get (Programs.Suite.find "wc")
 
 let test_measure_basics () =
@@ -48,16 +50,11 @@ let test_custom_options_not_memoized () =
   Alcotest.(check bool) "capped run still correct" true capped.output_ok
 
 let test_parallel_determinism () =
-  (* The whole contract of the Pool-based sweep: at any domain count the
-     results, the telemetry counters, the recorded verdicts and the event
-     stream must equal the sequential run.  Only Pass_end wall-clock
-     timings are normalized away — they differ between any two runs,
-     parallel or not. *)
-  let norm_event = function
-    | Telemetry.Log.Pass_end e ->
-      Telemetry.Log.Pass_end { e with elapsed_ms = 0.0 }
-    | e -> e
-  in
+  (* The contract of the one sweep function: at any worker count the
+     rows, the telemetry counters, the verdicts, the profiler rows and
+     the run_instrs histogram equal the in-process sweep's.  Per-task
+     log events stay with the task, so the event stream is not part of
+     the contract. *)
   (* Wall-clock and allocation are nondeterministic; the profiler's
      deterministic projection is which rows exist, how often each fired
      and the interpreter fuel. *)
@@ -79,57 +76,62 @@ let test_parallel_determinism () =
         | _ -> None)
       (Telemetry.Metrics.snapshot m)
   in
-  let sweep jobs =
-    Harness.Measure.reset_cache ();
+  let tasks =
+    List.map (fun b -> (b, Opt.Driver.Jumps, Ir.Machine.risc)) Programs.Suite.all
+  in
+  let sweep workers =
     let log = Telemetry.Log.make Telemetry.Log.Memory in
     let profiler = Telemetry.Profiler.create () in
-    let pool_metrics = Telemetry.Metrics.create () in
-    let results =
-      Harness.Measure.run_suite ~log ~profiler ~metrics:pool_metrics ~jobs
-        Opt.Driver.Jumps Ir.Machine.risc
+    let rows, s =
+      Campaign.Runner.sweep ~workers ~worker_argv:Test_worker.argv ~log
+        ~profiler tasks
     in
-    ( List.map Harness.Measure.to_json results,
+    let pool_metrics = Telemetry.Metrics.create () in
+    Pool.stats_to_metrics s.pool pool_metrics;
+    ( List.map (fun (r : Campaign.Runner.row) -> r.r_row) rows,
       Telemetry.Metrics.counters (Telemetry.Log.metrics log),
-      List.map norm_event (Telemetry.Log.events log),
-      (Harness.Measure.mismatches (), Harness.Measure.timeouts ()),
+      List.map
+        (fun (r : Campaign.Runner.row) -> (r.r_program, r.r_output_ok, r.r_timed_out))
+        rows,
       profiler_sig profiler,
       histogram_sig (Telemetry.Log.metrics log) "measure.run_instrs",
       Telemetry.Metrics.counters pool_metrics )
   in
-  let json1, counters1, events1, verdicts1, prof1, hist1, _pool1 = sweep 1 in
-  Alcotest.(check bool) "sequential sweep nonempty" true (json1 <> []);
+  let json1, counters1, verdicts1, prof1, hist1, _pool1 = sweep 0 in
+  Alcotest.(check int) "in-process sweep complete" (List.length tasks)
+    (List.length json1);
   Alcotest.(check bool) "counters accumulated" true (counters1 <> []);
   (let pass_rows, run_rows = prof1 in
    Alcotest.(check bool) "profiler saw passes" true (pass_rows <> []);
    Alcotest.(check bool) "profiler saw runs" true (run_rows <> []));
   Alcotest.(check bool) "run_instrs histogram filled" true (hist1 <> []);
+  Alcotest.(check string) "row matches the direct measurement"
+    (Harness.Measure.to_json
+       (Harness.Measure.run (List.hd Programs.Suite.all) Opt.Driver.Jumps
+          Ir.Machine.risc))
+    (List.hd json1);
   List.iter
-    (fun jobs ->
-      let json, counters, events, verdicts, prof, hist, pool = sweep jobs in
+    (fun workers ->
+      let json, counters, verdicts, prof, hist, pool = sweep workers in
       Alcotest.(check (list string))
-        (Printf.sprintf "results at -j %d" jobs)
+        (Printf.sprintf "results at -j %d" workers)
         json1 json;
       Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "counters at -j %d" jobs)
+        (Printf.sprintf "counters at -j %d" workers)
         counters1 counters;
       Alcotest.(check bool)
-        (Printf.sprintf "event stream at -j %d" jobs)
-        true
-        (events = events1);
-      Alcotest.(check bool)
-        (Printf.sprintf "verdicts at -j %d" jobs)
+        (Printf.sprintf "verdicts at -j %d" workers)
         true
         (verdicts = verdicts1);
       Alcotest.(check bool)
-        (Printf.sprintf "profiler shards merge deterministically at -j %d" jobs)
+        (Printf.sprintf "profiler rows merge deterministically at -j %d" workers)
         true (prof = prof1);
       Alcotest.(check bool)
-        (Printf.sprintf "histograms merge deterministically at -j %d" jobs)
+        (Printf.sprintf "histograms merge deterministically at -j %d" workers)
         true (hist = hist1);
-      (* The -j 1 fast path bypasses the pool; at higher -j the pool
-         publishes its tallies, all zero without chaos or deadlines. *)
+      (* The supervisor's tallies, all zero without chaos or deadlines. *)
       Alcotest.(check bool)
-        (Printf.sprintf "pool counters published at -j %d" jobs)
+        (Printf.sprintf "pool counters published at -j %d" workers)
         true
         (List.mem ("pool.retried", 0) pool
         && List.mem ("pool.respawned", 0) pool
@@ -138,12 +140,14 @@ let test_parallel_determinism () =
 
 (* --- the supervised pool --- *)
 
-module Pool = Harness.Pool
-
 let outcome_sig = function
-  | Pool.Done v -> Printf.sprintf "done:%d" v
+  | Pool.Done v -> Printf.sprintf "done:%s" v
   | Pool.Crashed { attempts; _ } -> Printf.sprintf "crashed:%d" attempts
   | Pool.Timed_out { attempts; _ } -> Printf.sprintf "timed-out:%d" attempts
+
+let on_workers ?deadline ?(retries = 0) ?chaos ?trace reqs =
+  Pool.run ~workers:2 ~argv:Test_worker.argv ?deadline ~retries
+    ~backoff_base:0.001 ?chaos ?trace ~handler:Test_worker.inline reqs
 
 let test_backoff_schedule () =
   let chk name exp got = Alcotest.(check (float 1e-9)) name exp got in
@@ -190,96 +194,247 @@ let test_default_jobs () =
 
 let test_crash_isolation () =
   (* One task crashing must not cost any sibling its result. *)
-  let f _budget x = if x = 3 then failwith "boom" else x * x in
-  let outcomes, _ = Pool.supervise ~jobs:2 ~retries:0 f [ 0; 1; 2; 3; 4; 5 ] in
+  let reqs = [ "sq 0"; "sq 1"; "sq 2"; "boom"; "sq 4"; "sq 5" ] in
+  let outcomes, _ = on_workers reqs in
   Alcotest.(check int) "all outcomes present" 6 (List.length outcomes);
   List.iteri
     (fun i o ->
       match o with
-      | Pool.Done v -> Alcotest.(check int) "sibling value" (i * i) v
+      | Pool.Done v -> Alcotest.(check string) "sibling value" (string_of_int (i * i)) v
       | Pool.Crashed { exn; attempts; _ } ->
         Alcotest.(check int) "crashing index" 3 i;
         Alcotest.(check int) "no retries requested" 1 attempts;
-        Alcotest.(check bool) "exception preserved" true (exn = Failure "boom")
+        Alcotest.(check bool) "handler exception reported" true
+          (match exn with
+          | Pool.Worker_failed msg -> msg = Printexc.to_string (Failure "boom")
+          | _ -> false)
       | Pool.Timed_out _ -> Alcotest.fail "unexpected timeout")
     outcomes
 
 let test_flaky_retry () =
-  (* First attempt of every task fails; the retry succeeds. *)
-  let tries = Array.init 4 (fun _ -> Atomic.make 0) in
-  let f _budget x =
-    if Atomic.fetch_and_add tries.(x) 1 = 0 then failwith "transient"
-    else x + 100
-  in
+  (* Each worker process fails the first attempt it sees of a task; a
+     retry (on either worker) succeeds within the budget. *)
   let outcomes, stats =
-    Pool.supervise ~jobs:2 ~retries:2 ~backoff_base:0.001 f [ 0; 1; 2; 3 ]
+    on_workers ~retries:2 [ "flaky 0"; "flaky 1"; "flaky 2"; "flaky 3" ]
   in
   List.iteri
     (fun i o ->
       match o with
-      | Pool.Done v -> Alcotest.(check int) "recovered value" (i + 100) v
+      | Pool.Done v -> Alcotest.(check string) "recovered value" (string_of_int (i + 100)) v
       | _ -> Alcotest.fail "task did not recover")
     outcomes;
   Alcotest.(check bool) "retries accounted" true (stats.Pool.retried >= 4)
 
 let test_cooperative_cancel () =
-  (* A task that polls its budget is cancelled at the deadline. *)
-  let f budget x =
-    if x = 0 then begin
+  (* In-process, a task that polls its budget is cancelled at the
+     deadline. *)
+  let handler budget req =
+    if req = "spin" then begin
       while true do
-        Telemetry.Budget.check budget;
-        Domain.cpu_relax ()
+        Telemetry.Budget.check budget
       done;
       assert false
     end
-    else x
+    else req
   in
-  let outcomes, _ = Pool.supervise ~jobs:2 ~deadline:0.05 ~retries:0 f [ 0; 1 ] in
+  let outcomes, _ =
+    Pool.run ~deadline:0.05 ~retries:0 ~handler [ "spin"; "1" ]
+  in
   match outcomes with
-  | [ Pool.Timed_out { attempts = 1; elapsed }; Pool.Done 1 ] ->
+  | [ Pool.Timed_out { attempts = 1; elapsed }; Pool.Done "1" ] ->
     Alcotest.(check bool) "cancelled near the deadline" true
       (elapsed >= 0.04 && elapsed < 2.0)
   | _ -> Alcotest.fail "expected [Timed_out; Done 1]"
 
 let test_hang_cannot_wedge_join () =
-  (* A task that ignores its budget entirely: the watchdog abandons it and
-     supervise still returns, with every sibling's result intact. *)
-  let stop = Atomic.make false in
-  let f _budget x =
-    if x = 1 then begin
-      while not (Atomic.get stop) do
-        Domain.cpu_relax ()
-      done;
-      -1
-    end
-    else x * 10
-  in
+  (* A worker spinning forever and ignoring every budget is SIGKILLed at
+     the deadline: the call returns promptly and every sibling's value is
+     intact. *)
   let t0 = Unix.gettimeofday () in
   let outcomes, stats =
-    Pool.supervise ~jobs:2 ~deadline:0.05 ~retries:0 f [ 0; 1; 2; 3 ]
+    on_workers ~deadline:1.0 [ "sq 0"; "spin"; "sq 2"; "sq 3" ]
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Atomic.set stop true;
-  Alcotest.(check bool) "returned despite the wedged worker" true
+  Alcotest.(check bool) "returned despite the spinning worker" true
     (elapsed < 5.0);
-  Alcotest.(check bool) "hung attempt abandoned" true (stats.Pool.abandoned >= 1);
+  Alcotest.(check int) "spinning worker killed" 1 stats.Pool.abandoned;
+  Alcotest.(check int) "killed worker respawned" 1 stats.Pool.respawned;
   List.iteri
     (fun i o ->
       match o with
-      | Pool.Done v -> Alcotest.(check int) "sibling value" (i * 10) v
+      | Pool.Done v -> Alcotest.(check string) "sibling value" (string_of_int (i * i)) v
       | Pool.Timed_out { attempts = 1; _ } ->
-        Alcotest.(check int) "hung index" 1 i
+        Alcotest.(check int) "spinning index" 1 i
       | _ -> Alcotest.fail "unexpected outcome")
     outcomes
+
+let test_hang_without_deadline () =
+  (* A chaos hang drawn for a request with no deadline is charged as a
+     timeout without running, on workers as in-process: nothing would
+     ever kill a hung worker. *)
+  let chaos = { Pool.crash = 0.0; hang = 1.0; alloc = 0.0; chaos_seed = 5 } in
+  let reqs = List.init 4 (fun i -> Printf.sprintf "sq %d" i) in
+  let t0 = Unix.gettimeofday () in
+  let on_w, st = on_workers ~retries:1 ~chaos reqs in
+  Alcotest.(check bool) "returns promptly" true (Unix.gettimeofday () -. t0 < 5.0);
+  let here, _ =
+    Pool.run ~retries:1 ~backoff_base:0.001 ~chaos ~handler:Test_worker.inline reqs
+  in
+  Alcotest.(check (list string)) "every attempt timed out"
+    (List.init 4 (fun _ -> "timed-out:2"))
+    (List.map outcome_sig on_w);
+  Alcotest.(check (list string)) "same outcomes in-process"
+    (List.map outcome_sig here) (List.map outcome_sig on_w);
+  Alcotest.(check int) "hangs injected" 8 st.Pool.injected_hangs;
+  Alcotest.(check int) "no worker killed" 0 st.Pool.abandoned;
+  Alcotest.(check int) "no worker respawned" 0 st.Pool.respawned
+
+let test_streamed_in_order () =
+  (* [on_done] reports each request as soon as it and every earlier one
+     have settled: in-process, before the next request runs. *)
+  let log = ref [] in
+  let handler _ req =
+    log := ("run " ^ req) :: !log;
+    req
+  in
+  let on_done i o = log := Printf.sprintf "done %d %s" i (outcome_sig o) :: !log in
+  ignore (Pool.run ~on_done ~handler [ "a"; "b"; "c" ]);
+  Alcotest.(check (list string)) "interleaved"
+    [ "run a"; "done 0 done:a"; "run b"; "done 1 done:b"; "run c"; "done 2 done:c" ]
+    (List.rev !log);
+  (* On workers the order holds whatever order the replies arrive in. *)
+  let seen = ref [] in
+  let outcomes, _ =
+    Pool.run ~workers:2 ~argv:Test_worker.argv
+      ~on_done:(fun i o -> seen := (i, outcome_sig o) :: !seen)
+      ~handler:Test_worker.inline
+      [ "pidfile /dev/null 0"; "sq 1"; "sq 2"; "sq 3" ]
+  in
+  Alcotest.(check (list (pair int string))) "in input order, once each"
+    (List.mapi (fun i o -> (i, outcome_sig o)) outcomes)
+    (List.rev !seen)
+
+let test_oversized_frames () =
+  (* A request too large to frame ends [Crashed] without being sent; a
+     reply too large to frame is a crash reply and the worker lives on. *)
+  let big_req = String.make (Pool.max_request + 1) 'x' in
+  let outcomes, st =
+    on_workers [ "sq 1"; big_req; Printf.sprintf "big %d" Harness.Frame.max_frame; "sq 3" ]
+  in
+  (match outcomes with
+  | [ Pool.Done "1";
+      Pool.Crashed { exn = Invalid_argument _; attempts = 1; _ };
+      Pool.Crashed { exn = Pool.Worker_failed msg; attempts = 1; _ };
+      Pool.Done "9" ] ->
+    Alcotest.(check bool) "reply cap named" true
+      (let sub = "frame cap" in
+       let n = String.length sub in
+       let rec has i =
+         i + n <= String.length msg && (String.sub msg i n = sub || has (i + 1))
+       in
+       has 0)
+  | os ->
+    Alcotest.failf "outcomes: %s"
+      (String.concat ", "
+         (List.map
+            (function
+              | Pool.Crashed { exn; _ } -> Printexc.to_string exn
+              | o -> outcome_sig o)
+            os)));
+  Alcotest.(check int) "no worker lost" 0 st.Pool.respawned
+
+let test_external_kill () =
+  (* A worker SIGKILLed from outside mid-task (no chaos involved): its
+     task completes on the respawned worker, siblings are intact. *)
+  let dir = Filename.temp_dir "jumprep-pool" "" in
+  let pidfile i = Filename.concat dir (string_of_int i) in
+  let t = Pool.create ~workers:2 ~argv:Test_worker.argv () in
+  let tickets =
+    List.init 4 (fun i ->
+        Pool.submit t ~retries:1 (Printf.sprintf "pidfile %s %d" (pidfile i) i))
+  in
+  let give_up = Unix.gettimeofday () +. 20. in
+  while not (Sys.file_exists (pidfile 0)) do
+    if Unix.gettimeofday () > give_up then Alcotest.fail "task 0 never started";
+    Pool.tick t ~timeout:0.01
+  done;
+  (* The pid file may be visible before its bytes are. *)
+  let rec victim () =
+    match int_of_string_opt (In_channel.with_open_text (pidfile 0) In_channel.input_all) with
+    | Some pid -> pid
+    | None -> Unix.sleepf 0.01; victim ()
+  in
+  Unix.kill (victim ()) Sys.sigkill;
+  while Pool.in_flight t > 0 do
+    if Unix.gettimeofday () > give_up then Alcotest.fail "tasks did not finish";
+    Pool.tick t ~timeout:0.1
+  done;
+  List.iteri
+    (fun i tk ->
+      match Pool.poll t tk with
+      | Some (Pool.Done v) -> Alcotest.(check string) "value" (string_of_int i) v
+      | Some o -> Alcotest.failf "task %d: %s" i (Pool.outcome_kind o)
+      | None -> Alcotest.failf "task %d unresolved" i)
+    tickets;
+  Alcotest.(check bool) "killed worker respawned" true
+    ((Pool.stats t).Pool.respawned >= 1);
+  Alcotest.(check int) "task 0 retried once" 1 (Pool.stats t).Pool.retried;
+  Alcotest.(check bool) "workers exit on shutdown" true (Pool.shutdown t)
+
+let test_respawn_keeps_lane () =
+  (* A respawned worker inherits its predecessor's trace lane: after a
+     chaos kill, spans still land on lanes 1 and 2 only, and the lane
+     named by the respawn carries a span that starts after it. *)
+  let trace = Telemetry.Trace.create () in
+  let t = Pool.create ~trace ~workers:2 ~argv:Test_worker.argv () in
+  let all_crash = { Pool.crash = 1.0; hang = 0.0; alloc = 0.0; chaos_seed = 1 } in
+  let run reqs =
+    let tks = List.map (fun (chaos, r) -> Pool.submit t ?chaos r) reqs in
+    while Pool.in_flight t > 0 do
+      Pool.tick t ~timeout:0.1
+    done;
+    List.map (fun tk -> Option.get (Pool.poll t tk)) tks
+  in
+  (match run [ (Some all_crash, "sq 1") ] with
+  | [ Pool.Crashed { exn = Pool.Chaos_crash; attempts = 1; _ } ] -> ()
+  | _ -> Alcotest.fail "chaos crash expected");
+  let outs = run (List.init 4 (fun i -> (None, Printf.sprintf "sq %d" i))) in
+  Alcotest.(check (list string)) "values after the respawn"
+    [ "done:0"; "done:1"; "done:4"; "done:9" ]
+    (List.map outcome_sig outs);
+  ignore (Pool.shutdown t);
+  let evs =
+    Option.value ~default:[]
+      (Option.bind (Telemetry.Json.member "traceEvents" (Telemetry.Trace.to_json trace))
+         Telemetry.Json.to_list)
+  in
+  let get name e = Telemetry.Json.member name e in
+  let num name e = Option.value ~default:0. (Option.bind (get name e) Telemetry.Json.get_float) in
+  let ph e = Option.bind (get "ph" e) Telemetry.Json.get_string in
+  let spans = List.filter (fun e -> ph e = Some "X") evs in
+  let lanes = List.sort_uniq compare (List.map (num "tid") spans) in
+  Alcotest.(check (list (float 0.))) "spans only on lanes 1 and 2" [ 1.; 2. ] lanes;
+  let respawns =
+    List.filter
+      (fun e -> Option.bind (get "name" e) Telemetry.Json.get_string = Some "worker-respawn")
+      evs
+  in
+  match respawns with
+  | [ r ] ->
+    let lane =
+      Option.value ~default:0.
+        (Option.bind (get "args" r) (fun a -> Option.bind (get "worker" a) Telemetry.Json.get_float))
+    in
+    Alcotest.(check bool) "respawned lane carries a later span" true
+      (List.exists (fun e -> num "tid" e = lane && num "ts" e >= num "ts" r) spans)
+  | _ -> Alcotest.failf "expected one respawn, saw %d" (List.length respawns)
 
 let test_chaos_crash_respawn () =
   (* crash rate 1.0: every attempt kills its worker; the supervisor must
      detect each death, respawn, and exhaust the retry budget. *)
   let chaos = { Pool.crash = 1.0; hang = 0.0; alloc = 0.0; chaos_seed = 3 } in
   let outcomes, stats =
-    Pool.supervise ~jobs:2 ~retries:2 ~backoff_base:0.001 ~chaos
-      (fun _budget x -> x)
-      [ 0; 1; 2; 3 ]
+    on_workers ~retries:2 ~chaos [ "sq 0"; "sq 1"; "sq 2"; "sq 3" ]
   in
   List.iter
     (function
@@ -290,44 +445,47 @@ let test_chaos_crash_respawn () =
   Alcotest.(check bool) "dead workers respawned" true (stats.Pool.respawned > 0)
 
 let test_chaos_determinism () =
-  (* The fault schedule is pure in (seed, task, attempt): the parallel run
-     must reproduce the inline run outcome for outcome, and completed
-     tasks keep their correct values. *)
+  (* The fault schedule is pure in (seed, task, attempt): the worker run
+     must reproduce the in-process run outcome for outcome, and
+     completed tasks keep their correct values. *)
   let chaos = { Pool.crash = 0.4; hang = 0.0; alloc = 0.2; chaos_seed = 42 } in
   let stats_sig (s : Pool.stats) =
     let m = Telemetry.Metrics.create () in
     Pool.stats_to_metrics s m;
     Telemetry.Metrics.counters m
   in
-  let run jobs =
-    let outcomes, stats =
-      Pool.supervise ~jobs ~retries:1 ~backoff_base:0.001 ~chaos
-        (fun _budget x -> 3 * x)
-        (List.init 12 Fun.id)
-    in
+  let reqs = List.init 12 (Printf.sprintf "sq %d") in
+  let check_values outcomes =
     List.iteri
       (fun i o ->
         match o with
-        | Pool.Done v -> Alcotest.(check int) "completed value correct" (3 * i) v
+        | Pool.Done v ->
+          Alcotest.(check string) "completed value correct" (string_of_int (i * i)) v
         | _ -> ())
-      outcomes;
+      outcomes
+  in
+  let run workers =
+    let outcomes, stats =
+      if workers = 0 then
+        Pool.run ~retries:1 ~backoff_base:0.001 ~chaos ~handler:Test_worker.inline reqs
+      else on_workers ~retries:1 ~chaos reqs
+    in
+    check_values outcomes;
     (List.map outcome_sig outcomes, stats_sig stats)
   in
-  let inline, tallies_inline = run 1 in
+  let inline, tallies_inline = run 0 in
   let par, tallies_par = run 2 in
   let par', tallies_par' = run 2 in
-  Alcotest.(check (list string)) "parallel matches inline schedule" inline par;
-  Alcotest.(check (list string)) "parallel run repeatable" par par';
+  Alcotest.(check (list string)) "workers match the in-process schedule" inline par;
+  Alcotest.(check (list string)) "worker run repeatable" par par';
   (* The chaos tallies are part of the determinism contract too: the
-     fault and retry counts a run publishes through stats_to_metrics must
-     not depend on the domain count (they are derived from the same pure
-     schedule).  pool.respawned is the exception, a scheduling artifact:
-     the inline path has no worker domains to lose, and whether the
-     supervisor bothers respawning after a late crash depends on how
-     much work is left when it notices the death. *)
+     fault and retry counts must not depend on the worker count (they
+     come from the same pure schedule).  pool.respawned is the
+     exception, a scheduling artifact: the in-process path has no worker
+     to lose. *)
   let sans_respawn = List.filter (fun (n, _) -> n <> "pool.respawned") in
   Alcotest.(check (list (pair string int)))
-    "chaos tallies match inline"
+    "chaos tallies match in-process"
     (sans_respawn tallies_inline)
     (sans_respawn tallies_par);
   Alcotest.(check (list (pair string int)))
@@ -338,43 +496,29 @@ let test_chaos_determinism () =
   Alcotest.(check bool) "schedule mixes faults and successes" true
     (has "done" && has "crashed")
 
-let test_pool_map () =
-  Alcotest.(check (list int))
-    "map" [ 0; 1; 4; 9 ]
-    (Pool.map ~jobs:2 (fun x -> x * x) [ 0; 1; 2; 3 ]);
-  match Pool.map ~jobs:2 (fun x -> if x = 2 then raise Exit else x) [ 0; 1; 2; 3 ]
-  with
-  | _ -> Alcotest.fail "expected Exit to re-raise"
-  | exception Exit -> ()
-
-let test_run_many_chaos_zero_lost () =
+let test_sweep_chaos_zero_lost () =
   (* Chaos may abort tasks but must never lose one silently, and every
-     completed measurement must equal its sequential counterpart. *)
+     completed measurement must equal its in-process counterpart. *)
   let b = wc () in
   let tasks =
     List.map
       (fun l -> (b, l, Ir.Machine.cisc))
       [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ]
   in
-  Harness.Measure.reset_cache ();
-  let baseline =
-    Harness.Measure.run_many tasks |> List.map Harness.Measure.to_json
-  in
-  Harness.Measure.reset_cache ();
-  let before = List.length (Harness.Measure.task_failures ()) in
+  let rows s = List.map (fun (r : Campaign.Runner.row) -> r.r_row) s in
+  let baseline, _ = Campaign.Runner.sweep tasks in
   let chaos = { Pool.crash = 0.6; hang = 0.0; alloc = 0.0; chaos_seed = 5 } in
-  let got =
-    Harness.Measure.run_many ~jobs:2 ~retries:1 ~chaos tasks
-    |> List.map Harness.Measure.to_json
+  let got, s =
+    Campaign.Runner.sweep ~workers:2 ~worker_argv:Test_worker.argv ~retries:1
+      ~chaos tasks
   in
-  let failed = List.length (Harness.Measure.task_failures ()) - before in
   Alcotest.(check int) "completed + failed = total" (List.length tasks)
-    (List.length got + failed);
+    (List.length got + List.length s.failures);
   List.iter
     (fun j ->
-      Alcotest.(check bool) "completed result equals sequential" true
-        (List.mem j baseline))
-    got
+      Alcotest.(check bool) "completed result equals in-process" true
+        (List.mem j (rows baseline)))
+    (rows got)
 
 let tests =
   ( "harness",
@@ -394,10 +538,17 @@ let tests =
         test_cooperative_cancel;
       Alcotest.test_case "pool hung task cannot wedge join" `Slow
         test_hang_cannot_wedge_join;
+      Alcotest.test_case "pool worker killed mid-task" `Quick test_external_kill;
+      Alcotest.test_case "pool hang without deadline" `Quick
+        test_hang_without_deadline;
+      Alcotest.test_case "pool streams outcomes in order" `Quick
+        test_streamed_in_order;
+      Alcotest.test_case "pool oversized frames" `Quick test_oversized_frames;
+      Alcotest.test_case "pool respawn keeps the lane" `Quick
+        test_respawn_keeps_lane;
       Alcotest.test_case "pool chaos crash respawn" `Quick
         test_chaos_crash_respawn;
       Alcotest.test_case "pool chaos determinism" `Quick test_chaos_determinism;
-      Alcotest.test_case "pool map" `Quick test_pool_map;
-      Alcotest.test_case "run_many chaos loses nothing" `Slow
-        test_run_many_chaos_zero_lost;
+      Alcotest.test_case "sweep chaos loses nothing" `Slow
+        test_sweep_chaos_zero_lost;
     ] )

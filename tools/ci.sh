@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+# One executor: concurrency in lib/ is Harness.Pool's worker processes.
+# (Tests may still spawn domains, e.g. test_analysis's memo test.)
+echo "== no Domain.spawn under lib/ =="
+if grep -rn 'Domain\.spawn' lib/; then
+  echo "lib/ must not spawn domains; run work on Harness.Pool"; exit 1
+fi
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt
@@ -19,7 +26,7 @@ fi
 echo "== dune runtest =="
 dune runtest
 
-echo "== fuzz smoke (25 seeds, 2 domains) =="
+echo "== fuzz smoke (25 seeds, 2 workers) =="
 dune exec bin/jumprepc.exe -- fuzz --seeds 25 -j 2 --quiet --out _build/fuzz-failures
 
 echo "== chaos smoke: crash+hang injection at -j 2, zero lost results =="
@@ -48,7 +55,7 @@ print(f"chaos trace: {len(evs)} events, {len(chaos)} chaos instants, "
       f"{len(retries)} retries")
 EOF
 
-echo "== bench --json sweep (2 domains) vs golden baseline =="
+echo "== bench --json sweep (2 workers) vs golden baseline =="
 SWEEP_T0=$(python3 -c 'import time; print(time.time())')
 dune exec bench/main.exe -- --json -j 2 > /dev/null
 SWEEP_WALL=$(python3 -c "import time; print(round(time.time() - $SWEEP_T0, 3))")
@@ -78,7 +85,7 @@ grep -q 'campaign: 114 tasks, 114 cached, 0 computed' _build/campaign-warm.log
 echo "campaign warm rerun: ${WARM_WALL}s (cold sweep: ${SWEEP_WALL}s), 0 recomputes"
 
 # Kill drill: SIGKILL one worker process, then the parent, mid-campaign.
-# The resumed run (4 domains, chaos on) recomputes only the delta and the
+# The resumed run (4 workers, chaos on) recomputes only the delta and the
 # bytes still match; a second sharded resume finds nothing left to do.
 "$BENCHX" --json --store _build/campaign-st2 --workers 2 \
   > _build/campaign-killed.log 2>&1 &
