@@ -11,18 +11,46 @@
      bench/main.exe --json --profile --trace-out trace.json
                                     profiled sweep + Perfetto trace
 
+   Tables 4-6 and the section 5.2 statistics are Report's markdown
+   sections, the same text `jumprepc report BENCH_results.json` prints
+   for them, over the suite measured in-process.
+
    Any output mismatch discovered while measuring makes the driver exit
    nonzero (see Harness.Measure.mismatches).                              *)
+
+(* The rows `--json` writes, in its order, measured once per process:
+   Measure.run is memoized, so the ablations reuse the SIMPLE runs. *)
+let paper_doc =
+  lazy
+    (let rows =
+       List.concat_map
+         (fun machine ->
+           List.concat_map
+             (fun level ->
+               List.map Harness.Measure.to_json
+                 (Harness.Measure.run_suite level machine))
+             [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+         [ Ir.Machine.risc; Ir.Machine.cisc ]
+     in
+     match
+       Report.parse_results
+         (Printf.sprintf {|{"results":[%s]}|} (String.concat "," rows))
+     with
+     | Ok doc -> doc
+     | Error e -> failwith ("bench: measured rows do not parse: " ^ e))
+
+let section render ppf =
+  Format.pp_print_string ppf (render (Lazy.force paper_doc))
 
 let available : (string * string * (Format.formatter -> unit)) list =
   [
     ("1", "Table 1: loop with exit condition in the middle", Harness.Tables.table1);
     ("2", "Table 2: if-then-else", Harness.Tables.table2);
     ("3", "Table 3: test set", Harness.Tables.table3);
-    ("4", "Table 4: percent unconditional jumps", Harness.Tables.table4);
-    ("5", "Table 5: static and dynamic instructions", Harness.Tables.table5);
-    ("6", "Table 6: cache miss ratio and fetch cost", Harness.Tables.table6);
-    ("bb", "Section 5.2: block statistics", Harness.Tables.block_stats);
+    ("4", "Table 4: percent unconditional jumps", section Report.table4);
+    ("5", "Table 5: static and dynamic instructions", section Report.table5);
+    ("6", "Table 6: cache miss ratio and fetch cost", section Report.table6);
+    ("bb", "Section 5.2: block statistics", section Report.section_5_2);
     ("fig", "Figures 1 and 2: loop interference cases", Harness.Tables.figures);
     ("cap", "Ablation: bounded replication (paper section 6)", Harness.Tables.ablation_cap);
     ("heur", "Ablation: step-2 heuristic", Harness.Tables.ablation_heuristic);

@@ -108,8 +108,8 @@ val run_adhoc :
 val reset_cache : unit -> unit
 
 (** {!run} over every benchmark in the suite, in suite order — the
-    sequential sweep behind [Harness.Tables].  Concurrent and store-backed
-    sweeps are [Campaign.Runner.sweep]. *)
+    sequential sweep behind bench's paper tables.  Concurrent and
+    store-backed sweeps are [Campaign.Runner.sweep]. *)
 val run_suite :
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->

@@ -1,22 +1,3 @@
-let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ]
-let machines = [ Ir.Machine.risc; Ir.Machine.cisc ]
-
-let mean xs =
-  match xs with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) xs))
-
-let pct a b = 100.0 *. float_of_int a /. float_of_int (max 1 b)
-
-let change now base = 100.0 *. (float_of_int now -. float_of_int base) /. float_of_int (max 1 base)
-
 (* ------------------------------------------------------------------ *)
 (* Tables 1 and 2: RTL listings before and after replication.          *)
 
@@ -79,157 +60,6 @@ let table3 ppf =
 
 (* ------------------------------------------------------------------ *)
 
-let table4 ppf =
-  Fmt.pf ppf
-    "Table 4: percent of instructions that are unconditional jumps@.@.";
-  Fmt.pf ppf "%-22s | %-24s | %-24s@." ""
-    "static (SIMPLE/LOOPS/JUMPS)" "dynamic (SIMPLE/LOOPS/JUMPS)";
-  List.iter
-    (fun machine ->
-      let stats level =
-        let ms = Measure.run_suite level machine in
-        let st = List.map (fun (m : Measure.t) -> pct m.static_ujumps m.static_instrs) ms in
-        let dy = List.map (fun (m : Measure.t) -> pct m.dyn_ujumps m.dyn_instrs) ms in
-        (st, dy)
-      in
-      let all = List.map stats levels in
-      let line f title =
-        Fmt.pf ppf "%-22s |" (machine.Ir.Machine.name ^ " " ^ title);
-        List.iter (fun (st, _) -> Fmt.pf ppf " %6.2f%%" (f st)) all;
-        Fmt.pf ppf "  |";
-        List.iter (fun (_, dy) -> Fmt.pf ppf " %6.2f%%" (f dy)) all;
-        Fmt.pf ppf "@."
-      in
-      line mean "avg";
-      line stddev "std")
-    machines;
-  Fmt.pf ppf "@."
-
-let table5 ppf =
-  Fmt.pf ppf "Table 5: number of static and dynamic instructions@.";
-  List.iter
-    (fun machine ->
-      Fmt.pf ppf "@.%s@." machine.Ir.Machine.name;
-      Fmt.pf ppf "%-12s %10s %9s %9s | %12s %9s %9s@." "program" "static"
-        "LOOPS" "JUMPS" "dynamic" "LOOPS" "JUMPS";
-      let totals = ref (0, 0) in
-      List.iter
-        (fun (b : Programs.Suite.benchmark) ->
-          let m level = Measure.run b level machine in
-          let s = m Opt.Driver.Simple in
-          let l = m Opt.Driver.Loops in
-          let j = m Opt.Driver.Jumps in
-          totals := (fst !totals + s.static_instrs, snd !totals + s.dyn_instrs);
-          Fmt.pf ppf "%-12s %10d %+8.2f%% %+8.2f%% | %12d %+8.2f%% %+8.2f%%@."
-            b.name s.static_instrs
-            (change l.static_instrs s.static_instrs)
-            (change j.static_instrs s.static_instrs)
-            s.dyn_instrs
-            (change l.dyn_instrs s.dyn_instrs)
-            (change j.dyn_instrs s.dyn_instrs))
-        Programs.Suite.all;
-      (* averages of the per-program percentage changes, as in the paper *)
-      let avg f =
-        mean
-          (List.map
-             (fun (b : Programs.Suite.benchmark) ->
-               let s = Measure.run b Opt.Driver.Simple machine in
-               f s (Measure.run b Opt.Driver.Loops machine)
-                 (Measure.run b Opt.Driver.Jumps machine))
-             Programs.Suite.all)
-      in
-      let avg_static_l =
-        avg (fun s l _ -> change l.Measure.static_instrs s.Measure.static_instrs)
-      and avg_static_j =
-        avg (fun s _ j -> change j.Measure.static_instrs s.Measure.static_instrs)
-      and avg_dyn_l =
-        avg (fun s l _ -> change l.Measure.dyn_instrs s.Measure.dyn_instrs)
-      and avg_dyn_j =
-        avg (fun s _ j -> change j.Measure.dyn_instrs s.Measure.dyn_instrs)
-      in
-      Fmt.pf ppf "%-12s %10s %+8.2f%% %+8.2f%% | %12s %+8.2f%% %+8.2f%%@."
-        "average" "" avg_static_l avg_static_j "" avg_dyn_l avg_dyn_j)
-    machines;
-  Fmt.pf ppf "@."
-
-let table6 ppf =
-  Fmt.pf ppf
-    "Table 6: percent change in miss ratio and instruction fetch cost@.";
-  let sizes = [ 1; 2; 4; 8 ] in
-  let find_cache (m : Measure.t) ~kb ~cs =
-    List.find
-      (fun (c : Measure.cache_stats) ->
-        c.config.size_bytes = kb * 1024 && c.config.context_switches = cs)
-      m.caches
-  in
-  List.iter
-    (fun what ->
-      Fmt.pf ppf "@.%s:@."
-        (match what with `Miss -> "cache miss ratio (percentage points)"
-                       | `Cost -> "instruction fetch cost (percent)");
-      Fmt.pf ppf "%-28s" "machine / ctx switches";
-      List.iter (fun kb -> Fmt.pf ppf "  %5dKb LOOPS JUMPS " kb) sizes;
-      Fmt.pf ppf "@.";
-      List.iter
-        (fun machine ->
-          List.iter
-            (fun cs ->
-              Fmt.pf ppf "%-28s"
-                (Printf.sprintf "%s / %s" machine.Ir.Machine.name
-                   (if cs then "on" else "off"));
-              List.iter
-                (fun kb ->
-                  let delta level =
-                    mean
-                      (List.map
-                         (fun (b : Programs.Suite.benchmark) ->
-                           let s = Measure.run b Opt.Driver.Simple machine in
-                           let m = Measure.run b level machine in
-                           let cs_s = find_cache s ~kb ~cs in
-                           let cs_m = find_cache m ~kb ~cs in
-                           match what with
-                           | `Miss ->
-                             100.0 *. (cs_m.miss_ratio -. cs_s.miss_ratio)
-                           | `Cost -> change cs_m.fetch_cost cs_s.fetch_cost)
-                         Programs.Suite.all)
-                  in
-                  Fmt.pf ppf "   %+6.2f %+6.2f    "
-                    (delta Opt.Driver.Loops) (delta Opt.Driver.Jumps))
-                sizes;
-              Fmt.pf ppf "@.")
-            [ true; false ])
-        machines)
-    [ `Miss; `Cost ];
-  Fmt.pf ppf "@."
-
-let block_stats ppf =
-  Fmt.pf ppf "Section 5.2 statistics@.@.";
-  Fmt.pf ppf "instructions between branches (dynamic):@.";
-  List.iter
-    (fun machine ->
-      Fmt.pf ppf "  %-18s" machine.Ir.Machine.name;
-      List.iter
-        (fun level ->
-          let ms = Measure.run_suite level machine in
-          Fmt.pf ppf " %s=%5.2f" (Opt.Driver.level_name level)
-            (mean (List.map Measure.instrs_between_branches ms)))
-        levels;
-      Fmt.pf ppf "@.")
-    machines;
-  let risc = Ir.Machine.risc in
-  let nops level =
-    List.fold_left
-      (fun acc (m : Measure.t) -> acc + m.dyn_nops)
-      0 (Measure.run_suite level risc)
-  in
-  let s = nops Opt.Driver.Simple and j = nops Opt.Driver.Jumps in
-  Fmt.pf ppf
-    "@.executed no-ops on the RISC: SIMPLE=%d JUMPS=%d (%.1f%% eliminated)@.@."
-    s j
-    (100.0 *. float_of_int (s - j) /. float_of_int (max 1 s))
-
-(* ------------------------------------------------------------------ *)
-
 let figures ppf =
   let open Ir in
   let open Flow in
@@ -276,14 +106,14 @@ let savings machine opts =
   let per (b : Programs.Suite.benchmark) =
     let s = Measure.run b Opt.Driver.Simple machine in
     let j = Measure.run ~opts b Opt.Driver.Jumps machine in
-    ( change j.Measure.static_instrs s.Measure.static_instrs,
-      change j.Measure.dyn_instrs s.Measure.dyn_instrs,
-      pct j.Measure.dyn_ujumps j.Measure.dyn_instrs )
+    ( Report.change j.Measure.static_instrs s.Measure.static_instrs,
+      Report.change j.Measure.dyn_instrs s.Measure.dyn_instrs,
+      Report.pct j.Measure.dyn_ujumps j.Measure.dyn_instrs )
   in
   let rows = List.map per Programs.Suite.all in
-  ( mean (List.map (fun (a, _, _) -> a) rows),
-    mean (List.map (fun (_, b, _) -> b) rows),
-    mean (List.map (fun (_, _, c) -> c) rows) )
+  ( Report.mean (List.map (fun (a, _, _) -> a) rows),
+    Report.mean (List.map (fun (_, b, _) -> b) rows),
+    Report.mean (List.map (fun (_, _, c) -> c) rows) )
 
 let ablation_cap ppf =
   Fmt.pf ppf
@@ -353,10 +183,10 @@ let ablation_assoc ppf =
   List.iter
     (fun assoc ->
       let delta level =
-        mean
+        Report.mean
           (List.map
              (fun b ->
-               change (fetch_cost assoc level b)
+               Report.change (fetch_cost assoc level b)
                  (fetch_cost assoc Opt.Driver.Simple b))
              Programs.Suite.all)
       in
@@ -374,22 +204,17 @@ let ablation_passes ppf =
   Fmt.pf ppf "disabled (RISC):@.@.";
   Fmt.pf ppf "%-22s %12s@." "configuration" "dynamic";
   let machine = Ir.Machine.risc in
-  let dyn opts level (b : Programs.Suite.benchmark) =
-    let prog =
-      Opt.Driver.optimize
-        { opts with Opt.Driver.level }
-        machine
-        (Frontend.Codegen.compile_source b.source)
-    in
-    let asm = Sim.Asm.assemble machine prog in
-    (Sim.Engine.run ~input:b.input asm prog).counts.total
-  in
+  (* Measured with output verification: a miscompiled ablation build
+     lands in [Measure.mismatches] and fails the run. *)
+  let dyn opts level b = (Measure.run ~opts b level machine).dyn_instrs in
   let row name opts =
     let delta =
-      mean
+      Report.mean
         (List.map
            (fun b ->
-             change (dyn opts Opt.Driver.Jumps b) (dyn opts Opt.Driver.Simple b))
+             Report.change
+               (dyn opts Opt.Driver.Jumps b)
+               (dyn opts Opt.Driver.Simple b))
            Programs.Suite.all)
     in
     Fmt.pf ppf "%-22s %+11.2f%%@." name delta

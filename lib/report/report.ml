@@ -1,13 +1,11 @@
-(* Offline reporting over the bench sweep's machine-readable outputs.
+(* Offline reporting over the bench sweep's machine-readable outputs, and
+   the one place the paper's Tables 4-6 and §5.2 statistics are computed.
 
    Everything here is IO-free: [parse_results] takes the *contents* of a
    BENCH_results.json document, the renderers return strings, and
    [dat_files] returns (filename, contents) pairs — the jumprepc [report]
-   subcommand owns the file handling.  The table shapes and the arithmetic
-   (mean of per-program percentage changes vs SIMPLE, miss-ratio deltas in
-   percentage points) are exactly those of Harness.Tables / the paper's
-   Tables 4-6, so a report regenerated from the JSON alone reproduces the
-   EXPERIMENTS.md numbers. *)
+   subcommand owns the file handling, and bench's [-t 4|5|6|bb] print the
+   same sections over rows measured in-process. *)
 
 module Json = Telemetry.Json
 
@@ -32,7 +30,6 @@ type row = {
   dyn_ujumps : int;
   dyn_nops : int;
   dyn_transfers : int;
-  ibb : float;
   output_ok : bool;
   timed_out : bool;
   caches : cache_row list;
@@ -77,7 +74,6 @@ let row_of_json j =
     dyn_ujumps = get "dyn_ujumps" Json.get_int j;
     dyn_nops = get "dyn_nops" Json.get_int j;
     dyn_transfers = get "dyn_transfers" Json.get_int j;
-    ibb = get "instrs_between_branches" Json.get_float j;
     output_ok = get "output_ok" Json.get_bool j;
     timed_out = get "timed_out" Json.get_bool j;
     caches = List.map cache_of_json (get "caches" Json.to_list j);
@@ -104,7 +100,7 @@ let parse_results contents =
       Ok { rows; counters }
     with Bad m -> Error m)
 
-(* --- aggregation (Harness.Tables arithmetic, over parsed rows) --- *)
+(* --- statistics over parsed rows --- *)
 
 let levels = [ "SIMPLE"; "LOOPS"; "JUMPS" ]
 
@@ -112,10 +108,19 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
+let stddev = function
+  | [] | [ _ ] -> 0.0
+  | xs ->
+    let m = mean xs in
+    sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) xs))
+
 let change now base =
   100.0 *. (float_of_int now -. float_of_int base) /. float_of_int (max 1 base)
 
 let pct a b = 100.0 *. float_of_int a /. float_of_int (max 1 b)
+
+let instrs_between_branches r =
+  float_of_int r.dyn_instrs /. float_of_int (max 1 r.dyn_transfers)
 
 (* First-appearance order, so reports list machines/programs the way the
    sweep emitted them (suite order). *)
@@ -146,6 +151,12 @@ let complete_programs doc machine =
         levels)
     (programs doc)
 
+(* [f] of each complete program's row at [level], in program order. *)
+let per_program doc ~machine ~level f =
+  List.filter_map
+    (fun p -> Option.map f (find doc ~program:p ~level ~machine))
+    (complete_programs doc machine)
+
 let triple doc ~program ~machine =
   match
     ( find doc ~program ~level:"SIMPLE" ~machine,
@@ -155,9 +166,48 @@ let triple doc ~program ~machine =
   | Some s, Some l, Some j -> Some (s, l, j)
   | _ -> None
 
+(* The paper's method: the mean of the per-program changes, not the
+   change of the totals. *)
+let mean_change doc ~machine ~level field =
+  mean
+    (List.filter_map
+       (fun p ->
+         match
+           ( find doc ~program:p ~level:"SIMPLE" ~machine,
+             find doc ~program:p ~level ~machine )
+         with
+         | Some s, Some r -> Some (change (field r) (field s))
+         | _ -> None)
+       (complete_programs doc machine))
+
+(* Table 5's means: static LOOPS, static JUMPS, dynamic LOOPS, dynamic
+   JUMPS. *)
+let table5_means doc machine =
+  let m = mean_change doc ~machine in
+  let static r = r.static_instrs and dynamic r = r.dyn_instrs in
+  ( m ~level:"LOOPS" static,
+    m ~level:"JUMPS" static,
+    m ~level:"LOOPS" dynamic,
+    m ~level:"JUMPS" dynamic )
+
 let cache doc ~program ~level ~machine ~kb ~ctx =
   Option.bind (find doc ~program ~level ~machine) (fun r ->
       List.find_opt (fun c -> c.cr_size_kb = kb && c.cr_ctx = ctx) r.caches)
+
+let cache_delta doc ~machine ~kb ~ctx ~level what =
+  mean
+    (List.filter_map
+       (fun p ->
+         match
+           ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb ~ctx,
+             cache doc ~program:p ~level ~machine ~kb ~ctx )
+         with
+         | Some s, Some m -> (
+           match what with
+           | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
+           | `Cost -> Some (change m.cr_fetch s.cr_fetch))
+         | _ -> None)
+       (complete_programs doc machine))
 
 let cache_sizes doc =
   match doc.rows with
@@ -176,6 +226,42 @@ let buf_table b header rows =
 
 let signed v = Printf.sprintf "%+.2f%%" v
 
+let to_string section doc =
+  let b = Buffer.create 4096 in
+  section b doc;
+  Buffer.contents b
+
+(* Table 4 shape: percent of instructions that are unconditional jumps. *)
+let ujumps_section b doc =
+  Buffer.add_string b "## Unconditional jumps (Table 4 shape)\n\n";
+  Buffer.add_string b
+    "Percent of instructions that are unconditional jumps: the mean over \
+     programs and its population standard deviation.\n\n";
+  let cell machine stat f =
+    String.concat " / "
+      (List.map
+         (fun level ->
+           Printf.sprintf "%.2f" (stat (per_program doc ~machine ~level f)))
+         levels)
+  in
+  buf_table b
+    [
+      "machine"; "statistic"; "static % (SIMPLE/LOOPS/JUMPS)";
+      "dynamic % (SIMPLE/LOOPS/JUMPS)";
+    ]
+    (List.concat_map
+       (fun machine ->
+         List.map
+           (fun (name, stat) ->
+             [
+               machine;
+               name;
+               cell machine stat (fun r -> pct r.static_ujumps r.static_instrs);
+               cell machine stat (fun r -> pct r.dyn_ujumps r.dyn_instrs);
+             ])
+           [ ("mean", mean); ("std", stddev) ])
+       (machines doc))
+
 (* Table 5 shape: per-program percentage changes vs SIMPLE and their mean. *)
 let static_dynamic_section b doc =
   Buffer.add_string b "## Static and dynamic instructions (Table 5 shape)\n\n";
@@ -185,7 +271,6 @@ let static_dynamic_section b doc =
   List.iter
     (fun machine ->
       Buffer.add_string b (Printf.sprintf "### %s\n\n" machine);
-      let progs = complete_programs doc machine in
       let rows =
         List.filter_map
           (fun p ->
@@ -201,24 +286,11 @@ let static_dynamic_section b doc =
                   signed (change j.dyn_instrs s.dyn_instrs);
                 ])
               (triple doc ~program:p ~machine))
-          progs
+          (complete_programs doc machine)
       in
-      let avg f =
-        mean
-          (List.filter_map
-             (fun p -> Option.map f (triple doc ~program:p ~machine))
-             progs)
-      in
+      let sl, sj, dl, dj = table5_means doc machine in
       let mean_row =
-        [
-          "**mean**";
-          "";
-          signed (avg (fun (s, l, _) -> change l.static_instrs s.static_instrs));
-          signed (avg (fun (s, _, j) -> change j.static_instrs s.static_instrs));
-          "";
-          signed (avg (fun (s, l, _) -> change l.dyn_instrs s.dyn_instrs));
-          signed (avg (fun (s, _, j) -> change j.dyn_instrs s.dyn_instrs));
-        ]
+        [ "**mean**"; ""; signed sl; signed sj; ""; signed dl; signed dj ]
       in
       buf_table b
         [
@@ -243,7 +315,6 @@ let code_size_section b doc =
     List.iter
       (fun machine ->
         Buffer.add_string b (Printf.sprintf "### %s\n\n" machine);
-        let progs = complete_programs doc machine in
         let rows =
           List.filter_map
             (fun p ->
@@ -256,20 +327,15 @@ let code_size_section b doc =
                     signed (change j.code_bytes s.code_bytes);
                   ])
                 (triple doc ~program:p ~machine))
-            progs
+            (complete_programs doc machine)
         in
-        let avg f =
-          mean
-            (List.filter_map
-               (fun p -> Option.map f (triple doc ~program:p ~machine))
-               progs)
-        in
+        let bytes r = r.code_bytes in
         let mean_row =
           [
             "**mean**";
             "";
-            signed (avg (fun (s, l, _) -> change l.code_bytes s.code_bytes));
-            signed (avg (fun (s, _, j) -> change j.code_bytes s.code_bytes));
+            signed (mean_change doc ~machine ~level:"LOOPS" bytes);
+            signed (mean_change doc ~machine ~level:"JUMPS" bytes);
           ]
         in
         buf_table b
@@ -278,57 +344,16 @@ let code_size_section b doc =
       (machines doc)
   end
 
-(* Table 4 shape: average percent of instructions that are unconditional
-   jumps. *)
-let ujumps_section b doc =
-  Buffer.add_string b "## Unconditional jumps (Table 4 shape)\n\n";
-  let cell machine f =
-    String.concat " / "
-      (List.map
-         (fun level ->
-           let vals =
-             List.filter_map
-               (fun p ->
-                 Option.map f (find doc ~program:p ~level ~machine))
-               (complete_programs doc machine)
-           in
-           Printf.sprintf "%.2f" (mean vals))
-         levels)
-  in
-  buf_table b
-    [ "machine"; "static % (SIMPLE/LOOPS/JUMPS)"; "dynamic % (SIMPLE/LOOPS/JUMPS)" ]
-    (List.map
-       (fun machine ->
-         [
-           machine;
-           cell machine (fun r -> pct r.static_ujumps r.static_instrs);
-           cell machine (fun r -> pct r.dyn_ujumps r.dyn_instrs);
-         ])
-       (machines doc))
-
 (* Table 6 shape: miss-ratio delta in percentage points and fetch-cost
-   delta in percent, vs SIMPLE, averaged over programs (ctx switching
-   off). *)
+   delta in percent, vs SIMPLE, averaged over programs. *)
 let cache_section b doc =
-  Buffer.add_string b "## Instruction cache (Table 6 shape, ctx switching off)\n\n";
+  Buffer.add_string b "## Instruction cache (Table 6 shape)\n\n";
+  Buffer.add_string b
+    "Deltas vs SIMPLE averaged over programs, per direct-mapped cache size, \
+     with context switching simulated off and on.\n\n";
   let sizes = cache_sizes doc in
-  let delta machine kb level what =
-    mean
-      (List.filter_map
-         (fun p ->
-           match
-             ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb ~ctx:false,
-               cache doc ~program:p ~level ~machine ~kb ~ctx:false )
-           with
-           | Some s, Some m -> (
-             match what with
-             | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
-             | `Cost -> Some (change m.cr_fetch s.cr_fetch))
-           | _ -> None)
-         (complete_programs doc machine))
-  in
   let header =
-    "machine"
+    "machine" :: "ctx switches"
     :: List.map (fun kb -> Printf.sprintf "%dKb LOOPS / JUMPS" kb) sizes
   in
   List.iter
@@ -338,17 +363,53 @@ let cache_section b doc =
         | `Miss -> "Miss ratio delta (percentage points):\n\n"
         | `Cost -> "Fetch cost delta (percent):\n\n");
       buf_table b header
-        (List.map
+        (List.concat_map
            (fun machine ->
-             machine
-             :: List.map
-                  (fun kb ->
-                    Printf.sprintf "%+.2f / %+.2f"
-                      (delta machine kb "LOOPS" what)
-                      (delta machine kb "JUMPS" what))
-                  sizes)
+             List.map
+               (fun ctx ->
+                 let delta kb level =
+                   cache_delta doc ~machine ~kb ~ctx ~level what
+                 in
+                 machine
+                 :: (if ctx then "on" else "off")
+                 :: List.map
+                      (fun kb ->
+                        Printf.sprintf "%+.2f / %+.2f" (delta kb "LOOPS")
+                          (delta kb "JUMPS"))
+                      sizes)
+               [ false; true ])
            (machines doc)))
     [ `Miss; `Cost ]
+
+(* §5.2: dynamic instructions between branches, and the RISC's executed
+   no-ops that JUMPS eliminates along with the jumps' delay slots. *)
+let branch_section b doc =
+  Buffer.add_string b "## Branch statistics (§5.2)\n\n";
+  Buffer.add_string b
+    "Dynamic instructions between branches, averaged over programs:\n\n";
+  buf_table b ("machine" :: levels)
+    (List.map
+       (fun machine ->
+         machine
+         :: List.map
+              (fun level ->
+                Printf.sprintf "%.2f"
+                  (mean
+                     (per_program doc ~machine ~level instrs_between_branches)))
+              levels)
+       (machines doc));
+  if List.mem "risc" (machines doc) then begin
+    let nops level =
+      List.fold_left ( + ) 0
+        (per_program doc ~machine:"risc" ~level (fun r -> r.dyn_nops))
+    in
+    let s = nops "SIMPLE" and j = nops "JUMPS" in
+    Buffer.add_string b
+      (Printf.sprintf
+         "Executed no-ops on risc: SIMPLE %d, JUMPS %d (%.1f%% eliminated).\n\n"
+         s j
+         (100.0 *. float_of_int (s - j) /. float_of_int (max 1 s)))
+  end
 
 let verdict_section b doc =
   let bad = List.filter (fun r -> r.timed_out || not r.output_ok) doc.rows in
@@ -374,14 +435,20 @@ let verdict_section b doc =
       (List.map (fun (k, v) -> [ k; string_of_int v ]) doc.counters)
   end
 
+let table4 = to_string ujumps_section
+let table5 = to_string static_dynamic_section
+let table6 = to_string cache_section
+let section_5_2 = to_string branch_section
+
 let render ?(title = "Benchmark report") doc =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "# %s\n\n" title);
-  verdict_section b doc;
-  static_dynamic_section b doc;
-  code_size_section b doc;
-  ujumps_section b doc;
-  cache_section b doc;
+  List.iter
+    (fun section -> section b doc)
+    [
+      verdict_section; ujumps_section; static_dynamic_section;
+      code_size_section; cache_section; branch_section;
+    ];
   Buffer.contents b
 
 (* --- comparison of two sweeps --- *)
@@ -443,19 +510,6 @@ let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
          changed)
   end;
   (* Headline aggregates side by side: the Table-5 means. *)
-  let means d machine =
-    let progs = complete_programs d machine in
-    let avg f =
-      mean
-        (List.filter_map
-           (fun p -> Option.map f (triple d ~program:p ~machine))
-           progs)
-    in
-    ( avg (fun (s, l, _) -> change l.static_instrs s.static_instrs),
-      avg (fun (s, _, j) -> change j.static_instrs s.static_instrs),
-      avg (fun (s, l, _) -> change l.dyn_instrs s.dyn_instrs),
-      avg (fun (s, _, j) -> change j.dyn_instrs s.dyn_instrs) )
-  in
   let shared =
     List.filter (fun m -> List.mem m (machines b)) (machines a)
   in
@@ -469,14 +523,14 @@ let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
              Printf.sprintf "%s / %s, %s / %s" (signed sl) (signed sj)
                (signed dl) (signed dj)
            in
-           let sla, sja, dla, dja = means a m in
-           let slb, sjb, dlb, djb = means b m in
+           let ((sla, sja, dla, dja) as ma) = table5_means a m in
+           let ((slb, sjb, dlb, djb) as mb) = table5_means b m in
            (* Identical sweeps render an explicit all-zero delta, so "no
               movement" is a visible assertion rather than an absence. *)
            [
              m;
-             fmt (sla, sja, dla, dja);
-             fmt (slb, sjb, dlb, djb);
+             fmt ma;
+             fmt mb;
              fmt (slb -. sla, sjb -. sja, dlb -. dla, djb -. dja);
            ])
          shared)
@@ -513,22 +567,7 @@ let dat_files doc =
     let rows =
       List.map
         (fun kb ->
-          let d level what =
-            mean
-              (List.filter_map
-                 (fun p ->
-                   match
-                     ( cache doc ~program:p ~level:"SIMPLE" ~machine ~kb
-                         ~ctx:false,
-                       cache doc ~program:p ~level ~machine ~kb ~ctx:false )
-                   with
-                   | Some s, Some m -> (
-                     match what with
-                     | `Miss -> Some (100.0 *. (m.cr_miss -. s.cr_miss))
-                     | `Cost -> Some (change m.cr_fetch s.cr_fetch))
-                   | _ -> None)
-                 (complete_programs doc machine))
-          in
+          let d level = cache_delta doc ~machine ~kb ~ctx:false ~level in
           Printf.sprintf "%d\t%.4f\t%.4f\t%.4f\t%.4f\n" kb
             (d "LOOPS" `Miss) (d "JUMPS" `Miss) (d "LOOPS" `Cost)
             (d "JUMPS" `Cost))

@@ -67,6 +67,15 @@ cmp BENCH_results.json BENCH_baseline.json
 dune exec bench/main.exe -- --json -j 4 --engine threaded > /dev/null
 cmp BENCH_results.json BENCH_baseline.json
 
+# The live tables and the report over the byte-identical sweep are one
+# renderer over the same rows, so the text must match exactly.
+echo "== bench -t 4 -t 5 -t 6 -t bb print jumprepc report's sections =="
+dune exec bench/main.exe -- -t 4 -t 5 -t 6 -t bb > _build/tables-live.md
+dune exec bin/jumprepc.exe -- report BENCH_results.json | awk '
+  /^## / { keep = /^## (Unconditional|Static and dynamic|Instruction cache|Branch)/ }
+  keep' > _build/tables-report.md
+diff _build/tables-live.md _build/tables-report.md
+
 echo "== campaign: store sweep, kill-and-resume, byte-identity =="
 BENCHX=_build/default/bench/main.exe
 rm -rf _build/campaign-st1 _build/campaign-st2 _build/campaign-st3
@@ -87,10 +96,23 @@ echo "campaign warm rerun: ${WARM_WALL}s (cold sweep: ${SWEEP_WALL}s), 0 recompu
 # Kill drill: SIGKILL one worker process, then the parent, mid-campaign.
 # The resumed run (4 workers, chaos on) recomputes only the delta and the
 # bytes still match; a second sharded resume finds nothing left to do.
+# The kill lands on progress, not on a timer: once 20 of the 114 entries
+# are committed (a cold campaign takes about a second, so a fixed sleep
+# can miss it and leave the resume nothing to prove).
 "$BENCHX" --json --store _build/campaign-st2 --workers 2 \
   > _build/campaign-killed.log 2>&1 &
 CPID=$!
-sleep 1
+SEEN=
+for i in $(seq 3000); do
+  N=$(ls _build/campaign-st2/objects/*/*.json 2>/dev/null | wc -l)
+  [ "$N" -ge 114 ] && break
+  if [ "$N" -ge 20 ]; then SEEN=$N; break; fi
+  sleep 0.01
+done
+if [ -z "$SEEN" ]; then
+  kill -KILL "$CPID" 2>/dev/null || true
+  echo "kill drill: the campaign never stood between 20 and 113 entries"; exit 1
+fi
 WPID=$(pgrep -P "$CPID" 2>/dev/null | head -1 || true)
 [ -n "$WPID" ] && kill -KILL "$WPID" 2>/dev/null || true
 sleep 0.2
@@ -99,11 +121,15 @@ wait "$CPID" 2>/dev/null || true
 "$BENCHX" --json --store _build/campaign-st2 --resume -j 4 \
   --chaos crash:0.05,seed:3 --retries 4 > _build/campaign-resume.log
 cmp BENCH_results.json BENCH_baseline.json
+COMPUTED=$(sed -n 's/.* cached, \([0-9]*\) computed.*/\1/p' _build/campaign-resume.log)
+if [ "${COMPUTED:-0}" -eq 0 ]; then
+  echo "kill drill: the resumed run computed nothing (killed at $SEEN entries)"; exit 1
+fi
 "$BENCHX" --json --store _build/campaign-st2 --resume --workers 2 \
   > _build/campaign-resume2.log
 cmp BENCH_results.json BENCH_baseline.json
 grep -q ' 114 cached, 0 computed' _build/campaign-resume2.log
-echo "campaign: SIGKILL worker+parent, resumed delta-only, bytes identical"
+echo "campaign: SIGKILL worker+parent at $SEEN entries, resumed $COMPUTED, bytes identical"
 
 # Sharded chaos: worker-process SIGKILLs drawn from the pure schedule;
 # every leased task returns to the queue and completes on a respawn.
