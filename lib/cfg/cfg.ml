@@ -30,6 +30,41 @@ let num_blocks g = Array.length g.succ
 let succs g i = g.succ.(i)
 let preds g i = g.pred.(i)
 
+(* Only the inserted blocks, the block falling into them and the blocks
+   that jumped to the header can have new successors, and only the
+   header and the inserted blocks new predecessors; every other list
+   keeps its order under the index shift (and is shared when no index in
+   it moves). *)
+let insert_preheader g f ~header ~added =
+  let n = num_blocks g in
+  let shift i = if i >= header then i + added else i in
+  let shift_list l =
+    if List.for_all (fun i -> i < header) l then l else List.map shift l
+  in
+  let redo = Array.make n false in
+  List.iter (fun p -> redo.(p) <- true) g.pred.(header);
+  if header > 0 then redo.(header - 1) <- true;
+  let succ = Array.make (n + added) [] in
+  let pred = Array.make (n + added) [] in
+  for i = 0 to n - 1 do
+    let j = shift i in
+    succ.(j) <- (if redo.(i) then succ_indices f j else shift_list g.succ.(i));
+    if i <> header then pred.(j) <- shift_list g.pred.(i)
+  done;
+  let inserted = List.init added (fun k -> header + k) in
+  List.iter (fun j -> succ.(j) <- succ_indices f j) inserted;
+  (* Edges into the inserted blocks and the header come from the old
+     predecessors of the header and from the inserted blocks, in index
+     order. *)
+  let sources =
+    let before, after = List.partition (fun p -> p < header) g.pred.(header) in
+    before @ inserted @ List.map shift after
+  in
+  List.iter
+    (fun t -> pred.(t) <- List.filter (fun p -> List.mem t succ.(p)) sources)
+    (inserted @ [ header + added ]);
+  { succ; pred }
+
 let reachable g =
   let n = num_blocks g in
   let seen = Array.make n false in
@@ -45,20 +80,31 @@ let reachable g =
 let reverse_postorder g =
   let n = num_blocks g in
   let seen = Array.make n false in
-  let order = ref [] in
-  let rec visit i =
-    if not seen.(i) then begin
+  (* Reachable blocks fill [order] from the back as they finish; the
+     unreachable ones follow in index order. *)
+  let order = Array.make n 0 in
+  let rec visit next i =
+    if seen.(i) then next
+    else begin
       seen.(i) <- true;
-      List.iter visit g.succ.(i);
-      order := i :: !order
+      let next = List.fold_left visit next g.succ.(i) in
+      order.(next) <- i;
+      next - 1
     end
   in
-  if n > 0 then visit 0;
-  let head = !order in
-  let tail =
-    List.filter (fun i -> not seen.(i)) (List.init n (fun i -> i))
-  in
-  Array.of_list (head @ tail)
+  let last = if n > 0 then visit (n - 1) 0 else -1 in
+  let reached = n - 1 - last in
+  if reached < n then begin
+    Array.blit order (last + 1) order 0 reached;
+    let k = ref reached in
+    for i = 0 to n - 1 do
+      if not seen.(i) then begin
+        order.(!k) <- i;
+        incr k
+      end
+    done
+  end;
+  order
 
 let graph g =
   {

@@ -10,6 +10,13 @@ val num_blocks : t -> int
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 
+(** The graph of [f] after a preheader edit of the graph described:
+    [added] blocks were inserted at index [header] (the old header's), so
+    every index at or above [header] moved up by [added], and only the
+    inserted blocks, the block before them and the old predecessors of
+    [header] changed their transfers.  Equal to [make f]. *)
+val insert_preheader : t -> Func.t -> header:int -> added:int -> t
+
 (** Blocks reachable from the entry along CFG edges. *)
 val reachable : t -> bool array
 

@@ -72,3 +72,47 @@ let dominates t a b =
   end
 
 let strictly_dominates t a b = a <> b && dominates t a b
+
+(* A preheader takes over the header's entry edges, so it inherits the
+   header's immediate dominator and becomes the header's; the header's
+   subtree moves one level down.  A stub hangs off block [header - 1]. *)
+let insert_preheader t ~header ~added =
+  let n = Array.length t.idom in
+  let shift i = if i >= header then i + added else i in
+  let pre = header + added - 1 in
+  (* 0 unknown, 1 inside the header's dominator subtree, 2 outside *)
+  let sub = Array.make n 0 in
+  let rec in_sub b =
+    if sub.(b) = 0 then
+      sub.(b) <-
+        (if b = header then 1
+         else if b = 0 || t.depth.(b) <= t.depth.(header) then 2
+         else if in_sub t.idom.(b) then 1
+         else 2);
+    sub.(b) = 1
+  in
+  let idom = Array.make (n + added) (-1) in
+  let depth = Array.make (n + added) (-1) in
+  let reach = Array.make (n + added) false in
+  for b = 0 to n - 1 do
+    let j = shift b in
+    reach.(j) <- t.reach.(b);
+    if t.reach.(b) then begin
+      idom.(j) <- (if b = header then pre else shift t.idom.(b));
+      depth.(j) <- (if in_sub b then t.depth.(b) + 1 else t.depth.(b))
+    end
+  done;
+  if header = 0 then idom.(0) <- 0;
+  reach.(pre) <- t.reach.(header);
+  if t.reach.(header) then begin
+    if header > 0 then idom.(pre) <- shift t.idom.(header);
+    depth.(pre) <- t.depth.(header)
+  end;
+  if added = 2 && t.reach.(header - 1) then begin
+    reach.(header) <- true;
+    idom.(header) <- header - 1;
+    depth.(header) <- t.depth.(header - 1) + 1
+  end;
+  { idom; depth; reach }
+
+let equal a b = a.idom = b.idom && a.depth = b.depth && a.reach = b.reach

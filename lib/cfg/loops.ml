@@ -11,36 +11,58 @@ let back_edges g dom =
   done;
   List.rev !edges
 
-(* The natural loop of back edge u -> v: v plus all blocks that reach u
-   without passing through v. *)
-let loop_of_back_edge g (u, v) =
-  let body = ref (Int_set.add v Int_set.empty) in
-  let rec visit x =
-    if not (Int_set.mem x !body) then begin
-      body := Int_set.add x !body;
-      List.iter visit (Cfg.preds g x)
-    end
-  in
-  visit u;
-  { header = v; body = !body }
-
+(* The natural loop of header v: v plus all blocks that reach one of its
+   back-edge sources without passing through v — one search over the
+   merged loop, marking blocks in [claimed] with the header that took
+   them. *)
 let natural_loops g dom =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (u, v) ->
-      let l = loop_of_back_edge g (u, v) in
-      match Hashtbl.find_opt tbl v with
-      | None -> Hashtbl.add tbl v l
-      | Some l' ->
-        Hashtbl.replace tbl v { l' with body = Int_set.union l'.body l.body })
-    (back_edges g dom);
-  Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
-  |> List.sort (fun a b -> Int.compare a.header b.header)
+  let n = Cfg.num_blocks g in
+  let sources = Array.make n [] in
+  List.iter (fun (u, v) -> sources.(v) <- u :: sources.(v)) (back_edges g dom);
+  let claimed = Array.make n (-1) in
+  let loops = ref [] in
+  for v = n - 1 downto 0 do
+    if sources.(v) <> [] then begin
+      claimed.(v) <- v;
+      let body = ref [ v ] in
+      let rec visit x =
+        if claimed.(x) <> v then begin
+          claimed.(x) <- v;
+          body := x :: !body;
+          List.iter visit (Cfg.preds g x)
+        end
+      in
+      List.iter visit sources.(v);
+      loops := { header = v; body = Int_set.of_list !body } :: !loops
+    end
+  done;
+  !loops
 
 let innermost_first loops =
   List.sort
     (fun a b -> Int.compare (Int_set.cardinal a.body) (Int_set.cardinal b.body))
     loops
+
+(* Only loops around the edited one gain blocks: the stub lies on a back
+   edge of [loop], and the preheader on the entry edges of every loop
+   that strictly contains it. *)
+let insert_preheader loops ~loop ~added =
+  let h = loop.header in
+  let shift i = if i >= h then i + added else i in
+  let stub body = if added = 2 then Int_set.add h body else body in
+  List.map
+    (fun l ->
+      let body = Int_set.map shift l.body in
+      let body =
+        if l.header = h then stub body
+        else if Int_set.mem h l.body then
+          Int_set.add (h + added - 1) (stub body)
+        else body
+      in
+      { header = shift l.header; body })
+    loops
+  |> List.sort (fun a b -> Int.compare a.header b.header)
+  |> innermost_first
 
 let is_reducible g dom =
   let n = Cfg.num_blocks g in

@@ -17,6 +17,11 @@ val natural_loops : Cfg.t -> Dom.t -> loop list
 (** Loops ordered by increasing body size, so inner loops come first. *)
 val innermost_first : loop list -> loop list
 
+(** The loop forest, innermost first, after a preheader edit of [loop]
+    ({!Cfg.insert_preheader}, [added] blocks at [loop.header]).  Equal
+    to [innermost_first (natural_loops g dom)] on the edited graph. *)
+val insert_preheader : loop list -> loop:loop -> added:int -> loop list
+
 (** A graph is reducible iff deleting all dominator back edges leaves it
     acyclic (considering reachable blocks only). *)
 val is_reducible : Cfg.t -> Dom.t -> bool

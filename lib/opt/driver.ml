@@ -76,9 +76,10 @@ let shape func = (Func.num_instrs func, Func.num_blocks func, count_ujumps func)
 (* Run one named pass under a span: [Pass_begin], the pass, [Pass_end] with
    the before/after shape and elapsed wall-clock time.  When a profiler is
    attached, the same span also charges the pass's wall time and GC
-   allocation to its (function x pass) row.  Disabled logs and the null
-   profiler pay one branch and no allocation. *)
-let run_pass log profiler fname (name, pass) func =
+   allocation to its (function x pass) row; [replayed], set by the
+   fixpoint's memo, tells a replayed verdict from a real run.  Disabled
+   logs and the null profiler pay one branch and no allocation. *)
+let run_pass ?replayed log profiler fname (name, pass) func =
   let logging = Telemetry.Log.enabled log in
   let profiling = Telemetry.Profiler.enabled profiler in
   if not (logging || profiling) then pass func
@@ -90,12 +91,14 @@ let run_pass log profiler fname (name, pass) func =
       Telemetry.Log.emit log (fun () ->
           Telemetry.Log.Pass_begin { func = fname; pass = name });
     let alloc0 = if profiling then Telemetry.Profiler.alloc_words () else 0.0 in
+    Option.iter (fun r -> r := false) replayed;
     let t0 = Unix.gettimeofday () in
     let func', changed = pass func in
     let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     if profiling then
       Telemetry.Profiler.record_pass profiler ~func:fname ~pass:name
-        ~wall_ms:elapsed_ms
+        ~ran:(match replayed with Some r -> not !r | None -> true)
+        ~changed ~wall_ms:elapsed_ms
         ~alloc:(Telemetry.Profiler.alloc_words () -. alloc0);
     if logging then begin
       let instrs_after, blocks_after, ujumps_after = shape func' in
@@ -124,10 +127,10 @@ let run_pass log profiler fname (name, pass) func =
    Also reports the name of the last pass that changed the function, for
    the fixpoint-divergence warning. *)
 let seq ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
-    ~fname passes func =
+    ?replayed ~fname passes func =
   List.fold_left
     (fun (func, changed, last) (name, pass) ->
-      let func, c = run_pass log profiler fname (name, pass) func in
+      let func, c = run_pass ?replayed log profiler fname (name, pass) func in
       (func, changed || c, if c then name else last))
     (func, false, "") passes
 
@@ -412,16 +415,19 @@ let optimize_func_with ?(log = Telemetry.Log.null)
      sits outside the guard on purpose: re-verifying an already-accepted
      function is as redundant as re-optimizing it. *)
   let nochange : (string, Func.t) Hashtbl.t = Hashtbl.create 16 in
+  let replayed = ref false in
   let memo name pass f =
     match Hashtbl.find_opt nochange name with
-    | Some f0 when f0 == f -> (f, false)
+    | Some f0 when f0 == f ->
+      replayed := true;
+      (f, false)
     | _ ->
       let f', c = pass f in
       if not c then Hashtbl.replace nochange name f';
       (f', c)
   in
   let seq_fix passes func =
-    seq_raw ~log ~profiler ~fname
+    seq_raw ~log ~profiler ~replayed ~fname
       (List.map
          (fun (name, pass) -> (name, memo name (guard g name pass)))
          passes)

@@ -86,7 +86,9 @@ val parse_fault : string -> (string * fault_mode, string) result
 
     With [profiler], the same pass boundary charges each pass's wall time
     and GC allocation to its (function x pass) profiler row
-    ({!Telemetry.Profiler.record_pass}); log and profiler are independent
+    ({!Telemetry.Profiler.record_pass}), counting apart the presentations
+    the fixpoint's no-change memo replayed and the runs that changed the
+    function; log and profiler are independent
     — either may be enabled without the other, and the null profiler
     costs one branch per pass.
 

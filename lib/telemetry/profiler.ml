@@ -1,15 +1,18 @@
 (* Per-pass and per-run profiler.
 
-   Two attribution tables: (function x pass) -> {calls, wall, alloc} fed
-   by the Opt.Driver pass boundary, and run -> {fuel, interp, cache} fed
-   by Harness.Measure.  Like Metrics, a profiler is single-domain state:
-   each task profiles into a private shard that the parent folds back
-   with [merge] in task order.  Wall-clock and allocation numbers are
-   nondeterministic by nature; the deterministic parts (call counts,
-   fuel) are what the determinism tests pin down. *)
+   Two attribution tables: (function x pass) -> {calls, runs, changed,
+   wall, alloc} fed by the Opt.Driver pass boundary, and run -> {fuel,
+   interp, cache} fed by Harness.Measure.  Like Metrics, a profiler is
+   single-domain state: each task profiles into a private shard that the
+   parent folds back with [merge] in task order.  Wall-clock and
+   allocation numbers are nondeterministic by nature; the deterministic
+   parts (call, run and change counts, fuel) are what the determinism
+   tests pin down. *)
 
 type pass_stat = {
-  mutable calls : int;
+  mutable calls : int;  (* presentations, memo replays included *)
+  mutable runs : int;  (* presentations that ran the pass *)
+  mutable changed : int;  (* runs that reported a change *)
   mutable wall_ms : float;
   mutable alloc_words : float;
 }
@@ -36,16 +39,23 @@ let alloc_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
-let record_pass t ~func ~pass ~wall_ms ~alloc =
+let add_pass tbl key ~calls ~runs ~changed ~wall_ms ~alloc =
+  match Hashtbl.find_opt tbl key with
+  | Some s ->
+    s.calls <- s.calls + calls;
+    s.runs <- s.runs + runs;
+    s.changed <- s.changed + changed;
+    s.wall_ms <- s.wall_ms +. wall_ms;
+    s.alloc_words <- s.alloc_words +. alloc
+  | None ->
+    Hashtbl.add tbl key { calls; runs; changed; wall_ms; alloc_words = alloc }
+
+let record_pass t ~func ~pass ~ran ~changed ~wall_ms ~alloc =
   if t.on then
-    let key = (func, pass) in
-    match Hashtbl.find_opt t.passes key with
-    | Some s ->
-      s.calls <- s.calls + 1;
-      s.wall_ms <- s.wall_ms +. wall_ms;
-      s.alloc_words <- s.alloc_words +. alloc
-    | None ->
-      Hashtbl.add t.passes key { calls = 1; wall_ms; alloc_words = alloc }
+    add_pass t.passes (func, pass) ~calls:1
+      ~runs:(Bool.to_int ran)
+      ~changed:(Bool.to_int changed)
+      ~wall_ms ~alloc
 
 let record_run t ~run ~fuel ~interp_ms ~cache_ms =
   if t.on then
@@ -61,11 +71,9 @@ let merge ~into src =
     (* Sort for determinism of table iteration order downstream. *)
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.passes []
     |> List.sort compare
-    |> List.iter (fun ((func, pass), (s : pass_stat)) ->
-           for _ = 2 to s.calls do
-             record_pass into ~func ~pass ~wall_ms:0.0 ~alloc:0.0
-           done;
-           record_pass into ~func ~pass ~wall_ms:s.wall_ms ~alloc:s.alloc_words);
+    |> List.iter (fun (key, (s : pass_stat)) ->
+           add_pass into.passes key ~calls:s.calls ~runs:s.runs
+             ~changed:s.changed ~wall_ms:s.wall_ms ~alloc:s.alloc_words);
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.runs []
     |> List.sort compare
     |> List.iter (fun (run, (s : run_stat)) ->
@@ -79,6 +87,8 @@ type pass_row = {
   p_func : string;
   p_pass : string;
   p_calls : int;
+  p_runs : int;
+  p_changed : int;
   p_wall_ms : float;
   p_alloc_words : float;
 }
@@ -89,18 +99,19 @@ let row_order a b =
   | c -> c
 
 (* All (function x pass) rows, hottest (by wall time) first. *)
+let row p_func p_pass (s : pass_stat) =
+  {
+    p_func;
+    p_pass;
+    p_calls = s.calls;
+    p_runs = s.runs;
+    p_changed = s.changed;
+    p_wall_ms = s.wall_ms;
+    p_alloc_words = s.alloc_words;
+  }
+
 let pass_rows t =
-  Hashtbl.fold
-    (fun (p_func, p_pass) (s : pass_stat) acc ->
-      {
-        p_func;
-        p_pass;
-        p_calls = s.calls;
-        p_wall_ms = s.wall_ms;
-        p_alloc_words = s.alloc_words;
-      }
-      :: acc)
-    t.passes []
+  Hashtbl.fold (fun (func, pass) s acc -> row func pass s :: acc) t.passes []
   |> List.sort row_order
 
 (* Rows aggregated over functions: one row per pass name. *)
@@ -108,26 +119,10 @@ let by_pass t =
   let tbl = Hashtbl.create 16 in
   Hashtbl.iter
     (fun (_, pass) (s : pass_stat) ->
-      match Hashtbl.find_opt tbl pass with
-      | Some r ->
-        r.calls <- r.calls + s.calls;
-        r.wall_ms <- r.wall_ms +. s.wall_ms;
-        r.alloc_words <- r.alloc_words +. s.alloc_words
-      | None ->
-        Hashtbl.add tbl pass
-          { calls = s.calls; wall_ms = s.wall_ms; alloc_words = s.alloc_words })
+      add_pass tbl pass ~calls:s.calls ~runs:s.runs ~changed:s.changed
+        ~wall_ms:s.wall_ms ~alloc:s.alloc_words)
     t.passes;
-  Hashtbl.fold
-    (fun pass (s : pass_stat) acc ->
-      {
-        p_func = "";
-        p_pass = pass;
-        p_calls = s.calls;
-        p_wall_ms = s.wall_ms;
-        p_alloc_words = s.alloc_words;
-      }
-      :: acc)
-    tbl []
+  Hashtbl.fold (fun pass s acc -> row "" pass s :: acc) tbl []
   |> List.sort row_order
 
 type run_row = {
@@ -167,6 +162,8 @@ let to_json t =
                    ("func", Json.Str r.p_func);
                    ("pass", Json.Str r.p_pass);
                    ("calls", Json.Int r.p_calls);
+                   ("runs", Json.Int r.p_runs);
+                   ("changed", Json.Int r.p_changed);
                    ("wall_ms", Json.Raw (Printf.sprintf "%.3f" r.p_wall_ms));
                    ("alloc_words", Json.Raw (Printf.sprintf "%.0f" r.p_alloc_words));
                  ])
@@ -179,6 +176,8 @@ let to_json t =
                  [
                    ("pass", Json.Str r.p_pass);
                    ("calls", Json.Int r.p_calls);
+                   ("runs", Json.Int r.p_runs);
+                   ("changed", Json.Int r.p_changed);
                    ("wall_ms", Json.Raw (Printf.sprintf "%.3f" r.p_wall_ms));
                    ("alloc_words", Json.Raw (Printf.sprintf "%.0f" r.p_alloc_words));
                  ])
@@ -212,6 +211,8 @@ let of_json j =
         (str r "func", str r "pass")
         {
           calls = int r "calls";
+          runs = int r "runs";
+          changed = int r "changed";
           wall_ms = num r "wall_ms";
           alloc_words = num r "alloc_words";
         });
@@ -236,12 +237,12 @@ let pp_table ?(top = 15) ppf t =
   let pass_rows_all = pass_rows t in
   let total_wall = List.fold_left (fun a r -> a +. r.p_wall_ms) 0.0 pass_rows_all in
   Format.fprintf ppf "profile: pass totals (all functions):@.";
-  Format.fprintf ppf "  %-16s %8s %12s %14s %7s@." "pass" "calls" "wall ms"
-    "alloc Mw" "%";
+  Format.fprintf ppf "  %-16s %8s %8s %8s %12s %14s %7s@." "pass" "calls"
+    "runs" "changed" "wall ms" "alloc Mw" "%";
   List.iter
     (fun r ->
-      Format.fprintf ppf "  %-16s %8d %12.3f %14.3f %6.1f%%@." r.p_pass
-        r.p_calls r.p_wall_ms
+      Format.fprintf ppf "  %-16s %8d %8d %8d %12.3f %14.3f %6.1f%%@." r.p_pass
+        r.p_calls r.p_runs r.p_changed r.p_wall_ms
         (r.p_alloc_words /. 1e6)
         (if total_wall > 0.0 then 100.0 *. r.p_wall_ms /. total_wall else 0.0))
     (by_pass t);

@@ -18,8 +18,18 @@ val enabled : t -> bool
     sample before/after a region and subtract. *)
 val alloc_words : unit -> float
 
+(** One presentation of [pass] to [func]: [ran] is false when the
+    driver replayed a memoized no-change verdict instead of running the
+    pass, [changed] is the pass's change flag. *)
 val record_pass :
-  t -> func:string -> pass:string -> wall_ms:float -> alloc:float -> unit
+  t ->
+  func:string ->
+  pass:string ->
+  ran:bool ->
+  changed:bool ->
+  wall_ms:float ->
+  alloc:float ->
+  unit
 
 (** [run] is a free-form key — the sweep uses ["program/LEVEL/machine"].
     Repeated recordings accumulate. *)
@@ -33,7 +43,9 @@ val merge : into:t -> t -> unit
 type pass_row = {
   p_func : string;  (** [""] in {!by_pass} aggregates *)
   p_pass : string;
-  p_calls : int;
+  p_calls : int;  (** presentations, memo replays included *)
+  p_runs : int;  (** presentations that ran the pass: [calls - runs] replays *)
+  p_changed : int;  (** runs that reported a change *)
   p_wall_ms : float;
   p_alloc_words : float;
 }

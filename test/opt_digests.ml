@@ -1,0 +1,36 @@
+(* The MD5 of the optimizer's output for every (program, level, machine)
+   of the corpus and of Gen seeds 0-39: 59 programs x 3 levels x 2
+   machines.  tools/ci.sh diffs this against test/opt_digests.expected,
+   so a compiler change that is meant to keep the output byte-identical
+   can be checked to do so.
+
+   Usage: dune exec test/opt_digests.exe > digests.txt *)
+
+let programs =
+  List.map
+    (fun (b : Programs.Suite.benchmark) -> (b.name, b.source))
+    Programs.Suite.all
+  @ List.init 40 (fun seed ->
+        let gen = Harness.Gen.generate (Random.State.make [| seed |]) in
+        (Printf.sprintf "gen%d" seed, Harness.Gen.to_c gen))
+
+let () =
+  List.iter
+    (fun (name, source) ->
+      List.iter
+        (fun level ->
+          List.iter
+            (fun (machine : Ir.Machine.t) ->
+              let prog =
+                Opt.Driver.compile
+                  { Opt.Driver.default_options with level }
+                  machine source
+              in
+              let text = Fmt.str "%a" Flow.Prog.pp prog in
+              Printf.printf "%s %s %s %s\n%!" name
+                (Opt.Driver.level_name level)
+                machine.short
+                (Digest.to_hex (Digest.string text)))
+            [ Ir.Machine.risc; Ir.Machine.cisc ])
+        [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+    programs

@@ -535,6 +535,332 @@ let test_licm_no_div_hoist () =
         b.instrs)
     (Func.blocks f')
 
+(* --- LICM against the rebuild-every-round oracle --- *)
+
+(* [f] with a label supply of its own at the same next index, so two runs
+   over one input draw the same fresh labels. *)
+let fork f =
+  Func.make ~name:(Func.name f) ~blocks:(Func.blocks f)
+    ~lsupply:
+      (Label.Supply.create_from (Label.Supply.next_index (Func.lsupply f)))
+    ~vsupply:(Func.vsupply f)
+
+let check_licm_oracle f =
+  let f', changed = Opt.Licm.run (fork f) in
+  let o', ochanged = Licm_oracle.run (fork f) in
+  Alcotest.(check string) (Func.name f ^ ": oracle output") (Func.to_string o')
+    (Func.to_string f');
+  Alcotest.(check bool) (Func.name f ^ ": oracle change flag") ochanged changed;
+  (f', changed)
+
+(* Licm's input in the first fixpoint round: the driver's passes up to
+   deadvars, run directly rather than through the driver's verifying
+   boundary. *)
+let licm_input level machine f =
+  let opts = Opt.Driver.options ~level () in
+  let replicate f =
+    match level with
+    | Opt.Driver.Simple -> (f, false)
+    | Loops -> Replication.Loops_rep.run f
+    | Jumps ->
+      Replication.Jumps.run
+        {
+          Replication.Jumps.heuristic = opts.heuristic;
+          max_rtls = opts.max_rtls;
+          allow_irreducible = false;
+          size_cap = max 2000 (8 * Func.num_instrs f);
+          replicate_indirect = opts.replicate_indirect;
+        }
+        f
+  in
+  List.fold_left
+    (fun f pass -> fst (pass f))
+    (Opt.Legalize.run machine f)
+    [
+      Opt.Branch_chain.run; Opt.Unreachable.run; Opt.Reorder.run;
+      Opt.Branch_chain.run; replicate; Opt.Unreachable.run;
+      Opt.Isel.run machine; Opt.Cse.run; Opt.Gcse.run; Opt.Deadvars.run;
+    ]
+
+(* Every function of the corpus and of Gen seeds 0-9, at each level, for
+   both machines. *)
+let licm_inputs =
+  lazy
+    (let sources =
+       List.map (fun (b : Programs.Suite.benchmark) -> b.source) Programs.Suite.all
+       @ List.init 10 (fun seed ->
+             Harness.Gen.to_c (Harness.Gen.generate (Random.State.make [| seed |])))
+     in
+     List.concat_map
+       (fun src ->
+         let prog = Frontend.Codegen.compile_source src in
+         List.concat_map
+           (fun machine ->
+             List.concat_map
+               (fun level -> List.map (licm_input level machine) prog.Prog.funcs)
+               Helpers.levels)
+           Helpers.machines)
+       sources)
+
+let test_licm_matches_oracle () =
+  let changed =
+    List.fold_left
+      (fun n f -> if snd (check_licm_oracle f) then n + 1 else n)
+      0 (Lazy.force licm_inputs)
+  in
+  Printf.printf "%d of %d functions hoisted\n" changed
+    (List.length (Lazy.force licm_inputs));
+  Alcotest.(check bool) "some function hoists" true (changed > 0)
+
+let same_loops (a : Loops.loop list) (b : Loops.loop list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Loops.loop) (y : Loops.loop) ->
+         x.header = y.header && Loops.Int_set.equal x.body y.body)
+       a b
+
+(* Reverse postorder as a list built at each DFS finish, unreachable
+   blocks appended in index order. *)
+let reference_rpo g =
+  let n = Cfg.num_blocks g in
+  let seen = Array.make n false in
+  let order = ref [] in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter visit (Cfg.succs g i);
+      order := i :: !order
+    end
+  in
+  visit 0;
+  Array.of_list
+    (!order @ List.filter (fun i -> not seen.(i)) (List.init n Fun.id))
+
+let test_natural_loops_reference () =
+  (let g =
+     Cfg.make
+       (mk "unreached"
+          [
+            (fun l -> [ Rtl.Enter 8; Rtl.Jump l.(3) ]);
+            (fun l -> [ Rtl.Jump l.(2) ]);
+            (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+            (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 0); Rtl.Branch (Eq, l.(2)) ]);
+            (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+          ])
+   in
+   Alcotest.(check (array int)) "unreachable block last" [| 0; 3; 2; 4; 1 |]
+     (Cfg.reverse_postorder g));
+  List.iter
+    (fun f ->
+      let g = Cfg.make f in
+      Alcotest.(check (array int)) (Func.name f ^ ": reverse postorder")
+        (reference_rpo g) (Cfg.reverse_postorder g);
+      let dom = Dom.compute g in
+      Alcotest.(check bool) (Func.name f ^ ": loops") true
+        (same_loops (Licm_oracle.natural_loops g dom) (Loops.natural_loops g dom)))
+    (Lazy.force licm_inputs)
+
+(* Insert a preheader on every loop in turn, carrying the updated CFG,
+   dominators and loop forest from edit to edit; each must equal a fresh
+   build. *)
+let test_preheader_updates () =
+  let fresh f =
+    let g = Cfg.make f in
+    let dom = Dom.compute g in
+    (g, dom, Loops.innermost_first (Loops.natural_loops g dom))
+  in
+  let same_cfg a b =
+    Cfg.num_blocks a = Cfg.num_blocks b
+    && List.for_all
+         (fun i -> Cfg.succs a i = Cfg.succs b i && Cfg.preds a i = Cfg.preds b i)
+         (List.init (Cfg.num_blocks a) Fun.id)
+  in
+  let edits = ref 0 in
+  List.iter
+    (fun f ->
+      let f = fork f in
+      let g, dom, loops = fresh f in
+      ignore
+        (List.fold_left
+           (fun (f, g, dom, loops) i ->
+             let loop = List.nth loops i in
+             let f', _ = Opt.Licm.insert_preheader f loop in
+             let added = Func.num_blocks f' - Func.num_blocks f in
+             let header = loop.header in
+             let g' = Cfg.insert_preheader g f' ~header ~added in
+             let dom' = Dom.insert_preheader dom ~header ~added in
+             let loops' = Loops.insert_preheader loops ~loop ~added in
+             let fg, fdom, floops = fresh f' in
+             let what = Printf.sprintf "%s, loop %d" (Func.name f) i in
+             Alcotest.(check bool) (what ^ ": cfg") true (same_cfg fg g');
+             Alcotest.(check bool) (what ^ ": dominators") true (Dom.equal fdom dom');
+             Alcotest.(check bool) (what ^ ": loops") true (same_loops floops loops');
+             incr edits;
+             (f', g', dom', loops'))
+           (f, g, dom, loops)
+           (List.init (List.length loops) Fun.id)))
+    (Lazy.force licm_inputs);
+  Printf.printf "%d preheader edits\n" !edits;
+  Alcotest.(check bool) "some loops" true (!edits > 0)
+
+(* Preheader shapes, each checked against the oracle and the verifier. *)
+let licm_shape name blocks =
+  let f', changed = check_licm_oracle (mk name blocks) in
+  Alcotest.(check bool) (name ^ ": changed") true changed;
+  Check.assert_ok f';
+  f'
+
+let mul_v1 = Rtl.Binop (Mul, Lreg (v 1), Reg (v 20), Reg (v 21))
+
+(* The block of the first instruction satisfying [p], or -1. *)
+let block_of f p =
+  let found = ref (-1) in
+  Array.iteri
+    (fun bi (b : Func.block) ->
+      if !found < 0 && List.exists p b.instrs then found := bi)
+    (Func.blocks f);
+  !found
+
+let test_licm_fallthrough_pred () =
+  (* The body (block 1) falls into the header from inside the loop and has
+     no terminator: it gains a jump over the new preheader. *)
+  let f' =
+    licm_shape "licm-fall"
+      [
+        (fun l -> [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0); Rtl.Jump l.(2) ]);
+        (fun _ -> [ mul_v1; Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 1)) ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Lt, l.(1)) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  Alcotest.(check int) "one preheader" 5 (Func.num_blocks f');
+  Alcotest.(check int) "mul in the preheader" 2
+    (block_of f' (Rtl.equal_instr mul_v1));
+  match Func.terminator (Func.block f' 1) with
+  | Some (Rtl.Jump l) ->
+    Alcotest.(check bool) "jumps to the header" true
+      (Label.equal l (Func.block f' 3).label)
+  | _ -> Alcotest.fail "the fall-through predecessor needs a jump"
+
+let test_licm_branch_pred_stub () =
+  (* The same predecessor ends in a conditional branch: a jump-only stub
+     goes between it and the preheader. *)
+  let f' =
+    licm_shape "licm-stub"
+      [
+        (fun l -> [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0); Rtl.Jump l.(2) ]);
+        (fun l ->
+          [
+            mul_v1; Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 1));
+            Rtl.Cmp (Reg (v 0), Imm 100); Rtl.Branch (Gt, l.(3));
+          ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Lt, l.(1)) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  Alcotest.(check int) "stub and preheader" 6 (Func.num_blocks f');
+  Alcotest.(check int) "mul in the preheader" 3
+    (block_of f' (Rtl.equal_instr mul_v1));
+  match (Func.block f' 2).instrs with
+  | [ Rtl.Jump l ] ->
+    Alcotest.(check bool) "stub jumps to the header" true
+      (Label.equal l (Func.block f' 4).label)
+  | _ -> Alcotest.fail "expected a jump-only stub before the preheader"
+
+let test_licm_ijump_entry () =
+  (* An outside indirect jump's table names the header: that entry moves
+     to the preheader, the other stays. *)
+  let f' =
+    licm_shape "licm-ijump"
+      [
+        (fun l ->
+          [
+            Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0);
+            Rtl.Ijump (v 22, [| l.(1); l.(3) |]);
+          ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Ge, l.(3)) ]);
+        (fun l ->
+          [ mul_v1; Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 1)); Rtl.Jump l.(1) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  let pre = (Func.block f' 1).label in
+  Alcotest.(check int) "mul in the preheader" 1
+    (block_of f' (Rtl.equal_instr mul_v1));
+  match Func.terminator (Func.block f' 0) with
+  | Some (Rtl.Ijump (_, [| a; b |])) ->
+    Alcotest.(check bool) "entry retargeted" true (Label.equal a pre);
+    Alcotest.(check bool) "exit entry kept" true
+      (Label.equal b (Func.block f' 4).label)
+  | _ -> Alcotest.fail "expected the two-entry indirect jump"
+
+let test_licm_stacked_preheaders () =
+  (* v2 := v1 + 5 becomes invariant once v1's definition has left: the
+     second hoist stacks a second preheader under the first. *)
+  let add_v2 = Rtl.Binop (Add, Lreg (v 2), Reg (v 1), Imm 5) in
+  let f' =
+    licm_shape "licm-chain"
+      [
+        (fun _ -> [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0) ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Ge, l.(3)) ]);
+        (fun l ->
+          [ mul_v1; add_v2; Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 2)); Rtl.Jump l.(1) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  Alcotest.(check int) "two preheaders" 6 (Func.num_blocks f');
+  Alcotest.(check int) "mul in the first" 1 (block_of f' (Rtl.equal_instr mul_v1));
+  Alcotest.(check int) "add in the second" 2 (block_of f' (Rtl.equal_instr add_v2))
+
+let test_licm_round_cap () =
+  (* A chain of 55 invariants, each usable only once the one before has
+     left: one hoist per round, and the run stops after 50 rounds. *)
+  let chain =
+    mul_v1
+    :: List.init 54 (fun k ->
+           let src = if k = 0 then v 1 else v (k + 29) in
+           Rtl.Binop (Add, Lreg (v (k + 30)), Reg src, Imm 1))
+  in
+  let f' =
+    licm_shape "licm-cap"
+      [
+        (fun _ -> [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0) ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Ge, l.(3)) ]);
+        (fun l ->
+          chain
+          @ [ Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 83)); Rtl.Jump l.(1) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  Alcotest.(check int) "50 preheaders" 54 (Func.num_blocks f')
+
+let test_licm_retry_after_outer_hoist () =
+  (* The inner loop {3, 4} cannot move v1 (live into its header) nor v2
+     (v1 is defined inside).  The outer loop hoists both v1 definitions,
+     which drops the inner loop's failure record; retried, it hoists v2. *)
+  let add_v2 = Rtl.Binop (Add, Lreg (v 2), Reg (v 1), Imm 1) in
+  let f' =
+    licm_shape "licm-retry"
+      [
+        (fun _ -> [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 0) ]);
+        (fun l -> [ Rtl.Cmp (Reg (v 0), Imm 10); Rtl.Branch (Ge, l.(5)) ]);
+        (fun _ -> [ mul_v1; Rtl.Move (Lreg (v 3), Imm 0) ]);
+        (fun l ->
+          [
+            Rtl.Binop (Add, Lreg (v 0), Reg (v 0), Reg (v 1));
+            Rtl.Cmp (Reg (v 3), Imm 5); Rtl.Branch (Ge, l.(1));
+          ]);
+        (fun l ->
+          [ mul_v1; add_v2; Rtl.Binop (Add, Lreg (v 3), Reg (v 3), Reg (v 2)); Rtl.Jump l.(3) ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  let g = Cfg.make f' in
+  let loops = Loops.natural_loops g (Dom.compute g) in
+  let in_loop bi = List.exists (fun l -> Loops.Int_set.mem bi l.Loops.body) loops in
+  Alcotest.(check bool) "v2 left both loops" false
+    (in_loop (block_of f' (Rtl.equal_instr add_v2)))
+
 (* --- Strength reduction --- *)
 
 let test_strength_reduction () =
@@ -698,6 +1024,22 @@ let tests =
       Alcotest.test_case "licm hoists invariants" `Quick test_licm_hoists;
       Alcotest.test_case "licm leaves variants" `Quick test_licm_leaves_variant;
       Alcotest.test_case "licm never hoists guarded div" `Quick test_licm_no_div_hoist;
+      Alcotest.test_case "licm: fall-through predecessor" `Quick
+        test_licm_fallthrough_pred;
+      Alcotest.test_case "licm: branching predecessor gets a stub" `Quick
+        test_licm_branch_pred_stub;
+      Alcotest.test_case "licm: indirect jump into the header" `Quick
+        test_licm_ijump_entry;
+      Alcotest.test_case "licm: stacked preheaders" `Quick
+        test_licm_stacked_preheaders;
+      Alcotest.test_case "licm: 50-round cap" `Quick test_licm_round_cap;
+      Alcotest.test_case "licm: retried after an outer hoist" `Quick
+        test_licm_retry_after_outer_hoist;
+      Alcotest.test_case "licm matches the oracle" `Quick test_licm_matches_oracle;
+      Alcotest.test_case "natural loops and rpo match the references" `Quick
+        test_natural_loops_reference;
+      Alcotest.test_case "licm preheader updates equal rebuilds" `Quick
+        test_preheader_updates;
       Alcotest.test_case "strength reduction" `Quick test_strength_reduction;
       Alcotest.test_case "isel copy/const propagation" `Quick test_isel_copy_prop;
       Alcotest.test_case "isel cisc fusion" `Quick test_isel_cisc_fusion;

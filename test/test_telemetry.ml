@@ -470,30 +470,43 @@ let test_json_strict_edges () =
   | Error _ -> ()
 
 (* Profiler shards fold like the registry: merged aggregates equal the
-   single-table run, calls/wall/alloc summing. *)
+   single-table run, calls/runs/changed/wall/alloc summing. *)
 let test_profiler_merge () =
-  let feed p =
-    Profiler.record_pass p ~func:"main" ~pass:"cse" ~wall_ms:1.0 ~alloc:10.0;
-    Profiler.record_pass p ~func:"main" ~pass:"cse" ~wall_ms:2.0 ~alloc:5.0;
-    Profiler.record_pass p ~func:"wc" ~pass:"replicate" ~wall_ms:5.0
-      ~alloc:100.0;
+  let cse p ~ran ~changed wall_ms alloc =
+    Profiler.record_pass p ~func:"main" ~pass:"cse" ~ran ~changed ~wall_ms
+      ~alloc
+  in
+  let replicate p =
+    Profiler.record_pass p ~func:"wc" ~pass:"replicate" ~ran:true
+      ~changed:true ~wall_ms:5.0 ~alloc:100.0;
     Profiler.record_run p ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0
       ~cache_ms:0.5
   in
   let whole = Profiler.create () in
-  feed whole;
+  cse whole ~ran:true ~changed:true 1.0 10.0;
+  cse whole ~ran:false ~changed:false 2.0 5.0;
+  replicate whole;
   let a = Profiler.create () and b = Profiler.create () in
-  Profiler.record_pass a ~func:"main" ~pass:"cse" ~wall_ms:1.0 ~alloc:10.0;
-  Profiler.record_pass b ~func:"main" ~pass:"cse" ~wall_ms:2.0 ~alloc:5.0;
-  Profiler.record_pass b ~func:"wc" ~pass:"replicate" ~wall_ms:5.0 ~alloc:100.0;
-  Profiler.record_run b ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0
-    ~cache_ms:0.5;
+  cse a ~ran:true ~changed:true 1.0 10.0;
+  cse b ~ran:false ~changed:false 2.0 5.0;
+  replicate b;
   let merged = Profiler.create () in
   Profiler.merge ~into:merged a;
   Profiler.merge ~into:merged b;
   Alcotest.(check string) "merged = sequential"
     (Json.to_string (Profiler.to_json whole))
     (Json.to_string (Profiler.to_json merged));
+  (* The text a worker ships back reads as the same profile. *)
+  Alcotest.(check string) "of_json inverts to_json"
+    (Json.to_string (Profiler.to_json merged))
+    (match Json.parse (Json.to_string (Profiler.to_json merged)) with
+    | Ok doc -> Json.to_string (Profiler.to_json (Profiler.of_json doc))
+    | Error e -> Alcotest.fail e);
+  (match
+     List.find (fun r -> r.Profiler.p_pass = "cse") (Profiler.pass_rows merged)
+   with
+  | { Profiler.p_calls = 2; p_runs = 1; p_changed = 1; _ } -> ()
+  | _ -> Alcotest.fail "cse: 2 calls = 1 run + 1 replay, 1 changed");
   (* Hottest-first ordering and by-pass aggregation. *)
   (match Profiler.pass_rows merged with
   | { Profiler.p_func = "wc"; p_pass = "replicate"; p_calls = 1; _ } :: _ -> ()
@@ -504,10 +517,48 @@ let test_profiler_merge () =
     Alcotest.(check string) "aggregate has no func" "" first.Profiler.p_func
   | [] -> Alcotest.fail "no by-pass rows");
   (* Null profiler records nothing. *)
-  Profiler.record_pass Profiler.null ~func:"f" ~pass:"p" ~wall_ms:1.0
-    ~alloc:1.0;
+  Profiler.record_pass Profiler.null ~func:"f" ~pass:"p" ~ran:true
+    ~changed:false ~wall_ms:1.0 ~alloc:1.0;
   Alcotest.(check int) "null stays empty" 0
     (List.length (Profiler.pass_rows Profiler.null))
+
+(* Runs and replays: the fixpoint's memo answers some presentations
+   without running the pass.  The replication hook sees exactly the real
+   runs, so its count pins [runs]; [calls - runs] are the replays. *)
+let test_profiler_runs () =
+  let profiler = Profiler.create () in
+  let runs = ref 0 and changes = ref 0 in
+  let replicate ?(allow_irreducible = false) f =
+    let f', c = Replication.Loops_rep.run f in
+    if not allow_irreducible then begin
+      incr runs;
+      if c then incr changes
+    end;
+    (f', c)
+  in
+  let opts = Opt.Driver.options ~level:Opt.Driver.Loops () in
+  let src = (Option.get (Programs.Suite.find "wc")).source in
+  List.iter
+    (fun f ->
+      ignore
+        (Opt.Driver.optimize_func_with ~profiler ~replicate opts
+           Ir.Machine.risc f))
+    (Frontend.Codegen.compile_source src).Flow.Prog.funcs;
+  let rows = Profiler.by_pass profiler in
+  List.iter
+    (fun (r : Profiler.pass_row) ->
+      let replays = r.p_calls - r.p_runs in
+      Alcotest.(check bool) (r.p_pass ^ ": replays >= 0") true (replays >= 0);
+      Alcotest.(check int) (r.p_pass ^ ": runs + replays = calls") r.p_calls
+        (r.p_runs + replays);
+      Alcotest.(check bool) (r.p_pass ^ ": changed <= runs") true
+        (r.p_changed <= r.p_runs))
+    rows;
+  let row name = List.find (fun r -> r.Profiler.p_pass = name) rows in
+  Alcotest.(check int) "replicate runs" !runs (row "replicate").p_runs;
+  Alcotest.(check int) "replicate changed" !changes (row "replicate").p_changed;
+  Alcotest.(check bool) "some presentation was replayed" true
+    (List.exists (fun r -> r.Profiler.p_runs < r.p_calls) rows)
 
 let tests =
   ( "telemetry",
@@ -529,4 +580,5 @@ let tests =
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json strict edges" `Quick test_json_strict_edges;
       Alcotest.test_case "profiler merge" `Quick test_profiler_merge;
+      Alcotest.test_case "profiler runs and replays" `Quick test_profiler_runs;
     ] )

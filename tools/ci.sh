@@ -26,6 +26,13 @@ fi
 echo "== dune runtest =="
 dune runtest
 
+# Optimizer output is pinned: the MD5 of Prog.pp for every (program,
+# level, machine) of the corpus and Gen seeds 0-39.  A change that means
+# to alter the output regenerates the file and says why.
+echo "== optimizer output digests (354 compiles) =="
+dune exec test/opt_digests.exe > _build/opt-digests.txt
+diff test/opt_digests.expected _build/opt-digests.txt
+
 echo "== fuzz smoke (25 seeds, 2 workers) =="
 dune exec bin/jumprepc.exe -- fuzz --seeds 25 -j 2 --quiet --out _build/fuzz-failures
 
