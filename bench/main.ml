@@ -386,7 +386,7 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos ?engine
       fs);
   !failed
 
-(* Worker-process mode: serve measure requests over stdin/stdout,
+(* Worker-process mode: serve measure and fuzz requests over stdin/stdout,
    committing to the store when [--store DIR] is given.  Handled before
    [Arg.parse] so the protocol loop owns stdout from the first byte. *)
 let worker_main () =
@@ -418,6 +418,7 @@ let () =
   let bech_quota = ref 0.5 in
   let json = ref false in
   let jobs = ref (Harness.Pool.default_jobs ()) in
+  let set_jobs = Arg.Int (fun n -> jobs := Harness.Pool.clamp_jobs ~what:"-j" n) in
   let chaos = ref None in
   let task_deadline = ref None in
   let retries = ref None in
@@ -443,12 +444,10 @@ let () =
         "SECS  per-benchmark time budget (default 0.5)" );
       ("--json", Arg.Set json, " write BENCH_results.json (full suite sweep)");
       ( "-j",
-        Arg.Set_int jobs,
+        set_jobs,
         "N  worker processes for the --json sweep (default $JUMPREP_JOBS or \
          1; 1 runs in-process)" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N  same as -j" );
+      ("--jobs", set_jobs, "N  same as -j");
       ( "--chaos",
         Arg.String
           (fun s ->

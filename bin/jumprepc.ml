@@ -207,17 +207,6 @@ let report_diags diags =
 let strict_exit strict diags =
   if strict && Telemetry.Diag.has_errors !diags then exit 3
 
-let make_opts ?(verify = false) ?(certify = false) ?inject_fault ?budget level
-    =
-  {
-    Opt.Driver.default_options with
-    level;
-    verify_passes = verify;
-    certify;
-    inject_fault;
-    budget;
-  }
-
 (* --- budget arguments (compile/run) --- *)
 
 let wall_budget_arg =
@@ -291,7 +280,7 @@ let compile_cmd =
     let budget = make_budget wall_budget growth_budget in
     let prog =
       compile_prog ~log ~diags
-        (make_opts ~verify ~certify ?inject_fault ?budget level)
+        { (Ops.make_opts ~verify ?inject_fault ?budget level) with certify }
         machine path
     in
     if dump_rtl || not (dump_asm || stats_json) then
@@ -378,7 +367,7 @@ let run_cmd =
     let budget = make_budget wall_budget growth_budget in
     let prog =
       compile_prog ~log ~diags
-        (make_opts ~verify ~certify ?inject_fault ?budget level)
+        { (Ops.make_opts ~verify ?inject_fault ?budget level) with certify }
         machine path
     in
     let asm = Sim.Asm.assemble machine prog in
@@ -540,7 +529,7 @@ let bench_cmd =
       exit 1
     | Some b ->
       let log, finish = make_log trace trace_out in
-      let opts = if verify then Some (make_opts ~verify level) else None in
+      let opts = if verify then Some (Ops.make_opts ~verify level) else None in
       let m = Harness.Measure.run ?opts ~log ~engine b level machine in
       if stats_json then print_endline (Harness.Measure.to_json m)
       else begin
@@ -739,11 +728,28 @@ let certify_cmd =
           exit 2
     in
     let st = if store = "" then None else Some (Campaign.Store.open_ store) in
-    (* Render one target's report to its cacheable form: the stdout text
-       block, the --json array element, the stderr diagnostic lines and
-       the exit verdict — everything a resumed run must replay
-       byte-for-byte. *)
-    let render t verdicts diags =
+    (* Only bundled benchmarks are cacheable: a file target's bytes are
+       not part of {!Campaign.Key.certify}. *)
+    let key_of t =
+      match st with
+      | Some _ when not (Sys.file_exists t) ->
+        Option.fold ~none:""
+          ~some:(Campaign.Key.certify ~level ~machine ~inject_fault)
+          (Programs.Suite.find t)
+      | _ -> ""
+    in
+    (* Certify one target and render its report to its cacheable entry:
+       the stdout text block, the --json array element, the exit verdict
+       and the stderr diagnostic lines — everything a resumed run must
+       replay byte-for-byte. *)
+    let entry t =
+      let verdicts, diags =
+        match
+          Ops.certify_report ?inject_fault ~level ~machine ~path:t (source_of t)
+        with
+        | Error f -> fail_op f
+        | Ok r -> r
+      in
       let buf = Buffer.create 256 in
       let certified, unknown, refuted = Ops.certify_summary verdicts in
       Buffer.add_string buf
@@ -764,114 +770,78 @@ let certify_cmd =
                  r.Tv.vpass reason
                  (String.concat " -> " path)))
         verdicts;
-      let anyref =
-        List.exists
-          (fun (r : Tv.record) ->
-            match r.Tv.verdict with Tv.Refuted _ -> true | _ -> false)
-          verdicts
+      let stderr_line d =
+        Json.Str
+          (Printf.sprintf "jumprepc: %s: %s"
+             (match d.Telemetry.Diag.severity with
+             | Telemetry.Diag.Warn -> "warning"
+             | Telemetry.Diag.Err -> "error")
+             (Telemetry.Diag.to_string d))
       in
-      let stderr_lines =
-        List.map
-          (fun d ->
-            Printf.sprintf "jumprepc: %s: %s"
-              (match d.Telemetry.Diag.severity with
-              | Telemetry.Diag.Warn -> "warning"
-              | Telemetry.Diag.Err -> "error")
-              (Telemetry.Diag.to_string d))
-          diags
-      in
-      ( Buffer.contents buf,
-        Json.to_string (Ops.certify_json ~target:t ~level ~machine verdicts),
-        anyref,
-        stderr_lines )
+      [
+        ("kind", Json.Str "certify/1");
+        ("target", Json.Str t);
+        ("text", Json.Str (Buffer.contents buf));
+        ( "json",
+          Json.Str
+            (Json.to_string (Ops.certify_json ~target:t ~level ~machine verdicts))
+        );
+        ("refuted", Json.Bool (refuted > 0));
+        ("stderr", Json.Arr (List.map stderr_line diags));
+      ]
     in
-    let n_cached = ref 0 and n_computed = ref 0 in
+    let decode ~cached e =
+      let fstr n = Option.bind (Json.member n e) Json.get_string in
+      let lines =
+        Option.map
+          (List.filter_map Json.get_string)
+          (Option.bind (Json.member "stderr" e) Json.to_list)
+      in
+      match
+        ( fstr "text",
+          fstr "json",
+          Option.bind (Json.member "refuted" e) Json.get_bool,
+          lines )
+      with
+      | Some text, Some jsonel, Some anyref, Some lines ->
+        Ok (text, jsonel, anyref, lines, cached)
+      | _ -> Error "entry is missing certify fields"
+    in
+    let answers, corrupt, _ =
+      Campaign.Runner.run ?store:st ~resume ~retries:0
+        ~handler:(fun _ t ->
+          Campaign.Runner.answer ?store:st ~key:(key_of t) (fun () ->
+              (entry t, [])))
+        ~decode
+        (List.map (fun t -> (key_of t, t)) targets)
+    in
+    List.iter warn_diag corrupt;
     let reports =
       List.map
-        (fun t ->
-          let key =
-            (* Only bundled benchmarks are cacheable: a file target's
-               bytes are not part of {!Campaign.Key.certify}. *)
-            match st with
-            | Some _ when not (Sys.file_exists t) ->
-              Option.map
-                (Campaign.Key.certify ~level ~machine ~inject_fault)
-                (Programs.Suite.find t)
-            | _ -> None
-          in
-          let compute () =
-            incr n_computed;
-            match
-              Ops.certify_report ?inject_fault ~level ~machine ~path:t
-                (source_of t)
-            with
-            | Error f -> fail_op f
-            | Ok (verdicts, diags) -> render t verdicts diags
-          in
-          let compute_and_commit sth key =
-            let ((text, jsonel, anyref, lines) as r) = compute () in
-            Campaign.Store.lease sth key;
-            Campaign.Store.commit sth ~key
-              (Json.Obj
-                 [
-                   ("kind", Json.Str "certify/1");
-                   ("target", Json.Str t);
-                   ("text", Json.Str text);
-                   ("json", Json.Str jsonel);
-                   ("refuted", Json.Bool anyref);
-                   ( "stderr",
-                     Json.Arr (List.map (fun l -> Json.Str l) lines) );
-                 ]);
-            r
-          in
-          match (st, key) with
-          | None, _ | _, None -> compute ()
-          | Some sth, Some key ->
-            if not resume then compute_and_commit sth key
-            else (
-              match Campaign.Store.find sth key with
-              | Campaign.Store.Miss -> compute_and_commit sth key
-              | Campaign.Store.Corrupt d ->
-                warn_diag d;
-                compute_and_commit sth key
-              | Campaign.Store.Hit e -> (
-                let fstr n = Option.bind (Json.member n e) Json.get_string in
-                let lines =
-                  Option.map
-                    (List.filter_map Json.get_string)
-                    (Option.bind (Json.member "stderr" e) Json.to_list)
-                in
-                match
-                  ( fstr "text",
-                    fstr "json",
-                    Option.bind (Json.member "refuted" e) Json.get_bool,
-                    lines )
-                with
-                | Some text, Some jsonel, Some anyref, Some lines ->
-                  incr n_cached;
-                  (text, jsonel, anyref, lines)
-                | _ ->
-                  warn_diag
-                    (Campaign.Store.note_corrupt sth key
-                       "entry is missing certify fields");
-                  compute_and_commit sth key)))
-        targets
+        (function
+          | Harness.Pool.Done r -> r
+          | Crashed { exn; _ } -> raise exn
+          (* No deadline and no chaos: an attempt can only crash. *)
+          | Timed_out _ -> assert false)
+        answers
     in
     if json then
       print_json
-        (Json.Arr (List.map (fun (_, j, _, _) -> Json.Raw j) reports))
-    else List.iter (fun (text, _, _, _) -> print_string text) reports;
+        (Json.Arr (List.map (fun (_, j, _, _, _) -> Json.Raw j) reports))
+    else List.iter (fun (text, _, _, _, _) -> print_string text) reports;
     (* Pipeline diagnostics (quarantines, warns) go to stderr as usual —
        cached targets replay the lines they produced when computed. *)
     List.iter
-      (fun (_, _, _, lines) ->
+      (fun (_, _, _, lines, _) ->
         List.iter (fun l -> Printf.eprintf "%s\n" l) lines)
       reports;
+    let cached = List.length (List.filter (fun (_, _, _, _, c) -> c) reports) in
     if st <> None then
       Printf.eprintf
         "jumprepc: certify campaign: %d targets, %d cached, %d computed\n"
-        (List.length targets) !n_cached !n_computed;
-    if List.exists (fun (_, _, anyref, _) -> anyref) reports then exit 1
+        (List.length targets) cached
+        (List.length targets - cached);
+    if List.exists (fun (_, _, anyref, _, _) -> anyref) reports then exit 1
   in
   Cmd.v
     (Cmd.info "certify"
@@ -1023,151 +993,42 @@ let fuzz_cmd =
             (Harness.Fuzz.kind_name f.kind)
             f.config f.detail
     in
-    let seed_ids = List.init seeds (fun i -> start + i) in
+    let jobs = Harness.Pool.clamp_jobs ~what:"-j" jobs in
     let st = if store = "" then None else Some (Campaign.Store.open_ store) in
-    let key_of seed =
-      Campaign.Key.fuzz ~max_steps ~verify ~inject_fault seed
-    in
-    (* Resume: replay completed verdicts from the store (a cached failure
-       keeps its reduced reproducer); only the delta is fuzzed.  Seeds
-       aborted by chaos were never committed, so they rerun. *)
-    let cached = Hashtbl.create 16 in
-    let to_run =
-      match st with
-      | Some st when resume ->
-        List.filter
-          (fun seed ->
-            let key = key_of seed in
-            match Campaign.Store.find st key with
-            | Campaign.Store.Miss -> true
-            | Campaign.Store.Corrupt d ->
-              warn_diag d;
-              true
-            | Campaign.Store.Hit e -> (
-              let fstr n = Option.bind (Json.member n e) Json.get_string in
-              match Option.bind (Json.member "failed" e) Json.get_bool with
-              | Some false ->
-                Hashtbl.replace cached seed None;
-                false
-              | Some true -> (
-                match
-                  (fstr "fkind", fstr "config", fstr "reproducer")
-                with
-                | Some k, Some c, Some r ->
-                  Hashtbl.replace cached seed (Some (k, c, r));
-                  false
-                | _ ->
-                  warn_diag
-                    (Campaign.Store.note_corrupt st key
-                       "entry is missing fuzz verdict fields");
-                  true)
-              | None ->
-                warn_diag
-                  (Campaign.Store.note_corrupt st key
-                     "entry is missing fuzz verdict fields");
-                true))
-          seed_ids
-      | _ -> seed_ids
-    in
-    let stats =
-      Harness.Fuzz.campaign ~max_steps ~verify ?inject_fault ~out_dir ~start
-        ~on_seed
+    let r =
+      Campaign.Runner.fuzz ?store:st ~resume ~max_steps ~verify ?inject_fault
+        ~out_dir ~start ~on_seed
         ~workers:(if jobs > 1 then jobs else 0)
-        ~worker_argv:[| Sys.executable_name; "worker" |]
-        ?chaos ~seed_list:to_run ~seeds ()
+        ~worker_argv:
+          (Array.of_list
+             (Sys.executable_name :: "worker"
+             :: (if store = "" then [] else [ "--store"; store ])))
+        ?chaos ~seeds ()
     in
-    (* Commit every seed that reached a verdict; chaos-aborted seeds have
-       no verdict to replay and stay uncached. *)
-    (match st with
-    | None -> ()
-    | Some st ->
-      let failed_tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (seed, (f : Harness.Fuzz.failure), path) ->
-          Hashtbl.replace failed_tbl seed (f, path))
-        stats.failures;
-      let aborted_tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (seed, _) -> Hashtbl.replace aborted_tbl seed ())
-        stats.aborted;
-      List.iter
-        (fun seed ->
-          if not (Hashtbl.mem aborted_tbl seed) then begin
-            let key = key_of seed in
-            let entry =
-              match Hashtbl.find_opt failed_tbl seed with
-              | Some ((f : Harness.Fuzz.failure), path) ->
-                Json.Obj
-                  [
-                    ("kind", Json.Str "fuzz/1");
-                    ("seed", Json.Int seed);
-                    ("failed", Json.Bool true);
-                    ("fkind", Json.Str (Harness.Fuzz.kind_name f.kind));
-                    ("config", Json.Str f.config);
-                    ("detail", Json.Str f.detail);
-                    ("reproducer", Json.Str (read_file path));
-                  ]
-              | None ->
-                Json.Obj
-                  [
-                    ("kind", Json.Str "fuzz/1");
-                    ("seed", Json.Int seed);
-                    ("failed", Json.Bool false);
-                  ]
-            in
-            Campaign.Store.lease st key;
-            Campaign.Store.commit st ~key entry
-          end)
-        to_run);
-    (* Cached failures: the reproducer file is part of the verdict, so
-       rewrite it, then report cached and fresh failures in seed order. *)
-    let cached_failures =
-      Hashtbl.fold
-        (fun seed v acc ->
-          match v with
-          | None -> acc
-          | Some (k, c, repro) ->
-            if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
-            let path =
-              Filename.concat out_dir (Printf.sprintf "seed-%d.c" seed)
-            in
-            let oc = open_out path in
-            output_string oc repro;
-            close_out oc;
-            (seed, k, c, path) :: acc)
-        cached []
-    in
-    let all_failures =
-      List.sort compare
-        (cached_failures
-        @ List.map
-            (fun (seed, (f : Harness.Fuzz.failure), path) ->
-              (seed, Harness.Fuzz.kind_name f.kind, f.config, path))
-            stats.failures)
-    in
+    List.iter warn_diag r.fz_diags;
     List.iter
-      (fun (seed, kind, config, path) ->
-        Printf.printf "seed %d: %s at %s, reduced reproducer: %s\n" seed kind
-          config path)
-      all_failures;
+      (fun (seed, (f : Harness.Fuzz.failure), path) ->
+        Printf.printf "seed %d: %s at %s, reduced reproducer: %s\n" seed
+          (Harness.Fuzz.kind_name f.kind)
+          f.config path)
+      r.fz_failures;
     List.iter
       (fun (seed, detail) ->
         Printf.printf "seed %d: no verdict, task %s\n" seed detail)
-      stats.aborted;
+      r.fz_aborted;
     if st <> None then
       Printf.eprintf "jumprepc: fuzz campaign: %d seeds, %d cached, %d computed\n"
-        (List.length seed_ids) (Hashtbl.length cached) stats.seeds_run;
-    Printf.printf "fuzz: %d seeds, %d failures%s\n"
-      (Hashtbl.length cached + stats.seeds_run)
-      (List.length all_failures)
+        r.fz_seeds r.fz_cached (r.fz_seeds - r.fz_cached);
+    Printf.printf "fuzz: %d seeds, %d failures%s\n" r.fz_seeds
+      (List.length r.fz_failures)
       (if chaos = None then ""
        else
          Printf.sprintf
            ", %d aborted (chaos: %d faults injected, %d retries, %d respawns)"
-           (List.length stats.aborted)
-           (Harness.Pool.injected stats.pool)
-           stats.pool.Harness.Pool.retried stats.pool.Harness.Pool.respawned);
-    if all_failures <> [] then exit 1
+           (List.length r.fz_aborted)
+           (Harness.Pool.injected r.fz_pool)
+           r.fz_pool.Harness.Pool.retried r.fz_pool.Harness.Pool.respawned);
+    if r.fz_failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1190,50 +1051,6 @@ let socket_arg =
         ~doc:
           "Unix-domain socket path.  Mind the platform's ~100-byte \
            socket-path limit; a short path under /tmp is safest.")
-
-(* The daemon-side result cache: measure payloads keyed on (source
-   bytes, input, machine, compiler fingerprint) in a campaign store,
-   looked up and committed by the daemon process itself. *)
-let store_cache dir =
-  let st = Campaign.Store.open_ dir in
-  let key ~source ~input ~machine =
-    Campaign.Key.hex ~kind:"daemon-measure/1"
-      [
-        ("source", source);
-        ("input", input);
-        ("machine", machine);
-        ("compiler", Campaign.Key.fingerprint ());
-      ]
-  in
-  {
-    Daemon.Server.rc_find =
-      (fun ~source ~input ~machine ->
-        let key = key ~source ~input ~machine in
-        let payload =
-          match Campaign.Store.find st key with
-          | Campaign.Store.Hit e -> (
-            match Option.bind (Json.member "payload" e) Json.get_string with
-            | Some _ as p -> p
-            | None ->
-              ignore
-                (Campaign.Store.note_corrupt st key
-                   "entry is missing the payload field");
-              None)
-          | Campaign.Store.Miss | Campaign.Store.Corrupt _ -> None
-        in
-        if payload = None then Campaign.Store.lease st key;
-        payload);
-    rc_commit =
-      (fun ~source ~input ~machine payload ->
-        Campaign.Store.commit st
-          ~key:(key ~source ~input ~machine)
-          (Json.Obj
-             [
-               ("kind", Json.Str "daemon-measure/1");
-               ("payload", Json.Str payload);
-             ]));
-    rc_stats = (fun () -> Campaign.Store.stats st);
-  }
 
 let serve_cmd =
   let jobs =
@@ -1317,7 +1134,7 @@ let serve_cmd =
           Daemon.Server.socket_path = socket;
           jobs =
             (match jobs with
-            | Some j -> max 1 j
+            | Some j -> Harness.Pool.clamp_jobs ~what:"-j" j
             | None -> Harness.Pool.default_jobs ());
           worker_argv = [| Sys.executable_name; "worker" |];
           queue_cap = max 1 queue_cap;
@@ -1327,7 +1144,7 @@ let serve_cmd =
           fuzz_out;
           trace;
           quiet;
-          store = Option.map store_cache store_dir;
+          store = Option.map Campaign.Store.open_ store_dir;
         }
     in
     (match (trace_out, trace) with
@@ -1687,20 +1504,21 @@ let worker_cmd =
       value
       & opt (some string) None
       & info [ "store" ] ~docv:"DIR"
-          ~doc:"Commit measure results to the result store under $(docv).")
+          ~doc:
+            "Commit measure and fuzz results to the result store under \
+             $(docv).")
   in
   let run store =
     let store = Option.map Campaign.Store.open_ store in
+    let is_request req =
+      Result.map (Json.member "op") (Json.parse req)
+      = Ok (Some (Json.Str "request"))
+    in
     Campaign.Shard.serve
       ~handler:(fun req ->
-        match
-          Result.map
-            (fun j -> Option.bind (Json.member "op" j) Json.get_string)
-            (Json.parse req)
-        with
-        | Ok (Some "fuzz") -> Some (Harness.Fuzz.handle req)
-        | Ok (Some "request") -> Some (Daemon.Server.handle req)
-        | _ -> Some (Campaign.Runner.handle ?store req))
+        Some
+          (if is_request req then Daemon.Server.handle req
+           else Campaign.Runner.handle ?store req))
       ()
   in
   Cmd.v
@@ -1709,8 +1527,8 @@ let worker_cmd =
          "Worker process (spawned by $(b,fuzz -j), $(b,serve) and sharded \
           sweeps): serve framed $(b,measure), $(b,fuzz) and daemon \
           $(b,request) ops on stdin/stdout.  With $(b,--store), measure \
-          results are committed before the reply, so a SIGKILLed sweep \
-          loses at most its in-flight task")
+          and fuzz results are committed before the reply, so a \
+          SIGKILLed campaign loses at most its in-flight tasks")
     Term.(const run $ store)
 
 (* --- store: campaign result-store inspection and GC --- *)

@@ -58,12 +58,21 @@ let measure ~engine (b : Programs.Suite.benchmark) level
     ]
 
 let fuzz ~max_steps ~verify ~inject_fault seed =
-  hex ~kind:"fuzz/1"
+  hex ~kind:"fuzz/2"
     [
       ("seed", string_of_int seed);
       ("max_steps", string_of_int max_steps);
       ("verify", string_of_bool verify);
       ("inject_fault", Option.value ~default:"" inject_fault);
+      ("compiler", fingerprint ());
+    ]
+
+let daemon_measure ~source ~input ~machine =
+  hex ~kind:"daemon-measure/1"
+    [
+      ("source", source);
+      ("input", input);
+      ("machine", machine);
       ("compiler", fingerprint ());
     ]
 

@@ -30,9 +30,13 @@ val measure :
   Ir.Machine.t ->
   string
 
-(** Key of one fuzz seed's verdict. *)
+(** Key of one fuzz seed's verdict (kind ["fuzz/2"]: the entry is the
+    [fuzz] op's reply). *)
 val fuzz :
   max_steps:int -> verify:bool -> inject_fault:string option -> int -> string
+
+(** Key of one daemon measure payload (source bytes, input, machine). *)
+val daemon_measure : source:string -> input:string -> machine:string -> string
 
 (** Key of one certify run over a benchmark. *)
 val certify :

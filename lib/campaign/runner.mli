@@ -1,14 +1,8 @@
-(** The one sweep function: every (benchmark, level, machine)
-    measurement of a task list, optionally against a result {!Store}.
+(** The one campaign function over keyed requests ({!run}) and its
+    instances: the measure {!sweep}, the {!fuzz} campaign, and the CLI's
+    in-process certify.  The store is read and written here only.
 
-    With a store, each task is keyed ({!Key.measure}) and, with
-    [resume], committed entries are resolved first so only the delta is
-    computed.  Each computed task is one [measure] request on
-    {!Harness.Pool.run}, answered in-process or by worker processes
-    running {!handle}, and its result is committed before the reply: a
-    sweep SIGKILLed at any point leaves only complete entries behind.
-
-    Byte-stability: a row is the *rendered* result
+    Byte-stability of the sweep: a row is the *rendered* result
     ([Harness.Measure.to_json]), spliced back verbatim from the reply or
     the store, in task order, and counter sums commute — so a resumed,
     sharded or chaos-ridden sweep produces a [BENCH_results.json]
@@ -50,23 +44,79 @@ type summary = {
   pool : Harness.Pool.stats;  (** chaos, retries, kills and respawns *)
 }
 
-(** The [measure] op: measure the requested task (under [budget] when
-    in-process), commit the result to [store] when given, and reply with
-    the store entry plus the task's metrics registry and, when the
-    request asks, its profile.  A bad request or a failed measurement
-    raises. *)
+(** {1 Store-through} *)
+
+(** The committed entry for [key], decoded; [Error None] on a miss;
+    [Error (Some d)] when it is corrupt or fails [decode], with [d] its
+    counted [store-corrupt] diagnostic. *)
+val resolve :
+  Store.t ->
+  key:string ->
+  (Telemetry.Json.t -> ('a, string) result) ->
+  ('a, Telemetry.Diag.t option) result
+
+(** [lease ?store ~key] journals [key] as in flight and returns the
+    function that commits its entry's fields.  A no-op without a store
+    or for the empty key. *)
+val lease :
+  ?store:Store.t -> key:string -> (string * Telemetry.Json.t) list -> unit
+
+(** What whoever answers a keyed request runs: {!lease} [key], compute
+    [(entry, extra)], commit [entry], reply with the object
+    [entry @ extra]. *)
+val answer :
+  ?store:Store.t ->
+  key:string ->
+  (unit -> (string * Telemetry.Json.t) list * (string * Telemetry.Json.t) list) ->
+  string
+
+(** {1 The keyed ops} *)
+
+(** Answer a [measure] request (measure the task, under [budget]
+    in-process; reply with the entry — rendered row and counter deltas —
+    plus the task's metrics registry and, when asked, its profile) or a
+    [fuzz] request (check and reduce one seed; the reply is the entry).
+    A bad request or a failed computation raises. *)
 val handle : ?store:Store.t -> ?budget:Telemetry.Budget.t -> string -> string
 
 (** [handle ~store] as a {!Shard.serve} handler. *)
 val worker_handler : Store.t -> string -> string option
 
-(** Run a sweep.  [resume] (default false) resolves [store]'s committed
-    entries before dispatch; without it the store is (re)populated but
-    never read.  [workers = 0] (the default) computes in-process;
-    [workers > 0] runs that many worker processes from [worker_argv] (a
-    command serving the [measure] op, e.g. [jumprepc worker --store
-    DIR]).  [deadline], [retries] (default 2), [chaos] and [trace] are
-    {!Harness.Pool.run}'s.
+(** {1 The campaign function} *)
+
+(** Answer every [(key, request)] pair; the empty key is never looked
+    up or committed.  With [resume] (default false) each key is
+    {!resolve}d once: a hit is answered from the store, a corrupt entry
+    recomputed behind a returned [store-corrupt] diagnostic; without it
+    the store is written but never read.  The rest run on
+    {!Harness.Pool.run}: in-process with [handler] (default {!handle}
+    [?store]) when [workers = 0], the default, else on worker processes
+    from [worker_argv] that commit to the same store.  Cached entries
+    and fresh replies go through the same [decode], told which it has;
+    a reply it rejects counts as a crashed attempt.  [on_answer] sees
+    each outcome in task order once every earlier one is in. *)
+val run :
+  ?store:Store.t ->
+  ?resume:bool ->
+  ?workers:int ->
+  ?worker_argv:string array ->
+  ?deadline:float ->
+  ?retries:int ->
+  ?chaos:Harness.Pool.chaos ->
+  ?trace:Telemetry.Trace.t ->
+  ?label:(int -> string) ->
+  ?on_answer:(int -> 'a Harness.Pool.outcome -> unit) ->
+  ?handler:(Telemetry.Budget.t -> string -> string) ->
+  decode:(cached:bool -> Telemetry.Json.t -> ('a, string) result) ->
+  (string * string) list ->
+  'a Harness.Pool.outcome list * Telemetry.Diag.t list * Harness.Pool.stats
+
+(** {1 The measure instance} *)
+
+(** Run a sweep: {!run} over one [measure] request per task, keyed by
+    {!Key.measure} when there is a store.  [worker_argv] is a command
+    serving the op, e.g. [jumprepc worker --store DIR]; [retries]
+    defaults to 2.
 
     Replies are folded in task order: cached rows replay their stored
     counters into [log]'s registry, computed rows merge the task's whole
@@ -87,3 +137,37 @@ val sweep :
   ?trace:Telemetry.Trace.t ->
   (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->
   row list * summary
+
+(** {1 The fuzz instance} *)
+
+type fuzz_report = {
+  fz_seeds : int;
+  fz_cached : int;  (** seeds resolved from the store *)
+  fz_failures : (int * Harness.Fuzz.failure * string) list;
+      (** seed, reduced failure, path of the written reproducer *)
+  fz_aborted : (int * string) list;  (** seeds with no verdict (chaos) *)
+  fz_diags : Telemetry.Diag.t list;  (** [store-corrupt] diagnostics *)
+  fz_pool : Harness.Pool.stats;
+}
+
+(** Fuzz seeds [start .. start + seeds - 1]: {!run} over one [fuzz]
+    request per seed, keyed by {!Key.fuzz} when there is a store.  Each
+    verdict, cached or fresh, writes its reproducer under [out_dir] and
+    calls [on_seed] with the original failure, in seed order as soon as
+    every earlier seed is done — the same at any worker count and on
+    any resume. *)
+val fuzz :
+  ?store:Store.t ->
+  ?resume:bool ->
+  ?max_steps:int ->
+  ?verify:bool ->
+  ?inject_fault:string ->
+  ?out_dir:string ->
+  ?start:int ->
+  ?on_seed:(int -> Harness.Fuzz.failure option -> unit) ->
+  ?workers:int ->
+  ?worker_argv:string array ->
+  ?chaos:Harness.Pool.chaos ->
+  seeds:int ->
+  unit ->
+  fuzz_report

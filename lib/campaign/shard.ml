@@ -1,3 +1,1 @@
-exception Worker_failed = Harness.Pool.Worker_failed
-
 let serve = Harness.Pool.serve

@@ -55,7 +55,6 @@ let open_ ?(create = true) dir =
   end;
   t
 
-let dir t = t.dir
 
 let read_file path =
   let ic = open_in_bin path in

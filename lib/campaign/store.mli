@@ -39,8 +39,6 @@ val default_dir : string
 (** Open (and, by default, create) a store rooted at [dir]. *)
 val open_ : ?create:bool -> string -> t
 
-val dir : t -> string
-
 (** Look up a committed entry.  Never raises: unreadable, truncated or
     corrupted entries return {!Corrupt}. *)
 val find : t -> string -> lookup

@@ -4,10 +4,10 @@ module Regs = Analysis.Live.Regs
 
 (* Liveness of the same (physically identical) function is requested by
    several passes per pipeline iteration — dead-variable elimination,
-   instruction selection, register allocation, LICM.  Memoize the solve,
-   one table per domain: pool workers compile concurrently. *)
-let cache : (Func.t, Analysis.Live.t) Analysis.Cache.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Analysis.Cache.create ~size:8 ())
+   instruction selection, register allocation, LICM.  Memoize the solve
+   in one table per process (parallel work runs in worker processes). *)
+let cache : (Func.t, Analysis.Live.t) Analysis.Cache.t =
+  Analysis.Cache.create ~size:8 ()
 
 let solve ?cfg func =
   let cfg = match cfg with Some g -> g | None -> Cfg.make func in
@@ -22,7 +22,7 @@ let solve ?cfg func =
   Analysis.Live.solve ~regs ~graph:(Cfg.graph cfg) ~instrs ()
 
 let compute ?cfg func =
-  { func; facts = Analysis.Cache.find (Domain.DLS.get cache) func (solve ?cfg) }
+  { func; facts = Analysis.Cache.find cache func (solve ?cfg) }
 
 let stats t = Analysis.Live.stats t.facts
 let live_in t i = Analysis.Live.live_in t.facts i

@@ -12,7 +12,7 @@ module Regs = Analysis.Live.Regs
 
 (** Solve (or recall) liveness for [func].  [cfg], when the caller has
     already built [Cfg.make func], saves building it again.  Results are
-    memoized per domain on the physical identity of [func]. *)
+    memoized per process on the physical identity of [func]. *)
 val compute : ?cfg:Cfg.t -> Func.t -> t
 
 val stats : t -> Analysis.Dataflow.stats

@@ -23,12 +23,6 @@ module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
 module Pool = Harness.Pool
 
-type result_cache = {
-  rc_find : source:string -> input:string -> machine:string -> string option;
-  rc_commit : source:string -> input:string -> machine:string -> string -> unit;
-  rc_stats : unit -> (string * int) list;
-}
-
 type config = {
   socket_path : string;
   jobs : int;
@@ -40,7 +34,7 @@ type config = {
   fuzz_out : string;
   trace : Telemetry.Trace.t option;
   quiet : bool;
-  store : result_cache option;
+  store : Campaign.Store.t option;
 }
 
 let default_config socket_path =
@@ -101,10 +95,10 @@ let say t fmt =
 
 (* --- request execution (worker process) --- *)
 
-let fuzz_json (stats : Harness.Fuzz.stats) =
+let fuzz_json (r : Campaign.Runner.fuzz_report) =
   Json.Obj
     [
-      ("seeds_run", Json.Int stats.seeds_run);
+      ("seeds_run", Json.Int r.fz_seeds);
       ( "failures",
         Json.Arr
           (List.map
@@ -117,8 +111,8 @@ let fuzz_json (stats : Harness.Fuzz.stats) =
                    ("detail", Json.Str f.detail);
                    ("reproducer", Json.Str path);
                  ])
-             stats.failures) );
-      ("aborted", Json.Int (List.length stats.aborted));
+             r.fz_failures) );
+      ("aborted", Json.Int (List.length r.fz_aborted));
     ]
 
 (* The [request] op: one daemon envelope, run where the one-shot CLI
@@ -161,10 +155,9 @@ let handle payload =
     | Protocol.Explain { path; source; level; machine } ->
       Ops.explain_payload ~level ~machine ~path source
     | Protocol.Fuzz { seeds; start; max_steps } ->
-      let stats =
-        Harness.Fuzz.campaign ~max_steps ~start ~seeds ?out_dir:fuzz_out ()
-      in
-      Ok (fuzz_json stats)
+      Ok
+        (fuzz_json
+           (Campaign.Runner.fuzz ~max_steps ~start ?out_dir:fuzz_out ~seeds ()))
     | Protocol.Status | Protocol.Ping | Protocol.Drain ->
       failwith "status/ping/drain are answered by the server loop"
   in
@@ -235,8 +228,9 @@ let status_json t =
       ( "store",
         match t.cfg.store with
         | None -> Json.Null
-        | Some rc ->
-          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (rc.rc_stats ()))
+        | Some st ->
+          Json.Obj
+            (List.map (fun (n, v) -> (n, Json.Int v)) (Campaign.Store.stats st))
       );
       ("metrics", Metrics.to_json t.metrics);
     ]
@@ -275,23 +269,41 @@ let handle_envelope t conn (env : Protocol.envelope) =
     else begin
       Metrics.incr t.metrics "daemon.admitted";
       (* The store memoizes whole measure payloads, keyed on source
-         bytes + input + machine + compiler fingerprint: a hit is
-         answered here, a miss is committed when its reply arrives. *)
-      let cache =
+         bytes + input + machine + compiler fingerprint.  This process
+         answers such a request, so it resolves the key here (a hit is
+         answered at once), leases a miss before submitting it, and
+         commits the payload when the reply arrives. *)
+      let hit, commit =
         match (env.req, t.cfg.store) with
-        | Protocol.Measure { source; input; machine; _ }, Some rc ->
-          let machine = machine.Ir.Machine.short in
-          Some
-            ( rc.rc_find ~source ~input ~machine,
-              rc.rc_commit ~source ~input ~machine )
-        | _ -> None
+        | Protocol.Measure { source; input; machine; _ }, Some store -> (
+          let key =
+            Campaign.Key.daemon_measure ~source ~input
+              ~machine:machine.Ir.Machine.short
+          in
+          let payload e =
+            Option.to_result ~none:"entry is missing the payload field"
+              (Option.bind (Json.member "payload" e) Json.get_string)
+          in
+          match Campaign.Runner.resolve store ~key payload with
+          | Ok payload -> (Some payload, None)
+          | Error _ ->
+            let commit = Campaign.Runner.lease ~store ~key in
+            ( None,
+              Some
+                (fun payload ->
+                  commit
+                    [
+                      ("kind", Json.Str "daemon-measure/1");
+                      ("payload", Json.Str payload);
+                    ]) ))
+        | _ -> (None, None)
       in
-      match cache with
-      | Some (Some payload, _) ->
+      match hit with
+      | Some payload ->
         Metrics.incr t.metrics "daemon.completed";
         send_response conn
           (Protocol.Result { id = env.id; payload; elapsed_ms = 0.0 })
-      | _ ->
+      | None ->
         let deadline =
           match env.qos.deadline with
           | Some _ as d -> d
@@ -328,7 +340,7 @@ let handle_envelope t conn (env : Protocol.envelope) =
                   p_telemetry = env.qos.telemetry;
                   p_t0 = Unix.gettimeofday ();
                   p_ticket = ticket;
-                  p_commit = Option.map snd cache;
+                  p_commit = commit;
                 };
               ]
         end

@@ -10,17 +10,6 @@
     (or a [drain] request) triggers a graceful, deadline-bounded drain.
     See DESIGN.md "Daemon wire protocol". *)
 
-(** An optional measure-payload cache plugged in by the CLI (a campaign
-    store).  The daemon process itself calls [rc_find] at admission (a
-    hit answers at once; a miss leases the key) and [rc_commit] when the
-    payload arrives, so [rc_stats] — [status]'s store gauges — sees
-    every lookup. *)
-type result_cache = {
-  rc_find : source:string -> input:string -> machine:string -> string option;
-  rc_commit : source:string -> input:string -> machine:string -> string -> unit;
-  rc_stats : unit -> (string * int) list;
-}
-
 type config = {
   socket_path : string;  (** Unix-domain socket path (unlinked on exit) *)
   jobs : int;  (** resident worker processes (at least one) *)
@@ -35,8 +24,12 @@ type config = {
   trace : Telemetry.Trace.t option;
       (** record worker/supervisor lanes into this trace *)
   quiet : bool;  (** suppress lifecycle lines on stderr *)
-  store : result_cache option;
-      (** memoize measure payloads across requests (and daemon restarts) *)
+  store : Campaign.Store.t option;
+      (** memoize measure payloads across requests (and daemon
+          restarts): the daemon process resolves a measure request's
+          {!Campaign.Key.daemon_measure} key at admission, leases a miss
+          and commits its payload when the reply arrives, so [status]'s
+          store gauges see every lookup *)
 }
 
 (** jobs 1, [Sys.executable_name worker] as the worker command (right

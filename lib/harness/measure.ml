@@ -25,9 +25,8 @@ type t = {
 let instrs_between_branches t =
   float_of_int t.dyn_instrs /. float_of_int (max 1 t.dyn_transfers)
 
-(* One lock for all module-level state (memo, mismatch/timeout lists),
-   so the measurement entry points stay safe to call from several
-   domains.  Never held across a measurement — only across the
+(* One lock for all module-level state (memo, mismatch/timeout lists).
+   Never held across a measurement — only across the
    bookkeeping around one. *)
 let state_mu = Mutex.create ()
 

@@ -54,9 +54,9 @@ val instrs_between_branches : t -> float
     measurement — only how fast it is computed — and the memo is
     engine-agnostic.
 
-    Thread-safety: the memo and the mismatch/timeout records are
-    lock-guarded, so the measurement entry points may be called from
-    several domains. *)
+    Concurrency: parallel sweeps run in worker processes
+    ({!Harness.Pool}), each with its own memo and mismatch/timeout
+    records; within one process those are lock-guarded. *)
 val run :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->

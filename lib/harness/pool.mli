@@ -55,8 +55,6 @@ type stats = {
   abandoned : int;  (** workers SIGKILLed at a request's deadline *)
 }
 
-val no_stats : stats
-
 (** Total chaos faults injected. *)
 val injected : stats -> int
 

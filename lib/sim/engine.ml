@@ -580,7 +580,7 @@ let compile (decoded : D.t) : program =
         decoded.D.dfuncs;
   }
 
-(* Compiled programs are cached like decodes: per-domain LRU keyed by
+(* Compiled programs are cached like decodes: one process-wide LRU keyed by
    the decode's physical identity (itself interned by
    [Interp.decode_cached], so equal [asm]/[prog] pairs share one
    decode and hence one compile). *)
@@ -592,34 +592,30 @@ type ccache = {
   mutable cmisses : int;
 }
 
-let compile_cache : ccache Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { centries = []; chits = 0; cmisses = 0 })
+let compile_cache = { centries = []; chits = 0; cmisses = 0 }
 
 let compile_cached (decoded : D.t) =
-  let shard = Domain.DLS.get compile_cache in
   let rec find acc = function
     | [] -> None
     | ((d, _) as e) :: rest ->
       if d == decoded then Some (e, List.rev_append acc rest)
       else find (e :: acc) rest
   in
-  match find [] shard.centries with
+  match find [] compile_cache.centries with
   | Some (((_, p) as e), rest) ->
-    shard.chits <- shard.chits + 1;
-    shard.centries <- e :: rest;
+    compile_cache.chits <- compile_cache.chits + 1;
+    compile_cache.centries <- e :: rest;
     p
   | None ->
-    shard.cmisses <- shard.cmisses + 1;
+    compile_cache.cmisses <- compile_cache.cmisses + 1;
     let p = compile decoded in
     let kept =
-      List.filteri (fun i _ -> i < compile_cache_capacity - 1) shard.centries
+      List.filteri (fun i _ -> i < compile_cache_capacity - 1) compile_cache.centries
     in
-    shard.centries <- (decoded, p) :: kept;
+    compile_cache.centries <- (decoded, p) :: kept;
     p
 
-let compile_cache_counters () =
-  let shard = Domain.DLS.get compile_cache in
-  (shard.chits, shard.cmisses)
+let compile_cache_counters () = (compile_cache.chits, compile_cache.cmisses)
 
 let publish_cache_metrics metrics =
   let hits, misses = compile_cache_counters () in

@@ -39,14 +39,14 @@ val run :
 type program
 
 (** Compile a decode.  Exposed for the compile micro-benchmark; {!run}
-    goes through the per-domain compile cache. *)
+    goes through the process-wide compile cache. *)
 val compile : Interp.Decoded.t -> program
 
-(** This domain's compile-cache [(hits, misses)] since it started.
+(** This process's compile-cache [(hits, misses)] since it started.
     Like {!Interp.decode_cache_counters}, never part of a sweep's log. *)
 val compile_cache_counters : unit -> int * int
 
-(** Add this domain's compile-cache tallies into [metrics] as
+(** Add this process's compile-cache tallies into [metrics] as
     [sim.engine_cache.hits]/[sim.engine_cache.misses]. *)
 val publish_cache_metrics : Telemetry.Metrics.t -> unit
 

@@ -107,16 +107,15 @@ let build ?(size = 4 * 1024 * 1024) ?(data_base = 0x1000) (prog : Flow.Prog.t)
     }
     prog
 
-(* The scratch slot chains builds within a domain: each [build_scratch]
-   zeroes exactly the pages its predecessor dirtied and hands the buffer
-   to the new image.  Domain-local, so parallel sweeps share nothing. *)
-let scratch : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The scratch slot chains builds within the process: each
+   [build_scratch] zeroes exactly the pages its predecessor dirtied and
+   hands the buffer to the new image.  Parallel sweeps run in separate
+   worker processes, so one slot per process is all there is. *)
+let scratch : t option ref = ref None
 
 let build_scratch ?(size = 4 * 1024 * 1024) ?(data_base = 0x1000)
     (prog : Flow.Prog.t) =
-  let slot = Domain.DLS.get scratch in
-  match !slot with
+  match !scratch with
   | Some prev when Bytes.length prev.mem = size && prev.data_base = data_base
     ->
     List.iter
@@ -134,11 +133,11 @@ let build_scratch ?(size = 4 * 1024 * 1024) ?(data_base = 0x1000)
         dirty_pages = [];
       }
     in
-    slot := Some t;
+    scratch := Some t;
     populate t prog
   | _ ->
     let t = build ~size ~data_base prog in
-    slot := Some t;
+    scratch := Some t;
     t
 
 let symbol t name =

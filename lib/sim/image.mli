@@ -13,13 +13,12 @@ exception Fault of string
     Default [size] 4 MiB, [data_base] 0x1000. *)
 val build : ?size:int -> ?data_base:int -> Flow.Prog.t -> t
 
-(** [build_scratch prog] is {!build} on a domain-local recycled buffer:
+(** [build_scratch prog] is {!build} on a recycled process-wide buffer:
     instead of allocating and zeroing the whole memory, it zeroes only
-    the pages the {e previous} scratch image of this domain dirtied.
-    Layout and contents are identical to a fresh {!build}.
+    the pages the {e previous} scratch image dirtied.  Layout and
+    contents are identical to a fresh {!build}.
 
-    The previous scratch-built image of the calling domain becomes
-    invalid — use this only for images that are private to one run and
+    The previous scratch-built image becomes invalid — use this only for images that are private to one run and
     discarded before the next (the interpreter's). *)
 val build_scratch : ?size:int -> ?data_base:int -> Flow.Prog.t -> t
 

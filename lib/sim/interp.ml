@@ -559,11 +559,11 @@ end
    program, so symbol addresses cannot change between runs.  A small
    LRU keyed by physical identity replaces the old one-slot cache — the
    daemon's resident workers and the differential tests interleave a
-   handful of programs, which a single slot thrashed on.  Domain-local,
-   so parallel sweeps race on nothing; the hit/miss tallies are
-   domain-local too and surface through [decode_cache_counters], never
+   handful of programs, which a single slot thrashed on.  One table per
+   process: parallel sweeps run in worker processes and share nothing.
+   The hit/miss tallies surface through [decode_cache_counters], never
    through a sweep's log (whose counters must stay independent of how
-   tasks were scheduled over domains). *)
+   tasks were scheduled over workers). *)
 let decode_cache_capacity = 8
 
 type cache_entry = {
@@ -572,17 +572,15 @@ type cache_entry = {
   cval : Decoded.t;
 }
 
-type cache_shard = {
+type cache = {
   mutable entries : cache_entry list;  (** most recent first *)
   mutable chits : int;
   mutable cmisses : int;
 }
 
-let decode_cache : cache_shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { entries = []; chits = 0; cmisses = 0 })
+let decode_cache = { entries = []; chits = 0; cmisses = 0 }
 
 let decode_cached ~symbol (asm : Asm.t) (prog : Flow.Prog.t) =
-  let shard = Domain.DLS.get decode_cache in
   let rec find acc = function
     | [] -> None
     | e :: rest ->
@@ -590,24 +588,22 @@ let decode_cached ~symbol (asm : Asm.t) (prog : Flow.Prog.t) =
         Some (e, List.rev_append acc rest)
       else find (e :: acc) rest
   in
-  match find [] shard.entries with
+  match find [] decode_cache.entries with
   | Some (e, rest) ->
-    shard.chits <- shard.chits + 1;
-    shard.entries <- e :: rest;
+    decode_cache.chits <- decode_cache.chits + 1;
+    decode_cache.entries <- e :: rest;
     e.cval
   | None ->
-    shard.cmisses <- shard.cmisses + 1;
+    decode_cache.cmisses <- decode_cache.cmisses + 1;
     let d = Decoded.decode_with symbol asm in
     let entry = { ckey_asm = asm; ckey_prog = prog; cval = d } in
     let kept =
-      List.filteri (fun i _ -> i < decode_cache_capacity - 1) shard.entries
+      List.filteri (fun i _ -> i < decode_cache_capacity - 1) decode_cache.entries
     in
-    shard.entries <- entry :: kept;
+    decode_cache.entries <- entry :: kept;
     d
 
-let decode_cache_counters () =
-  let shard = Domain.DLS.get decode_cache in
-  (shard.chits, shard.cmisses)
+let decode_cache_counters () = (decode_cache.chits, decode_cache.cmisses)
 
 let publish_cache_metrics metrics =
   let hits, misses = decode_cache_counters () in

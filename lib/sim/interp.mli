@@ -138,7 +138,7 @@ module Decoded : sig
   val decode : Asm.t -> Flow.Prog.t -> t
 end
 
-(** Decode through the per-domain LRU (capacity 8, keyed by the physical
+(** Decode through the process-wide LRU (capacity 8, keyed by the physical
     identity of the [asm]/[prog] pair).  [symbol] resolves data symbols
     to addresses and is consulted only on a miss — sound because image
     layout is a pure function of the program, so every run of the same
@@ -147,12 +147,13 @@ end
 val decode_cached :
   symbol:(string -> int option) -> Asm.t -> Flow.Prog.t -> Decoded.t
 
-(** This domain's decode-cache [(hits, misses)] since it started.
+(** This process's decode-cache [(hits, misses)] since it started.
     Deliberately kept out of run logs: at [-j > 1] the split across
-    domains depends on scheduling, and sweep counter objects must not. *)
+    worker processes depends on scheduling, and sweep counter objects
+    must not. *)
 val decode_cache_counters : unit -> int * int
 
-(** Add this domain's decode-cache tallies into [metrics] as
+(** Add this process's decode-cache tallies into [metrics] as
     [sim.decode_cache.hits]/[sim.decode_cache.misses]. *)
 val publish_cache_metrics : Telemetry.Metrics.t -> unit
 

@@ -463,9 +463,9 @@ let test_liveness_wide () =
            (Liveness.live_in live 1) 0))
     [ 1; 38; 39; 40; 62; 63; 100; 101; 102; 124; 125; 200 ]
 
-(* Pool domains compile concurrently; each has its own liveness memo, so
-   hammering it from two domains at once gives every one the sequential
-   facts. *)
+(* The liveness memo is one table per process.  Its entries are
+   immutable pairs swapped in by a single field write, so even two
+   domains hammering it at once each get the sequential facts. *)
 let test_liveness_domains () =
   let funcs =
     List.concat_map

@@ -1,7 +1,7 @@
 (* The handler behind the tests' pool worker ([worker.exe], built next
-   to the test binary).  It serves the real JSON ops — [measure] and the
-   daemon's [request] — plus a few test-only ops written as "OP ARG"
-   strings:
+   to the test binary).  It serves the real JSON ops — [measure] and
+   [fuzz] through [Campaign.Runner.handle], and the daemon's [request] —
+   plus a few test-only ops written as "OP ARG" strings:
    - [sq N] replies N*N;
    - [boom] raises;
    - [flaky N] raises the first time this process sees N (workers share

@@ -167,6 +167,42 @@ grep -q 'campaign: 114 tasks, 112 cached, 2 computed, 2 corrupt' _build/campaign
 test "$(grep -c 'store-corrupt' _build/campaign-corrupt.err)" -eq 2
 echo "campaign: 2 corrupted entries recomputed behind store-corrupt warnings"
 
+echo "== fuzz campaign: kill-and-resume keeps the seeds it finished =="
+# Workers commit each seed's verdict before replying, so a campaign
+# SIGKILLed mid-run keeps what it finished.  The kill lands on progress:
+# once 5 of the 25 entries are committed while the workers still run.
+# The resumed run must compute only the rest, and print what a cold
+# run prints.
+FJRC=_build/default/bin/jumprepc.exe
+rm -rf _build/fuzz-st _build/fuzz-drill
+"$FJRC" fuzz --seeds 25 -j 2 --quiet --out _build/fuzz-drill > _build/fuzz-cold.out
+"$FJRC" fuzz --seeds 25 -j 2 --quiet --store _build/fuzz-st \
+  --out _build/fuzz-drill > /dev/null 2>&1 &
+FPID=$!
+SEEN=
+for i in $(seq 6000); do
+  N=$(ls _build/fuzz-st/objects/*/*.json 2>/dev/null | wc -l)
+  if [ "$N" -ge 5 ]; then SEEN=$N; break; fi
+  kill -0 "$FPID" 2>/dev/null || break
+  sleep 0.01
+done
+FWPIDS=$(pgrep -P "$FPID" 2>/dev/null || true)
+kill -KILL "$FPID" $FWPIDS 2>/dev/null || true
+wait "$FPID" 2>/dev/null || true
+if [ -z "$SEEN" ] || [ -z "$FWPIDS" ]; then
+  echo "fuzz kill drill: the campaign was no longer running when its store held 5 entries"
+  exit 1
+fi
+"$FJRC" fuzz --seeds 25 -j 2 --quiet --store _build/fuzz-st --resume \
+  --out _build/fuzz-drill > _build/fuzz-resumed.out 2> _build/fuzz-resumed.err
+FCOMPUTED=$(sed -n 's/.* cached, \([0-9]*\) computed.*/\1/p' _build/fuzz-resumed.err)
+if [ "${FCOMPUTED:-25}" -ge 25 ]; then
+  echo "fuzz kill drill: the resumed run computed every seed (killed at $SEEN entries)"
+  exit 1
+fi
+cmp _build/fuzz-cold.out _build/fuzz-resumed.out
+echo "fuzz: SIGKILL at $SEEN entries, resumed $FCOMPUTED of 25 seeds, stdout identical"
+
 echo "== profiled+traced sweep stays byte-identical to the baseline =="
 dune exec bench/main.exe -- --json -j 2 --profile \
   --profile-out _build/profile.json --trace-out _build/trace.json > /dev/null
