@@ -172,8 +172,6 @@ let bechamel_tests () =
         ignore (Sim.Interp.Decoded.decode asm_simple prog_simple));
     t "engine-threaded/quicksort" (fun () ->
         ignore (Sim.Engine.run asm_simple prog_simple));
-    t "interp-reference/quicksort" (fun () ->
-        ignore (Sim.Interp.run_reference asm_simple prog_simple));
     t "engine-compile/quicksort" (fun () ->
         ignore
           (Sim.Engine.compile (Sim.Interp.Decoded.decode asm_simple prog_simple)));
@@ -235,7 +233,7 @@ let run_bechamel ?(quota = 0.5) () =
    counters replayed).  The document is byte-identical at any worker
    count, with or without a store or a kill-and-resume in between.
    Returns whether any measurement failed. *)
-let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos ?engine
+let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     ?(profile = false) ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "")
     path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
@@ -266,13 +264,12 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos ?engine
       (Sys.executable_name :: "--worker"
       :: (if store = "" then [] else [ "--store"; store ]))
   in
-  let engine = Option.value ~default:Sim.Engine.Threaded engine in
   let rows, s =
     Campaign.Runner.sweep
       ?store:(if store = "" then None else Some (Campaign.Store.open_ store))
       ~resume
       ~workers:(if workers > 1 then workers else 0)
-      ~worker_argv ?deadline ?retries ?chaos ~engine ~log ~profiler ?trace tasks
+      ~worker_argv ?deadline ?retries ?chaos ~log ~profiler ?trace tasks
   in
   List.iter
     (fun d ->
@@ -293,11 +290,9 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos ?engine
         (String.concat "," (List.map Campaign.Runner.failure_to_json fs))
   in
   let oc = open_out path in
-  (* The engine label is provenance, not a measurement: every engine
-     must produce the same results array, so the label is the only field
-     that could differ between sweeps of different engines. *)
+  (* The engine label is provenance, not a measurement. *)
   Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name engine)
+    (Sim.Engine.kind_name Sim.Engine.Threaded)
     (String.concat "," (List.map (fun r -> r.Campaign.Runner.r_row) rows))
     (String.concat "," counters)
     failures;
@@ -426,7 +421,6 @@ let () =
   let profile_out = ref "" in
   let profile_top = ref 15 in
   let trace_out = ref "" in
-  let engine = ref None in
   let store = ref "" in
   let resume = ref false in
   let spec =
@@ -480,16 +474,6 @@ let () =
         Arg.Set_string trace_out,
         "PATH  write a Chrome/Perfetto trace of the --json sweep (worker \
          spans, supervisor and chaos events)" );
-      ( "--engine",
-        Arg.String
-          (fun s ->
-            match Sim.Engine.kind_of_string s with
-            | Some k -> engine := Some k
-            | None ->
-              Printf.eprintf "bad --engine (threaded|reference)\n";
-              exit 2),
-        "ENGINE  execution engine for the --json sweep: threaded (default) \
-         or reference — observationally equivalent, only speed differs" );
       ( "--store",
         Arg.Set_string store,
         "DIR  content-addressed result store for the --json sweep (campaign \
@@ -546,7 +530,7 @@ let () =
       end;
       sweep_failed :=
         write_json ~workers:!jobs ~store:!store ~resume:!resume ?deadline
-          ?retries:!retries ?chaos:!chaos ?engine:!engine ~profile:!profile
+          ?retries:!retries ?chaos:!chaos ~profile:!profile
           ~profile_out:!profile_out ~profile_top:!profile_top
           ~trace_out:!trace_out "BENCH_results.json"
     end;

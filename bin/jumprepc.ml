@@ -77,25 +77,6 @@ let machine_arg =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"C source file.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( (fun s ->
-          match Sim.Engine.kind_of_string s with
-          | Some k -> Ok k
-          | None -> Error (`Msg (Printf.sprintf "unknown engine %S" s))),
-        fun ppf k -> Format.pp_print_string ppf (Sim.Engine.kind_name k) )
-  in
-  Arg.(
-    value
-    & opt engine_conv Sim.Engine.Threaded
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,threaded) (closure chains with superblock \
-           fusion, the default) or $(b,reference) (the re-resolving \
-           oracle).  The two are observationally equivalent; only speed \
-           differs.")
-
 (* --- telemetry arguments (shared by compile/run/measure/bench) --- *)
 
 let trace_arg =
@@ -361,7 +342,7 @@ let run_cmd =
   in
   let run level machine path input input_file stats trace max_steps
       trace_passes trace_out stats_json verify certify strict inject_fault
-      wall_budget growth_budget engine =
+      wall_budget growth_budget =
     let log, finish = make_log trace_passes trace_out in
     let diags = ref [] in
     let budget = make_budget wall_budget growth_budget in
@@ -391,8 +372,7 @@ let run_cmd =
           end
     in
     let res =
-      let exec = Sim.Engine.select engine in
-      try exec ~input ~on_fetch ~log ?max_steps ?budget asm prog with
+      try Sim.Engine.run ~input ~on_fetch ~log ?max_steps ?budget asm prog with
       | Sim.Interp.Runtime_error msg ->
         Printf.eprintf "%s: runtime error: %s\n" path msg;
         exit 2
@@ -442,7 +422,7 @@ let run_cmd =
       const run $ level_arg $ machine_arg $ file_arg $ input $ input_file
       $ stats $ trace $ max_steps $ trace_arg $ trace_out_arg $ stats_json_arg
       $ verify_arg $ certify_arg $ strict_arg $ inject_fault_arg
-      $ wall_budget_arg $ growth_budget_arg $ engine_arg)
+      $ wall_budget_arg $ growth_budget_arg)
 
 (* --- measure --- *)
 
@@ -462,13 +442,13 @@ let measure_cmd =
     100.0
     *. (List.fold_left ( +. ) 0.0 ratios /. float_of_int (List.length ratios))
   in
-  let run machine path input_file trace trace_out stats_json verify engine =
+  let run machine path input_file trace trace_out stats_json verify =
     let source = read_file path in
     let input = Option.map read_file input_file |> Option.value ~default:"" in
     let log, finish = make_log trace trace_out in
     let rows =
       match
-        Ops.measure_rows ~log ~verify ~engine ~path
+        Ops.measure_rows ~log ~verify ~path
           ~name:(Filename.basename path) ~source ~input machine
       with
       | Ok rows -> rows
@@ -511,7 +491,7 @@ let measure_cmd =
        ~doc:"Compare the three optimization levels on one source file")
     Term.(
       const run $ machine_arg $ file_arg $ input $ trace_arg $ trace_out_arg
-      $ stats_json_arg $ verify_arg $ engine_arg)
+      $ stats_json_arg $ verify_arg)
 
 (* --- bench: run a bundled benchmark --- *)
 
@@ -522,7 +502,7 @@ let bench_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME" ~doc:"Benchmark name (see $(b,list)).")
   in
-  let run level machine name trace trace_out stats_json verify engine =
+  let run level machine name trace trace_out stats_json verify =
     match Programs.Suite.find name with
     | None ->
       Printf.eprintf "unknown benchmark %s\n" name;
@@ -530,7 +510,7 @@ let bench_cmd =
     | Some b ->
       let log, finish = make_log trace trace_out in
       let opts = if verify then Some (Ops.make_opts ~verify level) else None in
-      let m = Harness.Measure.run ?opts ~log ~engine b level machine in
+      let m = Harness.Measure.run ?opts ~log b level machine in
       if stats_json then print_endline (Harness.Measure.to_json m)
       else begin
         Printf.printf
@@ -557,7 +537,7 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Measure one bundled benchmark")
     Term.(
       const run $ level_arg $ machine_arg $ bench_name $ trace_arg
-      $ trace_out_arg $ stats_json_arg $ verify_arg $ engine_arg)
+      $ trace_out_arg $ stats_json_arg $ verify_arg)
 
 (* --- lint: static-analysis findings over the compiled RTL --- *)
 

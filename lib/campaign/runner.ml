@@ -131,14 +131,13 @@ let measure_reply ?store ?budget j =
       | "cisc" -> Some Ir.Machine.cisc
       | _ -> None)
   in
-  let engine = named "engine" Sim.Engine.kind_of_string in
   let key = str j "key" in
   let profile = Option.bind (Json.member "profile" j) Json.get_bool = Some true in
   answer ?store ~key (fun () ->
       let wlog = Log.make Log.Memory in
       let wprof = if profile then Profiler.create () else Profiler.null in
       let m =
-        Measure.measure_raw ~log:wlog ~profiler:wprof ?budget ~engine b level mach
+        Measure.measure_raw ~log:wlog ~profiler:wprof ?budget b level mach
       in
       let metrics = Log.metrics wlog in
       let counters = Metrics.counters metrics in
@@ -148,7 +147,6 @@ let measure_reply ?store ?budget j =
           ("program", Json.Str b.name);
           ("level", Json.Str (Opt.Driver.level_name level));
           ("machine", Json.Str mach.Ir.Machine.short);
-          ("engine", Json.Str (Sim.Engine.kind_name engine));
           ("output_ok", Json.Bool m.output_ok);
           ("timed_out", Json.Bool m.timed_out);
           (* The rendered BENCH row, replayed verbatim on resume:
@@ -296,8 +294,7 @@ let run ?store ?(resume = false) ?(workers = 0) ?worker_argv ?deadline ?retries
 (* --- the measure instance: the sweep ---------------------------------- *)
 
 let sweep ?store ?resume ?workers ?worker_argv ?deadline ?(retries = 2) ?chaos
-    ?(engine = Sim.Engine.Threaded) ?(log = Log.null)
-    ?(profiler = Profiler.null) ?trace task_list =
+    ?(log = Log.null) ?(profiler = Profiler.null) ?trace task_list =
   let tasks = Array.of_list task_list in
   let profile = Profiler.enabled profiler in
   (* Keys name store entries; a store-less sweep needs none (and skips
@@ -305,14 +302,16 @@ let sweep ?store ?resume ?workers ?worker_argv ?deadline ?(retries = 2) ?chaos
   let requests =
     List.map
       (fun ((b : Programs.Suite.benchmark), level, m) ->
-        let key = if store = None then "" else Key.measure ~engine b level m in
+        let key =
+          if store = None then ""
+          else Key.measure ~engine:Sim.Engine.Threaded b level m
+        in
         ( key,
           request ~op:"measure" ~key
             [
               ("bench", Json.Str b.name);
               ("level", Json.Str (Opt.Driver.level_name level));
               ("machine", Json.Str m.Ir.Machine.short);
-              ("engine", Json.Str (Sim.Engine.kind_name engine));
               ("profile", Json.Bool profile);
             ] ))
       task_list

@@ -131,7 +131,6 @@ val sweep :
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Harness.Pool.chaos ->
-  ?engine:Sim.Engine.kind ->
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
   ?trace:Telemetry.Trace.t ->

@@ -89,12 +89,11 @@ let compile_payload ?log ?diags ?budget ~level ~machine ~path source =
 
 (* --- measure: the three-level comparison rows --- *)
 
-let measure_rows ?log ?(verify = false) ?engine ~path ~name ~source
-    ~input machine =
+let measure_rows ?log ?(verify = false) ~path ~name ~source ~input machine =
   let adhoc ?expected_output level =
     Harness.Measure.run_adhoc
       ~opts:(make_opts ~verify level)
-      ?log ?engine ~name ~source ~input ?expected_output level machine
+      ?log ~name ~source ~input ?expected_output level machine
   in
   let err ?exit_code code fmt =
     Printf.ksprintf

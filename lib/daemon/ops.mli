@@ -53,13 +53,11 @@ val compile_payload :
   (Telemetry.Json.t, failure) result
 
 (** The three-level comparison: a SIMPLE reference row, then LOOPS and
-    JUMPS verified against its output.  [budget] bounds each
-    interpretation (the per-request deadline); a simulated-program fault
-    is a [failure] with [exit_code = 2]. *)
+    JUMPS verified against its output.  A simulated-program fault is a
+    [failure] with [exit_code = 2]. *)
 val measure_rows :
   ?log:Telemetry.Log.t ->
   ?verify:bool ->
-  ?engine:Sim.Engine.kind ->
   path:string ->
   name:string ->
   source:string ->

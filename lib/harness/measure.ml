@@ -92,8 +92,7 @@ let record_timeout log (m : t) =
    so this is what a sweep's handler runs against a private log. *)
 let measure_raw ?opts ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(verify = true) ?budget
-    ?(engine = Sim.Engine.Threaded) (b : Programs.Suite.benchmark) level machine
-    =
+    (b : Programs.Suite.benchmark) level machine =
   let profiling = Telemetry.Profiler.enabled profiler in
   let opts =
     match opts with
@@ -124,8 +123,7 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
   let interp_t0 = Unix.gettimeofday () in
-  let exec = Sim.Engine.select engine in
-  let res = exec ~input:b.input ~on_fetch ~log ?budget asm prog in
+  let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
   let interp_ms = (Unix.gettimeofday () -. interp_t0) *. 1e3 in
   let m =
     {
@@ -183,21 +181,17 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
 
 (* [measure_raw] plus the stateful tail: mismatch/timeout bookkeeping in
    the module-level lists (lock-guarded). *)
-let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify ?engine
+let measure ?opts ?(log = Telemetry.Log.null) ?profiler ?verify
     (b : Programs.Suite.benchmark) level machine =
-  let m = measure_raw ?opts ~log ?profiler ?verify ?engine b level machine in
+  let m = measure_raw ?opts ~log ?profiler ?verify b level machine in
   if m.timed_out then record_timeout log m
   else if not m.output_ok then record_mismatch log m ~expected:b.expected_output;
   m
 
-(* The memo key carries no engine: the engines are observationally
-   equivalent (the test suite holds them to it), so a measurement is a
-   valid answer whichever engine computed it. *)
-let run ?opts ?log ?profiler ?verify ?engine
-    (b : Programs.Suite.benchmark) level machine =
+let run ?opts ?log ?profiler ?verify (b : Programs.Suite.benchmark) level
+    machine =
   match opts with
-  | Some _ ->
-    measure ?opts ?log ?profiler ?verify ?engine b level machine
+  | Some _ -> measure ?opts ?log ?profiler ?verify b level machine
   | None -> (
     let key = memo_key b level machine in
     (* The lock never spans the measurement itself: a racing miss computes
@@ -205,11 +199,11 @@ let run ?opts ?log ?profiler ?verify ?engine
     match locked (fun () -> Hashtbl.find_opt memo key) with
     | Some t -> t
     | None ->
-      let t = measure ?log ?profiler ?verify ?engine b level machine in
+      let t = measure ?log ?profiler ?verify b level machine in
       locked (fun () -> Hashtbl.replace memo key t);
       t)
 
-let run_adhoc ?opts ?log ?engine ~name ~source ?(input = "")
+let run_adhoc ?opts ?log ~name ~source ?(input = "")
     ?expected_output level machine =
   (* Without an expectation, the run is its own reference: [output_ok] is
      forced true and callers compare outputs across levels instead. *)
@@ -223,12 +217,10 @@ let run_adhoc ?opts ?log ?engine ~name ~source ?(input = "")
       expected_output = Option.value ~default:"" expected_output;
     }
   in
-  run ?opts ?log ?engine ~verify:(expected_output <> None) b level machine
+  run ?opts ?log ~verify:(expected_output <> None) b level machine
 
-let run_suite ?log ?profiler ?engine level machine =
-  List.map
-    (fun b -> run ?log ?profiler ?engine b level machine)
-    Programs.Suite.all
+let run_suite ?log ?profiler level machine =
+  List.map (fun b -> run ?log ?profiler b level machine) Programs.Suite.all
 
 (* --- JSON rendering (the bench drivers' machine-readable output) --- *)
 

@@ -34,8 +34,11 @@ type t = {
 val instrs_between_branches : t -> float
 
 (** Compile, assemble, run (with all eight paper cache configs attached)
-    and measure one benchmark.  Results are memoized per
-    (program, source digest, level, machine).
+    and measure one benchmark on {!Sim.Engine.run}.  Results are
+    memoized per (program, source digest, level, machine), for the
+    default options only: a call with [opts] bypasses the memo and
+    measures afresh.  The ablations and [jumprepc bench --verify-passes]
+    depend on that, since the memo key does not carry their options.
 
     With [log], the compilation is pass-spanned ({!Opt.Driver.optimize}),
     the run emits progress heartbeats, the [measure.*] telemetry counters
@@ -48,12 +51,6 @@ val instrs_between_branches : t -> float
     ad-hoc sources without a known-good output pass [~verify:false]
     through {!run_adhoc}.
 
-    [engine] selects the execution engine: {!Sim.Engine.Threaded} (the
-    default) or the {!Sim.Engine.Reference} oracle.  The two are
-    observationally equivalent, so the choice never changes a
-    measurement — only how fast it is computed — and the memo is
-    engine-agnostic.
-
     Concurrency: parallel sweeps run in worker processes
     ({!Harness.Pool}), each with its own memo and mismatch/timeout
     records; within one process those are lock-guarded. *)
@@ -62,7 +59,6 @@ val run :
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
   ?verify:bool ->
-  ?engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
   Ir.Machine.t ->
@@ -83,7 +79,6 @@ val measure_raw :
   ?profiler:Telemetry.Profiler.t ->
   ?verify:bool ->
   ?budget:Telemetry.Budget.t ->
-  ?engine:Sim.Engine.kind ->
   Programs.Suite.benchmark ->
   Opt.Driver.level ->
   Ir.Machine.t ->
@@ -95,7 +90,6 @@ val measure_raw :
 val run_adhoc :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->
-  ?engine:Sim.Engine.kind ->
   name:string ->
   source:string ->
   ?input:string ->
@@ -113,7 +107,6 @@ val reset_cache : unit -> unit
 val run_suite :
   ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
-  ?engine:Sim.Engine.kind ->
   Opt.Driver.level ->
   Ir.Machine.t ->
   t list

@@ -22,14 +22,12 @@ type options = {
   max_rtls : int option;
   allocate : bool;
   max_iterations : int;
-  replicate_indirect : bool;
   enable_cse : bool;
   enable_licm : bool;
   enable_strength : bool;
   enable_isel : bool;
   verify_passes : bool;
   certify : bool;
-  displace : bool;
   inject_fault : string option;
   budget : Telemetry.Budget.t option;
 }
@@ -41,14 +39,12 @@ let default_options =
     max_rtls = None;
     allocate = true;
     max_iterations = 8;
-    replicate_indirect = true;
     enable_cse = true;
     enable_licm = true;
     enable_strength = true;
     enable_isel = true;
     verify_passes = false;
     certify = false;
-    displace = true;
     inject_fault = None;
     budget = None;
   }
@@ -330,7 +326,7 @@ let jumps_config opts ~size_cap ~allow_irreducible =
     max_rtls = opts.max_rtls;
     allow_irreducible;
     size_cap;
-    replicate_indirect = opts.replicate_indirect;
+    replicate_indirect = true;
   }
 
 let replication_pass ?log ?budget opts ~size_cap ~allow_irreducible func =
@@ -510,12 +506,7 @@ let optimize_func_with ?(log = Telemetry.Log.null)
      very last pass.  It goes through the boundary like any other pass:
      an injected `displace:*` fault is caught by the verifier or oracle
      and rolls the function back to its fixed-size encoding. *)
-  let func =
-    if opts.displace then
-      let func, _, _ = seq [ ("displace", Displace.run machine) ] func in
-      func
-    else func
-  in
+  let func, _, _ = seq [ ("displace", Displace.run machine) ] func in
   (* Belt and braces: the boundary gated every pass, so only violations the
      input already had can remain. *)
   (match

@@ -26,8 +26,6 @@ type options = {
   max_rtls : int option;  (** replication-sequence length cap (paper §6) *)
   allocate : bool;  (** run register allocation (on by default) *)
   max_iterations : int;  (** cap on the Figure-3 do-while loop *)
-  replicate_indirect : bool;
-      (** allow replication sequences ending in an indirect jump (§6) *)
   enable_cse : bool;  (** EBB and global CSE (§3.3.2 cleanups) *)
   enable_licm : bool;  (** code motion (§3.3.3 preheader relocation) *)
   enable_strength : bool;  (** induction-variable strength reduction *)
@@ -43,11 +41,6 @@ type options = {
           mismatch) with a [certify-refuted] diagnostic carrying the
           counterexample path; Unknown verdicts are warn-severity
           [uncertifiable-pass] / [certifier-timeout] diagnostics. *)
-  displace : bool;
-      (** run {!Displace} (branch-displacement selection) as the final
-          pass on CISC, so the assembler prices short/word/long branch
-          forms instead of the fixed 4-byte encoding.  On by default; a
-          no-op on RISC. *)
   inject_fault : string option;
       (** test-only: corrupt the named pass's output to exercise the
           detection paths end to end.  Spec syntax PASS[:MODE]; modes:

@@ -17,9 +17,9 @@ module D = Interp.Decoded
    conditional branch is folded into the transfer itself, so the
    hottest loop shape (test + branch) is one closure call.
 
-   The bit-stability contract is the reference loop's
-   ([Interp.run_reference]), and the equivalence tests hold the engine
-   to it over the full benchmark matrix:
+   The bit-stability contract is a re-resolving reference loop's (kept
+   in the test suite), and the equivalence tests hold the engine to it
+   over the full benchmark matrix:
 
    - [on_fetch] fires once per executed instruction, in execution
      order, interleaved with the instruction effects exactly as the
@@ -719,17 +719,8 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
     timed_out = !timed_out;
   }
 
-(* --- engine selection ------------------------------------------------ *)
+(* --- provenance ------------------------------------------------------ *)
 
-type kind = Threaded | Reference
+type kind = Threaded
 
-let kind_name = function Threaded -> "threaded" | Reference -> "reference"
-
-let kind_of_string = function
-  | "threaded" -> Some Threaded
-  | "reference" -> Some Reference
-  | _ -> None
-
-let all_kinds = [ Threaded; Reference ]
-
-let select = function Threaded -> run | Reference -> Interp.run_reference
+let kind_name Threaded = "threaded"

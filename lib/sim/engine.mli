@@ -1,4 +1,12 @@
-(** Threaded-code execution engine.
+(** Threaded-code execution engine with EASE-style measurement.
+
+    Executes assembled code ({!Asm.t}), counting every instruction the
+    generated code executes by class — the equivalent of the paper's
+    EASE instrumentation.  Library routines ([getchar]/[putchar]/[exit])
+    run natively and are excluded from the counts, matching the paper
+    ("Library routines could not be measured").  On the RISC model the
+    delay slot of a transfer is executed after the transfer's decision
+    and before control moves, for taken and untaken branches alike.
 
     Compiles each pre-decoded function ({!Interp.Decoded}) into OCaml
     closure chains — one handler per instruction position — with
@@ -8,22 +16,32 @@
     back to back, and a compare feeding the terminating conditional
     branch folds into the transfer itself.
 
-    Observably equivalent to {!Interp.run_reference}: identical
-    results and counts, identical [on_fetch] streams (per-instruction,
-    in order, exact prefixes on faults and timeouts), identical
-    [Sim_progress] heartbeats, and step-budget exhaustion at the exact
-    instruction.  The equivalence tests hold it to this over the full
-    benchmark matrix.  The one latitude taken: an
-    attached {!Telemetry.Budget} may be polled once per superblock
-    rather than exactly every 2048 instructions — cancellation latency
-    only, never a measured value. *)
+    Fusion is unobservable: the [on_fetch] stream is per-instruction and
+    in order (exact prefixes on faults and timeouts), heartbeats carry
+    exact instruction counts, and the step budget runs out at the exact
+    instruction.  The test suite holds the engine to a re-resolving
+    reference loop ([test/interp_oracle.ml]) over the full benchmark
+    matrix.  The one latitude taken: an attached {!Telemetry.Budget}
+    may be polled once per superblock rather than exactly every 2048
+    instructions — cancellation latency only, never a measured value. *)
 
-(** [run asm prog] loads [prog]'s data and executes from [main].  Same
-    signature and semantics as {!Interp.run_reference}: [on_fetch] sees
-    every executed instruction (delay slots included), [log] gets
-    [Sim_progress] heartbeats, [budget] caps [max_steps] and may raise
-    {!Telemetry.Budget.Exhausted}, faults raise {!Interp.Runtime_error},
-    and step-budget exhaustion returns a partial result with
+(** [run asm prog] loads [prog]'s data and executes from [main].
+
+    [on_fetch] is called once per executed instruction (delay slots
+    included) with its code address and size — feed this to cache
+    simulators.  A squashed annulled slot is fetched but not executed:
+    it reaches [on_fetch] without entering the counts.
+
+    With [log], a [Sim_progress] heartbeat is emitted every
+    {!Interp.progress_interval} executed instructions.
+
+    With [budget], the budget's fuel axis caps [max_steps], and a passed
+    wall-clock deadline raises {!Telemetry.Budget.Exhausted} out of the
+    run — how the {!Harness.Pool} supervisor's in-process path enforces
+    a deadline.
+
+    @raise Interp.Runtime_error on faults.  Step-budget exhaustion is
+    {e not} a fault: the result comes back with partial output and
     [timed_out = true]. *)
 val run :
   ?max_steps:int ->
@@ -50,23 +68,8 @@ val compile_cache_counters : unit -> int * int
     [sim.engine_cache.hits]/[sim.engine_cache.misses]. *)
 val publish_cache_metrics : Telemetry.Metrics.t -> unit
 
-(** Which execution engine runs measured programs. *)
-type kind =
-  | Threaded  (** this module: closure chains with superblock fusion *)
-  | Reference  (** {!Interp.run_reference}: the re-resolving oracle *)
+(** The execution engine a measurement ran on, recorded as provenance
+    in campaign keys and sweep documents.  There is one. *)
+type kind = Threaded
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
-val all_kinds : kind list
-
-(** The run function for a kind; both share one signature. *)
-val select :
-  kind ->
-  ?max_steps:int ->
-  ?input:string ->
-  ?on_fetch:(addr:int -> size:int -> unit) ->
-  ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
-  Asm.t ->
-  Flow.Prog.t ->
-  Interp.result

@@ -1,18 +1,9 @@
-(** RTL interpreter with EASE-style measurement.
+(** Simulation results and the decode stage.
 
-    Executes assembled code ({!Asm.t}), counting every instruction the
-    generated code executes by class — the equivalent of the paper's EASE
-    instrumentation.  Library routines ([getchar]/[putchar]/[exit]) run
-    natively and are excluded from the counts, matching the paper
-    ("Library routines could not be measured").
-
-    On the RISC model the delay slot of a transfer is executed after the
-    transfer's decision and before control moves, for taken and untaken
-    branches alike.
-
-    This module holds the result types every engine shares, the decode
-    stage {!Engine} compiles from, and {!run_reference}, the semantic
-    oracle.  Measured runs go through {!Engine.run}. *)
+    The result types {!Engine.run} returns — per-class counts of every
+    instruction the generated code executes, the equivalent of the
+    paper's EASE instrumentation — and the pre-decoding pass, with its
+    process-wide cache, that {!Engine} compiles from. *)
 
 type counts = {
   mutable total : int;  (** all instructions executed *)
@@ -43,41 +34,9 @@ type result = {
           can tell divergence from miscompilation *)
 }
 
+(** Raised by {!Engine.run} on faults: null/out-of-range access, division
+    by zero, jump-table index out of bounds, missing function. *)
 exception Runtime_error of string
-
-(** [run_reference asm prog] loads [prog]'s data and executes from
-    [main] with the straightforward interpretation loop: it re-resolves
-    labels, symbols, virtual registers and call targets on every step.
-    Kept as the semantic oracle — the test suite runs the whole
-    benchmark matrix through it and {!Engine.run} and demands identical
-    results.
-
-    [on_fetch] is called once per executed instruction (delay slots
-    included) with its code address and size — feed this to cache
-    simulators.
-
-    With [log], the fetch loop emits a [Sim_progress] heartbeat every
-    {!progress_interval} executed instructions.
-
-    With [budget], the fetch loop polls the budget every
-    [budget_interval_mask + 1] executed instructions: the budget's fuel
-    axis caps [max_steps], and a passed wall-clock deadline raises
-    {!Telemetry.Budget.Exhausted} out of the run — how the
-    {!Harness.Pool} supervisor's in-process path enforces a deadline.
-
-    @raise Runtime_error on faults (null/of-range access, division by zero,
-    jump-table index out of bounds, missing function).  Step-budget
-    exhaustion is {e not} a fault: the result comes back with partial
-    output and [timed_out = true]. *)
-val run_reference :
-  ?max_steps:int ->
-  ?input:string ->
-  ?on_fetch:(addr:int -> size:int -> unit) ->
-  ?log:Telemetry.Log.t ->
-  ?budget:Telemetry.Budget.t ->
-  Asm.t ->
-  Flow.Prog.t ->
-  result
 
 (** The pre-decoding pass behind {!Engine.run}: each function flattened to a
     dense instruction array with transfer targets as indices, symbols as

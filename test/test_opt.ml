@@ -569,7 +569,7 @@ let licm_input level machine f =
           max_rtls = opts.max_rtls;
           allow_irreducible = false;
           size_cap = max 2000 (8 * Func.num_instrs f);
-          replicate_indirect = opts.replicate_indirect;
+          replicate_indirect = true;
         }
         f
   in
@@ -1000,6 +1000,53 @@ let prop_passes_keep_legality =
       in
       List.for_all (Opt.Legalize.check machine) prog.Flow.Prog.funcs)
 
+(* The campaign store's compiler fingerprint includes
+   [Opt.Driver.pipeline_signature], a hand-kept description of the pass
+   sequence.  Hold it to the passes a compile actually presents: per
+   function, the signature's prefix, then k >= 1 rounds of the fix(...)
+   list, then its suffix. *)
+let test_pipeline_signature () =
+  let sig_ = Opt.Driver.pipeline_signature in
+  let names str = String.split_on_char ',' str in
+  let rec find i =
+    if String.sub sig_ i 4 = "fix(" then i else find (i + 1)
+  in
+  let open_ = find 0 in
+  let close = String.index_from sig_ open_ ')' in
+  let prefix = names (String.sub sig_ 0 (open_ - 1)) in
+  let round = names (String.sub sig_ (open_ + 4) (close - open_ - 4)) in
+  let suffix =
+    names (String.sub sig_ (close + 2) (String.length sig_ - close - 2))
+  in
+  let b = Option.get (Programs.Suite.find "quicksort") in
+  let log = Telemetry.Log.make Telemetry.Log.Memory in
+  let prog =
+    Opt.Driver.compile ~log
+      { Opt.Driver.default_options with level = Opt.Driver.Jumps }
+      Machine.cisc b.source
+  in
+  List.iter
+    (fun (f : Func.t) ->
+      let fname = Func.name f in
+      let passes =
+        List.filter_map
+          (function
+            | Telemetry.Log.Pass_begin { func; pass } when func = fname ->
+              Some pass
+            | _ -> None)
+          (Telemetry.Log.events log)
+      in
+      let k =
+        (List.length passes - List.length prefix - List.length suffix)
+        / List.length round
+      in
+      Alcotest.(check bool) (fname ^ " ran a round") true (k >= 1);
+      Alcotest.(check (list string))
+        (fname ^ " presented passes")
+        (prefix @ List.concat (List.init k (fun _ -> round)) @ suffix)
+        passes)
+    prog.Flow.Prog.funcs
+
 let tests =
   ( "opt",
     [
@@ -1044,5 +1091,7 @@ let tests =
       Alcotest.test_case "isel copy/const propagation" `Quick test_isel_copy_prop;
       Alcotest.test_case "isel cisc fusion" `Quick test_isel_cisc_fusion;
       Alcotest.test_case "isel risc stays legal" `Quick test_isel_risc_rejects_mem_fold;
+      Alcotest.test_case "pipeline signature matches the passes run" `Quick
+        test_pipeline_signature;
       QCheck_alcotest.to_alcotest prop_passes_keep_legality;
     ] )

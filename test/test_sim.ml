@@ -254,13 +254,9 @@ let check_same_run name (r, rh, rn) (d, dh, dn) =
   Alcotest.(check int) (name ^ " fetch count") rn dn;
   Alcotest.(check int) (name ^ " fetch hash") rh dh
 
-(* Every engine but the oracle the equivalence tests compare it to. *)
-let engines_under_test =
-  List.filter (fun k -> k <> Sim.Engine.Reference) Sim.Engine.all_kinds
-
-let test_engines_match_reference () =
-  (* Every execution engine must be observationally identical to the
-     straightforward reference loop: same output, exit code, timeout
+let test_engine_matches_reference () =
+  (* The engine must be observationally identical to the straightforward
+     reference loop ([Interp_oracle]): same output, exit code, timeout
      verdict, per-class counts and per-instruction fetch stream, across
      the whole benchmark matrix. *)
   List.iter
@@ -275,33 +271,26 @@ let test_engines_match_reference () =
                   machine b.source
               in
               let asm = Sim.Asm.assemble machine prog in
-              let ref_run =
-                trace (fun ~on_fetch ->
-                    Sim.Interp.run_reference ~input:b.input ~on_fetch asm prog)
+              let name =
+                Printf.sprintf "%s/%s/%s" b.name
+                  (Opt.Driver.level_name level)
+                  mname
               in
-              List.iter
-                (fun kind ->
-                  let name =
-                    Printf.sprintf "%s/%s/%s/%s" b.name
-                      (Opt.Driver.level_name level)
-                      mname
-                      (Sim.Engine.kind_name kind)
-                  in
-                  let run = Sim.Engine.select kind in
-                  check_same_run name ref_run
-                    (trace (fun ~on_fetch ->
-                         run ~input:b.input ~on_fetch asm prog)))
-                engines_under_test)
+              check_same_run name
+                (trace (fun ~on_fetch ->
+                     Interp_oracle.run ~input:b.input ~on_fetch asm prog))
+                (trace (fun ~on_fetch ->
+                     Sim.Engine.run ~input:b.input ~on_fetch asm prog)))
             Programs.Suite.all)
         [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
     [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
 
-let test_engines_match_on_timeout () =
-  (* A step budget that expires mid-superblock must stop the threaded
-     engine at the exact instruction the reference stops at — partial
-     counts, partial output and the fetch-stream prefix are observable
-     in a timed-out measurement.  Sweep max_steps over a range that
-     lands in every phase of the hot loop. *)
+let test_engine_matches_on_timeout () =
+  (* A step budget that expires mid-superblock must stop the engine at
+     the exact instruction the reference stops at — partial counts,
+     partial output and the fetch-stream prefix are observable in a
+     timed-out measurement.  Sweep max_steps over a range that lands in
+     every phase of the hot loop. *)
   let src =
     "int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) s = s + i; \
      return s & 255; }"
@@ -313,25 +302,16 @@ let test_engines_match_on_timeout () =
   in
   let asm = Sim.Asm.assemble Machine.risc prog in
   for max_steps = 1 to 120 do
-    let name = Printf.sprintf "steps=%d" max_steps in
-    let ref_run =
-      trace (fun ~on_fetch ->
-          Sim.Interp.run_reference ~max_steps ~on_fetch asm prog)
-    in
-    List.iter
-      (fun kind ->
-        let run = Sim.Engine.select kind in
-        check_same_run
-          (Printf.sprintf "%s/%s" name (Sim.Engine.kind_name kind))
-          ref_run
-          (trace (fun ~on_fetch -> run ~max_steps ~on_fetch asm prog)))
-      engines_under_test
+    check_same_run
+      (Printf.sprintf "steps=%d" max_steps)
+      (trace (fun ~on_fetch -> Interp_oracle.run ~max_steps ~on_fetch asm prog))
+      (trace (fun ~on_fetch -> Sim.Engine.run ~max_steps ~on_fetch asm prog))
   done
 
-let test_engines_match_on_fault () =
+let test_engine_matches_on_fault () =
   (* A faulting run has no result, but its fetch stream reached the
-     cache simulator as it happened: all engines must have fetched the
-     same exact prefix when the fault fires. *)
+     cache simulator as it happened: the engine must have fetched the
+     same exact prefix as the reference when the fault fires. *)
   let src = "int main() { int x; x = getchar(); return 10 / (x + 1); }" in
   let prog =
     Opt.Driver.compile
@@ -351,19 +331,13 @@ let test_engines_match_on_fault () =
     (!h, !n)
   in
   let rh, rn =
-    faulting (fun ~on_fetch ->
-        Sim.Interp.run_reference ~input:"" ~on_fetch asm prog)
+    faulting (fun ~on_fetch -> Interp_oracle.run ~input:"" ~on_fetch asm prog)
   in
-  List.iter
-    (fun kind ->
-      let run = Sim.Engine.select kind in
-      let h, n =
-        faulting (fun ~on_fetch -> run ~input:"" ~on_fetch asm prog)
-      in
-      let name = Sim.Engine.kind_name kind in
-      Alcotest.(check int) (name ^ " fetch count") rn n;
-      Alcotest.(check int) (name ^ " fetch hash") rh h)
-    engines_under_test
+  let h, n =
+    faulting (fun ~on_fetch -> Sim.Engine.run ~input:"" ~on_fetch asm prog)
+  in
+  Alcotest.(check int) "fetch count" rn n;
+  Alcotest.(check int) "fetch hash" rh h
 
 (* The corpus sweep above checks known programs; this property checks
    arbitrary generated ones, shrinking failures with the fuzz campaign's
@@ -394,18 +368,10 @@ let prop_engines_agree_on_random =
               h,
               n )
           in
-          let reference =
-            observe (fun ~on_fetch ->
-                Sim.Interp.run_reference ~max_steps:3_000_000 ~on_fetch asm
-                  prog)
-          in
-          List.for_all
-            (fun kind ->
-              observe (fun ~on_fetch ->
-                  Sim.Engine.select kind ~max_steps:3_000_000 ~on_fetch asm
-                    prog)
-              = reference)
-            engines_under_test)
+          observe (fun ~on_fetch ->
+              Sim.Engine.run ~max_steps:3_000_000 ~on_fetch asm prog)
+          = observe (fun ~on_fetch ->
+                Interp_oracle.run ~max_steps:3_000_000 ~on_fetch asm prog))
         [ Machine.risc; Machine.cisc ])
 
 let tests =
@@ -426,10 +392,10 @@ let tests =
       Alcotest.test_case "fetch callback" `Quick test_fetch_callback;
       Alcotest.test_case "delay slot semantics" `Quick test_delay_slot_semantics;
       Alcotest.test_case "engines match reference" `Slow
-        test_engines_match_reference;
+        test_engine_matches_reference;
       Alcotest.test_case "engines match on timeout" `Quick
-        test_engines_match_on_timeout;
+        test_engine_matches_on_timeout;
       Alcotest.test_case "engines match on fault" `Quick
-        test_engines_match_on_fault;
+        test_engine_matches_on_fault;
       QCheck_alcotest.to_alcotest prop_engines_agree_on_random;
     ] )

@@ -16,6 +16,11 @@ if grep -rn 'Domain\.spawn' lib/; then
   echo "lib/ must not spawn domains; run work on Harness.Pool"; exit 1
 fi
 
+echo "== no reference interpreter outside test/ =="
+if grep -rn 'run_reference' lib bin bench; then
+  echo "the reference loop is a test oracle (test/interp_oracle.ml)"; exit 1
+fi
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt
@@ -68,10 +73,10 @@ dune exec bench/main.exe -- --json -j 2 > /dev/null
 SWEEP_WALL=$(python3 -c "import time; print(round(time.time() - $SWEEP_T0, 3))")
 tools/bench_compare.sh BENCH_baseline.json BENCH_results.json
 
-echo "== threaded engine sweep byte-identical at -j 1 and -j 4 =="
-dune exec bench/main.exe -- --json -j 1 --engine threaded > /dev/null
+echo "== sweep byte-identical at -j 1 and -j 4 =="
+dune exec bench/main.exe -- --json -j 1 > /dev/null
 cmp BENCH_results.json BENCH_baseline.json
-dune exec bench/main.exe -- --json -j 4 --engine threaded > /dev/null
+dune exec bench/main.exe -- --json -j 4 > /dev/null
 cmp BENCH_results.json BENCH_baseline.json
 
 # The live tables and the report over the byte-identical sweep are one
