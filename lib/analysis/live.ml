@@ -26,6 +26,12 @@ let clear bits off k =
   let j = off + (k / bits_per_word) in
   bits.(j) <- bits.(j) land lnot (1 lsl (k mod bits_per_word))
 
+(* [dst.(doff ..) <- dst.(doff ..) lor src.(soff ..)] over [words] ints. *)
+let union_into dst doff src soff words =
+  for w = 0 to words - 1 do
+    dst.(doff + w) <- dst.(doff + w) lor src.(soff + w)
+  done
+
 module Regs = struct
   type t = { bits : int array; off : int; words : int }
 
@@ -46,7 +52,7 @@ module Regs = struct
     done;
     !acc
 
-  let iter f s = fold (fun r () -> f r) s ()
+  let or_into s dst off = union_into dst off s.bits s.off s.words
 end
 
 type t = {
@@ -74,12 +80,6 @@ let fold_backward t f instrs i ~init =
       Rtl.iter_uses gen instr;
       acc)
     instrs init
-
-(* [dst.(doff ..) <- dst.(doff ..) lor src.(soff ..)] over [words] ints. *)
-let union_into dst doff src soff words =
-  for w = 0 to words - 1 do
-    dst.(doff + w) <- dst.(doff + w) lor src.(soff + w)
-  done
 
 let rec union_succs live_out off live_in words = function
   | [] -> ()

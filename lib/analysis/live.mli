@@ -14,16 +14,26 @@
 
 open Ir
 
+(** The numbering above: [Cc] is 0, [Phys i] is [1 + i], [Virt n] is
+    [1 + Conv.num_regs + n]. *)
+val index : Reg.t -> int
+
+(** Bits used per int of a set. *)
+val bits_per_word : int
+
 (** A read-only view of one register set. *)
 module Regs : sig
   type t
 
   val mem : t -> Reg.t -> bool
 
-  (** Visits members in index order ([Cc], then physical, then virtual). *)
-  val iter : (Reg.t -> unit) -> t -> unit
-
   val fold : (Reg.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+  (** [or_into s dst off] ORs the set's words into [dst.(off)],
+      [dst.(off + 1)], ...: register [index r] is bit
+      [index r mod bits_per_word] of word [index r / bits_per_word].
+      [dst] must hold as many words from [off] as the solve's width. *)
+  val or_into : t -> int array -> int -> unit
 end
 
 type t

@@ -234,6 +234,12 @@ print(f"trace: {len(spans)} spans on lanes {sorted(lanes)}; "
       f"{len(profile['profile']['runs'])} run rows")
 EOF
 
+# How often each pass is presented, runs and changes the function is
+# pinned: a speed-up meant to keep the output must keep these too.
+echo "== profiled sweep: per-pass calls/runs/changed match test/pass_counts.expected =="
+python3 tools/pass_counts.py _build/profile.json > _build/pass-counts.txt
+diff test/pass_counts.expected _build/pass-counts.txt
+
 echo "== perfbench smoke: each workload tiny, traced and untraced =="
 python3 perfbench/smoke.py
 
