@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index) and runs Bechamel
-   micro-benchmarks of the compiler itself.
+   evaluation (see DESIGN.md's experiment index).  Timing the compiler
+   itself is perfbench's job (perfbench/README.md).
 
    Usage:
      bench/main.exe                 print all tables and figures
      bench/main.exe -t 4 -t 6       only Tables 4 and 6
      bench/main.exe --list          list available table ids
-     bench/main.exe --bechamel      also run pass micro-benchmarks
      bench/main.exe --json          write BENCH_results.json (full sweep)
      bench/main.exe --json --profile --trace-out trace.json
                                     profiled sweep + Perfetto trace
@@ -58,171 +57,6 @@ let available : (string * string * (Format.formatter -> unit)) list =
     ("passes", "Ablation: cleanup passes (paper section 3.3)", Harness.Tables.ablation_passes);
   ]
 
-(* --- Bechamel micro-benchmarks of the compiler and simulator --- *)
-
-(* Record one instruction-fetch trace so the cache-simulation micro
-   replays the identical stream, isolated from the engine. *)
-let record_trace asm prog =
-  let addrs = ref (Array.make 4096 0) in
-  let sizes = ref (Array.make 4096 0) in
-  let len = ref 0 in
-  let push addr size =
-    if !len = Array.length !addrs then begin
-      let grow a = Array.append a (Array.make (Array.length a) 0) in
-      addrs := grow !addrs;
-      sizes := grow !sizes
-    end;
-    !addrs.(!len) <- addr;
-    !sizes.(!len) <- size;
-    incr len
-  in
-  ignore
-    (Sim.Engine.run ~on_fetch:(fun ~addr ~size -> push addr size) asm prog);
-  (Array.sub !addrs 0 !len, Array.sub !sizes 0 !len)
-
-(* The largest CFG among a handful of fuzz-generated programs — input
-   for the shortest-path micro.  Compiled at LOOPS so the jumps pass
-   has not already eaten the unconditional jumps. *)
-let gen_cfg () =
-  let best = ref None in
-  for seed = 0 to 14 do
-    let p = Harness.Gen.generate (Random.State.make [| seed |]) in
-    match
-      Opt.Driver.compile
-        { Opt.Driver.default_options with level = Opt.Driver.Loops }
-        Ir.Machine.risc (Harness.Gen.to_c p)
-    with
-    | exception _ -> ()
-    | prog ->
-      List.iter
-        (fun f ->
-          let g = Flow.Cfg.make f in
-          let n = Flow.Cfg.num_blocks g in
-          match !best with
-          | Some (_, _, n') when n' >= n -> ()
-          | _ -> best := Some (f, g, n))
-        prog.Flow.Prog.funcs
-  done;
-  let f, g, _ = Option.get !best in
-  (f, g)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let quicksort = Option.get (Programs.Suite.find "quicksort") in
-  let sieve = Option.get (Programs.Suite.find "sieve") in
-  let parsed = Frontend.Parser.parse_program quicksort.source in
-  let compiled = Frontend.Codegen.compile_program parsed in
-  let jumps_input =
-    Opt.Legalize.run Ir.Machine.risc
-      (Option.get (Flow.Prog.find_func compiled "main"))
-  in
-  let prog_simple =
-    Opt.Driver.optimize Opt.Driver.default_options Ir.Machine.risc compiled
-  in
-  let asm_simple = Sim.Asm.assemble Ir.Machine.risc prog_simple in
-  let trace_addrs, trace_sizes = record_trace asm_simple prog_simple in
-  let trace_len = Array.length trace_addrs in
-  let bank = Icache.Bank.create Icache.paper_configs in
-  let sp_func, sp_cfg = gen_cfg () in
-  let sp_blocks = Flow.Cfg.num_blocks sp_cfg in
-  (* The query mix of the JUMPS pass: a handful of jump-target sources,
-     each asked for a few destinations. *)
-  let sp_queries sp_path =
-    let src = ref 0 in
-    while !src < sp_blocks do
-      ignore (sp_path ~src:!src ~dst:0);
-      if !src + 1 < sp_blocks then ignore (sp_path ~src:!src ~dst:(!src + 1));
-      src := !src + 8
-    done
-  in
-  (* The largest linearized CISC function of the JUMPS build — input for
-     the branch-displacement solver micro. *)
-  let disp_code, disp_labels =
-    let prog =
-      Opt.Driver.compile
-        { Opt.Driver.default_options with level = Opt.Driver.Jumps }
-        Ir.Machine.cisc quicksort.source
-    in
-    List.fold_left
-      (fun (bc, bl) f ->
-        let c, l = Sim.Asm.linearize f in
-        if Array.length c > Array.length bc then (c, l) else (bc, bl))
-      ([||], Ir.Label.Map.empty)
-      prog.Flow.Prog.funcs
-  in
-  let t name f = Test.make ~name (Staged.stage f) in
-  [
-    t "parse/quicksort" (fun () ->
-        ignore (Frontend.Parser.parse_program quicksort.source));
-    t "codegen/quicksort" (fun () ->
-        ignore (Frontend.Codegen.compile_program parsed));
-    t "jumps-pass/quicksort" (fun () ->
-        ignore
-          (Replication.Jumps.run Replication.Jumps.default_config jumps_input));
-    t "pipeline-simple/quicksort" (fun () ->
-        ignore
-          (Opt.Driver.optimize Opt.Driver.default_options Ir.Machine.risc
-             compiled));
-    t "pipeline-jumps/quicksort" (fun () ->
-        ignore
-          (Opt.Driver.optimize
-             { Opt.Driver.default_options with level = Opt.Driver.Jumps }
-             Ir.Machine.risc compiled));
-    t "decode/quicksort" (fun () ->
-        ignore (Sim.Interp.Decoded.decode asm_simple prog_simple));
-    t "engine-threaded/quicksort" (fun () ->
-        ignore (Sim.Engine.run asm_simple prog_simple));
-    t "engine-compile/quicksort" (fun () ->
-        ignore
-          (Sim.Engine.compile (Sim.Interp.Decoded.decode asm_simple prog_simple)));
-    t "cachesim-bank/quicksort-trace" (fun () ->
-        Icache.Bank.reset bank;
-        for i = 0 to trace_len - 1 do
-          Icache.Bank.access bank ~addr:trace_addrs.(i) ~size:trace_sizes.(i)
-        done);
-    t
-      (Printf.sprintf "shortest-path-lazy/gen-%db" sp_blocks)
-      (fun () ->
-        let sp = Replication.Shortest_path.create sp_func sp_cfg in
-        sp_queries (Replication.Shortest_path.path sp));
-    t "sweep-j1/suite-simple-risc" (fun () ->
-        Harness.Measure.reset_cache ();
-        ignore (Harness.Measure.run_suite Opt.Driver.Simple Ir.Machine.risc));
-    t "pipeline-jumps/sieve-cisc" (fun () ->
-        ignore
-          (Opt.Driver.compile
-             { Opt.Driver.default_options with level = Opt.Driver.Jumps }
-             Ir.Machine.cisc sieve.source));
-    t
-      (Printf.sprintf "displace-encode/quicksort-%di" (Array.length disp_code))
-      (fun () -> ignore (Ir.Encode.solve Ir.Machine.cisc disp_code disp_labels));
-  ]
-
-let run_bechamel ?(quota = 0.5) () =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second quota) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  print_endline "Bechamel micro-benchmarks (ns per run, OLS estimate):";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let result = Benchmark.run cfg instances elt in
-          let est = Analyze.one ols Instance.monotonic_clock result in
-          let value =
-            match Analyze.OLS.estimates est with
-            | Some (v :: _) -> v
-            | _ -> nan
-          in
-          Printf.printf "  %-32s %14.0f ns  (%.3f ms)\n%!" (Test.Elt.name elt)
-            value (value /. 1_000_000.0))
-        (Test.elements test))
-    (bechamel_tests ())
-
 (* --- machine-readable results: the full suite sweep as JSON --- *)
 
 (* Every (benchmark, level, machine) measurement plus the telemetry counter
@@ -234,8 +68,7 @@ let run_bechamel ?(quota = 0.5) () =
    count, with or without a store or a kill-and-resume in between.
    Returns whether any measurement failed. *)
 let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
-    ?(profile = false) ?(profile_out = "") ?(profile_top = 15) ?(trace_out = "")
-    path =
+    ?(profile = false) ?(profile_out = "") ?(trace_out = "") path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
   let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
   let log = Telemetry.Log.make Telemetry.Log.Memory in
@@ -278,7 +111,7 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
   let counters =
     Telemetry.Metrics.counters (Telemetry.Log.metrics log)
     |> List.map (fun (name, value) ->
-           Printf.sprintf "%s:%d" (Telemetry.Log.json_string name) value)
+           Printf.sprintf "%s:%d" (Telemetry.Json.escape name) value)
   in
   (* The failures array appears only when non-empty, so a clean sweep's
      document stays byte-identical to the committed baseline. *)
@@ -309,7 +142,7 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
       s.Campaign.Runner.corrupt p.Harness.Pool.injected_crashes
       p.Harness.Pool.respawned;
   if profiling then begin
-    Telemetry.Profiler.pp_table ~top:profile_top Format.std_formatter profiler;
+    Telemetry.Profiler.pp_table Format.std_formatter profiler;
     Format.pp_print_flush Format.std_formatter ();
     if profile_out <> "" then begin
       (* Supervisor tallies and this process's decode/compile cache
@@ -409,8 +242,6 @@ let () =
     { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20; space_overhead = 200 };
   let tables = ref [] in
   let list_only = ref false in
-  let bech = ref false in
-  let bech_quota = ref 0.5 in
   let json = ref false in
   let jobs = ref (Harness.Pool.default_jobs ()) in
   let set_jobs = Arg.Int (fun n -> jobs := Harness.Pool.clamp_jobs ~what:"-j" n) in
@@ -419,7 +250,6 @@ let () =
   let retries = ref None in
   let profile = ref false in
   let profile_out = ref "" in
-  let profile_top = ref 15 in
   let trace_out = ref "" in
   let store = ref "" in
   let resume = ref false in
@@ -432,10 +262,6 @@ let () =
         Arg.String (fun s -> tables := s :: !tables),
         "ID  same as -t" );
       ("--list", Arg.Set list_only, " list available ids");
-      ("--bechamel", Arg.Set bech, " run pass micro-benchmarks");
-      ( "--bechamel-quota",
-        Arg.Set_float bech_quota,
-        "SECS  per-benchmark time budget (default 0.5)" );
       ("--json", Arg.Set json, " write BENCH_results.json (full suite sweep)");
       ( "-j",
         set_jobs,
@@ -467,9 +293,6 @@ let () =
         Arg.Set_string profile_out,
         "PATH  also write the profile (plus metric registries) as JSON \
          (implies --profile)" );
-      ( "--profile-top",
-        Arg.Set_int profile_top,
-        "N  rows in the printed profile tables (default 15)" );
       ( "--trace-out",
         Arg.Set_string trace_out,
         "PATH  write a Chrome/Perfetto trace of the --json sweep (worker \
@@ -531,10 +354,8 @@ let () =
       sweep_failed :=
         write_json ~workers:!jobs ~store:!store ~resume:!resume ?deadline
           ?retries:!retries ?chaos:!chaos ~profile:!profile
-          ~profile_out:!profile_out ~profile_top:!profile_top
-          ~trace_out:!trace_out "BENCH_results.json"
+          ~profile_out:!profile_out ~trace_out:!trace_out "BENCH_results.json"
     end;
-    if !bech then run_bechamel ~quota:!bech_quota ();
     (* The tables' verdicts: timeouts and mismatches are distinct, and
        either fails the run. *)
     let failed = ref false in

@@ -31,11 +31,11 @@ let failure_to_json f =
   Printf.sprintf
     "{\"program\":%s,\"level\":%s,\"machine\":%s,\"kind\":%s,\"detail\":%s,\
      \"attempts\":%d,\"elapsed\":%.3f}"
-    (Log.json_string f.f_program)
-    (Log.json_string (Opt.Driver.level_name f.f_level))
-    (Log.json_string f.f_machine)
-    (Log.json_string f.f_kind)
-    (Log.json_string f.f_detail)
+    (Json.escape f.f_program)
+    (Json.escape (Opt.Driver.level_name f.f_level))
+    (Json.escape f.f_machine)
+    (Json.escape f.f_kind)
+    (Json.escape f.f_detail)
     f.f_attempts f.f_elapsed
 
 type summary = {

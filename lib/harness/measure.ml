@@ -228,7 +228,7 @@ let cache_to_json (c : cache_stats) =
   Printf.sprintf
     "{\"config\":%s,\"size_kb\":%d,\"assoc\":%d,\"context_switches\":%b,\
      \"miss_ratio\":%.6f,\"fetch_cost\":%d}"
-    (Telemetry.Log.json_string (Icache.config_name c.config))
+    (Telemetry.Json.escape (Icache.config_name c.config))
     (c.config.Icache.size_bytes / 1024)
     c.config.Icache.assoc c.config.Icache.context_switches c.miss_ratio
     c.fetch_cost
@@ -241,9 +241,9 @@ let to_json m =
      \"dyn_ujumps\":%d,\"dyn_nops\":%d,\"dyn_transfers\":%d,\
      \"instrs_between_branches\":%.3f,\"output_ok\":%b,\"timed_out\":%b,\
      \"caches\":[%s]}"
-    (Telemetry.Log.json_string m.program)
-    (Telemetry.Log.json_string (Opt.Driver.level_name m.level))
-    (Telemetry.Log.json_string m.machine.Ir.Machine.short)
+    (Telemetry.Json.escape m.program)
+    (Telemetry.Json.escape (Opt.Driver.level_name m.level))
+    (Telemetry.Json.escape m.machine.Ir.Machine.short)
     m.static_instrs m.static_ujumps m.static_nops m.code_bytes m.dyn_instrs
     m.dyn_ujumps
     m.dyn_nops m.dyn_transfers

@@ -53,13 +53,6 @@ val run :
   Flow.Prog.t ->
   Interp.result
 
-(** A compiled program: one closure array per decoded function. *)
-type program
-
-(** Compile a decode.  Exposed for the compile micro-benchmark; {!run}
-    goes through the process-wide compile cache. *)
-val compile : Interp.Decoded.t -> program
-
 (** This process's compile-cache [(hits, misses)] since it started.
     Like {!Interp.decode_cache_counters}, never part of a sweep's log. *)
 val compile_cache_counters : unit -> int * int

@@ -223,15 +223,6 @@ module Decoded = struct
       dfuncs = Array.map (decode_func symbol findex) funcs;
       findex;
     }
-
-  let decode (asm : Asm.t) (prog : Flow.Prog.t) =
-    let image = Image.build_scratch prog in
-    decode_with
-      (fun sym ->
-        match Image.symbol image sym with
-        | a -> Some a
-        | exception Not_found -> None)
-      asm
 end
 
 (* Re-running the same assembled program (benchmark reps, differential

@@ -42,8 +42,7 @@ exception Runtime_error of string
     dense instruction array with transfer targets as indices, symbols as
     addresses, calls as function indices or builtin tags, and virtual
     registers as slots of a dense per-frame array.  The representation
-    is public: {!Engine} compiles it into closure chains, and the
-    decode micro-benchmark drives {!Decoded.decode} directly. *)
+    is public: {!Engine} compiles it into closure chains. *)
 module Decoded : sig
   type dreg = P of int | V of int | CC
 
@@ -94,7 +93,6 @@ module Decoded : sig
   }
 
   val is_transfer : dinstr -> bool
-  val decode : Asm.t -> Flow.Prog.t -> t
 end
 
 (** Decode through the process-wide LRU (capacity 8, keyed by the physical

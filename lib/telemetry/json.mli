@@ -44,5 +44,5 @@ val get_float : t -> float option
 
 val get_bool : t -> bool option
 
-(** JSON string quoting (same as {!Log.json_string}). *)
+(** JSON string quoting, surrounding quotes included. *)
 val escape : string -> string

@@ -52,7 +52,7 @@ type event =
   | Sim_progress of { instrs : int }
   | Warning of { message : string }
 
-type sink = Null | Jsonl of out_channel | Pretty of out_channel | Memory
+type sink = Null | Jsonl of out_channel | Memory
 
 type t = {
   sink : sink;
@@ -79,34 +79,16 @@ let emitted t = t.seq
 let events t = List.rev t.buffer
 let metrics t = t.metrics
 
-(* --- JSON encoding (hand-rolled; the library has no dependencies) --- *)
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* --- JSON encoding --- *)
 
 let fields_of_event = function
   | Pass_begin { func; pass } ->
-    ("pass_begin", [ ("func", json_string func); ("pass", json_string pass) ])
+    ("pass_begin", [ ("func", Json.escape func); ("pass", Json.escape pass) ])
   | Pass_end { func; pass; changed; delta = d; elapsed_ms } ->
     ( "pass_end",
       [
-        ("func", json_string func);
-        ("pass", json_string pass);
+        ("func", Json.escape func);
+        ("pass", Json.escape pass);
         ("changed", string_of_bool changed);
         ("instrs_before", string_of_int d.instrs_before);
         ("instrs_after", string_of_int d.instrs_after);
@@ -120,10 +102,10 @@ let fields_of_event = function
     ->
     ( "replication_applied",
       [
-        ("func", json_string func);
-        ("jump_from", json_string jump_from);
-        ("jump_to", json_string jump_to);
-        ("mode", json_string mode);
+        ("func", Json.escape func);
+        ("jump_from", Json.escape jump_from);
+        ("jump_to", Json.escape jump_to);
+        ("mode", Json.escape mode);
         ( "seq",
           "[" ^ String.concat "," (List.map string_of_int seq) ^ "]" );
         ("cost", string_of_int cost);
@@ -132,60 +114,55 @@ let fields_of_event = function
   | Replication_rolled_back { func; jump_from; jump_to; reason } ->
     ( "replication_rolled_back",
       [
-        ("func", json_string func);
-        ("jump_from", json_string jump_from);
-        ("jump_to", json_string jump_to);
-        ("reason", json_string (reason_to_string reason));
+        ("func", Json.escape func);
+        ("jump_from", Json.escape jump_from);
+        ("jump_to", Json.escape jump_to);
+        ("reason", Json.escape (reason_to_string reason));
       ] )
   | Fixpoint_iteration { func; iteration; changed } ->
     ( "fixpoint_iteration",
       [
-        ("func", json_string func);
+        ("func", Json.escape func);
         ("iteration", string_of_int iteration);
         ("changed", string_of_bool changed);
       ] )
   | Fixpoint_diverged { func; iterations; last_pass } ->
     ( "fixpoint_diverged",
       [
-        ("func", json_string func);
+        ("func", Json.escape func);
         ("iterations", string_of_int iterations);
-        ("last_pass", json_string last_pass);
+        ("last_pass", Json.escape last_pass);
       ] )
   | Pass_quarantined { func; pass; code; violations } ->
     ( "pass_quarantined",
       [
-        ("func", json_string func);
-        ("pass", json_string pass);
-        ("code", json_string code);
+        ("func", Json.escape func);
+        ("pass", Json.escape pass);
+        ("code", Json.escape code);
         ( "violations",
-          "[" ^ String.concat "," (List.map json_string violations) ^ "]" );
+          "[" ^ String.concat "," (List.map Json.escape violations) ^ "]" );
       ] )
   | Regalloc_spill { func; reg; round } ->
     ( "regalloc_spill",
       [
-        ("func", json_string func);
-        ("reg", json_string reg);
+        ("func", Json.escape func);
+        ("reg", Json.escape reg);
         ("round", string_of_int round);
       ] )
   | Sim_progress { instrs } ->
     ("sim_progress", [ ("instrs", string_of_int instrs) ])
-  | Warning { message } -> ("warning", [ ("message", json_string message) ])
+  | Warning { message } -> ("warning", [ ("message", Json.escape message) ])
 
 let event_to_json ~seq ~t_ms ev =
   let kind, fields = fields_of_event ev in
   let fields =
     [ ("seq", string_of_int seq); ("t_ms", Printf.sprintf "%.3f" t_ms);
-      ("ev", json_string kind) ]
+      ("ev", Json.escape kind) ]
     @ fields
   in
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
+  ^ String.concat "," (List.map (fun (k, v) -> Json.escape k ^ ":" ^ v) fields)
   ^ "}"
-
-let pp_event ppf ev =
-  let kind, fields = fields_of_event ev in
-  Format.fprintf ppf "%-24s %s" kind
-    (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) fields))
 
 let emit t f =
   if t.enabled then begin
@@ -199,16 +176,9 @@ let emit t f =
       let t_ms = (Unix.gettimeofday () -. t.started) *. 1000.0 in
       output_string oc (event_to_json ~seq ~t_ms ev);
       output_char oc '\n'
-    | Pretty oc ->
-      let t_ms = (Unix.gettimeofday () -. t.started) *. 1000.0 in
-      let buf = Buffer.create 128 in
-      let ppf = Format.formatter_of_buffer buf in
-      Format.fprintf ppf "[%6d %8.3fms] %a@?" seq t_ms pp_event ev;
-      output_string oc (Buffer.contents buf);
-      output_char oc '\n'
   end
 
 let flush t =
   match t.sink with
-  | Jsonl oc | Pretty oc -> Stdlib.flush oc
+  | Jsonl oc -> Stdlib.flush oc
   | Null | Memory -> ()

@@ -9,7 +9,6 @@
     Sinks:
     - [Null]: discard everything (the default; allocation-free);
     - [Jsonl oc]: one JSON object per line on [oc] — the machine format;
-    - [Pretty oc]: human-readable lines on [oc];
     - [Memory]: buffer events in order for in-process inspection
       ({!events}) — what the tests use. *)
 
@@ -76,7 +75,7 @@ type event =
   | Sim_progress of { instrs : int }
   | Warning of { message : string }
 
-type sink = Null | Jsonl of out_channel | Pretty of out_channel | Memory
+type sink = Null | Jsonl of out_channel | Memory
 
 type t
 
@@ -108,8 +107,3 @@ val flush : t -> unit
 
 (** One JSON object, no trailing newline — what the [Jsonl] sink writes. *)
 val event_to_json : seq:int -> t_ms:float -> event -> string
-
-val pp_event : Format.formatter -> event -> unit
-
-(** Minimal JSON string quoting (used by the stats emitters too). *)
-val json_string : string -> string

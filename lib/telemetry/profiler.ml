@@ -233,7 +233,10 @@ let take n xs =
   in
   go n xs
 
-let pp_table ?(top = 15) ppf t =
+(* Rows in each top-N table of [pp_table]. *)
+let top = 15
+
+let pp_table ppf t =
   let pass_rows_all = pass_rows t in
   let total_wall = List.fold_left (fun a r -> a +. r.p_wall_ms) 0.0 pass_rows_all in
   Format.fprintf ppf "profile: pass totals (all functions):@.";

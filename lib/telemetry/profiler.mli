@@ -72,6 +72,6 @@ val to_json : t -> Json.t
     {!merge}d by the parent. *)
 val of_json : Json.t -> t
 
-(** The [--profile] report: pass totals, top-N (function x pass), top-N
+(** The [--profile] report: pass totals, top-15 (function x pass), top-15
     runs. *)
-val pp_table : ?top:int -> Format.formatter -> t -> unit
+val pp_table : Format.formatter -> t -> unit

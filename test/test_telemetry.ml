@@ -213,7 +213,20 @@ let test_jsonl_shape () =
   Alcotest.(check bool) "escaped" true (has "L\\\"2");
   Alcotest.(check bool) "reason" true (has "\"reason\":\"irreducible\"");
   Alcotest.(check bool) "no raw newline" true
-    (not (String.contains line '\n'))
+    (not (String.contains line '\n'));
+  (* Control characters and backslashes, pinned byte for byte. *)
+  let ev =
+    Telemetry.Log.Replication_rolled_back
+      {
+        func = "f\n\t\\\x01g";
+        jump_from = "L\t1";
+        jump_to = "L\\\n2";
+        reason = Telemetry.Log.Irreducible;
+      }
+  in
+  Alcotest.(check string) "escaped bytes"
+    {|{"seq":7,"t_ms":1.500,"ev":"replication_rolled_back","func":"f\n\t\\\u0001g","jump_from":"L\t1","jump_to":"L\\\n2","reason":"irreducible"}|}
+    (Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev)
 
 (* --- the metrics registry (observability v2) --- *)
 

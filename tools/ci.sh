@@ -293,8 +293,17 @@ TREND_COMMIT=ci-escape TREND_WALL_S=30.0 \
 grep -q 'not failing' _build/trend-nogate.log
 echo "trend wall-time gate: regression caught, tolerance and --no-gate honored"
 
-echo "== bechamel smoke (time-bounded) =="
-dune exec bench/main.exe -- --bechamel --bechamel-quota 0.05 -t 1 > /dev/null
+echo "== bench tables smoke; bench accepts exactly its pinned options =="
+dune exec bench/main.exe -- -t 1 -t 2 -t fig > /dev/null
+# Arg rejects (exit 2) every option not listed here; a removed timing or
+# profile option that comes back, or any new one, fails this check.
+BENCH_OPTS=$(dune exec bench/main.exe -- --help | awk '$1 ~ /^-/ { print $1 }' | tr '\n' ' ')
+[ "$BENCH_OPTS" = "-t --tables --list --json -j --jobs --chaos --task-deadline \
+--retries --profile --profile-out --trace-out --store --resume --workers --worker \
+-help --help " ] || { echo "bench options changed: $BENCH_OPTS"; exit 1; }
+if dune exec bench/main.exe -- --no-such-option > /dev/null 2>&1; then
+  echo "bench accepted an unknown option"; exit 1
+fi
 
 echo "== lint --strict (examples + bench corpus) =="
 for f in examples/c/*.c; do
