@@ -258,9 +258,6 @@ let () =
       ( "-t",
         Arg.String (fun s -> tables := s :: !tables),
         "ID  print only this table/figure (repeatable)" );
-      ( "--tables",
-        Arg.String (fun s -> tables := s :: !tables),
-        "ID  same as -t" );
       ("--list", Arg.Set list_only, " list available ids");
       ("--json", Arg.Set json, " write BENCH_results.json (full suite sweep)");
       ( "-j",
@@ -288,7 +285,7 @@ let () =
       ( "--profile",
         Arg.Set profile,
         " profile the --json sweep: wall time and GC allocation per \
-         (function x pass), fuel/interp/cache time per run" );
+         (function x pass)" );
       ( "--profile-out",
         Arg.Set_string profile_out,
         "PATH  also write the profile (plus metric registries) as JSON \
@@ -305,9 +302,6 @@ let () =
         Arg.Set resume,
         " reuse committed store entries and compute only the delta \
          (requires --store)" );
-      ( "--workers",
-        Arg.Int (fun n -> jobs := Harness.Pool.clamp_jobs ~what:"--workers" n),
-        "N  same as -j" );
       ( "--worker",
         Arg.Unit (fun () -> ()),
         " internal: serve measure requests over stdin/stdout (handled \

@@ -71,8 +71,6 @@ let dominates t a b =
     climb b
   end
 
-let strictly_dominates t a b = a <> b && dominates t a b
-
 (* A preheader takes over the header's entry edges, so it inherits the
    header's immediate dominator and becomes the header's; the header's
    subtree moves one level down.  A stub hangs off block [header - 1]. *)

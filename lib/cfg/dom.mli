@@ -23,6 +23,3 @@ val idom : t -> int -> int option
 (** [dominates t a b]: every path from the entry to [b] passes through [a].
     Reflexive. *)
 val dominates : t -> int -> int -> bool
-
-(** Strict domination: [dominates] minus reflexivity. *)
-val strictly_dominates : t -> int -> int -> bool

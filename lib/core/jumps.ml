@@ -280,15 +280,6 @@ let classify config func an (bl, tl) =
           first_ok false cands))
     | Some _ | None -> Stale)
 
-(* Attempt one replacement; returns the new function on success. *)
-let try_replace_with config func an jump =
-  match classify config func an jump with
-  | Applied (f, _) -> Some f
-  | Stale | Rejected _ -> None
-
-let try_replace config func jump =
-  try_replace_with config func (lazy (analyze func)) jump
-
 (* Is the (bl -> tl) jump still present in [func]?  Guards the telemetry
    events so stale scan entries are not reported as decisions. *)
 let jump_live func (bl, tl) =

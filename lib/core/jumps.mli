@@ -57,11 +57,6 @@ val run :
     with their targets. *)
 val uncond_jumps : Flow.Func.t -> (Ir.Label.t * Ir.Label.t) list
 
-(** One replacement attempt for a specific jump (source-block label, target
-    label); [None] when not replaceable.  Exposed for tests and debugging. *)
-val try_replace :
-  config -> Flow.Func.t -> Ir.Label.t * Ir.Label.t -> Flow.Func.t option
-
 (** What would happen to one unconditional jump, without transforming. *)
 type decision =
   | Replicated of {

@@ -93,7 +93,6 @@ let record_timeout log (m : t) =
 let measure_raw ?opts ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(verify = true) ?budget
     (b : Programs.Suite.benchmark) level machine =
-  let profiling = Telemetry.Profiler.enabled profiler in
   let opts =
     match opts with
     | Some o -> { o with Opt.Driver.level }
@@ -105,26 +104,13 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
   in
   let asm = Sim.Asm.assemble machine prog in
   let bank = Icache.Bank.create Icache.paper_configs in
-  (* Cache-bank time is measured inside the fetch hook so it attributes
-     only the bank's own work; gettimeofday is vDSO-cheap and the timed
-     hook exists only under --profile. *)
-  let cache_s = ref 0.0 in
-  let on_fetch =
-    if profiling then (fun ~addr ~size ->
-      let t0 = Unix.gettimeofday () in
-      let r = Icache.Bank.access bank ~addr ~size in
-      cache_s := !cache_s +. (Unix.gettimeofday () -. t0);
-      r)
-    else fun ~addr ~size -> Icache.Bank.access bank ~addr ~size
-  in
+  let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
   (* The in-process deadline budget feeds only the interpreter (its fuel
      accounting doubles as the poll point): an expired budget raises
      [Budget.Exhausted] and surfaces as a pool-level [Timed_out] outcome,
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
-  let interp_t0 = Unix.gettimeofday () in
   let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
-  let interp_ms = (Unix.gettimeofday () -. interp_t0) *. 1e3 in
   let m =
     {
       program = b.name;
@@ -166,17 +152,6 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
   Telemetry.Metrics.observe metrics "measure.run_instrs"
     ~buckets:Telemetry.Metrics.Buckets.instrs
     (float_of_int m.dyn_instrs);
-  if profiling then begin
-    Telemetry.Metrics.observe metrics "measure.interp_ms"
-      ~buckets:Telemetry.Metrics.Buckets.time_ms interp_ms;
-    Telemetry.Profiler.record_run profiler
-      ~run:
-        (Printf.sprintf "%s/%s/%s" b.name
-           (Opt.Driver.level_name level)
-           machine.Ir.Machine.short)
-      ~fuel:res.counts.total ~interp_ms
-      ~cache_ms:(!cache_s *. 1e3)
-  end;
   m
 
 (* [measure_raw] plus the stateful tail: mismatch/timeout bookkeeping in

@@ -45,11 +45,11 @@ val instrs_between_branches : t -> float
     (and the [measure.run_instrs] histogram) accumulate, and any output
     mismatch emits a [Warning] event (and is recorded for {!mismatches}).
     With [profiler], each optimization pass is charged to its
-    (function x pass) row, and the run's interpreter fuel, interpreter
-    wall time and cache-bank time land in a ["program/LEVEL/machine"]
-    run row.  [verify] (default true) controls the output comparison;
-    ad-hoc sources without a known-good output pass [~verify:false]
-    through {!run_adhoc}.
+    (function x pass) row; the run itself is never timed, so a profiled
+    run fetches through the same hook as an unprofiled one.  [verify]
+    (default true) controls the output comparison; ad-hoc sources
+    without a known-good output pass [~verify:false] through
+    {!run_adhoc}.
 
     Concurrency: parallel sweeps run in worker processes
     ({!Harness.Pool}), each with its own memo and mismatch/timeout

@@ -25,8 +25,8 @@ val default_jobs : unit -> int
 (** [clamp_jobs ~what n] — the shared worker-count clamp behind
     {!default_jobs}: a non-positive [n] warns (naming [what], default
     ["JUMPREP_JOBS"]) and falls back to 1; over 4x the core count warns
-    and clamps to the core count.  [-j] and [--workers] counts go through
-    the same clamp. *)
+    and clamps to the core count.  [-j] counts go through the same
+    clamp. *)
 val clamp_jobs : ?what:string -> int -> int
 
 (** [parse_jobs ~what s] — parse a job count string with the

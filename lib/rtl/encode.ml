@@ -128,7 +128,3 @@ let matches p code =
           | None -> if eligible i then ok := false)
         code;
       !ok)
-
-let pp_stats ppf p =
-  Fmt.pf ppf "%d bytes (fixed %d): %d short, %d word, %d long" p.total
-    p.fixed_total p.shorts p.words p.longs

@@ -46,6 +46,3 @@ val solve : Machine.t -> Rtl.instr array -> int Label.Map.t -> plan
     with eligible instructions in exactly these positions.  The
     assembler refuses a plan that fails this. *)
 val matches : plan -> Rtl.instr array -> bool
-
-(** ["N bytes (fixed M): S short, W word, L long"]. *)
-val pp_stats : Format.formatter -> plan -> unit

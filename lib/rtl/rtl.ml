@@ -1,7 +1,5 @@
 type width = Byte | Word
 
-let width_bytes = function Byte -> 1 | Word -> 4
-
 type addr =
   | Based of Reg.t * int
   | Indexed of Reg.t * Reg.t * int * int

@@ -17,8 +17,6 @@
 
 type width = Byte | Word
 
-val width_bytes : width -> int
-
 (** Addressing modes.  [Indexed] is only legal on the CISC model. *)
 type addr =
   | Based of Reg.t * int  (** [reg + disp] *)

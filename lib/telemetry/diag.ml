@@ -80,31 +80,11 @@ let to_string d =
   in
   Printf.sprintf "[%s]%s %s" (code_name d.code) where d.message
 
-(* Uses the same minimal quoting as the event log (duplicated to keep this
-   module dependency-free below Log). *)
-let json_quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     "{\"code\":%s,\"severity\":%s,\"func\":%s,\"pass\":%s,\"message\":%s}"
-    (json_quote (code_name d.code))
-    (json_quote (severity_name d.severity))
-    (json_quote d.func) (json_quote d.pass) (json_quote d.message)
+    (Json.escape (code_name d.code))
+    (Json.escape (severity_name d.severity))
+    (Json.escape d.func) (Json.escape d.pass) (Json.escape d.message)
 
 let has_errors ds = List.exists (fun d -> d.severity = Err) ds

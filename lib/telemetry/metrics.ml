@@ -1,10 +1,10 @@
 (* Typed metrics registry: named counters, gauges and fixed-bucket
    histograms.
 
-   A registry is single-domain mutable state.  Parallel code gives every
-   task its own shard (a worker process ships it back as [to_json], read
-   with [of_json]) and the parent folds the shards back with
-   [merge] in task order — the merged registry is then byte-for-byte the
+   A registry is single-process mutable state.  A parallel sweep gives
+   every task its own shard (a worker process ships it back as
+   [to_json], read with [of_json]) and the parent folds the shards back
+   with [merge] in task order — the merged registry is then byte-for-byte the
    one a sequential run would have produced (counters and histograms are
    commutative sums; gauges are last-merge-wins, which is deterministic
    because the merge order is the task order, not the completion
@@ -103,9 +103,6 @@ let observe t name ~buckets v =
 
 let counter_value t name =
   match Hashtbl.find_opt t.tbl name with Some (Counter r) -> !r | _ -> 0
-
-let gauge_value t name =
-  match Hashtbl.find_opt t.tbl name with Some (Gauge r) -> !r | _ -> 0.
 
 let counters t =
   Hashtbl.fold

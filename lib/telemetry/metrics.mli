@@ -1,12 +1,13 @@
 (** Typed metrics registry: counters, gauges and fixed-bucket histograms.
 
-    A registry is {e single-domain} mutable state — the sharding
-    discipline is one registry per task or worker, folded back into the
-    parent's with {!merge} in task order.  Because counters and
-    histograms merge by commutative addition and gauges by
-    last-merge-wins, the merged registry is identical to the one a
-    sequential run produces whatever the domain count (asserted by
-    [test_telemetry] and the parallel-sweep determinism tests).
+    A registry is {e single-process} mutable state — the sharding
+    discipline is one registry per task or worker process, shipped back
+    with {!to_json}/{!of_json} and folded into the parent's with
+    {!merge} in task order.  Because counters and histograms merge by
+    commutative addition and gauges by last-merge-wins, the merged
+    registry is identical to the one a sequential run produces whatever
+    the worker count (asserted by [test_telemetry] and the
+    parallel-sweep determinism tests).
 
     Every update is a no-op on {!null}, so instrumented code pays one
     load and one branch when metrics are off. *)
@@ -54,9 +55,6 @@ val observe : t -> string -> buckets:float array -> float -> unit
 
 (** Current value of a counter (0 if absent or not a counter). *)
 val counter_value : t -> string -> int
-
-(** Current value of a gauge (0 if absent or not a gauge). *)
-val gauge_value : t -> string -> float
 
 (** All counters, sorted by name. *)
 val counters : t -> (string * int) list

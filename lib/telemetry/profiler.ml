@@ -1,13 +1,12 @@
-(* Per-pass and per-run profiler.
+(* Per-pass profiler.
 
-   Two attribution tables: (function x pass) -> {calls, runs, changed,
-   wall, alloc} fed by the Opt.Driver pass boundary, and run -> {fuel,
-   interp, cache} fed by Harness.Measure.  Like Metrics, a profiler is
-   single-domain state: each task profiles into a private shard that the
-   parent folds back with [merge] in task order.  Wall-clock and
-   allocation numbers are nondeterministic by nature; the deterministic
-   parts (call, run and change counts, fuel) are what the determinism
-   tests pin down. *)
+   One attribution table, (function x pass) -> {calls, runs, changed,
+   wall, alloc}, fed by the Opt.Driver pass boundary.  Like Metrics, a
+   profiler is single-process state: each task profiles into a private
+   shard that the parent folds back with [merge] in task order.
+   Wall-clock and allocation numbers are nondeterministic by nature; the
+   deterministic parts (call, run and change counts) are what the
+   determinism tests pin down. *)
 
 type pass_stat = {
   mutable calls : int;  (* presentations, memo replays included *)
@@ -17,23 +16,16 @@ type pass_stat = {
   mutable alloc_words : float;
 }
 
-type run_stat = {
-  mutable fuel : int;  (* executed instructions *)
-  mutable interp_ms : float;  (* whole interpreter run, cache sim included *)
-  mutable cache_ms : float;  (* time inside the Icache.Bank on_fetch hook *)
-}
-
 type t = {
   on : bool;
   passes : (string * string, pass_stat) Hashtbl.t;  (* (func, pass) *)
-  runs : (string, run_stat) Hashtbl.t;  (* "program/LEVEL/machine" *)
 }
 
-let create () = { on = true; passes = Hashtbl.create 64; runs = Hashtbl.create 32 }
-let null = { on = false; passes = Hashtbl.create 1; runs = Hashtbl.create 1 }
+let create () = { on = true; passes = Hashtbl.create 64 }
+let null = { on = false; passes = Hashtbl.create 1 }
 let enabled t = t.on
 
-(* Words allocated by this domain so far; sample before/after a region
+(* Words allocated by this process so far; sample before/after a region
    and subtract.  Promoted words would otherwise be counted twice. *)
 let alloc_words () =
   let s = Gc.quick_stat () in
@@ -57,29 +49,14 @@ let record_pass t ~func ~pass ~ran ~changed ~wall_ms ~alloc =
       ~changed:(Bool.to_int changed)
       ~wall_ms ~alloc
 
-let record_run t ~run ~fuel ~interp_ms ~cache_ms =
-  if t.on then
-    match Hashtbl.find_opt t.runs run with
-    | Some s ->
-      s.fuel <- s.fuel + fuel;
-      s.interp_ms <- s.interp_ms +. interp_ms;
-      s.cache_ms <- s.cache_ms +. cache_ms
-    | None -> Hashtbl.add t.runs run { fuel; interp_ms; cache_ms }
-
 let merge ~into src =
-  if into.on then begin
+  if into.on then
     (* Sort for determinism of table iteration order downstream. *)
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.passes []
     |> List.sort compare
     |> List.iter (fun (key, (s : pass_stat)) ->
            add_pass into.passes key ~calls:s.calls ~runs:s.runs
-             ~changed:s.changed ~wall_ms:s.wall_ms ~alloc:s.alloc_words);
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.runs []
-    |> List.sort compare
-    |> List.iter (fun (run, (s : run_stat)) ->
-           record_run into ~run ~fuel:s.fuel ~interp_ms:s.interp_ms
-             ~cache_ms:s.cache_ms)
-  end
+             ~changed:s.changed ~wall_ms:s.wall_ms ~alloc:s.alloc_words)
 
 (* --- reading --- *)
 
@@ -125,29 +102,6 @@ let by_pass t =
   Hashtbl.fold (fun pass s acc -> row "" pass s :: acc) tbl []
   |> List.sort row_order
 
-type run_row = {
-  r_run : string;
-  r_fuel : int;
-  r_interp_ms : float;
-  r_cache_ms : float;
-}
-
-let run_rows t =
-  Hashtbl.fold
-    (fun r_run (s : run_stat) acc ->
-      {
-        r_run;
-        r_fuel = s.fuel;
-        r_interp_ms = s.interp_ms;
-        r_cache_ms = s.cache_ms;
-      }
-      :: acc)
-    t.runs []
-  |> List.sort (fun a b ->
-         match compare b.r_interp_ms a.r_interp_ms with
-         | 0 -> String.compare a.r_run b.r_run
-         | c -> c)
-
 (* --- rendering --- *)
 
 let to_json t =
@@ -168,35 +122,9 @@ let to_json t =
                    ("alloc_words", Json.Raw (Printf.sprintf "%.0f" r.p_alloc_words));
                  ])
              (pass_rows t)) );
-      ( "by_pass",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("pass", Json.Str r.p_pass);
-                   ("calls", Json.Int r.p_calls);
-                   ("runs", Json.Int r.p_runs);
-                   ("changed", Json.Int r.p_changed);
-                   ("wall_ms", Json.Raw (Printf.sprintf "%.3f" r.p_wall_ms));
-                   ("alloc_words", Json.Raw (Printf.sprintf "%.0f" r.p_alloc_words));
-                 ])
-             (by_pass t)) );
-      ( "runs",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("run", Json.Str r.r_run);
-                   ("fuel", Json.Int r.r_fuel);
-                   ("interp_ms", Json.Raw (Printf.sprintf "%.3f" r.r_interp_ms));
-                   ("cache_ms", Json.Raw (Printf.sprintf "%.3f" r.r_cache_ms));
-                 ])
-             (run_rows t)) );
     ]
 
-(* The inverse of [to_json]'s row tables: how a worker process's profile
+(* The inverse of [to_json]'s row table: how a worker process's profile
    crosses its pipe to be [merge]d by the parent. *)
 let of_json j =
   let t = create () in
@@ -205,8 +133,8 @@ let of_json j =
   in
   let str r k = get r k Json.get_string "" in
   let int r k = get r k Json.get_int 0 and num r k = get r k Json.get_float 0. in
-  let rows k f = List.iter f (get j k Json.to_list []) in
-  rows "passes" (fun r ->
+  List.iter
+    (fun r ->
       Hashtbl.replace t.passes
         (str r "func", str r "pass")
         {
@@ -215,14 +143,8 @@ let of_json j =
           changed = int r "changed";
           wall_ms = num r "wall_ms";
           alloc_words = num r "alloc_words";
-        });
-  rows "runs" (fun r ->
-      Hashtbl.replace t.runs (str r "run")
-        {
-          fuel = int r "fuel";
-          interp_ms = num r "interp_ms";
-          cache_ms = num r "cache_ms";
-        });
+        })
+    (get j "passes" Json.to_list []);
   t
 
 let take n xs =
@@ -233,7 +155,7 @@ let take n xs =
   in
   go n xs
 
-(* Rows in each top-N table of [pp_table]. *)
+(* Rows in [pp_table]'s (function x pass) table. *)
 let top = 15
 
 let pp_table ppf t =
@@ -257,15 +179,4 @@ let pp_table ppf t =
       Format.fprintf ppf "  %-24s %-16s %8d %12.3f %14.3f@." r.p_func r.p_pass
         r.p_calls r.p_wall_ms
         (r.p_alloc_words /. 1e6))
-    (take top pass_rows_all);
-  match run_rows t with
-  | [] -> ()
-  | runs ->
-    Format.fprintf ppf "profile: top %d runs (interpreter + cache bank):@." top;
-    Format.fprintf ppf "  %-32s %12s %12s %12s@." "run" "fuel" "interp ms"
-      "cache ms";
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "  %-32s %12d %12.3f %12.3f@." r.r_run r.r_fuel
-          r.r_interp_ms r.r_cache_ms)
-      (take top runs)
+    (take top pass_rows_all)

@@ -1,12 +1,11 @@
-(** Per-pass and per-run profiler ([--profile]).
+(** Per-pass profiler ([--profile]).
 
-    Attribution tables fed by the {!Opt.Driver} pass boundary (wall-clock
-    and GC allocation per function x pass) and by [Harness.Measure]
-    (interpreter fuel, interpreter wall time and cache-bank time per
-    benchmark run).  Single-domain, like {!Metrics}: each task profiles
-    into a private shard (shipped back with {!to_json}/{!of_json} from a
-    worker process), and the parent folds them back with {!merge} in
-    task order.  Every recording is a no-op on {!null}. *)
+    One attribution table, fed by the {!Opt.Driver} pass boundary:
+    wall-clock and GC allocation per (function x pass).  Single-process
+    state, like {!Metrics}: each task profiles into a private shard
+    (shipped back with {!to_json}/{!of_json} from a worker process), and
+    the parent folds them back with {!merge} in task order.  Every
+    recording is a no-op on {!null}. *)
 
 type t
 
@@ -14,7 +13,7 @@ val create : unit -> t
 val null : t
 val enabled : t -> bool
 
-(** Words allocated by this domain so far ([minor + major - promoted]);
+(** Words allocated by this process so far ([minor + major - promoted]);
     sample before/after a region and subtract. *)
 val alloc_words : unit -> float
 
@@ -30,11 +29,6 @@ val record_pass :
   wall_ms:float ->
   alloc:float ->
   unit
-
-(** [run] is a free-form key — the sweep uses ["program/LEVEL/machine"].
-    Repeated recordings accumulate. *)
-val record_run :
-  t -> run:string -> fuel:int -> interp_ms:float -> cache_ms:float -> unit
 
 (** Fold [src] into [into] (commutative sums; call in task order for a
     deterministic aggregate). *)
@@ -56,22 +50,14 @@ val pass_rows : t -> pass_row list
 (** One row per pass, aggregated over functions, hottest first. *)
 val by_pass : t -> pass_row list
 
-type run_row = {
-  r_run : string;
-  r_fuel : int;
-  r_interp_ms : float;
-  r_cache_ms : float;
-}
-
-val run_rows : t -> run_row list
-
+(** [{"passes":[...]}]: the {!pass_rows}. *)
 val to_json : t -> Json.t
 
-(** The profile a {!to_json} document's [passes] and [runs] rows
-    describe — how a worker process's profile crosses its pipe to be
-    {!merge}d by the parent. *)
+(** The profile a {!to_json} document's [passes] rows describe — how a
+    worker process's profile crosses its pipe to be {!merge}d by the
+    parent. *)
 val of_json : Json.t -> t
 
-(** The [--profile] report: pass totals, top-15 (function x pass), top-15
-    runs. *)
+(** The [--profile] report: pass totals, then the top-15 (function x
+    pass) rows. *)
 val pp_table : Format.formatter -> t -> unit

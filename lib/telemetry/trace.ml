@@ -1,11 +1,11 @@
 (* Chrome/Perfetto trace-event collector.
 
    Collects complete spans ("X"), instant events ("i") and metadata
-   ("M") from any domain (appends are mutex-protected) and writes the
-   standard trace-event JSON object that chrome://tracing and
-   ui.perfetto.dev load directly.  Timestamps are microseconds since the trace was
-   created; the whole process is pid 1 and tids are logical lanes
-   (0 = supervisor, 1..N = pool workers). *)
+   ("M") in the parent process (appends are mutex-protected) and writes
+   the standard trace-event JSON object that chrome://tracing and
+   ui.perfetto.dev load directly.  Timestamps are microseconds since the
+   trace was created; the whole sweep is pid 1 and tids are logical
+   lanes (0 = supervisor, 1..N = pool worker processes). *)
 
 type ev = {
   e_name : string;

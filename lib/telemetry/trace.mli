@@ -1,12 +1,13 @@
 (** Chrome/Perfetto trace-event export ([--trace-out]).
 
-    A cross-domain collector of complete spans (phase ["X"]), instant
-    events (["i"]) and thread/process metadata (["M"]), written as the
-    standard trace-event JSON object that [chrome://tracing] and
-    {{:https://ui.perfetto.dev}Perfetto} load directly.  Appends are
-    mutex-protected so several domains may record concurrently; the
-    pool supervisor owns lane (tid) 0 and worker [k] owns lane [k].
-    Timestamps are microseconds since {!create}. *)
+    A collector of complete spans (phase ["X"]), instant events (["i"])
+    and thread/process metadata (["M"]), written as the standard
+    trace-event JSON object that [chrome://tracing] and
+    {{:https://ui.perfetto.dev}Perfetto} load directly.  It lives in the
+    parent process: the pool supervisor records its own events on lane
+    (tid) 0 and each worker process's task attempts on that worker's
+    lane [k], so worker processes never touch it.  Appends are
+    mutex-protected.  Timestamps are microseconds since {!create}. *)
 
 type t
 

@@ -228,6 +228,17 @@ let test_jsonl_shape () =
     {|{"seq":7,"t_ms":1.500,"ev":"replication_rolled_back","func":"f\n\t\\\u0001g","jump_from":"L\t1","jump_to":"L\\\n2","reason":"irreducible"}|}
     (Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev)
 
+(* A diagnostic's JSON quotes like the event log: quote, backslash and
+   control characters, pinned byte for byte. *)
+let test_diag_json_bytes () =
+  let d =
+    Telemetry.Diag.make Telemetry.Diag.Internal ~func:"f\"1" ~pass:"p\\2"
+      "a\"b\\c\nd\te\x01f"
+  in
+  Alcotest.(check string) "escaped bytes"
+    {|{"code":"internal","severity":"error","func":"f\"1","pass":"p\\2","message":"a\"b\\c\nd\te\u0001f"}|}
+    (Telemetry.Diag.to_json d)
+
 (* --- the metrics registry (observability v2) --- *)
 
 module Metrics = Telemetry.Metrics
@@ -491,9 +502,7 @@ let test_profiler_merge () =
   in
   let replicate p =
     Profiler.record_pass p ~func:"wc" ~pass:"replicate" ~ran:true
-      ~changed:true ~wall_ms:5.0 ~alloc:100.0;
-    Profiler.record_run p ~run:"wc/JUMPS/risc" ~fuel:1000 ~interp_ms:3.0
-      ~cache_ms:0.5
+      ~changed:true ~wall_ms:5.0 ~alloc:100.0
   in
   let whole = Profiler.create () in
   cse whole ~ran:true ~changed:true 1.0 10.0;
@@ -585,6 +594,7 @@ let tests =
       Alcotest.test_case "explain covers all jumps" `Quick
         test_explain_covers_all_jumps;
       Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
+      Alcotest.test_case "diag json bytes" `Quick test_diag_json_bytes;
       Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
       Alcotest.test_case "metrics null" `Quick test_metrics_null;
       Alcotest.test_case "metrics merge determinism" `Quick

@@ -93,7 +93,7 @@ BENCHX=_build/default/bench/main.exe
 rm -rf _build/campaign-st1 _build/campaign-st2 _build/campaign-st3
 
 # Cold sharded campaign over 2 worker processes: byte-identical baseline.
-"$BENCHX" --json --store _build/campaign-st1 --workers 2 > _build/campaign-cold.log
+"$BENCHX" --json --store _build/campaign-st1 -j 2 > _build/campaign-cold.log
 cmp BENCH_results.json BENCH_baseline.json
 grep -q 'campaign: 114 tasks, 0 cached, 114 computed' _build/campaign-cold.log
 
@@ -111,7 +111,7 @@ echo "campaign warm rerun: ${WARM_WALL}s (cold sweep: ${SWEEP_WALL}s), 0 recompu
 # The kill lands on progress, not on a timer: once 20 of the 114 entries
 # are committed (a cold campaign takes about a second, so a fixed sleep
 # can miss it and leave the resume nothing to prove).
-"$BENCHX" --json --store _build/campaign-st2 --workers 2 \
+"$BENCHX" --json --store _build/campaign-st2 -j 2 \
   > _build/campaign-killed.log 2>&1 &
 CPID=$!
 SEEN=
@@ -137,7 +137,7 @@ COMPUTED=$(sed -n 's/.* cached, \([0-9]*\) computed.*/\1/p' _build/campaign-resu
 if [ "${COMPUTED:-0}" -eq 0 ]; then
   echo "kill drill: the resumed run computed nothing (killed at $SEEN entries)"; exit 1
 fi
-"$BENCHX" --json --store _build/campaign-st2 --resume --workers 2 \
+"$BENCHX" --json --store _build/campaign-st2 --resume -j 2 \
   > _build/campaign-resume2.log
 cmp BENCH_results.json BENCH_baseline.json
 grep -q ' 114 cached, 0 computed' _build/campaign-resume2.log
@@ -145,7 +145,7 @@ echo "campaign: SIGKILL worker+parent at $SEEN entries, resumed $COMPUTED, bytes
 
 # Sharded chaos: worker-process SIGKILLs drawn from the pure schedule;
 # every leased task returns to the queue and completes on a respawn.
-"$BENCHX" --json --store _build/campaign-st3 --workers 2 \
+"$BENCHX" --json --store _build/campaign-st3 -j 2 \
   --chaos crash:0.1,seed:7 --retries 4 > _build/campaign-chaos.log
 cmp BENCH_results.json BENCH_baseline.json
 grep -q 'campaign: 114 tasks, 0 cached, 114 computed' _build/campaign-chaos.log
@@ -216,7 +216,7 @@ python3 - << 'EOF'
 import json
 # Tiny schema check: the trace must load as trace-event JSON with at
 # least one complete span per worker lane, and the profile document must
-# carry all three sections.
+# carry all three sections, the profiler's being its pass rows alone.
 trace = json.load(open("_build/trace.json"))
 assert isinstance(trace["traceEvents"], list) and trace["displayTimeUnit"] == "ms"
 spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
@@ -227,11 +227,10 @@ assert {1, 2} <= lanes, f"expected spans on worker lanes 1 and 2, got {lanes}"
 profile = json.load(open("_build/profile.json"))
 assert {"profile", "metrics", "pool"} <= profile.keys()
 assert profile["profile"]["passes"], "no (function x pass) profiler rows"
-assert profile["profile"]["runs"], "no per-run profiler rows"
+assert list(profile["profile"]) == ["passes"], list(profile["profile"])
 assert any(k.startswith("pool.") for k in profile["pool"]), "no pool counters"
 print(f"trace: {len(spans)} spans on lanes {sorted(lanes)}; "
-      f"profile: {len(profile['profile']['passes'])} pass rows, "
-      f"{len(profile['profile']['runs'])} run rows")
+      f"profile: {len(profile['profile']['passes'])} pass rows")
 EOF
 
 # How often each pass is presented, runs and changes the function is
@@ -298,8 +297,8 @@ dune exec bench/main.exe -- -t 1 -t 2 -t fig > /dev/null
 # Arg rejects (exit 2) every option not listed here; a removed timing or
 # profile option that comes back, or any new one, fails this check.
 BENCH_OPTS=$(dune exec bench/main.exe -- --help | awk '$1 ~ /^-/ { print $1 }' | tr '\n' ' ')
-[ "$BENCH_OPTS" = "-t --tables --list --json -j --jobs --chaos --task-deadline \
---retries --profile --profile-out --trace-out --store --resume --workers --worker \
+[ "$BENCH_OPTS" = "-t --list --json -j --jobs --chaos --task-deadline \
+--retries --profile --profile-out --trace-out --store --resume --worker \
 -help --help " ] || { echo "bench options changed: $BENCH_OPTS"; exit 1; }
 if dune exec bench/main.exe -- --no-such-option > /dev/null 2>&1; then
   echo "bench accepted an unknown option"; exit 1
