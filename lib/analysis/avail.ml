@@ -5,18 +5,6 @@ type key =
   | Kunop of Rtl.unop * Rtl.operand
   | Klea of Rtl.addr
 
-module Key_set = Set.Make (struct
-  type t = key
-
-  let compare = compare
-end)
-
-module Key_map = Map.Make (struct
-  type t = key
-
-  let compare = compare
-end)
-
 let pure_operand = function
   | Rtl.Reg _ | Rtl.Imm _ -> true
   | Rtl.Mem _ -> false
@@ -36,115 +24,187 @@ let key_of (i : Rtl.instr) =
   | Call _ | Ret | Enter _ | Leave | Nop ->
     None
 
-let key_regs = function
-  | Kbinop (_, a, b) -> Reg.Set.union (Rtl.operand_regs a) (Rtl.operand_regs b)
-  | Kunop (_, a) -> Rtl.operand_regs a
-  | Klea a -> Rtl.addr_regs a
+let iter_addr_regs f = function
+  | Rtl.Based (r, _) -> f r
+  | Rtl.Indexed (b, i, _, _) ->
+    f b;
+    f i
+  | Rtl.Abs _ -> ()
 
-let generates i =
-  match key_of i with
-  | Some (d, k) when not (Reg.Set.mem d (key_regs k)) -> Some (d, k)
-  | Some _ | None -> None
+let iter_operand_regs f = function
+  | Rtl.Reg r -> f r
+  | Rtl.Imm _ -> ()
+  | Rtl.Mem (_, a) -> iter_addr_regs f a
 
-let killed_by universe (i : Rtl.instr) =
-  let defs = Rtl.defs i in
-  if Reg.Set.is_empty defs then Key_set.empty
-  else
-    Key_set.filter
-      (fun k -> not (Reg.Set.is_empty (Reg.Set.inter (key_regs k) defs)))
-      universe
+let iter_key_regs f = function
+  | Kbinop (_, a, b) ->
+    iter_operand_regs f a;
+    iter_operand_regs f b
+  | Kunop (_, a) -> iter_operand_regs f a
+  | Klea a -> iter_addr_regs f a
 
-(* [killed_by] rescans the whole universe per instruction — the kill-set
-   construction and the clients' replay loops made it the optimizer's
-   hottest spot on expression-heavy functions.  Inverting the universe
-   once (register -> keys reading it) turns each query into a map lookup
-   per defined register; for the overwhelmingly common single-def
-   instruction the result is the precomputed set itself, shared, with no
-   set construction at all.  [kills] agrees with [killed_by] by
-   construction (a key is in [index(r)] iff [r] is in its [key_regs]);
-   the analysis tests pin the two to each other. *)
-type index = Key_set.t Reg.Map.t
+let reads k d =
+  let hit = ref false in
+  iter_key_regs (fun r -> if Reg.equal r d then hit := true) k;
+  !hit
 
-let kill_index universe =
-  Key_set.fold
-    (fun k acc ->
-      Reg.Set.fold
-        (fun r acc ->
-          Reg.Map.update r
-            (function
-              | None -> Some (Key_set.singleton k)
-              | Some s -> Some (Key_set.add k s))
-            acc)
-        (key_regs k) acc)
-    universe Reg.Map.empty
-
-let kills index (i : Rtl.instr) =
-  Reg.Set.fold
-    (fun r acc ->
-      match Reg.Map.find_opt r index with
-      | Some s -> if Key_set.is_empty acc then s else Key_set.union s acc
-      | None -> acc)
-    (Rtl.defs i) Key_set.empty
-
+(* Keys are ranked once per solve, in [compare] order: key [k] is bit [k]
+   of every set.  A register's kill mask holds the keys reading it, so an
+   instruction kills the union of its definitions' masks.  Each
+   instruction's key and generated key are looked up once, into [sites]:
+   two ints per instruction, [-1] for none. *)
 type t = {
-  universe : Key_set.t;
-  index : index;
-  avail_in : Key_set.t array;
+  keys : key array;
+  words : int;
+  avail_in : int array;  (** block [i]'s set at [i * words] *)
+  masks : int array array;  (** by [Live.index]; [[||]] when no key reads it *)
+  instrs : Rtl.instr list array;
+  sites : int array array;
   stats : Dataflow.stats;
 }
 
-module S = Dataflow.Solver (struct
-  type t = Key_set.t
+let keys t = t.keys
+let stats t = t.stats
 
-  let equal = Key_set.equal
-  let join = Key_set.inter
-end)
+let mask t r =
+  let x = Live.index r in
+  if x < Array.length t.masks then t.masks.(x) else [||]
+
+(* [bits.(off ..) <- bits.(off ..) land lnot m]. *)
+let remove_mask bits off m =
+  for w = 0 to Array.length m - 1 do
+    bits.(off + w) <- bits.(off + w) land lnot m.(w)
+  done
+
+let to_keys t bits off =
+  let acc = ref [] in
+  for k = Array.length t.keys - 1 downto 0 do
+    if Bitvec.get bits off k then acc := t.keys.(k) :: !acc
+  done;
+  !acc
+
+let avail_in t i = to_keys t t.avail_in (i * t.words)
+
+let killed t i =
+  let dead = Array.make t.words 0 in
+  Rtl.iter_defs
+    (fun r ->
+      let m = mask t r in
+      Bitvec.union_into dead 0 m 0 (Array.length m))
+    i;
+  to_keys t dead 0
+
+let fold t f i ~init =
+  let words = t.words and sites = t.sites.(i) in
+  let avail = Array.sub t.avail_in (i * words) words in
+  let kill r = remove_mask avail 0 (mask t r) in
+  let j = ref 0 in
+  List.fold_left
+    (fun acc instr ->
+      let key = sites.(2 * !j) and gen = sites.((2 * !j) + 1) in
+      incr j;
+      let acc =
+        f acc instr ~key ~avail:(key >= 0 && Bitvec.get avail 0 key)
+          ~generates:(gen >= 0)
+      in
+      Rtl.iter_defs kill instr;
+      if gen >= 0 then Bitvec.set avail 0 gen;
+      acc)
+    init t.instrs.(i)
 
 let solve ?max_visits ~graph ~instrs () =
   let n = Array.length instrs in
-  let universe =
-    Array.fold_left
-      (fun acc is ->
-        List.fold_left
-          (fun acc i ->
-            match key_of i with
-            | Some (_, k) -> Key_set.add k acc
-            | None -> acc)
-          acc is)
-      Key_set.empty instrs
+  (* The universe, ranked. *)
+  let rank = Hashtbl.create 64 in
+  let found =
+    Array.map
+      (fun is ->
+        List.map
+          (fun i ->
+            let dk = key_of i in
+            (match dk with
+            | Some (_, k) when not (Hashtbl.mem rank k) -> Hashtbl.add rank k 0
+            | Some _ | None -> ());
+            dk)
+          is)
+      instrs
   in
-  if Key_set.is_empty universe then
+  let keys = Array.of_seq (Hashtbl.to_seq_keys rank) in
+  Array.sort compare keys;
+  Array.iteri (fun r k -> Hashtbl.replace rank k r) keys;
+  let nkeys = Array.length keys in
+  let words = Bitvec.words_for (max 0 (nkeys - 1)) in
+  let sites =
+    Array.map
+      (fun dks ->
+        let a = Array.make (2 * List.length dks) (-1) in
+        List.iteri
+          (fun j dk ->
+            match dk with
+            | Some (d, k) ->
+              let r = Hashtbl.find rank k in
+              a.(2 * j) <- r;
+              if not (reads k d) then a.((2 * j) + 1) <- r
+            | None -> ())
+          dks;
+        a)
+      found
+  in
+  let masks =
+    let top = ref (-1) in
+    Array.iter (iter_key_regs (fun r -> top := max !top (Live.index r))) keys;
+    let masks = Array.make (!top + 1) [||] in
+    Array.iteri
+      (fun k key ->
+        iter_key_regs
+          (fun r ->
+            let x = Live.index r in
+            if Array.length masks.(x) = 0 then masks.(x) <- Array.make words 0;
+            Bitvec.set masks.(x) 0 k)
+          key)
+      keys;
+    masks
+  in
+  let t =
     {
-      universe;
-      index = Reg.Map.empty;
-      avail_in = Array.make n Key_set.empty;
+      keys;
+      words;
+      avail_in = Array.make (n * words) 0;
+      masks;
+      instrs;
+      sites;
       stats = { Dataflow.visits = 0 };
     }
+  in
+  if nkeys = 0 then t
   else begin
-    let index = kill_index universe in
-    let gen = Array.make n Key_set.empty in
-    let kill = Array.make n Key_set.empty in
+    let gen = Array.make (n * words) 0 in
+    let kill = Array.make (n * words) 0 in
     Array.iteri
-      (fun bi is ->
-        List.iter
-          (fun i ->
-            let dead = kills index i in
-            gen.(bi) <- Key_set.diff gen.(bi) dead;
-            kill.(bi) <- Key_set.union kill.(bi) dead;
-            match generates i with
-            | Some (_, k) ->
-              gen.(bi) <- Key_set.add k gen.(bi);
-              kill.(bi) <- Key_set.remove k kill.(bi)
-            | None -> ())
+      (fun b is ->
+        let off = b * words and sites = sites.(b) in
+        List.iteri
+          (fun j i ->
+            Rtl.iter_defs
+              (fun r ->
+                let m = mask t r in
+                remove_mask gen off m;
+                Bitvec.union_into kill off m 0 (Array.length m))
+              i;
+            let g = sites.((2 * j) + 1) in
+            if g >= 0 then begin
+              Bitvec.set gen off g;
+              Bitvec.clear kill off g
+            end)
           is)
       instrs;
+    let universe = Array.make words 0 in
+    for k = 0 to nkeys - 1 do
+      Bitvec.set universe 0 k
+    done;
     let r =
-      S.solve ~name:"avail" ?max_visits ~direction:Dataflow.Forward ~graph
-        ~empty:Key_set.empty
-        ~init:(fun _ -> universe)
-        ~transfer:(fun b inb ->
-          Key_set.union gen.(b) (Key_set.diff inb kill.(b)))
-        ()
+      Bitvec.solve ~name:"avail" ?max_visits ~direction:Dataflow.Forward
+        ~meet:Bitvec.Inter ~graph ~words ~gen ~kill ~init:universe ()
     in
-    { universe; index; avail_in = r.S.input; stats = r.S.stats }
+    { t with avail_in = r.input; stats = r.stats }
   end

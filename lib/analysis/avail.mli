@@ -1,11 +1,15 @@
-(** Available expressions, as an instance of {!Dataflow}.
+(** Available expressions, as a bit-vector problem for {!Bitvec.solve}.
 
     The fact at a block's entry is the set of pure register expressions
     ([Binop]/[Unop]/[Lea] over registers and immediates) computed on every
     path from the entry and not invalidated since.  [Opt.Gcse] builds its
-    redundancy elimination on these facts; the key machinery ([key_of],
-    [generates], [killed_by]) is shared so clients replay the same
-    per-instruction updates the solver used. *)
+    redundancy elimination on these facts, replaying each block with
+    {!fold}.
+
+    A solve ranks the function's keys once, in [compare] order, and key
+    [k] is bit [k] of every set.  An instruction kills the keys that read
+    a register it defines (one precomputed mask per register), then
+    generates its own key unless the key reads its destination. *)
 
 open Ir
 
@@ -16,37 +20,37 @@ type key =
   | Kunop of Rtl.unop * Rtl.operand
   | Klea of Rtl.addr
 
-module Key_set : Set.S with type elt = key
-module Key_map : Map.S with type key = key
-
 (** The key an instruction computes into a register, if any. *)
 val key_of : Rtl.instr -> (Reg.t * key) option
 
-(** Like {!key_of}, but [None] also for self-referencing computations
-    ([d := d op c], the CISC two-address shape), which kill their own key
-    the moment they execute and so never make it available. *)
-val generates : Rtl.instr -> (Reg.t * key) option
+type t
 
-(** Keys of [universe] invalidated by the instruction: every expression
-    reading a register it defines.  The reference definition — a full
-    scan of [universe] per query; hot paths use a prebuilt {!index}. *)
-val killed_by : Key_set.t -> Rtl.instr -> Key_set.t
+(** Every key computed anywhere in the function, in [compare] order: a
+    key's index is its rank. *)
+val keys : t -> key array
 
-(** Inverted universe: register -> keys reading it. *)
-type index
+(** Keys available on entry to block [i], in rank order. *)
+val avail_in : t -> int -> key list
 
-val kill_index : Key_set.t -> index
+(** Keys the instruction invalidates, in rank order: every key reading a
+    register it defines. *)
+val killed : t -> Rtl.instr -> key list
 
-(** [kills index i] equals [killed_by universe i] for the universe the
-    index was built from, in one map lookup per defined register. *)
-val kills : index -> Rtl.instr -> Key_set.t
+val stats : t -> Dataflow.stats
 
-type t = {
-  universe : Key_set.t;  (** every key computed anywhere in the function *)
-  index : index;  (** {!kill_index} of [universe] *)
-  avail_in : Key_set.t array;  (** keys available at each block's entry *)
-  stats : Dataflow.stats;
-}
+(** [fold t f i ~init] replays block [i] (the instructions it was solved
+    on) from its entry set.  [f acc instr ~key ~avail ~generates] sees the
+    rank of [key_of instr] ([-1] for none), whether that key is available
+    just before [instr], and whether [instr] generates it — that is,
+    whether the key does not read the destination ([d := d op c], the CISC
+    two-address shape, kills its own key the moment it executes). *)
+val fold :
+  t ->
+  ('a -> Rtl.instr -> key:int -> avail:bool -> generates:bool -> 'a) ->
+  int ->
+  init:'a ->
+  'a
 
+(** @raise Dataflow.Diverged after [max_visits] node visits. *)
 val solve :
   ?max_visits:int -> graph:Dataflow.graph -> instrs:Rtl.instr list array -> unit -> t

@@ -4,14 +4,14 @@
     supplies a join-semilattice of facts, a flow graph, and a per-node
     transfer function; the solver iterates to a fixpoint in reverse
     postorder (postorder for backward problems) and returns the fact
-    arrays.  {!Reaching}, {!Avail}, {!Copyconst} and the value-numbering
-    walk of [Opt.Cse] are instances.  {!Live}, the hottest analysis, runs
-    the same schedule on dense bitsets in a solver of its own.
+    arrays.  {!Reaching} and {!Copyconst} are instances.  {!Live} and
+    {!Avail}, the analyses the Figure-3 loop asks for every round, run the
+    same schedule on dense bitsets in {!Bitvec.solve}.
 
     The graph is deliberately abstract (three functions and an order) so
     the engine has no dependency on [Flow]: [Flow.Cfg.graph] adapts a CFG,
-    and clients may restrict or rewire edges (see {!restrict} and the EBB
-    forest in [Opt.Cse]) without touching the function under analysis. *)
+    and clients may restrict edges (see {!restrict}) without touching the
+    function under analysis. *)
 
 type direction = Forward | Backward
 
@@ -43,7 +43,7 @@ exception Diverged of string
 val budget : ?max_visits:int -> int -> int
 
 (** Raise {!Diverged} with the iteration-bound message.  Shared by
-    {!Solver} and the specialised liveness solver in {!Live}. *)
+    {!Solver} and {!Bitvec.solve}. *)
 val diverged : ?name:string -> visits:int -> nodes:int -> 'a
 
 module type LATTICE = sig

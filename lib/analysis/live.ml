@@ -1,6 +1,5 @@
 open Ir
-
-let bits_per_word = 62
+open Bitvec
 
 let index = function
   | Reg.Cc -> 0
@@ -13,24 +12,6 @@ let reg_of_index k =
   if k = 0 then Reg.Cc
   else if k <= Conv.num_regs then phys.(k - 1)
   else Reg.Virt (k - 1 - Conv.num_regs)
-
-(* Bit [k] of the set stored at [bits.(off ..)]. *)
-let get bits off k =
-  bits.(off + (k / bits_per_word)) land (1 lsl (k mod bits_per_word)) <> 0
-
-let set bits off k =
-  let j = off + (k / bits_per_word) in
-  bits.(j) <- bits.(j) lor (1 lsl (k mod bits_per_word))
-
-let clear bits off k =
-  let j = off + (k / bits_per_word) in
-  bits.(j) <- bits.(j) land lnot (1 lsl (k mod bits_per_word))
-
-(* [dst.(doff ..) <- dst.(doff ..) lor src.(soff ..)] over [words] ints. *)
-let union_into dst doff src soff words =
-  for w = 0 to words - 1 do
-    dst.(doff + w) <- dst.(doff + w) lor src.(soff + w)
-  done
 
 module Regs = struct
   type t = { bits : int array; off : int; words : int }
@@ -81,12 +62,6 @@ let fold_backward t f instrs i ~init =
       acc)
     instrs init
 
-let rec union_succs live_out off live_in words = function
-  | [] -> ()
-  | s :: rest ->
-    union_into live_out off live_in (s * words) words;
-    union_succs live_out off live_in words rest
-
 (* Per-block gen (upward-exposed uses) and kill (every definition) sets,
    [words] wide.  A register past that width is left out; the result's
    third component is the highest such index, 0 when everything fit. *)
@@ -114,8 +89,6 @@ let gen_kill ~n ~words instrs =
   done;
   (gen, kill, !over)
 
-let words_for top = (top / bits_per_word) + 1
-
 let solve ?max_visits ?(regs = 1) ~graph ~instrs () =
   let n = graph.Dataflow.nodes in
   let words, gen, kill =
@@ -128,51 +101,11 @@ let solve ?max_visits ?(regs = 1) ~graph ~instrs () =
       let gen, kill, _ = gen_kill ~n ~words instrs in
       (words, gen, kill)
   in
-  let live_in = Array.make (n * words) 0 in
-  let live_out = Array.make (n * words) 0 in
-  (* The worklist of [Dataflow.Solver] for a backward problem: seeded in
-     postorder, FIFO, a node queued at most once at a time.  The ring
-     holds the seed plus one entry per node. *)
-  let seed = graph.rpo in
-  let cap = Array.length seed + n + 1 in
-  let ring = Array.make cap 0 in
-  let head = ref 0 and len = ref 0 in
-  let inq = Array.make n false in
-  let push i =
-    ring.((!head + !len) mod cap) <- i;
-    incr len;
-    inq.(i) <- true
+  let r =
+    Bitvec.solve ~name:"live" ?max_visits ~direction:Dataflow.Backward
+      ~meet:Bitvec.Union ~graph ~words ~gen ~kill
+      ~init:(Array.make words 0) ()
   in
-  for k = Array.length seed - 1 downto 0 do
-    push seed.(k)
-  done;
-  let rec enqueue = function
-    | [] -> ()
-    | j :: rest ->
-      if not inq.(j) then push j;
-      enqueue rest
-  in
-  let budget = Dataflow.budget ?max_visits n in
-  let visits = ref 0 in
-  while !len > 0 do
-    let i = ring.(!head) in
-    head := (!head + 1) mod cap;
-    decr len;
-    inq.(i) <- false;
-    incr visits;
-    if !visits > budget then
-      Dataflow.diverged ~name:"live" ~visits:!visits ~nodes:n;
-    let off = i * words in
-    Array.fill live_out off words 0;
-    union_succs live_out off live_in words (graph.succs i);
-    let changed = ref false in
-    for w = off to off + words - 1 do
-      let v = gen.(w) lor (live_out.(w) land lnot kill.(w)) in
-      if v <> live_in.(w) then begin
-        live_in.(w) <- v;
-        changed := true
-      end
-    done;
-    if !changed then enqueue (graph.preds i)
-  done;
-  { words; live_in; live_out; stats = { Dataflow.visits = !visits } }
+  (* Backward orientation: the meet over successors is live-out, the
+     transferred fact live-in. *)
+  { words; live_in = r.output; live_out = r.input; stats = r.stats }

@@ -8,18 +8,14 @@
     mention; a solve's live-in and live-out sets each fill one flat
     [int array].
     Per-block gen/kill sets are built once, with {!Ir.Rtl.iter_uses} and
-    {!Ir.Rtl.iter_defs}, and the fixpoint visits nodes in exactly the
-    order of {!Dataflow.Solver} (postorder seed, FIFO worklist, the same
-    [Diverged] budget), so [stats.visits] equals the generic solver's. *)
+    {!Ir.Rtl.iter_defs}, and {!Bitvec.solve} iterates them on the schedule
+    of {!Dataflow.Solver}, so [stats.visits] equals the generic solver's. *)
 
 open Ir
 
 (** The numbering above: [Cc] is 0, [Phys i] is [1 + i], [Virt n] is
     [1 + Conv.num_regs + n]. *)
 val index : Reg.t -> int
-
-(** Bits used per int of a set. *)
-val bits_per_word : int
 
 (** A read-only view of one register set. *)
 module Regs : sig
@@ -31,7 +27,8 @@ module Regs : sig
 
   (** [or_into s dst off] ORs the set's words into [dst.(off)],
       [dst.(off + 1)], ...: register [index r] is bit
-      [index r mod bits_per_word] of word [index r / bits_per_word].
+      [index r mod Bitvec.bits_per_word] of word
+      [index r / Bitvec.bits_per_word].
       [dst] must hold as many words from [off] as the solve's width. *)
   val or_into : t -> int array -> int -> unit
 end

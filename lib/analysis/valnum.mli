@@ -5,25 +5,15 @@
     mention, so redefinitions invalidate entries without explicit killing;
     loads additionally embed a memory version bumped by stores and calls.
 
-    States form the lattice [Opt.Cse] solves over the extended-basic-block
-    forest with {!Dataflow}: within an EBB a block inherits its unique
-    predecessor's exit state; everywhere else propagation restarts from
-    {!empty} (which is what {!join} returns for disagreeing states). *)
+    States are persistent: [Opt.Cse] rewrites a block from the exit state
+    of its unique predecessor (within an extended basic block) or from
+    {!empty}, so sibling blocks start from the same parent state. *)
 
 open Ir
 
 type state
 
 val empty : state
-val equal : state -> state -> bool
-
-(** [join a b] is [a] when the states agree and {!empty} otherwise —
-    deliberately pessimistic, because value numbers are only propagated
-    along single-predecessor edges where no real join ever happens. *)
-val join : state -> state -> state
-
-(** State evolution across one instruction, without rewriting. *)
-val step : state -> Rtl.instr -> state
 
 (** [rewrite st i] is [(st', i', changed)]: the state after [i], and [i]
     rewritten to a register move when its key is available in a register

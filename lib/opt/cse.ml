@@ -2,74 +2,42 @@ open Flow
 
 (* Local value numbering over extended basic blocks.  The fact domain
    (versioned expression tables) lives in [Analysis.Valnum]; this pass
-   solves block-entry states with the shared worklist engine over the EBB
-   forest — the subgraph keeping only the in-edge of reachable blocks with
-   exactly one predecessor — then rewrites each block from its entry state.
+   rewrites every block in one walk, in reverse postorder, each from the
+   exit state of its parent in the EBB forest — the unique predecessor of
+   a reachable block that has exactly one — and everywhere else (joins,
+   the entry, unreachable blocks) from the empty state, exactly as a fresh
+   EBB walk would.
 
    The forest is acyclic: a reachable single-predecessor cycle would need
-   an edge into the entry block, which [Check] forbids, so the solve is a
-   single topological pass.  Blocks outside the forest (joins, the entry,
-   unreachable blocks) start from the empty state, exactly as a fresh EBB
-   walk would. *)
-
-module S = Analysis.Dataflow.Solver (struct
-  type t = Analysis.Valnum.state
-
-  let equal = Analysis.Valnum.equal
-  let join = Analysis.Valnum.join
-end)
+   an edge into the entry block, which [Check] forbids.  Reverse postorder
+   visits a block's unique predecessor first, so every parent's exit state
+   is ready when its children are rewritten. *)
 
 let run func =
   let g = Cfg.make func in
-  let n = Func.num_blocks func in
   let reach = Cfg.reachable g in
-  let parent =
-    Array.init n (fun i ->
-        if not reach.(i) then None
-        else match Cfg.preds g i with [ p ] when p <> i -> Some p | _ -> None)
-  in
-  let children = Array.make n [] in
-  Array.iteri
-    (fun i p ->
-      match p with Some p -> children.(p) <- i :: children.(p) | None -> ())
-    parent;
-  let forest =
-    {
-      Analysis.Dataflow.nodes = n;
-      succs = (fun i -> List.rev children.(i));
-      preds = (fun i -> Option.to_list parent.(i));
-      (* The CFG's reverse postorder also topologically orders the forest:
-         a block's unique predecessor is always visited first. *)
-      rpo = Cfg.reverse_postorder g;
-    }
-  in
   let blocks = Func.blocks func in
-  let entry_state =
-    let r =
-      S.solve ~name:"cse-valnum" ~direction:Analysis.Dataflow.Forward
-        ~graph:forest
-        ~empty:Analysis.Valnum.empty
-        ~init:(fun _ -> Analysis.Valnum.empty)
-        ~transfer:(fun bi st ->
-          List.fold_left Analysis.Valnum.step st blocks.(bi).Func.instrs)
-        ()
-    in
-    r.S.input
-  in
+  let exit_state = Array.make (Array.length blocks) Analysis.Valnum.empty in
   let changed = ref false in
-  let out =
-    Array.mapi
-      (fun bi (b : Func.block) ->
-        let _, instrs =
-          List.fold_left
-            (fun (st, acc) i ->
-              let st, i', c = Analysis.Valnum.rewrite st i in
-              if c then changed := true;
-              (st, i' :: acc))
-            (entry_state.(bi), [])
-            b.instrs
-        in
-        { b with instrs = List.rev instrs })
-      blocks
-  in
+  let out = Array.copy blocks in
+  Array.iter
+    (fun bi ->
+      let entry =
+        if not reach.(bi) then Analysis.Valnum.empty
+        else
+          match Cfg.preds g bi with
+          | [ p ] when p <> bi -> exit_state.(p)
+          | _ -> Analysis.Valnum.empty
+      in
+      let st, instrs =
+        List.fold_left
+          (fun (st, acc) i ->
+            let st, i', c = Analysis.Valnum.rewrite st i in
+            if c then changed := true;
+            (st, i' :: acc))
+          (entry, []) blocks.(bi).Func.instrs
+      in
+      exit_state.(bi) <- st;
+      out.(bi) <- { (blocks.(bi)) with instrs = List.rev instrs })
+    (Cfg.reverse_postorder g);
   if !changed then (Func.with_blocks func out, true) else (func, false)

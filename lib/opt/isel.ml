@@ -19,30 +19,56 @@ let fact_regs = function
   | Scaled (r, _) -> [ r ]
   | Sum (b, i, _) -> [ b; i ]
 
+(* [facts] maps a register to what it holds.  [users] indexes the other
+   way — register -> registers whose fact was recorded mentioning it — and
+   [loaded] lists the registers given a [Loaded] fact, so killing reads
+   only the entries that can be affected.  Entries go stale when a fact is
+   replaced or removed; each is checked against the current fact before it
+   is acted on, so a stale one does nothing. *)
 type state = {
   machine : Machine.t;
   facts : (Reg.t, fact) Hashtbl.t;
+  users : (Reg.t, Reg.t list) Hashtbl.t;
+  mutable loaded : Reg.t list;
   mutable changed : bool;
 }
 
+let reset st =
+  Hashtbl.reset st.facts;
+  Hashtbl.reset st.users;
+  st.loaded <- []
+
+let learn st d fact =
+  Hashtbl.replace st.facts d fact;
+  List.iter
+    (fun r ->
+      let us = Option.value (Hashtbl.find_opt st.users r) ~default:[] in
+      Hashtbl.replace st.users r (d :: us))
+    (fact_regs fact);
+  match fact with Loaded _ -> st.loaded <- d :: st.loaded | _ -> ()
+
 let kill st r =
   Hashtbl.remove st.facts r;
-  let stale =
-    Hashtbl.fold
-      (fun key fact acc ->
-        if List.exists (Reg.equal r) (fact_regs fact) then key :: acc else acc)
-      st.facts []
-  in
-  List.iter (Hashtbl.remove st.facts) stale
+  match Hashtbl.find_opt st.users r with
+  | None -> ()
+  | Some us ->
+    Hashtbl.remove st.users r;
+    List.iter
+      (fun u ->
+        match Hashtbl.find_opt st.facts u with
+        | Some fact when List.exists (Reg.equal r) (fact_regs fact) ->
+          Hashtbl.remove st.facts u
+        | _ -> ())
+      us
 
 let kill_loads st =
-  let stale =
-    Hashtbl.fold
-      (fun key fact acc ->
-        match fact with Loaded _ -> key :: acc | _ -> acc)
-      st.facts []
-  in
-  List.iter (Hashtbl.remove st.facts) stale
+  List.iter
+    (fun u ->
+      match Hashtbl.find_opt st.facts u with
+      | Some (Loaded _) -> Hashtbl.remove st.facts u
+      | _ -> ())
+    st.loaded;
+  st.loaded <- []
 
 (* --- Substitution --- *)
 
@@ -136,15 +162,15 @@ let improve_instr st (i : Rtl.instr) : Rtl.instr option =
 
 (* Record what an instruction teaches us, after killing its definitions. *)
 let record st (i : Rtl.instr) =
-  Reg.Set.iter (kill st) (Rtl.defs i);
+  Rtl.iter_defs (kill st) i;
   if Rtl.writes_mem i then kill_loads st;
   (match i with
   | Rtl.Call _ -> kill_loads st
   | _ -> ());
   match i with
   | Rtl.Move (Lreg d, (Reg s as o)) ->
-    if not (Reg.equal d s) then Hashtbl.replace st.facts d (Copy o)
-  | Rtl.Move (Lreg d, (Imm _ as o)) -> Hashtbl.replace st.facts d (Copy o)
+    if not (Reg.equal d s) then learn st d (Copy o)
+  | Rtl.Move (Lreg d, (Imm _ as o)) -> learn st d (Copy o)
   | Rtl.Move (Lreg d, Mem (w, a)) ->
     let ok_addr =
       match a with
@@ -152,7 +178,7 @@ let record st (i : Rtl.instr) =
       | Indexed (b, i, _, _) -> (not (Reg.equal b d)) && not (Reg.equal i d)
       | Abs _ -> true
     in
-    if ok_addr then Hashtbl.replace st.facts d (Loaded (w, a))
+    if ok_addr then learn st d (Loaded (w, a))
   | Rtl.Lea (d, a) ->
     let ok_addr =
       match a with
@@ -160,16 +186,16 @@ let record st (i : Rtl.instr) =
       | Indexed (b, i, _, _) -> (not (Reg.equal b d)) && not (Reg.equal i d)
       | Abs _ -> true
     in
-    if ok_addr then Hashtbl.replace st.facts d (Eaddr a)
+    if ok_addr then learn st d (Eaddr a)
   | Rtl.Binop (Shl, Lreg d, Reg i, Imm k)
     when (k = 1 || k = 2) && not (Reg.equal d i) ->
-    Hashtbl.replace st.facts d (Scaled (i, 1 lsl k))
+    learn st d (Scaled (i, 1 lsl k))
   | Rtl.Binop (Add, Lreg d, Reg b, Reg i)
     when (not (Reg.equal d b)) && not (Reg.equal d i) -> (
     match Hashtbl.find_opt st.facts i with
     | Some (Scaled (idx, sc)) when not (Reg.equal idx d) ->
-      Hashtbl.replace st.facts d (Sum (b, idx, sc))
-    | _ -> Hashtbl.replace st.facts d (Sum (b, i, 1)))
+      learn st d (Sum (b, idx, sc))
+    | _ -> learn st d (Sum (b, i, 1)))
   | _ -> ()
 
 let forward_pass st instrs =
@@ -270,11 +296,19 @@ let backward_pass st ~live_out instrs =
 let run machine func =
   (* Only the CISC fusions read liveness. *)
   let live = lazy (Flow.Liveness.compute func) in
-  let st = { machine; facts = Hashtbl.create 32; changed = false } in
+  let st =
+    {
+      machine;
+      facts = Hashtbl.create 32;
+      users = Hashtbl.create 32;
+      loaded = [];
+      changed = false;
+    }
+  in
   let blocks =
     Array.mapi
       (fun bi (b : Flow.Func.block) ->
-        Hashtbl.reset st.facts;
+        reset st;
         let instrs = forward_pass st b.instrs in
         let live_out r = Flow.Liveness.mem_out (Lazy.force live) bi r in
         let instrs = backward_pass st ~live_out instrs in

@@ -3,7 +3,7 @@ open Flow
 
 let k_colors = List.length Conv.allocatable
 let num_phys = Conv.num_regs
-let bits = Analysis.Live.bits_per_word
+let bits = Analysis.Bitvec.bits_per_word
 
 (* Columns follow [Analysis.Live.index]: [Cc] 0, [Phys i] [1 + i], [Virt n]
    [first_virt + n]. *)

@@ -169,12 +169,12 @@ let test_avail_join () =
   let g = Cfg.graph (Cfg.make f) in
   let a = Analysis.Avail.solve ~graph:g ~instrs:(instrs_of f) () in
   let has_add b =
-    Analysis.Avail.Key_set.exists
+    List.exists
       (function
         | Analysis.Avail.Kbinop (Rtl.Add, Rtl.Reg r1, Rtl.Reg r2) ->
           Reg.equal r1 (v 1) && Reg.equal r2 (v 1)
         | _ -> false)
-      a.Analysis.Avail.avail_in.(b)
+      (Analysis.Avail.avail_in a b)
   in
   Alcotest.(check bool) "not available at the entry" false (has_add 0);
   Alcotest.(check bool) "available on the fall arm" true (has_add 1);
@@ -202,11 +202,11 @@ let test_avail_join () =
       ~instrs:(instrs_of f') ()
   in
   let has_add' b =
-    Analysis.Avail.Key_set.exists
+    List.exists
       (function
         | Analysis.Avail.Kbinop (Rtl.Add, _, _) -> true
         | _ -> false)
-      a'.Analysis.Avail.avail_in.(b)
+      (Analysis.Avail.avail_in a' b)
   in
   Alcotest.(check bool) "killed by the redefinition" false (has_add' 3)
 
@@ -633,8 +633,8 @@ let prop_bitset_solver_matches_generic =
       !same
       && (Analysis.Live.stats bits).visits = generic.stats.visits)
 
-(* The indexed kill query is a performance rewrite of the reference
-   full-scan definition; pin their equality on every instruction of real
+(* The per-register kill masks are a performance rewrite of the reference
+   full-scan [killed_by]; pin their equality on every instruction of real
    compiled functions. *)
 let test_kills_matches_killed_by () =
   List.iter
@@ -652,17 +652,21 @@ let test_kills_matches_killed_by () =
               ~graph:(Cfg.graph (Cfg.make f))
               ~instrs:(instrs_of f) ()
           in
+          let universe =
+            Expr_oracle.Avail.Key_set.of_list
+              (Array.to_list (Analysis.Avail.keys a))
+          in
           Array.iter
             (fun (blk : Func.block) ->
               List.iter
                 (fun i ->
                   Alcotest.(check bool)
-                    (Printf.sprintf "%s/%s: kills = killed_by" name
+                    (Printf.sprintf "%s/%s: killed = killed_by" name
                        (Func.name f))
                     true
-                    (Analysis.Avail.Key_set.equal
-                       (Analysis.Avail.kills a.Analysis.Avail.index i)
-                       (Analysis.Avail.killed_by a.Analysis.Avail.universe i)))
+                    (Analysis.Avail.killed a i
+                    = Expr_oracle.Avail.Key_set.elements
+                        (Expr_oracle.Avail.killed_by universe i)))
                 blk.instrs)
             (Func.blocks f))
         prog.Prog.funcs)

@@ -143,9 +143,9 @@ let test_jobs_parsing () =
   Alcotest.(check int) "huge count clamps to the recommended cap" cap
     (Harness.Pool.parse_jobs (string_of_int ((4 * cap) + 1)));
   Alcotest.(check int) "clamp passes sane values" 2
-    (Harness.Pool.clamp_jobs ~what:"--workers" 2);
+    (Harness.Pool.clamp_jobs ~what:"-j" 2);
   Alcotest.(check int) "clamp rejects non-positive" 1
-    (Harness.Pool.clamp_jobs ~what:"--workers" 0)
+    (Harness.Pool.clamp_jobs ~what:"-j" 0)
 
 (* Keys must be pure functions of their components: identical components
    give identical keys, and changing any single component (or the kind)
@@ -237,7 +237,7 @@ let tests =
         test_corruption_bitflip;
       Alcotest.test_case "gc evicts oldest, compacts journal" `Quick
         test_gc_eviction;
-      Alcotest.test_case "JUMPREP_JOBS/--workers share one clamp" `Quick
+      Alcotest.test_case "JUMPREP_JOBS/-j share one clamp" `Quick
         test_jobs_parsing;
       QCheck_alcotest.to_alcotest prop_key_stable_and_sensitive;
       Alcotest.test_case "key encoding is injective at boundaries" `Quick

@@ -13,6 +13,7 @@ let () =
       Test_opt.tests;
       Test_tv.tests;
       Test_regalloc.tests;
+      Test_expr.tests;
       Test_encode.tests;
       Test_sim.tests;
       Test_icache.tests;

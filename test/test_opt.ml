@@ -323,6 +323,44 @@ let test_cse_ebb () =
        (fun i -> i = Rtl.Move (Lreg (v 1), Reg (v 0)))
        (Func.block f' 1).instrs)
 
+let test_cse_ebb_chain () =
+  (* 0 -> 1 -> 2 is a chain of single-predecessor blocks: block 2 reuses
+     what blocks 0 and 1 computed.  Block 3 is block 1's sibling (both
+     hang off block 0): it inherits block 0's entries but never block 1's,
+     and block 1 never sees block 3's. *)
+  let add d k = Rtl.Binop (Add, Lreg (v d), Reg (v 10), Imm k) in
+  let f =
+    mk "cseebb3"
+      [
+        (fun l ->
+          [
+            Rtl.Enter 8;
+            add 0 1;
+            Rtl.Cmp (Reg (v 50), Imm 0);
+            Rtl.Branch (Ne, l.(3));
+          ]);
+        (fun _ -> [ add 1 2 ]);
+        (fun l -> [ add 2 1; add 3 2; Rtl.Jump l.(4) ]);
+        (fun _ -> [ add 4 2; add 5 1 ]);
+        (fun _ -> [ Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  let f', changed = Opt.Cse.run f in
+  Alcotest.(check bool) "changed" true changed;
+  let instrs b = (Func.block f' b).instrs in
+  let move d s = Rtl.Move (Lreg (v d), Reg (v s)) in
+  Alcotest.(check bool) "block 1 keeps its add" true
+    (List.mem (add 1 2) (instrs 1));
+  Alcotest.(check bool) "block 2 reuses block 0's value" true
+    (List.mem (move 2 0) (instrs 2));
+  Alcotest.(check bool) "block 2 reuses block 1's value" true
+    (List.mem (move 3 1) (instrs 2));
+  Alcotest.(check bool) "the sibling recomputes block 1's expression" true
+    (List.mem (add 4 2) (instrs 3));
+  Alcotest.(check bool) "the sibling reuses block 0's value" true
+    (List.mem (move 5 0) (instrs 3));
+  Check.assert_ok f'
+
 let test_cse_join_blocked () =
   (* At a join the expression is only available on one path: no reuse. *)
   let f =
@@ -424,6 +462,44 @@ let test_gcse_two_address_self () =
        (List.filter
           (fun i -> match i with Rtl.Binop (Add, _, _, _) -> true | _ -> false)
           (Func.block f' 0).instrs))
+
+let test_gcse_temp_order () =
+  (* Two expressions available at a join, the [Sub] computed first.  Fresh
+     temporaries are drawn in key order — [Add] before [Sub] — so the
+     [Add]'s temporary is v100 and the [Sub]'s v101. *)
+  let sub d = Rtl.Binop (Sub, Lreg (v d), Reg (v 10), Imm 1) in
+  let add d = Rtl.Binop (Add, Lreg (v d), Reg (v 10), Imm 4) in
+  let f =
+    mk "gcse4"
+      [
+        (fun l ->
+          [
+            Rtl.Enter 8;
+            sub 0;
+            add 1;
+            Rtl.Cmp (Reg (v 50), Imm 0);
+            Rtl.Branch (Ne, l.(2));
+          ]);
+        (fun l -> [ Rtl.Move (Lreg (v 5), Imm 0); Rtl.Jump l.(2) ]);
+        (fun _ -> [ sub 2; add 3; Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  let f', changed = Opt.Gcse.run f in
+  Alcotest.(check bool) "changed" true changed;
+  Check.assert_ok f';
+  let move d s = Rtl.Move (Lreg d, Reg s) in
+  Alcotest.(check (list string)) "saved at the generating sites"
+    (List.map Rtl.instr_to_string
+       [
+         Rtl.Enter 8; sub 0; move (v 101) (v 0); add 1; move (v 100) (v 1);
+         Rtl.Cmp (Reg (v 50), Imm 0);
+       ])
+    (List.map Rtl.instr_to_string
+       (List.filteri (fun i _ -> i < 6) (Func.block f' 0).instrs));
+  Alcotest.(check (list string)) "taken at the join"
+    (List.map Rtl.instr_to_string
+       [ move (v 2) (v 101); move (v 3) (v 100); Rtl.Leave; Rtl.Ret ])
+    (List.map Rtl.instr_to_string (Func.block f' 2).instrs)
 
 (* --- LICM --- *)
 
@@ -981,6 +1057,55 @@ let test_isel_risc_rejects_mem_fold () =
   Alcotest.(check bool) "all instructions stay legal" true
     (Opt.Legalize.check Ir.Machine.risc f')
 
+(* Isel's facts die with what they mention, and only those.  Each case
+   runs the block without and with the invalidating instruction: the fold
+   happens in the first run and not in the second. *)
+let test_isel_forgets_facts () =
+  let isel machine instrs =
+    let f =
+      mk "iselkill"
+        [ (fun _ -> (Rtl.Enter 8 :: instrs) @ [ Rtl.Leave; Rtl.Ret ]) ]
+    in
+    (Func.block (fst (Opt.Isel.run machine f)) 0).instrs
+  in
+  let case name machine ~before ~killer ~use ~folded =
+    Alcotest.(check bool) (name ^ ": folded") true
+      (List.mem folded (isel machine (before @ [ use ])));
+    let out = isel machine (before @ [ killer; use ]) in
+    Alcotest.(check bool) (name ^ ": forgotten") true (List.mem use out)
+  in
+  let load d a = Rtl.Move (Lreg (v d), Mem (Word, a)) in
+  case "eaddr, base redefined" Machine.risc
+    ~before:[ Rtl.Lea (v 1, Based (v 10, 8)) ]
+    ~killer:(Rtl.Move (Lreg (v 10), Imm 0))
+    ~use:(load 2 (Based (v 1, 0)))
+    ~folded:(load 2 (Based (v 10, 8)));
+  case "sum, index redefined" Machine.cisc
+    ~before:[ Rtl.Binop (Add, Lreg (v 3), Reg (v 10), Reg (v 11)) ]
+    ~killer:(Rtl.Move (Lreg (v 11), Imm 0))
+    ~use:(load 4 (Based (v 3, 0)))
+    ~folded:(load 4 (Indexed (v 10, v 11, 1, 0)));
+  let g = Rtl.Abs ("g", 0) in
+  let cmp_loaded = Rtl.Cmp (Reg (v 1), Imm 0) in
+  let cmp_mem = Rtl.Cmp (Mem (Word, g), Imm 0) in
+  case "loaded, then a store" Machine.cisc ~before:[ load 1 g ]
+    ~killer:(Rtl.Move (Lmem (Word, Abs ("h", 0)), Imm 3))
+    ~use:cmp_loaded ~folded:cmp_mem;
+  case "loaded, then a call" Machine.cisc ~before:[ load 1 g ]
+    ~killer:(Rtl.Call ("f", 0)) ~use:cmp_loaded ~folded:cmp_mem;
+  (* v1's first fact mentions v10, its second does not: redefining v10
+     must leave the second alone. *)
+  Alcotest.(check bool) "replaced fact survives" true
+    (List.mem
+       (load 2 (Based (v 12, 4)))
+       (isel Machine.risc
+          [
+            Rtl.Lea (v 1, Based (v 10, 8));
+            Rtl.Lea (v 1, Based (v 12, 4));
+            Rtl.Move (Lreg (v 10), Imm 0);
+            load 2 (Based (v 1, 0));
+          ]))
+
 (* All passes preserve machine legality on compiled programs. *)
 let prop_passes_keep_legality =
   QCheck.Test.make ~name:"pipeline keeps machine legality" ~count:20
@@ -1064,10 +1189,13 @@ let tests =
       Alcotest.test_case "cse invalidation" `Quick test_cse_invalidation;
       Alcotest.test_case "cse load/store" `Quick test_cse_loads_killed_by_store;
       Alcotest.test_case "cse extended basic block" `Quick test_cse_ebb;
+      Alcotest.test_case "cse chain inherits, siblings do not" `Quick
+        test_cse_ebb_chain;
       Alcotest.test_case "cse stops at joins" `Quick test_cse_join_blocked;
       Alcotest.test_case "gcse across join" `Quick test_gcse_across_join;
       Alcotest.test_case "gcse partial path blocked" `Quick test_gcse_partial_path_blocked;
       Alcotest.test_case "gcse two-address self" `Quick test_gcse_two_address_self;
+      Alcotest.test_case "gcse temporaries in key order" `Quick test_gcse_temp_order;
       Alcotest.test_case "licm hoists invariants" `Quick test_licm_hoists;
       Alcotest.test_case "licm leaves variants" `Quick test_licm_leaves_variant;
       Alcotest.test_case "licm never hoists guarded div" `Quick test_licm_no_div_hoist;
@@ -1091,6 +1219,7 @@ let tests =
       Alcotest.test_case "isel copy/const propagation" `Quick test_isel_copy_prop;
       Alcotest.test_case "isel cisc fusion" `Quick test_isel_cisc_fusion;
       Alcotest.test_case "isel risc stays legal" `Quick test_isel_risc_rejects_mem_fold;
+      Alcotest.test_case "isel forgets stale facts" `Quick test_isel_forgets_facts;
       Alcotest.test_case "pipeline signature matches the passes run" `Quick
         test_pipeline_signature;
       QCheck_alcotest.to_alcotest prop_passes_keep_legality;
