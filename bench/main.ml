@@ -18,7 +18,8 @@
    nonzero (see Harness.Measure.mismatches).                              *)
 
 (* The rows `--json` writes, in its order, measured once per process:
-   Measure.run is memoized, so the ablations reuse the SIMPLE runs. *)
+   Measure.run is memoized, so the ablations reuse the SIMPLE runs.
+   Report reads them as values, exactly as it reads the written file. *)
 let paper_doc =
   lazy
     (let rows =
@@ -32,11 +33,11 @@ let paper_doc =
          [ Ir.Machine.risc; Ir.Machine.cisc ]
      in
      match
-       Report.parse_results
-         (Printf.sprintf {|{"results":[%s]}|} (String.concat "," rows))
+       Report.doc_of_json
+         (Telemetry.Json.Obj [ ("results", Telemetry.Json.Arr rows) ])
      with
      | Ok doc -> doc
-     | Error e -> failwith ("bench: measured rows do not parse: " ^ e))
+     | Error e -> failwith ("bench: measured rows do not read back: " ^ e))
 
 let section render ppf =
   Format.pp_print_string ppf (render (Lazy.force paper_doc))
@@ -108,10 +109,10 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     (fun d ->
       Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
     s.Campaign.Runner.diags;
+  let json = Telemetry.Json.to_string in
   let counters =
     Telemetry.Metrics.counters (Telemetry.Log.metrics log)
-    |> List.map (fun (name, value) ->
-           Printf.sprintf "%s:%d" (Telemetry.Json.escape name) value)
+    |> List.map (fun (name, value) -> (name, Telemetry.Json.Int value))
   in
   (* The failures array appears only when non-empty, so a clean sweep's
      document stays byte-identical to the committed baseline. *)
@@ -119,15 +120,20 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     match s.Campaign.Runner.failures with
     | [] -> ""
     | fs ->
-      Printf.sprintf ",\"failures\":[%s]"
-        (String.concat "," (List.map Campaign.Runner.failure_to_json fs))
+      ",\"failures\":"
+      ^ json
+          (Telemetry.Json.Arr (List.map Campaign.Runner.failure_to_json fs))
   in
   let oc = open_out path in
-  (* The engine label is provenance, not a measurement. *)
-  Printf.fprintf oc "{\"engine\":\"%s\",\"results\":[%s],\"counters\":{%s}%s}\n"
-    (Sim.Engine.kind_name Sim.Engine.Threaded)
+  (* The rows are spliced as the strings the sweep returns: each was
+     rendered once, where it was measured, and a cached row is replayed
+     from the store as those bytes — which is what keeps a resumed
+     document byte-identical to a cold one.  The engine label is
+     provenance, not a measurement. *)
+  Printf.fprintf oc "{\"engine\":%s,\"results\":[%s],\"counters\":%s%s}\n"
+    (json (Telemetry.Json.Str (Sim.Engine.kind_name Sim.Engine.Threaded)))
     (String.concat "," (List.map (fun r -> r.Campaign.Runner.r_row) rows))
-    (String.concat "," counters)
+    (json (Telemetry.Json.Obj counters))
     failures;
   close_out oc;
   Printf.printf "wrote %s (%d measurements, %d tasks failed)\n" path

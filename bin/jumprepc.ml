@@ -18,10 +18,9 @@ module Ops = Daemon.Ops
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 (* The one JSON emission path: every machine-readable output (compile/run
-   --stats-json, measure, lint --json, explain --json, report) assembles a
-   Json.t and prints it here.  Legacy string producers (Diag.to_json,
-   Harness.Measure.to_json) are spliced with [Json.Raw], which preserves
-   their byte format exactly. *)
+   --stats-json, measure, bench --stats-json, lint --json, explain --json,
+   certify --json) assembles a Json.t and prints it here with
+   Json.to_string, the only JSON renderer. *)
 let print_json j = print_endline (Json.to_string j)
 
 (* Every user-facing failure funnels through a typed diagnostic: one
@@ -511,7 +510,7 @@ let bench_cmd =
       let log, finish = make_log trace trace_out in
       let opts = if verify then Some (Ops.make_opts ~verify level) else None in
       let m = Harness.Measure.run ?opts ~log b level machine in
-      if stats_json then print_endline (Harness.Measure.to_json m)
+      if stats_json then print_json (Harness.Measure.to_json m)
       else begin
         Printf.printf
           "%s at %s on %s:\n  static %d instrs (%d jumps, %d nops, %d bytes)\n\
@@ -784,7 +783,10 @@ let certify_cmd =
           lines )
       with
       | Some text, Some jsonel, Some anyref, Some lines ->
-        Ok (text, jsonel, anyref, lines, cached)
+        (* The element has no floats, so it prints back byte for byte. *)
+        Result.map
+          (fun j -> (text, j, anyref, lines, cached))
+          (Json.parse jsonel)
       | _ -> Error "entry is missing certify fields"
     in
     let answers, corrupt, _ =
@@ -806,8 +808,7 @@ let certify_cmd =
         answers
     in
     if json then
-      print_json
-        (Json.Arr (List.map (fun (_, j, _, _, _) -> Json.Raw j) reports))
+      print_json (Json.Arr (List.map (fun (_, j, _, _, _) -> j) reports))
     else List.iter (fun (text, _, _, _, _) -> print_string text) reports;
     (* Pipeline diagnostics (quarantines, warns) go to stderr as usual —
        cached targets replay the lines they produced when computed. *)
@@ -1363,9 +1364,10 @@ let report_cmd =
       & info [ "compare" ]
           ~doc:
             "Delta report between two sweeps: $(b,jumprepc report --compare \
-             A.json B.json) lists measurements present in only one, rows \
-             whose instruction counts changed, and the Table-5 means side \
-             by side.")
+             A.json B.json) lists measurements present in only one, every \
+             count, verdict, cache miss ratio, fetch cost and counter that \
+             differs, and the Table-5 means side by side.  Exits 1 when the \
+             sweeps differ.")
   in
   let out_arg =
     Arg.(
@@ -1401,7 +1403,12 @@ let report_cmd =
           ~doc:"Report title (default derives from the input file name).")
   in
   let load path =
-    match Report.parse_results (read_file path) with
+    let invalid e = "invalid JSON: " ^ e in
+    match
+      Result.bind
+        (Result.map_error invalid (Json.parse (read_file path)))
+        Report.doc_of_json
+    with
     | Ok d -> d
     | Error e ->
       fail_diag
@@ -1421,8 +1428,11 @@ let report_cmd =
     if compare then begin
       match files with
       | [ a; b ] ->
-        emit out
-          (Report.compare_docs ~name_a:a ~name_b:b (load a) (load b))
+        let text, differences =
+          Report.compare_docs ~name_a:a ~name_b:b (load a) (load b)
+        in
+        emit out text;
+        if differences > 0 then exit 1
       | _ ->
         Printf.eprintf
           "jumprepc: report: --compare takes exactly two RESULTS files\n";

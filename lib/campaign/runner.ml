@@ -28,15 +28,16 @@ type failure = {
 }
 
 let failure_to_json f =
-  Printf.sprintf
-    "{\"program\":%s,\"level\":%s,\"machine\":%s,\"kind\":%s,\"detail\":%s,\
-     \"attempts\":%d,\"elapsed\":%.3f}"
-    (Json.escape f.f_program)
-    (Json.escape (Opt.Driver.level_name f.f_level))
-    (Json.escape f.f_machine)
-    (Json.escape f.f_kind)
-    (Json.escape f.f_detail)
-    f.f_attempts f.f_elapsed
+  Json.Obj
+    [
+      ("program", Json.Str f.f_program);
+      ("level", Json.Str (Opt.Driver.level_name f.f_level));
+      ("machine", Json.Str f.f_machine);
+      ("kind", Json.Str f.f_kind);
+      ("detail", Json.Str f.f_detail);
+      ("attempts", Json.Int f.f_attempts);
+      ("elapsed", Json.Fixed (3, f.f_elapsed));
+    ]
 
 type summary = {
   total : int;
@@ -152,7 +153,7 @@ let measure_reply ?store ?budget j =
           (* The rendered BENCH row, replayed verbatim on resume:
              rendering exactly once is what makes resumed output
              byte-identical. *)
-          ("row", Json.Str (Measure.to_json m));
+          ("row", Json.Str (Json.to_string (Measure.to_json m)));
           ( "counters",
             Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters) );
         ],

@@ -2,11 +2,12 @@
     instances: the measure {!sweep}, the {!fuzz} campaign, and the CLI's
     in-process certify.  The store is read and written here only.
 
-    Byte-stability of the sweep: a row is the *rendered* result
-    ([Harness.Measure.to_json]), spliced back verbatim from the reply or
-    the store, in task order, and counter sums commute — so a resumed,
-    sharded or chaos-ridden sweep produces a [BENCH_results.json]
-    byte-identical to a cold in-process one. *)
+    Byte-stability of the sweep: a row is rendered once, by
+    [Json.to_string] of [Harness.Measure.to_json], where it is computed;
+    the string travels in the reply and the store entry and is spliced
+    back verbatim, in task order, and counter sums commute — so a
+    resumed, sharded or chaos-ridden sweep produces a
+    [BENCH_results.json] byte-identical to a cold in-process one. *)
 
 type row = {
   r_program : string;
@@ -31,8 +32,8 @@ type failure = {
   f_elapsed : float;  (** last attempt's elapsed seconds (0 for crashes) *)
 }
 
-(** One JSON object (no newline) for a ["failures"] array entry. *)
-val failure_to_json : failure -> string
+(** A ["failures"] array entry. *)
+val failure_to_json : failure -> Telemetry.Json.t
 
 type summary = {
   total : int;

@@ -120,7 +120,7 @@ let measure_rows ?log ?(verify = false) ~path ~name ~source ~input machine =
   | Frontend.Codegen.Error msg -> err Diag.Semantic_error "%s: %s" path msg
 
 let measure_json rows =
-  Json.Arr (List.map (fun m -> Json.Raw (Harness.Measure.to_json m)) rows)
+  Json.Arr (List.map Harness.Measure.to_json rows)
 
 let measure_payload ?log ?verify ~path ~input machine source =
   match
@@ -151,9 +151,7 @@ let lint_json reports =
          Json.Obj
            [
              ("target", Json.Str t);
-             ( "findings",
-               Json.Arr
-                 (List.map (fun d -> Json.Raw (Diag.to_json d)) findings) );
+             ("findings", Json.Arr (List.map Diag.to_json findings));
            ])
        reports)
 
@@ -252,10 +250,8 @@ let explain_json prog events =
                Json.Arr
                  (List.map
                     (fun jd ->
-                      Json.Raw
-                        (Diag.to_json
-                           (Lint.diag_of_decision ~func:fname ~pass:"explain"
-                              jd)))
+                      Diag.to_json
+                        (Lint.diag_of_decision ~func:fname ~pass:"explain" jd))
                     (Replication.Jumps.explain f)) );
            ])
        prog.Flow.Prog.funcs)

@@ -165,7 +165,8 @@ let handle payload =
     if qos.telemetry then
       List.mapi
         (fun i ev ->
-          Json.Str (Telemetry.Log.event_to_json ~seq:i ~t_ms:0.0 ev))
+          Json.Str
+            (Json.to_string (Telemetry.Log.event_to_json ~seq:i ~t_ms:0.0 ev)))
         (Telemetry.Log.events log)
     else []
   in

@@ -200,28 +200,34 @@ let run_suite ?log ?profiler level machine =
 (* --- JSON rendering (the bench drivers' machine-readable output) --- *)
 
 let cache_to_json (c : cache_stats) =
-  Printf.sprintf
-    "{\"config\":%s,\"size_kb\":%d,\"assoc\":%d,\"context_switches\":%b,\
-     \"miss_ratio\":%.6f,\"fetch_cost\":%d}"
-    (Telemetry.Json.escape (Icache.config_name c.config))
-    (c.config.Icache.size_bytes / 1024)
-    c.config.Icache.assoc c.config.Icache.context_switches c.miss_ratio
-    c.fetch_cost
+  Telemetry.Json.(
+    Obj
+      [
+        ("config", Str (Icache.config_name c.config));
+        ("size_kb", Int (c.config.Icache.size_bytes / 1024));
+        ("assoc", Int c.config.Icache.assoc);
+        ("context_switches", Bool c.config.Icache.context_switches);
+        ("miss_ratio", Fixed (6, c.miss_ratio));
+        ("fetch_cost", Int c.fetch_cost);
+      ])
 
 let to_json m =
-  Printf.sprintf
-    "{\"program\":%s,\"level\":%s,\"machine\":%s,\"static_instrs\":%d,\
-     \"static_ujumps\":%d,\"static_nops\":%d,\"code_bytes\":%d,\
-     \"dyn_instrs\":%d,\
-     \"dyn_ujumps\":%d,\"dyn_nops\":%d,\"dyn_transfers\":%d,\
-     \"instrs_between_branches\":%.3f,\"output_ok\":%b,\"timed_out\":%b,\
-     \"caches\":[%s]}"
-    (Telemetry.Json.escape m.program)
-    (Telemetry.Json.escape (Opt.Driver.level_name m.level))
-    (Telemetry.Json.escape m.machine.Ir.Machine.short)
-    m.static_instrs m.static_ujumps m.static_nops m.code_bytes m.dyn_instrs
-    m.dyn_ujumps
-    m.dyn_nops m.dyn_transfers
-    (instrs_between_branches m)
-    m.output_ok m.timed_out
-    (String.concat "," (List.map cache_to_json m.caches))
+  Telemetry.Json.(
+    Obj
+      [
+        ("program", Str m.program);
+        ("level", Str (Opt.Driver.level_name m.level));
+        ("machine", Str m.machine.Ir.Machine.short);
+        ("static_instrs", Int m.static_instrs);
+        ("static_ujumps", Int m.static_ujumps);
+        ("static_nops", Int m.static_nops);
+        ("code_bytes", Int m.code_bytes);
+        ("dyn_instrs", Int m.dyn_instrs);
+        ("dyn_ujumps", Int m.dyn_ujumps);
+        ("dyn_nops", Int m.dyn_nops);
+        ("dyn_transfers", Int m.dyn_transfers);
+        ("instrs_between_branches", Fixed (3, instrs_between_branches m));
+        ("output_ok", Bool m.output_ok);
+        ("timed_out", Bool m.timed_out);
+        ("caches", Arr (List.map cache_to_json m.caches));
+      ])

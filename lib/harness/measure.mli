@@ -121,6 +121,6 @@ val mismatches : unit -> (string * Opt.Driver.level * string) list
     the [measure.timeouts] telemetry counter. *)
 val timeouts : unit -> (string * Opt.Driver.level * string) list
 
-(** One JSON object (no newline) with every field of [t], cache stats
-    included — the building block of the bench drivers' [BENCH_*.json]. *)
-val to_json : t -> string
+(** Every field of [t] as a JSON object, cache stats included — a row of
+    [BENCH_results.json], which [Report.doc_of_json] reads. *)
+val to_json : t -> Telemetry.Json.t

@@ -1,7 +1,7 @@
 (* Offline reporting over the bench sweep's machine-readable outputs, and
    the one place the paper's Tables 4-6 and §5.2 statistics are computed.
 
-   Everything here is IO-free: [parse_results] takes the *contents* of a
+   Everything here is IO-free: [doc_of_json] reads a parsed
    BENCH_results.json document, the renderers return strings, and
    [dat_files] returns (filename, contents) pairs — the jumprepc [report]
    subcommand owns the file handling, and bench's [-t 4|5|6|bb] print the
@@ -79,26 +79,23 @@ let row_of_json j =
     caches = List.map cache_of_json (get "caches" Json.to_list j);
   }
 
-let parse_results contents =
-  match Json.parse contents with
-  | Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
-  | Ok j -> (
-    try
-      let rows =
-        match Option.bind (Json.member "results" j) Json.to_list with
-        | Some l -> List.map row_of_json l
-        | None -> raise (Bad "missing \"results\" array")
-      in
-      let counters =
-        match Json.member "counters" j with
-        | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.get_int v))
-            kvs
-        | _ -> []
-      in
-      Ok { rows; counters }
-    with Bad m -> Error m)
+let doc_of_json j =
+  try
+    let rows =
+      match Option.bind (Json.member "results" j) Json.to_list with
+      | Some l -> List.map row_of_json l
+      | None -> raise (Bad "missing \"results\" array")
+    in
+    let counters =
+      match Json.member "counters" j with
+      | Some (Json.Obj kvs) ->
+        List.filter_map
+          (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.get_int v))
+          kvs
+      | _ -> []
+    in
+    Ok { rows; counters }
+  with Bad m -> Error m
 
 (* --- statistics over parsed rows --- *)
 
@@ -453,11 +450,51 @@ let render ?(title = "Benchmark report") doc =
 
 (* --- comparison of two sweeps --- *)
 
+(* The shortest decimal that reads back as [f]. *)
+let show_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* What a comparison checks of a row: every count, both verdicts, and
+   each cache's miss ratio and fetch cost, rendered. *)
+let facts r =
+  let int k v = (k, string_of_int v) in
+  [
+    int "static_instrs" r.static_instrs;
+    int "static_ujumps" r.static_ujumps;
+    int "static_nops" r.static_nops;
+    int "code_bytes" r.code_bytes;
+    int "dyn_instrs" r.dyn_instrs;
+    int "dyn_ujumps" r.dyn_ujumps;
+    int "dyn_nops" r.dyn_nops;
+    int "dyn_transfers" r.dyn_transfers;
+    ("output_ok", string_of_bool r.output_ok);
+    ("timed_out", string_of_bool r.timed_out);
+  ]
+  @ List.concat_map
+      (fun c ->
+        [
+          (c.cr_config ^ " miss_ratio", show_float c.cr_miss);
+          int (c.cr_config ^ " fetch_cost") c.cr_fetch;
+        ])
+      r.caches
+
+(* One line per fact whose value differs between [a] and [b]. *)
+let fact_diffs where a b =
+  List.filter_map
+    (fun k ->
+      let show = Option.value ~default:"absent" in
+      let va = List.assoc_opt k a and vb = List.assoc_opt k b in
+      if va = vb then None
+      else Some (Printf.sprintf "%s: %s %s -> %s" where k (show va) (show vb)))
+    (distinct Fun.id (List.map fst (a @ b)))
+
 let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "# Sweep comparison: %s vs %s\n\n" name_a name_b);
   let key r = (r.program, r.level, r.machine) in
+  let where r = Printf.sprintf "%s at %s on %s" r.program r.level r.machine in
   let only_in name d other =
     let missing =
       List.filter (fun r -> not (List.exists (fun o -> key o = key r) other.rows)) d.rows
@@ -465,49 +502,31 @@ let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
     if missing <> [] then begin
       Buffer.add_string buf
         (Printf.sprintf "Only in %s (%d):\n\n" name (List.length missing));
-      List.iter
-        (fun r ->
-          Buffer.add_string buf
-            (Printf.sprintf "- %s at %s on %s\n" r.program r.level r.machine))
-        missing;
+      List.iter (fun r -> Buffer.add_string buf ("- " ^ where r ^ "\n")) missing;
       Buffer.add_char buf '\n'
-    end
+    end;
+    List.length missing
   in
-  only_in name_a a b;
-  only_in name_b b a;
-  let changed =
-    List.filter_map
+  let only_a = only_in name_a a b in
+  let only_b = only_in name_b b a in
+  let counters d = List.map (fun (k, v) -> (k, string_of_int v)) d.counters in
+  let diffs =
+    List.concat_map
       (fun ra ->
         match List.find_opt (fun rb -> key rb = key ra) b.rows with
-        | Some rb
-          when rb.static_instrs <> ra.static_instrs
-               || rb.dyn_instrs <> ra.dyn_instrs ->
-          Some (ra, rb)
-        | _ -> None)
+        | Some rb -> fact_diffs (where ra) (facts ra) (facts rb)
+        | None -> [])
       a.rows
+    @ fact_diffs "counter" (counters a) (counters b)
   in
-  if changed = [] then
+  if diffs = [] then
     Buffer.add_string buf
       "No measurement changed static or dynamic instruction counts.\n\n"
   else begin
     Buffer.add_string buf
-      (Printf.sprintf "%d measurements changed:\n\n" (List.length changed));
-    buf_table buf
-      [
-        "program"; "level"; "machine"; "static"; "delta"; "dynamic"; "delta";
-      ]
-      (List.map
-         (fun (ra, rb) ->
-           [
-             ra.program;
-             ra.level;
-             ra.machine;
-             Printf.sprintf "%d -> %d" ra.static_instrs rb.static_instrs;
-             signed (change rb.static_instrs ra.static_instrs);
-             Printf.sprintf "%d -> %d" ra.dyn_instrs rb.dyn_instrs;
-             signed (change rb.dyn_instrs ra.dyn_instrs);
-           ])
-         changed)
+      (Printf.sprintf "Differences (%d):\n\n" (List.length diffs));
+    List.iter (fun l -> Buffer.add_string buf ("- " ^ l ^ "\n")) diffs;
+    Buffer.add_char buf '\n'
   end;
   (* Headline aggregates side by side: the Table-5 means. *)
   let shared =
@@ -535,7 +554,7 @@ let compare_docs ?(name_a = "A") ?(name_b = "B") a b =
            ])
          shared)
   end;
-  Buffer.contents buf
+  (Buffer.contents buf, only_a + only_b + List.length diffs)
 
 (* --- gnuplot-ready data files --- *)
 

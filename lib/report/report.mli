@@ -3,9 +3,9 @@
     Tables 4-6 and §5.2 statistics.  bench's [-t 4|5|6|bb] print the
     sections below over rows measured in-process, in the same format.
 
-    IO-free: {!parse_results} reads the {e contents} of a
-    [BENCH_results.json] document, renderers return markdown strings, and
-    {!dat_files} returns (filename, contents) pairs. *)
+    IO-free: {!doc_of_json} reads a parsed [BENCH_results.json] document,
+    renderers return markdown strings, and {!dat_files} returns
+    (filename, contents) pairs. *)
 
 type cache_row = {
   cr_config : string;
@@ -37,9 +37,10 @@ type row = {
 
 type doc = { rows : row list; counters : (string * int) list }
 
-(** Parse a [BENCH_results.json] document (the bench driver's [--json]
-    output). *)
-val parse_results : string -> (doc, string) result
+(** Read a [BENCH_results.json] document: the bench driver's [--json]
+    output after [Json.parse], or rows built in-process from
+    [Harness.Measure.to_json]. *)
+val doc_of_json : Telemetry.Json.t -> (doc, string) result
 
 val machines : doc -> string list
 val programs : doc -> string list
@@ -114,10 +115,13 @@ val section_5_2 : doc -> string
     [code_bytes]), Table 6 and §5.2. *)
 val render : ?title:string -> doc -> string
 
-(** Markdown delta report between two sweeps: rows present in only one,
-    rows whose static/dynamic counts changed, and the Table-5 means side
-    by side. *)
-val compare_docs : ?name_a:string -> ?name_b:string -> doc -> doc -> string
+(** Markdown delta report between two sweeps, and its number of
+    differences: rows present in only one, one line for each count,
+    verdict, cache miss ratio or fetch cost of a shared row and each
+    counter that differs, then the Table-5 means side by side.
+    Identical sweeps have 0 differences. *)
+val compare_docs :
+  ?name_a:string -> ?name_b:string -> doc -> doc -> string * int
 
 (** Gnuplot-ready data files: per machine, [instrs_MACHINE.dat]
     (per-program % changes) and [cache_MACHINE.dat] (per-size deltas,

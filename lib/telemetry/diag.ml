@@ -81,10 +81,13 @@ let to_string d =
   Printf.sprintf "[%s]%s %s" (code_name d.code) where d.message
 
 let to_json d =
-  Printf.sprintf
-    "{\"code\":%s,\"severity\":%s,\"func\":%s,\"pass\":%s,\"message\":%s}"
-    (Json.escape (code_name d.code))
-    (Json.escape (severity_name d.severity))
-    (Json.escape d.func) (Json.escape d.pass) (Json.escape d.message)
+  Json.Obj
+    [
+      ("code", Json.Str (code_name d.code));
+      ("severity", Json.Str (severity_name d.severity));
+      ("func", Json.Str d.func);
+      ("pass", Json.Str d.pass);
+      ("message", Json.Str d.message);
+    ]
 
 let has_errors ds = List.exists (fun d -> d.severity = Err) ds

@@ -72,8 +72,9 @@ val error :
 (** ["[code] func/pass: message"], the warning line the CLI prints. *)
 val to_string : t -> string
 
-(** One JSON object, no trailing newline. *)
-val to_json : t -> string
+(** The diagnostic as a JSON object: code, severity, func, pass,
+    message. *)
+val to_json : t -> Json.t
 
 (** Whether any diagnostic in the list is error-severity (what [--strict]
     keys its exit code on). *)

@@ -6,7 +6,7 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string
+  | Fixed of int * float
 
 (* --- rendering --- *)
 
@@ -28,6 +28,8 @@ let escape s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+let fixed decimals f = Printf.sprintf "%.*f" decimals f
+
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
@@ -38,8 +40,8 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f -> Buffer.add_string buf (float_to_string f)
+  | Fixed (decimals, f) -> Buffer.add_string buf (fixed decimals f)
   | Str s -> Buffer.add_string buf (escape s)
-  | Raw s -> Buffer.add_string buf s
   | Arr xs ->
     Buffer.add_char buf '[';
     List.iteri
@@ -254,9 +256,12 @@ let to_list = function Arr xs -> Some xs | _ -> None
 let get_string = function Str s -> Some s | _ -> None
 let get_int = function Int i -> Some i | _ -> None
 
+(* A [Fixed] number reads as the decimal it renders, so a value read
+   before rendering equals the same value read back after parsing. *)
 let get_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
+  | Fixed (decimals, f) -> Some (float_of_string (fixed decimals f))
   | _ -> None
 
 let get_bool = function Bool b -> Some b | _ -> None

@@ -1,13 +1,9 @@
-(** A tiny dependency-free JSON value: one renderer shared by every
-    machine-readable emission path (diags, [lint --json], [explain
-    --json], [report], the profiler and metrics snapshots, the trace
-    export), plus a strict parser for reading our own documents back
-    ([BENCH_results.json], telemetry JSONL).
-
-    [Raw] splices an already-rendered JSON fragment verbatim — the bridge
-    for legacy string producers ({!Diag.to_json},
-    [Harness.Measure.to_json]) so their byte format is preserved
-    exactly.  The parser never produces [Raw]. *)
+(** A tiny dependency-free JSON value: the one renderer of every
+    machine-readable output (diags, the event log, measurement rows,
+    [lint --json], [explain --json], [certify --json], the profiler and
+    metrics snapshots, the trace export, the daemon's payloads), plus a
+    strict parser for reading our own documents back
+    ([BENCH_results.json], telemetry JSONL). *)
 
 type t =
   | Null
@@ -17,7 +13,11 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
-  | Raw of string  (** pre-rendered JSON, spliced verbatim *)
+  | Fixed of int * float
+      (** [Fixed (d, f)] renders [f] with exactly [d] decimals ([%.*f]):
+          the fixed-decimal numbers of the results document, the event
+          log and the profile.  The parser never produces it; it reads
+          back as [Int] or [Float]. *)
 
 (** Compact rendering: no whitespace, fields in the given order. *)
 val to_string : t -> string
@@ -39,10 +39,9 @@ val to_list : t -> t list option
 val get_string : t -> string option
 val get_int : t -> int option
 
-(** [get_float] accepts [Int] too (JSON does not distinguish them). *)
+(** [get_float] accepts [Int] too (JSON does not distinguish them), and
+    reads a [Fixed] as the decimal it renders — the value a parse of its
+    rendering would give. *)
 val get_float : t -> float option
 
 val get_bool : t -> bool option
-
-(** JSON string quoting, surrounding quotes included. *)
-val escape : string -> string

@@ -81,88 +81,78 @@ let metrics t = t.metrics
 
 (* --- JSON encoding --- *)
 
-let fields_of_event = function
+let fields_of_event =
+  let str s = Json.Str s and int n = Json.Int n and bool b = Json.Bool b in
+  function
   | Pass_begin { func; pass } ->
-    ("pass_begin", [ ("func", Json.escape func); ("pass", Json.escape pass) ])
+    ("pass_begin", [ ("func", str func); ("pass", str pass) ])
   | Pass_end { func; pass; changed; delta = d; elapsed_ms } ->
     ( "pass_end",
       [
-        ("func", Json.escape func);
-        ("pass", Json.escape pass);
-        ("changed", string_of_bool changed);
-        ("instrs_before", string_of_int d.instrs_before);
-        ("instrs_after", string_of_int d.instrs_after);
-        ("blocks_before", string_of_int d.blocks_before);
-        ("blocks_after", string_of_int d.blocks_after);
-        ("ujumps_before", string_of_int d.ujumps_before);
-        ("ujumps_after", string_of_int d.ujumps_after);
-        ("elapsed_ms", Printf.sprintf "%.3f" elapsed_ms);
+        ("func", str func);
+        ("pass", str pass);
+        ("changed", bool changed);
+        ("instrs_before", int d.instrs_before);
+        ("instrs_after", int d.instrs_after);
+        ("blocks_before", int d.blocks_before);
+        ("blocks_after", int d.blocks_after);
+        ("ujumps_before", int d.ujumps_before);
+        ("ujumps_after", int d.ujumps_after);
+        ("elapsed_ms", Json.Fixed (3, elapsed_ms));
       ] )
   | Replication_applied { func; jump_from; jump_to; mode; seq; cost; loop_completed }
     ->
     ( "replication_applied",
       [
-        ("func", Json.escape func);
-        ("jump_from", Json.escape jump_from);
-        ("jump_to", Json.escape jump_to);
-        ("mode", Json.escape mode);
-        ( "seq",
-          "[" ^ String.concat "," (List.map string_of_int seq) ^ "]" );
-        ("cost", string_of_int cost);
-        ("loop_completed", string_of_bool loop_completed);
+        ("func", str func);
+        ("jump_from", str jump_from);
+        ("jump_to", str jump_to);
+        ("mode", str mode);
+        ("seq", Json.Arr (List.map int seq));
+        ("cost", int cost);
+        ("loop_completed", bool loop_completed);
       ] )
   | Replication_rolled_back { func; jump_from; jump_to; reason } ->
     ( "replication_rolled_back",
       [
-        ("func", Json.escape func);
-        ("jump_from", Json.escape jump_from);
-        ("jump_to", Json.escape jump_to);
-        ("reason", Json.escape (reason_to_string reason));
+        ("func", str func);
+        ("jump_from", str jump_from);
+        ("jump_to", str jump_to);
+        ("reason", str (reason_to_string reason));
       ] )
   | Fixpoint_iteration { func; iteration; changed } ->
     ( "fixpoint_iteration",
       [
-        ("func", Json.escape func);
-        ("iteration", string_of_int iteration);
-        ("changed", string_of_bool changed);
+        ("func", str func);
+        ("iteration", int iteration);
+        ("changed", bool changed);
       ] )
   | Fixpoint_diverged { func; iterations; last_pass } ->
     ( "fixpoint_diverged",
       [
-        ("func", Json.escape func);
-        ("iterations", string_of_int iterations);
-        ("last_pass", Json.escape last_pass);
+        ("func", str func);
+        ("iterations", int iterations);
+        ("last_pass", str last_pass);
       ] )
   | Pass_quarantined { func; pass; code; violations } ->
     ( "pass_quarantined",
       [
-        ("func", Json.escape func);
-        ("pass", Json.escape pass);
-        ("code", Json.escape code);
-        ( "violations",
-          "[" ^ String.concat "," (List.map Json.escape violations) ^ "]" );
+        ("func", str func);
+        ("pass", str pass);
+        ("code", str code);
+        ("violations", Json.Arr (List.map str violations));
       ] )
   | Regalloc_spill { func; reg; round } ->
     ( "regalloc_spill",
-      [
-        ("func", Json.escape func);
-        ("reg", Json.escape reg);
-        ("round", string_of_int round);
-      ] )
-  | Sim_progress { instrs } ->
-    ("sim_progress", [ ("instrs", string_of_int instrs) ])
-  | Warning { message } -> ("warning", [ ("message", Json.escape message) ])
+      [ ("func", str func); ("reg", str reg); ("round", int round) ] )
+  | Sim_progress { instrs } -> ("sim_progress", [ ("instrs", int instrs) ])
+  | Warning { message } -> ("warning", [ ("message", str message) ])
 
 let event_to_json ~seq ~t_ms ev =
   let kind, fields = fields_of_event ev in
-  let fields =
-    [ ("seq", string_of_int seq); ("t_ms", Printf.sprintf "%.3f" t_ms);
-      ("ev", Json.escape kind) ]
-    @ fields
-  in
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> Json.escape k ^ ":" ^ v) fields)
-  ^ "}"
+  Json.Obj
+    (("seq", Json.Int seq) :: ("t_ms", Json.Fixed (3, t_ms))
+    :: ("ev", Json.Str kind) :: fields)
 
 let emit t f =
   if t.enabled then begin
@@ -174,7 +164,7 @@ let emit t f =
     | Memory -> t.buffer <- ev :: t.buffer
     | Jsonl oc ->
       let t_ms = (Unix.gettimeofday () -. t.started) *. 1000.0 in
-      output_string oc (event_to_json ~seq ~t_ms ev);
+      output_string oc (Json.to_string (event_to_json ~seq ~t_ms ev));
       output_char oc '\n'
   end
 

@@ -105,5 +105,6 @@ val metrics : t -> Metrics.t
 
 val flush : t -> unit
 
-(** One JSON object, no trailing newline — what the [Jsonl] sink writes. *)
-val event_to_json : seq:int -> t_ms:float -> event -> string
+(** One event as a JSON object — what the [Jsonl] sink renders, one per
+    line. *)
+val event_to_json : seq:int -> t_ms:float -> event -> Json.t

@@ -170,7 +170,7 @@ let view_to_json = function
         ("type", Json.Str "histogram");
         ("edges", Json.Arr (Array.to_list (Array.map (fun e -> Json.Float e) edges)));
         ("counts", Json.Arr (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
-        ("sum", Json.Raw (Printf.sprintf "%.6f" sum));
+        ("sum", Json.Fixed (6, sum));
         ("count", Json.Int count);
       ]
 

@@ -118,8 +118,8 @@ let to_json t =
                    ("calls", Json.Int r.p_calls);
                    ("runs", Json.Int r.p_runs);
                    ("changed", Json.Int r.p_changed);
-                   ("wall_ms", Json.Raw (Printf.sprintf "%.3f" r.p_wall_ms));
-                   ("alloc_words", Json.Raw (Printf.sprintf "%.0f" r.p_alloc_words));
+                   ("wall_ms", Json.Fixed (3, r.p_wall_ms));
+                   ("alloc_words", Json.Fixed (0, r.p_alloc_words));
                  ])
              (pass_rows t)) );
     ]

@@ -96,14 +96,14 @@ let ev_to_json e =
     [
       ("name", Json.Str e.e_name);
       ("ph", Json.Str (String.make 1 e.e_ph));
-      ("ts", Json.Raw (Printf.sprintf "%.1f" e.e_ts));
+      ("ts", Json.Fixed (1, e.e_ts));
       ("pid", Json.Int pid);
       ("tid", Json.Int e.e_tid);
     ]
   in
   let base = if e.e_cat = "" then base else base @ [ ("cat", Json.Str e.e_cat) ] in
   let base =
-    if e.e_ph = 'X' then base @ [ ("dur", Json.Raw (Printf.sprintf "%.1f" e.e_dur)) ]
+    if e.e_ph = 'X' then base @ [ ("dur", Json.Fixed (1, e.e_dur)) ]
     else base
   in
   (* Instant events need a scope; "t" (thread) keeps them on their lane. *)

@@ -221,8 +221,9 @@ let test_sweep_resume_byte_identity () =
     (cold_counters = warm_counters);
   (* The spliced row equals what the plain measurement path renders. *)
   let direct =
-    Harness.Measure.to_json
-      (Harness.Measure.run wc Opt.Driver.Simple Ir.Machine.risc)
+    Telemetry.Json.to_string
+      (Harness.Measure.to_json
+         (Harness.Measure.run wc Opt.Driver.Simple Ir.Machine.risc))
   in
   Alcotest.(check string) "row matches the direct measurement" direct
     (List.hd cold_rows)

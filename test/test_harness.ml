@@ -100,9 +100,10 @@ let test_parallel_determinism () =
   Alcotest.(check bool) "profiler saw passes" true (prof1 <> []);
   Alcotest.(check bool) "run_instrs histogram filled" true (hist1 <> []);
   Alcotest.(check string) "row matches the direct measurement"
-    (Harness.Measure.to_json
-       (Harness.Measure.run (List.hd Programs.Suite.all) Opt.Driver.Jumps
-          Ir.Machine.risc))
+    (Telemetry.Json.to_string
+       (Harness.Measure.to_json
+          (Harness.Measure.run (List.hd Programs.Suite.all) Opt.Driver.Jumps
+             Ir.Machine.risc)))
     (List.hd json1);
   List.iter
     (fun workers ->

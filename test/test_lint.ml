@@ -262,7 +262,9 @@ let test_json_shape () =
       \  return 0;\n\
        }\n"
   in
-  let json = String.concat "," (List.map Diag.to_json findings) in
+  let json =
+    Telemetry.Json.(to_string (Arr (List.map Diag.to_json findings)))
+  in
   Alcotest.(check bool) "code field" true
     (contains ~affix:"\"code\":\"uninit-read\"" json);
   Alcotest.(check bool) "severity field" true

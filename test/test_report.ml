@@ -78,8 +78,10 @@ let fixture =
      ]
     @ od_rows)
 
+let parse_results s = Result.bind (Telemetry.Json.parse s) Report.doc_of_json
+
 let parse s =
-  match Report.parse_results s with
+  match parse_results s with
   | Ok doc -> doc
   | Error e -> Alcotest.fail ("fixture rejected: " ^ e)
 
@@ -111,7 +113,7 @@ let test_parse () =
   (* Junk documents give an error, not an exception. *)
   List.iter
     (fun bad ->
-      match Report.parse_results bad with
+      match parse_results bad with
       | Ok _ -> Alcotest.fail ("accepted: " ^ bad)
       | Error _ -> ())
     [ "nonsense"; "{}"; {|{"results":[{"program":"p"}]}|} ]
@@ -195,7 +197,7 @@ let test_table5_means_agree () =
     "render's mean row"
     [ "+5.00%"; "+15.00%"; "-7.50%"; "-15.00%" ]
     cells;
-  let cmp = Report.compare_docs ~name_a:"A" ~name_b:"B" doc doc in
+  let cmp, _ = Report.compare_docs ~name_a:"A" ~name_b:"B" doc doc in
   Alcotest.(check bool) "compare shows render's means" true
     (contains cmp
        (match cells with
@@ -205,9 +207,10 @@ let test_table5_means_agree () =
 
 let test_compare () =
   let a = parse fixture in
-  let same = Report.compare_docs ~name_a:"A" ~name_b:"B" a a in
+  let same, n = Report.compare_docs ~name_a:"A" ~name_b:"B" a a in
   Alcotest.(check bool) "self-compare is quiet" true
     (contains same "No measurement changed");
+  Alcotest.(check int) "self-compare has no differences" 0 n;
   let b =
     parse
       (doc_of
@@ -221,11 +224,39 @@ let test_compare () =
           ]
          @ od_rows))
   in
-  let diff = Report.compare_docs ~name_a:"A" ~name_b:"B" a b in
+  let diff, n = Report.compare_docs ~name_a:"A" ~name_b:"B" a b in
+  Alcotest.(check int) "static and dynamic changed" 2 n;
   Alcotest.(check bool) "changed row reported" true
     (contains diff "wc" && contains diff "JUMPS");
   Alcotest.(check bool) "old and new static shown" true
-    (contains diff "120" && contains diff "125")
+    (contains diff "120" && contains diff "125");
+  (* A lost row is a difference, and so is the counter total it moved. *)
+  let text, n = Report.compare_docs a (parse (doc_of od_rows)) in
+  Alcotest.(check int) "3 rows lost + 1 counter" 4 n;
+  Alcotest.(check bool) "lost rows listed" true (contains text "Only in A (3)");
+  Alcotest.(check bool) "counter listed" true
+    (contains text "- counter: measure.runs 6 -> 3");
+  (* Every field that moved is listed on its own line. *)
+  let moved =
+    parse
+      (doc_of
+         ([
+            wc ~level:"SIMPLE" ~static:100 ~dyn:1000 ~ujumps:10 ~nops:41
+              ~miss:0.05 ~miss_on:0.07;
+            wc ~level:"LOOPS" ~static:110 ~dyn:900 ~ujumps:8 ~nops:35
+              ~miss:0.04 ~miss_on:0.05;
+            wc ~level:"JUMPS" ~static:120 ~dyn:800 ~ujumps:0 ~nops:30
+              ~miss:0.03 ~miss_on:0.02;
+          ]
+         @ od_rows))
+  in
+  let text, n = Report.compare_docs a moved in
+  Alcotest.(check int) "nops and one miss ratio" 2 n;
+  Alcotest.(check bool) "nops listed" true
+    (contains text "- wc at SIMPLE on risc: dyn_nops 40 -> 41");
+  Alcotest.(check bool) "miss ratio listed" true
+    (contains text "- wc at SIMPLE on risc: 1Kb/direct/ctx-on miss_ratio \
+                    0.06 -> 0.07")
 
 let test_dat_files () =
   let files = Report.dat_files (parse fixture) in

@@ -111,6 +111,32 @@ let test_null_sink () =
        (Telemetry.Log.metrics Telemetry.Log.null)
        "measure.runs")
 
+(* A closed thunk: it captures nothing, so passing it allocates nothing. *)
+let null_forced = ref 0
+
+let never_forced () =
+  incr null_forced;
+  Telemetry.Log.Warning { message = "never" }
+
+(* Emitting into [Log.null] is one branch: 100,000 calls force nothing
+   and allocate no more than the few words reading [Gc.minor_words]
+   itself costs, however many calls there are. *)
+let test_null_alloc () =
+  let words calls =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      Telemetry.Log.emit Telemetry.Log.null never_forced
+    done;
+    Gc.minor_words () -. before
+  in
+  let few = words 10 and many = words 100_000 in
+  Alcotest.(check int) "no thunks forced" 0 !null_forced;
+  Alcotest.(check bool)
+    (Printf.sprintf "constant allocation (%.0f words for 10, %.0f for 100000)"
+       few many)
+    true
+    (many <= 16.0 && many <= few)
+
 (* Memory-sink bookkeeping: emitted = stored, in order. *)
 let test_memory_sink () =
   let log = Telemetry.Log.make Telemetry.Log.Memory in
@@ -205,7 +231,9 @@ let test_jsonl_shape () =
         reason = Telemetry.Log.Irreducible;
       }
   in
-  let line = Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev in
+  let line =
+    Telemetry.Json.to_string (Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev)
+  in
   Alcotest.(check bool) "object" true
     (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}');
   let has affix = contains line affix in
@@ -226,7 +254,7 @@ let test_jsonl_shape () =
   in
   Alcotest.(check string) "escaped bytes"
     {|{"seq":7,"t_ms":1.500,"ev":"replication_rolled_back","func":"f\n\t\\\u0001g","jump_from":"L\t1","jump_to":"L\\\n2","reason":"irreducible"}|}
-    (Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev)
+    (Telemetry.Json.to_string (Telemetry.Log.event_to_json ~seq:7 ~t_ms:1.5 ev))
 
 (* A diagnostic's JSON quotes like the event log: quote, backslash and
    control characters, pinned byte for byte. *)
@@ -237,7 +265,7 @@ let test_diag_json_bytes () =
   in
   Alcotest.(check string) "escaped bytes"
     {|{"code":"internal","severity":"error","func":"f\"1","pass":"p\\2","message":"a\"b\\c\nd\te\u0001f"}|}
-    (Telemetry.Diag.to_json d)
+    (Telemetry.Json.to_string (Telemetry.Diag.to_json d))
 
 (* --- the metrics registry (observability v2) --- *)
 
@@ -378,8 +406,8 @@ let test_trace_json () =
           (Json.member "tid" ev <> None))
       evs
 
-(* The shared JSON value: renderer/parser round-trip, Raw splicing, and
-   escape corners. *)
+(* The shared JSON value: renderer/parser round-trip, fixed-decimal
+   numbers, and escape corners. *)
 let test_json_roundtrip () =
   let doc =
     Json.Obj
@@ -398,10 +426,26 @@ let test_json_roundtrip () =
   | Ok back ->
     Alcotest.(check string) "print/parse/print fixpoint" s
       (Json.to_string back));
-  (* Raw splices verbatim — the legacy byte-compat bridge. *)
-  Alcotest.(check string) "raw spliced"
-    "{\"m\":{\"k\":1}}"
-    (Json.to_string (Json.Obj [ ("m", Json.Raw "{\"k\":1}") ]));
+  (* Fixed renders exactly its decimals, where Float would print 0.0,
+     5.0 and 12345.0, and reads back as the number it renders. *)
+  List.iter
+    (fun (decimals, f, want, float_prints) ->
+      let fixed = Json.Fixed (decimals, f) in
+      Alcotest.(check string) ("fixed " ^ want) want (Json.to_string fixed);
+      Alcotest.(check bool) ("float differs from " ^ want) true
+        (Json.to_string (Json.Float f) = float_prints && float_prints <> want);
+      match Json.parse want with
+      | Error e -> Alcotest.fail e
+      | Ok back ->
+        Alcotest.(check (option (float 0.))) ("reads back " ^ want)
+          (Json.get_float back) (Json.get_float fixed))
+    [
+      (6, 0.0, "0.000000", "0.0");
+      (3, 5.0, "5.000", "5.0");
+      (0, 12345.0, "12345", "12345.0");
+    ];
+  Alcotest.(check (option (float 0.))) "fixed reads as rendered" (Some 0.123)
+    (Json.get_float (Json.Fixed (3, 0.12345)));
   (* Malformed inputs are rejected, not mangled. *)
   List.iter
     (fun bad ->
@@ -409,6 +453,52 @@ let test_json_roundtrip () =
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ bad)
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "" ]
+
+(* One results row, byte for byte: a zero miss ratio keeps its six
+   decimals and an integer-valued instrs_between_branches its three. *)
+let test_measure_row_bytes () =
+  let cache context_switches =
+    {
+      Harness.Measure.config =
+        {
+          Icache.size_bytes = 1024;
+          line_bytes = 16;
+          context_switches;
+          assoc = 1;
+        };
+      miss_ratio = 0.0;
+      fetch_cost = 480;
+    }
+  in
+  let m =
+    {
+      Harness.Measure.program = "p\"q";
+      level = Opt.Driver.Jumps;
+      machine = Ir.Machine.risc;
+      static_instrs = 12;
+      static_ujumps = 0;
+      static_nops = 1;
+      code_bytes = 48;
+      dyn_instrs = 40;
+      dyn_ujumps = 0;
+      dyn_nops = 2;
+      dyn_transfers = 8;
+      output = "";
+      output_ok = true;
+      timed_out = false;
+      caches = [ cache true; cache false ];
+    }
+  in
+  Alcotest.(check string) "row bytes"
+    ({|{"program":"p\"q","level":"JUMPS","machine":"risc","static_instrs":12,|}
+    ^ {|"static_ujumps":0,"static_nops":1,"code_bytes":48,"dyn_instrs":40,|}
+    ^ {|"dyn_ujumps":0,"dyn_nops":2,"dyn_transfers":8,|}
+    ^ {|"instrs_between_branches":5.000,"output_ok":true,"timed_out":false,|}
+    ^ {|"caches":[{"config":"1Kb/direct/ctx-on","size_kb":1,"assoc":1,|}
+    ^ {|"context_switches":true,"miss_ratio":0.000000,"fetch_cost":480},|}
+    ^ {|{"config":"1Kb/direct/ctx-off","size_kb":1,"assoc":1,|}
+    ^ {|"context_switches":false,"miss_ratio":0.000000,"fetch_cost":480}]}|})
+    (Json.to_string (Harness.Measure.to_json m))
 
 let astring_contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -588,6 +678,7 @@ let tests =
       Alcotest.test_case "pass deltas reconcile" `Quick test_deltas_reconcile;
       Alcotest.test_case "rollback reasons" `Quick test_rollback_reasons;
       Alcotest.test_case "null sink" `Quick test_null_sink;
+      Alcotest.test_case "null sink allocates nothing" `Quick test_null_alloc;
       Alcotest.test_case "memory sink" `Quick test_memory_sink;
       Alcotest.test_case "counters" `Quick test_counters;
       Alcotest.test_case "measure telemetry" `Quick test_measure_telemetry;
@@ -601,6 +692,7 @@ let tests =
         test_metrics_merge_determinism;
       Alcotest.test_case "trace json" `Quick test_trace_json;
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+      Alcotest.test_case "measure row bytes" `Quick test_measure_row_bytes;
       Alcotest.test_case "json strict edges" `Quick test_json_strict_edges;
       Alcotest.test_case "profiler merge" `Quick test_profiler_merge;
       Alcotest.test_case "profiler runs and replays" `Quick test_profiler_runs;

@@ -1,20 +1,15 @@
 #!/bin/sh
-# Compare two BENCH_results.json documents (e.g. a committed golden
-# baseline vs a fresh sweep) and fail if any semantic measurement moved:
-# static/dynamic instruction counts, cache miss ratios and fetch costs,
-# verification verdicts, or the telemetry counter totals.  Performance
-# work must keep all of these bit-stable — that is the whole contract of
-# the rewrite this script guards.
+# Append one JSON line of per-commit aggregates of a BENCH_results.json
+# sweep (totals plus the Table-5 mean percentage changes per machine) to
+# TREND.jsonl (default BENCH_trend.jsonl), building the longitudinal
+# record that `jumprepc report` and ad-hoc plotting consume.  Comparing
+# two sweeps is `jumprepc report --compare OLD.json NEW.json`.
 #
-# Usage: tools/bench_compare.sh OLD.json NEW.json
-#        tools/bench_compare.sh --trend [--no-gate] RESULTS.json [TREND.jsonl]
+# Usage: tools/bench_compare.sh --trend [--no-gate] RESULTS.json [TREND.jsonl]
 #
-# --trend appends one JSON line of per-commit aggregates (totals plus the
-# Table-5 mean percentage changes per machine) to TREND.jsonl (default
-# BENCH_trend.jsonl), building the longitudinal record that
-# `jumprepc report` and ad-hoc plotting consume.  The commit id comes
-# from git, or from $TREND_COMMIT when set (tests use this to fabricate
-# deterministic rows).
+# The commit id comes from git, with "-dirty" appended when the working
+# tree differs from HEAD, or from $TREND_COMMIT when set (tests use this
+# to fabricate deterministic rows).
 #
 # When $TREND_WALL_S is set (the sweep's wall-clock seconds, measured by
 # the caller), the row also records it and the gate fires: a wall time
@@ -25,21 +20,31 @@
 
 set -eu
 
-if [ "${1:-}" = "--trend" ]; then
+usage() {
+    echo "usage: $0 --trend [--no-gate] RESULTS.json [TREND.jsonl]" >&2
+    exit 2
+}
+
+[ "${1:-}" = "--trend" ] || usage
+shift
+gate=1
+if [ "${1:-}" = "--no-gate" ]; then
+    gate=0
     shift
-    gate=1
-    if [ "${1:-}" = "--no-gate" ]; then
-        gate=0
-        shift
-    fi
-    if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-        echo "usage: $0 --trend [--no-gate] RESULTS.json [TREND.jsonl]" >&2
-        exit 2
-    fi
-    results="$1"
-    trend="${2:-BENCH_trend.jsonl}"
-    commit="${TREND_COMMIT:-$(git rev-parse --short HEAD 2>/dev/null || echo unknown)}"
-    exec python3 - "$results" "$trend" "$commit" "$gate" << 'EOF'
+fi
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    usage
+fi
+results="$1"
+trend="${2:-BENCH_trend.jsonl}"
+if [ -n "${TREND_COMMIT:-}" ]; then
+    commit="$TREND_COMMIT"
+elif commit=$(git rev-parse --short HEAD 2>/dev/null); then
+    git diff --quiet HEAD 2>/dev/null || commit="$commit-dirty"
+else
+    commit=unknown
+fi
+exec python3 - "$results" "$trend" "$commit" "$gate" << 'EOF'
 import json, os, sys, time
 
 results_path, trend_path, commit = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -129,76 +134,4 @@ if regression is not None:
         print(regression)
         sys.exit(1)
     print(regression + " [--no-gate: not failing]")
-EOF
-fi
-
-if [ $# -ne 2 ]; then
-    echo "usage: $0 OLD.json NEW.json" >&2
-    echo "       $0 --trend RESULTS.json [TREND.jsonl]" >&2
-    exit 2
-fi
-
-exec python3 - "$1" "$2" << 'EOF'
-import json, sys
-
-old_path, new_path = sys.argv[1], sys.argv[2]
-with open(old_path) as f:
-    old = json.load(f)
-with open(new_path) as f:
-    new = json.load(f)
-
-COUNT_FIELDS = [
-    "static_instrs", "static_ujumps", "static_nops",
-    "dyn_instrs", "dyn_ujumps", "dyn_nops", "dyn_transfers",
-    "output_ok", "timed_out",
-]
-
-def key(r):
-    return (r["program"], r["level"], r["machine"])
-
-bad = 0
-
-def complain(msg):
-    global bad
-    bad += 1
-    print("bench_compare: %s" % msg)
-
-old_results = {key(r): r for r in old.get("results", [])}
-new_results = {key(r): r for r in new.get("results", [])}
-
-for k in sorted(old_results.keys() - new_results.keys()):
-    complain("measurement %s/%s/%s disappeared" % k)
-for k in sorted(new_results.keys() - old_results.keys()):
-    complain("measurement %s/%s/%s appeared" % k)
-
-for k in sorted(old_results.keys() & new_results.keys()):
-    a, b = old_results[k], new_results[k]
-    for field in COUNT_FIELDS:
-        if a.get(field) != b.get(field):
-            complain("%s/%s/%s: %s changed %r -> %r"
-                     % (k + (field, a.get(field), b.get(field))))
-    ca = {c["config"]: c for c in a.get("caches", [])}
-    cb = {c["config"]: c for c in b.get("caches", [])}
-    if ca.keys() != cb.keys():
-        complain("%s/%s/%s: cache config set changed" % k)
-    for name in sorted(ca.keys() & cb.keys()):
-        for field in ("miss_ratio", "fetch_cost"):
-            if ca[name].get(field) != cb[name].get(field):
-                complain("%s/%s/%s: cache %s %s changed %r -> %r"
-                         % (k + (name, field,
-                                 ca[name].get(field), cb[name].get(field))))
-
-old_counters = old.get("counters", {})
-new_counters = new.get("counters", {})
-for name in sorted(old_counters.keys() | new_counters.keys()):
-    if old_counters.get(name) != new_counters.get(name):
-        complain("counter %s changed %r -> %r"
-                 % (name, old_counters.get(name), new_counters.get(name)))
-
-if bad:
-    print("bench_compare: %d difference(s) between %s and %s"
-          % (bad, old_path, new_path))
-    sys.exit(1)
-print("bench_compare: %s and %s agree (%d measurements)"
-      % (old_path, new_path, len(old_results)))
 EOF

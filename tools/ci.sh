@@ -71,7 +71,7 @@ echo "== bench --json sweep (2 workers) vs golden baseline =="
 SWEEP_T0=$(python3 -c 'import time; print(time.time())')
 dune exec bench/main.exe -- --json -j 2 > /dev/null
 SWEEP_WALL=$(python3 -c "import time; print(round(time.time() - $SWEEP_T0, 3))")
-tools/bench_compare.sh BENCH_baseline.json BENCH_results.json
+cmp BENCH_results.json BENCH_baseline.json
 
 echo "== sweep byte-identical at -j 1 and -j 4 =="
 dune exec bench/main.exe -- --json -j 1 > /dev/null
@@ -291,6 +291,21 @@ TREND_COMMIT=ci-escape TREND_WALL_S=30.0 \
   > _build/trend-nogate.log
 grep -q 'not failing' _build/trend-nogate.log
 echo "trend wall-time gate: regression caught, tolerance and --no-gate honored"
+
+# Without TREND_COMMIT the row is labelled from git: the short HEAD id,
+# marked "-dirty" exactly when the tracked files differ from HEAD.
+rm -f _build/ci-label.jsonl
+(unset TREND_COMMIT
+ tools/bench_compare.sh --trend --no-gate BENCH_results.json _build/ci-label.jsonl \
+   > /dev/null)
+LABEL=$(python3 -c 'import json; print(json.loads(open("_build/ci-label.jsonl").readline())["commit"])')
+if HEAD_ID=$(git rev-parse --short HEAD 2>/dev/null); then
+  if git diff --quiet HEAD; then WANT="$HEAD_ID"; else WANT="$HEAD_ID-dirty"; fi
+else
+  WANT=unknown
+fi
+[ "$LABEL" = "$WANT" ] || { echo "trend label $LABEL, want $WANT"; exit 1; }
+echo "trend label from git: $LABEL"
 
 echo "== bench tables smoke; bench accepts exactly its pinned options =="
 dune exec bench/main.exe -- -t 1 -t 2 -t fig > /dev/null
