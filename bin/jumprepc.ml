@@ -122,18 +122,28 @@ let strict_arg =
           "Exit with status 3 if any pass was quarantined (the default is \
            to warn, compile from the rolled-back IR, and exit 0).")
 
+(* A malformed spec is a usage error, rejected before anything compiles
+   (it would otherwise surface as a compile failure of every program). *)
 let inject_fault_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "inject-fault" ] ~docv:"PASS[:MODE]"
-        ~doc:
-          "Testing only: corrupt the named pass's output to exercise the \
-           detection paths.  Modes: $(b,dangling-jump) (ill-formed IR, \
-           caught by the verifier — the default), $(b,flip-branch) and \
-           $(b,drop-store) (well-formed miscompilations, caught by the \
-           static certifier under $(b,--certify) or by the execution \
-           oracle under $(b,--verify-passes)).")
+  let validate spec =
+    (match Option.map Opt.Driver.parse_fault spec with
+    | _ -> ()
+    | exception Diag.Error d -> fail_diag ~code:2 d);
+    spec
+  in
+  Term.(
+    const validate
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "inject-fault" ] ~docv:"PASS[:MODE]"
+            ~doc:
+              "Testing only: corrupt the named pass's output to exercise the \
+               detection paths.  Modes: $(b,dangling-jump) (ill-formed IR, \
+               caught by the verifier — the default), $(b,flip-branch) and \
+               $(b,drop-store) (well-formed miscompilations, caught by the \
+               static certifier under $(b,--certify) or by the execution \
+               oracle under $(b,--verify-passes))."))
 
 let certify_arg =
   Arg.(

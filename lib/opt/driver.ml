@@ -51,101 +51,77 @@ let default_options =
 
 let options ?(level = Simple) () = { default_options with level }
 
-(* How [inject_fault] corrupts the named pass's output; the spec syntax is
-   PASS or PASS:MODE (default mode: dangling-jump). *)
+(* --- test-only fault injection --- *)
+
+(* How [inject_fault] corrupts the named pass's output, proving the
+   detection paths end to end from the CLI; the spec syntax is PASS or
+   PASS:MODE (default mode: dangling-jump).  [Fault_dangling] (a jump to a
+   label that does not exist) is caught by the structural verifier;
+   [Fault_flip_branch] and [Fault_drop_store] produce well-formed but
+   miscompiled IR that only the static certifier (or the dynamic oracle)
+   can convict. *)
 type fault_mode = Fault_dangling | Fault_flip_branch | Fault_drop_store
 
-(* --- telemetry: per-pass spans with IR deltas --- *)
+(* Rewrite the first instruction [f] maps to [Some replacement]; also
+   returns whether one did. *)
+let rewrite_first f func =
+  let hit = ref false in
+  let rewrite i =
+    if !hit then [ i ]
+    else
+      match f i with
+      | Some is ->
+        hit := true;
+        is
+      | None -> [ i ]
+  in
+  let func' = Func.map_instrs (List.concat_map rewrite) func in
+  (func', !hit)
 
-(* Blocks ending in an unconditional transfer ([Jump] or [Ijump]): the
-   quantity the whole optimization exists to reduce, tracked per pass. *)
-let count_ujumps func =
-  Array.fold_left
-    (fun n b ->
-      match Func.terminator b with
-      | Some (Ir.Rtl.Jump _) | Some (Ir.Rtl.Ijump _) -> n + 1
-      | Some _ | None -> n)
-    0 (Func.blocks func)
-
-let shape func = (Func.num_instrs func, Func.num_blocks func, count_ujumps func)
-
-(* Run one named pass under a span: [Pass_begin], the pass, [Pass_end] with
-   the before/after shape and elapsed wall-clock time.  When a profiler is
-   attached, the same span also charges the pass's wall time and GC
-   allocation to its (function x pass) row; [replayed], set by the
-   fixpoint's memo, tells a replayed verdict from a real run.  Disabled
-   logs and the null profiler pay one branch and no allocation. *)
-let run_pass ?replayed log profiler fname (name, pass) func =
-  let logging = Telemetry.Log.enabled log in
-  let profiling = Telemetry.Profiler.enabled profiler in
-  if not (logging || profiling) then pass func
-  else begin
-    let instrs_before, blocks_before, ujumps_before =
-      if logging then shape func else (0, 0, 0)
+(* Returns whether the corruption applied (a branch/store was found to
+   break); an applied corruption forces the pass's changed flag so the
+   certifier and oracle actually look at it. *)
+let inject_corruption mode func =
+  let open Ir.Rtl in
+  match mode with
+  | Fault_dangling ->
+    let bad =
+      {
+        Func.label = Func.fresh_label func;
+        instrs = [ Jump (Ir.Label.of_int 424242) ];
+      }
     in
-    if logging then
-      Telemetry.Log.emit log (fun () ->
-          Telemetry.Log.Pass_begin { func = fname; pass = name });
-    let alloc0 = if profiling then Telemetry.Profiler.alloc_words () else 0.0 in
-    Option.iter (fun r -> r := false) replayed;
-    let t0 = Unix.gettimeofday () in
-    let func', changed = pass func in
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    if profiling then
-      Telemetry.Profiler.record_pass profiler ~func:fname ~pass:name
-        ~ran:(match replayed with Some r -> not !r | None -> true)
-        ~changed ~wall_ms:elapsed_ms
-        ~alloc:(Telemetry.Profiler.alloc_words () -. alloc0);
-    if logging then begin
-      let instrs_after, blocks_after, ujumps_after = shape func' in
-      Telemetry.Log.emit log (fun () ->
-          Telemetry.Log.Pass_end
-            {
-              func = fname;
-              pass = name;
-              changed;
-              delta =
-                {
-                  instrs_before;
-                  instrs_after;
-                  blocks_before;
-                  blocks_after;
-                  ujumps_before;
-                  ujumps_after;
-                };
-              elapsed_ms;
-            })
-    end;
-    (func', changed)
-  end
+    (Func.with_blocks func (Array.append (Func.blocks func) [| bad |]), true)
+  | Fault_flip_branch ->
+    rewrite_first
+      (function Branch (c, l) -> Some [ Branch (negate_cond c, l) ] | _ -> None)
+      func
+  | Fault_drop_store ->
+    rewrite_first
+      (function
+        | Move (Lmem _, _) | Binop (_, Lmem _, _, _) | Unop (_, Lmem _, _) ->
+          Some []
+        | _ -> None)
+      func
 
-(* Compose named passes, threading the change flag and spanning each.
-   Also reports the name of the last pass that changed the function, for
-   the fixpoint-divergence warning. *)
-let seq ?(log = Telemetry.Log.null) ?(profiler = Telemetry.Profiler.null)
-    ?replayed ~fname passes func =
-  List.fold_left
-    (fun (func, changed, last) (name, pass) ->
-      let func, c = run_pass ?replayed log profiler fname (name, pass) func in
-      (func, changed || c, if c then name else last))
-    (func, false, "") passes
+(* --- Figure 3 as one table of pass rows --- *)
 
-(* --- the protective pass boundary --- *)
-
-(* Every pass runs inside a boundary that verifies its output and, on a
-   verifier failure, a raised exception, or a differential-oracle mismatch,
-   rolls the function back to the pass's input (the last-good IR), records
-   a diagnostic, quarantines the pass for the rest of this function's
-   compilation, and lets the pipeline continue.  One bad pass on one
-   function no longer aborts the build. *)
+(* One function's compilation: the state of the protective boundary every
+   row runs inside (below), and what the rows' [run]s are given. *)
 type boundary = {
+  b_machine : Ir.Machine.t;
   b_log : Telemetry.Log.t;
+  b_replicate : ?allow_irreducible:bool -> Func.t -> Func.t * bool;
+      (* abstracts the replication pass so tests can instrument it *)
+  b_profiler : Telemetry.Profiler.t;
   b_fname : string;
   b_opts : options;
   b_oracle : Oracle.t option;
   b_diags : Diag.t list ref;
   b_fault : (string * fault_mode) option;
   b_verdicts : Tv.record list ref;
+  mutable replayed : bool;
+      (* the last presentation was replayed from the fixpoint's memo *)
   mutable quarantined : SSet.t;
   mutable warned : SSet.t;
       (* (pass, unknown-kind) pairs already diagnosed, so the fixpoint loop
@@ -155,81 +131,129 @@ type boundary = {
          convict a pass *)
 }
 
-(* Cheap checks always; --verify-passes adds the expensive ones. *)
-let generic_violations opts func = Check.errors ~full:opts.verify_passes func
+type row = {
+  name : string;
+  run : boundary -> Func.t -> Func.t * bool;
+  enabled : options -> bool;  (* disabled: presented as a no-change run *)
+  uncertifiable : string option;
+      (* why the pass is structurally outside the simulation relation [Tv]
+         decides: a changing instance is recorded Unknown with this reason
+         without running the checker, which would only report noise *)
+  post : Func.t -> string list;  (* postcondition, never baselined *)
+}
 
-(* Checks that are postconditions of specific passes, never baselined. *)
-let pass_postconditions name func =
-  match name with
-  | "unreachable" -> Check.unreachable_blocks func
-  | "regalloc" -> Check.no_virtuals func
-  | _ -> []
+let row ?(enabled = fun _ -> true) ?uncertifiable ?(post = fun _ -> []) name
+    run =
+  { name; run; enabled; uncertifiable; post }
 
-(* Test-only fault injection: corrupt the named pass's output, proving the
-   detection paths end to end from the CLI.  [Fault_dangling] (a jump to a
-   label that does not exist) is caught by the structural verifier;
-   [Fault_flip_branch] and [Fault_drop_store] produce well-formed but
-   miscompiled IR that only the static certifier (or the dynamic oracle)
-   can convict. *)
-let fault_mode_of_string = function
-  | "dangling-jump" -> Some Fault_dangling
-  | "flip-branch" -> Some Fault_flip_branch
-  | "drop-store" -> Some Fault_drop_store
-  | _ -> None
+let legalize = row "legalize" (fun g f -> (Legalize.run g.b_machine f, false))
+let branch_chain = row "branch-chain" (fun _ -> Branch_chain.run)
+
+let unreachable =
+  row "unreachable" (fun _ -> Unreachable.run) ~post:Check.unreachable_blocks
+
+let reorder = row "reorder" (fun _ -> Reorder.run)
+let replicate = row "replicate" (fun g f -> g.b_replicate f)
+
+let isel =
+  row "isel" (fun g f -> Isel.run g.b_machine f)
+    ~enabled:(fun o -> o.enable_isel)
+
+let cse = row "cse" (fun _ -> Cse.run) ~enabled:(fun o -> o.enable_cse)
+let gcse = row "gcse" (fun _ -> Gcse.run) ~enabled:(fun o -> o.enable_cse)
+let deadvars = row "deadvars" (fun _ -> Deadvars.run)
+
+let licm =
+  row "licm" (fun _ -> Licm.run) ~enabled:(fun o -> o.enable_licm)
+    ~uncertifiable:
+      "loop-invariant code motion inserts preheaders and moves code across \
+       blocks"
+
+let strength =
+  row "strength" (fun _ -> Strength.run) ~enabled:(fun o -> o.enable_strength)
+    ~uncertifiable:
+      "strength reduction introduces induction temporaries and preheaders"
+
+let constfold = row "constfold" (fun g f -> Constfold.run g.b_machine f)
+
+let replicate_final =
+  row "replicate-final" (fun g f -> g.b_replicate ~allow_irreducible:true f)
+
+(* Register allocation performs its own post-assignment cleanup
+   (post-allocation liveness cannot see the caller's use of callee-save
+   registers, so Deadvars must not run after it). *)
+let regalloc =
+  row "regalloc" ~enabled:(fun o -> o.allocate) ~post:Check.no_virtuals
+    ~uncertifiable:
+      "register allocation renames every register and inserts spill code"
+    (fun g f -> (Regalloc.run ~log:g.b_log g.b_machine f, false))
+
+(* Displacement selection prices the final layout, so it must be the very
+   last pass. *)
+let displace = row "displace" (fun g f -> Displace.run g.b_machine f)
+
+(* Initial branch optimizations, then replication on the clean flow. *)
+let prefix =
+  [| legalize; branch_chain; unreachable; reorder; branch_chain; replicate;
+     unreachable |]
+
+(* The Figure-3 do-while loop's body. *)
+let fixpoint =
+  [| isel; cse; gcse; deadvars; licm; strength; isel; branch_chain; constfold;
+     replicate; unreachable |]
+
+(* Final replication also takes what would be irreducible. *)
+let suffix =
+  [| replicate_final; unreachable; branch_chain; unreachable; deadvars;
+     regalloc; displace |]
+
+let names rows = Array.to_list (Array.map (fun r -> r.name) rows)
+
+let pass_names =
+  List.sort_uniq String.compare
+    (names (Array.concat [ prefix; fixpoint; suffix ]))
+
+let pipeline_signature =
+  String.concat ","
+    (names prefix
+    @ [ "fix(" ^ String.concat "," (names fixpoint) ^ ")" ]
+    @ names suffix)
 
 let parse_fault spec =
-  match String.index_opt spec ':' with
-  | None -> Ok (spec, Fault_dangling)
-  | Some i ->
-    let pass = String.sub spec 0 i in
-    let mode = String.sub spec (i + 1) (String.length spec - i - 1) in
-    (match fault_mode_of_string mode with
-    | Some m -> Ok (pass, m)
-    | None -> Error mode)
-
-(* Returns whether the corruption applied (a branch/store was found to
-   break); an applied corruption forces the pass's changed flag so the
-   certifier and oracle actually look at it. *)
-let inject_corruption mode func =
+  let pass, mode =
+    match String.index_opt spec ':' with
+    | None -> (spec, "dangling-jump")
+    | Some i ->
+      let n = String.length spec in
+      (String.sub spec 0 i, String.sub spec (i + 1) (n - i - 1))
+  in
+  let fail fmt =
+    Diag.error Diag.Semantic_error ~func:"" ~pass:"inject-fault" fmt
+  in
+  if not (List.mem pass pass_names) then
+    fail "unknown pass %S (expected one of: %s)" pass
+      (String.concat ", " pass_names);
   match mode with
-  | Fault_dangling ->
-    let bad =
-      {
-        Func.label = Func.fresh_label func;
-        instrs = [ Ir.Rtl.Jump (Ir.Label.of_int 424242) ];
-      }
-    in
-    (Func.with_blocks func (Array.append (Func.blocks func) [| bad |]), true)
-  | Fault_flip_branch ->
-    let hit = ref false in
-    let func' =
-      Func.map_instrs
-        (List.map (fun i ->
-             match i with
-             | Ir.Rtl.Branch (c, l) when not !hit ->
-               hit := true;
-               Ir.Rtl.Branch (Ir.Rtl.negate_cond c, l)
-             | i -> i))
-        func
-    in
-    (func', !hit)
-  | Fault_drop_store ->
-    let hit = ref false in
-    let func' =
-      Func.map_instrs
-        (List.filter (fun i ->
-             if !hit then true
-             else
-               match i with
-               | Ir.Rtl.Move (Ir.Rtl.Lmem _, _)
-               | Ir.Rtl.Binop (_, Ir.Rtl.Lmem _, _, _)
-               | Ir.Rtl.Unop (_, Ir.Rtl.Lmem _, _) ->
-                 hit := true;
-                 false
-               | _ -> true))
-        func
-    in
-    (func', !hit)
+  | "dangling-jump" -> (pass, Fault_dangling)
+  | "flip-branch" -> (pass, Fault_flip_branch)
+  | "drop-store" -> (pass, Fault_drop_store)
+  | _ ->
+    fail
+      "unknown fault mode %S (expected dangling-jump, flip-branch or \
+       drop-store)"
+      mode
+
+(* --- the protective pass boundary --- *)
+
+(* Every pass runs inside a boundary that verifies its output and, on a
+   verifier failure, a raised exception, or a differential-oracle mismatch,
+   rolls the function back to the pass's input (the last-good IR), records
+   a diagnostic, quarantines the pass for the rest of this function's
+   compilation, and lets the pipeline continue.  One bad pass on one
+   function no longer aborts the build. *)
+
+(* Cheap checks always; --verify-passes adds the expensive ones. *)
+let generic_violations opts func = Check.errors ~full:opts.verify_passes func
 
 let quarantine g name code violations message =
   g.quarantined <- SSet.add name g.quarantined;
@@ -244,8 +268,13 @@ let quarantine g name code violations message =
    (pass, kind) per function — the fixpoint loop would otherwise repeat
    them) as warnings and the output is kept: Unknown is absence of a
    proof, not evidence of a bug. *)
-let certify_after g name ~before ~after =
-  let verdict = Tv.certify_pass ~pass:name ~before ~after () in
+let certify_after g row ~before ~after =
+  let name = row.name in
+  let verdict =
+    match row.uncertifiable with
+    | None -> Tv.certify_pass ~before ~after ()
+    | Some reason -> Tv.Unknown { reason; timeout = false }
+  in
   g.b_verdicts :=
     { Tv.vfunc = g.b_fname; vpass = name; verdict } :: !(g.b_verdicts);
   match verdict with
@@ -267,10 +296,11 @@ let certify_after g name ~before ~after =
          (String.concat " -> " path));
     false
 
-let guard g name pass func =
+let guard g row func =
+  let name = row.name in
   if SSet.mem name g.quarantined then (func, false)
   else
-    match pass func with
+    match row.run g func with
     | exception Diag.Error d ->
       quarantine g name d.Diag.code [] d.Diag.message;
       (func, false)
@@ -295,7 +325,7 @@ let guard g name pass func =
       let viols = generic_violations g.b_opts func' in
       let fresh =
         List.filter (fun v -> not (SSet.mem v g.baseline)) viols
-        @ pass_postconditions name func'
+        @ row.post func'
       in
       if fresh <> [] then begin
         quarantine g name Diag.Malformed_ir fresh
@@ -304,7 +334,7 @@ let guard g name pass func =
       end
       else if
         g.b_opts.certify && changed
-        && not (certify_after g name ~before:func ~after:func')
+        && not (certify_after g row ~before:func ~after:func')
       then (func, false)
       else
         let accept () =
@@ -320,14 +350,105 @@ let guard g name pass func =
           | None -> accept ())
         | _ -> accept ())
 
-let jumps_config opts ~size_cap ~allow_irreducible =
+(* --- the walker: per-pass spans with IR deltas --- *)
+
+(* Blocks ending in an unconditional transfer ([Jump] or [Ijump]): the
+   quantity the whole optimization exists to reduce, tracked per pass. *)
+let count_ujumps func =
+  Array.fold_left
+    (fun n b ->
+      match Func.terminator b with
+      | Some (Ir.Rtl.Jump _) | Some (Ir.Rtl.Ijump _) -> n + 1
+      | Some _ | None -> n)
+    0 (Func.blocks func)
+
+(* [Func.t] is immutable, so the input's shape can be taken after the pass. *)
+let delta before after =
   {
-    Replication.Jumps.heuristic = opts.heuristic;
-    max_rtls = opts.max_rtls;
-    allow_irreducible;
-    size_cap;
-    replicate_indirect = true;
+    Telemetry.Log.instrs_before = Func.num_instrs before;
+    instrs_after = Func.num_instrs after;
+    blocks_before = Func.num_blocks before;
+    blocks_after = Func.num_blocks after;
+    ujumps_before = count_ujumps before;
+    ujumps_after = count_ujumps after;
   }
+
+(* The fixpoint keeps re-presenting passes with functions they have
+   already reported no change on — the final iteration consists of nothing
+   else.  Passes are deterministic on an unchanged input ([Func.t] is
+   immutable and a no-change run draws no fresh names), so the previous
+   no-change verdict, including the boundary's verification of that exact
+   IR, can be replayed without running anything.  The memo sits outside
+   the guard on purpose: re-verifying an already-accepted function is as
+   redundant as re-optimizing it.  Only the fixpoint has a memo; it is
+   keyed by pass name, so isel's two slots share one entry.
+
+   A row presented to [func]: replayed from the memo, a no-change run when
+   the row is disabled, else the pass in its boundary.  ([mem] then [find]
+   allocates no option.) *)
+let outcome g memo row func =
+  match memo with
+  | Some seen
+    when Hashtbl.mem seen row.name && Hashtbl.find seen row.name == func ->
+    g.replayed <- true;
+    (func, false)
+  | _ ->
+    let ((func', changed) as result) =
+      if row.enabled g.b_opts then guard g row func else (func, false)
+    in
+    (match memo with
+    | Some seen when not changed -> Hashtbl.replace seen row.name func'
+    | _ -> ());
+    result
+
+(* One presentation under a span: [Pass_begin], the outcome, [Pass_end]
+   with the before/after shape and elapsed wall-clock time.  When a
+   profiler is attached, the same span also charges the pass's wall time
+   and GC allocation to its (function x pass) row, telling a replayed
+   verdict from a real run.  Disabled logs and the null profiler pay one
+   branch and no allocation. *)
+let present g memo row func =
+  let log = g.b_log and profiler = g.b_profiler in
+  let logging = Telemetry.Log.enabled log in
+  let profiling = Telemetry.Profiler.enabled profiler in
+  if not (logging || profiling) then outcome g memo row func
+  else begin
+    if logging then
+      Telemetry.Log.emit log (fun () ->
+          Telemetry.Log.Pass_begin { func = g.b_fname; pass = row.name });
+    let alloc0 = if profiling then Telemetry.Profiler.alloc_words () else 0.0 in
+    g.replayed <- false;
+    let t0 = Unix.gettimeofday () in
+    let func', changed = outcome g memo row func in
+    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    if profiling then
+      Telemetry.Profiler.record_pass profiler ~func:g.b_fname ~pass:row.name
+        ~ran:(not g.replayed) ~changed ~wall_ms:elapsed_ms
+        ~alloc:(Telemetry.Profiler.alloc_words () -. alloc0);
+    if logging then
+      Telemetry.Log.emit log (fun () ->
+          Telemetry.Log.Pass_end
+            {
+              func = g.b_fname;
+              pass = row.name;
+              changed;
+              delta = delta func func';
+              elapsed_ms;
+            });
+    (func', changed)
+  end
+
+(* Present a stage's rows in order, threading the change flag.  Also
+   reports the name of the last pass that changed the function, for the
+   fixpoint-divergence warning. *)
+let walk ?memo g rows func =
+  let rec go i func changed last =
+    if i = Array.length rows then (func, changed, last)
+    else
+      let func, c = present g memo rows.(i) func in
+      go (i + 1) func (changed || c) (if c then rows.(i).name else last)
+  in
+  go 0 func false ""
 
 let replication_pass ?log ?budget opts ~size_cap ~allow_irreducible func =
   match opts.level with
@@ -335,39 +456,34 @@ let replication_pass ?log ?budget opts ~size_cap ~allow_irreducible func =
   | Loops -> Replication.Loops_rep.run ?log func
   | Jumps ->
     Replication.Jumps.run ?log ?budget
-      (jumps_config opts ~size_cap ~allow_irreducible)
+      {
+        Replication.Jumps.heuristic = opts.heuristic;
+        max_rtls = opts.max_rtls;
+        allow_irreducible;
+        size_cap;
+        replicate_indirect = true;
+      }
       func
 
-(* [replicate] abstracts the replication pass so tests can instrument it
-   (e.g. cap the number of replacements, or return deliberately broken
-   IR to exercise the quarantine path). *)
 let optimize_func_with ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(diags = ref [])
     ?(verdicts = ref []) ?oracle
     ~(replicate : ?allow_irreducible:bool -> Func.t -> Func.t * bool) opts
     machine func =
   let fname = Func.name func in
-  let fault =
-    match opts.inject_fault with
-    | None -> None
-    | Some spec -> (
-      match parse_fault spec with
-      | Ok pm -> Some pm
-      | Error mode ->
-        Diag.error Diag.Semantic_error ~func:fname ~pass:"inject-fault"
-          "unknown fault mode %S (expected dangling-jump, flip-branch or \
-           drop-store)"
-          mode)
-  in
   let g =
     {
+      b_machine = machine;
       b_log = log;
+      b_replicate = replicate;
+      b_profiler = profiler;
       b_fname = fname;
       b_opts = opts;
       b_oracle = oracle;
       b_diags = diags;
-      b_fault = fault;
+      b_fault = Option.map parse_fault opts.inject_fault;
       b_verdicts = verdicts;
+      replayed = false;
       quarantined = SSet.empty;
       warned = SSet.empty;
       baseline = SSet.of_list (generic_violations opts func);
@@ -379,78 +495,13 @@ let optimize_func_with ?(log = Telemetry.Log.null)
          (Printf.sprintf "pipeline input already ill-formed: %s"
             (String.concat "; " (SSet.elements g.baseline)))
        :: !diags);
-  let seq_raw = seq in
-  let seq passes func =
-    seq_raw ~log ~profiler ~fname
-      (List.map (fun (name, pass) -> (name, guard g name pass)) passes)
-      func
-  in
-  let func, _, _ =
-    seq [ ("legalize", fun f -> (Legalize.run machine f, false)) ] func
-  in
-  let replicate_pass func = replicate func in
-  (* Initial branch optimizations, then replication on the clean flow. *)
-  let func, _, _ =
-    seq
-      [
-        ("branch-chain", Branch_chain.run);
-        ("unreachable", Unreachable.run);
-        ("reorder", Reorder.run);
-        ("branch-chain", Branch_chain.run);
-        ("replicate", replicate_pass);
-        ("unreachable", Unreachable.run);
-      ]
-      func
-  in
-  (* The fixpoint keeps re-presenting passes with functions they have
-     already reported no change on — the final iteration consists of
-     nothing else.  Passes are deterministic on an unchanged input
-     ([Func.t] is immutable and a no-change run draws no fresh names), so
-     the previous no-change verdict, including the boundary's verification
-     of that exact IR, can be replayed without running anything.  The memo
-     sits outside the guard on purpose: re-verifying an already-accepted
-     function is as redundant as re-optimizing it. *)
-  let nochange : (string, Func.t) Hashtbl.t = Hashtbl.create 16 in
-  let replayed = ref false in
-  let memo name pass f =
-    match Hashtbl.find_opt nochange name with
-    | Some f0 when f0 == f ->
-      replayed := true;
-      (f, false)
-    | _ ->
-      let f', c = pass f in
-      if not c then Hashtbl.replace nochange name f';
-      (f', c)
-  in
-  let seq_fix passes func =
-    seq_raw ~log ~profiler ~replayed ~fname
-      (List.map
-         (fun (name, pass) -> (name, memo name (guard g name pass)))
-         passes)
-      func
-  in
+  let func, _, _ = walk g prefix func in
+  let memo = Hashtbl.create 16 in
   (* The Figure-3 do-while loop. *)
   let rec fix func n =
     if n = 0 then func
     else begin
-      let gate enabled pass = if enabled then pass else fun f -> (f, false) in
-      let func, changed, last_pass =
-        seq_fix
-          [
-            ("isel", gate opts.enable_isel (Isel.run machine));
-            ("cse", gate opts.enable_cse Cse.run);
-            ("gcse", gate opts.enable_cse Gcse.run);
-            ("deadvars", Deadvars.run);
-            ("licm", gate opts.enable_licm Licm.run);
-            ("strength", gate opts.enable_strength Strength.run);
-            ("isel", gate opts.enable_isel (Isel.run machine));
-            ("branch-chain", Branch_chain.run);
-            ("constfold", Constfold.run machine);
-            ("replicate", replicate_pass);
-            ("unreachable", Unreachable.run);
-          ]
-          func
-      in
+      let func, changed, last_pass = walk ~memo g fixpoint func in
       Telemetry.Log.emit log (fun () ->
           Telemetry.Log.Fixpoint_iteration
             {
@@ -479,34 +530,7 @@ let optimize_func_with ?(log = Telemetry.Log.null)
     end
   in
   let func = fix func opts.max_iterations in
-  (* Final replication invocation: also take what would be irreducible. *)
-  let func, _, _ =
-    seq
-      [
-        ("replicate-final", replicate ~allow_irreducible:true);
-        ("unreachable", Unreachable.run);
-        ("branch-chain", Branch_chain.run);
-        ("unreachable", Unreachable.run);
-        ("deadvars", Deadvars.run);
-      ]
-      func
-  in
-  (* Register allocation last; it performs its own post-assignment
-     cleanup (post-allocation liveness cannot see the caller's use of
-     callee-save registers, so Deadvars must not run after it). *)
-  let func =
-    if opts.allocate then
-      let func, _, _ =
-        seq [ ("regalloc", fun f -> (Regalloc.run ~log machine f, false)) ] func
-      in
-      func
-    else func
-  in
-  (* Displacement selection prices the final layout, so it must be the
-     very last pass.  It goes through the boundary like any other pass:
-     an injected `displace:*` fault is caught by the verifier or oracle
-     and rolls the function back to its fixed-size encoding. *)
-  let func, _, _ = seq [ ("displace", Displace.run machine) ] func in
+  let func, _, _ = walk g suffix func in
   (* Belt and braces: the boundary gated every pass, so only violations the
      input already had can remain. *)
   (match
@@ -524,13 +548,12 @@ let optimize_func_with ?(log = Telemetry.Log.null)
 
 let next_cheaper = function Jumps -> Some Loops | Loops -> Some Simple | Simple -> None
 
-let optimize_func ?log ?profiler ?diags ?verdicts ?oracle opts machine func =
+let optimize_func ?log ?profiler ?(diags = ref []) ?(verdicts = ref []) ?oracle
+    opts machine func =
   (* Growth cap for replication, relative to the pre-replication size. *)
   (* The paper's worst growth is ~3x (deroff); 8x is a generous ceiling
      that still bounds pathological replication cascades. *)
   let size_cap = max 2000 (8 * Func.num_instrs func) in
-  let diags = match diags with Some d -> d | None -> ref [] in
-  let verdicts = match verdicts with Some v -> v | None -> ref [] in
   let input_rtls = max 1 (Func.num_instrs func) in
   (* Budget exhaustion degrades the function to the next-cheaper
      configuration (JUMPS -> LOOPS -> SIMPLE) instead of aborting: the
@@ -584,51 +607,25 @@ let optimize_func ?log ?profiler ?diags ?verdicts ?oracle opts machine func =
   in
   attempt opts.level
 
-let optimize ?log ?profiler ?diags ?verdicts opts machine prog =
+let optimize ?log ?profiler ?(diags = ref []) ?verdicts opts machine prog =
   let oracle =
     if opts.verify_passes then Some (Oracle.make machine prog) else None
   in
   let prog' =
     Prog.map_funcs
-      (optimize_func ?log ?profiler ?diags ?verdicts ?oracle opts machine)
+      (optimize_func ?log ?profiler ~diags ?verdicts ?oracle opts machine)
       prog
   in
   (if opts.verify_passes then
      match Check.program_errors prog' with
      | [] -> ()
      | errs ->
-       Option.iter
-         (fun diags ->
-           diags :=
-             Diag.make Diag.Malformed_ir ~func:"" ~pass:"program"
-               (String.concat "; " errs)
-             :: !diags)
-         diags);
+       diags :=
+         Diag.make Diag.Malformed_ir ~func:"" ~pass:"program"
+           (String.concat "; " errs)
+         :: !diags);
   prog'
 
 let compile ?log ?profiler ?diags ?verdicts opts machine source =
   optimize ?log ?profiler ?diags ?verdicts opts machine
     (Frontend.Codegen.compile_source source)
-
-(* Keep in sync with [optimize_func_with]: any pass added, removed or
-   reordered must change this string, or campaign stores will reuse
-   results computed by a different compiler. *)
-let pipeline_signature =
-  String.concat ","
-    [
-      "legalize";
-      "branch-chain";
-      "unreachable";
-      "reorder";
-      "branch-chain";
-      "replicate";
-      "unreachable";
-      "fix(isel,cse,gcse,deadvars,licm,strength,isel,branch-chain,constfold,replicate,unreachable)";
-      "replicate-final";
-      "unreachable";
-      "branch-chain";
-      "unreachable";
-      "deadvars";
-      "regalloc";
-      "displace";
-    ]

@@ -5,6 +5,11 @@
     - [Loops]: standard plus loop-condition replication ({!Replication.Loops_rep});
     - [Jumps]: standard plus generalized code replication ({!Replication.Jumps}).
 
+    The pipeline is one table of pass rows in Figure 3's three stages (the
+    prefix, the body of the do-while fix loop, the suffix); each row names
+    its pass and declares the option enabling it, how the certifier treats
+    it and its postcondition.
+
     Every pass runs inside a protective boundary: the {!Flow.Check}
     verifier inspects the pass's output (cheap structural checks always;
     [verify_passes] adds the expensive dominance-based checks and a
@@ -64,8 +69,10 @@ val options : ?level:level -> unit -> options
 (** How {!options.inject_fault} corrupts the named pass's output. *)
 type fault_mode = Fault_dangling | Fault_flip_branch | Fault_drop_store
 
-(** Parse a PASS[:MODE] fault spec; [Error mode] names the unknown mode. *)
-val parse_fault : string -> (string * fault_mode, string) result
+(** Parse a PASS[:MODE] fault spec.  Raises a [semantic-error]
+    {!Telemetry.Diag.Error} naming the unknown pass (and listing the
+    pipeline's passes) or the unknown mode. *)
+val parse_fault : string -> string * fault_mode
 
 (** Optimize one function for the machine.
 
@@ -144,7 +151,8 @@ val compile :
   Flow.Prog.t
 
 (** A stable textual signature of the pass pipeline — a component of the
-    campaign store's compiler fingerprint.  Adding, removing or
-    reordering passes changes this string, so cached results keyed by an
-    older pipeline are never reused. *)
+    campaign store's compiler fingerprint.  It is derived from the pass
+    table the driver walks, so adding, removing or reordering a pass
+    changes it and cached results keyed by an older pipeline are never
+    reused. *)
 val pipeline_signature : string

@@ -17,19 +17,6 @@ let verdict_name = function
 
 let default_fuel = 10_000
 
-(* Passes whose transformations are structurally outside the simulation
-   relation this checker decides.  Attempting them would only report
-   spurious mismatches, so the driver maps them to Unknown up front. *)
-let gated = function
-  | "regalloc" ->
-    Some "register allocation renames every register and inserts spill code"
-  | "licm" ->
-    Some "loop-invariant code motion inserts preheaders and moves code across \
-          blocks"
-  | "strength" ->
-    Some "strength reduction introduces induction temporaries and preheaders"
-  | _ -> None
-
 (* --- normalized symbolic expressions --- *)
 
 type side = O | N
@@ -613,14 +600,8 @@ let check ~fuel ~before ~after =
       | Some reason -> Unknown { reason; timeout = false }
       | None -> Certified)
 
-let certify_pass ?(fuel = default_fuel) ~pass ~before ~after () =
-  match gated pass with
-  | Some why -> Unknown { reason = why; timeout = false }
-  | None -> (
-    try check ~fuel ~before ~after
-    with exn ->
-      Unknown
-        {
-          reason = "checker raised " ^ Printexc.to_string exn;
-          timeout = false;
-        })
+let certify_pass ?(fuel = default_fuel) ~before ~after () =
+  try check ~fuel ~before ~after
+  with exn ->
+    Unknown
+      { reason = "checker raised " ^ Printexc.to_string exn; timeout = false }

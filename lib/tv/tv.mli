@@ -39,19 +39,14 @@ type record = { vfunc : string; vpass : string; verdict : verdict }
 
 val verdict_name : verdict -> string
 
-(** [None] when the named pass is in scope for certification; [Some why]
-    when it is structurally outside the simulation relation the checker
-    decides (register renaming, loop restructuring) and any attempt would
-    only produce noise.  The driver maps gated passes to
-    [Unknown {reason = why; timeout = false}] without running the checker. *)
-val gated : string -> string option
-
-(** [certify_pass ~pass ~before ~after ()] checks that [after] simulates
+(** [certify_pass ~before ~after ()] checks that [after] simulates
     [before].  [fuel] bounds the number of pair summarizations (default
     {!default_fuel}); exhaustion yields [Unknown {timeout = true}].
-    Never raises. *)
+    Never raises.  Passes structurally outside the relation (register
+    renaming, loop restructuring) never reach it: the driver's pass table
+    records them Unknown with a reason. *)
 val certify_pass :
-  ?fuel:int -> pass:string -> before:Func.t -> after:Func.t -> unit -> verdict
+  ?fuel:int -> before:Func.t -> after:Func.t -> unit -> verdict
 
 val default_fuel : int
 

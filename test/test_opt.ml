@@ -1126,12 +1126,19 @@ let prop_passes_keep_legality =
       List.for_all (Opt.Legalize.check machine) prog.Flow.Prog.funcs)
 
 (* The campaign store's compiler fingerprint includes
-   [Opt.Driver.pipeline_signature], a hand-kept description of the pass
-   sequence.  Hold it to the passes a compile actually presents: per
-   function, the signature's prefix, then k >= 1 rounds of the fix(...)
-   list, then its suffix. *)
+   [Opt.Driver.pipeline_signature], derived from the driver's pass table.
+   Its bytes are pinned: a derivation that drifts would orphan every
+   campaign store.  And it is held to the passes a compile actually
+   presents: per function, the signature's prefix, then k >= 1 rounds of
+   the fix(...) list, then its suffix. *)
 let test_pipeline_signature () =
   let sig_ = Opt.Driver.pipeline_signature in
+  Alcotest.(check string) "signature bytes"
+    "legalize,branch-chain,unreachable,reorder,branch-chain,replicate,\
+     unreachable,fix(isel,cse,gcse,deadvars,licm,strength,isel,branch-chain,\
+     constfold,replicate,unreachable),replicate-final,unreachable,\
+     branch-chain,unreachable,deadvars,regalloc,displace"
+    sig_;
   let names str = String.split_on_char ',' str in
   let rec find i =
     if String.sub sig_ i 4 = "fix(" then i else find (i + 1)

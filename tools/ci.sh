@@ -21,6 +21,18 @@ if grep -rn 'run_reference' lib bin bench; then
   echo "the reference loop is a test oracle (test/interp_oracle.ml)"; exit 1
 fi
 
+# Figure 3 is one table of pass rows (lib/opt/driver.ml): a pass's gate,
+# certifier treatment and postcondition live in its row, never in a match
+# on its name elsewhere.
+echo "== no match arms on pass names outside the pass table =="
+passes=$(sed -n 's/.*row "\([a-z-]*\)".*/\1/p' lib/opt/driver.ml | sort -u | paste -sd'|' -)
+if [ -z "$passes" ]; then
+  echo "no pass rows found in lib/opt/driver.ml"; exit 1
+fi
+if grep -rnE "\|[[:space:]]*\"($passes)\"[[:space:]]*(when|->|\|)" lib bin; then
+  echo "decide what a pass is in its row of lib/opt/driver.ml"; exit 1
+fi
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt
