@@ -9,7 +9,6 @@
 open Cmdliner
 module Diag = Telemetry.Diag
 module Json = Telemetry.Json
-module Ops = Daemon.Ops
 
 (* `jumprepc report … | head` and friends: with SIGPIPE ignored, a write
    to a closed pipe surfaces as [Sys_error] (EPIPE), which the typed
@@ -237,13 +236,11 @@ let make_log trace trace_out =
   | true, None ->
     (Telemetry.Log.make (Telemetry.Log.Jsonl stderr), fun () -> flush stderr)
 
-(* A failed shared operation ({!Daemon.Ops}): the CLI maps it straight to
-   its typed-diagnostic death, the daemon to a wire error code. *)
+(* A failed operation ({!Ops}): its typed-diagnostic death. *)
 let fail_op (f : Ops.failure) = fail_diag ~code:f.exit_code f.diag
 
 (* Surface front-end failures as typed diagnostics with a file:line
-   position, not OCaml backtraces.  The mapping lives in [Ops] so the
-   daemon reports the same diagnostics. *)
+   position, not OCaml backtraces (the mapping lives in [Ops]). *)
 let compile_source ?log ?diags opts machine ~path source =
   match Ops.compile_source ?log ?diags opts machine ~path source with
   | Ok prog -> prog
@@ -640,7 +637,7 @@ let lint_cmd =
       const run $ level_arg $ machine_arg $ targets $ benches $ json
       $ strict_arg)
 
-(* --- campaign store plumbing (fuzz/certify/serve; the bench driver has
+(* --- campaign store plumbing (fuzz/certify; the bench driver has
    its own copy of the flags) --- *)
 
 let store_arg =
@@ -861,7 +858,7 @@ let explain_cmd =
   in
   let run level machine path json =
     (* Trace the whole compilation in memory, then audit what is left
-       (shared with the daemon's explain handler via {!Ops}). *)
+       ({!Ops.explain_report}). *)
     let prog, events =
       match Ops.explain_report ~level ~machine ~path (read_file path) with
       | Ok r -> r
@@ -1032,330 +1029,6 @@ let fuzz_cmd =
       const run $ seeds $ start $ out_dir $ max_steps $ quiet $ jobs
       $ verify_arg $ inject_fault_arg $ chaos_arg $ store_arg $ resume_arg)
 
-(* --- serve / client: the compilation-as-a-service daemon --- *)
-
-let socket_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket path.  Mind the platform's ~100-byte \
-           socket-path limit; a short path under /tmp is safest.")
-
-let serve_cmd =
-  let jobs =
-    (* [None] defers the [default_jobs] env lookup (and its warning on a
-       malformed JUMPREP_JOBS) until serve actually runs. *)
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Resident worker processes (default \\$JUMPREP_JOBS or 1).  \
-             Workers keep their decode caches warm across requests, and a \
-             crashed or overdue worker is killed and respawned.")
-  in
-  let queue_cap =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:
-            "Admission bound: requests in flight beyond $(docv) are \
-             rejected with an explicit $(b,overloaded) error instead of \
-             buffered without bound.")
-  in
-  let drain_deadline =
-    Arg.(
-      value & opt float 10.0
-      & info [ "drain-deadline" ] ~docv:"SECS"
-          ~doc:
-            "On SIGTERM (or a $(b,drain) request): stop accepting, finish \
-             in-flight requests for at most $(docv) seconds, then \
-             force-stop.")
-  in
-  let idle_timeout =
-    Arg.(
-      value & opt float 30.0
-      & info [ "idle-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Close connections idle (or stuck half-open mid-frame) for \
-             $(docv) seconds with no request in flight.")
-  in
-  let default_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:
-            "Default per-request deadline when a request's QoS names none \
-             (the worker is killed and respawned past it).")
-  in
-  let fuzz_out =
-    Arg.(
-      value
-      & opt string "fuzz-failures"
-      & info [ "fuzz-out" ] ~docv:"DIR"
-          ~doc:"Reproducer directory for $(b,fuzz) requests.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"No connection/drain lifecycle lines on stderr.")
-  in
-  let store_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "store" ] ~docv:"DIR"
-          ~doc:
-            "Memoize measure payloads in a campaign result store under \
-             $(docv): repeated measure requests for identical source \
-             bytes are served from disk (surviving daemon restarts), and \
-             $(b,status) reports the store's hit/miss/corrupt gauges.")
-  in
-  let run socket jobs queue_cap drain_deadline idle_timeout default_deadline
-      fuzz_out trace_out quiet store_dir =
-    let trace =
-      Option.map (fun _ -> Telemetry.Trace.create ()) trace_out
-    in
-    let res =
-      Daemon.Server.serve
-        {
-          Daemon.Server.socket_path = socket;
-          jobs =
-            (match jobs with
-            | Some j -> Harness.Pool.clamp_jobs ~what:"-j" j
-            | None -> Harness.Pool.default_jobs ());
-          worker_argv = [| Sys.executable_name; "worker" |];
-          queue_cap = max 1 queue_cap;
-          drain_deadline;
-          idle_timeout;
-          default_deadline;
-          fuzz_out;
-          trace;
-          quiet;
-          store = Option.map Campaign.Store.open_ store_dir;
-        }
-    in
-    (match (trace_out, trace) with
-    | Some path, Some tr ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (Telemetry.Trace.to_json tr));
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "jumprepd: wrote %s\n" path
-    | _ -> ());
-    if not res.Daemon.Server.clean then exit 1
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Serve compile/measure/lint/explain/fuzz requests over a \
-          Unix-domain socket: bounded admission, per-request QoS \
-          (deadline, budgets, retries, chaos) on the supervised worker \
-          pool, crash isolation, and graceful deadline-bounded drain on \
-          SIGTERM")
-    Term.(
-      const run $ socket_arg $ jobs $ queue_cap $ drain_deadline
-      $ idle_timeout $ default_deadline $ fuzz_out $ trace_out_arg $ quiet
-      $ store_dir)
-
-let client_cmd =
-  let kind_arg =
-    Arg.(
-      required
-      & pos 0
-          (some
-             (Arg.enum
-                [
-                  ("compile", `Compile);
-                  ("measure", `Measure);
-                  ("lint", `Lint);
-                  ("explain", `Explain);
-                  ("fuzz", `Fuzz);
-                  ("status", `Status);
-                  ("ping", `Ping);
-                  ("drain", `Drain);
-                ]))
-          None
-      & info [] ~docv:"KIND"
-          ~doc:
-            "Request kind: $(b,compile), $(b,measure), $(b,lint), \
-             $(b,explain), $(b,fuzz), $(b,status), $(b,ping) or \
-             $(b,drain).")
-  in
-  let file_opt =
-    Arg.(
-      value
-      & pos 1 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"C source file (compile/measure/lint/explain kinds).")
-  in
-  let input_file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "input-file" ] ~docv:"FILE"
-          ~doc:"Standard input for $(b,measure) runs, from a file.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Per-request deadline (the worker is killed and respawned past it).")
-  in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a crashed or timed-out request up to $(docv) times on \
-             the server's deterministic backoff.")
-  in
-  let worker_chaos =
-    Arg.(
-      value
-      & opt (some chaos_conv) None
-      & info [ "worker-chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Testing only: per-request worker fault injection on the \
-             server ($(b,crash)/$(b,hang)/$(b,alloc)[:RATE],seed:N), the \
-             pool supervisor's grammar.")
-  in
-  let conn_chaos =
-    let conn_chaos_conv =
-      Arg.conv
-        ( (fun s ->
-            match Daemon.Protocol.conn_chaos_of_string s with
-            | Ok c -> Ok c
-            | Error e -> Error (`Msg e)),
-          fun ppf (c : Daemon.Protocol.conn_chaos) ->
-            Format.fprintf ppf "disconnect:%g,slowloris:%g,garbage:%g,seed:%d"
-              c.disconnect c.slowloris c.garbage c.conn_seed )
-    in
-    Arg.(
-      value
-      & opt (some conn_chaos_conv) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Testing only: connection-level fault injection — \
-             $(b,disconnect), $(b,slowloris) and $(b,garbage), each \
-             optionally $(b,:RATE) (default 0.1), plus $(b,seed:N).  \
-             Faults are staged on throwaway connections, a pure function \
-             of (seed, request index); the real requests run undisturbed, \
-             so results are byte-identical to a quiet run.")
-  in
-  let telemetry =
-    Arg.(
-      value & flag
-      & info [ "telemetry" ]
-          ~doc:
-            "Stream the request's JSONL event log back over the socket \
-             (printed to stderr before the result).")
-  in
-  let count =
-    Arg.(
-      value & opt int 1
-      & info [ "count" ] ~docv:"N"
-          ~doc:"Send the request $(docv) times (load generation).")
-  in
-  let seeds =
-    Arg.(
-      value & opt int 10
-      & info [ "seeds" ] ~docv:"N" ~doc:"Seeds for $(b,fuzz) requests.")
-  in
-  let start =
-    Arg.(
-      value & opt int 0
-      & info [ "start" ] ~docv:"N" ~doc:"First seed for $(b,fuzz) requests.")
-  in
-  let max_steps =
-    Arg.(
-      value
-      & opt int 3_000_000
-      & info [ "max-steps" ] ~docv:"N"
-          ~doc:"Per-run instruction budget for $(b,fuzz) requests.")
-  in
-  let run socket level machine kind file input_file deadline wall_budget
-      growth_budget retries worker_chaos conn_chaos telemetry count seeds
-      start max_steps =
-    let source_file what =
-      match file with
-      | Some f -> (f, read_file f)
-      | None ->
-        Printf.eprintf "jumprepc: client: %s needs a FILE argument\n" what;
-        exit 2
-    in
-    let req =
-      match kind with
-      | `Compile ->
-        let path, source = source_file "compile" in
-        Daemon.Protocol.Compile { path; source; level; machine }
-      | `Measure ->
-        let path, source = source_file "measure" in
-        let input =
-          Option.map read_file input_file |> Option.value ~default:""
-        in
-        Daemon.Protocol.Measure { path; source; input; machine }
-      | `Lint ->
-        let path, source = source_file "lint" in
-        Daemon.Protocol.Lint { path; source; level; machine }
-      | `Explain ->
-        let path, source = source_file "explain" in
-        Daemon.Protocol.Explain { path; source; level; machine }
-      | `Fuzz -> Daemon.Protocol.Fuzz { seeds; start; max_steps }
-      | `Status -> Daemon.Protocol.Status
-      | `Ping -> Daemon.Protocol.Ping
-      | `Drain -> Daemon.Protocol.Drain
-    in
-    let qos =
-      {
-        Daemon.Protocol.deadline;
-        wall_budget;
-        growth_budget;
-        retries;
-        chaos = worker_chaos;
-        telemetry;
-      }
-    in
-    match Daemon.Client.connect ?chaos:conn_chaos socket with
-    | Error e -> fail_diag (Diag.make Diag.Io_error ~func:"" ~pass:"" e)
-    | Ok c ->
-      let finish code =
-        Daemon.Client.close c;
-        if code <> 0 then exit code
-      in
-      let rec go left =
-        if left > 0 then
-          match
-            Daemon.Client.request c ~qos
-              ~on_telemetry:(fun line -> Printf.eprintf "%s\n" line)
-              req
-          with
-          | Ok (payload, _elapsed_ms) ->
-            print_endline payload;
-            go (left - 1)
-          | Error (code, message) ->
-            Printf.eprintf "jumprepc: error: %s\n" message;
-            finish (Daemon.Client.exit_of_code code)
-      in
-      go count;
-      finish 0
-  in
-  Cmd.v
-    (Cmd.info "client"
-       ~doc:
-         "Send requests to a running $(b,jumprepc serve) daemon; result \
-          payloads print byte-identically to the corresponding one-shot \
-          $(b,jumprepc) --json output")
-    Term.(
-      const run $ socket_arg $ level_arg $ machine_arg $ kind_arg $ file_opt
-      $ input_file $ deadline $ wall_budget_arg $ growth_budget_arg $ retries
-      $ worker_chaos $ conn_chaos $ telemetry $ count $ seeds $ start
-      $ max_steps)
-
 (* --- report: render the bench sweep's JSON into paper-shaped tables --- *)
 
 let report_cmd =
@@ -1510,25 +1183,18 @@ let worker_cmd =
   in
   let run store =
     let store = Option.map Campaign.Store.open_ store in
-    let is_request req =
-      Result.map (Json.member "op") (Json.parse req)
-      = Ok (Some (Json.Str "request"))
-    in
     Campaign.Shard.serve
-      ~handler:(fun req ->
-        Some
-          (if is_request req then Daemon.Server.handle req
-           else Campaign.Runner.handle ?store req))
+      ~handler:(fun req -> Some (Campaign.Runner.handle ?store req))
       ()
   in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Worker process (spawned by $(b,fuzz -j), $(b,serve) and sharded \
-          sweeps): serve framed $(b,measure), $(b,fuzz) and daemon \
-          $(b,request) ops on stdin/stdout.  With $(b,--store), measure \
-          and fuzz results are committed before the reply, so a \
-          SIGKILLed campaign loses at most its in-flight tasks")
+         "Worker process (spawned by $(b,fuzz -j) and sharded sweeps): \
+          serve framed $(b,measure) and $(b,fuzz) ops on stdin/stdout.  \
+          With $(b,--store), measure and fuzz results are committed \
+          before the reply, so a SIGKILLed campaign loses at most its \
+          in-flight tasks")
     Term.(const run $ store)
 
 (* --- store: campaign result-store inspection and GC --- *)
@@ -1629,8 +1295,6 @@ let main =
       lint_cmd;
       certify_cmd;
       explain_cmd;
-      serve_cmd;
-      client_cmd;
       report_cmd;
       fuzz_cmd;
       worker_cmd;

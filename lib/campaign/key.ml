@@ -67,15 +67,6 @@ let fuzz ~max_steps ~verify ~inject_fault seed =
       ("compiler", fingerprint ());
     ]
 
-let daemon_measure ~source ~input ~machine =
-  hex ~kind:"daemon-measure/1"
-    [
-      ("source", source);
-      ("input", input);
-      ("machine", machine);
-      ("compiler", fingerprint ());
-    ]
-
 let certify ~level ~(machine : Ir.Machine.t) ~inject_fault
     (b : Programs.Suite.benchmark) =
   hex ~kind:"certify/1"

@@ -35,9 +35,6 @@ val measure :
 val fuzz :
   max_steps:int -> verify:bool -> inject_fault:string option -> int -> string
 
-(** Key of one daemon measure payload (source bytes, input, machine). *)
-val daemon_measure : source:string -> input:string -> machine:string -> string
-
 (** Key of one certify run over a benchmark. *)
 val certify :
   level:Opt.Driver.level ->

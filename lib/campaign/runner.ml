@@ -58,7 +58,7 @@ let resolve store ~key decode =
   | Store.Hit entry -> (
     match decode entry with
     | Ok v -> Ok v
-    | Error msg -> Error (Some (Store.note_corrupt store key msg)))
+    | Error msg -> Error (Some (Store.note_corrupt key msg)))
 
 let lease ?store ~key =
   match store with

@@ -47,24 +47,10 @@ type summary = {
 
 (** {1 Store-through} *)
 
-(** The committed entry for [key], decoded; [Error None] on a miss;
-    [Error (Some d)] when it is corrupt or fails [decode], with [d] its
-    counted [store-corrupt] diagnostic. *)
-val resolve :
-  Store.t ->
-  key:string ->
-  (Telemetry.Json.t -> ('a, string) result) ->
-  ('a, Telemetry.Diag.t option) result
-
-(** [lease ?store ~key] journals [key] as in flight and returns the
-    function that commits its entry's fields.  A no-op without a store
-    or for the empty key. *)
-val lease :
-  ?store:Store.t -> key:string -> (string * Telemetry.Json.t) list -> unit
-
-(** What whoever answers a keyed request runs: {!lease} [key], compute
-    [(entry, extra)], commit [entry], reply with the object
-    [entry @ extra]. *)
+(** What whoever answers a keyed request runs: journal [key] as in
+    flight, compute [(entry, extra)], commit [entry], reply with the
+    object [entry @ extra].  Without a store, or for the empty key,
+    nothing is journaled or committed. *)
 val answer :
   ?store:Store.t ->
   key:string ->
@@ -86,8 +72,8 @@ val worker_handler : Store.t -> string -> string option
 (** {1 The campaign function} *)
 
 (** Answer every [(key, request)] pair; the empty key is never looked
-    up or committed.  With [resume] (default false) each key is
-    {!resolve}d once: a hit is answered from the store, a corrupt entry
+    up or committed.  With [resume] (default false) each key is looked
+    up once: a hit is answered from the store, a corrupt entry
     recomputed behind a returned [store-corrupt] diagnostic; without it
     the store is written but never read.  The rest run on
     {!Harness.Pool.run}: in-process with [handler] (default {!handle}

@@ -1,24 +1,12 @@
 module Json = Telemetry.Json
 module Diag = Telemetry.Diag
 
-type t = {
-  dir : string;
-  mu : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable corrupt : int;
-  mutable commits : int;
-  mutable evicted : int;
-}
+type t = { dir : string }
 
 type lookup = Hit of Json.t | Miss | Corrupt of Diag.t
 
 let default_dir = "_campaign"
 let magic = "jumprep-store 1"
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let rec mkdir_p path =
   if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
@@ -46,9 +34,7 @@ let entry_path t key =
     (key ^ ".json")
 
 let open_ ?(create = true) dir =
-  let t =
-    { dir; mu = Mutex.create (); hits = 0; misses = 0; corrupt = 0; commits = 0; evicted = 0 }
-  in
+  let t = { dir } in
   if create then begin
     mkdir_p (objects_dir t);
     mkdir_p (tmp_dir t)
@@ -93,35 +79,20 @@ let decode raw =
 
 let short key = if String.length key > 12 then String.sub key 0 12 else key
 
-let corrupt_diag key msg =
+let note_corrupt key msg =
   Diag.make ~severity:Diag.Warn Diag.Store_corrupt ~func:"" ~pass:"store"
     (Printf.sprintf "entry %s: %s; recomputing" (short key) msg)
 
 let find t key =
   let path = entry_path t key in
-  if not (Sys.file_exists path) then begin
-    locked t (fun () -> t.misses <- t.misses + 1);
-    Miss
-  end
+  if not (Sys.file_exists path) then Miss
   else
     match read_file path with
-    | exception _ ->
-      locked t (fun () -> t.corrupt <- t.corrupt + 1);
-      Corrupt (corrupt_diag key "unreadable")
+    | exception _ -> Corrupt (note_corrupt key "unreadable")
     | raw -> (
       match decode raw with
-      | Ok json ->
-        locked t (fun () -> t.hits <- t.hits + 1);
-        Hit json
-      | Error msg ->
-        locked t (fun () -> t.corrupt <- t.corrupt + 1);
-        Corrupt (corrupt_diag key msg))
-
-let note_corrupt t key msg =
-  locked t (fun () ->
-      t.hits <- t.hits - 1;
-      t.corrupt <- t.corrupt + 1);
-  corrupt_diag key msg
+      | Ok json -> Hit json
+      | Error msg -> Corrupt (note_corrupt key msg))
 
 (* One O_APPEND write per line: atomic enough for concurrent workers
    appending to the same journal. *)
@@ -153,8 +124,7 @@ let commit t ~key json =
      raise e);
   close_out oc;
   Unix.rename staged path;
-  journal_append t ("done " ^ key);
-  locked t (fun () -> t.commits <- t.commits + 1)
+  journal_append t ("done " ^ key)
 
 let pending t =
   match read_file (journal_path t) with
@@ -201,16 +171,6 @@ let disk_usage t =
       bytes := !bytes + (try (Unix.stat path).st_size with _ -> 0));
   (!n, !bytes)
 
-let stats t =
-  locked t (fun () ->
-      [
-        ("store.hits", t.hits);
-        ("store.misses", t.misses);
-        ("store.corrupt", t.corrupt);
-        ("store.commits", t.commits);
-        ("store.evicted", t.evicted);
-      ])
-
 let gc ?max_entries t =
   (* Staged strays: anything in tmp/ is a write that never committed. *)
   let tmp_removed = ref 0 in
@@ -248,5 +208,4 @@ let gc ?max_entries t =
           incr evicted
         end)
       sorted);
-  locked t (fun () -> t.evicted <- t.evicted + !evicted);
   (!evicted, !tmp_removed)

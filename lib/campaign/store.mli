@@ -23,7 +23,7 @@
     in flight when a campaign died ({!pending}); the journal is advisory
     only — resume correctness rests on the committed objects.
 
-    Handles are mutex-guarded; [O_APPEND] journal writes and
+    A handle holds only the directory; [O_APPEND] journal writes and
     rename-into-place commits are safe across processes. *)
 
 type t
@@ -50,20 +50,16 @@ val lease : t -> string -> unit
     journal [done].  Overwrites any previous entry for [key]. *)
 val commit : t -> key:string -> Telemetry.Json.t -> unit
 
-(** Count a well-formed-but-wrong entry (bad shape after a {!Hit}) as
-    corrupt and return the [store-corrupt] diagnostic. *)
-val note_corrupt : t -> string -> string -> Telemetry.Diag.t
+(** [note_corrupt key msg] — the [store-corrupt] diagnostic for a
+    well-formed-but-wrong entry (bad shape after a {!Hit}): the caller
+    recomputes it. *)
+val note_corrupt : string -> string -> Telemetry.Diag.t
 
 (** Keys journaled [start] without a matching [done]. *)
 val pending : t -> string list
 
 (** [(entries, total payload bytes)] currently committed. *)
 val disk_usage : t -> int * int
-
-(** This handle's lookup/commit tallies:
-    [store.hits]/[store.misses]/[store.corrupt]/[store.commits]/
-    [store.evicted]. *)
-val stats : t -> (string * int) list
 
 (** Garbage collection: delete staged [tmp/] strays, compact the journal
     to just the still-pending leases, and — given [max_entries] — evict

@@ -1,6 +1,6 @@
 (* Length-prefixed frames (see frame.mli).  The decoder never raises on
    wire input, which makes the codec directly fuzzable — see
-   test_daemon's mutation campaign. *)
+   test_harness's decoder fuzz. *)
 
 let max_frame = 16 * 1024 * 1024
 let header_len = 4

@@ -1,8 +1,6 @@
 (** Length-prefixed framing: a 4-byte big-endian payload length followed
-    by that many payload bytes, capped at {!max_frame}.  One codec serves
-    two byte streams: the daemon's Unix-domain sockets ([Daemon.Protocol]
-    frames JSON envelopes with it) and the pipes between {!Pool} and its
-    worker processes. *)
+    by that many payload bytes, capped at {!max_frame}: the codec of the
+    pipes between {!Pool} and its worker processes. *)
 
 (** Hard cap on a frame payload (16 MiB).  A peer announcing more is a
     protocol error, not an allocation. *)

@@ -239,17 +239,12 @@ let serve ~handler () =
 type failure = F_crash of exn * string | F_timeout of float
 
 type job = {
-  index : int;  (* submission number; the chaos task index *)
+  index : int;  (* input position; the chaos task index *)
   req : string;
   label : string;
-  deadline : float option;
-  retries : int;
-  chaos : chaos option;
   mutable attempts : int;
   mutable out : string outcome option;
 }
-
-type ticket = job
 
 type lease = {
   job : job;
@@ -271,6 +266,8 @@ type proc = {
    process: a respawned worker inherits its predecessor's lane. *)
 type worker = { lane : int; mutable proc : proc; mutable lease : lease option }
 
+(* One batch: its settings, its workers (none in-process) and the
+   attempts not yet settled. *)
 type t = {
   argv : string array;
   workers : worker array;
@@ -278,11 +275,12 @@ type t = {
       (* no workers: attempts run here, through this handler *)
   trace : Telemetry.Trace.t option;
   backoff_base : float;
+  deadline : float option;  (* per attempt; the worker is killed past it *)
+  retries : int;
+  chaos : chaos option;
   queue : job Queue.t;
   mutable delayed : (float * job) list;  (* retries waiting out a backoff *)
-  mutable submitted : int;
   mutable in_flight : int;
-  mutable closed : bool;
   mutable st : stats;
   buf : Bytes.t;  (* read buffer *)
 }
@@ -304,58 +302,6 @@ let spawn argv =
   Unix.close w2;
   { pid; to_w = w1; from_w = r2; dec = Frame.decoder () }
 
-let supervisor ?trace ?(backoff_base = 0.05) ~lanes ~argv ~inline workers =
-  Option.iter
-    (fun tr ->
-      Telemetry.Trace.thread_name tr ~tid:0 "supervisor";
-      for k = 1 to lanes do
-        Telemetry.Trace.thread_name tr ~tid:k (Printf.sprintf "worker-%d" k)
-      done)
-    trace;
-  {
-    argv;
-    workers;
-    inline;
-    trace;
-    backoff_base;
-    queue = Queue.create ();
-    delayed = [];
-    submitted = 0;
-    in_flight = 0;
-    closed = false;
-    st = no_stats;
-    buf = Bytes.create 65536;
-  }
-
-let create ?trace ?backoff_base ~workers ~argv () =
-  if workers < 1 then invalid_arg "Pool.create: workers < 1";
-  (* A worker killed mid-request makes the next send EPIPE; that must be
-     a failed attempt, not the death of this process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let worker k = { lane = k + 1; proc = spawn argv; lease = None } in
-  supervisor ?trace ?backoff_base ~lanes:workers ~argv ~inline:None
-    (Array.init workers worker)
-
-let submit t ?deadline ?(retries = 0) ?chaos ?label req =
-  if t.closed then invalid_arg "Pool.submit: pool is shut down";
-  let index = t.submitted in
-  let label = match label with Some l -> l | None -> Printf.sprintf "task-%d" index in
-  let job =
-    { index; req; label; deadline; retries; chaos; attempts = 0; out = None }
-  in
-  t.submitted <- index + 1;
-  t.in_flight <- t.in_flight + 1;
-  Queue.push job t.queue;
-  job
-
-let poll _t job = job.out
-let in_flight t = t.in_flight
-let submitted t = t.submitted
-let stats t = t.st
-
-let lease_depth t =
-  Array.fold_left (fun n w -> if w.lease = None then n else n + 1) 0 t.workers
-
 let finalize t job o =
   job.out <- Some o;
   t.in_flight <- t.in_flight - 1
@@ -363,7 +309,7 @@ let finalize t job o =
 (* A failed attempt: schedule the retry after its backoff, or settle the
    request's outcome once the retries are spent. *)
 let fail t job attempt now fl =
-  if attempt <= job.retries then begin
+  if attempt <= t.retries then begin
     t.st <- { t.st with retried = t.st.retried + 1 };
     tr t (fun tr ->
         Telemetry.Trace.instant tr ~tid:0
@@ -396,7 +342,7 @@ let start_attempt t ~lane job =
   let attempt = job.attempts + 1 in
   job.attempts <- attempt;
   let fault =
-    match job.chaos with
+    match t.chaos with
     | None -> None
     | Some c -> chaos_fault c ~task:job.index ~attempt
   in
@@ -422,10 +368,10 @@ let run_here t handler job =
   let res =
     match fault with
     | Some `Crash -> Error (F_crash (Chaos_crash, ""))
-    | Some `Hang -> Error (F_timeout (Option.value job.deadline ~default:0.))
+    | Some `Hang -> Error (F_timeout (Option.value t.deadline ~default:0.))
     | (Some `Alloc | None) as fl -> (
       if fl <> None then alloc_storm ();
-      match handler (Budget.make ?deadline:job.deadline ()) job.req with
+      match handler (Budget.make ?deadline:t.deadline ()) job.req with
       | v -> Ok v
       | exception Budget.Exhausted _ ->
         Error (F_timeout (Unix.gettimeofday () -. started))
@@ -439,7 +385,7 @@ let run_here t handler job =
 let dispatch t w job =
   let attempt, fault = start_attempt t ~lane:w.lane job in
   let ts_us = trace_now t in
-  if fault = Some `Hang && job.deadline = None then begin
+  if fault = Some `Hang && t.deadline = None then begin
     (* Nothing would ever kill the worker: charged as a timed-out
        attempt without sending, as in-process. *)
     span t ~lane:w.lane job attempt ts_us;
@@ -502,14 +448,12 @@ let replace t w ~why now fl =
         why);
   reap ~kill:true w.proc;
   w.lease <- None;
-  if not t.closed then begin
-    w.proc <- spawn t.argv;
-    t.st <- { t.st with respawned = t.st.respawned + 1 };
-    tr t (fun tr ->
-        Telemetry.Trace.instant tr ~tid:0
-          ~args:[ ("worker", Telemetry.Json.Int w.lane) ]
-          "worker-respawn")
-  end
+  w.proc <- spawn t.argv;
+  t.st <- { t.st with respawned = t.st.respawned + 1 };
+  tr t (fun tr ->
+      Telemetry.Trace.instant tr ~tid:0
+        ~args:[ ("worker", Telemetry.Json.Int w.lane) ]
+        "worker-respawn")
 
 (* The worker's process is gone (EOF, garbage, or a kill): its attempt
    crashed. *)
@@ -558,6 +502,13 @@ let tick_inline t handler ~timeout now =
     (* Only retries waiting out a backoff are left. *)
     if t.delayed <> [] then Unix.sleepf (Float.max 0. (until_retry t ~timeout now))
 
+let overdue t now (l : lease) =
+  match t.deadline with Some d -> now -. l.started > d | None -> false
+
+(* A single [select] over the busy workers' pipes, waiting at most
+   [timeout] seconds (less when a deadline or a retry falls due sooner),
+   then deliver replies, kill overdue workers, respawn lost ones and
+   dispatch queued and due requests. *)
 let tick_workers t ~timeout now =
   dispatch_queued t;
   let busy = List.filter (fun w -> w.lease <> None) (Array.to_list t.workers) in
@@ -567,13 +518,15 @@ let tick_workers t ~timeout now =
     if busy = [] && t.delayed = [] then 0. else until_retry t ~timeout now
   in
   let wait =
-    Array.fold_left
-      (fun acc w ->
-        match w.lease with
-        | Some { job = { deadline = Some d; _ }; started; _ } ->
-          Float.min acc (started +. d -. now)
-        | _ -> acc)
-      wait t.workers
+    match t.deadline with
+    | None -> wait
+    | Some d ->
+      List.fold_left
+        (fun acc w ->
+          match w.lease with
+          | Some l -> Float.min acc (l.started +. d -. now)
+          | None -> acc)
+        wait busy
   in
   let ready, _, _ =
     try Unix.select (List.map (fun w -> w.proc.from_w) busy) [] [] (Float.max 0. wait)
@@ -584,10 +537,9 @@ let tick_workers t ~timeout now =
   Array.iter
     (fun w ->
       match w.lease with
-      | Some { job = { deadline = Some d; _ }; started; _ }
-        when now -. started > d ->
+      | Some l when overdue t now l ->
         t.st <- { t.st with abandoned = t.st.abandoned + 1 };
-        replace t w ~why:"deadline-kill" now (fun _ -> F_timeout (now -. started))
+        replace t w ~why:"deadline-kill" now (fun _ -> F_timeout (now -. l.started))
       | _ -> ())
     t.workers;
   release t now;
@@ -600,41 +552,64 @@ let tick t ~timeout =
   | Some handler -> tick_inline t handler ~timeout now
   | None -> tick_workers t ~timeout now
 
+(* Close every worker's stdin (their exit signal) and reap them; a worker
+   still busy (the batch was cut short by an exception) is killed. *)
 let shutdown t =
-  t.closed <- true;
-  (* A worker still busy (a force-stopped drain) is killed. *)
-  Array.fold_left
-    (fun joined w ->
-      let busy = w.lease <> None in
-      reap ~kill:busy w.proc;
-      joined && not busy)
-    true t.workers
+  Array.iter (fun w -> reap ~kill:(w.lease <> None) w.proc) t.workers
 
 (* --- batch --- *)
 
-let run ?(workers = 0) ?argv ?deadline ?(retries = 2) ?backoff_base ?chaos
-    ?trace ?(label = Printf.sprintf "task-%d") ?(on_done = fun _ _ -> ())
+let run ?(workers = 0) ?argv ?deadline ?(retries = 2) ?(backoff_base = 0.05)
+    ?chaos ?trace ?(label = Printf.sprintf "task-%d") ?(on_done = fun _ _ -> ())
     ~handler reqs =
-  let workers = min workers (List.length reqs) in
-  let t =
-    if workers <= 0 then
-      supervisor ?trace ?backoff_base ~lanes:1 ~argv:[||] ~inline:(Some handler)
-        [||]
+  let workers = max 0 (min workers (List.length reqs)) in
+  let argv, inline =
+    if workers = 0 then ([||], Some handler)
     else
       match argv with
-      | Some argv -> create ?trace ?backoff_base ~workers ~argv ()
+      | Some argv -> (argv, None)
       | None -> invalid_arg "Pool.run: workers > 0 needs argv"
   in
+  let lanes = max 1 workers in
+  Option.iter
+    (fun tr ->
+      Telemetry.Trace.thread_name tr ~tid:0 "supervisor";
+      for k = 1 to lanes do
+        Telemetry.Trace.thread_name tr ~tid:k (Printf.sprintf "worker-%d" k)
+      done)
+    trace;
+  (* A worker killed mid-request makes the next send EPIPE; that must be
+     a failed attempt, not the death of this process. *)
+  if workers > 0 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let jobs =
+    List.mapi
+      (fun index req -> { index; req; label = label index; attempts = 0; out = None })
+      reqs
+  in
+  let t =
+    {
+      argv;
+      workers =
+        Array.init workers (fun k ->
+            { lane = k + 1; proc = spawn argv; lease = None });
+      inline;
+      trace;
+      backoff_base;
+      deadline;
+      retries;
+      chaos;
+      queue = Queue.of_seq (List.to_seq jobs);
+      delayed = [];
+      in_flight = List.length jobs;
+      st = no_stats;
+      buf = Bytes.create 65536;
+    }
+  in
   Fun.protect
-    ~finally:(fun () -> ignore (shutdown t))
+    ~finally:(fun () -> shutdown t)
     (fun () ->
-      let tickets =
-        List.mapi
-          (fun i req -> submit t ?deadline ~retries ?chaos ~label:(label i) req)
-          reqs
-      in
       (* Report the settled prefix after every tick. *)
-      let pending = ref tickets in
+      let pending = ref jobs in
       let rec deliver () =
         match !pending with
         | { out = Some o; index; _ } :: rest ->
@@ -647,4 +622,4 @@ let run ?(workers = 0) ?argv ?deadline ?(retries = 2) ?backoff_base ?chaos
         tick t ~timeout:1.0;
         deliver ()
       done;
-      (List.map (fun j -> Option.get j.out) tickets, t.st))
+      (List.map (fun j -> Option.get j.out) jobs, t.st))

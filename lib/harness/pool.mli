@@ -2,11 +2,10 @@
     in-process path a one-worker batch takes.
 
     A unit of work is a request string answered by one handler on
-    request strings.  A {!t} either calls that handler in this process
-    or owns worker processes spawned from an argv, whose {!serve} loop
-    calls the same handler; it is driven by {!tick}.  A batch ({!run})
-    submits every request and ticks until all are done; the daemon ticks
-    from its own select loop.
+    request strings.  A batch ({!run}) either calls that handler in this
+    process or spawns worker processes from an argv, whose {!serve} loop
+    calls the same handler, and supervises them until every request has
+    settled.
 
     Fault discipline: a worker that dies mid-request is respawned and
     the attempt counts as crashed; a worker still busy at its request's
@@ -45,7 +44,7 @@ type 'a outcome =
 (** ["done"], ["crashed"] or ["timed-out"]. *)
 val outcome_kind : _ outcome -> string
 
-(** What the supervisor saw: over one {!run}, or over a {!t}'s life. *)
+(** What the supervisor saw over one {!run}. *)
 type stats = {
   injected_crashes : int;  (** chaos crashes injected *)
   injected_hangs : int;  (** chaos hangs injected *)
@@ -117,75 +116,10 @@ val max_request : int
     envelope is DESIGN.md §7).  A request's chaos fault is applied
     before [handler] runs: [hang] waits for the deadline kill, [alloc]
     allocates ~64MB first.  An exception from [handler], or a reply too
-    large to frame, becomes a [crash] reply; [None] ends the loop.  Frames go to a private copy of
-    stdout and fd 1 is pointed at stderr, so stray prints cannot corrupt
-    them. *)
+    large to frame, becomes a [crash] reply; [None] ends the loop.
+    Frames go to a private copy of stdout and fd 1 is pointed at stderr,
+    so stray prints cannot corrupt them. *)
 val serve : handler:(string -> string option) -> unit -> unit
-
-(** {1 The supervisor} *)
-
-type t
-
-(** A submitted request's future outcome. *)
-type ticket
-
-(** Spawn [workers] resident processes running [argv] (resolved via
-    [PATH] when [argv.(0)] has no slash).  With [trace], each attempt is
-    a complete span on its worker's lane (1..workers; a respawned worker
-    inherits its predecessor's lane), chaos faults are
-    [chaos-crash]/[chaos-hang]/[chaos-alloc] instants on that lane, and
-    [task-retry], [deadline-kill], [worker-died] and [worker-respawn]
-    are instants on lane 0.  Ignores [SIGPIPE] process-wide: a dying
-    worker must surface as a failed attempt. *)
-val create :
-  ?trace:Telemetry.Trace.t ->
-  ?backoff_base:float ->
-  workers:int ->
-  argv:string array ->
-  unit ->
-  t
-
-(** Queue a request.  [deadline] bounds each attempt's wall clock (the
-    worker is killed past it); failures retry up to [retries] times
-    (default 0); [chaos] draws per-attempt faults from the pure
-    (seed, submission number, attempt) hash — [crash] SIGKILLs the
-    worker right after the send, [hang] and [alloc] travel in the
-    envelope.  [label] names the request in traces.
-    @raise Invalid_argument after {!shutdown}. *)
-val submit :
-  t ->
-  ?deadline:float ->
-  ?retries:int ->
-  ?chaos:chaos ->
-  ?label:string ->
-  string ->
-  ticket
-
-(** One supervisor pass: a single [select] over the busy workers' pipes,
-    waiting at most [timeout] seconds (less when a deadline or a retry
-    falls due sooner), then deliver replies, kill overdue workers,
-    respawn lost ones and dispatch queued and due requests. *)
-val tick : t -> timeout:float -> unit
-
-(** The request's outcome, once every attempt has resolved. *)
-val poll : t -> ticket -> string outcome option
-
-(** Requests submitted but not yet resolved (queued, running or waiting
-    out a backoff). *)
-val in_flight : t -> int
-
-(** Requests submitted over the supervisor's life. *)
-val submitted : t -> int
-
-(** Workers currently leased to a running attempt. *)
-val lease_depth : t -> int
-
-val stats : t -> stats
-
-(** Close every worker's stdin (their exit signal) and reap them; a
-    worker still busy is killed.  [true] when no worker had to be
-    killed. *)
-val shutdown : t -> bool
 
 (** {1 Batch} *)
 
@@ -199,9 +133,18 @@ val shutdown : t -> bool
     poll (the interpreter does) — raising [Telemetry.Budget.Exhausted]
     counts as timed out, any other exception as crashed, and an injected
     hang is charged as a timeout without spinning.  [workers > 0] spawns
-    that many processes from [argv] (at most one per request), whose
-    handler gets no budget.  With [trace], attempts are spans named by
-    [label] (default ["task-N"]) on the worker lanes ([1] in-process). *)
+    that many processes from [argv] (resolved via [PATH] when [argv.(0)]
+    has no slash; at most one per request), whose handler gets no budget,
+    and ignores [SIGPIPE] process-wide: a dying worker must surface as a
+    failed attempt.  [deadline] bounds each attempt's wall clock (a worker
+    still busy past it is killed); [chaos] draws per-attempt faults from
+    the pure (seed, input position, attempt) hash — [crash] SIGKILLs the
+    worker right after the send.  With [trace], attempts are spans named
+    by [label] (default ["task-N"]) on the worker lanes (1..workers, [1]
+    in-process; a respawned worker inherits its predecessor's lane),
+    chaos faults are [chaos-crash]/[chaos-hang]/[chaos-alloc] instants on
+    that lane, and [task-retry], [deadline-kill], [worker-died] and
+    [worker-respawn] are instants on lane 0. *)
 val run :
   ?workers:int ->
   ?argv:string array ->

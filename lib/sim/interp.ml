@@ -230,7 +230,7 @@ end
    identically: [Image.build] lays data out as a pure function of the
    program, so symbol addresses cannot change between runs.  A small
    LRU keyed by physical identity replaces the old one-slot cache — the
-   daemon's resident workers and the differential tests interleave a
+   resident pool workers and the differential tests interleave a
    handful of programs, which a single slot thrashed on.  One table per
    process: parallel sweeps run in worker processes and share nothing.
    The hit/miss tallies surface through [decode_cache_counters], never

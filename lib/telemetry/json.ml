@@ -71,9 +71,9 @@ let to_string j =
 exception Parse_fail of string * int
 
 (* The descent recurses once per nesting level, so unbounded input depth
-   would translate into unbounded stack: a wire frame of a few million
-   '[' characters (well under the daemon's 16MB frame cap) must come
-   back as [Error], not [Stack_overflow].  The cap is far above any
+   would translate into unbounded stack: a worker frame of a few million
+   '[' characters (well under the 16MB frame cap) must come back as
+   [Error], not [Stack_overflow].  The cap is far above any
    document we emit, and low enough that the recursion never nears a
    real stack limit. *)
 let max_depth = 4096

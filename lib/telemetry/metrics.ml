@@ -1,14 +1,11 @@
-(* Typed metrics registry: named counters, gauges and fixed-bucket
-   histograms.
+(* Typed metrics registry: named counters and fixed-bucket histograms.
 
    A registry is single-process mutable state.  A parallel sweep gives
    every task its own shard (a worker process ships it back as
    [to_json], read with [of_json]) and the parent folds the shards back
    with [merge] in task order — the merged registry is then byte-for-byte the
    one a sequential run would have produced (counters and histograms are
-   commutative sums; gauges are last-merge-wins, which is deterministic
-   because the merge order is the task order, not the completion
-   order). *)
+   commutative sums). *)
 
 type histogram = {
   edges : float array;  (* strictly increasing upper bounds; +inf implicit *)
@@ -19,7 +16,6 @@ type histogram = {
 
 type metric =
   | Counter of int ref
-  | Gauge of float ref
   | Histogram of histogram
 
 type t = { on : bool; tbl : (string, metric) Hashtbl.t }
@@ -69,13 +65,6 @@ let add t name delta =
 
 let incr t name = add t name 1
 
-let set t name v =
-  if t.on then
-    match Hashtbl.find_opt t.tbl name with
-    | Some (Gauge r) -> r := v
-    | Some _ -> clash name
-    | None -> Hashtbl.add t.tbl name (Gauge (ref v))
-
 let observe t name ~buckets v =
   if t.on then
     let h =
@@ -112,7 +101,6 @@ let counters t =
 
 type view =
   | VCounter of int
-  | VGauge of float
   | VHistogram of { edges : float array; counts : int array; sum : float; count : int }
 
 let snapshot t =
@@ -121,7 +109,6 @@ let snapshot t =
       let view =
         match v with
         | Counter r -> VCounter !r
-        | Gauge r -> VGauge !r
         | Histogram h ->
           VHistogram
             {
@@ -143,7 +130,6 @@ let merge ~into src =
       (fun (name, view) ->
         match view with
         | VCounter n -> add into name n
-        | VGauge v -> set into name v
         | VHistogram { edges; counts; sum; count } -> (
           match Hashtbl.find_opt into.tbl name with
           | Some (Histogram h) ->
@@ -163,7 +149,6 @@ let merge ~into src =
 
 let view_to_json = function
   | VCounter n -> Json.Int n
-  | VGauge v -> Json.Float v
   | VHistogram { edges; counts; sum; count } ->
     Json.Obj
       [
@@ -192,7 +177,6 @@ let of_json j =
       (fun (name, v) ->
         match (v, get "count" v Json.get_int) with
         | Json.Int n, _ -> add t name n
-        | Json.Float f, _ -> set t name f
         | h, Some n ->
           let sum = Option.value ~default:0. (get "sum" h Json.get_float) in
           let counts = Array.map int_of_float (floats h "counts") in

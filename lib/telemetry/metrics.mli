@@ -1,11 +1,10 @@
-(** Typed metrics registry: counters, gauges and fixed-bucket histograms.
+(** Typed metrics registry: counters and fixed-bucket histograms.
 
     A registry is {e single-process} mutable state — the sharding
     discipline is one registry per task or worker process, shipped back
     with {!to_json}/{!of_json} and folded into the parent's with
     {!merge} in task order.  Because counters and histograms merge by
-    commutative addition and gauges by last-merge-wins, the merged
-    registry is identical to the one a sequential run produces whatever
+    commutative addition, the merged registry is identical to the one a sequential run produces whatever
     the worker count (asserted by [test_telemetry] and the
     parallel-sweep determinism tests).
 
@@ -41,13 +40,10 @@ end
 val bucket_index : float array -> float -> int
 
 (** Counter update (registers on first use).
-    @raise Invalid_argument if [name] is already a gauge or histogram. *)
+    @raise Invalid_argument if [name] is already a histogram. *)
 val add : t -> string -> int -> unit
 
 val incr : t -> string -> unit
-
-(** Gauge update: last write wins. *)
-val set : t -> string -> float -> unit
 
 (** Histogram observation.  The bucket layout is fixed by the first
     observation; later [buckets] arguments are ignored. *)
@@ -61,20 +57,18 @@ val counters : t -> (string * int) list
 
 type view =
   | VCounter of int
-  | VGauge of float
   | VHistogram of { edges : float array; counts : int array; sum : float; count : int }
 
 (** Every metric, sorted by name. *)
 val snapshot : t -> (string * view) list
 
-(** Fold [src] into [into]: counters and histogram buckets add, gauges
-    take the source value.  Call once per shard, in task order, for a
-    deterministic result.
+(** Fold [src] into [into]: counters and histogram buckets add.  Call
+    once per shard, in task order, for a deterministic result.
     @raise Invalid_argument on name/type or bucket-layout clashes. *)
 val merge : into:t -> t -> unit
 
-(** Name-sorted JSON object: counters as numbers, gauges as floats,
-    histograms as [{type,edges,counts,sum,count}]. *)
+(** Name-sorted JSON object: counters as numbers, histograms as
+    [{type,edges,counts,sum,count}]. *)
 val to_json : t -> Json.t
 
 (** The registry a {!to_json} document describes — how a worker

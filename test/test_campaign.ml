@@ -47,14 +47,7 @@ let test_roundtrip () =
   | Store.Miss | Store.Corrupt _ -> Alcotest.fail "expected a hit");
   let entries, bytes = Store.disk_usage st in
   Alcotest.(check int) "one committed entry" 1 entries;
-  Alcotest.(check bool) "payload bytes counted" true (bytes > 0);
-  let stats = Store.stats st in
-  Alcotest.(check (option int)) "hit counted" (Some 1)
-    (List.assoc_opt "store.hits" stats);
-  Alcotest.(check (option int)) "miss counted" (Some 1)
-    (List.assoc_opt "store.misses" stats);
-  Alcotest.(check (option int)) "commit counted" (Some 1)
-    (List.assoc_opt "store.commits" stats)
+  Alcotest.(check bool) "payload bytes counted" true (bytes > 0)
 
 let check_corrupt st key what =
   match Store.find st key with
@@ -77,10 +70,7 @@ let test_corruption_truncated () =
   Store.commit st ~key (sample_entry 1);
   (match Store.find st key with
   | Store.Hit _ -> ()
-  | _ -> Alcotest.fail "recommit did not restore the entry");
-  let stats = Store.stats st in
-  Alcotest.(check (option int)) "corruption counted" (Some 1)
-    (List.assoc_opt "store.corrupt" stats)
+  | _ -> Alcotest.fail "recommit did not restore the entry")
 
 let test_corruption_bitflip () =
   let dir = temp_dir () in

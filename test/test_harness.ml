@@ -340,64 +340,66 @@ let test_oversized_frames () =
 
 let test_external_kill () =
   (* A worker SIGKILLed from outside mid-task (no chaos involved): its
-     task completes on the respawned worker, siblings are intact. *)
+     task completes on the respawned worker, siblings are intact.  The
+     killer is a helper process started before the run; it waits for
+     task 0's pid file and kills the worker that wrote it, which then
+     sleeps 0.3s before replying. *)
   let dir = Filename.temp_dir "jumprep-pool" "" in
   let pidfile i = Filename.concat dir (string_of_int i) in
-  let t = Pool.create ~workers:2 ~argv:Test_worker.argv () in
-  let tickets =
-    List.init 4 (fun i ->
-        Pool.submit t ~retries:1 (Printf.sprintf "pidfile %s %d" (pidfile i) i))
+  let killer =
+    Unix.create_process "sh"
+      [|
+        "sh";
+        "-c";
+        (* Give up after ~20s, so a broken run cannot leave it behind. *)
+        "for i in $(seq 2000); do if [ -s \"$1\" ]; then kill -9 \
+         $(cat \"$1\"); exit; fi; sleep 0.01; done; exit 1";
+        "killer";
+        pidfile 0;
+      |]
+      Unix.stdin Unix.stdout Unix.stderr
   in
-  let give_up = Unix.gettimeofday () +. 20. in
-  while not (Sys.file_exists (pidfile 0)) do
-    if Unix.gettimeofday () > give_up then Alcotest.fail "task 0 never started";
-    Pool.tick t ~timeout:0.01
-  done;
-  (* The pid file may be visible before its bytes are. *)
-  let rec victim () =
-    match int_of_string_opt (In_channel.with_open_text (pidfile 0) In_channel.input_all) with
-    | Some pid -> pid
-    | None -> Unix.sleepf 0.01; victim ()
+  let outcomes, st =
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill killer Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] killer))
+      (fun () ->
+        on_workers ~retries:1
+          (List.init 4 (fun i -> Printf.sprintf "pidfile %s %d" (pidfile i) i)))
   in
-  Unix.kill (victim ()) Sys.sigkill;
-  while Pool.in_flight t > 0 do
-    if Unix.gettimeofday () > give_up then Alcotest.fail "tasks did not finish";
-    Pool.tick t ~timeout:0.1
-  done;
   List.iteri
-    (fun i tk ->
-      match Pool.poll t tk with
-      | Some (Pool.Done v) -> Alcotest.(check string) "value" (string_of_int i) v
-      | Some o -> Alcotest.failf "task %d: %s" i (Pool.outcome_kind o)
-      | None -> Alcotest.failf "task %d unresolved" i)
-    tickets;
-  Alcotest.(check bool) "killed worker respawned" true
-    ((Pool.stats t).Pool.respawned >= 1);
-  Alcotest.(check int) "task 0 retried once" 1 (Pool.stats t).Pool.retried;
-  Alcotest.(check bool) "workers exit on shutdown" true (Pool.shutdown t)
+    (fun i o ->
+      match o with
+      | Pool.Done v -> Alcotest.(check string) "value" (string_of_int i) v
+      | o -> Alcotest.failf "task %d: %s" i (Pool.outcome_kind o))
+    outcomes;
+  Alcotest.(check bool) "killed worker respawned" true (st.Pool.respawned >= 1);
+  Alcotest.(check int) "task 0 retried once" 1 st.Pool.retried
 
 let test_respawn_keeps_lane () =
   (* A respawned worker inherits its predecessor's trace lane: after a
      chaos kill, spans still land on lanes 1 and 2 only, and the lane
-     named by the respawn carries a span that starts after it. *)
-  let trace = Telemetry.Trace.create () in
-  let t = Pool.create ~trace ~workers:2 ~argv:Test_worker.argv () in
-  let all_crash = { Pool.crash = 1.0; hang = 0.0; alloc = 0.0; chaos_seed = 1 } in
-  let run reqs =
-    let tks = List.map (fun (chaos, r) -> Pool.submit t ?chaos r) reqs in
-    while Pool.in_flight t > 0 do
-      Pool.tick t ~timeout:0.1
-    done;
-    List.map (fun tk -> Option.get (Pool.poll t tk)) tks
+     named by the respawn carries a span that starts after it.  The seed
+     is picked through the pure fault draw so that only task 0's first
+     attempt crashes. *)
+  let chaos seed = { Pool.crash = 0.5; hang = 0.0; alloc = 0.0; chaos_seed = seed } in
+  let only_first seed =
+    let fault task attempt = Pool.chaos_fault (chaos seed) ~task ~attempt in
+    fault 0 1 = Some `Crash
+    && fault 0 2 = None
+    && List.for_all (fun task -> fault task 1 = None) [ 1; 2; 3 ]
   in
-  (match run [ (Some all_crash, "sq 1") ] with
-  | [ Pool.Crashed { exn = Pool.Chaos_crash; attempts = 1; _ } ] -> ()
-  | _ -> Alcotest.fail "chaos crash expected");
-  let outs = run (List.init 4 (fun i -> (None, Printf.sprintf "sq %d" i))) in
+  let seed = Seq.find only_first (Seq.ints 1) |> Option.get in
+  let trace = Telemetry.Trace.create () in
+  let outs, st =
+    on_workers ~retries:1 ~chaos:(chaos seed) ~trace
+      (List.init 4 (Printf.sprintf "sq %d"))
+  in
   Alcotest.(check (list string)) "values after the respawn"
     [ "done:0"; "done:1"; "done:4"; "done:9" ]
     (List.map outcome_sig outs);
-  ignore (Pool.shutdown t);
+  Alcotest.(check int) "one crash injected" 1 st.Pool.injected_crashes;
   let evs =
     Option.value ~default:[]
       (Option.bind (Telemetry.Json.member "traceEvents" (Telemetry.Trace.to_json trace))
@@ -423,6 +425,124 @@ let test_respawn_keeps_lane () =
     Alcotest.(check bool) "respawned lane carries a later span" true
       (List.exists (fun e -> num "tid" e = lane && num "ts" e >= num "ts" r) spans)
   | _ -> Alcotest.failf "expected one respawn, saw %d" (List.length respawns)
+
+(* --- framing --- *)
+
+let test_frame_roundtrip () =
+  let payloads = [ "{}"; String.make 70000 'x'; ""; "{\"a\":1}" ] in
+  let stream = String.concat "" (List.map Harness.Frame.encode payloads) in
+  (* One byte at a time: the decoder must reassemble every frame in
+     order regardless of chunking. *)
+  let dec = Harness.Frame.decoder () in
+  let out = ref [] in
+  String.iter
+    (fun c ->
+      Harness.Frame.feed dec (String.make 1 c);
+      let rec drain () =
+        match Harness.Frame.next dec with
+        | Ok (Some p) ->
+          out := p :: !out;
+          drain ()
+        | Ok None -> ()
+        | Error e -> Alcotest.failf "decoder poisoned: %s" e
+      in
+      drain ())
+    stream;
+  Alcotest.(check (list int))
+    "all frames, in order, byte-exact"
+    (List.map String.length payloads)
+    (List.rev_map String.length !out);
+  Alcotest.(check bool)
+    "payloads equal" true
+    (List.rev !out = payloads);
+  Alcotest.(check int) "nothing buffered" 0 (Harness.Frame.pending dec);
+  (match Harness.Frame.encode (String.make (Harness.Frame.max_frame + 1) 'y') with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "oversized encode_frame must raise")
+
+let test_decoder_poisoning () =
+  let dec = Harness.Frame.decoder () in
+  (* A header announcing more than max_frame poisons permanently. *)
+  let huge = Bytes.create 4 in
+  Bytes.set_int32_be huge 0 (Int32.of_int (Harness.Frame.max_frame + 1));
+  Harness.Frame.feed dec (Bytes.to_string huge);
+  (match Harness.Frame.next dec with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "oversized length must poison the decoder");
+  Harness.Frame.feed dec (Harness.Frame.encode "{}");
+  (match Harness.Frame.next dec with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "poisoned decoder must stay poisoned")
+
+let test_decoder_fuzz () =
+  (* Seeded byte mutations over valid streams, plus pure garbage: the
+     decoder must never raise, only yield frames, wait, or poison.  The
+     same Random.State discipline as Harness.Gen keeps every run
+     identical. *)
+  let exercised = ref 0 in
+  for seed = 1 to 60 do
+    let st = Random.State.make [| 0xDAE; seed |] in
+    let payloads =
+      List.init
+        (1 + Random.State.int st 4)
+        (fun _ ->
+          String.init (Random.State.int st 200) (fun _ ->
+              Char.chr (Random.State.int st 256)))
+    in
+    let stream =
+      Bytes.of_string
+        (String.concat "" (List.map Harness.Frame.encode payloads))
+    in
+    let mutations = 1 + Random.State.int st 4 in
+    for _ = 1 to mutations do
+      if Bytes.length stream > 0 then
+        Bytes.set stream
+          (Random.State.int st (Bytes.length stream))
+          (Char.chr (Random.State.int st 256))
+    done;
+    let dec = Harness.Frame.decoder () in
+    let pos = ref 0 in
+    (try
+       while !pos < Bytes.length stream do
+         let chunk = min (1 + Random.State.int st 97) (Bytes.length stream - !pos) in
+         Harness.Frame.feed dec (Bytes.sub_string stream !pos chunk);
+         pos := !pos + chunk;
+         let rec drain () =
+           match Harness.Frame.next dec with
+           | Ok (Some _) ->
+             incr exercised;
+             drain ()
+           | Ok None | Error _ -> ()
+         in
+         drain ()
+       done
+     with e ->
+       Alcotest.failf "decoder raised on mutated stream (seed %d): %s" seed
+         (Printexc.to_string e))
+  done;
+  Alcotest.(check bool)
+    "some mutated streams still yielded frames" true (!exercised > 0)
+
+let test_decoder_deep_nesting () =
+  (* A legal frame (under the 16MB cap) whose payload is millions of
+     nested '[': the decoder must hand it over and [Json.parse] must
+     answer a parse [Error] — a worker parses every request it is sent,
+     so a [Stack_overflow] here would kill the worker, not answer the
+     request. *)
+  let payload = String.make 4_000_000 '[' in
+  let dec = Harness.Frame.decoder () in
+  Harness.Frame.feed dec (Harness.Frame.encode payload);
+  match Harness.Frame.next dec with
+  | Ok (Some p) -> (
+    Alcotest.(check int) "payload intact" (String.length payload) (String.length p);
+    match Telemetry.Json.parse p with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "deeply nested garbage must not parse"
+    | exception e ->
+      Alcotest.failf "Json.parse raised on deep nesting: %s"
+        (Printexc.to_string e))
+  | Ok None -> Alcotest.fail "complete frame not yielded"
+  | Error e -> Alcotest.failf "legal frame poisoned the decoder: %s" e
 
 let test_chaos_crash_respawn () =
   (* crash rate 1.0: every attempt kills its worker; the supervisor must
@@ -544,6 +664,11 @@ let tests =
       Alcotest.test_case "pool chaos crash respawn" `Quick
         test_chaos_crash_respawn;
       Alcotest.test_case "pool chaos determinism" `Quick test_chaos_determinism;
+      Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
+      Alcotest.test_case "decoder poisoning" `Quick test_decoder_poisoning;
+      Alcotest.test_case "decoder fuzz" `Quick test_decoder_fuzz;
+      Alcotest.test_case "decoder deep nesting" `Quick
+        test_decoder_deep_nesting;
       Alcotest.test_case "sweep chaos loses nothing" `Slow
         test_sweep_chaos_zero_lost;
     ] )

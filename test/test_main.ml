@@ -21,7 +21,6 @@ let () =
       Test_paper_shapes.tests;
       Test_harness.tests;
       Test_telemetry.tests;
-      Test_daemon.tests;
       Test_campaign.tests;
       Test_report.tests;
       Test_random_c.tests;

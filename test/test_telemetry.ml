@@ -315,7 +315,6 @@ let test_histogram_buckets () =
 (* Null registry: no-ops, empty reads, and no crosstalk with live ones. *)
 let test_metrics_null () =
   Metrics.incr Metrics.null "x";
-  Metrics.set Metrics.null "g" 3.0;
   Metrics.observe Metrics.null "h" ~buckets:[| 1.0 |] 5.0;
   Alcotest.(check bool) "disabled" false (Metrics.enabled Metrics.null);
   Alcotest.(check int) "no counter" 0 (Metrics.counter_value Metrics.null "x");
@@ -330,17 +329,14 @@ let test_metrics_merge_determinism () =
   let apply m (kind, name, v) =
     match kind with
     | `C -> Metrics.add m name (int_of_float v)
-    | `G -> Metrics.set m name v
     | `H -> Metrics.observe m name ~buckets:edges v
   in
-  (* Counters and histograms commute so any sharding works; a gauge is
-     last-merge-wins, so the discipline is that one shard owns it (here
-     both depth writes land on shard 2 under the round-robin). *)
+  (* Counters and histograms commute, so any sharding works. *)
   let updates =
     [
-      (`C, "tasks", 3.0); (`H, "lat", 0.5); (`G, "depth", 2.0);
+      (`C, "tasks", 3.0); (`H, "lat", 0.5);
       (`C, "tasks", 1.0); (`H, "lat", 7.0); (`C, "retries", 2.0);
-      (`H, "lat", 99.0); (`C, "tasks", 4.0); (`G, "depth", 5.0);
+      (`H, "lat", 99.0); (`C, "tasks", 4.0);
     ]
   in
   let sequential = Metrics.create () in
@@ -356,8 +352,8 @@ let test_metrics_merge_determinism () =
     (Json.to_string (Metrics.to_json sequential))
     (Json.to_string (Metrics.to_json merged));
   (* Type clashes are programming errors, loudly. *)
-  (match Metrics.add merged "depth" 1 with
-  | () -> Alcotest.fail "counter update on a gauge should raise"
+  (match Metrics.add merged "lat" 1 with
+  | () -> Alcotest.fail "counter update on a histogram should raise"
   | exception Invalid_argument _ -> ())
 
 (* The JSON emitted by the trace collector is well-formed (our own strict
@@ -576,9 +572,9 @@ let test_json_strict_edges () =
     Alcotest.(check bool)
       "depth diagnosis" true
       (astring_contains e "nesting"));
-  (* The attack shape from the wire: millions of '[' in one document
-     (well under the daemon's 16MB frame cap) must come back as [Error],
-     never [Stack_overflow]. *)
+  (* The attack shape from a pipe: millions of '[' in one document
+     (well under the 16MB frame cap) must come back as [Error], never
+     [Stack_overflow]. *)
   match Json.parse (String.make 2_000_000 '[') with
   | Ok _ -> Alcotest.fail "accepted a 2M-deep document"
   | Error _ -> ()

@@ -1,7 +1,7 @@
 (* The handler behind the tests' pool worker ([worker.exe], built next
    to the test binary).  It serves the real JSON ops — [measure] and
-   [fuzz] through [Campaign.Runner.handle], and the daemon's [request] —
-   plus a few test-only ops written as "OP ARG" strings:
+   [fuzz] through [Campaign.Runner.handle] — plus a few test-only ops
+   written as "OP ARG" strings:
    - [sq N] replies N*N;
    - [boom] raises;
    - [flaky N] raises the first time this process sees N (workers share
@@ -38,14 +38,7 @@ let handler req =
     close_out oc;
     Unix.sleepf 0.3;
     Some n
-  | _ -> (
-    match
-      Result.map
-        (fun j -> Option.bind (Telemetry.Json.member "op" j) Telemetry.Json.get_string)
-        (Telemetry.Json.parse req)
-    with
-    | Ok (Some "request") -> Some (Daemon.Server.handle req)
-    | _ -> Some (Campaign.Runner.handle req))
+  | _ -> Some (Campaign.Runner.handle req)
 
 (* The same handler in-process, for {!Harness.Pool.run}'s [workers = 0]
    path. *)

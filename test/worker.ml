@@ -1,3 +1,3 @@
-(* The worker process the pool and daemon tests spawn: serves
+(* The worker process the pool tests spawn: serves
    {!Test_worker.handler} on stdin/stdout. *)
 let () = Harness.Pool.serve ~handler:Test_worker.handler ()

@@ -21,6 +21,13 @@ if grep -rn 'run_reference' lib bin bench; then
   echo "the reference loop is a test oracle (test/interp_oracle.ml)"; exit 1
 fi
 
+# The study runs through bench, perfbench, certify, report and the
+# campaign store; the compilation daemon and its wire protocol are gone.
+echo "== no daemon left =="
+if grep -rnE 'Daemon\.|Protocol\.|jumprepd' lib bin bench test; then
+  echo "the daemon was removed; drive work through Harness.Pool.run"; exit 1
+fi
+
 # Figure 3 is one table of pass rows (lib/opt/driver.ml): a pass's gate,
 # certifier treatment and postcondition live in its row, never in a match
 # on its name elsewhere.
@@ -387,91 +394,5 @@ EOF
 dune exec bin/jumprepc.exe -- run _build/ci-verify.c -O jumps -m cisc --verify-passes --strict > /dev/null
 dune exec bin/jumprepc.exe -- run _build/ci-verify.c -O jumps -m risc --verify-passes --strict > /dev/null
 dune exec bin/jumprepc.exe -- bench wc -O jumps -m cisc --verify-passes > /dev/null
-
-echo "== daemon: concurrent clients byte-identical to one-shot CLI =="
-JRC=_build/default/bin/jumprepc.exe
-DSOCK="/tmp/jrd-ci-$$.sock"
-rm -f "$DSOCK"
-rm -rf _build/daemon-ref _build/daemon-out
-mkdir -p _build/daemon-ref _build/daemon-out
-"$JRC" serve --socket "$DSOCK" -j 2 --quiet > _build/daemon.log 2>&1 &
-DPID=$!
-for i in $(seq 100); do [ -S "$DSOCK" ] && break; sleep 0.1; done
-test -S "$DSOCK"
-
-# One-shot references for every (program x kind).
-for f in examples/c/*.c; do
-  b=$(basename "$f" .c)
-  "$JRC" compile "$f" -O jumps -m risc --stats-json > "_build/daemon-ref/$b.compile"
-  "$JRC" measure "$f" -m cisc --stats-json > "_build/daemon-ref/$b.measure"
-  "$JRC" lint "$f" -O jumps --json > "_build/daemon-ref/$b.lint"
-  "$JRC" explain "$f" -O jumps --json > "_build/daemon-ref/$b.explain"
-done
-
-# Four concurrent client processes hammer the daemon over the corpus —
-# one quiet lane, one with worker chaos + retries, two with
-# connection-level chaos. Every result must be byte-identical to the
-# one-shot run above.
-daemon_lane() { # lane-name extra-flags...
-  lane="$1"; shift
-  for f in examples/c/*.c; do
-    b=$(basename "$f" .c)
-    "$JRC" client --socket "$DSOCK" compile "$f" -O jumps -m risc "$@" \
-      > "_build/daemon-out/$lane.$b.compile" 2> "_build/daemon-out/$lane.$b.err"
-    "$JRC" client --socket "$DSOCK" measure "$f" -m cisc "$@" \
-      > "_build/daemon-out/$lane.$b.measure" 2>> "_build/daemon-out/$lane.$b.err"
-    "$JRC" client --socket "$DSOCK" lint "$f" -O jumps "$@" \
-      > "_build/daemon-out/$lane.$b.lint" 2>> "_build/daemon-out/$lane.$b.err"
-    "$JRC" client --socket "$DSOCK" explain "$f" -O jumps "$@" \
-      > "_build/daemon-out/$lane.$b.explain" 2>> "_build/daemon-out/$lane.$b.err"
-  done
-}
-daemon_lane quiet &
-L1=$!
-daemon_lane wchaos --worker-chaos crash:0.2,seed:4 --retries 8 &
-L2=$!
-daemon_lane cchaos1 --chaos disconnect:0.3,garbage:0.3,seed:6 &
-L3=$!
-daemon_lane cchaos2 --chaos slowloris:0.4,seed:8 &
-L4=$!
-wait $L1; wait $L2; wait $L3; wait $L4
-for lane in quiet wchaos cchaos1 cchaos2; do
-  for f in examples/c/*.c; do
-    b=$(basename "$f" .c)
-    for kind in compile measure lint explain; do
-      cmp "_build/daemon-ref/$b.$kind" "_build/daemon-out/$lane.$b.$kind"
-    done
-  done
-done
-echo "daemon: 4 lanes x $(ls examples/c/*.c | wc -l) programs x 4 kinds byte-identical"
-
-# Telemetry streams back as JSONL on request.
-"$JRC" client --socket "$DSOCK" compile examples/c/gcd.c -O jumps --telemetry \
-  > /dev/null 2> _build/daemon-telemetry.jsonl
-python3 - << 'EOF'
-import json
-lines = [l for l in open("_build/daemon-telemetry.jsonl") if l.strip()]
-assert lines, "telemetry request streamed no events"
-for l in lines:
-    json.loads(l)
-print("daemon telemetry: %d JSONL events streamed" % len(lines))
-EOF
-
-# SIGTERM mid-load: a clean, deadline-bounded drain (exit 0, workers
-# joined, in-flight work finished and flushed).
-for i in 1 2 3 4; do
-  "$JRC" client --socket "$DSOCK" measure examples/c/collatz.c -m risc --count 3 \
-    > "_build/daemon-out/drain.$i" 2>&1 &
-done
-sleep 0.3
-kill -TERM $DPID
-DRAIN_EXIT=0
-wait $DPID || DRAIN_EXIT=$?
-wait
-test "$DRAIN_EXIT" -eq 0
-grep -q 'workers joined' _build/daemon.log
-grep -q ' 0 abandoned' _build/daemon.log
-test ! -e "$DSOCK"
-echo "daemon: SIGTERM under load drained cleanly"
 
 echo "CI OK"

@@ -13,7 +13,7 @@ shootout-style kernels (nbody, spectral) in pure integer / fixed-point form
 
 The additions are also emitted as examples/c/<name>.c with their bundled
 input (<name>.input) and gcc-captured golden output (<name>.expected), so
-the CLI, lint, daemon, and certify CI legs exercise them as source files.
+the CLI, lint and certify CI legs exercise them as source files.
 """
 
 import subprocess, tempfile, os, sys
@@ -899,8 +899,8 @@ int main() {
 # ---------------------------------------------------------------- lexer
 # A one-pass DFA over a C-like token stream.  The state variable is threaded
 # through an explicit transition function; tokens are echoed as one tag
-# letter each, then counted.  Terminates immediately on empty input, so the
-# daemon CI leg can run it with no stdin.
+# letter each, then counted.  Terminates immediately on empty input, so it
+# can run with no stdin.
 LEXER = r"""
 int state, nident, nnum, nstr, nop, ncmt, len, maxlen, col;
 
