@@ -3,27 +3,32 @@ open Ir
 type t = { succ : int list array; pred : int list array }
 
 let succ_indices f i =
-  let b = Func.block f i in
-  let n = Func.num_blocks f in
-  let fall = if Func.falls_through b && i + 1 < n then [ i + 1 ] else [] in
-  let explicit =
-    match Func.terminator b with
-    | Some t -> List.map (Func.index_of_label f) (Rtl.targets t)
-    | None -> []
-  in
-  (* Dedup while keeping the fall-through first. *)
-  List.fold_left
-    (fun acc s -> if List.mem s acc then acc else acc @ [ s ])
-    fall explicit
+  match Func.terminator (Func.block f i) with
+  | None -> if i + 1 < Func.num_blocks f then [ i + 1 ] else []
+  | Some t ->
+    (* Dedup while keeping the fall-through first; [acc] is reversed. *)
+    let rec add acc = function
+      | [] -> List.rev acc
+      | l :: rest ->
+        let s = Func.index_of_label f l in
+        if List.exists (Int.equal s) acc then add acc rest
+        else add (s :: acc) rest
+    in
+    let fall =
+      match t with
+      | Rtl.Jump _ | Rtl.Ijump _ | Rtl.Ret -> false
+      | _ -> i + 1 < Func.num_blocks f
+    in
+    add (if fall then [ i + 1 ] else []) (Rtl.targets t)
 
 let make f =
   let n = Func.num_blocks f in
   let succ = Array.init n (succ_indices f) in
+  (* Sources in ascending order: prepend while walking them downward. *)
   let pred = Array.make n [] in
-  Array.iteri
-    (fun i ss -> List.iter (fun s -> pred.(s) <- i :: pred.(s)) ss)
-    succ;
-  Array.iteri (fun i ps -> pred.(i) <- List.rev ps) pred;
+  for i = n - 1 downto 0 do
+    List.iter (fun s -> pred.(s) <- i :: pred.(s)) succ.(i)
+  done;
   { succ; pred }
 
 let num_blocks g = Array.length g.succ
@@ -63,6 +68,50 @@ let insert_preheader g f ~header ~added =
   List.iter
     (fun t -> pred.(t) <- List.filter (fun p -> List.mem t succ.(p)) sources)
     (inserted @ [ header + added ]);
+  { succ; pred }
+
+(* A replication splice changes the transfers of the block that lost
+   its jump, of the inserted blocks and of the rewritten ones, so only
+   they have new successors, and only their old and new successors new
+   predecessors; every other list keeps its order under the index shift
+   (and is shared when no index in it moves). *)
+let splice g f ~after ~added ~rewritten =
+  let n = num_blocks g in
+  let n' = n + added in
+  let shift i = if i > after then i + added else i in
+  let shift_list l =
+    if List.for_all (fun i -> i <= after) l then l else List.map shift l
+  in
+  let redone = List.init (added + 1) (fun k -> after + k) @ rewritten in
+  let redo = Bytes.make n' '\000' in
+  List.iter (fun j -> Bytes.set redo j '\001') redone;
+  let is_redone j = Bytes.get redo j = '\001' in
+  let succ = Array.make n' [] in
+  let pred = Array.make n' [] in
+  let touched = ref [] in
+  for i = 0 to n - 1 do
+    let j = shift i in
+    if is_redone j then
+      touched := List.rev_append (shift_list g.succ.(i)) !touched
+    else succ.(j) <- shift_list g.succ.(i);
+    pred.(j) <- shift_list g.pred.(i)
+  done;
+  List.iter
+    (fun j ->
+      succ.(j) <- succ_indices f j;
+      touched := List.rev_append succ.(j) !touched)
+    redone;
+  (* A touched block keeps its predecessors that were not redone and
+     gains the redone ones that now reach it, in ascending order. *)
+  let redone = List.sort Int.compare redone in
+  List.iter
+    (fun t ->
+      let kept = List.filter (fun u -> not (is_redone u)) pred.(t) in
+      let gained =
+        List.filter (fun u -> List.exists (Int.equal t) succ.(u)) redone
+      in
+      pred.(t) <- List.merge Int.compare kept gained)
+    (List.sort_uniq Int.compare !touched);
   { succ; pred }
 
 let reachable g =

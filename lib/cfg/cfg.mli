@@ -17,6 +17,13 @@ val preds : t -> int -> int list
     [header] changed their transfers.  Equal to [make f]. *)
 val insert_preheader : t -> Func.t -> header:int -> added:int -> t
 
+(** The graph of [f] after a replication splice of the graph described:
+    [added] blocks were inserted after block [after], so every index
+    above [after] moved up by [added], and only block [after], the
+    inserted blocks and the [rewritten] ones (new indices) changed their
+    transfers.  Equal to [make f]. *)
+val splice : t -> Func.t -> after:int -> added:int -> rewritten:int list -> t
+
 (** Blocks reachable from the entry along CFG edges. *)
 val reachable : t -> bool array
 

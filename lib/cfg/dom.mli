@@ -14,6 +14,23 @@ val compute : Cfg.t -> t
     the edited graph. *)
 val insert_preheader : t -> header:int -> added:int -> t
 
+(** The part of the graph {!splice} recomputed: the blocks [root]
+    dominates, which it searched depth-first from [root].  [retreating]
+    are the edges that search took into a block on its stack. *)
+type region = { root : int; retreating : (int * int) list }
+
+(** The dominators after a replication splice ({!Cfg.splice}) of the
+    graph they were computed for; [g] is the edited graph.  The blocks
+    inserted after block [after] copy the blocks [copy_of] names (old
+    indices), and [rewritten] (new indices) had their branches
+    redirected.  Equal to [compute g].  Every block whose dominators
+    changed, and every reachable inserted block, lies in the returned
+    region, whose root kept its own dominators; [None] when the edit
+    touched only unreachable blocks. *)
+val splice :
+  t -> Cfg.t -> after:int -> copy_of:int array -> rewritten:int list ->
+  t * region option
+
 (** Same dominator tree, depths and reachability. *)
 val equal : t -> t -> bool
 

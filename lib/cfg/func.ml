@@ -2,26 +2,33 @@ open Ir
 
 type block = { label : Label.t; instrs : Rtl.instr list }
 
+module Label_tbl = Hashtbl.Make (struct
+  type t = Label.t
+
+  let equal = Label.equal
+  let hash = Label.hash
+end)
+
 type t = {
   name : string;
   blocks : block array;
   lsupply : Label.Supply.t;
   vsupply : Reg.Supply.t;
-  index : (Label.t, int) Hashtbl.t;
+  index : int Label_tbl.t;
   encoding : Encode.plan option;
       (* advisory branch-displacement plan; valid only for this exact
          block array, so [with_blocks] drops it *)
 }
 
 let build_index blocks =
-  let index = Hashtbl.create (Array.length blocks * 2) in
+  let index = Label_tbl.create (Array.length blocks) in
   Array.iteri
     (fun i b ->
-      if Hashtbl.mem index b.label then
+      if Label_tbl.mem index b.label then
         invalid_arg
           (Printf.sprintf "Func.make: duplicate label %s"
              (Label.to_string b.label));
-      Hashtbl.add index b.label i)
+      Label_tbl.add index b.label i)
     blocks;
   index
 
@@ -44,22 +51,27 @@ let num_blocks f = Array.length f.blocks
 let block f i = f.blocks.(i)
 
 let index_of_label f l =
-  match Hashtbl.find_opt f.index l with
+  match Label_tbl.find_opt f.index l with
   | Some i -> i
   | None -> raise Not_found
 
 let fresh_label f = Label.Supply.fresh f.lsupply
 let fresh_reg f = Reg.Supply.fresh f.vsupply
 
-let terminator b =
-  match List.rev b.instrs with
-  | last :: _ when Rtl.is_transfer last -> Some last
-  | _ -> None
+let rec last_transfer = function
+  | [] -> None
+  | [ last ] -> if Rtl.is_transfer last then Some last else None
+  | _ :: rest -> last_transfer rest
 
-let falls_through b =
-  match terminator b with
-  | Some (Rtl.Jump _ | Rtl.Ijump _ | Rtl.Ret) -> false
-  | Some (Rtl.Branch _) | Some _ | None -> true
+let terminator b = last_transfer b.instrs
+
+let rec ends_open = function
+  | [] -> true
+  | [ (Rtl.Jump _ | Rtl.Ijump _ | Rtl.Ret) ] -> false
+  | [ _ ] -> true
+  | _ :: rest -> ends_open rest
+
+let falls_through b = ends_open b.instrs
 
 let block_size b = List.length b.instrs
 let num_instrs f = Array.fold_left (fun n b -> n + block_size b) 0 f.blocks

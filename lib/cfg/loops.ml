@@ -64,32 +64,32 @@ let insert_preheader loops ~loop ~added =
   |> List.sort (fun a b -> Int.compare a.header b.header)
   |> innermost_first
 
+(* A depth-first search from the entry, failing on an edge into a block
+   on the stack that does not dominate its source.  A dominating target
+   is always on the stack, so only those edges need the dominance
+   query. *)
 let is_reducible g dom =
-  let n = Cfg.num_blocks g in
-  let reach = Cfg.reachable g in
-  let is_back u v = Dom.dominates dom v u in
-  (* Colors: 0 unvisited, 1 on stack, 2 done. *)
-  let color = Array.make n 0 in
+  let color = Bytes.make (Cfg.num_blocks g) '\000' in
   let rec visit u =
-    color.(u) <- 1;
+    Bytes.set color u '\001';
     let ok =
       List.for_all
         (fun v ->
-          if is_back u v then true
-          else if color.(v) = 1 then false
-          else if color.(v) = 0 then visit v
-          else true)
+          match Bytes.get color v with
+          | '\001' -> Dom.dominates dom v u
+          | '\000' -> visit v
+          | _ -> true)
         (Cfg.succs g u)
     in
-    color.(u) <- 2;
+    Bytes.set color u '\002';
     ok
   in
-  let rec check i =
-    if i >= n then true
-    else if reach.(i) && color.(i) = 0 then visit i && check (i + 1)
-    else check (i + 1)
-  in
-  check 0
+  visit 0
+
+(* Hecht and Ullman: a flow graph is reducible iff every retreating edge
+   of a depth-first search ends in a dominator of its source. *)
+let region_reducible dom (region : Dom.region) =
+  List.for_all (fun (u, v) -> Dom.dominates dom v u) region.retreating
 
 let enclosing_loop loops i =
   List.fold_left

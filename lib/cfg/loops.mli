@@ -26,6 +26,12 @@ val insert_preheader : loop list -> loop:loop -> added:int -> loop list
     acyclic (considering reachable blocks only). *)
 val is_reducible : Cfg.t -> Dom.t -> bool
 
+(** The part of the graph {!Dom.splice} recomputed is reducible: every
+    retreating edge of its search ends in a dominator of its source.
+    When the graph was reducible before the splice, this is the
+    reducibility of the edited graph. *)
+val region_reducible : Dom.t -> Dom.region -> bool
+
 (** The innermost loop containing block [i], if any. *)
 val enclosing_loop : loop list -> int -> loop option
 

@@ -3,6 +3,8 @@ open Flow
 
 type mode = Fallthrough_to of int | Ends_with_return
 
+type edit = { after : int; copy_of : int array; rewritten : int list }
+
 (* Split a block's instructions into body and optional terminator. *)
 let split_terminator instrs =
   match List.rev instrs with
@@ -116,12 +118,14 @@ let splice ?repair_loop func ~after ~seq ~mode =
     match tail with
     | [ (Rtl.Branch _ as br); (Rtl.Jump _ as j) ] ->
       [
-        { Func.label = copy_labels.(i); instrs = body @ [ br ] };
-        { Func.label = Func.fresh_label func; instrs = [ j ] };
+        (bi, { Func.label = copy_labels.(i); instrs = body @ [ br ] });
+        (bi, { Func.label = Func.fresh_label func; instrs = [ j ] });
       ]
-    | _ -> [ { Func.label = copy_labels.(i); instrs = body @ tail } ]
+    | _ -> [ (bi, { Func.label = copy_labels.(i); instrs = body @ tail }) ]
   in
-  let copies = Array.of_list (List.concat_map make_copy (List.init len Fun.id)) in
+  let made = List.concat_map make_copy (List.init len Fun.id) in
+  let copy_of = Array.of_list (List.map fst made) in
+  let copies = Array.of_list (List.map snd made) in
   (* Remove the unconditional jump ending [after]; it falls through into the
      first copy. *)
   let after_block =
@@ -134,6 +138,7 @@ let splice ?repair_loop func ~after ~seq ~mode =
         (Label.to_string blocks.(after).Func.label));
     { (blocks.(after)) with instrs = body }
   in
+  let added = Array.length copies in
   let out =
     Array.concat
       [
@@ -145,6 +150,7 @@ let splice ?repair_loop func ~after ~seq ~mode =
   in
   (* Step 5 repair: loop blocks that were not copied but conditionally
      branch to a copied block now branch to the copy. *)
+  let rewritten = ref [] in
   (match repair_loop with
   | None -> ()
   | Some loop ->
@@ -160,10 +166,12 @@ let splice ?repair_loop func ~after ~seq ~mode =
             if not (Label.equal l l') then begin
               (* Find the block in [out] (position shifted if past the
                  splice) and rewrite its branch. *)
-              let pos = if x <= after then x else x + Array.length copies in
-              out.(pos) <- { b with instrs = body @ [ Rtl.Branch (c, l') ] }
+              let pos = if x <= after then x else x + added in
+              out.(pos) <- { b with instrs = body @ [ Rtl.Branch (c, l') ] };
+              rewritten := pos :: !rewritten
             end
           | Some _ | None -> ()
         end)
       loop.Loops.body);
-  Func.with_blocks func out
+  ( Func.with_blocks func out,
+    { after; copy_of; rewritten = List.rev !rewritten } )

@@ -25,10 +25,25 @@
 
 type mode = Fallthrough_to of int | Ends_with_return
 
+(** What a splice changed, for updating analyses in place
+    ({!Flow.Cfg.splice}, {!Flow.Dom.splice}).  The inserted blocks sit at
+    indices [after + 1 .. after + Array.length copy_of]; every block
+    above [after] moved up by that many. *)
+type edit = {
+  after : int;  (** the block whose jump was removed *)
+  copy_of : int array;
+      (** per inserted block, the index of the block it copies (a
+          split-off discontinuity jump counts as a copy of the block it
+          was split from) *)
+  rewritten : int list;
+      (** new indices, ascending, of the loop blocks whose branch step
+          5's repair redirected to a copy *)
+}
+
 val splice :
   ?repair_loop:Flow.Loops.loop ->
   Flow.Func.t ->
   after:int ->
   seq:int list ->
   mode:mode ->
-  Flow.Func.t
+  Flow.Func.t * edit

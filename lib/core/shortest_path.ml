@@ -4,42 +4,20 @@ type path = { cost : int; blocks : int list }
 
 let inf = max_int / 4
 
-(* Replication-legal edges: no self loops, no paths through indirect
-   jumps. *)
-let edge_list func g =
-  let n = Cfg.num_blocks g in
-  let edges = Array.make n [] in
-  for u = 0 to n - 1 do
-    let b = Func.block func u in
-    let through_ok =
-      match Func.terminator b with
-      | Some (Ir.Rtl.Ijump _) -> false
-      | Some _ | None -> true
-    in
-    if through_ok then
-      edges.(u) <- List.filter (fun v -> v <> u) (Cfg.succs g u)
-  done;
-  edges
+(* The graph data the solver works over: the CFG, block sizes and
+   which blocks paths may leave.  Replication-legal edges are the CFG's
+   without self loops and without those out of indirect jumps; the
+   CFG's predecessor lists are in ascending block order. *)
+type geometry = { g : Cfg.t; sizes : int array; through : bool array }
 
-let block_sizes func =
-  Array.map Func.block_size (Func.blocks func)
+let iter_edges geo u f =
+  if geo.through.(u) then
+    List.iter (fun v -> if v <> u then f v) (Cfg.succs geo.g u)
 
-(* The graph data the solver works over: legal edges, their reversal
-   (predecessor lists in ascending block order) and block sizes. *)
-type geometry = {
-  sizes : int array;
-  edges : int list array;
-  preds : int list array;
-}
-
-let geometry func g =
-  let edges = edge_list func g in
-  let n = Array.length edges in
-  let preds = Array.make n [] in
-  for u = n - 1 downto 0 do
-    List.iter (fun v -> preds.(v) <- u :: preds.(v)) edges.(u)
-  done;
-  { sizes = block_sizes func; edges; preds }
+let through_block b =
+  match Func.terminator b with
+  | Some (Ir.Rtl.Ijump _) -> false
+  | Some _ | None -> true
 
 (* Canonical path reconstruction from a distance array ([dist u] = cost
    from the source up to but excluding [u]; the source itself counts as
@@ -65,7 +43,10 @@ let reconstruct geo dist ~src ~dst =
         let rec try_preds = function
           | [] -> None
           | u :: rest ->
-            if (not on_path.(u)) && d u + geo.sizes.(u) = dv then begin
+            if
+              geo.through.(u) && u <> v && (not on_path.(u))
+              && d u + geo.sizes.(u) = dv
+            then begin
               on_path.(u) <- true;
               match back u (if v = dst then suffix else v :: suffix) with
               | Some _ as found -> found
@@ -75,7 +56,7 @@ let reconstruct geo dist ~src ~dst =
             end
             else try_preds rest
         in
-        try_preds geo.preds.(v)
+        try_preds (Cfg.preds geo.g v)
     in
     match back dst [] with
     | None -> None
@@ -139,13 +120,11 @@ let dijkstra geo ~src =
     let d = key / n and u = key mod n in
     if d <= dist.(u) then begin
       let nd = d + geo.sizes.(u) in
-      List.iter
-        (fun v ->
+      iter_edges geo u (fun v ->
           if nd < dist.(v) then begin
             dist.(v) <- nd;
             push ((nd * n) + v)
           end)
-        geo.edges.(u)
     end
   done;
   dist
@@ -156,15 +135,43 @@ let dijkstra geo ~src =
    as the test suite's oracle. *)
 type t = { geo : geometry; cache : (int, int array) Hashtbl.t }
 
-let create func g = { geo = geometry func g; cache = Hashtbl.create 16 }
+let create func g =
+  let blocks = Func.blocks func in
+  {
+    geo =
+      {
+        g;
+        sizes = Array.map Func.block_size blocks;
+        through = Array.map through_block blocks;
+      };
+    cache = Hashtbl.create 16;
+  }
+
+(* Only block [after] and the inserted ones changed size or terminator;
+   the edges follow the edited graph. *)
+let splice t func g ~after ~added =
+  let shifted old fresh =
+    Array.init (Cfg.num_blocks g) (fun j ->
+        if j < after then old.(j)
+        else if j > after + added then old.(j - added)
+        else fresh (Func.block func j))
+  in
+  let sizes = shifted t.geo.sizes Func.block_size in
+  let through = shifted t.geo.through through_block in
+  { geo = { g; sizes; through }; cache = Hashtbl.create 16 }
+
+let distances t src =
+  match Hashtbl.find_opt t.cache src with
+  | Some dist -> dist
+  | None ->
+    let dist = dijkstra t.geo ~src in
+    Hashtbl.add t.cache src dist;
+    dist
 
 let path t ~src ~dst =
-  let dist =
-    match Hashtbl.find_opt t.cache src with
-    | Some dist -> dist
-    | None ->
-      let dist = dijkstra t.geo ~src in
-      Hashtbl.add t.cache src dist;
-      dist
-  in
+  let dist = distances t src in
   reconstruct t.geo (fun u -> dist.(u)) ~src ~dst
+
+let distance t ~src ~dst =
+  let d = (distances t src).(dst) in
+  if src = dst || d >= inf then None else Some d

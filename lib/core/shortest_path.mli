@@ -24,4 +24,15 @@ type path = { cost : int; blocks : int list (** from source inclusive *) }
 type t
 
 val create : Flow.Func.t -> Flow.Cfg.t -> t
+
+(** The solver for [func] after a replication splice
+    ({!Replicate.splice}) of the function [t] was made for: [g] is the
+    edited graph, and [added] blocks were inserted after block [after].
+    Equal to [create func g]; no distances are carried over. *)
+val splice : t -> Flow.Func.t -> Flow.Cfg.t -> after:int -> added:int -> t
 val path : t -> src:int -> dst:int -> path option
+
+(** The cost of [path t ~src ~dst] when it is not [None], without
+    reconstructing the path; [None] when [src = dst] or [dst] cannot be
+    reached from [src]. *)
+val distance : t -> src:int -> dst:int -> int option

@@ -54,3 +54,38 @@ let run_all_levels ?(input = "") src =
 let check_output ?input ~expected src =
   let out, _ = run_all_levels ?input src in
   Alcotest.(check string) "output" expected out
+
+(* [f] with a label supply of its own that continues where [f]'s stands,
+   so that two runs on it draw the same fresh labels. *)
+let fork f =
+  Flow.Func.make ~name:(Flow.Func.name f) ~blocks:(Flow.Func.blocks f)
+    ~lsupply:
+      (Ir.Label.Supply.create_from
+         (Ir.Label.Supply.next_index (Flow.Func.lsupply f)))
+    ~vsupply:(Flow.Func.vsupply f)
+
+(* Equal graphs: the same successor and predecessor lists, in order. *)
+let same_cfg a b =
+  Flow.Cfg.num_blocks a = Flow.Cfg.num_blocks b
+  && List.for_all
+       (fun i ->
+         Flow.Cfg.succs a i = Flow.Cfg.succs b i
+         && Flow.Cfg.preds a i = Flow.Cfg.preds b i)
+       (List.init (Flow.Cfg.num_blocks a) Fun.id)
+
+(* Equal loop lists: the same headers and bodies, in the same order. *)
+let same_loops (a : Flow.Loops.loop list) (b : Flow.Loops.loop list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Flow.Loops.loop) (y : Flow.Loops.loop) ->
+         x.header = y.header && Flow.Loops.Int_set.equal x.body y.body)
+       a b
+
+(* The corpus and Gen seeds 0-39, by name and source. *)
+let corpus_and_gen =
+  List.map
+    (fun (b : Programs.Suite.benchmark) -> (b.name, b.source))
+    Programs.Suite.all
+  @ List.init 40 (fun seed ->
+        let gen = Harness.Gen.generate (Random.State.make [| seed |]) in
+        (Printf.sprintf "gen%d" seed, Harness.Gen.to_c gen))

@@ -219,6 +219,40 @@ let prop_dominators =
       done;
       !ok)
 
+(* Reducibility as the definition states it: deleting every edge whose
+   target dominates its source leaves the reachable blocks acyclic. *)
+let reference_is_reducible g dom =
+  let n = Cfg.num_blocks g in
+  let reach = Cfg.reachable g in
+  let color = Array.make n 0 in
+  let rec visit u =
+    color.(u) <- 1;
+    let ok =
+      List.for_all
+        (fun v ->
+          if Dom.dominates dom v u then true
+          else if color.(v) = 1 then false
+          else if color.(v) = 0 then visit v
+          else true)
+        (Cfg.succs g u)
+    in
+    color.(u) <- 2;
+    ok
+  in
+  let rec check i =
+    if i >= n then true
+    else if reach.(i) && color.(i) = 0 then visit i && check (i + 1)
+    else check (i + 1)
+  in
+  check 0
+
+let prop_reducible =
+  QCheck.Test.make ~name:"reducibility matches the back-edge reference"
+    ~count:300 arb_shape (fun shape ->
+      let g = Cfg.make (build shape) in
+      let dom = Dom.compute g in
+      Loops.is_reducible g dom = reference_is_reducible g dom)
+
 let prop_rpo =
   QCheck.Test.make ~name:"reverse postorder visits preds first in DAGs" ~count:100
     arb_shape (fun shape ->
@@ -264,9 +298,34 @@ let prop_liveness_fixpoint =
       done;
       !ok)
 
+(* [Cfg.make] against the reference it replaced, over every function of
+   the corpus and of Gen seeds 0-39, as codegen emits them and after
+   JUMPS has replicated code in them. *)
+let test_cfg_make_reference () =
+  let graphs = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun f ->
+          List.iter
+            (fun f ->
+              let g = Cfg.make f in
+              let succ, pred = Cfg_oracle.make f in
+              incr graphs;
+              for i = 0 to Func.num_blocks f - 1 do
+                if Cfg.succs g i <> succ.(i) || Cfg.preds g i <> pred.(i) then
+                  Alcotest.failf "%s/%s: block %d" name (Func.name f) i
+              done)
+            [ f; fst (Replication.Jumps.run Replication.Jumps.default_config f) ])
+        (Frontend.Codegen.compile_source src).Prog.funcs)
+    Helpers.corpus_and_gen;
+  Alcotest.(check bool) "graphs compared" true (!graphs > 100)
+
 let tests =
   ( "flow",
     [
+      Alcotest.test_case "cfg make matches the reference" `Quick
+        test_cfg_make_reference;
       Alcotest.test_case "cfg edges" `Quick test_cfg_edges;
       Alcotest.test_case "dominators on a diamond" `Quick test_dominators_diamond;
       Alcotest.test_case "natural loops" `Quick test_natural_loops;
@@ -275,6 +334,7 @@ let tests =
       Alcotest.test_case "liveness" `Quick test_liveness;
       Alcotest.test_case "checker" `Quick test_check_catches;
       QCheck_alcotest.to_alcotest prop_dominators;
+      QCheck_alcotest.to_alcotest prop_reducible;
       QCheck_alcotest.to_alcotest prop_rpo;
       QCheck_alcotest.to_alcotest prop_liveness_fixpoint;
     ] )

@@ -615,11 +615,7 @@ let test_licm_no_div_hoist () =
 
 (* [f] with a label supply of its own at the same next index, so two runs
    over one input draw the same fresh labels. *)
-let fork f =
-  Func.make ~name:(Func.name f) ~blocks:(Func.blocks f)
-    ~lsupply:
-      (Label.Supply.create_from (Label.Supply.next_index (Func.lsupply f)))
-    ~vsupply:(Func.vsupply f)
+let fork = Helpers.fork
 
 let check_licm_oracle f =
   let f', changed = Opt.Licm.run (fork f) in
@@ -688,12 +684,7 @@ let test_licm_matches_oracle () =
     (List.length (Lazy.force licm_inputs));
   Alcotest.(check bool) "some function hoists" true (changed > 0)
 
-let same_loops (a : Loops.loop list) (b : Loops.loop list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Loops.loop) (y : Loops.loop) ->
-         x.header = y.header && Loops.Int_set.equal x.body y.body)
-       a b
+let same_loops = Helpers.same_loops
 
 (* Reverse postorder as a list built at each DFS finish, unreachable
    blocks appended in index order. *)
@@ -745,12 +736,7 @@ let test_preheader_updates () =
     let dom = Dom.compute g in
     (g, dom, Loops.innermost_first (Loops.natural_loops g dom))
   in
-  let same_cfg a b =
-    Cfg.num_blocks a = Cfg.num_blocks b
-    && List.for_all
-         (fun i -> Cfg.succs a i = Cfg.succs b i && Cfg.preds a i = Cfg.preds b i)
-         (List.init (Cfg.num_blocks a) Fun.id)
-  in
+  let same_cfg = Helpers.same_cfg in
   let edits = ref 0 in
   List.iter
     (fun f ->

@@ -350,6 +350,305 @@ let prop_jumps_preserves_wellformedness =
       let g' = Cfg.make f' in
       Loops.is_reducible g' (Dom.compute g'))
 
+(* --- Analyses carried across a splice --- *)
+
+(* What the splice checks exercised. *)
+type coverage = {
+  mutable attempts : int;
+  mutable completed : int;  (** step-3 loop-completed sequences *)
+  mutable repaired : int;  (** splices with a step-5 repair *)
+  mutable irreducible : int;  (** splices that left an irreducible graph *)
+}
+
+let coverage () = { attempts = 0; completed = 0; repaired = 0; irreducible = 0 }
+
+(* Two solvers over [n] blocks agree on the distance from each of
+   [sources] to every block and on the path to every [stride]-th. *)
+let same_paths ?(stride = 1) a b n sources =
+  let module Sp = Replication.Shortest_path in
+  let ok = ref true in
+  List.iter
+    (fun src ->
+      for dst = 0 to n - 1 do
+        if
+          Sp.distance a ~src ~dst <> Sp.distance b ~src ~dst
+          || (dst mod stride = 0 && Sp.path a ~src ~dst <> Sp.path b ~src ~dst)
+        then ok := false
+      done)
+    sources;
+  !ok
+
+(* Splice [seq] after block [b] of [f], whose CFG, dominators and
+   shortest-path solver are given, and hold every edited analysis to a
+   fresh build of the spliced function: the CFG, the dominators, the
+   loop list built from them (order included), the shortest paths and,
+   when [f] is reducible, the region's reducibility verdict.  Paths are
+   compared from every block, or with [few_paths] from the first copy and
+   the first few jump targets (the sources JUMPS queries), with every
+   eighth path reconstructed. *)
+let check_splice cov ?(completed = false) ?(few_paths = false) ?repair_loop f
+    g dom sp ~b ~seq ~mode =
+  match Replication.Replicate.splice ?repair_loop f ~after:b ~seq ~mode with
+  | exception Invalid_argument _ -> true
+  | f', edit ->
+    let added = Array.length edit.copy_of in
+    let rewritten = edit.rewritten in
+    let g' = Cfg.splice g f' ~after:b ~added ~rewritten in
+    let dom', region =
+      Dom.splice dom g' ~after:b ~copy_of:edit.copy_of ~rewritten
+    in
+    let fg = Cfg.make f' in
+    let fdom = Dom.compute fg in
+    let reducible' = Loops.is_reducible fg fdom in
+    cov.attempts <- cov.attempts + 1;
+    if completed then cov.completed <- cov.completed + 1;
+    if rewritten <> [] then cov.repaired <- cov.repaired + 1;
+    if not reducible' then cov.irreducible <- cov.irreducible + 1;
+    Helpers.same_cfg fg g' && Dom.equal fdom dom'
+    && Helpers.same_loops (Loops.natural_loops fg fdom)
+         (Loops.natural_loops g' dom')
+    && same_paths
+         ~stride:(if few_paths then 8 else 1)
+         (Replication.Shortest_path.create f' fg)
+         (Replication.Shortest_path.splice sp f' g' ~after:b ~added)
+         (Func.num_blocks f')
+         (if few_paths then
+            (b + 1)
+            :: List.filteri
+                 (fun i _ -> i < 3)
+                 (List.map
+                    (fun (_, tl) -> Func.index_of_label f' tl)
+                    (Replication.Jumps.uncond_jumps f'))
+          else List.init (Func.num_blocks f') Fun.id)
+    && ((not (Loops.is_reducible g dom))
+       ||
+       match region with
+       | None -> reducible'
+       | Some region -> Loops.region_reducible dom' region = reducible')
+
+(* Every splice the JUMPS pass could attempt on [f]: every candidate of
+   every unconditional jump, loop-completed variants and repairs
+   included, whether or not it would be kept. *)
+let check_attempts ?few_paths cov config f =
+  let an = Jumps_oracle.analyze f in
+  List.for_all
+    (fun (bl, tl) ->
+      let b = Func.index_of_label f bl and t = Func.index_of_label f tl in
+      t = b
+      || List.for_all
+           (fun (c : Jumps_oracle.candidate) ->
+             c.seq = []
+             || check_splice cov ?few_paths ~completed:c.completed
+                  ?repair_loop:(Jumps_oracle.repair_scope an.loops b c.seq)
+                  f an.g an.dom an.sp ~b ~seq:c.seq ~mode:c.mode)
+           (Jumps_oracle.candidates_for config f an.g an.sp an.loops ~b ~t))
+    (Replication.Jumps.uncond_jumps f)
+
+(* Splices of random sequences (starting at the jump's target, so that
+   the copies mirror edges of the graph) on random shapes, with and
+   without a repair loop. *)
+let prop_random_splices =
+  QCheck.Test.make ~name:"edited analyses equal rebuilt ones: random splices"
+    ~count:400
+    QCheck.(pair Test_flow.arb_shape (int_bound 1_000_000))
+    (fun (shape, seed) ->
+      let f = build shape in
+      QCheck.assume (Check.errors f = []);
+      let rng = Random.State.make [| seed |] in
+      let g = Cfg.make f in
+      let dom = Dom.compute g in
+      let loops = Loops.natural_loops g dom in
+      let sp = Replication.Shortest_path.create f g in
+      let n = Func.num_blocks f in
+      let cov = coverage () in
+      List.for_all
+        (fun (bl, tl) ->
+          let b = Func.index_of_label f bl and t = Func.index_of_label f tl in
+          let seq =
+            t
+            :: List.init (Random.State.int rng 4) (fun _ ->
+                   Random.State.int rng n)
+          in
+          let last = List.nth seq (List.length seq - 1) in
+          let mode =
+            match Func.terminator (Func.block f last) with
+            | Some Rtl.Ret when b + 1 >= n || Random.State.bool rng ->
+              Some Replication.Replicate.Ends_with_return
+            | _ ->
+              if b + 1 < n then
+                Some (Replication.Replicate.Fallthrough_to (b + 1))
+              else None
+          in
+          let repair_loop =
+            match
+              List.filter
+                (fun (l : Loops.loop) -> Loops.Int_set.mem b l.body)
+                loops
+            with
+            | l :: _ when Random.State.bool rng -> Some l
+            | _ -> None
+          in
+          match mode with
+          | None -> true
+          | Some mode -> check_splice cov ?repair_loop f g dom sp ~b ~seq ~mode)
+        (Replication.Jumps.uncond_jumps f))
+
+let prop_attempted_splices =
+  QCheck.Test.make ~name:"edited analyses equal rebuilt ones: JUMPS attempts"
+    ~count:300 Test_flow.arb_shape (fun shape ->
+      let f = build shape in
+      QCheck.assume (Check.errors f = []);
+      check_attempts (coverage ()) Replication.Jumps.default_config f)
+
+let prop_attempted_splices_on_gen_cfgs =
+  QCheck.Test.make
+    ~name:"edited analyses equal rebuilt ones: JUMPS attempts on generated CFGs"
+    ~count:15
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = Harness.Gen.generate (Random.State.make [| seed |]) in
+      match
+        Opt.Driver.compile
+          { Opt.Driver.default_options with level = Opt.Driver.Loops }
+          Machine.risc (Harness.Gen.to_c p)
+      with
+      | exception _ -> QCheck.assume_fail ()
+      | prog ->
+        List.for_all
+          (check_attempts ~few_paths:true (coverage ())
+             Replication.Jumps.default_config)
+          prog.Flow.Prog.funcs)
+
+(* --- Production against the rebuild-everything oracle --- *)
+
+let replication_events log =
+  List.filter_map
+    (function
+      | (Telemetry.Log.Replication_applied _ | Replication_rolled_back _) as ev
+        ->
+        Some
+          (Telemetry.Json.to_string
+             (Telemetry.Log.event_to_json ~seq:0 ~t_ms:0. ev))
+      | _ -> None)
+    (Telemetry.Log.events log)
+
+let fork = Helpers.fork
+
+(* [Jumps.run] and the oracle's on one input: the same function, change
+   flag and decision events.  The production run draws from [f]'s own
+   label supply. *)
+let run_both config f =
+  let log = Telemetry.Log.make Telemetry.Log.Memory in
+  let olog = Telemetry.Log.make Telemetry.Log.Memory in
+  let of', ochanged = Jumps_oracle.run ~log:olog config (fork f) in
+  let f', changed = Replication.Jumps.run ~log config f in
+  let agree =
+    changed = ochanged
+    && Func.to_string f' = Func.to_string of'
+    && replication_events log = replication_events olog
+  in
+  (f', changed, agree)
+
+let explain_agrees ?config f =
+  Replication.Jumps.explain ?config (fork f)
+  = Jumps_oracle.explain ?config (fork f)
+
+(* Random shapes (irreducible ones included), every size cap from none
+   to tight, with and without the reducibility check. *)
+let prop_run_matches_oracle =
+  QCheck.Test.make ~name:"JUMPS equals the rebuild-everything oracle"
+    ~count:400
+    QCheck.(triple Test_flow.arb_shape (int_bound 40) bool)
+    (fun (shape, cap, allow_irreducible) ->
+      let f = build shape in
+      QCheck.assume (Check.errors f = []);
+      let config =
+        {
+          Replication.Jumps.default_config with
+          size_cap = (if cap = 0 then 100_000 else cap);
+          allow_irreducible;
+        }
+      in
+      let agree = explain_agrees ~config f in
+      let _, _, same = run_both config f in
+      agree && same)
+
+(* Every replication the optimizer runs over the corpus and Gen seeds
+   0-39, at JUMPS on both machines, is run by the oracle too and must
+   agree; every attempt on the first input of each function is checked
+   as in [check_attempts]; and [explain] agrees on every final function
+   at all six configurations.  The pass boundary quarantines a replication
+   that raises, so disagreements are collected and reported at the
+   end. *)
+let test_pipeline_matches_oracle () =
+  let cov = coverage () in
+  let runs = ref 0 in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  List.iter
+    (fun (name, src) ->
+      let prog = Frontend.Codegen.compile_source src in
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun level ->
+              let opts = { Opt.Driver.default_options with level } in
+              List.iter
+                (fun func ->
+                  let size_cap = max 2000 (8 * Func.num_instrs func) in
+                  let first = ref true in
+                  let replicate ?(allow_irreducible = false) f =
+                    let config =
+                      {
+                        Replication.Jumps.default_config with
+                        allow_irreducible;
+                        size_cap;
+                      }
+                    in
+                    if
+                      !first
+                      && not
+                           (check_attempts ~few_paths:true cov config (fork f))
+                    then
+                      fail "%s/%s: an edited analysis differs" name
+                        (Func.name f);
+                    first := false;
+                    let f', changed, agree = run_both config f in
+                    incr runs;
+                    if not agree then
+                      fail "%s/%s/%s: JUMPS differs from the oracle" name
+                        machine.short (Func.name f);
+                    (f', changed)
+                  in
+                  let replicate =
+                    if level = Opt.Driver.Jumps then replicate
+                    else fun ?allow_irreducible f ->
+                      ignore allow_irreducible;
+                      Opt.Driver.(
+                        match level with
+                        | Loops -> Replication.Loops_rep.run f
+                        | Simple | Jumps -> (f, false))
+                  in
+                  let final =
+                    Opt.Driver.optimize_func_with ~replicate opts machine func
+                  in
+                  if not (explain_agrees final) then
+                    fail "%s/%s/%s: explain differs from the oracle" name
+                      (Opt.Driver.level_name level) (Func.name func))
+                prog.funcs)
+            Helpers.levels)
+        Helpers.machines)
+    Helpers.corpus_and_gen;
+  Printf.printf
+    "%d runs; %d attempts checked (%d loop-completed, %d repaired, %d \
+     irreducible)\n"
+    !runs cov.attempts cov.completed cov.repaired cov.irreducible;
+  Alcotest.(check (list string)) "disagreements" [] (List.rev !failures);
+  Alcotest.(check bool) "loop-completed splices checked" true
+    (cov.completed > 0);
+  Alcotest.(check bool) "repaired splices checked" true (cov.repaired > 0);
+  Alcotest.(check bool) "irreducible splices checked" true (cov.irreducible > 0)
+
 let tests =
   ( "replication",
     [
@@ -369,4 +668,10 @@ let tests =
       Alcotest.test_case "loops: entry jump" `Quick test_loops_entry_jump;
       Alcotest.test_case "loops: leaves non-loop jumps" `Quick test_loops_leaves_non_loop_jumps;
       QCheck_alcotest.to_alcotest prop_jumps_preserves_wellformedness;
+      QCheck_alcotest.to_alcotest prop_random_splices;
+      QCheck_alcotest.to_alcotest prop_attempted_splices;
+      QCheck_alcotest.to_alcotest prop_attempted_splices_on_gen_cfgs;
+      QCheck_alcotest.to_alcotest prop_run_matches_oracle;
+      Alcotest.test_case "pipeline replication equals the oracle" `Slow
+        test_pipeline_matches_oracle;
     ] )

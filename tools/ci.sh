@@ -57,6 +57,14 @@ echo "== optimizer output digests (354 compiles) =="
 dune exec test/opt_digests.exe > _build/opt-digests.txt
 diff test/opt_digests.expected _build/opt-digests.txt
 
+# Replication decisions are pinned the same way: per compile, the MD5 of
+# the Replication_applied/rolled_back event stream plus Jumps.explain of
+# the final functions, so a changed decision or rejection reason shows
+# even where the output does not.
+echo "== replication decision digests (354 compiles) =="
+dune exec test/replication_decisions.exe > _build/replication-decisions.txt
+diff test/replication_decisions.expected _build/replication-decisions.txt
+
 echo "== fuzz smoke (25 seeds, 2 workers) =="
 dune exec bin/jumprepc.exe -- fuzz --seeds 25 -j 2 --quiet --out _build/fuzz-failures
 
