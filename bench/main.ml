@@ -60,22 +60,21 @@ let available : (string * string * (Format.formatter -> unit)) list =
 
 (* --- machine-readable results: the full suite sweep as JSON --- *)
 
-(* Every (benchmark, level, machine) measurement plus the telemetry counter
-   totals of the sweep, in one JSON document, computed by
-   Campaign.Runner.sweep — in-process at one worker, on [workers] worker
-   processes otherwise, against the content-addressed store under
-   [store] when given (cached rows are spliced back verbatim and their
-   counters replayed).  The document is byte-identical at any worker
+(* Every (benchmark, level, machine) measurement plus the counter totals
+   of the sweep (Report.counters of its rows), in one JSON document,
+   computed by Campaign.Runner.sweep — in-process at one worker, on
+   [workers] worker processes otherwise, against the content-addressed
+   store under [store] when given (cached rows are spliced back
+   verbatim).  The document is byte-identical at any worker
    count, with or without a store or a kill-and-resume in between.
    Returns whether any measurement failed. *)
 let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     ?(profile = false) ?(profile_out = "") ?(trace_out = "") path =
   let levels = [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ] in
   let machines = [ Ir.Machine.risc; Ir.Machine.cisc ] in
-  let log = Telemetry.Log.make Telemetry.Log.Memory in
   (* The observability instruments ride beside the sweep: the profiler
-     and trace never touch the measurement or counter paths, so the
-     results document stays byte-identical with them on or off. *)
+     and trace never touch the measurement path, so the results
+     document stays byte-identical with them on or off. *)
   let profiling = profile || profile_out <> "" in
   let profiler =
     if profiling then Telemetry.Profiler.create () else Telemetry.Profiler.null
@@ -103,16 +102,26 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
       ?store:(if store = "" then None else Some (Campaign.Store.open_ store))
       ~resume
       ~workers:(if workers > 1 then workers else 0)
-      ~worker_argv ?deadline ?retries ?chaos ~log ~profiler ?trace tasks
+      ~worker_argv ?deadline ?retries ?chaos ~profiler ?trace tasks
   in
   List.iter
     (fun d ->
       Printf.eprintf "jumprepc: warning: %s\n" (Telemetry.Diag.to_string d))
     s.Campaign.Runner.diags;
   let json = Telemetry.Json.to_string in
+  let ints = List.map (fun (name, n) -> (name, Telemetry.Json.Int n)) in
   let counters =
-    Telemetry.Metrics.counters (Telemetry.Log.metrics log)
-    |> List.map (fun (name, value) -> (name, Telemetry.Json.Int value))
+    let results =
+      List.map
+        (fun r -> Result.get_ok (Telemetry.Json.parse r.Campaign.Runner.r_row))
+        rows
+    in
+    match
+      Report.doc_of_json
+        (Telemetry.Json.Obj [ ("results", Telemetry.Json.Arr results) ])
+    with
+    | Ok doc -> ints (Report.counters doc.rows)
+    | Error e -> failwith ("bench: swept rows do not read back: " ^ e)
   in
   (* The failures array appears only when non-empty, so a clean sweep's
      document stays byte-identical to the committed baseline. *)
@@ -152,18 +161,28 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     Format.pp_print_flush Format.std_formatter ();
     if profile_out <> "" then begin
       (* Supervisor tallies and this process's decode/compile cache
-         tallies live beside the sweep's registry, never in it: the
-         results document must not depend on scheduling. *)
-      let pool_metrics = Telemetry.Metrics.create () in
-      Harness.Pool.stats_to_metrics p pool_metrics;
-      Sim.Interp.publish_cache_metrics pool_metrics;
-      Sim.Engine.publish_cache_metrics pool_metrics;
+         tallies, name-sorted.  They stay out of the results document,
+         which must not depend on scheduling. *)
+      let cache name (hits, misses) =
+        [ (name ^ ".hits", hits); (name ^ ".misses", misses) ]
+      in
+      let pool =
+        [
+          ("pool.abandoned", p.Harness.Pool.abandoned);
+          ("pool.injected_allocs", p.injected_allocs);
+          ("pool.injected_crashes", p.injected_crashes);
+          ("pool.injected_hangs", p.injected_hangs);
+          ("pool.respawned", p.respawned);
+          ("pool.retried", p.retried);
+        ]
+        @ cache "sim.decode_cache" (Sim.Interp.decode_cache_counters ())
+        @ cache "sim.engine_cache" (Sim.Engine.compile_cache_counters ())
+      in
       let doc =
         Telemetry.Json.Obj
           [
             ("profile", Telemetry.Profiler.to_json profiler);
-            ("metrics", Telemetry.Metrics.to_json (Telemetry.Log.metrics log));
-            ("pool", Telemetry.Metrics.to_json pool_metrics);
+            ("pool", Telemetry.Json.Obj (ints pool));
           ]
       in
       let oc = open_out profile_out in

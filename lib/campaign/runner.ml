@@ -1,7 +1,5 @@
 module Json = Telemetry.Json
 module Diag = Telemetry.Diag
-module Log = Telemetry.Log
-module Metrics = Telemetry.Metrics
 module Profiler = Telemetry.Profiler
 module Measure = Harness.Measure
 module Pool = Harness.Pool
@@ -13,7 +11,6 @@ type row = {
   r_row : string;
   r_output_ok : bool;
   r_timed_out : bool;
-  r_counters : (string * int) list;
   r_cached : bool;
 }
 
@@ -104,22 +101,13 @@ let row_of_entry =
         r_row = str j "row";
         r_output_ok = flag "output_ok";
         r_timed_out = flag "timed_out";
-        r_counters =
-          field j "counters" (function
-            | Json.Obj fs ->
-              Some
-                (List.filter_map
-                   (fun (n, v) -> Option.map (fun i -> (n, i)) (Json.get_int v))
-                   fs)
-            | _ -> None);
         r_cached = false;
       })
 
-(* Measure one task.  The entry is the rendered BENCH row plus the
-   task's counter deltas; the reply adds the private log's whole metrics
-   registry (histograms included) and, when asked, its profile.
-   Anything wrong raises: the supervisor counts it as a crashed attempt
-   and retries. *)
+(* Measure one task.  The entry is the rendered BENCH row and its
+   verdicts; the reply adds, when asked, the task's profile.  Anything
+   wrong raises: the supervisor counts it as a crashed attempt and
+   retries. *)
 let measure_reply ?store ?budget j =
   let named name of_string =
     field j name (fun v -> Option.bind (Json.get_string v) of_string)
@@ -135,13 +123,8 @@ let measure_reply ?store ?budget j =
   let key = str j "key" in
   let profile = Option.bind (Json.member "profile" j) Json.get_bool = Some true in
   answer ?store ~key (fun () ->
-      let wlog = Log.make Log.Memory in
       let wprof = if profile then Profiler.create () else Profiler.null in
-      let m =
-        Measure.measure_raw ~log:wlog ~profiler:wprof ?budget b level mach
-      in
-      let metrics = Log.metrics wlog in
-      let counters = Metrics.counters metrics in
+      let m = Measure.measure_raw ~profiler:wprof ?budget b level mach in
       ( [
           ("kind", Json.Str "measure/1");
           ("key", Json.Str key);
@@ -154,11 +137,8 @@ let measure_reply ?store ?budget j =
              rendering exactly once is what makes resumed output
              byte-identical. *)
           ("row", Json.Str (Json.to_string (Measure.to_json m)));
-          ( "counters",
-            Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters) );
         ],
-        ("metrics", Metrics.to_json metrics)
-        :: (if profile then [ ("profile", Profiler.to_json wprof) ] else []) ))
+        if profile then [ ("profile", Profiler.to_json wprof) ] else [] ))
 
 (* --- the [fuzz] op -------------------------------------------------- *)
 
@@ -295,7 +275,7 @@ let run ?store ?(resume = false) ?(workers = 0) ?worker_argv ?deadline ?retries
 (* --- the measure instance: the sweep ---------------------------------- *)
 
 let sweep ?store ?resume ?workers ?worker_argv ?deadline ?(retries = 2) ?chaos
-    ?(log = Log.null) ?(profiler = Profiler.null) ?trace task_list =
+    ?(profiler = Profiler.null) ?trace task_list =
   let tasks = Array.of_list task_list in
   let profile = Profiler.enabled profiler in
   (* Keys name store entries; a store-less sweep needs none (and skips
@@ -330,12 +310,8 @@ let sweep ?store ?resume ?workers ?worker_argv ?deadline ?(retries = 2) ?chaos
         Result.map (fun row -> ({ row with r_cached = cached }, j)) (row_of_entry j))
       requests
   in
-  (* Fold in task order.  Cached rows replay their stored counter
-     deltas; computed rows merge the task's whole registry and profile.
-     Sums commute and the registry renders name-sorted, so the caller's
-     counters equal a cold in-process sweep's; failed tasks are simply
-     absent from the rows. *)
-  let metrics = Log.metrics log in
+  (* Fold in task order: computed rows merge the task's profile; failed
+     tasks are simply absent from the rows. *)
   let rows, failures =
     List.partition_map Fun.id
       (List.mapi
@@ -354,14 +330,10 @@ let sweep ?store ?resume ?workers ?worker_argv ?deadline ?(retries = 2) ?chaos
                }
            in
            match a with
-           | Pool.Done (row, _) when row.r_cached ->
-             List.iter (fun (n, v) -> Metrics.add metrics n v) row.r_counters;
-             Either.Left row
            | Pool.Done (row, reply) ->
-             let part name f = Option.iter f (Json.member name reply) in
-             part "metrics" (fun m -> Metrics.merge ~into:metrics (Metrics.of_json m));
-             part "profile" (fun p ->
-                 Profiler.merge ~into:profiler (Profiler.of_json p));
+             Option.iter
+               (fun p -> Profiler.merge ~into:profiler (Profiler.of_json p))
+               (Json.member "profile" reply);
              Either.Left row
            | Pool.Crashed { exn; backtrace; attempts } ->
              let detail =

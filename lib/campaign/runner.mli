@@ -5,9 +5,10 @@
     Byte-stability of the sweep: a row is rendered once, by
     [Json.to_string] of [Harness.Measure.to_json], where it is computed;
     the string travels in the reply and the store entry and is spliced
-    back verbatim, in task order, and counter sums commute — so a
-    resumed, sharded or chaos-ridden sweep produces a
-    [BENCH_results.json] byte-identical to a cold in-process one. *)
+    back verbatim, in task order, and the counters are sums over those
+    rows ([Report.counters]) — so a resumed, sharded or chaos-ridden
+    sweep produces a [BENCH_results.json] byte-identical to a cold
+    in-process one. *)
 
 type row = {
   r_program : string;
@@ -16,7 +17,6 @@ type row = {
   r_row : string;  (** the verbatim [BENCH_results.json] row *)
   r_output_ok : bool;
   r_timed_out : bool;
-  r_counters : (string * int) list;  (** this measurement's deltas *)
   r_cached : bool;  (** resolved from the store, not computed *)
 }
 
@@ -60,10 +60,11 @@ val answer :
 (** {1 The keyed ops} *)
 
 (** Answer a [measure] request (measure the task, under [budget]
-    in-process; reply with the entry — rendered row and counter deltas —
-    plus the task's metrics registry and, when asked, its profile) or a
-    [fuzz] request (check and reduce one seed; the reply is the entry).
-    A bad request or a failed computation raises. *)
+    in-process; reply with the entry — [kind], [key], [program],
+    [level], [machine], [output_ok], [timed_out] and the rendered
+    [row] — plus, only when asked, its [profile]) or a [fuzz] request
+    (check and reduce one seed; the reply is the entry).  A bad request
+    or a failed computation raises. *)
 val handle : ?store:Store.t -> ?budget:Telemetry.Budget.t -> string -> string
 
 (** [handle ~store] as a {!Shard.serve} handler. *)
@@ -105,11 +106,10 @@ val run :
     serving the op, e.g. [jumprepc worker --store DIR]; [retries]
     defaults to 2.
 
-    Replies are folded in task order: cached rows replay their stored
-    counters into [log]'s registry, computed rows merge the task's whole
-    registry and, into an enabled [profiler], its profile — so counters,
-    the [measure.run_instrs] histogram and the profiler rows equal an
-    in-process sweep's.  Per-task log events are not forwarded. *)
+    Replies are folded in task order: computed rows merge their task's
+    profile into an enabled [profiler], so the profiler rows equal an
+    in-process sweep's.  Tasks run with [Telemetry.Log.null]; the
+    sweep's counters are [Report.counters] of the returned rows. *)
 val sweep :
   ?store:Store.t ->
   ?resume:bool ->
@@ -118,7 +118,6 @@ val sweep :
   ?deadline:float ->
   ?retries:int ->
   ?chaos:Harness.Pool.chaos ->
-  ?log:Telemetry.Log.t ->
   ?profiler:Telemetry.Profiler.t ->
   ?trace:Telemetry.Trace.t ->
   (Programs.Suite.benchmark * Opt.Driver.level * Ir.Machine.t) list ->

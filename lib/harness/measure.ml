@@ -87,9 +87,9 @@ let record_timeout log (m : t) =
         })
 
 (* The side-effect-free core of a measurement: compile, assemble, run
-   through the cache bank, bump counters on [log].  No module-level state
-   is touched and nothing beyond [log] (and the [profiler]) is written,
-   so this is what a sweep's handler runs against a private log. *)
+   through the cache bank.  Neither the memo nor the mismatch/timeout
+   records are touched, and nothing beyond [log] (and the [profiler])
+   is written, so this is what a sweep's handler runs. *)
 let measure_raw ?opts ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(verify = true) ?budget
     (b : Programs.Suite.benchmark) level machine =
@@ -111,48 +111,33 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
   let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
-  let m =
-    {
-      program = b.name;
-      level;
-      machine;
-      static_instrs = Sim.Asm.static_instrs asm;
-      static_ujumps = Sim.Asm.static_ujumps asm;
-      static_nops = Sim.Asm.static_nops asm;
-      code_bytes = Sim.Asm.code_bytes asm;
-      dyn_instrs = res.counts.total;
-      dyn_ujumps = Sim.Interp.uncond_jumps res.counts;
-      dyn_nops = res.counts.nops;
-      dyn_transfers = Sim.Interp.transfers res.counts;
-      output = res.output;
-      output_ok =
-        (not res.timed_out)
-        && ((not verify) || String.equal res.output b.expected_output);
-      timed_out = res.timed_out;
-      caches =
-        List.mapi
-          (fun i config ->
-            {
-              config;
-              miss_ratio = Icache.Bank.miss_ratio bank i;
-              fetch_cost = Icache.Bank.fetch_cost bank i;
-            })
-          Icache.paper_configs;
-    }
-  in
-  let metrics = Telemetry.Log.metrics log in
-  Telemetry.Metrics.incr metrics "measure.runs";
-  Telemetry.Metrics.add metrics "measure.static_instrs" m.static_instrs;
-  Telemetry.Metrics.add metrics "measure.static_ujumps" m.static_ujumps;
-  Telemetry.Metrics.add metrics "measure.dyn_instrs" m.dyn_instrs;
-  Telemetry.Metrics.add metrics "measure.dyn_ujumps" m.dyn_ujumps;
-  if m.timed_out then Telemetry.Metrics.incr metrics "measure.timeouts";
-  (* Histograms live beside the counters in the registry; the bench JSON's
-     "counters" object reads only counters, so this never perturbs it. *)
-  Telemetry.Metrics.observe metrics "measure.run_instrs"
-    ~buckets:Telemetry.Metrics.Buckets.instrs
-    (float_of_int m.dyn_instrs);
-  m
+  {
+    program = b.name;
+    level;
+    machine;
+    static_instrs = Sim.Asm.static_instrs asm;
+    static_ujumps = Sim.Asm.static_ujumps asm;
+    static_nops = Sim.Asm.static_nops asm;
+    code_bytes = Sim.Asm.code_bytes asm;
+    dyn_instrs = res.counts.total;
+    dyn_ujumps = Sim.Interp.uncond_jumps res.counts;
+    dyn_nops = res.counts.nops;
+    dyn_transfers = Sim.Interp.transfers res.counts;
+    output = res.output;
+    output_ok =
+      (not res.timed_out)
+      && ((not verify) || String.equal res.output b.expected_output);
+    timed_out = res.timed_out;
+    caches =
+      List.mapi
+        (fun i config ->
+          {
+            config;
+            miss_ratio = Icache.Bank.miss_ratio bank i;
+            fetch_cost = Icache.Bank.fetch_cost bank i;
+          })
+        Icache.paper_configs;
+  }
 
 (* [measure_raw] plus the stateful tail: mismatch/timeout bookkeeping in
    the module-level lists (lock-guarded). *)

@@ -41,9 +41,8 @@ val instrs_between_branches : t -> float
     depend on that, since the memo key does not carry their options.
 
     With [log], the compilation is pass-spanned ({!Opt.Driver.optimize}),
-    the run emits progress heartbeats, the [measure.*] telemetry counters
-    (and the [measure.run_instrs] histogram) accumulate, and any output
-    mismatch emits a [Warning] event (and is recorded for {!mismatches}).
+    the run emits progress heartbeats, and any output mismatch emits a
+    [Warning] event (and is recorded for {!mismatches}).
     With [profiler], each optimization pass is charged to its
     (function x pass) row; the run itself is never timed, so a profiled
     run fetches through the same hook as an unprofiled one.  [verify]
@@ -64,15 +63,14 @@ val run :
   Ir.Machine.t ->
   t
 
-(** The side-effect-free core of {!run}: compile, assemble, execute,
-    bump the [measure.*] counters on [log] — but no memo and no
-    mismatch/timeout recording.  This is what a sweep's handler runs
-    ([Campaign.Runner.sweep], in-process or in a worker process) against
-    a private in-memory log whose metrics travel back in the reply.
-    [budget] is threaded into the interpreter (its fuel accounting is the
-    poll point): an expired budget raises {!Telemetry.Budget.Exhausted}
-    out of the run rather than returning a silently different
-    measurement. *)
+(** The side-effect-free core of {!run}: compile, assemble, execute —
+    but no memo and no mismatch/timeout recording.  This is what a
+    sweep's handler runs ([Campaign.Runner.sweep], in-process or in a
+    worker process); the sweep's counters are sums over the rows it
+    returns ([Report.counters]).  [budget] is threaded into the
+    interpreter (its fuel accounting is the poll point): an expired
+    budget raises {!Telemetry.Budget.Exhausted} out of the run rather
+    than returning a silently different measurement. *)
 val measure_raw :
   ?opts:Opt.Driver.options ->
   ?log:Telemetry.Log.t ->

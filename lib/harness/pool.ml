@@ -67,18 +67,6 @@ let no_stats =
 
 let injected s = s.injected_crashes + s.injected_hangs + s.injected_allocs
 
-(* Publish the supervisor tallies as pool.* counters.  The typed registry
-   is the one place sweep-level observability reads them from; the record
-   stays as the programmatic API. *)
-let stats_to_metrics s metrics =
-  let m = Telemetry.Metrics.add metrics in
-  m "pool.injected_crashes" s.injected_crashes;
-  m "pool.injected_hangs" s.injected_hangs;
-  m "pool.injected_allocs" s.injected_allocs;
-  m "pool.retried" s.retried;
-  m "pool.respawned" s.respawned;
-  m "pool.abandoned" s.abandoned
-
 (* --- deterministic backoff --- *)
 
 let backoff ?(base = 0.05) ?(cap = 0.8) attempt =

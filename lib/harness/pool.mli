@@ -44,7 +44,13 @@ type 'a outcome =
 (** ["done"], ["crashed"] or ["timed-out"]. *)
 val outcome_kind : _ outcome -> string
 
-(** What the supervisor saw over one {!run}. *)
+(** What the supervisor saw over one {!run}.
+
+    Determinism: the injected and retried counts derive from the pure
+    chaos schedule, so they are identical at any worker count (asserted
+    by the chaos-determinism test).  [respawned] is a scheduling artifact
+    — the in-process path has no worker to lose — so it is excluded from
+    that contract. *)
 type stats = {
   injected_crashes : int;  (** chaos crashes injected *)
   injected_hangs : int;  (** chaos hangs injected *)
@@ -56,18 +62,6 @@ type stats = {
 
 (** Total chaos faults injected. *)
 val injected : stats -> int
-
-(** Publish the tallies into a {!Telemetry.Metrics} registry as the
-    [pool.injected_crashes], [pool.injected_hangs], [pool.injected_allocs],
-    [pool.retried], [pool.respawned] and [pool.abandoned] counters.
-    No-op on a disabled registry.
-
-    Determinism: the injected and retried counts derive from the pure
-    chaos schedule, so they are identical at any worker count (asserted
-    by the chaos-determinism test).  [respawned] is a scheduling artifact
-    — the in-process path has no worker to lose — so it is excluded from
-    that contract. *)
-val stats_to_metrics : stats -> Telemetry.Metrics.t -> unit
 
 (** [backoff attempt] — seconds to wait before rescheduling after failed
     attempt number [attempt] (1-based): [base * 2^(attempt-1)] capped at

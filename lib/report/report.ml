@@ -119,6 +119,20 @@ let pct a b = 100.0 *. float_of_int a /. float_of_int (max 1 b)
 let instrs_between_branches r =
   float_of_int r.dyn_instrs /. float_of_int (max 1 r.dyn_transfers)
 
+(* Name-sorted, as the document renders them; [measure.timeouts] sorts
+   last and is left out at zero. *)
+let counters rows =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let timeouts = sum (fun r -> Bool.to_int r.timed_out) in
+  [
+    ("measure.dyn_instrs", sum (fun r -> r.dyn_instrs));
+    ("measure.dyn_ujumps", sum (fun r -> r.dyn_ujumps));
+    ("measure.runs", List.length rows);
+    ("measure.static_instrs", sum (fun r -> r.static_instrs));
+    ("measure.static_ujumps", sum (fun r -> r.static_ujumps));
+  ]
+  @ if timeouts = 0 then [] else [ ("measure.timeouts", timeouts) ]
+
 (* First-appearance order, so reports list machines/programs the way the
    sweep emitted them (suite order). *)
 let distinct key rows =

@@ -73,6 +73,12 @@ val pct : int -> int -> float
     three decimals and is not read.) *)
 val instrs_between_branches : row -> float
 
+(** The sweep's [counters] object, sorted by name: [measure.runs] and
+    the sums of [dyn_instrs], [dyn_ujumps], [static_instrs] and
+    [static_ujumps] over [rows], plus [measure.timeouts] when any row
+    timed out. *)
+val counters : row list -> (string * int) list
+
 (** Mean over {!complete_programs} of the per-program percent change of
     [field] at [level] vs SIMPLE — Table 5's (and the code-size
     section's) mean row. *)

@@ -617,11 +617,6 @@ let compile_cached (decoded : D.t) =
 
 let compile_cache_counters () = (compile_cache.chits, compile_cache.cmisses)
 
-let publish_cache_metrics metrics =
-  let hits, misses = compile_cache_counters () in
-  Telemetry.Metrics.add metrics "sim.engine_cache.hits" hits;
-  Telemetry.Metrics.add metrics "sim.engine_cache.misses" misses
-
 (* --- the run loop ---------------------------------------------------- *)
 
 let effective_steps budget max_steps =

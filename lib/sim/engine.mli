@@ -57,10 +57,6 @@ val run :
     Like {!Interp.decode_cache_counters}, never part of a sweep's log. *)
 val compile_cache_counters : unit -> int * int
 
-(** Add this process's compile-cache tallies into [metrics] as
-    [sim.engine_cache.hits]/[sim.engine_cache.misses]. *)
-val publish_cache_metrics : Telemetry.Metrics.t -> unit
-
 (** The execution engine a measurement ran on, recorded as provenance
     in campaign keys and sweep documents.  There is one. *)
 type kind = Threaded

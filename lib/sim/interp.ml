@@ -276,8 +276,3 @@ let decode_cached ~symbol (asm : Asm.t) (prog : Flow.Prog.t) =
     d
 
 let decode_cache_counters () = (decode_cache.chits, decode_cache.cmisses)
-
-let publish_cache_metrics metrics =
-  let hits, misses = decode_cache_counters () in
-  Telemetry.Metrics.add metrics "sim.decode_cache.hits" hits;
-  Telemetry.Metrics.add metrics "sim.decode_cache.misses" misses

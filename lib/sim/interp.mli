@@ -110,10 +110,6 @@ val decode_cached :
     must not. *)
 val decode_cache_counters : unit -> int * int
 
-(** Add this process's decode-cache tallies into [metrics] as
-    [sim.decode_cache.hits]/[sim.decode_cache.misses]. *)
-val publish_cache_metrics : Telemetry.Metrics.t -> unit
-
 (** One [Sim_progress] heartbeat per this many executed instructions
     (with a log attached). *)
 val progress_interval : int

@@ -60,7 +60,6 @@ type t = {
   started : float;  (* Unix epoch seconds at creation *)
   mutable seq : int;
   mutable buffer : event list;  (* Memory sink, newest first *)
-  metrics : Metrics.t;  (* counters and histograms *)
 }
 
 let make sink =
@@ -70,14 +69,12 @@ let make sink =
     started = Unix.gettimeofday ();
     seq = 0;
     buffer = [];
-    metrics = (if sink = Null then Metrics.null else Metrics.create ());
   }
 
 let null = make Null
 let enabled t = t.enabled
 let emitted t = t.seq
 let events t = List.rev t.buffer
-let metrics t = t.metrics
 
 (* --- JSON encoding --- *)
 

@@ -1,9 +1,8 @@
 (** Structured optimization event log.
 
-    A [t] is a sink plus a monotonic sequence counter and a typed metrics
-    registry ({!metrics}).  Instrumented code calls {!emit} with a thunk;
-    when the sink is {!val:null} the thunk is never forced, so the hot path
-    pays a single branch.  Events carry wall-clock timestamps (milliseconds
+    A [t] is a sink plus a monotonic sequence counter.  Instrumented
+    code calls {!emit} with a thunk; when the sink is {!val:null} the
+    thunk is never forced, so the hot path pays a single branch.  Events carry wall-clock timestamps (milliseconds
     since the log was created) and a per-log sequence number.
 
     Sinks:
@@ -95,13 +94,6 @@ val emitted : t -> int
 
 (** Buffered events, oldest first.  Empty unless the sink is [Memory]. *)
 val events : t -> event list
-
-(** The typed metrics registry attached to this log (disabled exactly
-    when the log is): instrumented code bumps its counters with
-    {!Metrics.add}/{!Metrics.incr}, and the profiled/parallel paths
-    observe histograms into it.  Sharded logs'
-    registries merge deterministically with {!Metrics.merge}. *)
-val metrics : t -> Metrics.t
 
 val flush : t -> unit
 

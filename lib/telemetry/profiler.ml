@@ -1,8 +1,8 @@
 (* Per-pass profiler.
 
    One attribution table, (function x pass) -> {calls, runs, changed,
-   wall, alloc}, fed by the Opt.Driver pass boundary.  Like Metrics, a
-   profiler is single-process state: each task profiles into a private
+   wall, alloc}, fed by the Opt.Driver pass boundary.  A profiler is
+   single-process state: each task profiles into a private
    shard that the parent folds back with [merge] in task order.
    Wall-clock and allocation numbers are nondeterministic by nature; the
    deterministic parts (call, run and change counts) are what the

@@ -2,7 +2,7 @@
 
     One attribution table, fed by the {!Opt.Driver} pass boundary:
     wall-clock and GC allocation per (function x pass).  Single-process
-    state, like {!Metrics}: each task profiles into a private shard
+    state: each task profiles into a private shard
     (shipped back with {!to_json}/{!of_json} from a worker process), and
     the parent folds them back with {!merge} in task order.  Every
     recording is a no-op on {!null}. *)

@@ -89,3 +89,18 @@ let corpus_and_gen =
   @ List.init 40 (fun seed ->
         let gen = Harness.Gen.generate (Random.State.make [| seed |]) in
         (Printf.sprintf "gen%d" seed, Harness.Gen.to_c gen))
+
+(* A sweep's counters, derived from its rows as [bench --json] does. *)
+let sweep_counters rows =
+  let results =
+    List.map
+      (fun (r : Campaign.Runner.row) ->
+        Result.get_ok (Telemetry.Json.parse r.r_row))
+      rows
+  in
+  match
+    Report.doc_of_json
+      (Telemetry.Json.Obj [ ("results", Telemetry.Json.Arr results) ])
+  with
+  | Ok doc -> Report.counters doc.rows
+  | Error e -> failwith ("sweep rows do not read back: " ^ e)

@@ -195,10 +195,9 @@ let test_sweep_resume_byte_identity () =
   let dir = temp_dir () in
   let sweep ~resume =
     let store = Store.open_ dir in
-    let log = Telemetry.Log.make Telemetry.Log.Memory in
-    let rows, s = Campaign.Runner.sweep ~store ~resume ~log tasks in
+    let rows, s = Campaign.Runner.sweep ~store ~resume tasks in
     ( List.map (fun r -> r.Campaign.Runner.r_row) rows,
-      Telemetry.Metrics.counters (Telemetry.Log.metrics log),
+      Helpers.sweep_counters rows,
       s )
   in
   let cold_rows, cold_counters, cold = sweep ~resume:false in
@@ -207,8 +206,8 @@ let test_sweep_resume_byte_identity () =
   Alcotest.(check int) "warm computed nothing" 0 warm.Campaign.Runner.computed;
   Alcotest.(check int) "warm all hits" 2 warm.Campaign.Runner.hits;
   Alcotest.(check (list string)) "rows byte-identical" cold_rows warm_rows;
-  Alcotest.(check bool) "counters identical" true
-    (cold_counters = warm_counters);
+  Alcotest.(check (list (pair string int)))
+    "counters identical" cold_counters warm_counters;
   (* The spliced row equals what the plain measurement path renders. *)
   let direct =
     Telemetry.Json.to_string
@@ -217,6 +216,53 @@ let test_sweep_resume_byte_identity () =
   in
   Alcotest.(check string) "row matches the direct measurement" direct
     (List.hd cold_rows)
+
+(* What a measure op writes and says: the store entry holds the row and
+   its verdicts and nothing else, and the reply is that entry plus, only
+   when asked, the task's profile. *)
+let test_measure_entry_keys () =
+  let wc = Option.get (Programs.Suite.find "wc") in
+  let store = Store.open_ (temp_dir ()) in
+  let key =
+    Key.measure ~engine:Sim.Engine.Threaded wc Opt.Driver.Simple
+      Ir.Machine.risc
+  in
+  let keys = function
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "not an object"
+  in
+  let entry_keys =
+    [
+      "kind"; "key"; "program"; "level"; "machine"; "output_ok"; "timed_out";
+      "row";
+    ]
+  in
+  List.iter
+    (fun profile ->
+      let reply =
+        Campaign.Runner.handle ~store
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("op", Json.Str "measure");
+                  ("key", Json.Str key);
+                  ("bench", Json.Str "wc");
+                  ("level", Json.Str "SIMPLE");
+                  ("machine", Json.Str "risc");
+                  ("profile", Json.Bool profile);
+                ]))
+      in
+      let what = if profile then "profiled" else "plain" in
+      (match Store.find store key with
+      | Store.Hit entry ->
+        Alcotest.(check (list string))
+          (what ^ " entry keys") entry_keys (keys entry)
+      | Store.Miss | Store.Corrupt _ -> Alcotest.fail "entry not committed");
+      Alcotest.(check (list string))
+        (what ^ " reply keys")
+        (entry_keys @ if profile then [ "profile" ] else [])
+        (keys (Result.get_ok (Json.parse reply))))
+    [ false; true ]
 
 let tests =
   ( "campaign",
@@ -235,4 +281,6 @@ let tests =
         test_key_injective_on_boundaries;
       Alcotest.test_case "sweep resume is byte-identical" `Quick
         test_sweep_resume_byte_identity;
+      Alcotest.test_case "measure entry and reply keys" `Quick
+        test_measure_entry_keys;
     ] )

@@ -51,10 +51,8 @@ let test_custom_options_not_memoized () =
 
 let test_parallel_determinism () =
   (* The contract of the one sweep function: at any worker count the
-     rows, the telemetry counters, the verdicts, the profiler rows and
-     the run_instrs histogram equal the in-process sweep's.  Per-task
-     log events stay with the task, so the event stream is not part of
-     the contract. *)
+     rows, the counters derived from them, the verdicts and the profiler
+     rows equal the in-process sweep's. *)
   (* Wall-clock and allocation are nondeterministic; the profiler's
      deterministic projection is which rows exist and how often each
      fired. *)
@@ -63,42 +61,31 @@ let test_parallel_determinism () =
       (fun (r : Telemetry.Profiler.pass_row) -> (r.p_func, r.p_pass, r.p_calls))
       (List.sort compare (Telemetry.Profiler.pass_rows p))
   in
-  let histogram_sig m name =
-    List.filter_map
-      (function
-        | n, Telemetry.Metrics.VHistogram { counts; count; _ }
-          when String.equal n name ->
-          Some (Array.to_list counts, count)
-        | _ -> None)
-      (Telemetry.Metrics.snapshot m)
-  in
   let tasks =
     List.map (fun b -> (b, Opt.Driver.Jumps, Ir.Machine.risc)) Programs.Suite.all
   in
   let sweep workers =
-    let log = Telemetry.Log.make Telemetry.Log.Memory in
     let profiler = Telemetry.Profiler.create () in
     let rows, s =
-      Campaign.Runner.sweep ~workers ~worker_argv:Test_worker.argv ~log
-        ~profiler tasks
+      Campaign.Runner.sweep ~workers ~worker_argv:Test_worker.argv ~profiler
+        tasks
     in
-    let pool_metrics = Telemetry.Metrics.create () in
-    Pool.stats_to_metrics s.pool pool_metrics;
     ( List.map (fun (r : Campaign.Runner.row) -> r.r_row) rows,
-      Telemetry.Metrics.counters (Telemetry.Log.metrics log),
+      Helpers.sweep_counters rows,
       List.map
         (fun (r : Campaign.Runner.row) -> (r.r_program, r.r_output_ok, r.r_timed_out))
         rows,
       profiler_sig profiler,
-      histogram_sig (Telemetry.Log.metrics log) "measure.run_instrs",
-      Telemetry.Metrics.counters pool_metrics )
+      s.pool )
   in
-  let json1, counters1, verdicts1, prof1, hist1, _pool1 = sweep 0 in
+  let json1, counters1, verdicts1, prof1, _ = sweep 0 in
   Alcotest.(check int) "in-process sweep complete" (List.length tasks)
     (List.length json1);
-  Alcotest.(check bool) "counters accumulated" true (counters1 <> []);
+  Alcotest.(check (option int))
+    "one run per task"
+    (Some (List.length tasks))
+    (List.assoc_opt "measure.runs" counters1);
   Alcotest.(check bool) "profiler saw passes" true (prof1 <> []);
-  Alcotest.(check bool) "run_instrs histogram filled" true (hist1 <> []);
   Alcotest.(check string) "row matches the direct measurement"
     (Telemetry.Json.to_string
        (Harness.Measure.to_json
@@ -107,7 +94,7 @@ let test_parallel_determinism () =
     (List.hd json1);
   List.iter
     (fun workers ->
-      let json, counters, verdicts, prof, hist, pool = sweep workers in
+      let json, counters, verdicts, prof, pool = sweep workers in
       Alcotest.(check (list string))
         (Printf.sprintf "results at -j %d" workers)
         json1 json;
@@ -121,16 +108,12 @@ let test_parallel_determinism () =
       Alcotest.(check bool)
         (Printf.sprintf "profiler rows merge deterministically at -j %d" workers)
         true (prof = prof1);
-      Alcotest.(check bool)
-        (Printf.sprintf "histograms merge deterministically at -j %d" workers)
-        true (hist = hist1);
       (* The supervisor's tallies, all zero without chaos or deadlines. *)
       Alcotest.(check bool)
-        (Printf.sprintf "pool counters published at -j %d" workers)
+        (Printf.sprintf "pool stats clean at -j %d" workers)
         true
-        (List.mem ("pool.retried", 0) pool
-        && List.mem ("pool.respawned", 0) pool
-        && List.mem ("pool.injected_crashes", 0) pool))
+        (Pool.injected pool = 0
+        && pool.retried = 0 && pool.respawned = 0 && pool.abandoned = 0))
     [ 2; 4 ]
 
 (* --- the supervised pool --- *)
@@ -564,11 +547,6 @@ let test_chaos_determinism () =
      must reproduce the in-process run outcome for outcome, and
      completed tasks keep their correct values. *)
   let chaos = { Pool.crash = 0.4; hang = 0.0; alloc = 0.2; chaos_seed = 42 } in
-  let stats_sig (s : Pool.stats) =
-    let m = Telemetry.Metrics.create () in
-    Pool.stats_to_metrics s m;
-    Telemetry.Metrics.counters m
-  in
   let reqs = List.init 12 (Printf.sprintf "sq %d") in
   let check_values outcomes =
     List.iteri
@@ -586,7 +564,7 @@ let test_chaos_determinism () =
       else on_workers ~retries:1 ~chaos reqs
     in
     check_values outcomes;
-    (List.map outcome_sig outcomes, stats_sig stats)
+    (List.map outcome_sig outcomes, stats)
   in
   let inline, tallies_inline = run 0 in
   let par, tallies_par = run 2 in
@@ -595,18 +573,13 @@ let test_chaos_determinism () =
   Alcotest.(check (list string)) "worker run repeatable" par par';
   (* The chaos tallies are part of the determinism contract too: the
      fault and retry counts must not depend on the worker count (they
-     come from the same pure schedule).  pool.respawned is the
-     exception, a scheduling artifact: the in-process path has no worker
-     to lose. *)
-  let sans_respawn = List.filter (fun (n, _) -> n <> "pool.respawned") in
-  Alcotest.(check (list (pair string int)))
-    "chaos tallies match in-process"
-    (sans_respawn tallies_inline)
-    (sans_respawn tallies_par);
-  Alcotest.(check (list (pair string int)))
-    "chaos tallies repeatable"
-    (sans_respawn tallies_par)
-    (sans_respawn tallies_par');
+     come from the same pure schedule).  [respawned] is the exception, a
+     scheduling artifact: the in-process path has no worker to lose. *)
+  let sans_respawn (s : Pool.stats) = { s with respawned = 0 } in
+  Alcotest.(check bool) "chaos tallies match in-process" true
+    (sans_respawn tallies_inline = sans_respawn tallies_par);
+  Alcotest.(check bool) "chaos tallies repeatable" true
+    (sans_respawn tallies_par = sans_respawn tallies_par');
   let has prefix = List.exists (String.starts_with ~prefix) inline in
   Alcotest.(check bool) "schedule mixes faults and successes" true
     (has "done" && has "crashed")

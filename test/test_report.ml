@@ -118,6 +118,41 @@ let test_parse () =
       | Error _ -> ())
     [ "nonsense"; "{}"; {|{"results":[{"program":"p"}]}|} ]
 
+(* The counters object is a fold over the rows: the committed baseline's
+   is exactly its rows' sums, in its order, and [measure.timeouts] shows
+   only when a row timed out. *)
+let test_counters () =
+  let counters = Alcotest.(list (pair string int)) in
+  (* The copy dune places beside the test directory (a [deps] of the
+     test). *)
+  let path =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "BENCH_baseline.json"
+  in
+  let baseline = parse (In_channel.with_open_bin path In_channel.input_all) in
+  Alcotest.check counters "baseline counters" baseline.Report.counters
+    (Report.counters baseline.Report.rows);
+  let rows = (parse fixture).Report.rows in
+  let sums =
+    [
+      ("measure.dyn_instrs", 2700 + 5700);
+      ("measure.dyn_ujumps", 180 + 400);
+      ("measure.runs", 6);
+      ("measure.static_instrs", 330 + 620);
+      ("measure.static_ujumps", 18 + 40);
+    ]
+  in
+  Alcotest.check counters "no timeout, no key" sums (Report.counters rows);
+  let timed_out =
+    List.mapi
+      (fun i r -> if i = 2 then { r with Report.timed_out = true } else r)
+      rows
+  in
+  Alcotest.check counters "one timeout"
+    (sums @ [ ("measure.timeouts", 1) ])
+    (Report.counters timed_out)
+
 let test_render_tables () =
   let md = Report.render ~title:"unit fixture" (parse fixture) in
   Alcotest.(check bool) "title" true (contains md "unit fixture");
@@ -305,4 +340,5 @@ let tests =
       Alcotest.test_case "compare docs" `Quick test_compare;
       Alcotest.test_case "dat files" `Quick test_dat_files;
       Alcotest.test_case "event summary" `Quick test_event_summary;
+      Alcotest.test_case "counters are row sums" `Quick test_counters;
     ] )

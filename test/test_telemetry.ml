@@ -105,11 +105,7 @@ let test_null_sink () =
   in
   Alcotest.(check int) "no thunks forced" 0 !forced;
   Alcotest.(check int) "no events emitted" 0
-    (Telemetry.Log.emitted Telemetry.Log.null);
-  Alcotest.(check int) "no counters" 0
-    (Telemetry.Metrics.counter_value
-       (Telemetry.Log.metrics Telemetry.Log.null)
-       "measure.runs")
+    (Telemetry.Log.emitted Telemetry.Log.null)
 
 (* A closed thunk: it captures nothing, so passing it allocates nothing. *)
 let null_forced = ref 0
@@ -152,38 +148,10 @@ let test_memory_sink () =
   in
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] instrs
 
-(* Counters accumulate in an enabled log's registry, read back sorted,
-   and stay empty on the null log. *)
-let test_counters () =
-  let log = Telemetry.Log.make Telemetry.Log.Memory in
-  let m = Telemetry.Log.metrics log in
-  Telemetry.Metrics.incr m "b";
-  Telemetry.Metrics.incr m "a";
-  Telemetry.Metrics.add m "a" 2;
-  Alcotest.(check int) "a" 3 (Telemetry.Metrics.counter_value m "a");
-  Alcotest.(check int) "untouched" 0 (Telemetry.Metrics.counter_value m "c");
-  Alcotest.(check (list (pair string int)))
-    "all sorted"
-    [ ("a", 3); ("b", 1) ]
-    (Telemetry.Metrics.counters m);
-  let null = Telemetry.Log.metrics Telemetry.Log.null in
-  Telemetry.Metrics.incr null "a";
-  Alcotest.(check (list (pair string int))) "null log" []
-    (Telemetry.Metrics.counters null)
-
-(* Measure threads the log: counters move and a mismatch warns. *)
+(* Measure threads the log: a mismatch warns. *)
 let test_measure_telemetry () =
   let log = Telemetry.Log.make Telemetry.Log.Memory in
   let b = wc () in
-  let _ =
-    Harness.Measure.run ~log
-      ~opts:{ Opt.Driver.default_options with level = Opt.Driver.Simple }
-      b Opt.Driver.Simple Ir.Machine.cisc
-  in
-  let counter = Telemetry.Metrics.counter_value (Telemetry.Log.metrics log) in
-  Alcotest.(check int) "one measured run" 1 (counter "measure.runs");
-  Alcotest.(check bool) "static counter moved" true
-    (counter "measure.static_instrs" > 0);
   (* A wrong expectation must surface as a Warning event. *)
   let _ =
     Harness.Measure.run ~log
@@ -267,94 +235,11 @@ let test_diag_json_bytes () =
     {|{"code":"internal","severity":"error","func":"f\"1","pass":"p\\2","message":"a\"b\\c\nd\te\u0001f"}|}
     (Telemetry.Json.to_string (Telemetry.Diag.to_json d))
 
-(* --- the metrics registry (observability v2) --- *)
+(* --- JSON, traces and the profiler (observability v2) --- *)
 
-module Metrics = Telemetry.Metrics
 module Json = Telemetry.Json
 module Trace = Telemetry.Trace
 module Profiler = Telemetry.Profiler
-
-(* Bucket arithmetic: values at, below and above the edges land where the
-   documentation says — first bucket with [v <= edge], overflow past the
-   last edge. *)
-let test_histogram_buckets () =
-  let edges = [| 1.0; 3.0; 10.0 |] in
-  let idx v = Metrics.bucket_index edges v in
-  Alcotest.(check int) "below first edge" 0 (idx 0.5);
-  Alcotest.(check int) "exactly on edge counts in that bucket" 0 (idx 1.0);
-  Alcotest.(check int) "between edges" 1 (idx 2.0);
-  Alcotest.(check int) "on middle edge" 1 (idx 3.0);
-  Alcotest.(check int) "last in-range bucket" 2 (idx 10.0);
-  Alcotest.(check int) "overflow bucket" 3 (idx 10.0001);
-  Alcotest.(check int) "overflow far out" 3 (idx 1e12);
-  (* Standard layouts are strictly increasing (a histogram with unsorted
-     edges silently miscounts). *)
-  List.iter
-    (fun (name, edges) ->
-      let ok = ref true in
-      Array.iteri
-        (fun i e -> if i > 0 && e <= edges.(i - 1) then ok := false)
-        edges;
-      Alcotest.(check bool) (name ^ " strictly increasing") true !ok)
-    [
-      ("time_ms", Metrics.Buckets.time_ms);
-      ("instrs", Metrics.Buckets.instrs);
-      ("pow2", Metrics.Buckets.pow2 ~lo:0 ~hi:8);
-    ];
-  (* Observations distribute into counts and the sum/count accumulate. *)
-  let m = Metrics.create () in
-  List.iter (Metrics.observe m "h" ~buckets:edges) [ 0.5; 2.0; 2.5; 99.0 ];
-  (match Metrics.snapshot m with
-  | [ ("h", Metrics.VHistogram { edges = e; counts; sum; count }) ] ->
-    Alcotest.(check int) "edges kept" 3 (Array.length e);
-    Alcotest.(check (list int)) "counts" [ 1; 2; 0; 1 ] (Array.to_list counts);
-    Alcotest.(check int) "count" 4 count;
-    Alcotest.(check (float 1e-9)) "sum" 104.0 sum
-  | _ -> Alcotest.fail "expected one histogram in the snapshot")
-
-(* Null registry: no-ops, empty reads, and no crosstalk with live ones. *)
-let test_metrics_null () =
-  Metrics.incr Metrics.null "x";
-  Metrics.observe Metrics.null "h" ~buckets:[| 1.0 |] 5.0;
-  Alcotest.(check bool) "disabled" false (Metrics.enabled Metrics.null);
-  Alcotest.(check int) "no counter" 0 (Metrics.counter_value Metrics.null "x");
-  Alcotest.(check int) "empty snapshot" 0
-    (List.length (Metrics.snapshot Metrics.null))
-
-(* Sharded merge = sequential: the pool's determinism contract at the
-   registry level.  Updates split across shards then merged in order must
-   equal the same updates applied to one registry. *)
-let test_metrics_merge_determinism () =
-  let edges = Metrics.Buckets.pow2 ~lo:0 ~hi:4 in
-  let apply m (kind, name, v) =
-    match kind with
-    | `C -> Metrics.add m name (int_of_float v)
-    | `H -> Metrics.observe m name ~buckets:edges v
-  in
-  (* Counters and histograms commute, so any sharding works. *)
-  let updates =
-    [
-      (`C, "tasks", 3.0); (`H, "lat", 0.5);
-      (`C, "tasks", 1.0); (`H, "lat", 7.0); (`C, "retries", 2.0);
-      (`H, "lat", 99.0); (`C, "tasks", 4.0);
-    ]
-  in
-  let sequential = Metrics.create () in
-  List.iter (apply sequential) updates;
-  (* Shard round-robin over 3 "workers", merge back in order. *)
-  let shards = Array.init 3 (fun _ -> Metrics.create ()) in
-  List.iteri (fun i u -> apply shards.(i mod 3) u) updates;
-  let merged = Metrics.create () in
-  Array.iter (fun s -> Metrics.merge ~into:merged s) shards;
-  Alcotest.(check (list (pair string int)))
-    "counters equal" (Metrics.counters sequential) (Metrics.counters merged);
-  Alcotest.(check string) "full snapshots equal"
-    (Json.to_string (Metrics.to_json sequential))
-    (Json.to_string (Metrics.to_json merged));
-  (* Type clashes are programming errors, loudly. *)
-  (match Metrics.add merged "lat" 1 with
-  | () -> Alcotest.fail "counter update on a histogram should raise"
-  | exception Invalid_argument _ -> ())
 
 (* The JSON emitted by the trace collector is well-formed (our own strict
    parser accepts it) and structurally what Perfetto expects. *)
@@ -676,16 +561,11 @@ let tests =
       Alcotest.test_case "null sink" `Quick test_null_sink;
       Alcotest.test_case "null sink allocates nothing" `Quick test_null_alloc;
       Alcotest.test_case "memory sink" `Quick test_memory_sink;
-      Alcotest.test_case "counters" `Quick test_counters;
       Alcotest.test_case "measure telemetry" `Quick test_measure_telemetry;
       Alcotest.test_case "explain covers all jumps" `Quick
         test_explain_covers_all_jumps;
       Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
       Alcotest.test_case "diag json bytes" `Quick test_diag_json_bytes;
-      Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-      Alcotest.test_case "metrics null" `Quick test_metrics_null;
-      Alcotest.test_case "metrics merge determinism" `Quick
-        test_metrics_merge_determinism;
       Alcotest.test_case "trace json" `Quick test_trace_json;
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "measure row bytes" `Quick test_measure_row_bytes;

@@ -28,6 +28,13 @@ if grep -rnE 'Daemon\.|Protocol\.|jumprepd' lib bin bench test; then
   echo "the daemon was removed; drive work through Harness.Pool.run"; exit 1
 fi
 
+# The sweep's counters are Report.counters over its rows; there is no
+# second copy of them in a registry, a worker reply or a store entry.
+echo "== no metrics registry left =="
+if grep -rnE 'Telemetry\.Metrics|Log\.metrics|r_counters' lib bin bench test; then
+  echo "derive sweep counters from the rows (Report.counters)"; exit 1
+fi
+
 # Figure 3 is one table of pass rows (lib/opt/driver.ml): a pass's gate,
 # certifier treatment and postcondition live in its row, never in a match
 # on its name elsewhere.
@@ -243,7 +250,7 @@ python3 - << 'EOF'
 import json
 # Tiny schema check: the trace must load as trace-event JSON with at
 # least one complete span per worker lane, and the profile document must
-# carry all three sections, the profiler's being its pass rows alone.
+# carry exactly its two sections, the profiler's being its pass rows alone.
 trace = json.load(open("_build/trace.json"))
 assert isinstance(trace["traceEvents"], list) and trace["displayTimeUnit"] == "ms"
 spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
@@ -252,7 +259,7 @@ for e in spans:
 lanes = {e["tid"] for e in spans}
 assert {1, 2} <= lanes, f"expected spans on worker lanes 1 and 2, got {lanes}"
 profile = json.load(open("_build/profile.json"))
-assert {"profile", "metrics", "pool"} <= profile.keys()
+assert list(profile) == ["profile", "pool"], list(profile)
 assert profile["profile"]["passes"], "no (function x pass) profiler rows"
 assert list(profile["profile"]) == ["passes"], list(profile["profile"])
 assert any(k.startswith("pool.") for k in profile["pool"]), "no pool counters"
