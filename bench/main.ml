@@ -160,9 +160,12 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
     Telemetry.Profiler.pp_table Format.std_formatter profiler;
     Format.pp_print_flush Format.std_formatter ();
     if profile_out <> "" then begin
-      (* Supervisor tallies and this process's decode/compile cache
-         tallies, name-sorted.  They stay out of the results document,
-         which must not depend on scheduling. *)
+      (* Supervisor tallies, name-sorted, then the decode/compile cache
+         tallies of this process.  Those count only tasks that ran here,
+         so they are emitted only at -j 1: at -j > 1 every task runs in
+         a worker process, whose caches are never collected, and this
+         process's would read 0.  None of it enters the results
+         document, which must not depend on scheduling. *)
       let cache name (hits, misses) =
         [ (name ^ ".hits", hits); (name ^ ".misses", misses) ]
       in
@@ -175,8 +178,11 @@ let write_json ~workers ?(store = "") ~resume ?deadline ?retries ?chaos
           ("pool.respawned", p.respawned);
           ("pool.retried", p.retried);
         ]
-        @ cache "sim.decode_cache" (Sim.Interp.decode_cache_counters ())
-        @ cache "sim.engine_cache" (Sim.Engine.compile_cache_counters ())
+        @
+        if workers > 1 then []
+        else
+          cache "sim.decode_cache" (Sim.Interp.decode_cache_counters ())
+          @ cache "sim.engine_cache" (Sim.Engine.compile_cache_counters ())
       in
       let doc =
         Telemetry.Json.Obj

@@ -104,13 +104,12 @@ let measure_raw ?opts ?(log = Telemetry.Log.null)
   in
   let asm = Sim.Asm.assemble machine prog in
   let bank = Icache.Bank.create Icache.paper_configs in
-  let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
   (* The in-process deadline budget feeds only the interpreter (its fuel
      accounting doubles as the poll point): an expired budget raises
      [Budget.Exhausted] and surfaces as a pool-level [Timed_out] outcome,
      never as a silently different measurement — completed results stay
      identical to a sequential, budget-free sweep. *)
-  let res = Sim.Engine.run ~input:b.input ~on_fetch ~log ?budget asm prog in
+  let res = Sim.Engine.run ~input:b.input ~bank ~log ?budget asm prog in
   {
     program = b.name;
     level;

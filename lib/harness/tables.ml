@@ -176,8 +176,7 @@ let ablation_assoc ppf =
       Icache.Bank.create
         [ { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc } ]
     in
-    let on_fetch ~addr ~size = Icache.Bank.access bank ~addr ~size in
-    let _ = Sim.Engine.run ~input:b.input ~on_fetch asm prog in
+    let _ = Sim.Engine.run ~input:b.input ~bank asm prog in
     Icache.Bank.fetch_cost bank 0
   in
   List.iter

@@ -28,6 +28,11 @@ let config_name c =
     (if c.assoc = 1 then "direct" else Printf.sprintf "%d-way" c.assoc)
     (if c.context_switches then "on" else "off")
 
+(* Eviction epochs are drawn from one process-wide counter, so no two
+   banks (and no bank before and after a [reset]) ever share a value. *)
+let epochs = Atomic.make 0
+let fresh_epoch () = Atomic.fetch_and_add epochs 1 + 1
+
 (* A bank feeds one fetch stream to many configurations in a single pass.
    Per-cache state lives in flat int arrays indexed by a per-config
    offset, and the hit/LRU scan is a plain loop over ints, so an access
@@ -72,15 +77,29 @@ module Bank = struct
        comes due while the per-config [times] are stale.  [last_line], the
        line of the latest access, is resident in every config, which
        spares the tag compares for a run of fetches within one line.
-       That run is most fetches (72% on the paper sweep); without this
-       shortcut the bank's time on that sweep rises by 64% (ten perfbench
-       pairs, 2-vCPU Xeon VM). *)
+       Fed per fetch, that run is most fetches (72% on the paper sweep),
+       and without this shortcut the bank's time on that stream rises by
+       64% (ten perfbench pairs replaying it through [access], 2-vCPU
+       Xeon VM).  Fed by superblocks ([access_block]), 90% of
+       superblock executions settle by memo instead, and on the walks
+       that remain the shortcut measured no difference. *)
     mutable last_line : int;
     mutable pending : int;
     mutable headroom : int;
+    mutable epoch : int;
+        (** Redrawn on every tag write (miss), context-switch flush and
+            [reset] of a uniform bank: while it holds, no line has left
+            any config.  Block memos ([access_block]) record it. *)
   }
 
   type t = bank
+
+  (* Two ints per slice start [lo]: the epoch the slice last ran at with
+     every touch a hit, and its line-touch count.  0 is never an epoch,
+     so a fresh memo matches nothing. *)
+  type memo = int array
+
+  let memo n = Array.make (2 * n) 0
 
   let create config_list =
     let configs = Array.of_list config_list in
@@ -149,6 +168,7 @@ module Bank = struct
       last_line = -1;
       pending = 0;
       headroom = 0;
+      epoch = fresh_epoch ();
     }
 
   let reset t =
@@ -162,7 +182,8 @@ module Bank = struct
     Array.fill t.next_flush 0 n flush_interval;
     t.last_line <- -1;
     t.pending <- 0;
-    t.headroom <- 0
+    t.headroom <- 0;
+    t.epoch <- fresh_epoch ()
 
   (* Materialize the pending hits (fetches deferred because their line
      hit in every config) into the per-config statistics.  Every statistics reader and every slow-path access
@@ -225,7 +246,8 @@ module Bank = struct
      config's time, and while [headroom > 0] no context-switch flush
      comes due, so the per-line flush check would not have fired.  Only a
      miss in some config, a line-straddling fetch or exhausted headroom
-     takes the full per-config loop. *)
+     takes the full per-config loop, which draws a new epoch if it
+     writes a tag or flushes a config. *)
   let access_uniform t ~first ~last =
     let tags = t.tags in
     if
@@ -243,12 +265,14 @@ module Bank = struct
     let bhits = t.bhits and bmisses = t.bmisses and times = t.times in
     let ctx = t.ctx and next_flush = t.next_flush in
     let n = Array.length t.configs in
+    let evicted = ref false in
     for line = first to last do
       for i = 0 to n - 1 do
         if Array.unsafe_get ctx i
            && Array.unsafe_get times i >= Array.unsafe_get next_flush i
         then begin
           Array.fill tags t.offsets.(i) t.lines_per.(i) (-1);
+          evicted := true;
           while next_flush.(i) <= times.(i) do
             next_flush.(i) <- next_flush.(i) + flush_interval
           done
@@ -262,11 +286,13 @@ module Bank = struct
         end
         else begin
           Array.unsafe_set tags base line;
+          evicted := true;
           Array.unsafe_set bmisses i (Array.unsafe_get bmisses i + 1);
           Array.unsafe_set times i (Array.unsafe_get times i + miss_cost)
         end
       done
     done;
+    if !evicted then t.epoch <- fresh_epoch ();
     t.last_line <- last;
     t.headroom <- compute_headroom t
     end
@@ -349,6 +375,56 @@ module Bank = struct
     if sh >= 0 then
       access_uniform t ~first:(addr asr sh) ~last:((addr + span) asr sh)
     else access_general t ~addr ~span
+
+  (* A slice whose memo holds the current epoch ran, at that epoch, with
+     every line-touch a hit in every config.  Nothing has been evicted
+     since, so each of its lines is still resident everywhere, and with
+     [headroom >= touches] no flush comes due before its last touch: the
+     whole slice is [touches] pending hits.  Otherwise the slice is
+     walked fetch by fetch as [access] would, and the memo is written
+     only if the walk left the epoch where it found it (no miss, no
+     flush: every touch hit).  Inlining [access_uniform]'s same-line
+     shortcut into the walk measured no faster. *)
+  let access_block t memo addrs sizes lo hi =
+    let sh = t.uniform_shift in
+    if sh < 0 then
+      for j = lo to hi - 1 do
+        access t ~addr:addrs.(j) ~size:sizes.(j)
+      done
+    else begin
+      let e = t.epoch in
+      let k = 2 * lo in
+      let memoized = lo >= 0 && k < Array.length memo in
+      if
+        memoized
+        && Array.unsafe_get memo k = e
+        && t.headroom >= Array.unsafe_get memo (k + 1)
+      then begin
+        let touches = Array.unsafe_get memo (k + 1) in
+        t.pending <- t.pending + touches;
+        t.headroom <- t.headroom - touches;
+        (* Every line of the slice is resident everywhere; the last one
+           becomes [last_line]. *)
+        if hi > lo then begin
+          let size = sizes.(hi - 1) in
+          t.last_line <- (addrs.(hi - 1) + if size > 1 then size - 1 else 0) asr sh
+        end
+      end
+      else begin
+        let touches = ref 0 in
+        for j = lo to hi - 1 do
+          let addr = addrs.(j) and size = sizes.(j) in
+          let first = addr asr sh
+          and last = (addr + if size > 1 then size - 1 else 0) asr sh in
+          touches := !touches + (last - first + 1);
+          access_uniform t ~first ~last
+        done;
+        if memoized && t.epoch = e then begin
+          Array.unsafe_set memo k e;
+          Array.unsafe_set memo (k + 1) !touches
+        end
+      end
+    end
 
   let configs t = t.configs
 

@@ -38,7 +38,41 @@ module Bank : sig
 
   val create : config list -> t
   val reset : t -> unit
+
+  (** One fetch.  The library feeds banks through {!access_block} (the
+      engine's [~bank]); this per-fetch entry serves tests and tools
+      that replay a recorded stream. *)
   val access : t -> addr:int -> size:int -> unit
+
+  (** Per-slice memory for {!access_block}: a flat int array with a
+      slot for each slice start in [\[0, n)]. *)
+  type memo
+
+  (** [memo n] covers slices starting below [n]; a slice starting at
+      [lo >= n] is walked unmemoized ([memo 0] memoizes nothing). *)
+  val memo : int -> memo
+
+  (** [access_block t memo addrs sizes lo hi] feeds the fetches
+      [(addrs.(j), sizes.(j))] for [j] in [\[lo, hi)], in order, with
+      statistics exactly those of that many {!access} calls.
+
+      A uniform bank (all configs direct-mapped, one power-of-two line
+      size, power-of-two set counts) keeps an {e eviction epoch}: a
+      value from a process-wide counter, redrawn on every tag write (a
+      miss), every context-switch flush and every {!reset}.  A walk of
+      the slice that leaves the epoch unchanged hit on every
+      line-touch, and records the epoch and the touch count (a
+      straddling fetch counts two) in the memo slot of [lo].
+      While the epoch still holds, none of those lines has left any
+      config, so the next call settles the slice as [touches] pending
+      hits in O(1), provided no context-switch flush can come due within
+      [touches] hit units; otherwise it walks again.  Epochs are never
+      shared between banks or across a reset, so a memo may meet any
+      bank.  A memo slot belongs to one slice: pass each [lo] with the
+      same [hi], [addrs] and [sizes].  Other banks walk the slice
+      through the per-fetch path. *)
+  val access_block :
+    t -> memo -> int array -> int array -> int -> int -> unit
 
   (** Configurations in creation order; the [int] arguments below index
       this array. *)

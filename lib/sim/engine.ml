@@ -25,6 +25,12 @@ module D = Interp.Decoded
      order, interleaved with the instruction effects exactly as the
      reference interleaves them — a faulting run's fetch stream is the
      precise prefix, not a superblock's worth of prefetch;
+   - a fed [bank] sees the same fetches a superblock at a time: the
+     dispatch loop hands it each superblock's fixed fetch slice before
+     running the handler, and falls back to per-fetch feeding for the
+     rest of the run once the steps left no longer cover a slice, so a
+     timed-out run's statistics are exact too (a faulting one has no
+     result to carry them);
    - [Sim_progress] heartbeats carry the same instruction counts
      (tracked by a next-multiple threshold instead of a per-step
      modulus);
@@ -52,9 +58,8 @@ type state = {
   phys : int array;
   mutable virt : int array;  (** dense frame, swapped per call *)
   mutable cc : int;
-  mutable func : D.dfunc;
+  mutable cf : cfunc;  (** the current function *)
   mutable pos : int;
-  mutable handlers : handler array;  (** current function's, parallel to [func.dcode] *)
   cfuncs : cfunc array;
   mutable stack : frame list;
   input : string;
@@ -62,7 +67,7 @@ type state = {
   output : Buffer.t;
   counts : Interp.counts;
   fetch : addr:int -> size:int -> unit;
-  fetch_on : bool;
+  mutable fetch_on : bool;
   mutable steps_left : int;
   log : Telemetry.Log.t;
   log_on : bool;
@@ -73,8 +78,7 @@ type state = {
 }
 
 and frame = {
-  fr_func : D.dfunc;
-  fr_handlers : handler array;
+  fr_cf : cfunc;
   fr_pos : int;
   fr_virt : int array;
 }
@@ -82,7 +86,15 @@ and frame = {
 (** A handler runs one superblock and returns the next position. *)
 and handler = state -> int
 
-and cfunc = { src : D.dfunc; chandlers : handler array }
+and cfunc = {
+  src : D.dfunc;
+  chandlers : handler array;  (** parallel to [src.dcode] *)
+  slice_ends : int array;
+      (** per position [l], the end of the superblock at [l]'s fetch
+          slice [\[l, slice_ends.(l))]: through the terminator's delay
+          slot, fetched whether it runs or is squashed *)
+  memo : Icache.Bank.memo;  (** the slices' memo for a fed bank *)
+}
 
 (** A compiled program: the decode it was built from plus one [cfunc]
     per decoded function. *)
@@ -277,11 +289,12 @@ let tick st pos =
   let c = st.counts in
   let t = c.Interp.total + 1 in
   c.Interp.total <- t;
-  let rw = st.func.D.rw.(pos) in
+  let f = st.cf.src in
+  let rw = f.D.rw.(pos) in
   if rw land 1 <> 0 then c.Interp.loads <- c.Interp.loads + 1;
   if rw land 2 <> 0 then c.Interp.stores <- c.Interp.stores + 1;
   if st.fetch_on then
-    st.fetch ~addr:st.func.D.daddrs.(pos) ~size:st.func.D.dsizes.(pos);
+    st.fetch ~addr:f.D.daddrs.(pos) ~size:f.D.dsizes.(pos);
   if st.log_on && t >= st.next_heartbeat then begin
     Telemetry.Log.emit st.log (fun () ->
         Telemetry.Log.Sim_progress { instrs = t });
@@ -394,15 +407,13 @@ let compile_term (f : D.dfunc) delay_slots after m : state -> int =
       let cf = st.cfuncs.(callee) in
       st.stack <-
         {
-          fr_func = st.func;
-          fr_handlers = st.handlers;
+          fr_cf = st.cf;
           fr_pos = ret;
           fr_virt = st.virt;
         }
         :: st.stack;
       st.virt <- Array.make (Int.max 1 cf.src.D.nvirt) 0;
-      st.func <- cf.src;
-      st.handlers <- cf.chandlers;
+      st.cf <- cf;
       0
   | D.DCallB b ->
     let next = m + after in
@@ -426,8 +437,7 @@ let compile_term (f : D.dfunc) delay_slots after m : state -> int =
       match st.stack with
       | fr :: rest ->
         st.stack <- rest;
-        st.func <- fr.fr_func;
-        st.handlers <- fr.fr_handlers;
+        st.cf <- fr.fr_cf;
         st.virt <- fr.fr_virt;
         fr.fr_pos
       | [] -> raise (Exit_program (get_rtl st Conv.rv)))
@@ -506,12 +516,15 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
     if rw land 2 <> 0 then incr stores_k
   done;
   let nops_k = !nops_k and loads_k = !loads_k and stores_k = !stores_k in
-  let addrs = f.D.daddrs and sizes = f.D.dsizes in
   let after_prefix =
     match term with
     | Some t -> t
     | None -> fun _ -> n  (* run off the end; the dispatch loop faults *)
   in
+  (* The handler reads the function's arrays through [st.cf] (it runs
+     only while [st.cf.src == f]) rather than capturing them: a handler
+     is compiled for every position, and each captured value is a word
+     per position of every cached program. *)
   if p = 0 then after_prefix
   else
     fun st ->
@@ -519,7 +532,8 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
         (* Not enough fuel for the whole prefix: per-instruction tail,
            so [Out_of_steps] fires at the exact instruction with exact
            partial counts, fetches and output. *)
-        for j = l to prefix_end - 1 do
+        let code = st.cf.src.D.dcode in
+        for j = l to l + p - 1 do
           if code.(j) = D.DNop then
             st.counts.Interp.nops <- st.counts.Interp.nops + 1;
           tick st j;
@@ -545,14 +559,16 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
           st.next_budget <- (t1 lor Interp.budget_interval_mask) + 1
         end;
         st.steps_left <- st.steps_left - p;
-        if st.fetch_on then
-          for j = l to prefix_end - 1 do
+        if st.fetch_on then begin
+          let addrs = st.cf.src.D.daddrs and sizes = st.cf.src.D.dsizes in
+          for j = l to l + p - 1 do
             st.fetch ~addr:(Array.unsafe_get addrs j)
               ~size:(Array.unsafe_get sizes j);
             (Array.unsafe_get effs j) st
           done
+        end
         else
-          for j = l to prefix_end - 1 do
+          for j = l to l + p - 1 do
             (Array.unsafe_get effs j) st
           done;
         after_prefix st
@@ -568,7 +584,15 @@ let compile_func (f : D.dfunc) delay_slots after : cfunc =
   let handlers =
     Array.init n (fun l -> compile_block f delay_slots after effs l)
   in
-  { src = f; chandlers = handlers }
+  (* Each position's fetch slice ends after the next transfer's delay
+     slot (clipped to the code: a slot off the end faults). *)
+  let slice_ends = Array.make n n in
+  let next = ref n in
+  for l = n - 1 downto 0 do
+    if D.is_transfer f.D.dcode.(l) then next := l;
+    if !next < n then slice_ends.(l) <- Int.min n (!next + after)
+  done;
+  { src = f; chandlers = handlers; slice_ends; memo = Icache.Bank.memo n }
 
 let compile (decoded : D.t) : program =
   let after = if decoded.D.delay_slots then 2 else 1 in
@@ -629,9 +653,26 @@ let effective_steps budget max_steps =
 
 let no_fetch ~addr:_ ~size:_ = ()
 
-let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
+(* Per-fetch feeding of [bank], for the tail of a run whose fuel no
+   longer covers a whole superblock. *)
+let fetch_one bank =
+  let addrs = [| 0 |] and sizes = [| 0 |] and memo = Icache.Bank.memo 0 in
+  fun ~addr ~size ->
+    addrs.(0) <- addr;
+    sizes.(0) <- size;
+    Icache.Bank.access_block bank memo addrs sizes 0 1
+
+let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch ?bank
     ?(log = Telemetry.Log.null) ?budget (asm : Asm.t) (prog : Flow.Prog.t) =
   let max_steps = effective_steps budget max_steps in
+  let fetch =
+    match (on_fetch, bank) with
+    | Some _, Some _ ->
+      invalid_arg "Sim.Engine.run: ~on_fetch and ~bank are exclusive"
+    | Some f, None -> f
+    | None, Some b -> fetch_one b
+    | None, None -> no_fetch
+  in
   let image = Image.build_scratch prog in
   let decoded =
     Interp.decode_cached
@@ -667,16 +708,15 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
       phys = Array.make Conv.num_regs 0;
       virt = Array.make (max 1 main.src.D.nvirt) 0;
       cc = 0;
-      func = main.src;
+      cf = main;
       pos = 0;
-      handlers = main.chandlers;
       cfuncs = compiled.cfuncs;
       stack = [];
       input;
       input_pos = 0;
       output = Buffer.create 1024;
       counts;
-      fetch = (match on_fetch with Some f -> f | None -> no_fetch);
+      fetch;
       fetch_on = Option.is_some on_fetch;
       steps_left = max_steps;
       log;
@@ -693,13 +733,32 @@ let run ?(max_steps = 400_000_000) ?(input = "") ?on_fetch
   let exit_code =
     try
       let rec loop st =
-        let pos = st.pos in
-        if pos >= Array.length st.handlers then
-          error "fell off the end of %s" st.func.D.dname;
-        st.pos <- (Array.unsafe_get st.handlers pos) st;
+        let cf = st.cf and pos = st.pos in
+        if pos >= Array.length cf.chandlers then
+          error "fell off the end of %s" cf.src.D.dname;
+        st.pos <- (Array.unsafe_get cf.chandlers pos) st;
         loop st
       in
-      loop st
+      (* With a bank: one slice per superblock until the steps left no
+         longer cover the next slice; from there on the run feeds it
+         per fetch, so a timeout stops at the exact fetch. *)
+      let rec loop_bank bank st =
+        let cf = st.cf and pos = st.pos in
+        if pos >= Array.length cf.chandlers then
+          error "fell off the end of %s" cf.src.D.dname;
+        let hi = Array.unsafe_get cf.slice_ends pos in
+        if st.steps_left > hi - pos then begin
+          Icache.Bank.access_block bank cf.memo cf.src.D.daddrs
+            cf.src.D.dsizes pos hi;
+          st.pos <- (Array.unsafe_get cf.chandlers pos) st;
+          loop_bank bank st
+        end
+        else begin
+          st.fetch_on <- true;
+          loop st
+        end
+      in
+      match bank with Some b -> loop_bank b st | None -> loop st
     with
     | Exit_program code -> code
     | Out_of_steps ->

@@ -17,7 +17,8 @@
     branch folds into the transfer itself.
 
     Fusion is unobservable: the [on_fetch] stream is per-instruction and
-    in order (exact prefixes on faults and timeouts), heartbeats carry
+    in order (exact prefixes on faults and timeouts), a [~bank]'s
+    statistics are those of that stream, heartbeats carry
     exact instruction counts, and the step budget runs out at the exact
     instruction.  The test suite holds the engine to a re-resolving
     reference loop ([test/interp_oracle.ml]) over the full benchmark
@@ -28,9 +29,25 @@
 (** [run asm prog] loads [prog]'s data and executes from [main].
 
     [on_fetch] is called once per executed instruction (delay slots
-    included) with its code address and size — feed this to cache
-    simulators.  A squashed annulled slot is fetched but not executed:
-    it reaches [on_fetch] without entering the counts.
+    included) with its code address and size, in execution order, and
+    on a fault or timeout its calls are the exact prefix.  A squashed
+    annulled slot is fetched but not executed: it reaches [on_fetch]
+    without entering the counts.
+
+    [bank] is fed the same fetches a superblock at a time: each
+    superblock execution hands it one fixed slice (the straight-line
+    prefix, a fused compare, the terminator and its delay slot, fetched
+    whether it runs or is squashed) through
+    {!Icache.Bank.access_block}, which settles a slice in O(1) when it
+    last ran with every fetch a hit and the bank has evicted nothing
+    since.  A completed or
+    timed-out run leaves every bank statistic equal to feeding each
+    [on_fetch] call to {!Icache.Bank.access}: a superblock whose
+    remaining steps do not cover its slice, and the rest of the run
+    after it, are fed per fetch.  A faulting run (or one a [budget]
+    cancels) yields no result, so what it fed the bank is not
+    specified.  At most one of [on_fetch] and [bank] may be given
+    ([Invalid_argument] otherwise).
 
     With [log], a [Sim_progress] heartbeat is emitted every
     {!Interp.progress_interval} executed instructions.
@@ -47,6 +64,7 @@ val run :
   ?max_steps:int ->
   ?input:string ->
   ?on_fetch:(addr:int -> size:int -> unit) ->
+  ?bank:Icache.Bank.t ->
   ?log:Telemetry.Log.t ->
   ?budget:Telemetry.Budget.t ->
   Asm.t ->

@@ -323,6 +323,157 @@ let prop_bank_matches_oracle_on_loops =
       done;
       !ok && disagreements banks = [])
 
+(* --- access_block vs the oracle --------------------------------------
+
+   [access_block] must leave every statistic equal to feeding its slice
+   fetch by fetch to the oracle, whatever its memo remembers: a memo
+   written against another bank or before a [reset], and a memoized
+   block that a context-switch flush falls inside, must all be walked
+   again rather than settled as hits. *)
+
+(* A loop body of [n] RISC-sized fetches from [base], as engine slices
+   are: parallel address and size arrays. *)
+let block_arrays ?(base = 0x1000) ?(size = 4) n =
+  (Array.init n (fun j -> base + (j * size)), Array.make n size)
+
+let feed_block (bank, oracles) memo addrs sizes lo hi =
+  Icache.Bank.access_block bank memo addrs sizes lo hi;
+  for j = lo to hi - 1 do
+    Array.iter
+      (fun o -> Icache_oracle.access o ~addr:addrs.(j) ~size:sizes.(j))
+      oracles
+  done
+
+let with_oracles configs =
+  (Icache.Bank.create configs, Array.of_list (List.map Icache_oracle.create configs))
+
+let test_block_memo_other_bank () =
+  let addrs, sizes = block_arrays 12 in
+  let memo = Icache.Bank.memo 1 in
+  (* Bank [a] runs the block until the memo settles it. *)
+  let a = with_oracles Icache.paper_configs in
+  for _ = 1 to 3 do
+    feed_block a memo addrs sizes 0 12
+  done;
+  Alcotest.(check (list string)) "warm bank" [] (disagreements [ a ]);
+  (* A cold bank meets that memo after 0..3 misses of its own, so its
+     epoch has moved as often as [a]'s may have: the block must miss. *)
+  for misses = 0 to 3 do
+    let b = with_oracles Icache.paper_configs in
+    for k = 1 to misses do
+      let addr = 0x8000 + (k * 0x40) in
+      Icache.Bank.access (fst b) ~addr ~size:4;
+      Array.iter (fun o -> Icache_oracle.access o ~addr ~size:4) (snd b)
+    done;
+    feed_block b memo addrs sizes 0 12;
+    Alcotest.(check (list string))
+      (Printf.sprintf "cold bank after %d misses" misses)
+      [] (disagreements [ b ]);
+    Alcotest.(check int) "cold block misses" (misses + 3) (Icache.Bank.misses (fst b) 0)
+  done
+
+let test_block_memo_across_reset () =
+  let addrs, sizes = block_arrays 12 in
+  let memo = Icache.Bank.memo 1 in
+  let bank = Icache.Bank.create Icache.paper_configs in
+  for _ = 1 to 3 do
+    Icache.Bank.access_block bank memo addrs sizes 0 12
+  done;
+  Icache.Bank.reset bank;
+  let after =
+    (bank, Array.of_list (List.map Icache_oracle.create Icache.paper_configs))
+  in
+  feed_block after memo addrs sizes 0 12;
+  feed_block after memo addrs sizes 0 12;
+  Alcotest.(check (list string)) "reset bank" [] (disagreements [ after ]);
+  Alcotest.(check int) "cold again" 3 (Icache.Bank.misses bank 0)
+
+let test_block_flush_inside () =
+  (* Seven fetches do not divide 10,000 time units: the flushes of the
+     context-switching configs come due inside a memoized block, at a
+     different offset each time. *)
+  let addrs, sizes = block_arrays ~size:6 7 in
+  let memo = Icache.Bank.memo 1 in
+  let banks = [ with_oracles Icache.paper_configs ] in
+  let bad = ref [] in
+  for _ = 1 to 3_500 do
+    List.iter (fun b -> feed_block b memo addrs sizes 0 7) banks;
+    if !bad = [] then bad := disagreements banks
+  done;
+  Alcotest.(check (list string)) "flushes inside the block" [] !bad;
+  let bank = fst (List.hd banks) in
+  Alcotest.(check bool) "flushes happened" true
+    (Icache.Bank.misses bank 0 > Icache.Bank.misses bank 1)
+
+(* Random slice programs, as the engine hands them over: a code array
+   cut into superblocks at [ends], a slice from any position [l] to the
+   next end, run in random order (most starts at block heads, a few
+   mid-block) across many flushes, with statistics read mid-run. *)
+type slices = {
+  code : (int * int) array;  (** address, size *)
+  ends : int list;
+  starts : int list;
+}
+
+let gen_slices =
+  let open QCheck.Gen in
+  let* n = int_range 2 40 in
+  let* base = int_range 0 0x3FFF in
+  let* sizes =
+    list_repeat n
+      (frequency [ (5, return 4); (3, int_range 2 10); (1, int_range (-1) 1) ])
+  in
+  let* far = list_repeat n (opt ~ratio:0.1 (int_range 0 0xFFFFF)) in
+  let code =
+    let pc = ref base in
+    Array.of_list
+      (List.map2
+         (fun size far ->
+           let addr = match far with Some a -> a | None -> !pc in
+           pc := addr + max 1 size;
+           (addr, size))
+         sizes far)
+  in
+  let* cuts = list_size (int_range 1 8) (int_range 1 n) in
+  let ends = List.sort_uniq compare (n :: cuts) in
+  let heads = 0 :: List.filter (fun e -> e < n) ends in
+  let* starts =
+    list_size (int_range 20 200)
+      (frequency [ (8, oneofl heads); (1, int_range 0 (n - 1)) ])
+  in
+  return { code; ends; starts }
+
+let print_slices s =
+  Printf.sprintf "code [%s], ends [%s], starts [%s]"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (fun (a, z) -> Printf.sprintf "0x%x/%d" a z) s.code)))
+    (String.concat "; " (List.map string_of_int s.ends))
+    (String.concat "; " (List.map string_of_int s.starts))
+
+let prop_block_matches_oracle =
+  QCheck.Test.make ~name:"access_block equals the oracle on slice programs"
+    ~count:40
+    (QCheck.make ~print:print_slices gen_slices)
+    (fun s ->
+      let addrs = Array.map fst s.code and sizes = Array.map snd s.code in
+      let n = Array.length s.code in
+      let hi l = List.find (fun e -> e > l) s.ends in
+      let banks = banks_under_test () in
+      let memos = List.map (fun _ -> Icache.Bank.memo n) banks in
+      let ok = ref true in
+      (* Enough rounds for every context-switching config to flush. *)
+      for round = 1 to 60 do
+        List.iter
+          (fun l ->
+            List.iter2
+              (fun b memo -> feed_block b memo addrs sizes l (hi l))
+              banks memos)
+          s.starts;
+        if round mod 7 = 0 && disagreements banks <> [] then ok := false
+      done;
+      !ok && disagreements banks = [])
+
 let tests =
   ( "icache",
     [
@@ -343,4 +494,11 @@ let tests =
       QCheck_alcotest.to_alcotest prop_repeat_hits;
       QCheck_alcotest.to_alcotest prop_bank_matches_individual_caches;
       QCheck_alcotest.to_alcotest prop_bank_matches_oracle_on_loops;
+      Alcotest.test_case "block memo from another bank" `Quick
+        test_block_memo_other_bank;
+      Alcotest.test_case "block memo across reset" `Quick
+        test_block_memo_across_reset;
+      Alcotest.test_case "block flush inside a memoized block" `Quick
+        test_block_flush_inside;
+      QCheck_alcotest.to_alcotest prop_block_matches_oracle;
     ] )

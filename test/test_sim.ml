@@ -374,6 +374,139 @@ let prop_engines_agree_on_random =
                 Interp_oracle.run ~max_steps:3_000_000 ~on_fetch asm prog))
         [ Machine.risc; Machine.cisc ])
 
+(* --- feeding a cache bank by superblocks ------------------------------
+
+   [Engine.run ~bank] hands the bank one fetch slice per superblock
+   execution; every statistic of the bank must equal feeding each
+   [on_fetch] call to [Bank.access] — on completed runs and on runs cut
+   short by the step budget. *)
+
+let bank_stats bank =
+  Array.to_list
+    (Array.mapi
+       (fun i c ->
+         Printf.sprintf "%s hits %d misses %d accesses %d ratio %h cost %d"
+           (Icache.config_name c) (Icache.Bank.hits bank i)
+           (Icache.Bank.misses bank i)
+           (Icache.Bank.accesses bank i)
+           (Icache.Bank.miss_ratio bank i)
+           (Icache.Bank.fetch_cost bank i))
+       (Icache.Bank.configs bank))
+
+let check_bank_feed ?max_steps ?(input = "") name configs asm prog =
+  let per_fetch = Icache.Bank.create configs in
+  let r =
+    Sim.Engine.run ?max_steps ~input
+      ~on_fetch:(fun ~addr ~size -> Icache.Bank.access per_fetch ~addr ~size)
+      asm prog
+  in
+  let by_block = Icache.Bank.create configs in
+  let d = Sim.Engine.run ?max_steps ~input ~bank:by_block asm prog in
+  Alcotest.(check string) (name ^ " output") r.output d.output;
+  Alcotest.(check int) (name ^ " exit") r.exit_code d.exit_code;
+  Alcotest.(check bool) (name ^ " timeout") r.timed_out d.timed_out;
+  check_counts name r.counts d.counts;
+  Alcotest.(check (list string)) (name ^ " bank") (bank_stats per_fetch)
+    (bank_stats by_block)
+
+(* LRU sets and context switches beside the paper's eight: every fetch
+   takes the general path. *)
+let mixed_configs = Test_icache.mixed_configs
+
+let compiled level machine source =
+  let prog = Helpers.compile ~level ~machine source in
+  (Sim.Asm.assemble machine prog, prog)
+
+let configs_6 =
+  List.concat_map
+    (fun (machine, mname) ->
+      List.map
+        (fun level ->
+          (level, machine, Opt.Driver.level_name level ^ "/" ^ mname))
+        [ Opt.Driver.Simple; Opt.Driver.Loops; Opt.Driver.Jumps ])
+    [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
+
+let test_bank_feed_paper_matrix () =
+  List.iter
+    (fun (level, machine, cname) ->
+      List.iter
+        (fun (b : Programs.Suite.benchmark) ->
+          let asm, prog = compiled level machine b.source in
+          check_bank_feed ~input:b.input (b.name ^ "/" ^ cname)
+            Icache.paper_configs asm prog)
+        Programs.Suite.all)
+    configs_6
+
+let test_bank_feed_gen_seeds () =
+  for seed = 0 to 39 do
+    let src = Harness.Gen.to_c (Harness.Gen.generate (Random.State.make [| seed |])) in
+    List.iter
+      (fun (level, machine, cname) ->
+        let asm, prog = compiled level machine src in
+        check_bank_feed ~max_steps:3_000_000
+          (Printf.sprintf "gen%d/%s" seed cname)
+          Icache.paper_configs asm prog)
+      configs_6
+  done
+
+let test_bank_feed_mixed () =
+  List.iter
+    (fun (machine, mname) ->
+      List.iter
+        (fun (b : Programs.Suite.benchmark) ->
+          let asm, prog = compiled Opt.Driver.Jumps machine b.source in
+          check_bank_feed ~input:b.input (b.name ^ "/jumps/" ^ mname)
+            mixed_configs asm prog)
+        Programs.Suite.all)
+    [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ]
+
+let test_bank_feed_timeouts () =
+  (* Step exhaustion at every offset of the superblocks a run executes,
+     prefix, fused compare, terminator and delay slot included: a window
+     of consecutive budgets at startup, and one after the hot loops have
+     warmed the memos, longer than any of their iterations. *)
+  let loop_src =
+    "int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) s = s + i; \
+     return s & 255; }"
+  in
+  let sources =
+    ("loop", loop_src, "")
+    :: List.filter_map
+         (fun (b : Programs.Suite.benchmark) ->
+           if List.mem b.name [ "wc"; "sieve"; "bubblesort" ] then
+             Some (b.name, b.source, b.input)
+           else None)
+         Programs.Suite.all
+  in
+  Alcotest.(check int) "programs found" 4 (List.length sources);
+  List.iter
+    (fun (name, src, input) ->
+      List.iter
+        (fun (machine, mname) ->
+          let asm, prog = compiled Opt.Driver.Jumps machine src in
+          List.iter
+            (fun max_steps ->
+              List.iter
+                (fun configs ->
+                  check_bank_feed ~max_steps ~input
+                    (Printf.sprintf "%s/%s steps=%d" name mname max_steps)
+                    configs asm prog)
+                [ Icache.paper_configs; mixed_configs ])
+            (List.init 120 (fun k -> k + 1) @ List.init 120 (fun k -> 3_000 + k)))
+        [ (Machine.risc, "risc"); (Machine.cisc, "cisc") ])
+    sources
+
+let test_bank_feed_exclusive () =
+  let asm, prog = compiled Opt.Driver.Jumps Machine.risc "int main() { return 0; }" in
+  Alcotest.check_raises "on_fetch with bank"
+    (Invalid_argument "Sim.Engine.run: ~on_fetch and ~bank are exclusive")
+    (fun () ->
+      ignore
+        (Sim.Engine.run
+           ~on_fetch:(fun ~addr:_ ~size:_ -> ())
+           ~bank:(Icache.Bank.create Icache.paper_configs)
+           asm prog))
+
 let tests =
   ( "sim",
     [
@@ -398,4 +531,11 @@ let tests =
       Alcotest.test_case "engines match on fault" `Quick
         test_engine_matches_on_fault;
       QCheck_alcotest.to_alcotest prop_engines_agree_on_random;
+      Alcotest.test_case "bank feed: paper matrix" `Slow
+        test_bank_feed_paper_matrix;
+      Alcotest.test_case "bank feed: gen seeds" `Slow test_bank_feed_gen_seeds;
+      Alcotest.test_case "bank feed: mixed bank" `Slow test_bank_feed_mixed;
+      Alcotest.test_case "bank feed: timeouts" `Quick test_bank_feed_timeouts;
+      Alcotest.test_case "bank feed: exclusive with on_fetch" `Quick
+        test_bank_feed_exclusive;
     ] )

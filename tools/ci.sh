@@ -35,6 +35,14 @@ if grep -rnE 'Telemetry\.Metrics|Log\.metrics|r_counters' lib bin bench test; th
   echo "derive sweep counters from the rows (Report.counters)"; exit 1
 fi
 
+# A cache bank is fed by the engine, one slice per superblock
+# (Sim.Engine.run ~bank).  Per-fetch Bank.access stays exported for the
+# tests and perfbench's replay of a recorded fetch stream.
+echo "== banks are fed through Sim.Engine.run ~bank =="
+if grep -rnE 'Bank\.access([[:space:]]|$)' lib bin bench --exclude-dir=icache; then
+  echo "feed a cache bank through Sim.Engine.run ~bank"; exit 1
+fi
+
 # Figure 3 is one table of pass rows (lib/opt/driver.ml): a pass's gate,
 # certifier treatment and postcondition live in its row, never in a match
 # on its name elsewhere.
