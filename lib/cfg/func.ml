@@ -47,6 +47,15 @@ let with_blocks f blocks =
   if Array.length blocks = 0 then invalid_arg "Func.with_blocks: no blocks";
   { f with blocks; index = build_index blocks; encoding = None }
 
+let equal_blocks a b =
+  a.blocks == b.blocks
+  || Array.length a.blocks = Array.length b.blocks
+     && Array.for_all2
+          (fun x y ->
+            Label.equal x.label y.label
+            && List.equal Rtl.equal_instr x.instrs y.instrs)
+          a.blocks b.blocks
+
 let num_blocks f = Array.length f.blocks
 let block f i = f.blocks.(i)
 

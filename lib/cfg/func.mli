@@ -41,6 +41,11 @@ val encoding : t -> Encode.plan option
     plan was solved for this function's current linearization. *)
 val set_encoding : t -> Encode.plan option -> t
 
+(** Whether two functions have the same labels and the same RTLs in the
+    same positional order.  Names, supplies and encoding plans are not
+    compared. *)
+val equal_blocks : t -> t -> bool
+
 val num_blocks : t -> int
 val block : t -> int -> block
 

@@ -164,7 +164,9 @@ let ablation_assoc ppf =
   Fmt.pf ppf "change vs SIMPLE over the suite:@.@.";
   Fmt.pf ppf "%-12s %12s %12s@." "assoc" "LOOPS" "JUMPS";
   let machine = Ir.Machine.risc in
-  let fetch_cost assoc level (b : Programs.Suite.benchmark) =
+  let assocs = [ 1; 2; 4 ] in
+  (* One build per (level, program), run once per associativity. *)
+  let fetch_costs level (b : Programs.Suite.benchmark) =
     let prog =
       Opt.Driver.optimize
         { Opt.Driver.default_options with level }
@@ -172,27 +174,39 @@ let ablation_assoc ppf =
         (Frontend.Codegen.compile_source b.source)
     in
     let asm = Sim.Asm.assemble machine prog in
-    let bank =
-      Icache.Bank.create
-        [ { Icache.size_bytes = 1024; line_bytes = 16; context_switches = false; assoc } ]
-    in
-    let _ = Sim.Engine.run ~input:b.input ~bank asm prog in
-    Icache.Bank.fetch_cost bank 0
+    List.map
+      (fun assoc ->
+        let bank =
+          Icache.Bank.create
+            [
+              {
+                Icache.size_bytes = 1024;
+                line_bytes = 16;
+                context_switches = false;
+                assoc;
+              };
+            ]
+        in
+        let _ = Sim.Engine.run ~input:b.input ~bank asm prog in
+        Icache.Bank.fetch_cost bank 0)
+      assocs
   in
-  List.iter
-    (fun assoc ->
-      let delta level =
-        Report.mean
-          (List.map
-             (fun b ->
-               Report.change (fetch_cost assoc level b)
-                 (fetch_cost assoc Opt.Driver.Simple b))
-             Programs.Suite.all)
-      in
+  let costs level = List.map (fetch_costs level) Programs.Suite.all in
+  let simple = costs Opt.Driver.Simple in
+  let loops = costs Opt.Driver.Loops in
+  let jumps = costs Opt.Driver.Jumps in
+  let delta i costs =
+    Report.mean
+      (List.map2
+         (fun c s -> Report.change (List.nth c i) (List.nth s i))
+         costs simple)
+  in
+  List.iteri
+    (fun i assoc ->
       Fmt.pf ppf "%-12s %+11.2f%% %+11.2f%%@."
         (if assoc = 1 then "direct" else Printf.sprintf "%d-way" assoc)
-        (delta Opt.Driver.Loops) (delta Opt.Driver.Jumps))
-    [ 1; 2; 4 ];
+        (delta i loops) (delta i jumps))
+    assocs;
   Fmt.pf ppf "@."
 
 let ablation_passes ppf =

@@ -383,6 +383,12 @@ let delta before after =
    redundant as re-optimizing it.  Only the fixpoint has a memo; it is
    keyed by pass name, so isel's two slots share one entry.
 
+   The memo compares functions with [==]: it replays a pass only on the
+   very function it last left unchanged.  A pass handed an equal but
+   rebuilt function (cse after isel undid cse's last change) runs again;
+   [fix] catches the round that ends on its own input by comparing blocks
+   once per round, not once per presentation.
+
    A row presented to [func]: replayed from the memo, a no-change run when
    the row is disabled, else the pass in its boundary.  ([mem] then [find]
    allocates no option.) *)
@@ -498,10 +504,11 @@ let optimize_func_with ?(log = Telemetry.Log.null)
   let func, _, _ = walk g prefix func in
   let memo = Hashtbl.create 16 in
   (* The Figure-3 do-while loop. *)
-  let rec fix func n =
-    if n = 0 then func
+  let rec fix input n =
+    if n = 0 then input
     else begin
-      let func, changed, last_pass = walk ~memo g fixpoint func in
+      let quarantined = g.quarantined in
+      let func, changed, last_pass = walk ~memo g fixpoint input in
       Telemetry.Log.emit log (fun () ->
           Telemetry.Log.Fixpoint_iteration
             {
@@ -509,9 +516,19 @@ let optimize_func_with ?(log = Telemetry.Log.null)
               iteration = opts.max_iterations - n + 1;
               changed;
             });
-      if not changed then func
+      (* "Until no change" is read from the function as well as from the
+         flags: passes that undo each other within a round (cse and isel
+         on cisc) report changes while the round ends on its own input,
+         and the next round would repeat it.  A quarantine changes what the
+         next round runs, so a round that quarantined a pass is not a
+         fixpoint even when it ends on its input. *)
+      if
+        (not changed)
+        || SSet.equal g.quarantined quarantined
+           && Func.equal_blocks func input
+      then func
       else if n = 1 then begin
-        (* The iteration cap was hit while a pass still reported progress:
+        (* The iteration cap was hit while the function still changed:
            warn instead of silently stopping. *)
         Telemetry.Log.emit log (fun () ->
             Telemetry.Log.Fixpoint_diverged

@@ -88,7 +88,10 @@ and handler = state -> int
 
 and cfunc = {
   src : D.dfunc;
-  chandlers : handler array;  (** parallel to [src.dcode] *)
+  chandlers : handler array;
+      (** parallel to [src.dcode]: the superblock handler at an entry
+          point, {!enter_late} elsewhere until control first enters there *)
+  build : int -> handler;  (** compiles the superblock at a position *)
   slice_ends : int array;
       (** per position [l], the end of the superblock at [l]'s fetch
           slice [\[l, slice_ends.(l))]: through the terminator's delay
@@ -476,10 +479,7 @@ let compile_fused_cmp_branch (f : D.dfunc) delay_slots after ~cmp_pos ~br_pos
 
 (* The superblock starting at [l]: its straight-line prefix (simple
    instructions up to the next transfer) runs off one bulk accounting
-   header, then the terminator decides where to go.  Every position
-   gets a handler — control only ever enters at transfer targets,
-   post-transfer fall-throughs and the entry, but a handler per
-   position keeps the dispatch a plain array index.  [effs] is shared
+   header, then the terminator decides where to go.  [effs] is shared
    across all the function's superblocks, so overlapping blocks do not
    duplicate compiled effects. *)
 let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
@@ -522,9 +522,8 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
     | None -> fun _ -> n  (* run off the end; the dispatch loop faults *)
   in
   (* The handler reads the function's arrays through [st.cf] (it runs
-     only while [st.cf.src == f]) rather than capturing them: a handler
-     is compiled for every position, and each captured value is a word
-     per position of every cached program. *)
+     only while [st.cf.src == f]) rather than capturing them: each
+     captured value is a word per superblock of every cached program. *)
   if p = 0 then after_prefix
   else
     fun st ->
@@ -574,6 +573,42 @@ let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
         after_prefix st
       end
 
+(* The positions control can enter a function at: the entry, transfer
+   targets and the fall-throughs past a transfer (an untaken branch, a
+   call's return).  Fault ids (negative targets) and positions off the
+   end have no handler to enter. *)
+let entry_points (f : D.dfunc) after =
+  let n = Array.length f.D.dcode in
+  let entry = Array.make n false in
+  let mark p = if p >= 0 && p < n then entry.(p) <- true in
+  mark 0;
+  Array.iteri
+    (fun m -> function
+      | D.DBranch (_, tgt) ->
+        mark tgt;
+        mark (m + after)
+      | D.DJump tgt -> mark tgt
+      | D.DIjump (_, table) -> Array.iter mark table
+      | D.DCallF _ | D.DCallB _ -> mark (m + after)
+      | D.DCallU _ | D.DRet | D.DMove _ | D.DLea _ | D.DBinop _ | D.DUnop _
+      | D.DCmp _ | D.DEnter _ | D.DLeave | D.DNop ->
+        ())
+    f.D.dcode;
+  entry
+
+(* The one handler of every position that is not an entry point: control
+   that gets there anyway (the dispatch loop calls a handler with
+   [st.pos] at its position) compiles the position's superblock and
+   installs it. *)
+let enter_late st =
+  let cf = st.cf and l = st.pos in
+  let h = cf.build l in
+  cf.chandlers.(l) <- h;
+  h st
+
+(* Handlers are compiled for entry points only: a handler per position
+   would cost a fused closure and a terminator per instruction, where
+   control enters once per superblock. *)
 let compile_func (f : D.dfunc) delay_slots after : cfunc =
   let n = Array.length f.D.dcode in
   let effs =
@@ -581,8 +616,10 @@ let compile_func (f : D.dfunc) delay_slots after : cfunc =
       (fun i -> if D.is_transfer i then (fun _ -> ()) else effect i)
       f.D.dcode
   in
+  let build l = compile_block f delay_slots after effs l in
+  let entry = entry_points f after in
   let handlers =
-    Array.init n (fun l -> compile_block f delay_slots after effs l)
+    Array.init n (fun l -> if entry.(l) then build l else enter_late)
   in
   (* Each position's fetch slice ends after the next transfer's delay
      slot (clipped to the code: a slot off the end faults). *)
@@ -592,7 +629,13 @@ let compile_func (f : D.dfunc) delay_slots after : cfunc =
     if D.is_transfer f.D.dcode.(l) then next := l;
     if !next < n then slice_ends.(l) <- Int.min n (!next + after)
   done;
-  { src = f; chandlers = handlers; slice_ends; memo = Icache.Bank.memo n }
+  {
+    src = f;
+    chandlers = handlers;
+    build;
+    slice_ends;
+    memo = Icache.Bank.memo n;
+  }
 
 let compile (decoded : D.t) : program =
   let after = if decoded.D.delay_slots then 2 else 1 in

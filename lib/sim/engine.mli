@@ -9,7 +9,7 @@
     and before control moves, for taken and untaken branches alike.
 
     Compiles each pre-decoded function ({!Interp.Decoded}) into OCaml
-    closure chains — one handler per instruction position — with
+    closure chains — one handler per position control enters at — with
     superblock fusion: a straight-line run of simple instructions and
     its terminating transfer become a single handler that settles the
     run's bookkeeping in bulk and executes precompiled effect closures

@@ -63,7 +63,8 @@ type event =
   | Fixpoint_iteration of { func : string; iteration : int; changed : bool }
   | Fixpoint_diverged of { func : string; iterations : int; last_pass : string }
       (** the Figure-3 loop hit its iteration cap while [last_pass] still
-          reported a change *)
+          reported a change and the last round did not end on its own
+          input *)
   | Pass_quarantined of {
       func : string;
       pass : string;

@@ -1165,6 +1165,129 @@ let test_pipeline_signature () =
         passes)
     prog.Flow.Prog.funcs
 
+(* --- the fix loop's stop rule --- *)
+
+(* nbody's putnum at SIMPLE/cisc: from round 2 on, cse and isel undo each
+   other inside every round (EXPERIMENTS.md, "On cisc, cse and isel
+   cycle"), so the change flags never settle but the function does. *)
+let nbody = Option.get (Programs.Suite.find "nbody")
+
+let putnum () =
+  List.find
+    (fun f -> Func.name f = "putnum")
+    (Frontend.Codegen.compile_source nbody.source).Prog.funcs
+
+(* The change flag of every fix-loop round [fname] has run so far, from a
+   Memory log. *)
+let rounds log fname =
+  List.filter_map
+    (function
+      | Telemetry.Log.Fixpoint_iteration { func; changed; _ } when func = fname
+        ->
+        Some changed
+      | _ -> None)
+    (Telemetry.Log.events log)
+
+let quarantine_round log fname pass =
+  let rec go round = function
+    | [] -> Alcotest.failf "%s/%s was not quarantined" fname pass
+    | Telemetry.Log.Fixpoint_iteration { func; _ } :: rest when func = fname ->
+      go (round + 1) rest
+    | Telemetry.Log.Pass_quarantined q :: _
+      when q.func = fname && q.pass = pass ->
+      round
+    | _ :: rest -> go round rest
+  in
+  go 1 (Telemetry.Log.events log)
+
+(* The digest test/opt_digests.expected pins for a compile, read from the
+   copy dune places beside the test (a [deps] of the test). *)
+let pinned_digest key =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "opt_digests.expected"
+  in
+  let prefix = key ^ " " in
+  let line =
+    List.find
+      (String.starts_with ~prefix)
+      (String.split_on_char '\n'
+         (In_channel.with_open_bin path In_channel.input_all))
+  in
+  let n = String.length prefix in
+  String.sub line n (String.length line - n)
+
+let test_fix_stops_on_its_input () =
+  let log = Telemetry.Log.make Telemetry.Log.Memory in
+  let diags = ref [] in
+  let prog =
+    Opt.Driver.compile ~log ~diags Opt.Driver.default_options Machine.cisc
+      nbody.source
+  in
+  let rs = rounds log "putnum" in
+  Alcotest.(check bool) "putnum converges in fewer than 8 rounds" true
+    (List.length rs < Opt.Driver.default_options.max_iterations);
+  Alcotest.(check bool) "its last round still reported a change" true
+    (List.nth rs (List.length rs - 1));
+  Alcotest.(check bool) "no fixpoint divergence" false
+    (List.exists
+       (function Telemetry.Log.Fixpoint_diverged _ -> true | _ -> false)
+       (Telemetry.Log.events log));
+  Alcotest.(check bool) "no no-convergence diagnostic" false
+    (List.exists
+       (fun d -> d.Telemetry.Diag.code = Telemetry.Diag.No_convergence)
+       !diags);
+  (* The program is the one the 8-round cap gave. *)
+  Alcotest.(check string) "nbody SIMPLE cisc digest"
+    (pinned_digest "nbody SIMPLE cisc")
+    (Digest.to_hex (Digest.string (Fmt.str "%a" Prog.pp prog)))
+
+(* A fix-loop pass convicted by the certifier is quarantined, and the loop
+   goes on to a round without it; the rolled-back program stays correct. *)
+let test_fix_runs_on_after_a_quarantine () =
+  let log = Telemetry.Log.make Telemetry.Log.Memory in
+  let opts =
+    {
+      Opt.Driver.default_options with
+      certify = true;
+      inject_fault = Some "cse:flip-branch";
+    }
+  in
+  let prog = Opt.Driver.compile ~log opts Machine.cisc nbody.source in
+  let round = quarantine_round log "putnum" "cse" in
+  Alcotest.(check bool) "a round runs after the quarantine" true
+    (List.length (rounds log "putnum") > round);
+  let asm = Sim.Asm.assemble Machine.cisc prog in
+  let res = Sim.Engine.run ~input:nbody.input asm prog in
+  Alcotest.(check string) "output" nbody.expected_output res.output
+
+(* A round that ends on its own input but quarantined a pass is not the
+   fixpoint: the next round runs without that pass.  Replication (an
+   identity at SIMPLE) raises in the round where a clean compile of putnum
+   stops. *)
+let test_quarantine_is_not_a_fixpoint () =
+  let compile replicate =
+    let log = Telemetry.Log.make Telemetry.Log.Memory in
+    ignore
+      (Opt.Driver.optimize_func_with ~log ~replicate:(replicate log)
+         Opt.Driver.default_options Machine.cisc (putnum ()));
+    log
+  in
+  let clean = compile (fun _ ?allow_irreducible:_ f -> (f, false)) in
+  let last = List.length (rounds clean "putnum") in
+  let failing =
+    compile (fun log ?(allow_irreducible = false) f ->
+        let round = List.length (rounds log "putnum") + 1 in
+        if (not allow_irreducible) && round = last then
+          failwith "replication fails"
+        else (f, false))
+  in
+  Alcotest.(check int) "quarantined in the last clean round" last
+    (quarantine_round failing "putnum" "replicate");
+  Alcotest.(check int) "one more round" (last + 1)
+    (List.length (rounds failing "putnum"))
+
 let tests =
   ( "opt",
     [
@@ -1215,5 +1338,11 @@ let tests =
       Alcotest.test_case "isel forgets stale facts" `Quick test_isel_forgets_facts;
       Alcotest.test_case "pipeline signature matches the passes run" `Quick
         test_pipeline_signature;
+      Alcotest.test_case "fix loop stops on its own input" `Quick
+        test_fix_stops_on_its_input;
+      Alcotest.test_case "fix loop runs on after a quarantine" `Quick
+        test_fix_runs_on_after_a_quarantine;
+      Alcotest.test_case "a quarantining round is not a fixpoint" `Quick
+        test_quarantine_is_not_a_fixpoint;
       QCheck_alcotest.to_alcotest prop_passes_keep_legality;
     ] )

@@ -393,6 +393,22 @@ for lvl in simple loops jumps; do
 done
 echo "certify: $(grep -c ' 0 refuted' _build/certify-jumps.txt) targets x 3 levels, zero refutations"
 
+# Figure 3's loop runs "until no change", read from the function: a round
+# that ends on its own input is the fixpoint even when passes that undo
+# each other (cse and isel on cisc) report changes.  So no function of
+# the corpus reaches the iteration cap on either machine.
+echo "== certify: the fix loop converges everywhere, all levels x machines =="
+for lvl in simple loops jumps; do
+  for m in risc cisc; do
+    dune exec bin/jumprepc.exe -- certify --benches -O "$lvl" -m "$m" \
+      > "_build/converge-$lvl-$m.txt" 2>&1
+    if grep 'no-convergence' "_build/converge-$lvl-$m.txt"; then
+      echo "certify: fix loop hit its iteration cap at $lvl/$m"; exit 1
+    fi
+  done
+done
+echo "certify: no [no-convergence] diagnostic at 3 levels x 2 machines"
+
 # A deliberately corrupted pass must be statically refuted (exit 1) with
 # a counterexample path, and the rolled-back pipeline must stay correct.
 if dune exec bin/jumprepc.exe -- certify examples/c/collatz.c -O jumps \
