@@ -17,3 +17,7 @@ val create : ?size:int -> unit -> ('k, 'v) t
 (** [find t k compute] returns the cached value for [k] (compared with
     [==]) or runs [compute k], stores and returns the result. *)
 val find : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
+
+(** [add t k v] stores [v] as [k]'s value, as [find] would after
+    computing it. *)
+val add : ('k, 'v) t -> 'k -> 'v -> unit

@@ -62,6 +62,60 @@ let fold_backward t f instrs i ~init =
       acc)
     instrs init
 
+type swept = { kept : Rtl.instr list; live_in_changed : bool; lost : Reg.t list }
+
+(* The registers [instrs] read before writing, [words] wide. *)
+let upward_exposed words instrs =
+  let buf = Array.make words 0 in
+  List.fold_right
+    (fun instr () ->
+      Rtl.iter_defs (fun r -> clear buf 0 (index r)) instr;
+      Rtl.iter_uses (fun r -> set buf 0 (index r)) instr)
+    instrs ();
+  buf
+
+let sweep t drop instrs i =
+  let words = t.words in
+  let buf = Array.sub t.live_out (i * words) words in
+  let after = { Regs.bits = buf; off = 0; words } in
+  let kill r = clear buf 0 (index r) in
+  let gen r = set buf 0 (index r) in
+  let dropped = ref false in
+  let kept =
+    List.fold_right
+      (fun instr acc ->
+        if drop instr ~live_after:after then begin
+          dropped := true;
+          acc
+        end
+        else begin
+          Rtl.iter_defs kill instr;
+          Rtl.iter_uses gen instr;
+          instr :: acc
+        end)
+      instrs []
+  in
+  if not !dropped then None
+  else begin
+    let off = i * words in
+    let changed = ref false in
+    for w = 0 to words - 1 do
+      if buf.(w) <> t.live_in.(off + w) then changed := true
+    done;
+    let lost =
+      if !changed then []
+      else begin
+        (* Dropping only removes uses, so the kept code's upward-exposed
+           registers are a subset of the whole block's. *)
+        let before = upward_exposed words instrs in
+        let still = upward_exposed words kept in
+        Array.iteri (fun w s -> before.(w) <- before.(w) land lnot s) still;
+        Regs.fold List.cons { Regs.bits = before; off = 0; words } []
+      end
+    in
+    Some { kept; live_in_changed = !changed; lost }
+  end
+
 (* Per-block gen (upward-exposed uses) and kill (every definition) sets,
    [words] wide.  A register past that width is left out; the result's
    third component is the highest such index, 0 when everything fit. *)

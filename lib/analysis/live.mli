@@ -56,6 +56,26 @@ val fold_backward :
   init:'a ->
   'a
 
+(** A block swept by {!sweep}: the instructions kept, whether their
+    live-in differs from the solved live-in, and, when it does not, the
+    registers the dropped instructions read before any write that no kept
+    instruction reads so any more. *)
+type swept = { kept : Rtl.instr list; live_in_changed : bool; lost : Reg.t list }
+
+(** [sweep t drop instrs i] walks [instrs] (block [i]'s instructions)
+    from last to first, starting from the solved live-out, and drops each
+    instruction for which [drop instr ~live_after] holds.  A dropped
+    instruction neither kills nor generates, so [live_after] is the
+    liveness of the instructions kept below it, and a chain of dead
+    instructions inside the block goes in one walk.  The view is one
+    buffer updated in place.  [None] when nothing was dropped. *)
+val sweep :
+  t ->
+  (Rtl.instr -> live_after:Regs.t -> bool) ->
+  Rtl.instr list ->
+  int ->
+  swept option
+
 (** [regs] guesses the width: one more than the highest register number
     the blocks mention.  The blocks are scanned once at that width; a short
     guess costs a second scan at the measured width, never a wrong

@@ -24,6 +24,10 @@ let solve ?cfg func =
 let compute ?cfg func =
   { func; facts = Analysis.Cache.find cache func (solve ?cfg) }
 
+let adopt t func =
+  Analysis.Cache.add cache func t.facts;
+  { func; facts = t.facts }
+
 let stats t = Analysis.Live.stats t.facts
 let live_in t i = Analysis.Live.live_in t.facts i
 let live_out t i = Analysis.Live.live_out t.facts i
@@ -32,6 +36,9 @@ let mem_out t i r = Regs.mem (live_out t i) r
 
 let fold_backward t f i ~init =
   Analysis.Live.fold_backward t.facts f (Func.block t.func i).instrs i ~init
+
+let sweep t drop i =
+  Analysis.Live.sweep t.facts drop (Func.block t.func i).instrs i
 
 let dead_result ~cc live_after instr =
   let written = ref false and live = ref false in

@@ -15,6 +15,12 @@ module Regs = Analysis.Live.Regs
     memoized per process on the physical identity of [func]. *)
 val compute : ?cfg:Cfg.t -> Func.t -> t
 
+(** [adopt t func] gives [func] the facts of [t], and [compute func]
+    recalls them while they are cached.  The caller warrants that they
+    are [func]'s own: same control flow, and every block's live-in and
+    live-out sets those [compute func] would solve. *)
+val adopt : t -> Func.t -> t
+
 val stats : t -> Analysis.Dataflow.stats
 
 (** Registers live on entry to / exit from block [i]. *)
@@ -37,6 +43,13 @@ val fold_backward :
   int ->
   init:'a ->
   'a
+
+(** [sweep t drop i] is {!Analysis.Live.sweep} over block [i]. *)
+val sweep :
+  t ->
+  (Rtl.instr -> live_after:Regs.t -> bool) ->
+  int ->
+  Analysis.Live.swept option
 
 (** [dead_result ~cc live_after instr]: [instr] writes at least one
     register and none of them is in [live_after].  [Cc] counts as a

@@ -164,7 +164,7 @@ let gcse = row "gcse" (fun _ -> Gcse.run) ~enabled:(fun o -> o.enable_cse)
 let deadvars = row "deadvars" (fun _ -> Deadvars.run)
 
 let licm =
-  row "licm" (fun _ -> Licm.run) ~enabled:(fun o -> o.enable_licm)
+  row "licm" (fun _ f -> Licm.run f) ~enabled:(fun o -> o.enable_licm)
     ~uncertifiable:
       "loop-invariant code motion inserts preheaders and moves code across \
        blocks"

@@ -25,9 +25,49 @@
 
     A loop that hoisted nothing is not analysed again until a hoist
     touches one of its body blocks or exit targets; the CFG, dominators
-    and loop forest are updated for each preheader rather than rebuilt. *)
+    and loop forest are updated for each preheader rather than rebuilt,
+    and liveness is solved again only when a query lands in a block a
+    hoist changed ({!Live}). *)
 
-val run : Flow.Func.t -> Flow.Func.t * bool
+(** Liveness kept across preheader edits.  A hoist changes liveness only
+    in the hoisted loop's body and its jump-only stub, if any: the new
+    preheader's live-in is the old header's, and every path from a block
+    outside the loop into it enters through the preheader.  So the facts
+    of the last solve answer, by label, for every block except those
+    (dirty) ones; a preheader answers with its header's facts, unless the
+    header was already dirty, when it is dirty too. *)
+module Live : sig
+  type t
+
+  (** Nothing solved yet: the first query solves. *)
+  val create : unit -> t
+
+  (** Solve for the function, forgetting every earlier edit. *)
+  val solve : ?cfg:Flow.Cfg.t -> t -> Flow.Func.t -> unit
+
+  (** [note_hoist t ~before loop ~after]: [after] is [before] with
+      [loop] hoisted into a fresh preheader (and stub).  Nothing is
+      solved. *)
+  val note_hoist :
+    t -> before:Flow.Func.t -> Flow.Loops.loop -> after:Flow.Func.t -> unit
+
+  (** The kept live-in of block [i] of the current function, or [None]
+      when it is dirty or nothing was solved. *)
+  val kept_in : t -> Flow.Func.t -> int -> Flow.Liveness.Regs.t option
+
+  (** [mem_in t g func i r]: whether [r] is live into block [i] of
+      [func] (whose graph is [g]); solves [func] again when the kept
+      facts cannot tell. *)
+  val mem_in : t -> Flow.Cfg.t -> Flow.Func.t -> int -> Ir.Reg.t -> bool
+end
+
+(** [on_hoist ~before loop ~after live] is called after each hoist, once
+    [live] has noted it. *)
+val run :
+  ?on_hoist:
+    (before:Flow.Func.t -> Flow.Loops.loop -> after:Flow.Func.t -> Live.t -> unit) ->
+  Flow.Func.t ->
+  Flow.Func.t * bool
 
 (** Insert an empty preheader block positionally just before the loop's
     header and redirect every edge into the header from outside the loop

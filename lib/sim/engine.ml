@@ -477,34 +477,40 @@ let compile_fused_cmp_branch (f : D.dfunc) delay_slots after ~cmp_pos ~br_pos
       next
     end
 
+(* The closure ending a superblock whose transfer is at [m]: the transfer
+   itself, or, when [fused] holds, the compare at [m - 1] fused with the
+   conditional branch at [m]. *)
+let compile_tail (f : D.dfunc) delay_slots after ~fused m =
+  if not fused then compile_term f delay_slots after m
+  else
+    match (f.D.dcode.(m - 1), f.D.dcode.(m)) with
+    | D.DCmp (a, b), D.DBranch (cond, tgt) ->
+      compile_fused_cmp_branch f delay_slots after ~cmp_pos:(m - 1) ~br_pos:m a
+        b cond tgt
+    | _ -> invalid_arg "Engine.compile_tail: no compare and branch to fuse"
+
 (* The superblock starting at [l]: its straight-line prefix (simple
    instructions up to the next transfer) runs off one bulk accounting
    header, then the terminator decides where to go.  [effs] is shared
    across all the function's superblocks, so overlapping blocks do not
-   duplicate compiled effects. *)
-let compile_block (f : D.dfunc) delay_slots after (effs : (state -> unit) array)
-    l : handler =
+   duplicate compiled effects; [tail ~fused m] supplies the terminator,
+   which superblocks ending at the same transfer may share too. *)
+let compile_block (f : D.dfunc) (effs : (state -> unit) array) tail l : handler
+    =
   let code = f.D.dcode in
   let n = Array.length code in
   let m = ref l in
   while !m < n && not (D.is_transfer code.(!m)) do incr m done;
   (* Fuse a trailing compare into a conditional-branch terminator. *)
-  let fused, prefix_end =
-    if !m < n && !m > l then
-      match (code.(!m - 1), code.(!m)) with
-      | D.DCmp (a, b), D.DBranch (cond, tgt) ->
-        ( Some
-            (compile_fused_cmp_branch f delay_slots after ~cmp_pos:(!m - 1)
-               ~br_pos:!m a b cond tgt),
-          !m - 1 )
-      | _ -> (None, !m)
-    else (None, !m)
+  let fused =
+    !m < n && !m > l
+    &&
+    match (code.(!m - 1), code.(!m)) with
+    | D.DCmp _, D.DBranch _ -> true
+    | _ -> false
   in
-  let term =
-    match fused with
-    | Some t -> Some t
-    | None -> if !m < n then Some (compile_term f delay_slots after !m) else None
-  in
+  let prefix_end = if fused then !m - 1 else !m in
+  let term = if !m < n then Some (tail ~fused !m) else None in
   let p = prefix_end - l in
   (* Class totals of the prefix: simple instructions only touch the
      total/nop/load/store counters. *)
@@ -608,7 +614,11 @@ let enter_late st =
 
 (* Handlers are compiled for entry points only: a handler per position
    would cost a fused closure and a terminator per instruction, where
-   control enters once per superblock. *)
+   control enters once per superblock.  Entry points inside one
+   superblock (a branch target in the middle of a straight-line run)
+   share its terminator: positions are built in increasing order, so the
+   entry points ending at one transfer come one after another, and the
+   last terminator built is the one they reuse. *)
 let compile_func (f : D.dfunc) delay_slots after : cfunc =
   let n = Array.length f.D.dcode in
   let effs =
@@ -616,7 +626,16 @@ let compile_func (f : D.dfunc) delay_slots after : cfunc =
       (fun i -> if D.is_transfer i then (fun _ -> ()) else effect i)
       f.D.dcode
   in
-  let build l = compile_block f delay_slots after effs l in
+  let last = ref None in
+  let tail ~fused m =
+    match !last with
+    | Some (m', fused', t) when m' = m && fused' = fused -> t
+    | Some _ | None ->
+      let t = compile_tail f delay_slots after ~fused m in
+      last := Some (m, fused, t);
+      t
+  in
+  let build l = compile_block f effs tail l in
   let entry = entry_points f after in
   let handlers =
     Array.init n (fun l -> if entry.(l) then build l else enter_late)

@@ -4,7 +4,11 @@
    so a compiler change that is meant to keep the output byte-identical
    can be checked to do so.
 
-   Usage: dune exec test/opt_digests.exe > digests.txt *)
+   Every no-convergence diagnostic of these compiles goes to standard
+   error, one line each, so tools/ci.sh can require that Figure 3's loop
+   reaches its fixpoint on the generated functions too.
+
+   Usage: dune exec test/opt_digests.exe > digests.txt 2> diags.txt *)
 
 let programs =
   List.map
@@ -21,11 +25,19 @@ let () =
         (fun level ->
           List.iter
             (fun (machine : Ir.Machine.t) ->
+              let diags = ref [] in
               let prog =
-                Opt.Driver.compile
+                Opt.Driver.compile ~diags
                   { Opt.Driver.default_options with level }
                   machine source
               in
+              List.iter
+                (fun (d : Telemetry.Diag.t) ->
+                  if d.code = Telemetry.Diag.No_convergence then
+                    Printf.eprintf "%s %s %s %s\n%!" name
+                      (Opt.Driver.level_name level)
+                      machine.short (Telemetry.Diag.to_string d))
+                !diags;
               let text = Fmt.str "%a" Flow.Prog.pp prog in
               Printf.printf "%s %s %s %s\n%!" name
                 (Opt.Driver.level_name level)

@@ -235,6 +235,86 @@ let test_deadvars_keeps_live_cmp () =
   let f', _ = Opt.Deadvars.run f in
   Alcotest.(check int) "cmp kept" 3 (List.length (Func.block f' 0).instrs)
 
+(* The registers of a liveness set, for comparison. *)
+let regs_of set = Liveness.Regs.fold List.cons set []
+
+(* The facts [Liveness.compute f] returns (kept or adopted) equal a
+   fresh solve's. *)
+let liveness_is_fresh f =
+  let kept = Liveness.compute f and fresh = Liveness.compute (Helpers.fork f) in
+  List.for_all
+    (fun i ->
+      regs_of (Liveness.live_in kept i) = regs_of (Liveness.live_in fresh i)
+      && regs_of (Liveness.live_out kept i) = regs_of (Liveness.live_out fresh i))
+    (List.init (Func.num_blocks f) Fun.id)
+
+(* One run removes the whole dead chain: [left] RTLs per block stay, a
+   second run finds nothing, and the facts left for the next pass are
+   the output's own. *)
+let check_deadvars_one_run name blocks ~left =
+  let f', changed = Opt.Deadvars.run (mk name blocks) in
+  Alcotest.(check bool) (name ^ ": changed") true changed;
+  Alcotest.(check (list int)) (name ^ ": RTLs left") left
+    (Array.to_list (Array.map Func.block_size (Func.blocks f')));
+  Alcotest.(check bool) (name ^ ": second run") false (snd (Opt.Deadvars.run f'));
+  Alcotest.(check bool) (name ^ ": facts") true (liveness_is_fresh f')
+
+let test_deadvars_chain_in_block () =
+  check_deadvars_one_run "dv-block"
+    [
+      (fun _ ->
+        [
+          Rtl.Enter 8;
+          Rtl.Move (Lreg (v 0), Imm 1);
+          Rtl.Binop (Add, Lreg (v 1), Reg (v 0), Imm 1);
+          Rtl.Binop (Mul, Lreg (v 2), Reg (v 1), Imm 2);
+          Rtl.Move (Lreg Ir.Conv.rv, Imm 0);
+          Rtl.Leave;
+          Rtl.Ret;
+        ]);
+    ]
+    ~left:[ 4 ]
+
+let test_deadvars_chain_across_blocks () =
+  (* v1 dies with block 1's multiply: block 1's live-in changes, so the
+     run solves again and sweeps block 0. *)
+  check_deadvars_one_run "dv-blocks"
+    [
+      (fun _ ->
+        [
+          Rtl.Enter 8;
+          Rtl.Move (Lreg (v 0), Imm 1);
+          Rtl.Binop (Add, Lreg (v 1), Reg (v 0), Imm 1);
+        ]);
+      (fun _ ->
+        [
+          Rtl.Binop (Mul, Lreg (v 2), Reg (v 1), Imm 2);
+          Rtl.Move (Lreg Ir.Conv.rv, Imm 0);
+          Rtl.Leave;
+          Rtl.Ret;
+        ]);
+    ]
+    ~left:[ 1; 3 ]
+
+let test_deadvars_read_only_around_loop () =
+  (* v0 is live around the loop only for the dead v1 := v0 + 1: after the
+     sweep the loop block's live-in is unchanged (v0 still flows in from
+     its own exit), but nothing reads v0 any more, so v0 := 5 goes too. *)
+  check_deadvars_one_run "dv-loop"
+    [
+      (fun _ ->
+        [ Rtl.Enter 8; Rtl.Move (Lreg (v 0), Imm 5); Rtl.Move (Lreg (v 3), Imm 0) ]);
+      (fun l ->
+        [
+          Rtl.Binop (Add, Lreg (v 1), Reg (v 0), Imm 1);
+          Rtl.Binop (Add, Lreg (v 3), Reg (v 3), Imm 1);
+          Rtl.Cmp (Reg (v 3), Imm 10);
+          Rtl.Branch (Lt, l.(1));
+        ]);
+      (fun _ -> [ Rtl.Move (Lreg Ir.Conv.rv, Reg (v 3)); Rtl.Leave; Rtl.Ret ]);
+    ]
+    ~left:[ 2; 3; 3 ]
+
 (* --- CSE --- *)
 
 let test_cse_local () =
@@ -625,10 +705,10 @@ let check_licm_oracle f =
   Alcotest.(check bool) (Func.name f ^ ": oracle change flag") ochanged changed;
   (f', changed)
 
-(* Licm's input in the first fixpoint round: the driver's passes up to
-   deadvars, run directly rather than through the driver's verifying
+(* Deadvars' input in the first fixpoint round: the driver's passes up to
+   gcse, run directly rather than through the driver's verifying
    boundary. *)
-let licm_input level machine f =
+let deadvars_input level machine f =
   let opts = Opt.Driver.options ~level () in
   let replicate f =
     match level with
@@ -651,28 +731,34 @@ let licm_input level machine f =
     [
       Opt.Branch_chain.run; Opt.Unreachable.run; Opt.Reorder.run;
       Opt.Branch_chain.run; replicate; Opt.Unreachable.run;
-      Opt.Isel.run machine; Opt.Cse.run; Opt.Gcse.run; Opt.Deadvars.run;
+      Opt.Isel.run machine; Opt.Cse.run; Opt.Gcse.run;
     ]
 
-(* Every function of the corpus and of Gen seeds 0-9, at each level, for
-   both machines. *)
-let licm_inputs =
-  lazy
-    (let sources =
-       List.map (fun (b : Programs.Suite.benchmark) -> b.source) Programs.Suite.all
-       @ List.init 10 (fun seed ->
-             Harness.Gen.to_c (Harness.Gen.generate (Random.State.make [| seed |])))
-     in
-     List.concat_map
-       (fun src ->
-         let prog = Frontend.Codegen.compile_source src in
-         List.concat_map
-           (fun machine ->
-             List.concat_map
-               (fun level -> List.map (licm_input level machine) prog.Prog.funcs)
-               Helpers.levels)
-           Helpers.machines)
-       sources)
+(* Licm's input in the first fixpoint round. *)
+let licm_input level machine f =
+  fst (Opt.Deadvars.run (deadvars_input level machine f))
+
+(* [input level machine] of every function of [sources], at each level,
+   for both machines. *)
+let pipeline_inputs input sources =
+  List.concat_map
+    (fun (_, src) ->
+      let prog = Frontend.Codegen.compile_source src in
+      List.concat_map
+        (fun machine ->
+          List.concat_map
+            (fun level -> List.map (input level machine) prog.Prog.funcs)
+            Helpers.levels)
+        Helpers.machines)
+    sources
+
+let corpus_and_gen_below n =
+  List.filteri
+    (fun i _ -> i < List.length Programs.Suite.all + n)
+    Helpers.corpus_and_gen
+
+(* Every function of the corpus and of Gen seeds 0-9. *)
+let licm_inputs = lazy (pipeline_inputs licm_input (corpus_and_gen_below 10))
 
 let test_licm_matches_oracle () =
   let changed =
@@ -683,6 +769,111 @@ let test_licm_matches_oracle () =
   Printf.printf "%d of %d functions hoisted\n" changed
     (List.length (Lazy.force licm_inputs));
   Alcotest.(check bool) "some function hoists" true (changed > 0)
+
+(* --- Deadvars against the single-layer oracle iterated --- *)
+
+(* [Deadvars.run] equals the single-layer pass run until it reports no
+   change: the same function and change flag, and the facts it leaves
+   for licm are the output's own.  Returns the layers the oracle took. *)
+let check_deadvars_oracle f =
+  let expect, layers = Deadvars_oracle.fixpoint (fork f) in
+  let f', changed = Opt.Deadvars.run f in
+  let name = Func.name f in
+  Alcotest.(check string) (name ^ ": oracle fixpoint") (Func.to_string expect)
+    (Func.to_string f');
+  Alcotest.(check bool) (name ^ ": change flag") (layers > 0) changed;
+  Alcotest.(check bool) (name ^ ": facts") true (liveness_is_fresh f');
+  layers
+
+(* Every function of the corpus and of Gen seeds 0-39 straight out of
+   codegen, and at deadvars' first fixpoint round for the corpus and Gen
+   seeds 0-9 (each level, both machines). *)
+let test_deadvars_matches_oracle () =
+  let codegen =
+    List.concat_map
+      (fun (_, src) -> (Frontend.Codegen.compile_source src).Prog.funcs)
+      Helpers.corpus_and_gen
+  in
+  let inputs =
+    codegen @ pipeline_inputs deadvars_input (corpus_and_gen_below 10)
+  in
+  let layers = List.map check_deadvars_oracle inputs in
+  let deep = List.length (List.filter (fun n -> n > 1) layers) in
+  Printf.printf "%d functions; %d take the oracle more than one run\n"
+    (List.length inputs) deep;
+  Alcotest.(check bool) "some chains are deeper than one layer" true (deep > 0)
+
+(* --- Licm's reused liveness against fresh solves --- *)
+
+(* Every answer [live] gives from kept facts for [func] is a fresh
+   solve's.  ([kept_in] raises on a block it has no facts or rule for.) *)
+let kept_answers_fresh live func =
+  let fresh = Liveness.compute (fork func) in
+  List.for_all
+    (fun i ->
+      match Opt.Licm.Live.kept_in live func i with
+      | None -> true
+      | Some regs -> regs_of regs = regs_of (Liveness.live_in fresh i))
+    (List.init (Func.num_blocks func) Fun.id)
+
+(* After every hoist of [Licm.run f], licm's own reused liveness and a
+   second one, solved on [f] and told of each hoist, answer as fresh
+   solves do.  The second one solves again after hoist [k] only when
+   [resolve k]: with none, it carries every edit, stacked preheaders on
+   dirty headers included.  Returns whether all agreed, and the number of
+   hoists. *)
+let check_reused_liveness ?(resolve = fun _ -> false) f =
+  let f = fork f in
+  let replay = Opt.Licm.Live.create () in
+  Opt.Licm.Live.solve replay f;
+  let agree = ref true and hoists = ref 0 in
+  let on_hoist ~before loop ~after live =
+    incr hoists;
+    Opt.Licm.Live.note_hoist replay ~before loop ~after;
+    if not (kept_answers_fresh live after && kept_answers_fresh replay after)
+    then agree := false;
+    if resolve !hoists then Opt.Licm.Live.solve replay after
+  in
+  ignore (Opt.Licm.run ~on_hoist f);
+  (!agree, !hoists)
+
+(* Licm's input in the first fixpoint round, for Gen seeds 10-39 (the
+   corpus and seeds 0-9 are [licm_inputs]). *)
+let licm_inputs_gen_rest =
+  lazy
+    (pipeline_inputs licm_input
+       (List.filteri
+          (fun i _ -> i >= List.length Programs.Suite.all + 10)
+          Helpers.corpus_and_gen))
+
+let reuse_inputs =
+  lazy (Array.of_list (Lazy.force licm_inputs @ Lazy.force licm_inputs_gen_rest))
+
+let test_reused_liveness () =
+  let hoists =
+    Array.fold_left
+      (fun n f ->
+        let agree, k = check_reused_liveness f in
+        Alcotest.(check bool) (Func.name f ^ ": kept facts are fresh") true agree;
+        n + k)
+      0 (Lazy.force reuse_inputs)
+  in
+  Printf.printf "%d hoists checked\n" hoists;
+  Alcotest.(check bool) "some hoists" true (hoists > 0)
+
+(* The same over the corpus and Gen seeds 0-39 with the second liveness
+   solved again after a random subset of the hoists. *)
+let prop_reused_liveness =
+  QCheck.Test.make ~name:"licm's reused liveness answers as fresh solves do"
+    ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (pick, schedule) ->
+      let inputs = Lazy.force reuse_inputs in
+      let f = inputs.(pick mod Array.length inputs) in
+      fst
+        (check_reused_liveness
+           ~resolve:(fun k -> (schedule lsr (k mod 20)) land 1 = 1)
+           f))
 
 let same_loops = Helpers.same_loops
 
@@ -767,6 +958,8 @@ let test_preheader_updates () =
 
 (* Preheader shapes, each checked against the oracle and the verifier. *)
 let licm_shape name blocks =
+  Alcotest.(check bool) (name ^ ": reused liveness") true
+    (fst (check_reused_liveness (mk name blocks)));
   let f', changed = check_licm_oracle (mk name blocks) in
   Alcotest.(check bool) (name ^ ": changed") true changed;
   Check.assert_ok f';
@@ -1243,6 +1436,33 @@ let test_fix_stops_on_its_input () =
     (pinned_digest "nbody SIMPLE cisc")
     (Digest.to_hex (Digest.string (Fmt.str "%a" Prog.pp prog)))
 
+(* Gen seeds 3 and 13 reached the 8-round cap at most configurations
+   while deadvars removed one layer of a dead chain per round.  Now every
+   configuration reaches Figure 3's fixpoint. *)
+let test_gen_functions_converge () =
+  List.iter
+    (fun seed ->
+      let src = Harness.Gen.to_c (Harness.Gen.generate (Random.State.make [| seed |])) in
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun level ->
+              let diags = ref [] in
+              ignore
+                (Opt.Driver.compile ~diags
+                   { Opt.Driver.default_options with level }
+                   machine src);
+              Alcotest.(check bool)
+                (Printf.sprintf "gen%d %s %s: no no-convergence diagnostic" seed
+                   (Opt.Driver.level_name level) machine.short)
+                false
+                (List.exists
+                   (fun d -> d.Telemetry.Diag.code = Telemetry.Diag.No_convergence)
+                   !diags))
+            Helpers.levels)
+        Helpers.machines)
+    [ 3; 13 ]
+
 (* A fix-loop pass convicted by the certifier is quarantined, and the loop
    goes on to a round without it; the rolled-back program stays correct. *)
 let test_fix_runs_on_after_a_quarantine () =
@@ -1301,6 +1521,12 @@ let tests =
       Alcotest.test_case "constfold at branches" `Quick test_constfold_branch;
       Alcotest.test_case "dead variables" `Quick test_deadvars;
       Alcotest.test_case "live cmp kept" `Quick test_deadvars_keeps_live_cmp;
+      Alcotest.test_case "deadvars: a dead chain in one block, one run" `Quick
+        test_deadvars_chain_in_block;
+      Alcotest.test_case "deadvars: a dead chain across blocks, one run" `Quick
+        test_deadvars_chain_across_blocks;
+      Alcotest.test_case "deadvars: a read only around a loop, one run" `Quick
+        test_deadvars_read_only_around_loop;
       Alcotest.test_case "cse local" `Quick test_cse_local;
       Alcotest.test_case "cse invalidation" `Quick test_cse_invalidation;
       Alcotest.test_case "cse load/store" `Quick test_cse_loads_killed_by_store;
@@ -1327,6 +1553,11 @@ let tests =
       Alcotest.test_case "licm: retried after an outer hoist" `Quick
         test_licm_retry_after_outer_hoist;
       Alcotest.test_case "licm matches the oracle" `Quick test_licm_matches_oracle;
+      Alcotest.test_case "deadvars matches the oracle iterated" `Quick
+        test_deadvars_matches_oracle;
+      Alcotest.test_case "licm's reused liveness equals fresh solves" `Quick
+        test_reused_liveness;
+      QCheck_alcotest.to_alcotest prop_reused_liveness;
       Alcotest.test_case "natural loops and rpo match the references" `Quick
         test_natural_loops_reference;
       Alcotest.test_case "licm preheader updates equal rebuilds" `Quick
@@ -1340,6 +1571,8 @@ let tests =
         test_pipeline_signature;
       Alcotest.test_case "fix loop stops on its own input" `Quick
         test_fix_stops_on_its_input;
+      Alcotest.test_case "Gen functions reach the fixpoint" `Quick
+        test_gen_functions_converge;
       Alcotest.test_case "fix loop runs on after a quarantine" `Quick
         test_fix_runs_on_after_a_quarantine;
       Alcotest.test_case "a quarantining round is not a fixpoint" `Quick

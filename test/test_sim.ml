@@ -507,6 +507,31 @@ let test_bank_feed_exclusive () =
            ~bank:(Icache.Bank.create Icache.paper_configs)
            asm prog))
 
+(* Control enters [main] at position 0, where a transfer stands: the
+   engine compiles a superblock with no straight-line prefix (and nothing
+   before it to fuse). *)
+let test_entry_is_a_transfer () =
+  let lsupply = Label.Supply.create () in
+  let l0 = Label.Supply.fresh lsupply and l1 = Label.Supply.fresh lsupply in
+  let main =
+    Flow.Func.make ~name:"main" ~lsupply ~vsupply:(Reg.Supply.create_from 100)
+      ~blocks:
+        [|
+          { Flow.Func.label = l0; instrs = [ Rtl.Jump l1 ] };
+          {
+            Flow.Func.label = l1;
+            instrs =
+              [ Rtl.Enter 8; Rtl.Move (Lreg Conv.rv, Imm 7); Rtl.Leave; Rtl.Ret ];
+          };
+        |]
+  in
+  let prog = { Flow.Prog.globals = []; funcs = [ main ] } in
+  List.iter
+    (fun (machine : Machine.t) ->
+      let res = Sim.Engine.run ~input:"" (Sim.Asm.assemble machine prog) prog in
+      Alcotest.(check int) (machine.short ^ ": exit code") 7 res.exit_code)
+    [ Machine.risc; Machine.cisc ]
+
 let tests =
   ( "sim",
     [
@@ -518,6 +543,7 @@ let tests =
       Alcotest.test_case "image layout" `Quick test_image_layout;
       Alcotest.test_case "image word roundtrip" `Quick test_image_word_roundtrip;
       Alcotest.test_case "exit code" `Quick test_exit_code;
+      Alcotest.test_case "entry is a transfer" `Quick test_entry_is_a_transfer;
       Alcotest.test_case "exit builtin" `Quick test_exit_builtin;
       Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
       Alcotest.test_case "getchar eof" `Quick test_getchar_eof;
