@@ -21,7 +21,7 @@ let succ_indices f i =
     in
     add (if fall then [ i + 1 ] else []) (Rtl.targets t)
 
-let make f =
+let build f =
   let n = Func.num_blocks f in
   let succ = Array.init n (succ_indices f) in
   (* Sources in ascending order: prepend while walking them downward. *)
@@ -30,6 +30,13 @@ let make f =
     List.iter (fun s -> pred.(s) <- i :: pred.(s)) succ.(i)
   done;
   { succ; pred }
+
+(* Passes of one fix-loop round mostly see the version the previous pass
+   handed on, and a no-change pass hands on its input, so most calls ask
+   again about the version last asked about.  More entries pin more
+   graphs for no more hits. *)
+let cache : (Func.t, t) Analysis.Cache.t = Analysis.Cache.create ~size:2 ()
+let make f = Analysis.Cache.find cache f build
 
 let num_blocks g = Array.length g.succ
 let succs g i = g.succ.(i)

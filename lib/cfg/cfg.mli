@@ -5,6 +5,11 @@
 
 type t
 
+(** The graph of [f].  Memoized per function version: [Func.t] and [t]
+    are immutable, so the last two functions asked about (compared with
+    [==]) are answered without a rebuild.  Graphs built by
+    {!insert_preheader} and {!splice} are not entered: most of those
+    versions are edited again before anything asks for their graph. *)
 val make : Func.t -> t
 val num_blocks : t -> int
 val succs : t -> int -> int list

@@ -2,69 +2,59 @@ open Ir
 
 (* --- cheap structural checks --- *)
 
+(* One walk over each block's instructions.  Its messages go to four
+   lists, emitted a block at a time in this order: mid-block transfers,
+   targets, [Enter], [Leave]/[Ret] pairing ([Leave] and [Ret] occur only
+   as the adjacent pair [Leave; Ret]).  Labels need no check:
+   [Func.make] and [Func.with_blocks] reject a duplicate label and index
+   every label at its block. *)
 let structural_errors f =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let n = Func.num_blocks f in
   let entry_label = (Func.block f 0).label in
-  let seen_labels = Hashtbl.create (n * 2) in
   for i = 0 to n - 1 do
     let b = Func.block f i in
-    (if Hashtbl.mem seen_labels b.label then
-       err "%a: duplicate block label" Label.pp b.label
-     else Hashtbl.add seen_labels b.label ());
-    (match Func.index_of_label f b.label with
-    | j when j <> i ->
-      err "%a: label index maps to block %d, not %d" Label.pp b.label j i
-    | _ -> ()
-    | exception Not_found ->
-      err "%a: label missing from the label index" Label.pp b.label);
-    let rec scan = function
-      | [] -> ()
-      | [ _last ] -> ()
-      | instr :: rest ->
-        if Rtl.is_transfer instr then
-          err "%a: transfer %a in the middle of the block" Label.pp b.label
-            Rtl.pp_instr instr;
-        scan rest
+    let mid = ref [] and targets = ref [] in
+    let enter = ref [] and pair = ref [] in
+    let berr acc fmt =
+      Format.kasprintf (fun s -> acc := s :: !acc) ("%a: " ^^ fmt) Label.pp
+        b.label
     in
-    scan b.instrs;
-    List.iter
-      (fun instr ->
+    (* [leave]: the previous instruction is a [Leave] not yet paired. *)
+    let rec walk k leave = function
+      | [] -> if leave then berr pair "Leave not followed by Ret"
+      | instr :: rest ->
+        if rest <> [] && Rtl.is_transfer instr then
+          berr mid "transfer %a in the middle of the block" Rtl.pp_instr instr;
         (match instr with
         | Rtl.Ijump (_, table) when Array.length table = 0 ->
-          err "%a: indirect jump with an empty target table" Label.pp b.label
+          berr targets "indirect jump with an empty target table"
         | _ -> ());
         List.iter
           (fun l ->
             (match Func.index_of_label f l with
             | _ -> ()
             | exception Not_found ->
-              err "%a: target %a does not exist" Label.pp b.label Label.pp l);
+              berr targets "target %a does not exist" Label.pp l);
             if Label.equal l entry_label then
-              err "%a: branch to the entry block" Label.pp b.label)
-          (Rtl.targets instr))
-      b.instrs;
-    List.iteri
-      (fun k instr ->
-        match instr with
+              berr targets "branch to the entry block")
+          (Rtl.targets instr);
+        (match instr with
         | Rtl.Enter _ when not (i = 0 && k = 0) ->
-          err "%a: Enter outside function entry" Label.pp b.label
-        | Rtl.Enter _ | _ -> ())
-      b.instrs;
-    (* Leave/Ret pairing: they occur only as the adjacent pair Leave; Ret. *)
-    let rec pairs = function
-      | Rtl.Leave :: Rtl.Ret :: rest -> pairs rest
-      | Rtl.Leave :: rest ->
-        err "%a: Leave not followed by Ret" Label.pp b.label;
-        pairs rest
-      | Rtl.Ret :: rest ->
-        err "%a: Ret without preceding Leave" Label.pp b.label;
-        pairs rest
-      | _ :: rest -> pairs rest
-      | [] -> ()
+          berr enter "Enter outside function entry"
+        | _ -> ());
+        match instr with
+        | Rtl.Ret when leave -> walk (k + 1) false rest
+        | _ ->
+          if leave then berr pair "Leave not followed by Ret";
+          (match instr with
+          | Rtl.Ret -> berr pair "Ret without preceding Leave"
+          | _ -> ());
+          walk (k + 1) (match instr with Rtl.Leave -> true | _ -> false) rest
     in
-    pairs b.instrs
+    walk 0 false b.instrs;
+    errs := !pair @ !enter @ !targets @ !mid @ !errs
   done;
   (if n > 0 then
      let last = Func.block f (n - 1) in

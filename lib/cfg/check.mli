@@ -10,8 +10,10 @@
       conditional branch there has no fall-through);
     - [Enter] appears only as the first instruction of the entry block;
     - every [Ret] is immediately preceded by [Leave] and vice versa;
-    - the entry block's label is never a branch target;
-    - block labels are unique and the label index agrees with positions.
+    - the entry block's label is never a branch target.
+
+    Unique block labels and a label index that agrees with positions are
+    not checked: {!Func.make} and {!Func.with_blocks} guarantee them.
 
     Expensive checks (enabled by [~full:true], i.e. [--verify-passes]):
     - {!def_before_use}: every use of a virtual register is preceded by a

@@ -11,10 +11,41 @@ let back_edges g dom =
   done;
   List.rev !edges
 
+(* [(m, {0, 1, ..., m - 1})]: the shapes body sets are mapped from.  It
+   only grows, to twice the largest body asked for. *)
+let naturals = ref (0, Int_set.empty)
+
+(* The set of the [k] elements of [sorted] (ascending, distinct).
+   [Int_set.of_list] would sort a list of them, allocating about k log k
+   cells.  Instead the first [k] naturals are split off [naturals] and
+   mapped in increasing order onto the elements: the map is monotone, so
+   it keeps the split's balanced shape and allocates one node per
+   element. *)
+let of_sorted sorted =
+  let k = Array.length sorted in
+  let m, set = !naturals in
+  let set =
+    if k <= m then set
+    else begin
+      let set = Int_set.of_list (List.init (2 * k) Fun.id) in
+      naturals := (2 * k, set);
+      set
+    end
+  in
+  let shape, _, _ = Int_set.split k set in
+  let i = ref (-1) in
+  Int_set.map
+    (fun _ ->
+      incr i;
+      sorted.(!i))
+    shape
+
 (* The natural loop of header v: v plus all blocks that reach one of its
    back-edge sources without passing through v — one search over the
    merged loop, marking blocks in [claimed] with the header that took
-   them. *)
+   them.  The body is then read off the marks in ascending order between
+   the lowest and highest block reached: a loop's blocks lie close
+   together in the layout, and this is cheaper than sorting them. *)
 let natural_loops g dom =
   let n = Cfg.num_blocks g in
   let sources = Array.make n [] in
@@ -24,16 +55,25 @@ let natural_loops g dom =
   for v = n - 1 downto 0 do
     if sources.(v) <> [] then begin
       claimed.(v) <- v;
-      let body = ref [ v ] in
+      let k = ref 1 and lo = ref v and hi = ref v in
       let rec visit x =
         if claimed.(x) <> v then begin
           claimed.(x) <- v;
-          body := x :: !body;
+          incr k;
+          if x < !lo then lo := x;
+          if x > !hi then hi := x;
           List.iter visit (Cfg.preds g x)
         end
       in
       List.iter visit sources.(v);
-      loops := { header = v; body = Int_set.of_list !body } :: !loops
+      let sorted = Array.make !k 0 and j = ref 0 in
+      for x = !lo to !hi do
+        if claimed.(x) = v then begin
+          sorted.(!j) <- x;
+          incr j
+        end
+      done;
+      loops := { header = v; body = of_sorted sorted } :: !loops
     end
   done;
   !loops

@@ -22,10 +22,10 @@ let resolve func l =
   in
   go Label.Set.empty l
 
-let run func =
+let run input =
   let changed = ref false in
   let retarget l =
-    let l' = resolve func l in
+    let l' = resolve input l in
     if not (Label.equal l l') then changed := true;
     l'
   in
@@ -33,7 +33,7 @@ let run func =
   let func =
     Func.map_instrs
       (fun instrs -> List.map (Rtl.map_labels retarget) instrs)
-      func
+      input
   in
   (* Pass 2: structural cleanups that depend on positions. *)
   let n = Func.num_blocks func in
@@ -94,4 +94,4 @@ let run func =
       (fun i (b : Func.block) -> if absorb.(i) then { b with instrs = [] } else b)
       blocks
   in
-  (Func.with_blocks func blocks, !changed)
+  if !changed then (Func.with_blocks func blocks, true) else (input, false)

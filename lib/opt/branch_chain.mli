@@ -10,3 +10,6 @@
       reversed branch ([Branch !c L2]). *)
 
 val run : Flow.Func.t -> Flow.Func.t * bool
+(** A run that reports no change returns its input itself ([==]): the
+    driver's fix-loop memo and the liveness cache recognise a function by
+    identity. *)

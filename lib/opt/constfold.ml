@@ -73,7 +73,7 @@ let fold_branches instrs =
   let out = go Reg.Map.empty None [] instrs in
   (out, !changed)
 
-let run machine func =
+let run machine input =
   let changed = ref false in
   let func =
     Flow.Func.map_instrs
@@ -97,6 +97,6 @@ let run machine func =
         let instrs, c = fold_branches instrs in
         if c then changed := true;
         instrs)
-      func
+      input
   in
-  (func, !changed)
+  if !changed then (func, true) else (input, false)

@@ -6,3 +6,6 @@
     optimization opportunities replication creates. *)
 
 val run : Ir.Machine.t -> Flow.Func.t -> Flow.Func.t * bool
+(** A run that reports no change returns its input itself ([==]): the
+    driver's fix-loop memo and the liveness cache recognise a function by
+    identity. *)

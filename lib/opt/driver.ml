@@ -322,7 +322,10 @@ let guard g row func =
           (func', changed || applied)
         | _ -> (func', changed)
       in
-      let viols = generic_violations g.b_opts func' in
+      (* [g.baseline] is the violation set of [func], so an output that
+         is its input has no fresh violation to find and keeps it. *)
+      let same = func' == func in
+      let viols = if same then [] else generic_violations g.b_opts func' in
       let fresh =
         List.filter (fun v -> not (SSet.mem v g.baseline)) viols
         @ row.post func'
@@ -338,7 +341,7 @@ let guard g row func =
       then (func, false)
       else
         let accept () =
-          g.baseline <- SSet.of_list viols;
+          if not same then g.baseline <- SSet.of_list viols;
           (func', changed)
         in
         match g.b_oracle with
@@ -376,18 +379,22 @@ let delta before after =
 (* The fixpoint keeps re-presenting passes with functions they have
    already reported no change on — the final iteration consists of nothing
    else.  Passes are deterministic on an unchanged input ([Func.t] is
-   immutable and a no-change run draws no fresh names), so the previous
-   no-change verdict, including the boundary's verification of that exact
-   IR, can be replayed without running anything.  The memo sits outside
-   the guard on purpose: re-verifying an already-accepted function is as
-   redundant as re-optimizing it.  Only the fixpoint has a memo; it is
-   keyed by pass name, so isel's two slots share one entry.
+   immutable), so the previous no-change verdict, including the boundary's
+   verification of that exact IR, can be replayed without running
+   anything.  A no-change run may still draw fresh names from the
+   function's shared supplies (replicate draws labels for candidates it
+   then rejects), so a replay can leave later labels numbered lower than a
+   rerun would; it never changes what the function does.  The memo sits
+   outside the guard on purpose: re-verifying an already-accepted function
+   is as redundant as re-optimizing it.  Only the fixpoint has a memo; it
+   is keyed by pass name, so isel's two slots share one entry.
 
    The memo compares functions with [==]: it replays a pass only on the
-   very function it last left unchanged.  A pass handed an equal but
-   rebuilt function (cse after isel undid cse's last change) runs again;
-   [fix] catches the round that ends on its own input by comparing blocks
-   once per round, not once per presentation.
+   very function it last left unchanged.  So every pass that reports no
+   change returns its input itself, not an equal copy.  A pass handed an
+   equal but rebuilt function (cse after isel undid cse's last change)
+   runs again; [fix] catches the round that ends on its own input by
+   comparing blocks once per round, not once per presentation.
 
    A row presented to [func]: replayed from the memo, a no-change run when
    the row is disabled, else the pass in its boundary.  ([mem] then [find]
@@ -471,6 +478,42 @@ let replication_pass ?log ?budget opts ~size_cap ~allow_irreducible func =
       }
       func
 
+(* The boundary of one function's compilation, its baseline taken from
+   [func]. *)
+let boundary ~log ~profiler ~diags ~verdicts ?oracle ~replicate opts machine
+    func =
+  {
+    b_machine = machine;
+    b_log = log;
+    b_replicate = replicate;
+    b_profiler = profiler;
+    b_fname = Func.name func;
+    b_opts = opts;
+    b_oracle = oracle;
+    b_diags = diags;
+    b_fault = Option.map parse_fault opts.inject_fault;
+    b_verdicts = verdicts;
+    replayed = false;
+    quarantined = SSet.empty;
+    warned = SSet.empty;
+    baseline = SSet.of_list (generic_violations opts func);
+  }
+
+let run_guarded ?post opts machine passes func =
+  let diags = ref [] in
+  let g =
+    boundary ~log:Telemetry.Log.null ~profiler:Telemetry.Profiler.null ~diags
+      ~verdicts:(ref [])
+      ~replicate:(fun ?allow_irreducible:_ f -> (f, false))
+      opts machine func
+  in
+  let rows =
+    Array.of_list
+      (List.map (fun (name, run) -> row ?post name (fun _ -> run)) passes)
+  in
+  let func, changed, _ = walk g rows func in
+  ((func, changed), !diags)
+
 let optimize_func_with ?(log = Telemetry.Log.null)
     ?(profiler = Telemetry.Profiler.null) ?(diags = ref [])
     ?(verdicts = ref []) ?oracle
@@ -478,22 +521,8 @@ let optimize_func_with ?(log = Telemetry.Log.null)
     machine func =
   let fname = Func.name func in
   let g =
-    {
-      b_machine = machine;
-      b_log = log;
-      b_replicate = replicate;
-      b_profiler = profiler;
-      b_fname = fname;
-      b_opts = opts;
-      b_oracle = oracle;
-      b_diags = diags;
-      b_fault = Option.map parse_fault opts.inject_fault;
-      b_verdicts = verdicts;
-      replayed = false;
-      quarantined = SSet.empty;
-      warned = SSet.empty;
-      baseline = SSet.of_list (generic_violations opts func);
-    }
+    boundary ~log ~profiler ~diags ~verdicts ?oracle ~replicate opts machine
+      func
   in
   (if not (SSet.is_empty g.baseline) then
      diags :=

@@ -125,6 +125,20 @@ val optimize_func_with :
   Flow.Func.t ->
   Flow.Func.t
 
+(** [run_guarded opts machine passes func] presents the named [passes],
+    each with postcondition [post] (default: none), in order to [func]
+    inside the protective boundary of one compilation of [func], as the
+    pipeline presents its rows: the last function and whether any pass
+    changed it, and the diagnostics recorded.  For tests of the boundary
+    itself. *)
+val run_guarded :
+  ?post:(Flow.Func.t -> string list) ->
+  options ->
+  Ir.Machine.t ->
+  (string * (Flow.Func.t -> Flow.Func.t * bool)) list ->
+  Flow.Func.t ->
+  (Flow.Func.t * bool) * Telemetry.Diag.t list
+
 (** Optimize a whole program.  When [options.verify_passes] is set, an
     {!Oracle} is built from the unoptimized program and consulted after
     every changing pass, and program-level checks (global label

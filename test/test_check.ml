@@ -149,6 +149,69 @@ let test_unreachable_blocks () =
   let bad = Func.with_blocks f (Array.append (Func.blocks f) [| orphan |]) in
   has_violation "unreachable from the entry" (Check.unreachable_blocks bad)
 
+(* --- the structural checks against their four-walk reference --- *)
+
+let check_inputs =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (_, src) -> (Frontend.Codegen.compile_source src).Prog.funcs)
+          (List.filteri
+             (fun i _ -> i < List.length Programs.Suite.all + 5)
+             Helpers.corpus_and_gen)))
+
+(* [f] with [edits] applied: each puts an instruction that one of the
+   checks looks at (a transfer, a target that dangles or names the entry,
+   an [Enter], a [Leave] or [Ret]) at a position of some block, or
+   deletes the instruction there. *)
+let corrupt f edits =
+  let blocks = Array.copy (Func.blocks f) in
+  let n = Array.length blocks in
+  List.iter
+    (fun (blk, pos, what, tgt) ->
+      let b = blocks.(blk mod n) in
+      let target =
+        match tgt mod 3 with
+        | 0 -> blocks.(0).label
+        | 1 -> Label.of_int 424242
+        | _ -> blocks.(tgt mod n).label
+      in
+      let instr =
+        match what mod 8 with
+        | 0 -> Some (Rtl.Jump target)
+        | 1 -> Some (Rtl.Branch (Rtl.Eq, target))
+        | 2 -> Some (Rtl.Ijump (Reg.Virt 1, [||]))
+        | 3 -> Some (Rtl.Ijump (Reg.Virt 1, [| target |]))
+        | 4 -> Some Rtl.Ret
+        | 5 -> Some Rtl.Leave
+        | 6 -> Some (Rtl.Enter 8)
+        | _ -> None
+      in
+      let k = pos mod (List.length b.instrs + 1) in
+      let instrs =
+        match instr with
+        | Some i ->
+          List.filteri (fun j _ -> j < k) b.instrs
+          @ (i :: List.filteri (fun j _ -> j >= k) b.instrs)
+        | None -> List.filteri (fun j _ -> j <> k) b.instrs
+      in
+      blocks.(blk mod n) <- { b with instrs })
+    edits;
+  Func.with_blocks f blocks
+
+let prop_structural_matches_reference =
+  let edit = QCheck.(quad small_nat small_nat small_nat small_nat) in
+  QCheck.Test.make ~name:"structural checks match the four-walk reference"
+    ~count:300
+    QCheck.(pair small_nat (list_of_size (Gen.int_range 1 6) edit))
+    (fun (pick, edits) ->
+      let inputs = Lazy.force check_inputs in
+      let f = corrupt inputs.(pick mod Array.length inputs) edits in
+      let got = Check.errors f and want = Check_oracle.structural_errors f in
+      got = want
+      || QCheck.Test.fail_reportf "got:\n  %s\nwant:\n  %s"
+           (String.concat "\n  " got) (String.concat "\n  " want))
+
 (* --- the driver's protective boundary --- *)
 
 let source =
@@ -258,6 +321,7 @@ let tests =
       Alcotest.test_case "clean compiler output" `Quick test_clean;
       Alcotest.test_case "dangling branch target" `Quick test_dangling_target;
       Alcotest.test_case "mid-block transfer" `Quick test_mid_block_transfer;
+      QCheck_alcotest.to_alcotest prop_structural_matches_reference;
       Alcotest.test_case "use before def" `Quick test_use_before_def;
       Alcotest.test_case "use after def ok" `Quick test_use_after_def_ok;
       Alcotest.test_case "def on one path only" `Quick test_def_on_one_path_only;

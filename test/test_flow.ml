@@ -321,6 +321,24 @@ let test_cfg_make_reference () =
     Helpers.corpus_and_gen;
   Alcotest.(check bool) "graphs compared" true (!graphs > 100)
 
+(* [Check] does not look for duplicate labels or a stale label index:
+   building a function is what rules them out. *)
+let test_with_blocks_rejects_duplicate_label () =
+  let f = build [| (1, Fall); (1, Return) |] in
+  let blocks = Func.blocks f in
+  let dup = [| blocks.(0); { (blocks.(1)) with label = blocks.(0).label } |] in
+  Alcotest.check_raises "with_blocks"
+    (Invalid_argument
+       (Printf.sprintf "Func.make: duplicate label %s"
+          (Label.to_string blocks.(0).label)))
+    (fun () -> ignore (Func.with_blocks f dup));
+  let f' = Func.with_blocks f (Array.copy blocks) in
+  Array.iteri
+    (fun i (b : Func.block) ->
+      Alcotest.(check int) "index of a label" i
+        (Func.index_of_label f' b.label))
+    blocks
+
 let tests =
   ( "flow",
     [
@@ -333,6 +351,8 @@ let tests =
       Alcotest.test_case "nested loops" `Quick test_nested_loops;
       Alcotest.test_case "liveness" `Quick test_liveness;
       Alcotest.test_case "checker" `Quick test_check_catches;
+      Alcotest.test_case "with_blocks rejects a duplicate label" `Quick
+        test_with_blocks_rejects_duplicate_label;
       QCheck_alcotest.to_alcotest prop_dominators;
       QCheck_alcotest.to_alcotest prop_reducible;
       QCheck_alcotest.to_alcotest prop_rpo;

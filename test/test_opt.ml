@@ -705,34 +705,40 @@ let check_licm_oracle f =
   Alcotest.(check bool) (Func.name f ^ ": oracle change flag") ochanged changed;
   (f', changed)
 
-(* Deadvars' input in the first fixpoint round: the driver's passes up to
-   gcse, run directly rather than through the driver's verifying
-   boundary. *)
-let deadvars_input level machine f =
+(* The replication pass of [level] as the fix loop runs it. *)
+let replicate_at level f =
   let opts = Opt.Driver.options ~level () in
-  let replicate f =
-    match level with
-    | Opt.Driver.Simple -> (f, false)
-    | Loops -> Replication.Loops_rep.run f
-    | Jumps ->
-      Replication.Jumps.run
-        {
-          Replication.Jumps.heuristic = opts.heuristic;
-          max_rtls = opts.max_rtls;
-          allow_irreducible = false;
-          size_cap = max 2000 (8 * Func.num_instrs f);
-          replicate_indirect = true;
-        }
-        f
-  in
-  List.fold_left
-    (fun f pass -> fst (pass f))
-    (Opt.Legalize.run machine f)
+  match level with
+  | Opt.Driver.Simple -> (f, false)
+  | Loops -> Replication.Loops_rep.run f
+  | Jumps ->
+    Replication.Jumps.run
+      {
+        Replication.Jumps.heuristic = opts.heuristic;
+        max_rtls = opts.max_rtls;
+        allow_irreducible = false;
+        size_cap = max 2000 (8 * Func.num_instrs f);
+        replicate_indirect = true;
+      }
+      f
+
+let run_passes passes f = List.fold_left (fun f pass -> fst (pass f)) f passes
+
+(* The fix loop's input: the driver's prefix, run directly rather than
+   through the driver's verifying boundary. *)
+let fix_input level machine f =
+  run_passes
     [
       Opt.Branch_chain.run; Opt.Unreachable.run; Opt.Reorder.run;
-      Opt.Branch_chain.run; replicate; Opt.Unreachable.run;
-      Opt.Isel.run machine; Opt.Cse.run; Opt.Gcse.run;
+      Opt.Branch_chain.run; replicate_at level; Opt.Unreachable.run;
     ]
+    (Opt.Legalize.run machine f)
+
+(* Deadvars' input in the first fixpoint round: the passes up to gcse. *)
+let deadvars_input level machine f =
+  run_passes
+    [ Opt.Isel.run machine; Opt.Cse.run; Opt.Gcse.run ]
+    (fix_input level machine f)
 
 (* Licm's input in the first fixpoint round. *)
 let licm_input level machine f =
@@ -1508,6 +1514,176 @@ let test_quarantine_is_not_a_fixpoint () =
   Alcotest.(check int) "one more round" (last + 1)
     (List.length (rounds failing "putnum"))
 
+(* --- no-change runs hand back their input --- *)
+
+(* The fix loop's rows, named as the driver names them. *)
+let fix_passes level machine =
+  [
+    ("isel", Opt.Isel.run machine); ("cse", Opt.Cse.run);
+    ("gcse", Opt.Gcse.run);
+    ("deadvars", Opt.Deadvars.run); ("licm", fun f -> Opt.Licm.run f);
+    ("strength", Opt.Strength.run); ("isel", Opt.Isel.run machine);
+    ("branch-chain", Opt.Branch_chain.run);
+    ("constfold", Opt.Constfold.run machine);
+    ("replicate", replicate_at level); ("unreachable", Opt.Unreachable.run);
+  ]
+
+(* Every run of a fix-loop pass over every function of the corpus and of
+   Gen seeds 0-9, at each level on both machines: Figure 3's rounds run
+   directly from [fix_input] until one ends on its own input or the
+   driver's cap, [visit name input (output, changed)] seeing each run. *)
+let iter_fix_runs visit =
+  List.iter
+    (fun (_, src) ->
+      let prog = Frontend.Codegen.compile_source src in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun level ->
+              let passes = fix_passes level machine in
+              let rec round f n =
+                let f' =
+                  List.fold_left
+                    (fun f (name, pass) ->
+                      let ((f', _) as result) = pass f in
+                      visit name f result;
+                      f')
+                    f passes
+                in
+                if n > 1 && not (Func.equal_blocks f f') then round f' (n - 1)
+              in
+              List.iter
+                (fun f ->
+                  round (fix_input level machine f)
+                    Opt.Driver.default_options.max_iterations)
+                prog.Prog.funcs)
+            Helpers.levels)
+        Helpers.machines)
+    (corpus_and_gen_below 10)
+
+(* The driver's memo and the liveness and graph caches know a function
+   by [==], so a pass that reports no change must return its input
+   itself, not an equal copy. *)
+let test_no_change_returns_input () =
+  let unchanged = Hashtbl.create 16 in
+  iter_fix_runs (fun name f (f', changed) ->
+      if not changed then begin
+        if f' != f then
+          Alcotest.failf "%s: %s reported no change but returned a copy"
+            (Func.name f) name;
+        Hashtbl.replace unchanged name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt unchanged name))
+      end);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ " has no-change runs") true
+        (Hashtbl.mem unchanged name))
+    (fix_passes Opt.Driver.Jumps Machine.risc)
+
+(* [Cfg.make] answers from its memo for a version it has seen: on every
+   fix-loop input and output, it must answer what a fresh build does. *)
+let test_fix_cfg_matches_fresh () =
+  let graphs = ref 0 in
+  let check f =
+    let g = Cfg.make f in
+    let succ, pred = Cfg_oracle.make f in
+    incr graphs;
+    for i = 0 to Func.num_blocks f - 1 do
+      if Cfg.succs g i <> succ.(i) || Cfg.preds g i <> pred.(i) then
+        Alcotest.failf "%s: block %d" (Func.name f) i
+    done
+  in
+  iter_fix_runs (fun _ f (f', _) ->
+      check f;
+      check f');
+  Printf.printf "%d graphs compared\n" !graphs
+
+(* --- the pass boundary --- *)
+
+(* [f] with a block jumping to a label that does not exist. *)
+let with_ghost f =
+  let ghost =
+    {
+      Func.label = Func.fresh_label f;
+      instrs = [ Rtl.Jump (Label.of_int 424242) ];
+    }
+  in
+  Func.with_blocks f (Array.append (Func.blocks f) [| ghost |])
+
+(* The passes the boundary quarantined for a verifier failure. *)
+let quarantines diags =
+  List.filter_map
+    (fun (d : Telemetry.Diag.t) ->
+      if d.code = Telemetry.Diag.Malformed_ir then Some (d.pass, d.message)
+      else None)
+    diags
+
+(* The boundary skips the structural checks of an output that is its
+   input, but a row's postcondition still runs on it. *)
+let test_boundary_post_on_input () =
+  let f = putnum () in
+  let seen = ref [] in
+  let post f' =
+    seen := f' :: !seen;
+    [ "postcondition failed" ]
+  in
+  let (f', changed), diags =
+    Opt.Driver.run_guarded ~post Opt.Driver.default_options Machine.cisc
+      [ ("same", fun f -> (f, false)) ]
+      f
+  in
+  Alcotest.(check bool) "post saw the output" true
+    (match !seen with [ g ] -> g == f | _ -> false);
+  Alcotest.(check bool) "rolled back to the input" true
+    (f' == f && not changed);
+  Alcotest.(check (list (pair string string))) "quarantined"
+    [ ("same", "verifier: postcondition failed") ]
+    (quarantines diags)
+
+(* A rebuilt output is checked whatever its change flag says. *)
+let test_boundary_rebuilt_error () =
+  let f = putnum () in
+  List.iter
+    (fun flag ->
+      let (f', changed), diags =
+        Opt.Driver.run_guarded Opt.Driver.default_options Machine.cisc
+          [ ("ghost", fun f -> (with_ghost f, flag)) ]
+          f
+      in
+      Alcotest.(check bool) "rolled back to the input" true
+        (f' == f && not changed);
+      match quarantines diags with
+      | [ ("ghost", msg) ] ->
+        Alcotest.(check bool) "names the dangling target" true
+          (Test_check.contains "does not exist" msg)
+      | _ -> Alcotest.fail "ghost was not quarantined")
+    [ true; false ]
+
+(* A violation the input already has convicts no pass that leaves it:
+   neither one that returns its input nor a later one that rebuilds it.
+   A new violation on top of it still does. *)
+let test_boundary_baseline () =
+  let f = with_ghost (putnum ()) in
+  let copy f = (Func.with_blocks f (Array.copy (Func.blocks f)), true) in
+  let (f', changed), diags =
+    Opt.Driver.run_guarded Opt.Driver.default_options Machine.cisc
+      [ ("same", fun f -> (f, false)); ("copy", copy) ]
+      f
+  in
+  Alcotest.(check (list (pair string string))) "nothing quarantined" []
+    (quarantines diags);
+  Alcotest.(check bool) "the copy is kept" true
+    (changed && f' != f && Func.equal_blocks f f');
+  let _, diags =
+    Opt.Driver.run_guarded Opt.Driver.default_options Machine.cisc
+      [
+        ("same", fun f -> (f, false)); ("ghost", fun f -> (with_ghost f, true));
+      ]
+      f
+  in
+  Alcotest.(check (list string)) "the new violation convicts" [ "ghost" ]
+    (List.map fst (quarantines diags))
+
 let tests =
   ( "opt",
     [
@@ -1577,5 +1753,15 @@ let tests =
         test_fix_runs_on_after_a_quarantine;
       Alcotest.test_case "a quarantining round is not a fixpoint" `Quick
         test_quarantine_is_not_a_fixpoint;
+      Alcotest.test_case "no-change fix-loop runs return their input" `Quick
+        test_no_change_returns_input;
+      Alcotest.test_case "fix-loop graphs equal fresh builds" `Quick
+        test_fix_cfg_matches_fresh;
+      Alcotest.test_case "boundary: post runs on an unchanged output" `Quick
+        test_boundary_post_on_input;
+      Alcotest.test_case "boundary: a rebuilt output is verified" `Quick
+        test_boundary_rebuilt_error;
+      Alcotest.test_case "boundary: a present violation convicts no one" `Quick
+        test_boundary_baseline;
       QCheck_alcotest.to_alcotest prop_passes_keep_legality;
     ] )

@@ -72,6 +72,19 @@ echo "== optimizer output digests (354 compiles) =="
 dune exec test/opt_digests.exe > _build/opt-digests.txt 2> _build/opt-digests-diags.txt
 diff test/opt_digests.expected _build/opt-digests.txt
 
+# The same corpus compiles under --verify-passes (def-before-use and the
+# differential oracle after every pass): verifying must not change the
+# output, and no pass may be quarantined.
+echo "== optimizer output digests under --verify-passes (114 compiles) =="
+dune exec test/opt_digests.exe -- --verify-passes \
+  > _build/opt-digests-verify.txt 2> _build/opt-digests-verify-diags.txt
+grep -v '^gen[0-9]' test/opt_digests.expected \
+  | diff - _build/opt-digests-verify.txt
+if [ -s _build/opt-digests-verify-diags.txt ]; then
+  cat _build/opt-digests-verify-diags.txt
+  echo "quarantine or no-convergence under --verify-passes"; exit 1
+fi
+
 # Replication decisions are pinned the same way: per compile, the MD5 of
 # the Replication_applied/rolled_back event stream plus Jumps.explain of
 # the final functions, so a changed decision or rejection reason shows
