@@ -15,7 +15,13 @@ module D = Interp.Decoded
    whole run up front and then executes precompiled per-instruction
    effect closures back to back.  A compare feeding the terminating
    conditional branch is folded into the transfer itself, so the
-   hottest loop shape (test + branch) is one closure call.
+   hottest loop shape (test + branch) is one closure call.  The
+   instruction shapes that dominate the executed mix (register moves,
+   ALU ops on registers and immediates, [reg + disp] loads and stores,
+   compares of a register with an immediate or a register) compile to
+   one closure each that reads the register file directly and computes
+   with the same [Arith]/[Image] function as the generic composition;
+   every other shape is composed from operand closures.
 
    The bit-stability contract is a re-resolving reference loop's (kept
    in the test suite), and the equivalence tests hold the engine to it
@@ -105,9 +111,11 @@ type program = { decoded : D.t; cfuncs : cfunc array }
 
 (* --- effect compilation ---------------------------------------------
 
-   Pure composition: every operand, address and location becomes a
-   closure over [state], so at run time an instruction is two or three
-   indirect calls with no constructor matches left. *)
+   The generic path is pure composition: every operand, address and
+   location becomes a closure over [state], so at run time an
+   instruction is a few indirect calls with no constructor matches
+   left.  [effect] and [compile_fused_cmp_branch] first try the hot
+   shapes, which skip the operand closures. *)
 
 let rget (r : D.dreg) : state -> int =
   match r with
@@ -192,8 +200,49 @@ let set_rtl st r v =
   | Reg.Virt i -> if i < Array.length st.virt then st.virt.(i) <- v
   | Reg.Cc -> st.cc <- v
 
+(* The hot shapes, one closure each (DESIGN.md §9 has the executed mix
+   behind the choice).  Operands are read from [st.phys] directly, and
+   the value is computed by the same [Arith]/[Image] function the
+   composition in [effect]'s last cases would reach, so the two share one
+   semantics: results are normalised and faults carry the same message.
+   [alu_rr]/[alu_ri] cover [d := a op b] and [d := a op n]; the ops
+   outside the hot mix go through [binop_fn], as the composition does. *)
+let alu_rr op d a b : state -> unit =
+  match op with
+  | Rtl.Add -> fun st -> st.phys.(d) <- Arith.add st.phys.(a) st.phys.(b)
+  | Rtl.Sub -> fun st -> st.phys.(d) <- Arith.sub st.phys.(a) st.phys.(b)
+  | Rtl.And -> fun st -> st.phys.(d) <- Arith.logand st.phys.(a) st.phys.(b)
+  | Rtl.Or -> fun st -> st.phys.(d) <- Arith.logor st.phys.(a) st.phys.(b)
+  | Rtl.Shl -> fun st -> st.phys.(d) <- Arith.shl st.phys.(a) st.phys.(b)
+  | Rtl.Mul | Rtl.Div | Rtl.Rem | Rtl.Xor | Rtl.Shr ->
+    let f = binop_fn op in
+    fun st -> st.phys.(d) <- f st.phys.(a) st.phys.(b)
+
+let alu_ri op d a n : state -> unit =
+  match op with
+  | Rtl.Add -> fun st -> st.phys.(d) <- Arith.add st.phys.(a) n
+  | Rtl.Sub -> fun st -> st.phys.(d) <- Arith.sub st.phys.(a) n
+  | Rtl.And -> fun st -> st.phys.(d) <- Arith.logand st.phys.(a) n
+  | Rtl.Or -> fun st -> st.phys.(d) <- Arith.logor st.phys.(a) n
+  | Rtl.Shl -> fun st -> st.phys.(d) <- Arith.shl st.phys.(a) n
+  | Rtl.Mul | Rtl.Div | Rtl.Rem | Rtl.Xor | Rtl.Shr ->
+    let f = binop_fn op in
+    fun st -> st.phys.(d) <- f st.phys.(a) n
+
 let effect (i : D.dinstr) : state -> unit =
   match i with
+  | D.DMove (D.DLreg (D.P d), D.DReg (D.P s)) ->
+    fun st -> st.phys.(d) <- st.phys.(s)
+  | D.DMove (D.DLreg (D.P d), D.DImm n) -> fun st -> st.phys.(d) <- n
+  | D.DMove (D.DLreg (D.P d), D.DMem (Rtl.Word, D.DBased (D.P b, off))) ->
+    fun st -> st.phys.(d) <- Image.load_word st.image (st.phys.(b) + off)
+  | D.DMove (D.DLreg (D.P d), D.DMem (Rtl.Byte, D.DBased (D.P b, off))) ->
+    fun st -> st.phys.(d) <- Image.load_byte st.image (st.phys.(b) + off)
+  | D.DMove (D.DLmem (Rtl.Word, D.DBased (D.P b, off)), D.DReg (D.P s)) ->
+    fun st -> Image.store_word st.image (st.phys.(b) + off) st.phys.(s)
+  | D.DBinop (op, D.DLreg (D.P d), D.DReg (D.P a), D.DReg (D.P b)) ->
+    alu_rr op d a b
+  | D.DBinop (op, D.DLreg (D.P d), D.DReg (D.P a), D.DImm n) -> alu_ri op d a n
   | D.DMove (l, s) ->
     let fl = wloc l and fs = ropnd s in
     fun st -> fl st (fs st)
@@ -448,34 +497,59 @@ let compile_term (f : D.dfunc) delay_slots after m : state -> int =
   | D.DLeave | D.DNop ->
     assert false
 
+(* The branch half of a fused compare and branch, given the compare's
+   result: set the condition code (still architecturally visible
+   afterwards), count and tick the branch, run or squash its slot, and
+   return the next position. *)
+let[@inline] fused_decide st cc br_tick eval goto slot_run slot_squash annulled
+    next =
+  st.cc <- cc;
+  st.counts.Interp.cond_branches <- st.counts.Interp.cond_branches + 1;
+  br_tick st;
+  let taken = eval cc in
+  if taken then begin
+    slot_run st;
+    goto st
+  end
+  else begin
+    if annulled then slot_squash st else slot_run st;
+    next
+  end
+
 (* A compare directly feeding the superblock's conditional branch fuses
-   with it: compute, set the condition code (still architecturally
-   visible afterwards), and decide in one closure. *)
+   with it: compute and decide in one closure.  The compare's hot
+   shapes, [cmp r, n] and [cmp r1, r2] on physical registers, read
+   [st.phys] directly; [fused_decide] is inlined into each variant, so
+   every one stays a single closure. *)
 let compile_fused_cmp_branch (f : D.dfunc) delay_slots after ~cmp_pos ~br_pos
     (a : D.dopnd) (b : D.dopnd) cond tgt : state -> int =
   let cmp_tick = tick_at f cmp_pos in
   let br_tick = tick_at f br_pos in
-  let fa = ropnd a and fb = ropnd b in
   let eval = cond_fn cond in
   let goto = target_fn f tgt in
   let slot_run, slot_squash = compile_slot f delay_slots br_pos in
   let annulled = slot_annulled f delay_slots br_pos in
   let next = br_pos + after in
-  fun st ->
-    cmp_tick st;
-    let cc = Int.compare (fa st) (fb st) in
-    st.cc <- cc;
-    st.counts.Interp.cond_branches <- st.counts.Interp.cond_branches + 1;
-    br_tick st;
-    let taken = eval cc in
-    if taken then begin
-      slot_run st;
-      goto st
-    end
-    else begin
-      if annulled then slot_squash st else slot_run st;
-      next
-    end
+  match (a, b) with
+  | D.DReg (D.P i), D.DImm n ->
+    fun st ->
+      cmp_tick st;
+      fused_decide st
+        (Int.compare st.phys.(i) n)
+        br_tick eval goto slot_run slot_squash annulled next
+  | D.DReg (D.P i), D.DReg (D.P j) ->
+    fun st ->
+      cmp_tick st;
+      fused_decide st
+        (Int.compare st.phys.(i) st.phys.(j))
+        br_tick eval goto slot_run slot_squash annulled next
+  | _ ->
+    let fa = ropnd a and fb = ropnd b in
+    fun st ->
+      cmp_tick st;
+      fused_decide st
+        (Int.compare (fa st) (fb st))
+        br_tick eval goto slot_run slot_squash annulled next
 
 (* The closure ending a superblock whose transfer is at [m]: the transfer
    itself, or, when [fused] holds, the compare at [m - 1] fused with the

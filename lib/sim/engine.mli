@@ -14,7 +14,11 @@
     its terminating transfer become a single handler that settles the
     run's bookkeeping in bulk and executes precompiled effect closures
     back to back, and a compare feeding the terminating conditional
-    branch folds into the transfer itself.
+    branch folds into the transfer itself.  The hot instruction shapes
+    (register moves, ALU ops on registers and immediates, [reg + disp]
+    loads and stores, register compares) compile to one closure each
+    that computes with the same {!Ir.Arith} and {!Image} functions as
+    the generic composition of operand closures every other shape uses.
 
     Fusion is unobservable: the [on_fetch] stream is per-instruction and
     in order (exact prefixes on faults and timeouts), a [~bank]'s

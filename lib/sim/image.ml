@@ -30,10 +30,11 @@ let check t addr bytes what =
   if addr < t.data_base || addr + bytes > Bytes.length t.mem then
     fault "%s at 0x%x is out of range" what addr
 
+(* A word moves as one little-endian 32-bit access; [Int32.to_int]
+   sign-extends bit 31, which is [Arith.norm] of the four bytes. *)
 let load_word t addr =
   check t addr 4 "word load";
-  let b i = Char.code (Bytes.get t.mem (addr + i)) in
-  Ir.Arith.norm (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
+  Int32.to_int (Bytes.get_int32_le t.mem addr)
 
 let load_byte t addr =
   check t addr 1 "byte load";
@@ -43,11 +44,7 @@ let store_word t addr v =
   check t addr 4 "word store";
   touch t addr;
   touch t (addr + 3);
-  let v = v land 0xFFFFFFFF in
-  Bytes.set t.mem addr (Char.chr (v land 0xff));
-  Bytes.set t.mem (addr + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set t.mem (addr + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set t.mem (addr + 3) (Char.chr ((v lsr 24) land 0xff))
+  Bytes.set_int32_le t.mem addr (Int32.of_int v)
 
 let store_byte t addr v =
   check t addr 1 "byte store";

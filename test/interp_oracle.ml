@@ -9,6 +9,10 @@
 open Ir
 open Sim
 
+(* Memory with words moved a byte at a time, so the engine's word
+   accesses are compared against an independent path. *)
+module Image = Image_oracle
+
 let error fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
 
 exception Exit_program of int

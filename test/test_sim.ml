@@ -308,6 +308,18 @@ let test_engine_matches_on_timeout () =
       (trace (fun ~on_fetch -> Sim.Engine.run ~max_steps ~on_fetch asm prog))
   done
 
+(* A run that must fault: its message, and the hash and length of the
+   fetch stream up to the fault. *)
+let faulting run =
+  let h = ref 0 and n = ref 0 in
+  let on_fetch ~addr ~size =
+    incr n;
+    h := (((!h * 31) + addr) * 31) + size
+  in
+  match run ~on_fetch with
+  | (_ : Sim.Interp.result) -> Alcotest.fail "expected a fault"
+  | exception Sim.Interp.Runtime_error msg -> (msg, !h, !n)
+
 let test_engine_matches_on_fault () =
   (* A faulting run has no result, but its fetch stream reached the
      cache simulator as it happened: the engine must have fetched the
@@ -319,21 +331,10 @@ let test_engine_matches_on_fault () =
       Machine.risc src
   in
   let asm = Sim.Asm.assemble Machine.risc prog in
-  let faulting run =
-    let h = ref 0 and n = ref 0 in
-    let on_fetch ~addr ~size =
-      incr n;
-      h := (((!h * 31) + addr) * 31) + size
-    in
-    (match run ~on_fetch with
-    | (_ : Sim.Interp.result) -> Alcotest.fail "expected a fault"
-    | exception Sim.Interp.Runtime_error _ -> ());
-    (!h, !n)
-  in
-  let rh, rn =
+  let _, rh, rn =
     faulting (fun ~on_fetch -> Interp_oracle.run ~input:"" ~on_fetch asm prog)
   in
-  let h, n =
+  let _, h, n =
     faulting (fun ~on_fetch -> Sim.Engine.run ~input:"" ~on_fetch asm prog)
   in
   Alcotest.(check int) "fetch count" rn n;
@@ -532,6 +533,351 @@ let test_entry_is_a_transfer () =
       Alcotest.(check int) (machine.short ^ ": exit code") 7 res.exit_code)
     [ Machine.risc; Machine.cisc ]
 
+(* --- the engine's specialised shapes ----------------------------------
+
+   [Sim.Engine] compiles its hottest instruction shapes (physical
+   registers, immediates, [reg + disp] words and bytes, compares fused
+   into a branch) to one closure each instead of composing operand
+   closures.  The hand-built programs below execute every such shape on
+   both machines, with immediates outside 32 bits, byte stores that
+   truncate and accesses that fault, and the engine must match the
+   reference loop on output, exit code, counts and fetch stream, or on
+   the fault message and the fetch prefix. *)
+
+let phys i = Reg.Phys i
+let r i = Rtl.Reg (phys i)
+let mov d src = Rtl.Move (Rtl.Lreg (phys d), src)
+let alu op d a b = Rtl.Binop (op, Rtl.Lreg (phys d), r a, b)
+let word_at base d = Rtl.Mem (Rtl.Word, Rtl.Based (phys base, d))
+let byte_at base d = Rtl.Mem (Rtl.Byte, Rtl.Based (phys base, d))
+
+let store w base d src =
+  Rtl.Move (Rtl.Lmem (w, Rtl.Based (phys base, d)), src)
+
+(* Print register [x]'s four low bytes, then those of [x / 7]: the
+   quotient depends on bits above 32, so a result that skipped
+   normalisation shows in the output. *)
+let print_reg x =
+  let bytes_of y =
+    List.concat_map
+      (fun k ->
+        [
+          Rtl.Binop (Rtl.Shr, Rtl.Lreg (Conv.arg_reg 0), r y, Rtl.Imm (8 * k));
+          Rtl.Call ("putchar", 1);
+        ])
+      [ 0; 1; 2; 3 ]
+  in
+  bytes_of x @ (alu Rtl.Div 19 x (Rtl.Imm 7) :: bytes_of 19)
+
+let all_binops =
+  Rtl.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+
+(* [main] as a list of blocks (label index, instructions), with a 16-byte
+   global [buf] for the memory shapes. *)
+let rtl_program blocks =
+  let lsupply = Label.Supply.create () in
+  let labels =
+    Array.init (List.length blocks) (fun _ -> Label.Supply.fresh lsupply)
+  in
+  let main =
+    Flow.Func.make ~name:"main" ~lsupply ~vsupply:(Reg.Supply.create_from 100)
+      ~blocks:
+        (Array.of_list
+           (List.mapi
+              (fun k instrs ->
+                { Flow.Func.label = labels.(k); instrs = instrs labels })
+              blocks))
+  in
+  {
+    Flow.Prog.globals =
+      [ { Flow.Prog.dname = "buf"; dsize = 16; dinit = [ Zeros 16 ] } ];
+    funcs = [ main ];
+  }
+
+let shapes_program =
+  rtl_program
+    [
+      (fun _ ->
+        [ Rtl.Enter 16; Rtl.Lea (phys 12, Rtl.Abs ("buf", 0)) ]
+        (* immediates outside 32 bits, into registers and every ALU op *)
+        @ [ mov 13 (Rtl.Imm 0x1_2345_6789); mov 15 (Rtl.Imm (-0x2_0000_0007)) ]
+        @ List.concat_map
+            (fun op ->
+              [ alu op 14 13 (Rtl.Imm 0x3_0000_00F5) ]
+              @ print_reg 14
+              @ [ alu op 14 13 (Rtl.Imm 35) ]
+              @ print_reg 14
+              @ [ alu op 14 13 (r 15) ]
+              @ print_reg 14
+              @ [ alu op 14 15 (r 13) ]
+              @ print_reg 14)
+            all_binops
+        @ [ mov 16 (r 13) ]
+        @ print_reg 16
+        (* words: aligned, unaligned and overlapping, raw values stored *)
+        @ [ store Rtl.Word 12 4 (r 13); mov 16 (word_at 12 4) ]
+        @ print_reg 16
+        @ [ store Rtl.Word 12 6 (r 15); mov 16 (word_at 12 4) ]
+        @ print_reg 16
+        @ [ mov 16 (word_at 12 6) ]
+        @ print_reg 16
+        (* bytes: 255, 256 and -1 truncate to one byte each *)
+        @ [
+            mov 17 (Rtl.Imm 255);
+            store Rtl.Byte 12 9 (r 17);
+            mov 17 (Rtl.Imm 256);
+            store Rtl.Byte 12 10 (r 17);
+            mov 17 (Rtl.Imm (-1));
+            store Rtl.Byte 12 11 (r 17);
+          ]
+        @ List.concat_map
+            (fun d -> mov 16 (byte_at 12 d) :: print_reg 16)
+            [ 9; 10; 11 ]
+        @ [ mov 16 (word_at 12 8) ]
+        @ print_reg 16
+        @ [ mov 18 (Rtl.Imm 0) ]);
+      (* a counted loop: [cmp r, imm] fused into a branch, both ways *)
+      (fun l ->
+        [
+          alu Rtl.Add 18 18 (Rtl.Imm 1);
+          Rtl.Cmp (r 18, Rtl.Imm 5);
+          Rtl.Branch (Rtl.Lt, l.(1));
+        ]);
+      (* [cmp r, r] fused into a branch: untaken, then taken *)
+      (fun l -> [ Rtl.Cmp (r 18, r 13); Rtl.Branch (Rtl.Ge, l.(4)) ]);
+      (fun l -> [ Rtl.Cmp (r 18, r 18); Rtl.Branch (Rtl.Eq, l.(4)) ]);
+      (fun _ -> [ mov 0 (r 14); Rtl.Leave; Rtl.Ret ]);
+    ]
+
+(* A program whose one memory access, through [reg + disp] at [addr],
+   faults after some output. *)
+let faulting_program addr access =
+  rtl_program
+    [
+      (fun _ ->
+        [ Rtl.Enter 16; mov 13 (Rtl.Imm 0x1_0000_0041) ]
+        @ print_reg 13
+        @ [ mov 12 (Rtl.Imm (addr - 2)); access; Rtl.Leave; Rtl.Ret ]);
+    ]
+
+let fault_cases =
+  let top = 4 * 1024 * 1024 in
+  [
+    ("word load below data", 0x10, mov 16 (word_at 12 2));
+    ("word load past the end", top - 2, mov 16 (word_at 12 2));
+    ("byte load past the end", top, mov 16 (byte_at 12 2));
+    ("word store below data", 0xffe, store Rtl.Word 12 2 (r 13));
+    ("word store past the end", top - 3, store Rtl.Word 12 2 (r 13));
+  ]
+
+(* The specialised shape an instruction compiles to, by the engine's own
+   patterns; [None] for the generic composition. *)
+let specialised_shape (code : Sim.Interp.Decoded.dinstr array) k =
+  let open Sim.Interp.Decoded in
+  let op_name = function
+    | Rtl.Add -> "add"
+    | Rtl.Sub -> "sub"
+    | Rtl.And -> "and"
+    | Rtl.Or -> "or"
+    | Rtl.Shl -> "shl"
+    | Rtl.Mul | Rtl.Div | Rtl.Rem | Rtl.Xor | Rtl.Shr -> "alu"
+  in
+  let feeds_branch =
+    k + 1 < Array.length code
+    && match code.(k + 1) with DBranch _ -> true | _ -> false
+  in
+  match code.(k) with
+  | DMove (DLreg (P _), DReg (P _)) -> Some "mov r, r"
+  | DMove (DLreg (P _), DImm _) -> Some "mov r, imm"
+  | DMove (DLreg (P _), DMem (Rtl.Word, DBased (P _, _))) -> Some "load word"
+  | DMove (DLreg (P _), DMem (Rtl.Byte, DBased (P _, _))) -> Some "load byte"
+  | DMove (DLmem (Rtl.Word, DBased (P _, _)), DReg (P _)) -> Some "store word"
+  | DBinop (op, DLreg (P _), DReg (P _), DReg (P _)) ->
+    Some (op_name op ^ " r, r")
+  | DBinop (op, DLreg (P _), DReg (P _), DImm _) ->
+    Some (op_name op ^ " r, imm")
+  | DCmp (DReg (P _), DImm _) when feeds_branch -> Some "cmp r, imm; branch"
+  | DCmp (DReg (P _), DReg (P _)) when feeds_branch -> Some "cmp r, r; branch"
+  | _ -> None
+
+let all_shapes =
+  [ "mov r, r"; "mov r, imm"; "load word"; "load byte"; "store word";
+    "cmp r, imm; branch"; "cmp r, r; branch" ]
+  @ List.concat_map
+      (fun op -> [ op ^ " r, r"; op ^ " r, imm" ])
+      [ "add"; "sub"; "and"; "or"; "shl"; "alu" ]
+
+(* The specialised shapes a run of [prog] executes. *)
+let executed_shapes asm prog =
+  let img = Sim.Image.build prog in
+  let decoded =
+    Sim.Interp.decode_cached
+      ~symbol:(fun s ->
+        match Sim.Image.symbol img s with
+        | a -> Some a
+        | exception Not_found -> None)
+      asm prog
+  in
+  let at = Hashtbl.create 256 in
+  Array.iter
+    (fun (f : Sim.Interp.Decoded.dfunc) ->
+      Array.iteri
+        (fun k a ->
+          Option.iter (Hashtbl.replace at a) (specialised_shape f.dcode k))
+        f.daddrs)
+    decoded.dfuncs;
+  let seen = Hashtbl.create 16 in
+  ignore
+    (Sim.Engine.run
+       ~on_fetch:(fun ~addr ~size:_ ->
+         Option.iter
+           (fun s -> Hashtbl.replace seen s ())
+           (Hashtbl.find_opt at addr))
+       asm prog);
+  List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))
+
+let test_specialised_shapes () =
+  List.iter
+    (fun (machine : Machine.t) ->
+      let asm = Sim.Asm.assemble machine shapes_program in
+      Alcotest.(check (list string))
+        (machine.short ^ ": every specialised shape executes")
+        (List.sort compare all_shapes)
+        (executed_shapes asm shapes_program);
+      check_same_run (machine.short ^ " shapes")
+        (trace (fun ~on_fetch ->
+             Interp_oracle.run ~on_fetch asm shapes_program))
+        (trace (fun ~on_fetch -> Sim.Engine.run ~on_fetch asm shapes_program)))
+    [ Machine.risc; Machine.cisc ]
+
+let test_specialised_faults () =
+  List.iter
+    (fun (machine : Machine.t) ->
+      List.iter
+        (fun (name, addr, access) ->
+          let prog = faulting_program addr access in
+          let asm = Sim.Asm.assemble machine prog in
+          let name = machine.short ^ ": " ^ name in
+          let rmsg, rh, rn =
+            faulting (fun ~on_fetch -> Interp_oracle.run ~on_fetch asm prog)
+          in
+          let msg, h, n =
+            faulting (fun ~on_fetch -> Sim.Engine.run ~on_fetch asm prog)
+          in
+          Alcotest.(check string) (name ^ " message") rmsg msg;
+          Alcotest.(check int) (name ^ " fetch count") rn n;
+          Alcotest.(check int) (name ^ " fetch hash") rh h)
+        fault_cases)
+    [ Machine.risc; Machine.cisc ]
+
+(* --- word access against the byte-wise oracle -------------------------
+
+   Random loads and stores, words and bytes, at addresses clustered
+   where a word access can go wrong: unaligned, straddling a 4 KiB page,
+   the last bytes of memory, below [data_base] and past the end, with
+   values outside the signed 32-bit range.  [Sim.Image] must load the
+   same values and raise the same faults as [Image_oracle], end with the
+   same memory, and mark every page it wrote dirty: the next
+   [build_scratch] of the same size finds the whole memory zeroed. *)
+
+type mem_op = Load of Rtl.width * int | Store of Rtl.width * int * int
+
+(* Five pages, the last one short and not a whole number of words. *)
+let mem_size = 0x4ffe
+let mem_base = 0x1000
+
+let mem_op_to_string =
+  let w = function Rtl.Word -> "w" | Rtl.Byte -> "b" in
+  function
+  | Load (x, a) -> Printf.sprintf "load%s 0x%x" (w x) a
+  | Store (x, a, v) -> Printf.sprintf "store%s 0x%x %d" (w x) a v
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let addr =
+    oneof
+      [
+        int_range (mem_base - 6) (mem_base + 6);
+        map2 (fun p d -> (p * 0x1000) + d) (int_range 2 4) (int_range (-5) 4);
+        int_range (mem_size - 6) (mem_size + 2);
+        int_range mem_base (mem_size - 1);
+        oneofl [ -4; -1; 0; 3; 0x7fffffff; max_int; min_int ];
+      ]
+  in
+  let value =
+    oneof
+      [
+        int_range (-300) 300;
+        oneofl
+          [ 0x7fffffff; 0x80000000; -0x80000000; -0x80000001; 0xffffffff;
+            0x1_0000_0000; 0x1_2345_6789; max_int; min_int ];
+        int;
+      ]
+  in
+  let width = oneofl [ Rtl.Word; Rtl.Byte ] in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (2, map2 (fun w a -> Load (w, a)) width addr);
+         (3, map3 (fun w a v -> Store (w, a, v)) width addr value);
+       ])
+
+let prop_image_matches_oracle =
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map mem_op_to_string ops))
+      ~shrink:QCheck.Shrink.list gen_mem_ops
+  in
+  QCheck.Test.make ~name:"image matches byte-wise oracle" ~count:300 arb
+    (fun ops ->
+      let empty = { Flow.Prog.globals = []; funcs = [] } in
+      let scratch () =
+        Sim.Image.build_scratch ~size:mem_size ~data_base:mem_base empty
+      in
+      let img = scratch () in
+      let orc = Image_oracle.build ~size:mem_size ~data_base:mem_base empty in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Sim.Image.Fault m -> Error ("fault: " ^ m)
+        | exception Invalid_argument m -> Error ("invalid: " ^ m)
+      in
+      let apply op ~load_word ~load_byte ~store_word ~store_byte =
+        outcome (fun () ->
+            match op with
+            | Load (Rtl.Word, a) -> load_word a
+            | Load (Rtl.Byte, a) -> load_byte a
+            | Store (Rtl.Word, a, v) -> store_word a v; 0
+            | Store (Rtl.Byte, a, v) -> store_byte a v; 0)
+      in
+      let same_ops =
+        List.for_all
+          (fun op ->
+            apply op ~load_word:(Sim.Image.load_word img)
+              ~load_byte:(Sim.Image.load_byte img)
+              ~store_word:(Sim.Image.store_word img)
+              ~store_byte:(Sim.Image.store_byte img)
+            = apply op ~load_word:(Image_oracle.load_word orc)
+                ~load_byte:(Image_oracle.load_byte orc)
+                ~store_word:(Image_oracle.store_word orc)
+                ~store_byte:(Image_oracle.store_byte orc))
+          ops
+      in
+      let every_byte p =
+        let ok = ref true in
+        for a = mem_base to mem_size - 1 do
+          if not (p a) then ok := false
+        done;
+        !ok
+      in
+      let same_memory =
+        every_byte (fun a ->
+            Sim.Image.load_byte img a = Image_oracle.load_byte orc a)
+      in
+      let fresh = scratch () in
+      same_ops && same_memory
+      && every_byte (fun a -> Sim.Image.load_byte fresh a = 0))
+
 let tests =
   ( "sim",
     [
@@ -564,4 +910,9 @@ let tests =
       Alcotest.test_case "bank feed: timeouts" `Quick test_bank_feed_timeouts;
       Alcotest.test_case "bank feed: exclusive with on_fetch" `Quick
         test_bank_feed_exclusive;
+      Alcotest.test_case "specialised shapes match reference" `Quick
+        test_specialised_shapes;
+      Alcotest.test_case "specialised faults match reference" `Quick
+        test_specialised_faults;
+      QCheck_alcotest.to_alcotest prop_image_matches_oracle;
     ] )

@@ -12,11 +12,15 @@
 # to fabricate deterministic rows).
 #
 # When $TREND_WALL_S is set (the sweep's wall-clock seconds, measured by
-# the caller), the row also records it and the gate fires: a wall time
-# more than 15% over the median of the last three recorded rows fails
-# with exit 1, so a perf regression trips CI the commit it lands.
-# --no-gate still records the row but never fails — the escape hatch for
-# machines with known-unstable timing.
+# the caller), $TREND_PARENT_WALL_S must be set too: the parent commit's
+# wall time for the same sweep, measured in the same interleaved session
+# (one variable without the other is a usage error, exit 2).  The row
+# records both and the gate fires: a wall time more than 15% over the
+# parent's fails with exit 1, so a perf regression trips the commit it
+# lands on.  Rows from other days are never the reference: on a shared
+# host their drift alone can exceed the threshold.  --no-gate still
+# records the row but never fails — the escape hatch for machines with
+# known-unstable timing.
 
 set -eu
 
@@ -33,6 +37,11 @@ if [ "${1:-}" = "--no-gate" ]; then
     shift
 fi
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    usage
+fi
+if [ "${TREND_WALL_S+set}" != "${TREND_PARENT_WALL_S+set}" ]; then
+    echo "$0: TREND_WALL_S and TREND_PARENT_WALL_S go together: the gate" \
+        "compares a sweep with its parent measured alongside" >&2
     usage
 fi
 results="$1"
@@ -71,6 +80,7 @@ for field in ("static_instrs", "static_ujumps", "dyn_instrs", "dyn_ujumps"):
 wall_s = os.environ.get("TREND_WALL_S")
 if wall_s is not None:
     row["wall_s"] = round(float(wall_s), 3)
+    row["parent_wall_s"] = round(float(os.environ["TREND_PARENT_WALL_S"]), 3)
 
 # Table-5 means: average of per-program percentage changes vs SIMPLE.
 by = {(r["program"], r["level"], r["machine"]): r for r in results}
@@ -87,35 +97,31 @@ for machine in sorted({r["machine"] for r in results}):
                 round(sum(deltas) / len(deltas), 3) if deltas else 0.0)
     row[machine] = means
 
-# The regression gate compares this sweep's wall time against the median
-# of the last three *prior* rows that recorded one.  The row is appended
-# either way — a regression should be on the record, not hidden by its
-# own failure.
+# The regression gate compares this sweep's wall time against the
+# parent's, measured in the same session.  The row is appended either
+# way — a regression should be on the record, not hidden by its own
+# failure.
+def wall_gate():
+    if "wall_s" not in row:
+        return None
+    parent = row["parent_wall_s"]
+    if row["wall_s"] > 1.15 * parent:
+        return (
+            "bench_compare: wall-time regression: %.3fs is %.1f%% over the "
+            "parent's %.3fs (gate: +15%%)"
+            % (row["wall_s"], 100.0 * (row["wall_s"] / parent - 1.0), parent))
+    print("bench_compare: wall time %.3fs within 15%% of the parent's %.3fs"
+          % (row["wall_s"], parent))
+    return None
+
+regression = wall_gate()
+
 prior = []
 try:
     with open(trend_path) as f:
         prior = [json.loads(line) for line in f if line.strip()]
 except FileNotFoundError:
     pass
-
-def wall_gate():
-    if "wall_s" not in row:
-        return None
-    history = [r["wall_s"] for r in prior if "wall_s" in r][-3:]
-    if not history:
-        return None
-    median = sorted(history)[len(history) // 2]
-    if row["wall_s"] > 1.15 * median:
-        return (
-            "bench_compare: wall-time regression: %.3fs is %.1f%% over the "
-            "median %.3fs of the last %d row(s) of %s (gate: +15%%)"
-            % (row["wall_s"], 100.0 * (row["wall_s"] / median - 1.0),
-               median, len(history), trend_path))
-    print("bench_compare: wall time %.3fs within 15%% of the median %.3fs "
-          "of the last %d row(s)" % (row["wall_s"], median, len(history)))
-    return None
-
-regression = wall_gate()
 
 # Re-running the bench at the same commit must not grow the trend file:
 # if the last row already carries this commit id, skip the append so the

@@ -306,13 +306,15 @@ grep -q "No measurement changed" _build/report-compare.md
 grep -q "Table 5 shape" _build/report.md
 
 echo "== bench trend: two synthetic snapshots + wall-time gate =="
+# CI measures no parent, so these rows name the sweep's own time as the
+# parent's; the drill below exercises the gate itself.
 rm -f _build/ci-trend.jsonl
-TREND_COMMIT=ci-a TREND_WALL_S="$SWEEP_WALL" \
+TREND_COMMIT=ci-a TREND_WALL_S="$SWEEP_WALL" TREND_PARENT_WALL_S="$SWEEP_WALL" \
   tools/bench_compare.sh --trend BENCH_baseline.json _build/ci-trend.jsonl
-TREND_COMMIT=ci-b TREND_WALL_S="$SWEEP_WALL" \
+TREND_COMMIT=ci-b TREND_WALL_S="$SWEEP_WALL" TREND_PARENT_WALL_S="$SWEEP_WALL" \
   tools/bench_compare.sh --trend BENCH_results.json _build/ci-trend.jsonl
 # Re-running at the same commit must be a no-op, not a duplicate row.
-TREND_COMMIT=ci-b TREND_WALL_S="$SWEEP_WALL" \
+TREND_COMMIT=ci-b TREND_WALL_S="$SWEEP_WALL" TREND_PARENT_WALL_S="$SWEEP_WALL" \
   tools/bench_compare.sh --trend BENCH_results.json _build/ci-trend.jsonl
 python3 - << 'EOF'
 import json
@@ -321,31 +323,39 @@ assert [r["commit"] for r in rows] == ["ci-a", "ci-b"], rows
 for r in rows:
     assert r["measurements"] == 114 and "risc" in r and "cisc" in r, r
     assert r["engine"] == "threaded", r
-    assert "wall_s" in r, r
+    assert "wall_s" in r and "parent_wall_s" in r, r
 print("trend file has %d rows (same-commit rerun deduplicated)" % len(rows))
 EOF
 
-# Deterministic gate drill on a scratch trend file: three ~10s rows, then
-# a 20%-slower row must fail, a 5%-slower row must pass, and --no-gate
-# must record the row without failing.
+# Deterministic gate drill on a scratch trend file, against a parent
+# measured at 10.0s: a 20%-slower row must fail, a 5%-slower row must
+# pass, --no-gate must record the row without failing, and a wall time
+# without the parent's must be refused as a usage error.  Rows already on
+# file (three faster ones) must not be the reference.
 rm -f _build/ci-gate.jsonl
-for w in 10.0 10.1 9.9; do
-  TREND_COMMIT="ci-w$w" TREND_WALL_S="$w" \
+for w in 5.0 5.1 4.9; do
+  TREND_COMMIT="ci-w$w" TREND_WALL_S="$w" TREND_PARENT_WALL_S="$w" \
     tools/bench_compare.sh --trend BENCH_results.json _build/ci-gate.jsonl > /dev/null
 done
-if TREND_COMMIT=ci-slow TREND_WALL_S=12.0 \
+if TREND_COMMIT=ci-slow TREND_WALL_S=12.0 TREND_PARENT_WALL_S=10.0 \
      tools/bench_compare.sh --trend BENCH_results.json _build/ci-gate.jsonl \
      > _build/trend-gate.log; then
   echo "trend gate: 20% wall-time regression not caught"; exit 1
 fi
 grep -q 'wall-time regression' _build/trend-gate.log
-TREND_COMMIT=ci-near TREND_WALL_S=10.5 \
+TREND_COMMIT=ci-near TREND_WALL_S=10.5 TREND_PARENT_WALL_S=10.0 \
   tools/bench_compare.sh --trend BENCH_results.json _build/ci-gate.jsonl > /dev/null
-TREND_COMMIT=ci-escape TREND_WALL_S=30.0 \
+TREND_COMMIT=ci-escape TREND_WALL_S=30.0 TREND_PARENT_WALL_S=10.0 \
   tools/bench_compare.sh --trend --no-gate BENCH_results.json _build/ci-gate.jsonl \
   > _build/trend-nogate.log
 grep -q 'not failing' _build/trend-nogate.log
-echo "trend wall-time gate: regression caught, tolerance and --no-gate honored"
+STATUS=0
+(unset TREND_PARENT_WALL_S
+ TREND_COMMIT=ci-alone TREND_WALL_S=10.0 \
+   tools/bench_compare.sh --trend BENCH_results.json _build/ci-gate.jsonl \
+   > /dev/null 2>&1) || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "trend gate: wall time without the parent's exited $STATUS, want 2"; exit 1; }
+echo "trend wall-time gate: regression caught, tolerance and --no-gate honored, parent required"
 
 # Without TREND_COMMIT the row is labelled from git: the short HEAD id,
 # marked "-dirty" exactly when the tracked files differ from HEAD.
