@@ -40,6 +40,13 @@ let tokenize src =
   in
   let emit (t : Token.t) = toks := (t, !line) :: !toks in
   let error msg = raise (Error (msg, !line)) in
+  (* Literals are kept as OCaml ints and normalised to 32 bits later; one
+     beyond [max_int] cannot be held. *)
+  let int_lit text =
+    match int_of_string_opt text with
+    | Some n -> emit (Int_lit n)
+    | None -> error "integer literal out of range"
+  in
   let escape c =
     match c with
     | 'n' -> '\n'
@@ -96,14 +103,14 @@ let tokenize src =
           advance ()
         done;
         if !pos = start then error "empty hex literal";
-        emit (Int_lit (int_of_string ("0x" ^ String.sub src start (!pos - start))))
+        int_lit ("0x" ^ String.sub src start (!pos - start))
       end
       else begin
         let start = !pos in
         while (match cur () with Some c -> is_digit c | None -> false) do
           advance ()
         done;
-        emit (Int_lit (int_of_string (String.sub src start (!pos - start))))
+        int_lit (String.sub src start (!pos - start))
       end
     end
     else if is_ident_start c then begin

@@ -80,42 +80,48 @@ module Live = struct
   type t = {
     mutable kept : (Func.t * Liveness.t) option;
         (* the function last solved, and its facts *)
-    mutable dirty : Label.Set.t;
+    mutable dirty : Reg.Set.t Label.Map.t;
+        (* per label, the registers its kept live-in may no longer tell *)
     mutable alias : Label.t Label.Map.t;
-        (* preheader -> the label whose kept live-in is its own *)
+        (* preheader or stub -> the label whose kept live-in is its own *)
   }
 
   let create () =
-    { kept = None; dirty = Label.Set.empty; alias = Label.Map.empty }
+    { kept = None; dirty = Label.Map.empty; alias = Label.Map.empty }
 
   let solve ?cfg t func =
     t.kept <- Some (func, Liveness.compute ?cfg func);
-    t.dirty <- Label.Set.empty;
+    t.dirty <- Label.Map.empty;
     t.alias <- Label.Map.empty
 
-  let note_hoist t ~before (loop : Loops.loop) ~after =
+  let dirty_regs t l =
+    Option.value (Label.Map.find_opt l t.dirty) ~default:Reg.Set.empty
+
+  let note_hoist t ~before (loop : Loops.loop) ~after ~code =
     if Option.is_some t.kept then begin
       let label f i = (Func.block f i).Func.label in
-      let added = Func.num_blocks after - Func.num_blocks before in
-      let header = label before loop.header in
-      let pre = label after (loop.header + added - 1) in
-      let dirty =
+      let moved =
+        List.fold_left
+          (fun s i -> Reg.Set.union (Rtl.uses i) (Reg.Set.union (Rtl.defs i) s))
+          Reg.Set.empty code
+      in
+      t.dirty <-
         Loops.Int_set.fold
-          (fun bi s -> Label.Set.add (label before bi) s)
-          loop.body t.dirty
+          (fun bi dirty ->
+            let l = label before bi in
+            Label.Map.add l (Reg.Set.union moved (dirty_regs t l)) dirty)
+          loop.body t.dirty;
+      let header = label before loop.header in
+      let target =
+        Option.value (Label.Map.find_opt header t.alias) ~default:header
       in
-      let dirty =
-        if added = 2 then Label.Set.add (label after loop.header) dirty
-        else dirty
-      in
-      if Label.Set.mem header t.dirty then t.dirty <- Label.Set.add pre dirty
-      else begin
-        t.dirty <- dirty;
-        let target =
-          Option.value (Label.Map.find_opt header t.alias) ~default:header
-        in
-        t.alias <- Label.Map.add pre target t.alias
-      end
+      let header_dirty = dirty_regs t header in
+      let added = Func.num_blocks after - Func.num_blocks before in
+      for i = loop.header to loop.header + added - 1 do
+        let l = label after i in
+        t.dirty <- Label.Map.add l header_dirty t.dirty;
+        t.alias <- Label.Map.add l target t.alias
+      done
     end
 
   let kept_in t func i =
@@ -123,17 +129,20 @@ module Live = struct
     | None -> None
     | Some (solved, facts) ->
       let l = (Func.block func i).Func.label in
-      if Label.Set.mem l t.dirty then None
-      else
-        let l = Option.value (Label.Map.find_opt l t.alias) ~default:l in
-        Some (Liveness.live_in facts (Func.index_of_label solved l))
+      let target = Option.value (Label.Map.find_opt l t.alias) ~default:l in
+      Some
+        (Liveness.live_in facts (Func.index_of_label solved target),
+         dirty_regs t l)
+
+  let solved t = Option.map fst t.kept
 
   let mem_in t g func i r =
     match kept_in t func i with
-    | Some regs -> Liveness.Regs.mem regs r
-    | None ->
+    | Some (regs, dirty) when not (Reg.Set.mem r dirty) ->
+      Liveness.Regs.mem regs r
+    | Some _ | None ->
       solve ~cfg:g t func;
-      Liveness.Regs.mem (Option.get (kept_in t func i)) r
+      Liveness.Regs.mem (fst (Option.get (kept_in t func i))) r
 end
 
 (* Definitions of each register inside the loop: count, and the list of
@@ -326,10 +335,11 @@ let hoist_loop func g dom (live : Live.t) (loop : Loops.loop) =
   let already_hoisted i =
     List.exists (fun j -> Rtl.equal_instr j i) !hoisted
   in
-  let blocks = Array.copy (Func.blocks func) in
+  (* Copied on the first deletion: most calls hoist nothing. *)
+  let blocks = ref (Func.blocks func) in
   Loops.Int_set.iter
     (fun bi ->
-      let b = blocks.(bi) in
+      let b = Func.block func bi in
       let rec scan acc = function
         | i1 :: i2 :: rest
           when (match dest_of i1 with
@@ -361,13 +371,15 @@ let hoist_loop func g dom (live : Live.t) (loop : Loops.loop) =
       in
       if List.exists candidate b.instrs then begin
         let keep = scan [] b.instrs in
-        if List.length keep <> List.length b.instrs then
-          blocks.(bi) <- { b with instrs = keep }
+        if List.length keep <> List.length b.instrs then begin
+          if !blocks == Func.blocks func then blocks := Array.copy !blocks;
+          !blocks.(bi) <- { b with instrs = keep }
+        end
       end)
     loop.body;
   match !hoisted with
   | [] -> None
-  | moved -> Some (blocks, List.rev moved)
+  | moved -> Some (!blocks, List.rev moved)
 
 let labels func blocks =
   Loops.Int_set.fold
@@ -383,7 +395,8 @@ let footprint func g (loop : Loops.loop) =
 
 let max_rounds = 50
 
-let run ?(on_hoist = fun ~before:_ _ ~after:_ _ -> ()) func =
+let run ?(on_hoist = fun ~before:_ _ ~after:_ ~code:_ _ -> ())
+    ?(on_skip = fun ~recorded:_ _ _ _ -> ()) func =
   (* One loop per round, innermost first.  A hoist edits only its own
      loop's blocks (and the jumps into its header), so the analyses are
      updated for the preheader rather than rebuilt, and a loop that
@@ -391,7 +404,12 @@ let run ?(on_hoist = fun ~before:_ _ ~after:_ _ -> ()) func =
      Everything else its decision reads is unchanged: its own blocks,
      dominance among the other blocks, and liveness outside the hoisting
      loop — only the header has predecessors outside a natural loop, and
-     the preheader's live-in is the old header's. *)
+     the preheader's live-in is the old header's.  The footprint itself
+     changes only when a hoist touches it: a hoist renames no block and
+     retargets only edges into its own header, a label of every loop it
+     adds a block to or redirects an exit of.  So a loop with a failure
+     record still has the footprint it failed with, and is skipped on its
+     header alone. *)
   let failed : (Label.t, Label.Set.t) Hashtbl.t = Hashtbl.create 8 in
   let live = Live.create () in
   let rec rounds func g dom loops left =
@@ -400,8 +418,10 @@ let run ?(on_hoist = fun ~before:_ _ ~after:_ _ -> ()) func =
       | (l : Loops.loop) :: rest -> (
         let key = (Func.block func l.header).Func.label in
         match Hashtbl.find_opt failed key with
-        | Some fp when Label.Set.equal fp (footprint func g l) -> try_loops rest
-        | Some _ | None -> (
+        | Some recorded ->
+          on_skip ~recorded func g l;
+          try_loops rest
+        | None -> (
           match hoist_loop func g dom live l with
           | Some edit -> Some (l, edit)
           | None ->
@@ -416,8 +436,8 @@ let run ?(on_hoist = fun ~before:_ _ ~after:_ _ -> ()) func =
         (fun _ fp -> if Label.Set.disjoint fp body then Some fp else None)
         failed;
       let func', _, added = preheader func blocks l code in
-      Live.note_hoist live ~before:func l ~after:func';
-      on_hoist ~before:func l ~after:func' live;
+      Live.note_hoist live ~before:func l ~after:func' ~code;
+      on_hoist ~before:func l ~after:func' ~code live;
       let func = func' in
       if left = 1 then (func, true)
       else

@@ -26,8 +26,9 @@ let touch t addr =
     t.dirty_pages <- p :: t.dirty_pages
   end
 
+(* [addr + bytes] would overflow for an address near [max_int]. *)
 let check t addr bytes what =
-  if addr < t.data_base || addr + bytes > Bytes.length t.mem then
+  if addr < t.data_base || addr > Bytes.length t.mem - bytes then
     fault "%s at 0x%x is out of range" what addr
 
 (* A word moves as one little-endian 32-bit access; [Int32.to_int]

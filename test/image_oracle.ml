@@ -22,29 +22,23 @@ let build ?(size = 4 * 1024 * 1024) ?(data_base = 0x1000) prog =
 let size t = Image.size t.image
 let symbol t name = Image.symbol t.image name
 
-(* [Sim.Image]'s range check and fault message. *)
+(* [Sim.Image]'s range check and fault message.  Written without
+   [addr + bytes], which overflows for an address near [max_int]. *)
 let check t addr bytes what =
-  if addr < t.data_base || addr + bytes > size t then
+  if addr < t.data_base || addr > size t - bytes then
     raise (Fault (Printf.sprintf "%s at 0x%x is out of range" what addr))
 
 let load_byte t addr = Image.load_byte t.image addr
 let store_byte t addr v = Image.store_byte t.image addr v
 
-(* A byte of a word that passed [check].  [addr + 4] overflows for an
-   address within 3 of [max_int], so [check] lets it through; the access
-   then fails as the [Bytes] access under it does. *)
-let word_byte t addr =
-  if addr < 0 || addr >= size t then invalid_arg "index out of bounds"
-  else addr
-
 let load_word t addr =
   check t addr 4 "word load";
-  let b i = load_byte t (word_byte t (addr + i)) in
+  let b i = load_byte t (addr + i) in
   Arith.norm (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24))
 
 let store_word t addr v =
   check t addr 4 "word store";
   let v = v land 0xFFFFFFFF in
   for i = 0 to 3 do
-    store_byte t (word_byte t (addr + i)) ((v lsr (8 * i)) land 0xff)
+    store_byte t (addr + i) ((v lsr (8 * i)) land 0xff)
   done

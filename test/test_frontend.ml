@@ -26,7 +26,18 @@ let test_lexer_errors () =
   expect_error "\"unterminated";
   expect_error "'a";
   expect_error "/* unterminated";
-  expect_error "@"
+  expect_error "@";
+  (* Beyond [max_int]: a typed error, not [int_of_string]'s [Failure]. *)
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error (msg, 1) ->
+        Alcotest.(check string) src "integer literal out of range" msg
+      | _ -> Alcotest.fail ("lexer accepted " ^ src))
+    [ "p = 9223372036854775807;"; "p = 0x10000000000000000;" ];
+  match toks (string_of_int max_int) with
+  | [ Int_lit n; Eof ] -> Alcotest.(check int) "max_int literal" max_int n
+  | _ -> Alcotest.fail "max_int literal"
 
 let test_parser_precedence () =
   let open Ast in

@@ -812,14 +812,21 @@ let test_deadvars_matches_oracle () =
 (* --- Licm's reused liveness against fresh solves --- *)
 
 (* Every answer [live] gives from kept facts for [func] is a fresh
-   solve's.  ([kept_in] raises on a block it has no facts or rule for.) *)
+   solve's: in each block, preheaders and stubs included, a register
+   outside the block's dirty set is in the kept live-in exactly when it is
+   in a fresh solve's.  ([kept_in] raises on a block it has no facts or
+   rule for.) *)
 let kept_answers_fresh live func =
   let fresh = Liveness.compute (fork func) in
   List.for_all
     (fun i ->
       match Opt.Licm.Live.kept_in live func i with
       | None -> true
-      | Some regs -> regs_of regs = regs_of (Liveness.live_in fresh i))
+      | Some (kept, dirty) ->
+        let clean regs =
+          List.filter (fun r -> not (Reg.Set.mem r dirty)) (regs_of regs)
+        in
+        clean kept = clean (Liveness.live_in fresh i))
     (List.init (Func.num_blocks func) Fun.id)
 
 (* After every hoist of [Licm.run f], licm's own reused liveness and a
@@ -833,9 +840,9 @@ let check_reused_liveness ?(resolve = fun _ -> false) f =
   let replay = Opt.Licm.Live.create () in
   Opt.Licm.Live.solve replay f;
   let agree = ref true and hoists = ref 0 in
-  let on_hoist ~before loop ~after live =
+  let on_hoist ~before loop ~after ~code live =
     incr hoists;
-    Opt.Licm.Live.note_hoist replay ~before loop ~after;
+    Opt.Licm.Live.note_hoist replay ~before loop ~after ~code;
     if not (kept_answers_fresh live after && kept_answers_fresh replay after)
     then agree := false;
     if resolve !hoists then Opt.Licm.Live.solve replay after
@@ -854,6 +861,41 @@ let licm_inputs_gen_rest =
 
 let reuse_inputs =
   lazy (Array.of_list (Lazy.force licm_inputs @ Lazy.force licm_inputs_gen_rest))
+
+(* Whether licm's own liveness, after its last hoist of [f], still holds
+   the facts of [f] itself: then no query after a hoist solved again. *)
+let licm_solves_only_its_input f =
+  let f = fork f in
+  let live = ref None in
+  let on_hoist ~before:_ _ ~after:_ ~code:_ l = live := Some l in
+  ignore (Opt.Licm.run ~on_hoist f);
+  match !live with
+  | None -> true
+  | Some l -> (
+    match Opt.Licm.Live.solved l with Some s -> s == f | None -> false)
+
+let test_licm_solves_before_hoists () =
+  Array.iter
+    (fun f ->
+      Alcotest.(check bool) (Func.name f ^ ": no solve after a hoist") true
+        (licm_solves_only_its_input f))
+    (Lazy.force reuse_inputs)
+
+(* A loop that hoisted nothing is passed over on its header alone; its
+   footprint must then still be the one it failed with. *)
+let test_licm_skips_unchanged_loops () =
+  let skips = ref 0 in
+  Array.iter
+    (fun f ->
+      let on_skip ~recorded func g loop =
+        incr skips;
+        Alcotest.(check bool) (Func.name f ^ ": footprint unchanged") true
+          (Label.Set.equal recorded (Opt.Licm.footprint func g loop))
+      in
+      ignore (Opt.Licm.run ~on_skip (fork f)))
+    (Lazy.force reuse_inputs);
+  Printf.printf "%d skips checked\n" !skips;
+  Alcotest.(check bool) "some skips" true (!skips > 0)
 
 let test_reused_liveness () =
   let hoists =
@@ -1734,6 +1776,10 @@ let tests =
       Alcotest.test_case "licm's reused liveness equals fresh solves" `Quick
         test_reused_liveness;
       QCheck_alcotest.to_alcotest prop_reused_liveness;
+      Alcotest.test_case "licm never solves after a hoist" `Quick
+        test_licm_solves_before_hoists;
+      Alcotest.test_case "licm skips only loops with their old footprint" `Quick
+        test_licm_skips_unchanged_loops;
       Alcotest.test_case "natural loops and rpo match the references" `Quick
         test_natural_loops_reference;
       Alcotest.test_case "licm preheader updates equal rebuilds" `Quick

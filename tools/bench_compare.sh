@@ -7,9 +7,13 @@
 #
 # Usage: tools/bench_compare.sh --trend [--no-gate] RESULTS.json [TREND.jsonl]
 #
-# The commit id comes from git, with "-dirty" appended when the working
-# tree differs from HEAD, or from $TREND_COMMIT when set (tests use this
-# to fabricate deterministic rows).
+# The row's label comes from git: the short HEAD id for a clean tree, or,
+# when the tracked files differ from HEAD, "<HEAD>+<first 7 hex digits of
+# the SHA-1 of `git diff HEAD`>", so two different uncommitted changes on
+# one parent get two labels.  The row's "parent" field is the commit the
+# measured tree sits on: HEAD for an uncommitted change, HEAD's first
+# parent for a clean tree.  $TREND_COMMIT, when set, replaces the label
+# (tests use this to fabricate deterministic rows).
 #
 # When $TREND_WALL_S is set (the sweep's wall-clock seconds, measured by
 # the caller), $TREND_PARENT_WALL_S must be set too: the parent commit's
@@ -46,18 +50,25 @@ if [ "${TREND_WALL_S+set}" != "${TREND_PARENT_WALL_S+set}" ]; then
 fi
 results="$1"
 trend="${2:-BENCH_trend.jsonl}"
-if [ -n "${TREND_COMMIT:-}" ]; then
-    commit="$TREND_COMMIT"
-elif commit=$(git rev-parse --short HEAD 2>/dev/null); then
-    git diff --quiet HEAD 2>/dev/null || commit="$commit-dirty"
+parent=
+if head=$(git rev-parse --short HEAD 2>/dev/null); then
+    if git diff --quiet HEAD 2>/dev/null; then
+        commit="$head"
+        parent=$(git rev-parse --short HEAD^ 2>/dev/null || true)
+    else
+        commit="$head+$(git diff --no-ext-diff --no-color HEAD | sha1sum | cut -c1-7)"
+        parent="$head"
+    fi
 else
     commit=unknown
 fi
-exec python3 - "$results" "$trend" "$commit" "$gate" << 'EOF'
+commit="${TREND_COMMIT:-$commit}"
+exec python3 - "$results" "$trend" "$commit" "$gate" "$parent" << 'EOF'
 import json, os, sys, time
 
 results_path, trend_path, commit = sys.argv[1], sys.argv[2], sys.argv[3]
 gate = sys.argv[4] == "1"
+parent = sys.argv[5] or None
 with open(results_path) as f:
     doc = json.load(f)
 results = doc.get("results", [])
@@ -67,6 +78,7 @@ def change(now, base):
 
 row = {
     "commit": commit,
+    "parent": parent,
     "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     # Which execution engine produced the sweep (older documents predate
     # the label and were measured by the decoded interpreter).

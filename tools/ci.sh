@@ -357,20 +357,40 @@ STATUS=0
 [ "$STATUS" -eq 2 ] || { echo "trend gate: wall time without the parent's exited $STATUS, want 2"; exit 1; }
 echo "trend wall-time gate: regression caught, tolerance and --no-gate honored, parent required"
 
-# Without TREND_COMMIT the row is labelled from git: the short HEAD id,
-# marked "-dirty" exactly when the tracked files differ from HEAD.
-rm -f _build/ci-label.jsonl
-(unset TREND_COMMIT
- tools/bench_compare.sh --trend --no-gate BENCH_results.json _build/ci-label.jsonl \
-   > /dev/null)
-LABEL=$(python3 -c 'import json; print(json.loads(open("_build/ci-label.jsonl").readline())["commit"])')
-if HEAD_ID=$(git rev-parse --short HEAD 2>/dev/null); then
-  if git diff --quiet HEAD; then WANT="$HEAD_ID"; else WANT="$HEAD_ID-dirty"; fi
-else
-  WANT=unknown
-fi
-[ "$LABEL" = "$WANT" ] || { echo "trend label $LABEL, want $WANT"; exit 1; }
-echo "trend label from git: $LABEL"
+# Without TREND_COMMIT the row is labelled from git: the short HEAD id
+# with "parent" HEAD^ for a clean tree, and "<HEAD>+<7 hex of the SHA-1
+# of git diff HEAD>" with "parent" HEAD for an uncommitted one.  Checked
+# in a throwaway repository, so both cases run whatever state this
+# checkout is in.
+LABEL_REPO="$PWD/_build/ci-label-repo"
+rm -rf "$LABEL_REPO"
+mkdir -p "$LABEL_REPO"
+cp BENCH_results.json "$LABEL_REPO/results.json"
+(
+  unset TREND_COMMIT
+  cd "$LABEL_REPO"
+  commit() { git -c user.name=ci -c user.email=ci@localhost commit -qam "$1"; }
+  git init -q .
+  echo one > f && git add f && commit one
+  echo two > f && commit two
+  ../../tools/bench_compare.sh --trend --no-gate results.json trend.jsonl > /dev/null
+  echo three > f
+  ../../tools/bench_compare.sh --trend --no-gate results.json trend.jsonl > /dev/null
+  echo four > f
+  ../../tools/bench_compare.sh --trend --no-gate results.json trend.jsonl > /dev/null
+  python3 - "$(git rev-parse --short HEAD^)" "$(git rev-parse --short HEAD)" << 'EOF'
+import json, re, sys
+first, second = sys.argv[1], sys.argv[2]
+rows = [(r["commit"], r["parent"])
+        for r in map(json.loads, open("trend.jsonl"))]
+assert rows[0] == (second, first), rows
+for label, parent in rows[1:]:
+    assert re.fullmatch(re.escape(second) + r"\+[0-9a-f]{7}", label), label
+    assert parent == second, parent
+assert rows[1][0] != rows[2][0], "two changes share a label"
+print("trend labels and parents from git:", ", ".join(l for l, _ in rows))
+EOF
+)
 
 echo "== bench tables smoke; bench accepts exactly its pinned options =="
 dune exec bench/main.exe -- -t 1 -t 2 -t fig > /dev/null
