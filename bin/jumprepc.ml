@@ -17,9 +17,9 @@ module Json = Telemetry.Json
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 (* The one JSON emission path: every machine-readable output (compile/run
-   --stats-json, measure, bench --stats-json, lint --json, explain --json,
-   certify --json) assembles a Json.t and prints it here with
-   Json.to_string, the only JSON renderer. *)
+   --stats-json, measure, bench --stats-json, explain --json, certify
+   --json) assembles a Json.t and prints it here with Json.to_string, the
+   only JSON renderer. *)
 let print_json j = print_endline (Json.to_string j)
 
 (* Every user-facing failure funnels through a typed diagnostic: one
@@ -74,6 +74,20 @@ let machine_arg =
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"C source file.")
+
+let target_doc = "A C source file or a bundled benchmark name (see $(b,list))."
+
+(* A TARGET names a file if one exists, else a bundled benchmark; anything
+   else is a usage error (exit 2). *)
+let source_of_target cmd t =
+  if Sys.file_exists t then read_file t
+  else
+    match Programs.Suite.find t with
+    | Some b -> b.source
+    | None ->
+      Printf.eprintf
+        "jumprepc: %s: %s is neither a file nor a bundled benchmark\n" cmd t;
+      exit 2
 
 (* --- telemetry arguments (shared by compile/run/measure/bench) --- *)
 
@@ -545,98 +559,6 @@ let bench_cmd =
       const run $ level_arg $ machine_arg $ bench_name $ trace_arg
       $ trace_out_arg $ stats_json_arg $ verify_arg)
 
-(* --- lint: static-analysis findings over the compiled RTL --- *)
-
-let lint_cmd =
-  let targets =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"TARGET"
-          ~doc:"A C source file or a bundled benchmark name (see $(b,list)).")
-  in
-  let benches =
-    Arg.(
-      value & flag
-      & info [ "benches" ] ~doc:"Lint every bundled benchmark as well.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: a JSON array with one object per \
-             target, each carrying its findings as diagnostic objects.")
-  in
-  let run level machine targets benches json strict =
-    let targets =
-      targets
-      @ (if benches then
-           List.map (fun (b : Programs.Suite.benchmark) -> b.name)
-             Programs.Suite.all
-         else [])
-    in
-    if targets = [] then begin
-      Printf.eprintf
-        "jumprepc: lint: no targets (name files or benchmarks, or pass \
-         --benches)\n";
-      exit 2
-    end;
-    let source_of t =
-      if Sys.file_exists t then read_file t
-      else
-        match Programs.Suite.find t with
-        | Some b -> b.source
-        | None ->
-          Printf.eprintf
-            "jumprepc: lint: %s is neither a file nor a bundled benchmark\n" t;
-          exit 2
-    in
-    let all_diags = ref [] in
-    let reports =
-      List.map
-        (fun t ->
-          match Ops.lint_findings ~level ~machine ~path:t (source_of t) with
-          | Error f -> fail_op f
-          | Ok findings ->
-            all_diags := !all_diags @ findings;
-            (t, findings))
-        targets
-    in
-    if json then print_json (Ops.lint_json reports)
-    else
-      List.iter
-        (fun (t, findings) ->
-          let s = Lint.summarize findings in
-          if findings = [] then Printf.printf "%s: clean\n" t
-          else begin
-            Printf.printf "%s: %d error%s, %d warning%s\n" t s.Lint.errors
-              (if s.Lint.errors = 1 then "" else "s")
-              s.Lint.warnings
-              (if s.Lint.warnings = 1 then "" else "s");
-            List.iter
-              (fun d ->
-                Printf.printf "  %s: %s\n"
-                  (match d.Telemetry.Diag.severity with
-                  | Telemetry.Diag.Warn -> "warning"
-                  | Telemetry.Diag.Err -> "error")
-                  (Telemetry.Diag.to_string d))
-              findings
-          end)
-        reports;
-    strict_exit strict all_diags
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static-analysis report over the compiled (pre-allocation) RTL: \
-          uninitialized virtual-register reads, dead stores, statically \
-          decidable branches, jump chains, unreachable blocks, and the \
-          per-jump replication outlook (wholesale loop copies, code-growth \
-          estimates, residual jumps)")
-    Term.(
-      const run $ level_arg $ machine_arg $ targets $ benches $ json
-      $ strict_arg)
-
 (* --- campaign store plumbing (fuzz/certify; the bench driver has
    its own copy of the flags) --- *)
 
@@ -665,10 +587,7 @@ let warn_diag d =
 
 let certify_cmd =
   let targets =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"TARGET"
-          ~doc:"A C source file or a bundled benchmark name (see $(b,list)).")
+    Arg.(value & pos_all string [] & info [] ~docv:"TARGET" ~doc:target_doc)
   in
   let benches =
     Arg.(
@@ -702,17 +621,6 @@ let certify_cmd =
          --benches)\n";
       exit 2
     end;
-    let source_of t =
-      if Sys.file_exists t then read_file t
-      else
-        match Programs.Suite.find t with
-        | Some b -> b.source
-        | None ->
-          Printf.eprintf
-            "jumprepc: certify: %s is neither a file nor a bundled benchmark\n"
-            t;
-          exit 2
-    in
     let st = if store = "" then None else Some (Campaign.Store.open_ store) in
     (* Only bundled benchmarks are cacheable: a file target's bytes are
        not part of {!Campaign.Key.certify}. *)
@@ -731,7 +639,8 @@ let certify_cmd =
     let entry t =
       let verdicts, diags =
         match
-          Ops.certify_report ?inject_fault ~level ~machine ~path:t (source_of t)
+          Ops.certify_report ?inject_fault ~level ~machine ~path:t
+            (source_of_target "certify" t)
         with
         | Error f -> fail_op f
         | Ok r -> r
@@ -853,14 +762,22 @@ let explain_cmd =
       & info [ "json" ]
           ~doc:
             "Machine-readable output: one JSON object per function with the \
-             replication count and the remaining jumps as diagnostic \
-             objects.")
+             replication count, and the remaining jumps and the decidable \
+             branches as diagnostic objects.")
+  in
+  let target =
+    Arg.(
+      required & pos 0 (some string) None
+      & info [] ~docv:"TARGET" ~doc:target_doc)
   in
   let run level machine path json =
     (* Trace the whole compilation in memory, then audit what is left
        ({!Ops.explain_report}). *)
     let prog, events =
-      match Ops.explain_report ~level ~machine ~path (read_file path) with
+      match
+        Ops.explain_report ~level ~machine ~path
+          (source_of_target "explain" path)
+      with
       | Ok r -> r
       | Error f -> fail_op f
     in
@@ -868,7 +785,9 @@ let explain_cmd =
       print_json (Ops.explain_json prog events);
       exit 0
     end;
-    let total_applied = ref 0 and total_remaining = ref 0 in
+    let total_applied = ref 0
+    and total_remaining = ref 0
+    and total_decidable = ref 0 in
     List.iter
       (fun f ->
         let fname = Flow.Func.name f in
@@ -909,18 +828,28 @@ let explain_cmd =
                 (Ir.Label.to_string from_l)
                 (Ir.Label.to_string to_l)
                 (Replication.Jumps.decision_to_string decision))
-            remaining))
+            remaining);
+        match Ops.decidable_branches f with
+        | [] -> print_endline "  decidable branches: none"
+        | decidable ->
+          Printf.printf "  decidable branches (%d):\n" (List.length decidable);
+          List.iter
+            (fun (d : Diag.t) ->
+              incr total_decidable;
+              Printf.printf "    %s\n" d.message)
+            decidable)
       prog.Flow.Prog.funcs;
-    Printf.printf "total: %d replicated, %d remaining\n" !total_applied
-      !total_remaining
+    Printf.printf "total: %d replicated, %d remaining, %d decidable\n"
+      !total_applied !total_remaining !total_decidable
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Audit replication decisions: for every unconditional jump, which \
           shortest-path sequence replaced it, or the concrete reason none \
-          could")
-    Term.(const run $ level_arg $ machine_arg $ file_arg $ json)
+          could; and every conditional branch that constant facts decide, \
+          a folding chance replication created")
+    Term.(const run $ level_arg $ machine_arg $ target $ json)
 
 (* --- fuzz: differential fuzzing with automatic delta reduction --- *)
 
@@ -1292,7 +1221,6 @@ let main =
       run_cmd;
       measure_cmd;
       bench_cmd;
-      lint_cmd;
       certify_cmd;
       explain_cmd;
       report_cmd;

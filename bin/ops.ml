@@ -1,7 +1,7 @@
-(* The operations behind jumprepc's compile, measure, lint, certify and
-   explain subcommands: each returns its result, or its [--json] payload,
-   as a value, and a typed [failure] instead of exiting, so the
-   subcommands only print and exit. *)
+(* The operations behind jumprepc's compile, measure, certify and explain
+   subcommands: each returns its result, or its [--json] payload, as a
+   value, and a typed [failure] instead of exiting, so the subcommands
+   only print and exit. *)
 
 module Json = Telemetry.Json
 module Diag = Telemetry.Diag
@@ -109,31 +109,6 @@ let measure_rows ?log ?(verify = false) ~path ~name ~source ~input machine =
 let measure_json rows =
   Json.Arr (List.map Harness.Measure.to_json rows)
 
-(* --- lint: findings over the pre-allocation RTL --- *)
-
-let lint_findings ~level ~machine ~path source =
-  (* Lint the pre-allocation RTL: virtual registers must survive so the
-     uninitialized-read analysis can see them. *)
-  let opts = { (make_opts level) with Opt.Driver.allocate = false } in
-  let diags = ref [] in
-  match compile_source ~diags opts machine ~path source with
-  | Error _ as e -> e
-  | Ok prog ->
-    (* Pipeline diagnostics (quarantined passes etc.) and lint findings
-       share the rendering and the --strict policy. *)
-    Ok (List.rev !diags @ Lint.check_prog prog)
-
-let lint_json reports =
-  Json.Arr
-    (List.map
-       (fun (t, findings) ->
-         Json.Obj
-           [
-             ("target", Json.Str t);
-             ("findings", Json.Arr (List.map Diag.to_json findings));
-           ])
-       reports)
-
 (* --- certify: per-pass translation-validation verdicts --- *)
 
 let certify_report ?inject_fault ~level ~machine ~path source =
@@ -200,9 +175,32 @@ let explain_report ~level ~machine ~path source =
   | Error _ as e -> e
   | Ok prog -> Ok (prog, Telemetry.Log.events log)
 
+(* A remaining jump's decision as a warning: [Loop_replication] when the
+   copy would complete a natural loop, [Code_growth] for a plain copy (the
+   message carries its RTL cost), [Jump_residual] when no copy is legal. *)
+let diag_of_decision ~func ((src, dst), decision) =
+  let code =
+    match (decision : Replication.Jumps.decision) with
+    | Replicated { loop_completed = true; _ } -> Diag.Loop_replication
+    | Replicated _ -> Diag.Code_growth
+    | Not_replicated _ -> Diag.Jump_residual
+  in
+  Diag.make ~severity:Diag.Warn code ~func ~pass:"explain"
+    (Printf.sprintf "jump %s -> %s: %s" (Ir.Label.to_string src)
+       (Ir.Label.to_string dst)
+       (Replication.Jumps.decision_to_string decision))
+
+let decidable_branches f =
+  List.map
+    (fun (block, target, taken) ->
+      Diag.make ~severity:Diag.Warn Diag.Const_branch
+        ~func:(Flow.Func.name f) ~pass:"explain"
+        (Printf.sprintf "%s: branch to %s is %s" (Ir.Label.to_string block)
+           (Ir.Label.to_string target)
+           (if taken then "always taken" else "never taken")))
+    (Opt.Constfold.decidable_branches f)
+
 let explain_json prog events =
-  (* The remaining jumps reuse the lint renderer: each decision is the
-     same typed diagnostic `jumprepc lint --json` emits. *)
   Json.Arr
     (List.map
        (fun f ->
@@ -223,9 +221,9 @@ let explain_json prog events =
              ( "remaining",
                Json.Arr
                  (List.map
-                    (fun jd ->
-                      Diag.to_json
-                        (Lint.diag_of_decision ~func:fname ~pass:"explain" jd))
+                    (fun jd -> Diag.to_json (diag_of_decision ~func:fname jd))
                     (Replication.Jumps.explain f)) );
+             ( "decidable",
+               Json.Arr (List.map Diag.to_json (decidable_branches f)) );
            ])
        prog.Flow.Prog.funcs)

@@ -1,4 +1,4 @@
-(** The operations behind jumprepc's compile, measure, lint, certify and
+(** The operations behind jumprepc's compile, measure, certify and
     explain subcommands.  Each returns its result, and builds its
     [--json]/[--stats-json] payload, as a value; a failure comes back
     typed rather than as an exit, so the subcommands only print. *)
@@ -51,18 +51,6 @@ val measure_rows :
 (** The [measure --stats-json] array for the rows. *)
 val measure_json : Harness.Measure.t list -> Telemetry.Json.t
 
-(** Compile without register allocation and collect pipeline diagnostics
-    plus {!Lint.check_prog} findings, in the CLI's order. *)
-val lint_findings :
-  level:Opt.Driver.level ->
-  machine:Ir.Machine.t ->
-  path:string ->
-  string ->
-  (Telemetry.Diag.t list, failure) result
-
-(** The [lint --json] array for (target, findings) reports. *)
-val lint_json : (string * Telemetry.Diag.t list) list -> Telemetry.Json.t
-
 (** Compile under [options.certify] and collect the static certifier's
     per-pass verdicts (chronological) alongside the pipeline diagnostics
     they produced.  [inject_fault] passes a PASS[:MODE] corruption spec
@@ -97,6 +85,13 @@ val explain_report :
   string ->
   (Flow.Prog.t * Telemetry.Log.event list, failure) result
 
-(** The [explain --json] array. *)
+(** The conditional branches of a compiled function that
+    {!Opt.Constfold.decidable_branches} finds decided, as [const-branch]
+    warnings from pass ["explain"]: ["L6: branch to L4 is never taken"]. *)
+val decidable_branches : Flow.Func.t -> Telemetry.Diag.t list
+
+(** The [explain --json] array: per function, the replication count, the
+    remaining jumps and the decidable branches, both as diagnostic
+    objects. *)
 val explain_json :
   Flow.Prog.t -> Telemetry.Log.event list -> Telemetry.Json.t

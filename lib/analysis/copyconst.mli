@@ -4,8 +4,9 @@
     value at each program point: a compile-time constant, or a copy of
     another (still unmodified) register.  Facts meet by agreement — a
     register keeps a fact at a join only when every incoming edge carries
-    the same one.  The lint rule for statically decidable conditional
-    branches evaluates [Cmp] operands against these facts. *)
+    the same one.  [Opt.Constfold.decidable_branches] evaluates [Cmp]
+    operands against these facts, and the translation validator seeds
+    agreed constants from them. *)
 
 open Ir
 

@@ -6,8 +6,7 @@
       reach each block's entry along some path (forward, union);
     - {e must-defined registers}: which registers have a definition on
       {e every} path from the entry to each block's entry (forward,
-      intersection) — what def-before-use checking and the uninitialized-
-      read lint rule key on.
+      intersection) — what def-before-use checking keys on.
 
     Pass a graph restricted to reachable blocks ({!Dataflow.restrict}) when
     facts along unreachable edges must not weaken the must-analysis. *)

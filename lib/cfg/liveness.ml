@@ -40,13 +40,11 @@ let fold_backward t f i ~init =
 let sweep t drop i =
   Analysis.Live.sweep t.facts drop (Func.block t.func i).instrs i
 
-let dead_result ~cc live_after instr =
+let dead_result live_after instr =
   let written = ref false and live = ref false in
   Ir.Rtl.iter_defs
     (fun d ->
-      if cc || not (Ir.Reg.equal d Ir.Reg.Cc) then begin
-        written := true;
-        if Regs.mem live_after d then live := true
-      end)
+      written := true;
+      if Regs.mem live_after d then live := true)
     instr;
   !written && not !live

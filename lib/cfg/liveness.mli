@@ -51,7 +51,6 @@ val sweep :
   int ->
   Analysis.Live.swept option
 
-(** [dead_result ~cc live_after instr]: [instr] writes at least one
-    register and none of them is in [live_after].  [Cc] counts as a
-    written register only when [cc] holds. *)
-val dead_result : cc:bool -> Regs.t -> Rtl.instr -> bool
+(** [dead_result live_after instr]: [instr] writes at least one register
+    ([Cc] included) and none of them is in [live_after]. *)
+val dead_result : Regs.t -> Rtl.instr -> bool

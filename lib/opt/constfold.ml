@@ -100,3 +100,40 @@ let run machine input =
       input
   in
   if !changed then (func, true) else (input, false)
+
+(* What [fold_branches] would fold if it read the facts of the whole
+   function: Copyconst's constant facts at each block's entry, pushed
+   through the block to the operands of the compare a branch keys on. *)
+let decidable_branches func =
+  let module C = Analysis.Copyconst in
+  let blocks = Flow.Func.blocks func in
+  let facts =
+    C.solve
+      ~graph:(Flow.Cfg.graph (Flow.Cfg.make func))
+      ~instrs:(Array.map (fun (b : Flow.Func.block) -> b.instrs) blocks)
+      ()
+  in
+  let decided = ref [] in
+  Array.iteri
+    (fun bi (b : Flow.Func.block) ->
+      let step (f, cmp) i =
+        let cmp =
+          match i with
+          | Rtl.Cmp (x, y) -> Some (C.operand_const f x, C.operand_const f y)
+          | _ when Reg.Set.mem Reg.Cc (Rtl.defs i) ->
+            (* A clobber we cannot model (a call): forget the compare. *)
+            None
+          | Rtl.Branch (c, l) ->
+            (match cmp with
+            | Some (Some x, Some y) ->
+              decided := (b.label, l, Rtl.eval_cond c x y) :: !decided
+            | _ -> ());
+            cmp
+          | _ -> cmp
+        in
+        (C.step i f, cmp)
+      in
+      if C.reached facts.fact_in.(bi) then
+        ignore (List.fold_left step (facts.fact_in.(bi), None) b.instrs))
+    blocks;
+  List.rev !decided

@@ -5,7 +5,7 @@ let removable instr ~live_after =
   (match instr with
   | Rtl.Move (Lreg d, Reg s) -> Reg.equal d s
   | _ -> false)
-  || (Rtl.is_pure instr && Liveness.dead_result ~cc:true live_after instr)
+  || (Rtl.is_pure instr && Liveness.dead_result live_after instr)
 
 (* The first thing [instrs] does with [r]: read it, write it, or
    neither. *)

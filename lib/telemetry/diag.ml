@@ -9,11 +9,7 @@ type code =
   | Parse_error
   | Semantic_error
   | Io_error
-  | Uninit_read
-  | Dead_store
   | Const_branch
-  | Jump_chain
-  | Unreachable_code
   | Loop_replication
   | Code_growth
   | Jump_residual
@@ -46,11 +42,7 @@ let code_name = function
   | Parse_error -> "parse-error"
   | Semantic_error -> "semantic-error"
   | Io_error -> "io-error"
-  | Uninit_read -> "uninit-read"
-  | Dead_store -> "dead-store"
   | Const_branch -> "const-branch"
-  | Jump_chain -> "jump-chain"
-  | Unreachable_code -> "unreachable-code"
   | Loop_replication -> "loop-replication"
   | Code_growth -> "code-growth"
   | Jump_residual -> "jump-residual"

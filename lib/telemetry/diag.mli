@@ -22,11 +22,7 @@ type code =
   | Parse_error  (** a lexical or syntax error in a C-subset source file *)
   | Semantic_error  (** a code-generation (semantic) error *)
   | Io_error  (** a file could not be read or written *)
-  | Uninit_read  (** a virtual register read before definition on some path *)
-  | Dead_store  (** a pure computation whose results are never read *)
   | Const_branch  (** a conditional branch statically always/never taken *)
-  | Jump_chain  (** a control transfer landing on another unconditional jump *)
-  | Unreachable_code  (** a block no path from the entry reaches *)
   | Loop_replication  (** replication copied a whole loop body *)
   | Code_growth  (** estimated code growth from replicating a jump *)
   | Jump_residual  (** an unconditional jump replication could not remove *)

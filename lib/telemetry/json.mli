@@ -1,9 +1,8 @@
 (** A tiny dependency-free JSON value: the one renderer of every
     machine-readable output (diags, the event log, measurement rows,
-    [lint --json], [explain --json], [certify --json], the profiler
-    snapshot, the trace export, the worker replies), plus a
-    strict parser for reading our own documents back
-    ([BENCH_results.json], telemetry JSONL). *)
+    [explain --json], [certify --json], the profiler snapshot, the
+    trace export, the worker replies), plus a strict parser for reading
+    our own documents back ([BENCH_results.json], telemetry JSONL). *)
 
 type t =
   | Null

@@ -22,7 +22,7 @@ let run func =
                 | _ -> false
               in
               let dead =
-                Rtl.is_pure instr && Liveness.dead_result ~cc:true live_after instr
+                Rtl.is_pure instr && Liveness.dead_result live_after instr
               in
               if self_move || dead then begin
                 changed := true;

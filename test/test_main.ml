@@ -8,7 +8,6 @@ let () =
       Test_flow.tests;
       Test_check.tests;
       Test_analysis.tests;
-      Test_lint.tests;
       Test_replication.tests;
       Test_opt.tests;
       Test_tv.tests;

@@ -1726,6 +1726,86 @@ let test_boundary_baseline () =
   Alcotest.(check (list string)) "the new violation convicts" [ "ghost" ]
     (List.map fst (quarantines diags))
 
+(* --- what the output leaves to check --- *)
+
+(* The pre-allocation output has nothing left for deadvars or branch-chain
+   to do: no dead pure instruction, no transfer onto a jump-only block, no
+   jump to the next block.  Every function of the corpus, of Gen seeds 0-9
+   and of a self loop (a jump onto itself, which is no chain), at each
+   level on both machines, comes back itself. *)
+let test_preallocation_fixpoint () =
+  let funcs = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (machine : Machine.t) ->
+          List.iter
+            (fun level ->
+              let prog =
+                Opt.Driver.compile
+                  { Opt.Driver.default_options with level; allocate = false }
+                  machine src
+              in
+              List.iter
+                (fun f ->
+                  incr funcs;
+                  List.iter
+                    (fun (pass, run) ->
+                      let f', changed = run f in
+                      if changed || f' != f then
+                        Alcotest.failf "%s %s %s, %s: %s changes the output"
+                          name
+                          (Opt.Driver.level_name level)
+                          machine.short (Func.name f) pass)
+                    [
+                      ("deadvars", Opt.Deadvars.run);
+                      ("branch-chain", Opt.Branch_chain.run);
+                    ])
+                prog.Prog.funcs)
+            Helpers.levels)
+        Helpers.machines)
+    (("spin", "int main() {\n  while (1) ;\n  return 0;\n}\n")
+    :: corpus_and_gen_below 10);
+  Printf.printf "%d functions\n" !funcs
+
+(* A compare on a register known to hold a constant decides its branch,
+   also when the constant comes from another block, which [Constfold.run]
+   does not fold.  The same compare on a getchar result decides nothing. *)
+let test_decidable_branches () =
+  let guard ~split def =
+    let entry = Rtl.Enter 8 :: def in
+    let test l = [ Rtl.Cmp (Reg (v 1), Imm 0); Rtl.Branch (Ne, l.(2)) ] in
+    mk "guard"
+      [
+        (fun l -> if split then entry else entry @ test l);
+        (fun l -> if split then test l else [ Rtl.Nop ]);
+        (fun _ -> [ Rtl.Move (Lreg Conv.rv, Imm 0); Rtl.Leave; Rtl.Ret ]);
+      ]
+  in
+  let decided f =
+    List.map
+      (fun (b, l, taken) -> (Label.to_string b, Label.to_string l, taken))
+      (Opt.Constfold.decidable_branches f)
+  in
+  let label f i = Label.to_string (Func.block f i).label in
+  let branches = Alcotest.(list (triple string string bool)) in
+  let const = [ Rtl.Move (Lreg (v 1), Imm 1) ] in
+  let f = guard ~split:false const in
+  Alcotest.check branches "decidable compare"
+    [ (label f 0, label f 2, true) ]
+    (decided f);
+  let g = guard ~split:true const in
+  Alcotest.check branches "constant from the block before"
+    [ (label g 1, label g 2, true) ]
+    (decided g);
+  Alcotest.(check bool) "left by constfold" false
+    (snd (Opt.Constfold.run Machine.risc g));
+  let opaque =
+    guard ~split:false
+      [ Rtl.Call ("getchar", 0); Rtl.Move (Lreg (v 1), Reg Conv.rv) ]
+  in
+  Alcotest.check branches "opaque compare" [] (decided opaque)
+
 let tests =
   ( "opt",
     [
@@ -1809,5 +1889,10 @@ let tests =
         test_boundary_rebuilt_error;
       Alcotest.test_case "boundary: a present violation convicts no one" `Quick
         test_boundary_baseline;
+      Alcotest.test_case
+        "pre-allocation output is a deadvars and branch-chain fixpoint" `Quick
+        test_preallocation_fixpoint;
+      Alcotest.test_case "constfold: decidable branches" `Quick
+        test_decidable_branches;
       QCheck_alcotest.to_alcotest prop_passes_keep_legality;
     ] )

@@ -28,6 +28,15 @@ if grep -rnE 'Daemon\.|Protocol\.|jumprepd' lib bin bench test; then
   echo "the daemon was removed; drive work through Harness.Pool.run"; exit 1
 fi
 
+# Decidable branches are explain's (Opt.Constfold.decidable_branches); the
+# verifier and the passes check the rest of the output.
+echo "== no lint left =="
+if [ -e lib/lint ] || grep -rnE \
+  'Lint\.|lint_(findings|json)|"lint"|Uninit_read|Dead_store|Jump_chain|Unreachable_code' \
+  lib bin bench test; then
+  echo "there is no separate static checker; extend explain or the verifier"; exit 1
+fi
+
 # The sweep's counters are Report.counters over its rows; there is no
 # second copy of them in a registry, a worker reply or a store entry.
 echo "== no metrics registry left =="
@@ -404,11 +413,17 @@ if dune exec bench/main.exe -- --no-such-option > /dev/null 2>&1; then
   echo "bench accepted an unknown option"; exit 1
 fi
 
-echo "== lint --strict (examples + bench corpus) =="
-for f in examples/c/*.c; do
-  dune exec bin/jumprepc.exe -- lint "$f" -O jumps --strict > /dev/null
+# The verifier and the passes are the static check: every example
+# compiles clean under def-before-use and the execution oracle.  The 19
+# corpus programs get the same check in the opt_digests --verify-passes
+# leg.
+echo "== examples compile clean under --verify-passes --strict =="
+for m in risc cisc; do
+  for f in examples/c/*.c; do
+    dune exec bin/jumprepc.exe -- compile "$f" -O jumps -m "$m" \
+      --verify-passes --strict > /dev/null
+  done
 done
-dune exec bin/jumprepc.exe -- lint --benches -O jumps --strict > /dev/null
 
 echo "== examples with bundled inputs reproduce their golden outputs =="
 for f in examples/c/*.c; do

@@ -13,7 +13,8 @@ shootout-style kernels (nbody, spectral) in pure integer / fixed-point form
 
 The additions are also emitted as examples/c/<name>.c with their bundled
 input (<name>.input) and gcc-captured golden output (<name>.expected), so
-the CLI, lint and certify CI legs exercise them as source files.
+the CLI, compile --verify-passes and certify CI legs exercise them as
+source files.
 """
 
 import subprocess, tempfile, os, sys
